@@ -540,20 +540,21 @@ fn budget_overhead(c: &mut Criterion) {
 /// `scaling/update apply_single_tuple` — insert + apply, delete +
 /// apply, i.e. two publishes per iteration — but in the worst serving
 /// posture: a live [`SnapshotHandle`](cla_core::SnapshotHandle) makes
-/// every publish go through the atomic swap cell, and one reader keeps
-/// a generation pinned the whole time, so that retired buffer can never
-/// be recycled and the writer must work around it. The acceptance claim
-/// is `publish_single_tuple ≤ apply_single_tuple · 2` at dept16 (i.e.
-/// snapshot publication costs at most one extra apply's worth over the
-/// façade-only path), with `full_rebuild/` — the `SearchEngine::new`
-/// a per-mutation rebuild would pay — as the contrast arm.
+/// every publish go through the shared publication cell, and one
+/// reader keeps a generation pinned the whole time, so that retired
+/// buffer can never be recycled and the writer must work around it.
+/// The acceptance claim is `publish_single_tuple ≤ apply_single_tuple
+/// · 2` at dept16 (i.e. snapshot publication costs at most one extra
+/// apply's worth over the façade-only path), with `full_rebuild/` —
+/// the `SearchEngine::new` a per-mutation rebuild would pay — as the
+/// contrast arm.
 ///
 /// `read_throughput_0w/` vs `read_throughput_1w/` measures one reader's
 /// pin-and-search latency with zero and one concurrent writer looping
-/// single-tuple publishes as fast as it can: the no-read-locks claim,
-/// stated as a before/after pair. The writer compacts every 4096 rounds
-/// to keep tombstone churn bounded (same stationarity device as the
-/// update group).
+/// single-tuple publishes as fast as it can: what a saturating writer
+/// costs a reader, stated as a before/after pair. The writer compacts
+/// every 4096 rounds to keep tombstone churn bounded (same
+/// stationarity device as the update group).
 fn snapshot_publish(c: &mut Criterion) {
     use std::sync::atomic::{AtomicBool, Ordering};
 

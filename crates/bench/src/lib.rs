@@ -6,6 +6,8 @@
 //! paper-vs-measured comparisons (the source of EXPERIMENTS.md);
 //! integration tests assert the same checks.
 
+#![forbid(unsafe_code)]
+
 pub mod paper;
 pub mod scale;
 pub mod tablefmt;

@@ -6,8 +6,8 @@
 //! published [`EngineSnapshot`] generation, every mutation to the
 //! writer. New code that wants concurrent readers should take a
 //! [`SearchEngine::snapshots`] handle (or use [`EngineWriter`]
-//! directly) — each reader thread pins generations lock-free while this
-//! façade keeps mutating.
+//! directly) — each reader thread pins a generation with one read-locked
+//! `Arc` clone while this façade keeps mutating.
 
 use crate::connection::Connection;
 use crate::datagraph::DataGraph;
@@ -110,11 +110,11 @@ impl SearchEngine {
         &mut self.writer
     }
 
-    /// A cloneable, lock-free entry point for reader threads: each
-    /// [`SnapshotHandle::latest`] call pins the most recently published
-    /// generation, which stays alive and byte-stable while this engine
-    /// keeps applying and compacting. See [`EngineSnapshot`] for the
-    /// consistency model.
+    /// A cloneable entry point for reader threads: each
+    /// [`SnapshotHandle::latest`] call takes a read lock for one `Arc`
+    /// clone to pin the most recently published generation, which stays
+    /// alive and byte-stable while this engine keeps applying and
+    /// compacting. See [`EngineSnapshot`] for the consistency model.
     pub fn snapshots(&self) -> SnapshotHandle {
         self.writer.handle()
     }

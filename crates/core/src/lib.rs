@@ -54,12 +54,13 @@
 //! Everything `search()` reads lives in an immutable, Arc-shared
 //! [`EngineSnapshot`]; [`SearchEngine`] is a thin façade over one
 //! [`EngineWriter`] that builds and atomically publishes the next
-//! generation per `apply`/`compact` (no lock on the read path, no
-//! full-engine deep clone per publish — retired snapshot buffers are
+//! generation per `apply`/`compact` (a pointer swap under a write lock,
+//! no full-engine deep clone per publish — retired snapshot buffers are
 //! recycled by patch replay). Reader threads pin generations through a
-//! cloneable [`SnapshotHandle`] and keep answering from their pinned
-//! generation, byte-identically to a from-scratch engine at that
-//! generation, while the writer keeps publishing
+//! cloneable [`SnapshotHandle`] — a pin takes a read lock for one `Arc`
+//! clone, and no search runs under the lock — and keep answering from
+//! their pinned generation, byte-identically to a from-scratch engine
+//! at that generation, while the writer keeps publishing
 //! (`crates/core/tests/concurrent.rs`;
 //! `examples/concurrent_serving.rs`).
 //!
@@ -110,107 +111,66 @@
 //! assert_eq!(results.connections[0].rendering, "d1(XML) – e1(Smith)");
 //! ```
 
-// Under `--cfg cla_model_check` (the loom-lite model-checking build,
-// `tests/model.rs`) only the lock-free core and its support modules
-// compile: the search stack above it is irrelevant to interleaving
-// exploration and would multiply build time for every explored-schedule
-// iteration cycle.
-#[cfg(not(cla_model_check))]
+#![forbid(unsafe_code)]
+
 mod aliases;
-#[cfg(not(cla_model_check))]
 mod banks;
-#[cfg(not(cla_model_check))]
 mod budget;
-#[cfg(not(cla_model_check))]
 mod candidates;
-#[cfg(not(cla_model_check))]
 mod connection;
-#[cfg(not(cla_model_check))]
 mod datagraph;
-#[cfg(not(cla_model_check))]
 mod discover;
-#[cfg(not(cla_model_check))]
 mod engine;
-#[cfg(not(cla_model_check))]
 mod error;
-#[cfg(not(cla_model_check))]
 mod explain;
-#[cfg(not(cla_model_check))]
 mod instance;
-#[cfg(not(cla_model_check))]
 mod participation;
-#[cfg(not(cla_model_check))]
 mod persist;
-#[cfg(not(cla_model_check))]
 mod ranking;
-#[cfg(not(cla_model_check))]
 mod snapshot;
-#[cfg(not(cla_model_check))]
 mod stats;
-mod swap;
-#[cfg(not(cla_model_check))]
 mod writer;
 
 pub mod failpoints;
-pub mod sync;
 
-#[cfg(not(cla_model_check))]
 pub use aliases::{AliasLookup, Aliases};
-#[cfg(not(cla_model_check))]
 pub use banks::{
     banks_search, banks_search_budgeted, banks_search_counted, BanksOptions, BanksScratch,
     BanksWork, EdgeWeighting, SteinerTree,
 };
-#[cfg(not(cla_model_check))]
 pub use budget::SearchBudget;
-#[cfg(not(cla_model_check))]
 pub use candidates::{
     evaluate_candidate_network, generate_candidate_networks, mtjnts_via_candidate_networks,
     mtjnts_via_candidate_networks_topk, CandidateNetwork, CnEdge, CnNode, KeywordRelationMap,
 };
-#[cfg(not(cla_model_check))]
 pub use connection::{ConceptualStep, Connection, ConnectionStep};
-#[cfg(not(cla_model_check))]
 pub use datagraph::GraphPatch;
-#[cfg(not(cla_model_check))]
 pub use datagraph::{DataGraph, EdgeAnnotation};
-#[cfg(not(cla_model_check))]
 pub use discover::{
     enumerate_joining_networks, enumerate_mtjnts, enumerate_mtjnts_budgeted,
     enumerate_mtjnts_counted, is_joining, is_mtjnt, is_total, mtjnt_filter,
     JoiningNetworkLevels,
 };
-#[cfg(not(cla_model_check))]
 pub use engine::SearchEngine;
-#[cfg(not(cla_model_check))]
 pub use error::{CoreError, KeywordDiagnostic};
 // The typed corruption reasons behind [`CoreError::Snapshot`], for
 // callers matching on *why* an image was rejected.
-#[cfg(not(cla_model_check))]
 pub use cla_storage::StorageError;
-#[cfg(not(cla_model_check))]
 pub use explain::explain_connection;
-#[cfg(not(cla_model_check))]
 pub use instance::{
     instance_closeness, instance_closeness_naive, instance_closeness_with_cache,
     InstanceCloseness, WitnessCache, WitnessStrategy,
 };
-#[cfg(not(cla_model_check))]
 pub use participation::{
     move_sequence, participation_degree, participation_fanout, reachable_set,
     RelationshipMove,
 };
-#[cfg(not(cla_model_check))]
 pub use ranking::{sort_by_strategy, ConnectionInfo, RankStrategy};
-#[cfg(not(cla_model_check))]
 pub use snapshot::{
     Algorithm, EngineSnapshot, RankedConnection, SearchOptions, SearchResults,
 };
-#[cfg(not(cla_model_check))]
 pub use stats::{
     close_precision_at_k, kendall_tau, overlap_at_k, ClosenessProfile, Completeness,
     SearchStats, TruncationReason,
 };
-pub use swap::SwapCell;
-#[cfg(not(cla_model_check))]
 pub use writer::{ApplyOutcome, CompactionPolicy, EngineWriter, SnapshotHandle};

@@ -7,9 +7,10 @@
 //! pipeline (keyword match → connection generation → metrics → ranking)
 //! touches. It is **never mutated after publication**: the
 //! [`EngineWriter`](crate::EngineWriter) builds the next generation in a
-//! private buffer and publishes it with an atomic `Arc` swap, so any
-//! number of reader threads can search a pinned snapshot while the
-//! writer works, with no lock anywhere on the read path. Within one
+//! private buffer and publishes it by swapping an `Arc` under a write
+//! lock, so any number of reader threads can search a pinned snapshot
+//! while the writer works; a pin holds the read lock only for one
+//! `Arc` clone, and no search runs under it. Within one
 //! snapshot every answer is internally consistent; a reader holding an
 //! `Arc<EngineSnapshot>` keeps exactly its generation's answers alive
 //! no matter how far the writer advances.
@@ -27,7 +28,6 @@ use crate::failpoints;
 use crate::instance::{instance_closeness_with_cache, WitnessCache, WitnessStrategy};
 use crate::ranking::{ConnectionInfo, RankStrategy};
 use crate::stats::{Completeness, SearchStats, TruncationReason};
-use crate::sync::Mutex;
 use cla_er::{Cardinality, CardinalityChain, ErSchema, SchemaMapping};
 use cla_graph::{
     bounded_bfs_distances_into, enumerate_simple_paths_undirected,
@@ -40,6 +40,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::{Mutex, MutexGuard};
 use std::thread;
 
 /// Which connection-generation algorithm to run.
@@ -406,8 +407,8 @@ impl SearchResults {
 /// Everything [`EngineSnapshot::search`] reads lives here; nothing here
 /// changes after the snapshot is published (the scratch pool and the
 /// failpoint opt-in flag carry no semantic state). Obtain the current
-/// snapshot from a [`SnapshotHandle`](crate::SnapshotHandle) (lock-free)
-/// or [`EngineWriter::snapshot`](crate::EngineWriter::snapshot), and
+/// snapshot from a [`SnapshotHandle`](crate::SnapshotHandle) or
+/// [`EngineWriter::snapshot`](crate::EngineWriter::snapshot), and
 /// hold the `Arc` for as long as a consistent view is needed — the
 /// writer publishing newer generations never invalidates it.
 #[derive(Debug)]
@@ -489,7 +490,7 @@ impl EngineSnapshot {
     /// the pool serves fresh scratches from then on. Pooled buffers
     /// carry no semantic state — recovery can never change results.
     #[allow(clippy::vec_box)] // matches the pool field: boxes move O(1)
-    fn lock_scratch_pool(&self) -> crate::sync::MutexGuard<'_, Vec<Box<SearchScratch>>> {
+    fn lock_scratch_pool(&self) -> MutexGuard<'_, Vec<Box<SearchScratch>>> {
         self.scratch_pool.lock().unwrap_or_else(|poisoned| {
             self.scratch_pool.clear_poison();
             let mut pool = poisoned.into_inner();

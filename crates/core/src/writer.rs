@@ -6,10 +6,12 @@
 //! machinery (index undo log, mutation-free graph planning,
 //! [`Database::rollback`], [`TupleRemap`]) as the commit point, build
 //! the next [`EngineSnapshot`] generation in a private buffer, and
-//! publish it with an atomic `Arc` swap through the shared
-//! [`SwapCell`](crate::SwapCell). Readers holding a
-//! [`SnapshotHandle`] pin generations lock-free and are never blocked —
-//! or invalidated — by a publish.
+//! publish it by swapping the new `Arc` into a shared
+//! `RwLock<Arc<EngineSnapshot>>`. Readers holding a [`SnapshotHandle`]
+//! pin a generation by taking the read lock for one `Arc` clone, and a
+//! publish holds the write lock only for the pointer swap, so neither
+//! side ever waits on a search — and a publish never invalidates a
+//! pinned generation.
 //!
 //! ## Publish without deep clone
 //!
@@ -35,14 +37,13 @@ use crate::datagraph::{DataGraph, GraphPatch};
 use crate::error::CoreError;
 use crate::failpoints;
 use crate::snapshot::{failpoints_enabled_from_env, EngineSnapshot};
-use crate::swap::SwapCell;
 use cla_er::{rdb_edge_cardinality, ErSchema, SchemaMapping};
 use cla_index::InvertedIndex;
 use cla_relational::{Catalog, ChangeSet, Database, RelationId, TupleId, TupleRemap, Value};
 use cla_storage::SharedBytes;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Retired snapshots kept as buffer-recycling candidates. Beyond this
 /// the oldest is released outright (it frees when its readers unpin);
@@ -93,7 +94,7 @@ pub struct ApplyOutcome {
 }
 
 /// A cloneable, `Send + Sync` entry point for reader threads: pins the
-/// latest published [`EngineSnapshot`] generation, lock-free.
+/// latest published [`EngineSnapshot`] generation.
 ///
 /// Obtain one from [`EngineWriter::handle`] (or the façade's
 /// `SearchEngine::snapshots`), clone it into as many reader threads as
@@ -105,15 +106,17 @@ pub struct ApplyOutcome {
 /// generation alive).
 #[derive(Clone, Debug)]
 pub struct SnapshotHandle {
-    cell: Arc<SwapCell<EngineSnapshot>>,
+    cell: Arc<RwLock<Arc<EngineSnapshot>>>,
 }
 
 impl SnapshotHandle {
-    /// Pin the latest published generation. Lock-free: two atomic
-    /// counter bumps and a pointer read — never blocked by the writer
-    /// or by other readers.
+    /// Pin the latest published generation: takes the read lock for one
+    /// `Arc` clone. Readers share the lock; a publish holds it
+    /// exclusively only for a pointer swap, never across a search.
     pub fn latest(&self) -> Arc<EngineSnapshot> {
-        self.cell.load()
+        // Nothing panics under either guard, and the only write is a
+        // whole-`Arc` swap, so even a poisoned slot is valid: recover it.
+        Arc::clone(&self.cell.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -221,10 +224,10 @@ pub struct EngineWriter {
     db: LazyDb,
     /// The writer's own pin of the latest published snapshot.
     current: Arc<EngineSnapshot>,
-    /// The publication cell readers load from; created lazily on the
+    /// The publication cell readers pin from; created lazily on the
     /// first [`EngineWriter::handle`] so purely single-threaded use
     /// (and the construction-time builders) never pays for sharing.
-    cell: OnceLock<Arc<SwapCell<EngineSnapshot>>>,
+    cell: OnceLock<Arc<RwLock<Arc<EngineSnapshot>>>>,
     /// Retired snapshot Arcs kept as recycling candidates, oldest
     /// first.
     retired: Vec<Arc<EngineSnapshot>>,
@@ -336,12 +339,12 @@ impl EngineWriter {
     }
 
     /// The shared publication cell, created on first use.
-    fn cell(&self) -> &Arc<SwapCell<EngineSnapshot>> {
-        self.cell.get_or_init(|| Arc::new(SwapCell::new(Arc::clone(&self.current))))
+    fn cell(&self) -> &Arc<RwLock<Arc<EngineSnapshot>>> {
+        self.cell.get_or_init(|| Arc::new(RwLock::new(Arc::clone(&self.current))))
     }
 
-    /// A cloneable, lock-free entry point for reader threads — see
-    /// [`SnapshotHandle`].
+    /// A cloneable entry point for reader threads; each pin takes the
+    /// cell's read lock for one `Arc` clone — see [`SnapshotHandle`].
     pub fn handle(&self) -> SnapshotHandle {
         SnapshotHandle { cell: Arc::clone(self.cell()) }
     }
@@ -654,8 +657,8 @@ impl EngineWriter {
     }
 
     /// Publish `buf` as the next generation: bump the ordinal, swap it
-    /// into the cell (readers switch lock-free), retire the previous
-    /// snapshot as a recycling candidate and record the replay delta.
+    /// into the cell under the write lock, retire the previous snapshot
+    /// as a recycling candidate and record the replay delta.
     fn publish(&mut self, mut buf: EngineSnapshot, changes: ChangeSet, patch: GraphPatch) {
         // Fold the index's patch overlay into the flat term dictionary
         // once it has grown past its threshold — the publish-time twin
@@ -670,9 +673,12 @@ impl EngineWriter {
         let old = std::mem::replace(&mut self.current, Arc::clone(&new_arc));
         if let Some(cell) = self.cell.get() {
             // The cell's previous Arc is the same snapshot as `old`;
-            // retiring one pin and dropping the other leaves exactly
-            // the retired count.
-            drop(cell.store(new_arc));
+            // retiring one pin and dropping the other (after the guard
+            // is released) leaves exactly the retired count.
+            let mut slot = cell.write().unwrap_or_else(PoisonError::into_inner);
+            let prev = std::mem::replace(&mut *slot, new_arc);
+            drop(slot);
+            drop(prev);
         }
         self.retired.push(old);
         if self.retired.len() > MAX_RETIRED {

@@ -6,11 +6,6 @@
 //! Kept as a single `#[test]` so no sibling test thread pollutes the
 //! global counters while a measurement window is open.
 
-// The whole file is std-build only: under the loom-lite model cfg
-// (`--cfg cla_model_check`) the engine above the lock-free core is
-// not compiled (see `tests/model.rs`).
-#![cfg(not(cla_model_check))]
-
 use cla_core::{SearchEngine, SearchOptions, WitnessStrategy};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_graph::NodeId;

@@ -9,8 +9,6 @@
 //! counting allocator sees no sibling-test noise while a measurement
 //! window is open (same discipline as `tests/alloc.rs`).
 
-#![cfg(not(cla_model_check))]
-
 use cla_core::{SearchEngine, SearchOptions};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use std::alloc::{GlobalAlloc, Layout, System};

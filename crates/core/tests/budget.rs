@@ -19,11 +19,6 @@
 //!   prefix) the truncated output is still a labeled *subset* of the
 //!   full run.
 
-// The whole file is std-build only: under the loom-lite model cfg
-// (`--cfg cla_model_check`) the engine above the lock-free core is
-// not compiled (see `tests/model.rs`).
-#![cfg(not(cla_model_check))]
-
 use cla_core::{
     Algorithm, RankStrategy, SearchBudget, SearchEngine, SearchOptions, SearchResults,
     TruncationReason,

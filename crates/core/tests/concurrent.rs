@@ -6,10 +6,9 @@
 //! The properties pinned here, on top of `tests/mutation.rs`'s
 //! single-threaded rebuild equivalence:
 //!
-//! * Readers never block on the writer and never observe
-//!   `StaleEngine` or a half-applied batch — a pinned
-//!   [`EngineSnapshot`](cla_core::EngineSnapshot) is always a complete
-//!   published generation.
+//! * Readers never observe `StaleEngine` or a half-applied batch — a
+//!   pinned [`EngineSnapshot`](cla_core::EngineSnapshot) is always a
+//!   complete published generation.
 //! * Buffer recycling in the writer (retired snapshots reclaimed and
 //!   caught up by patch replay) never mutates a generation a reader
 //!   still pins: a snapshot pinned early stays byte-stable across
@@ -17,11 +16,9 @@
 //! * All of it holds across `compact()`, which renumbers ids — readers
 //!   pinned to pre-compaction generations keep answering in the old id
 //!   space, consistently.
-
-// The whole file is std-build only: under the loom-lite model cfg
-// (`--cfg cla_model_check`) the engine above the lock-free core is
-// not compiled (see `tests/model.rs`).
-#![cfg(not(cla_model_check))]
+//! * Once its readers let go, a generation is freed: neither the
+//!   writer's retired list nor the handle's publication cell keeps it
+//!   alive.
 
 use cla_core::failpoints;
 use cla_core::{Algorithm, SearchEngine, SearchOptions};
@@ -32,7 +29,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const READERS: usize = 4;
 const QUERIES: &[&str] = &["xml smith", "smith alice"];
@@ -323,7 +320,9 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
 /// buffer catch-up scanned all of it (publish latency degraded ~5×
 /// after 20k churn rounds). The latest generation must also keep
 /// answering exactly like a from-scratch rebuild, proving the dropped
-/// candidate never leaked into the recycling path.
+/// candidate never leaked into the recycling path. Finally, once the
+/// readers let go, neither the writer's retired list nor the handle's
+/// cell may keep an unpinned generation alive.
 #[test]
 fn long_pinned_reader_outlives_the_recycling_window() {
     let schema = generate_synthetic(&small_config(9));
@@ -343,19 +342,28 @@ fn long_pinned_reader_outlives_the_recycling_window() {
         .and_then(|(_, t)| t.get(0).and_then(Value::as_text).map(str::to_owned))
         .unwrap();
 
+    // One insert + apply and one delete + apply per round: two
+    // single-tuple publishes.
+    let churn = |engine: &mut SearchEngine, rounds: std::ops::Range<u64>| {
+        for i in rounds {
+            let id = engine
+                .writer_mut()
+                .insert(
+                    dep,
+                    vec![format!("lp{i}").into(), essn.as_str().into(), "Alice".into()],
+                )
+                .unwrap();
+            let _ = engine.apply().unwrap();
+            engine.writer_mut().delete(id).unwrap();
+            let _ = engine.apply().unwrap();
+        }
+    };
+
     let pinned = engine.snapshots().latest();
     let before = observe_snapshot(&pinned);
     // 3× the history window of single-tuple publishes, all while the
     // gen-0 pin blocks that buffer's reclamation.
-    for i in 0..96u64 {
-        let id = engine
-            .writer_mut()
-            .insert(dep, vec![format!("lp{i}").into(), essn.as_str().into(), "Alice".into()])
-            .unwrap();
-        let _ = engine.apply().unwrap();
-        engine.writer_mut().delete(id).unwrap();
-        let _ = engine.apply().unwrap();
-    }
+    churn(&mut engine, 0..96);
     assert_eq!(engine.generation(), 192);
     assert_eq!(pinned.generation(), 0);
     assert_eq!(
@@ -368,6 +376,17 @@ fn long_pinned_reader_outlives_the_recycling_window() {
         observe_snapshot(&engine.snapshot()),
         observe_snapshot(&rebuilt.snapshot()),
         "recycled buffers past the history cap must still equal a rebuild"
+    );
+
+    // Drop the gen-0 pin and a fresh pin of the latest generation, then
+    // publish a few more batches: both generations must be freed.
+    let latest = engine.snapshots().latest();
+    let unpinned = [Arc::downgrade(&pinned), Arc::downgrade(&latest)];
+    drop((pinned, latest));
+    churn(&mut engine, 96..100);
+    assert!(
+        unpinned.iter().all(|w| w.upgrade().is_none()),
+        "an unpinned generation outlived its readers"
     );
 }
 
@@ -429,6 +448,15 @@ fn concurrent_readers_see_their_pinned_generation_exactly() {
 
             // The writer: typed mutations, applies, and a mid-run
             // compaction, publishing a generation per batch.
+            // Round 4 publishes twice (apply, then compact); a reader
+            // may pin either generation, so both are recorded.
+            let record = |engine: &SearchEngine| {
+                truth.lock().unwrap().push((
+                    engine.generation(),
+                    engine.db().clone(),
+                    engine.aliases().clone(),
+                ));
+            };
             let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
             let mut mutator = Mutator::new(engine.db());
             for round in 0..8usize {
@@ -436,14 +464,11 @@ fn concurrent_readers_see_their_pinned_generation_exactly() {
                     mutator.random_op(&mut engine, &mut rng);
                 }
                 let _ = engine.apply().unwrap();
+                record(&engine);
                 if round == 4 {
                     engine.compact().unwrap();
+                    record(&engine);
                 }
-                truth.lock().unwrap().push((
-                    engine.generation(),
-                    engine.db().clone(),
-                    engine.aliases().clone(),
-                ));
             }
             done.store(true, Ordering::SeqCst);
         });

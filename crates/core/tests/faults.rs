@@ -13,11 +13,6 @@
 //! Every test holds [`failpoints::exclusive`] — the registry is
 //! process-global and `cargo test` runs tests on parallel threads.
 
-// The whole file is std-build only: under the loom-lite model cfg
-// (`--cfg cla_model_check`) the engine above the lock-free core is
-// not compiled (see `tests/model.rs`).
-#![cfg(not(cla_model_check))]
-
 use cla_core::failpoints::{self, FailpointMode};
 use cla_core::{
     Algorithm, Completeness, SearchEngine, SearchOptions, SearchResults, TruncationReason,

@@ -21,11 +21,6 @@
 //! keywords (`xml`, `smith`, `alice`) so the match sets themselves
 //! churn.
 
-// The whole file is std-build only: under the loom-lite model cfg
-// (`--cfg cla_model_check`) the engine above the lock-free core is
-// not compiled (see `tests/model.rs`).
-#![cfg(not(cla_model_check))]
-
 use cla_core::{Algorithm, CoreError, DataGraph, SearchEngine, SearchOptions};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_index::InvertedIndex;

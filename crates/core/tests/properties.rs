@@ -1,11 +1,6 @@
 //! Property-based tests for the keyword-search core, driven by random
 //! synthetic databases.
 
-// The whole file is std-build only: under the loom-lite model cfg
-// (`--cfg cla_model_check`) the engine above the lock-free core is
-// not compiled (see `tests/model.rs`).
-#![cfg(not(cla_model_check))]
-
 use cla_core::{
     banks_search, banks_search_counted, enumerate_joining_networks, instance_closeness,
     instance_closeness_naive, instance_closeness_with_cache, is_joining, is_mtjnt, is_total,

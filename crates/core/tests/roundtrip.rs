@@ -19,10 +19,6 @@
 //!   of a valid image make `open` return `CoreError::Snapshot` (typed,
 //!   matchable reasons) and **never panic**.
 
-// std-build only: under `--cfg cla_model_check` the engine above the
-// lock-free core is not compiled (see `tests/model.rs`).
-#![cfg(not(cla_model_check))]
-
 use cla_core::{Algorithm, CoreError, SearchEngine, SearchOptions, StorageError};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_relational::{Database, RelationId, TupleId, Value};

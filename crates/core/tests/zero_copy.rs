@@ -8,10 +8,6 @@
 //! the introspection accessors, and that arbitrary truncation of an
 //! image is rejected with a typed error, never a panic.
 
-// Std-build only: under the loom-lite model cfg the search stack is
-// not compiled (see `tests/model.rs`).
-#![cfg(not(cla_model_check))]
-
 use cla_core::{Algorithm, CoreError, SearchEngine, SearchOptions};
 use cla_datagen::{company, generate_synthetic, SyntheticConfig};
 use cla_relational::Value;

@@ -15,6 +15,8 @@
 //!
 //! All generators take explicit seeds and are deterministic.
 
+#![forbid(unsafe_code)]
+
 mod company;
 mod synthetic;
 mod text;

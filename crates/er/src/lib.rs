@@ -43,6 +43,8 @@
 //! assert_eq!(chain.closeness(), Closeness::Loose);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cardinality;
 mod chain;
 mod error;

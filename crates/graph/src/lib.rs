@@ -34,6 +34,8 @@
 //! multi-edges with annotations), so the substrate is implemented here
 //! from scratch.
 
+#![forbid(unsafe_code)]
+
 mod csr;
 mod dijkstra;
 mod graph;

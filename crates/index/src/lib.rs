@@ -38,6 +38,8 @@
 //! assert_eq!(hits.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod inverted;
 mod query;
 mod score;

@@ -60,6 +60,8 @@
 //! assert_eq!(db.tuple(target).unwrap().get(1), Some(&Value::from("Cs")));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod change;
 mod csv;

@@ -29,6 +29,8 @@
 //! are ignored by readers (forward-compatible additions within a
 //! version are allowed as *new* sections only).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::Range;
 use std::path::Path;

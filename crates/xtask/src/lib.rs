@@ -14,10 +14,9 @@
 //! |------|-------------|
 //! | `safety-comment` | every `unsafe` block / `unsafe impl` is preceded by a `// SAFETY:` comment (within 6 lines). `unsafe fn` declarations document `# Safety` in rustdoc instead and are exempt. |
 //! | `unwrap` | no `.unwrap()` / `.expect(` in non-test, non-example library code without a reasoned annotation. |
-//! | `ordering` | every non-`SeqCst` atomic ordering (`Relaxed`, `Acquire`, `Release`, `AcqRel`) in library code carries a `// ordering:` justification within 3 lines. The lock-free `swap.rs` is all-`SeqCst` by protocol — exactly what the loom-lite shims model. |
+//! | `ordering` | every non-`SeqCst` atomic ordering (`Relaxed`, `Acquire`, `Release`, `AcqRel`) in library code carries a `// ordering:` justification within 3 lines. |
 //! | `failpoint` | every failpoint name referenced by tests or CI workflows exists in the `cla_core::failpoints` `REGISTERED` list. |
 //! | `thread-spawn` | no `std::thread::spawn` (unscoped, leak-prone) — use `std::thread::scope`. |
-//! | `sync-facade` | `crates/core/src/swap.rs` never names `std::sync` / `std::hint` directly — only the `crate::sync` facade, so the model build checks the real source. |
 //! | `doc-comment` | no degraded doc comments: a line starting with `////` (four slashes are a *plain* comment to rustdoc — the doc text silently vanishes) or a stray `/ ` line inside a comment block (a `///` that lost slashes in an edit; the prose leaks into code and breaks the build or the docs). |
 //!
 //! ## Annotations
@@ -27,6 +26,8 @@
 //! * `// lint: allow-file(<rule>, <reason>)` anywhere in a file
 //!   silences the rule for the whole file (used to triage files whose
 //!   unwraps are structurally infallible, with the reason recorded).
+
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -134,9 +135,6 @@ pub fn lint_tree(root: &Path) -> Result<Vec<Finding>, String> {
         if kind == FileKind::Lib {
             check_unwrap(&scan, &rel, &mut findings);
             check_ordering(&scan, &rel, &mut findings);
-        }
-        if rel.ends_with("crates/core/src/swap.rs") || rel == "crates/core/src/swap.rs" {
-            check_sync_facade(&scan, &rel, &mut findings);
         }
         if !rel.ends_with("crates/core/src/failpoints.rs") {
             check_failpoint_refs(&scan, &rel, registry.as_deref(), &mut findings);
@@ -302,7 +300,7 @@ fn check_ordering(scan: &FileScan, rel: &str, findings: &mut Vec<Finding>) {
                     rule: "ordering",
                     message: format!(
                         "atomic ordering `{weak}` without a `// ordering:` justification \
-                         within 3 lines (the modeled protocol is all-SeqCst)"
+                         within 3 lines"
                     ),
                 });
             }
@@ -385,29 +383,6 @@ fn check_doc_comments(scan: &FileScan, rel: &str, findings: &mut Vec<Finding>) {
                     message: "stray `/ ` line inside a comment block — a doc comment \
                               missing its slashes (`///`)"
                         .to_owned(),
-                });
-            }
-        }
-    }
-}
-
-// ---- rule: sync-facade ------------------------------------------------
-
-fn check_sync_facade(scan: &FileScan, rel: &str, findings: &mut Vec<Finding>) {
-    for (i, code) in scan.code.iter().enumerate() {
-        if scan.is_test[i] {
-            continue;
-        }
-        for banned in ["std::sync::", "std::hint::"] {
-            if code.contains(banned) && !allowed(scan, i, "sync-facade") {
-                findings.push(Finding {
-                    path: rel.to_owned(),
-                    line: i + 1,
-                    rule: "sync-facade",
-                    message: format!(
-                        "`{banned}` in the lock-free core — import through `crate::sync` so \
-                         the loom-lite model build checks this exact source"
-                    ),
                 });
             }
         }

@@ -278,7 +278,7 @@ fn prev_is_word(code: &str) -> bool {
 
 /// Mark lines inside `#[cfg(test)] mod … { … }` regions (any cfg
 /// attribute containing the word `test` counts, e.g.
-/// `#[cfg(all(test, not(cla_model_check)))]`).
+/// `#[cfg(all(test, unix))]`).
 fn mark_test_regions(code: &[String]) -> Vec<bool> {
     let mut is_test = vec![false; code.len()];
     let mut depth: i32 = 0;

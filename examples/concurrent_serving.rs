@@ -4,13 +4,14 @@
 //! read-heavy, repetition-skewed shape of real keyword traffic — each
 //! against whatever generation it pins at that moment.
 //!
-//! Readers never take a lock and never block on the writer: a
-//! [`SnapshotHandle`](close_loose_ks::core::SnapshotHandle) pin is an
-//! atomic `Arc` swap away from the latest published
-//! [`EngineSnapshot`](close_loose_ks::core::EngineSnapshot), and a
-//! pinned generation stays byte-stable no matter what the writer does
-//! next. The final table shows how many searches landed on each
-//! generation and what they answered.
+//! No search ever waits on the writer: a
+//! [`SnapshotHandle`](close_loose_ks::core::SnapshotHandle) pin takes a
+//! read lock for one `Arc` clone of the latest published
+//! [`EngineSnapshot`](close_loose_ks::core::EngineSnapshot), a publish
+//! holds the write lock only to swap that `Arc`, and a pinned
+//! generation stays byte-stable no matter what the writer does next.
+//! The final table shows how many searches landed on each generation
+//! and what they answered.
 //!
 //! ```text
 //! cargo run --example concurrent_serving
@@ -156,7 +157,7 @@ fn main() {
     }
     println!(
         "\n{READERS} readers served {total} searches ({answered} connections) across {} \
-         generations while the writer published {} times — zero read locks, zero blocked reads.",
+         generations while the writer published {} times — no search ran under a lock.",
         served.len(),
         engine.generation(),
     );

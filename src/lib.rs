@@ -60,8 +60,9 @@
 //!   that builds and publishes the next generation per
 //!   `apply`/`compact`. The consistency model: a reader pins the
 //!   latest generation through a cloneable [`core::SnapshotHandle`]
-//!   (`engine.snapshots().latest()`) with **no lock on the read path**
-//!   — publication is an atomic `Arc` swap — and a pinned generation
+//!   (`engine.snapshots().latest()`) — a pin takes a read lock for one
+//!   `Arc` clone and publication swaps the `Arc` under the write lock,
+//!   so no search ever runs under either — and a pinned generation
 //!   is (1) always a complete published batch, never a half-applied
 //!   one, (2) byte-identical to a from-scratch engine over the
 //!   database at that generation, and (3) immutable for as long as the
@@ -94,7 +95,7 @@
 //!   truncated, corrupted, version-incompatible, or internally
 //!   inconsistent images with typed `core::CoreError::Snapshot` errors
 //!   — never a panic, never unchecked trust in hostile bytes (the
-//!   workspace is `forbid(unsafe_code)`-clean; property-tested in
+//!   library crates are `forbid(unsafe_code)`; property-tested in
 //!   `crates/core/tests/{roundtrip,zero_copy}.rs`, cross-process in
 //!   `tests/cold_start.rs`).
 //!
@@ -114,6 +115,8 @@
 //!              r.info.rdb_length, r.info.er_length, r.info.closeness);
 //! }
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use cla_core as core;
 pub use cla_datagen as datagen;
