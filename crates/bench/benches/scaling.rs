@@ -13,32 +13,28 @@ use std::hint::black_box;
 const QUERY: &str = "xml smith";
 const SEED: u64 = 7;
 
-/// B1: connection enumeration vs database size and length bound. Each
-/// configuration runs twice: the default distance-pruned multi-target
-/// enumeration, and the `_naive` per-(source, target)-pair seed path —
-/// the before/after pair recorded in EXPERIMENTS.md.
+/// B1: distance-pruned multi-target connection enumeration vs database
+/// size and length bound. (The before/after pair against the seed's
+/// per-(source, target)-pair enumeration is recorded in EXPERIMENTS.md
+/// B1 and B5.)
 fn enumerate_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling/enumerate");
     for departments in [4usize, 8, 16] {
         let engine = synthetic_engine(departments, SEED);
         for max_len in [3usize, 4] {
-            for naive in [false, true] {
-                let suffix = if naive { "_naive" } else { "" };
-                let id = format!("dept{departments}_len{max_len}{suffix}");
-                group.bench_with_input(
-                    BenchmarkId::from_parameter(&id),
-                    &max_len,
-                    |b, &max_len| {
-                        let opts = SearchOptions {
-                            max_rdb_length: max_len,
-                            compute_instance: false,
-                            naive_enumeration: naive,
-                            ..Default::default()
-                        };
-                        b.iter(|| black_box(engine.search(QUERY, &opts).unwrap().len()))
-                    },
-                );
-            }
+            let id = format!("dept{departments}_len{max_len}");
+            group.bench_with_input(
+                BenchmarkId::from_parameter(&id),
+                &max_len,
+                |b, &max_len| {
+                    let opts = SearchOptions {
+                        max_rdb_length: max_len,
+                        compute_instance: false,
+                        ..Default::default()
+                    };
+                    b.iter(|| black_box(engine.search(QUERY, &opts).unwrap().len()))
+                },
+            );
         }
     }
     group.finish();
@@ -113,8 +109,8 @@ fn parallel_and_topk(c: &mut Criterion) {
 /// dept32, growing with database size because it scanned every
 /// referencing relation's live rows — is the baseline it must beat.
 ///
-/// `update_in_place/` and `update_repoint/` measure PR 4's
-/// `Database::update` + apply round trip: a text-only value change
+/// `update_in_place/` and `update_repoint/` measure the typed in-place
+/// `update` + apply round trip: a text-only value change
 /// (postings diffed, zero edge churn, zero tombstones — no periodic
 /// rebuild needed) and an FK re-point (one edge removed + one added
 /// through the CSR overlay per iteration).
@@ -146,14 +142,14 @@ fn update_maintenance(c: &mut Criterion) {
                 }
                 let pk = format!("bz{i}");
                 let id = engine
-                    .db_mut()
+                    .writer_mut()
                     .insert(
                         dep,
                         vec![pk.as_str().into(), essn.as_str().into(), "Temp".into()],
                     )
                     .unwrap();
                 let _ = engine.apply().unwrap();
-                engine.db_mut().delete(id).unwrap();
+                engine.writer_mut().delete(id).unwrap();
                 let _ = engine.apply().unwrap();
                 black_box(engine.is_fresh())
             })
@@ -184,7 +180,7 @@ fn update_maintenance(c: &mut Criterion) {
                 }
                 let pk = format!("mz{j}");
                 let id = engine2
-                    .db_mut()
+                    .writer_mut()
                     .insert(
                         emp,
                         vec![
@@ -196,13 +192,13 @@ fn update_maintenance(c: &mut Criterion) {
                     )
                     .unwrap();
                 let _ = engine2.apply().unwrap();
-                engine2.db_mut().delete(id).unwrap();
+                engine2.writer_mut().delete(id).unwrap();
                 let _ = engine2.apply().unwrap();
                 black_box(engine2.is_fresh())
             })
         });
 
-        // In-place update, text-only: one `Database::update` of a
+        // In-place update, text-only: one typed `update` of a
         // dependent's name + one apply per iteration. No tombstones, no
         // edge churn — the engine never needs the periodic rebuild.
         let mut engine3 = synthetic_engine(departments, SEED);
@@ -213,7 +209,7 @@ fn update_maintenance(c: &mut Criterion) {
                 k += 1;
                 let mut values = engine3.db().tuple(dep_id).unwrap().values().to_vec();
                 values[2] = if k.is_multiple_of(2) { "Temp" } else { "Casey" }.into();
-                engine3.db_mut().update(dep_id, values).unwrap();
+                engine3.writer_mut().update(dep_id, values).unwrap();
                 let _ = engine3.apply().unwrap();
                 black_box(engine3.is_fresh())
             })
@@ -236,7 +232,7 @@ fn update_maintenance(c: &mut Criterion) {
                 k += 1;
                 let mut values = engine4.db().tuple(dep_id4).unwrap().values().to_vec();
                 values[1] = essns[(k % 2) as usize].as_str().into();
-                engine4.db_mut().update(dep_id4, values).unwrap();
+                engine4.writer_mut().update(dep_id4, values).unwrap();
                 let _ = engine4.apply().unwrap();
                 black_box(engine4.is_fresh())
             })
@@ -374,11 +370,11 @@ fn mtjnt_coverage(c: &mut Criterion) {
 }
 
 /// B5/B9: instance-closeness witness-search cost: disabled, the
-/// iterative-deepening search, the bounded-BFS-pruned search (`Auto`
-/// picks between the two by graph size), and the naive materialize-all
-/// witness scan applied to the same result set (the seed behavior).
-/// The `on`/`on_bounded` pair runs at dept8 *and* the large dept64
-/// shape, where the distance map pays for itself (EXPERIMENTS.md B9).
+/// iterative-deepening search, and the bounded-BFS-pruned search
+/// (`Auto` picks between the two by graph size). The `on`/`on_bounded`
+/// pair runs at dept8 *and* the large dept64 shape, where the distance
+/// map pays for itself (EXPERIMENTS.md B9; B5 records the seed's
+/// materialize-all witness scan).
 fn witness_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling/witness_cost");
     for departments in [8usize, 64] {
@@ -400,33 +396,6 @@ fn witness_cost(c: &mut Criterion) {
             });
         }
     }
-    let engine = synthetic_engine(8, SEED);
-    group.bench_function("on_naive", |b| {
-        let opts = SearchOptions {
-            max_rdb_length: 3,
-            compute_instance: false,
-            ..Default::default()
-        };
-        let results = engine.search(QUERY, &opts).unwrap();
-        let dg = engine.data_graph();
-        b.iter(|| {
-            let verdicts: usize = results
-                .connections
-                .iter()
-                .filter(|r| {
-                    cla_core::instance_closeness_naive(
-                        &r.connection,
-                        dg,
-                        engine.er_schema(),
-                        engine.mapping(),
-                        4,
-                    )
-                    .is_close()
-                })
-                .count();
-            black_box(verdicts)
-        })
-    });
     group.finish();
 }
 

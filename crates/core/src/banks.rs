@@ -143,7 +143,7 @@ impl SteinerTree {
     }
 }
 
-/// Traversal-work accounting of one [`banks_search_counted`] run.
+/// Traversal-work accounting of one [`banks_search_budgeted`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BanksWork {
     /// Heap settles across all per-set expansions — one per node popped
@@ -214,11 +214,12 @@ pub fn banks_search(
     keyword_sets: &[Vec<NodeId>],
     opts: &BanksOptions,
 ) -> Vec<SteinerTree> {
-    banks_search_counted(dg, keyword_sets, opts, &mut BanksScratch::new()).0
+    banks_search_budgeted(dg, keyword_sets, opts, &mut BanksScratch::new(), &mut |_| false).0
 }
 
 /// [`banks_search`] as one **heap-driven expansion with a top-k
-/// cutoff**, with work accounting and reusable scratch.
+/// cutoff**, with work accounting, reusable scratch and a cooperative
+/// work budget.
 ///
 /// Each keyword set's expansion is a multi-source Dijkstra **forest**
 /// ([`LazyDijkstra`]): walking the parent chain from a root stays
@@ -242,31 +243,20 @@ pub fn banks_search(
 /// normal processing and expansion stops, with the result provably
 /// equal to the full enumeration truncated at `k` (property-tested;
 /// the dedup-safety argument lives on the cutoff branch below).
-pub fn banks_search_counted(
-    dg: &DataGraph,
-    keyword_sets: &[Vec<NodeId>],
-    opts: &BanksOptions,
-    scratch: &mut BanksScratch,
-) -> (Vec<SteinerTree>, BanksWork) {
-    let (out, work, _) =
-        banks_search_budgeted(dg, keyword_sets, opts, scratch, &mut |_| false);
-    (out, work)
-}
-
-/// [`banks_search_counted`] under a cooperative work budget:
-/// `interrupt` is probed with the running settle count after every
-/// frontier settle (the expansion-counting site); returning `true`
-/// stops the expansion. The pending completed candidates are drained
-/// through normal processing, and the third return value carries the
-/// frontier floor `L` at the stop — every root *not* completed by then
-/// has tree weight ≥ `L` (each per-set chain is a subset of its tree's
-/// distinct edges, and every unsettled frontier entry costs ≥ `L`), and
-/// every tree of weight < `L` **was** completed (all its per-set
-/// distances are < `L`, hence already settled). The returned trees are
-/// therefore trimmed to weight strictly < `L` (strict: an undiscovered
-/// root could tie at `L` and win the tuple-id tie-break), making them
-/// exactly the full enumeration's prefix below `L`, in final order.
-/// `None` floor means the interrupt never fired.
+///
+/// The work budget: `interrupt` is probed with the running settle count
+/// after every frontier settle (the expansion-counting site); returning
+/// `true` stops the expansion (`&mut |_| false` never does). The pending
+/// completed candidates are drained through normal processing, and the
+/// third return value carries the frontier floor `L` at the stop — every
+/// root *not* completed by then has tree weight ≥ `L` (each per-set chain
+/// is a subset of its tree's distinct edges, and every unsettled frontier
+/// entry costs ≥ `L`), and every tree of weight < `L` **was** completed
+/// (all its per-set distances are < `L`, hence already settled). The
+/// returned trees are therefore trimmed to weight strictly < `L` (strict:
+/// an undiscovered root could tie at `L` and win the tuple-id tie-break),
+/// making them exactly the full enumeration's prefix below `L`, in final
+/// order. `None` floor means the interrupt never fired.
 pub fn banks_search_budgeted(
     dg: &DataGraph,
     keyword_sets: &[Vec<NodeId>],

@@ -267,29 +267,20 @@ pub fn enumerate_mtjnts(
     keyword_sets: &[HashSet<NodeId>],
     max_tuples: usize,
 ) -> Vec<BTreeSet<NodeId>> {
-    enumerate_mtjnts_counted(dg, keyword_sets, max_tuples, &mut 0)
+    enumerate_mtjnts_budgeted(dg, keyword_sets, max_tuples, &mut 0, &mut |_| false).0
 }
 
-/// [`enumerate_mtjnts`] with work accounting: `*expansions` grows by
-/// the number of candidate networks materialized, the counter the
-/// engine surfaces through `SearchStats` for the DISCOVER algorithm.
-pub fn enumerate_mtjnts_counted(
-    dg: &DataGraph,
-    keyword_sets: &[HashSet<NodeId>],
-    max_tuples: usize,
-    expansions: &mut u64,
-) -> Vec<BTreeSet<NodeId>> {
-    enumerate_mtjnts_budgeted(dg, keyword_sets, max_tuples, expansions, &mut |_| false).0
-}
-
-/// [`enumerate_mtjnts_counted`] under a cooperative budget probe. When
-/// the probe fires, the level being built is dropped and enumeration
-/// stops; the second return value is `Some(s)` where `s` is the size
-/// of the last *complete* level enumerated — every MTJNT of at most
-/// `s` tuples is in the output, and every missing network has at least
-/// `s + 1` tuples (hence at least `s` foreign-key edges), the rank
-/// floor the engine's certified-prefix trim uses. `None` means the
-/// enumeration ran to the size bound untruncated.
+/// [`enumerate_mtjnts`] with work accounting and a cooperative budget
+/// probe. `*expansions` grows by the number of candidate networks
+/// materialized, the counter the engine surfaces through `SearchStats` for
+/// the DISCOVER algorithm; `interrupt` is probed with that running count
+/// (`&mut |_| false` never fires). When the probe fires, the level being
+/// built is dropped and enumeration stops; the second return value is
+/// `Some(s)` where `s` is the size of the last *complete* level enumerated
+/// — every MTJNT of at most `s` tuples is in the output, and every missing
+/// network has at least `s + 1` tuples (hence at least `s` foreign-key
+/// edges), the rank floor the engine's certified-prefix trim uses. `None`
+/// means the enumeration ran to the size bound untruncated.
 pub fn enumerate_mtjnts_budgeted(
     dg: &DataGraph,
     keyword_sets: &[HashSet<NodeId>],

@@ -1,8 +1,8 @@
 //! The classic single-owner engine façade over the snapshot/writer
 //! split.
 //!
-//! [`SearchEngine`] keeps the pre-concurrency API compiling unchanged:
-//! it owns one [`EngineWriter`] and delegates every read to the latest
+//! [`SearchEngine`] is the single-owner entry point: it owns one
+//! [`EngineWriter`] and delegates every read to the latest
 //! published [`EngineSnapshot`] generation, every mutation to the
 //! writer. New code that wants concurrent readers should take a
 //! [`SearchEngine::snapshots`] handle (or use [`EngineWriter`]
@@ -24,12 +24,13 @@ use std::sync::Arc;
 
 /// The keyword-search engine over one database.
 ///
-/// The engine owns its database (through an [`EngineWriter`]); mutate
-/// it through [`SearchEngine::db_mut`] and then call
-/// [`SearchEngine::apply`] to publish the next snapshot generation — no
-/// rebuild. Until `apply` runs, [`SearchEngine::search`] refuses with
-/// [`CoreError::StaleEngine`] instead of silently answering from stale
-/// structures (dangling nodes, missing postings, wrong df counts).
+/// The engine owns its database (through an [`EngineWriter`]); stage
+/// mutations through the writer's typed ops ([`SearchEngine::writer_mut`])
+/// and then call [`SearchEngine::apply`] to publish the next snapshot
+/// generation — no rebuild. Until `apply` runs, [`SearchEngine::search`]
+/// refuses with [`CoreError::StaleEngine`] instead of silently answering
+/// from stale structures (dangling nodes, missing postings, wrong df
+/// counts).
 ///
 /// Reads answer from the latest **published** [`EngineSnapshot`]: an
 /// immutable, generation-stamped view of everything `search()` needs.
@@ -135,37 +136,10 @@ impl SearchEngine {
         self.writer.generation()
     }
 
-    /// Mutable access to the owned database, for inserts and deletes.
-    /// Any mutation version-stamps the database ahead of the engine;
-    /// call [`SearchEngine::apply`] afterwards (searching meanwhile
-    /// returns [`CoreError::StaleEngine`]).
-    ///
-    /// Prefer the typed [`EngineWriter`] mutation path
-    /// ([`SearchEngine::writer_mut`]): raw database access makes it
-    /// possible to drain the change log out from under the engine
-    /// (`take_changes`), which unrecoverably poisons it — see
-    /// [`CoreError::ChangeLogDrained`]. This shim stays for the
-    /// pre-snapshot API; the typed path cannot be misused that way.
-    pub fn db_mut(&mut self) -> &mut Database {
-        self.writer.db_mut_raw()
-    }
-
     /// `true` when the published structures reflect the database's
     /// current version.
     pub fn is_fresh(&self) -> bool {
         self.writer.is_fresh()
-    }
-
-    /// `true` when the engine is unrecoverably out of sync with its
-    /// database (the change log was drained externally — the lost
-    /// operations can neither be applied nor rolled back). A poisoned
-    /// engine refuses searching, further applies and compaction with
-    /// [`CoreError::EnginePoisoned`]; rebuild with [`SearchEngine::new`]
-    /// to recover. Recoverable apply failures (a dangling reference,
-    /// say) do **not** poison: [`SearchEngine::apply`] rolls back
-    /// atomically instead.
-    pub fn is_poisoned(&self) -> bool {
-        self.writer.is_poisoned()
     }
 
     /// Opt this engine into the process-global
@@ -183,7 +157,7 @@ impl SearchEngine {
 
     /// Drain the database's pending mutations and publish the next
     /// snapshot generation — see [`EngineWriter::apply`] for the full
-    /// contract (atomicity, rollback, poisoning, auto-compaction).
+    /// contract (atomicity, rollback, auto-compaction).
     /// After a successful apply the engine answers exactly like a
     /// freshly built [`SearchEngine::new`] over the mutated database —
     /// the rebuild-equivalence property the mutation test suite pins
@@ -248,10 +222,10 @@ impl SearchEngine {
     /// Tuples matching each keyword of `query`, in keyword order.
     ///
     /// Like every read path, answers from the published snapshot: after
-    /// a [`SearchEngine::db_mut`] mutation the result reflects the
-    /// pre-mutation state until [`SearchEngine::apply`] runs
-    /// (debug-asserted; [`SearchEngine::search`] is the checked entry
-    /// point and refuses with [`CoreError::StaleEngine`]).
+    /// a staged mutation the result reflects the pre-mutation state
+    /// until [`SearchEngine::apply`] runs (debug-asserted;
+    /// [`SearchEngine::search`] is the checked entry point and refuses
+    /// with [`CoreError::StaleEngine`]).
     pub fn keyword_matches(&self, query: &KeywordQuery) -> Vec<(String, Vec<TupleId>)> {
         debug_assert!(self.is_fresh(), "keyword_matches on a stale engine — apply() first");
         self.current().keyword_matches(query)
@@ -299,23 +273,18 @@ impl SearchEngine {
 
     /// Run a keyword search on the latest published generation.
     ///
-    /// Fails with [`CoreError::StaleEngine`] when the database was
-    /// mutated (through [`SearchEngine::db_mut`]) without a subsequent
-    /// [`SearchEngine::apply`] — searching stale structures would return
-    /// silently wrong results, so the engine refuses instead. Fails with
-    /// [`CoreError::EnginePoisoned`] on a poisoned engine. Reader
-    /// threads that pinned a snapshot are exempt from both: a pinned
-    /// generation is always internally consistent, by construction
-    /// (see [`EngineSnapshot::search`] for the query contract —
-    /// `EmptyQuery` semantics, `k` edge cases).
+    /// Fails with [`CoreError::StaleEngine`] when mutations were staged
+    /// through the writer without a subsequent [`SearchEngine::apply`] —
+    /// searching stale structures would return silently wrong results,
+    /// so the engine refuses instead. Reader threads that pinned a
+    /// snapshot are exempt: a pinned generation is always internally
+    /// consistent, by construction (see [`EngineSnapshot::search`] for
+    /// the query contract — `EmptyQuery` semantics, `k` edge cases).
     pub fn search(
         &self,
         raw_query: &str,
         options: &SearchOptions,
     ) -> Result<SearchResults, CoreError> {
-        if self.is_poisoned() {
-            return Err(CoreError::EnginePoisoned);
-        }
         if !self.is_fresh() {
             return Err(self.writer.stale_error());
         }
@@ -344,19 +313,6 @@ impl SearchEngine {
         threads: usize,
     ) -> Vec<Connection> {
         self.current().pair_connections_threaded(set_a, set_b, max_rdb, threads)
-    }
-
-    /// The seed implementation of [`SearchEngine::pair_connections`]:
-    /// one unpruned DFS per (source, target) pair. Kept as the
-    /// equivalence oracle for property tests and the B1 before/after
-    /// benchmark.
-    pub fn pair_connections_naive(
-        &self,
-        set_a: &[NodeId],
-        set_b: &[NodeId],
-        max_rdb: usize,
-    ) -> Vec<Connection> {
-        self.current().pair_connections_naive(set_a, set_b, max_rdb)
     }
 }
 
@@ -689,7 +645,7 @@ mod tests {
         let mut e = engine();
         assert!(e.is_fresh());
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
-        e.db_mut()
+        e.writer_mut()
             .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
             .unwrap();
         assert!(!e.is_fresh());
@@ -719,11 +675,11 @@ mod tests {
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
         let wf = e.db().catalog().relation_id("WORKS_FOR").unwrap();
         // New Smith employee in d2, working on p1; remove w_f2 (e2–p3).
-        e.db_mut()
+        e.writer_mut()
             .insert(emp, vec!["e9".into(), "Smith".into(), "Ada".into(), "d2".into()])
             .unwrap();
-        e.db_mut().insert(wf, vec!["e9".into(), "p1".into(), 12i64.into()]).unwrap();
-        e.db_mut().delete(c.tuple("w_f2").unwrap()).unwrap();
+        e.writer_mut().insert(wf, vec!["e9".into(), "p1".into(), 12i64.into()]).unwrap();
+        e.writer_mut().delete(c.tuple("w_f2").unwrap()).unwrap();
         let _ = e.apply().unwrap();
 
         let rebuilt =
@@ -761,7 +717,7 @@ mod tests {
             .with_aliases(c.aliases.clone());
         let e2 = c.tuple("e2").unwrap();
         // Move e2 (a Smith) from d2 to d1 and rename — same TupleId.
-        e.db_mut()
+        e.writer_mut()
             .update(e2, vec!["e2".into(), "Smith".into(), "Barb".into(), "d1".into()])
             .unwrap();
         let _ = e.apply().unwrap();
@@ -800,9 +756,9 @@ mod tests {
             .with_aliases(c.aliases.clone());
         // Churn: delete a dependent and a membership, add an employee.
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
-        e.db_mut().delete(c.tuple("t1").unwrap()).unwrap();
-        e.db_mut().delete(c.tuple("w_f2").unwrap()).unwrap();
-        e.db_mut()
+        e.writer_mut().delete(c.tuple("t1").unwrap()).unwrap();
+        e.writer_mut().delete(c.tuple("w_f2").unwrap()).unwrap();
+        e.writer_mut()
             .insert(emp, vec!["e9".into(), "Smith".into(), "Ada".into(), "d2".into()])
             .unwrap();
         let _ = e.apply().unwrap();
@@ -812,7 +768,7 @@ mod tests {
         let mut stale =
             SearchEngine::new(c.db.clone(), c.er_schema.clone(), c.mapping.clone()).unwrap();
         stale
-            .db_mut()
+            .writer_mut()
             .insert(emp, vec!["zz".into(), "S".into(), "T".into(), "d1".into()])
             .unwrap();
         assert!(matches!(stale.compact(), Err(CoreError::StaleEngine { .. })));
@@ -856,7 +812,7 @@ mod tests {
         );
         // Post-compaction mutations keep working against the new ids.
         let e9 = e.db().lookup_pk(emp, &["e9".into()]).unwrap();
-        e.db_mut().delete(e9).unwrap();
+        e.writer_mut().delete(e9).unwrap();
         let _ = e.apply().unwrap();
         e.search("Smith XML", &SearchOptions::default()).unwrap();
     }
@@ -876,7 +832,7 @@ mod tests {
             "policy is recorded"
         );
         let e1 = c.tuple("e1").unwrap();
-        e.db_mut().delete(c.tuple("t1").unwrap()).unwrap();
+        e.writer_mut().delete(c.tuple("t1").unwrap()).unwrap();
         let outcome = e.apply().unwrap();
         let remap = outcome.compaction.expect("one dead slot among ~17 crosses 5%");
         assert!(remap.reclaimed() > 0);
@@ -890,16 +846,15 @@ mod tests {
         // Default policy: same churn, no compaction, tombstone remains.
         let mut manual =
             SearchEngine::new(c.db.clone(), c.er_schema.clone(), c.mapping.clone()).unwrap();
-        manual.db_mut().delete(c.tuple("t1").unwrap()).unwrap();
+        manual.writer_mut().delete(c.tuple("t1").unwrap()).unwrap();
         let outcome = manual.apply().unwrap();
         assert!(outcome.compaction.is_none());
         assert!(manual.db().total_row_slots() > manual.db().total_tuples());
     }
 
-    /// The typed writer mutation path — the one that cannot drain the
-    /// change log — stages, applies and publishes like `db_mut`, and
-    /// each publish bumps the snapshot generation without disturbing
-    /// previously pinned generations.
+    /// The typed writer mutation path stages, applies and publishes,
+    /// and each publish bumps the snapshot generation without
+    /// disturbing previously pinned generations.
     #[test]
     fn typed_writer_path_mutates_and_publishes_generations() {
         let mut e = engine();
@@ -936,37 +891,9 @@ mod tests {
         assert!(before.search("Zia", &SearchOptions::default()).unwrap().is_empty());
     }
 
-    #[test]
-    fn externally_drained_change_log_is_detected() {
-        let mut e = engine();
-        let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
-        e.db_mut()
-            .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
-            .unwrap();
-        // A caller draining the log directly would leave apply() with
-        // nothing to patch; stamping the engine fresh anyway would
-        // silently drop the insert — so apply must refuse.
-        let stolen = e.db_mut().take_changes();
-        assert_eq!(stolen.len(), 1);
-        let err = e.apply().unwrap_err();
-        assert!(
-            matches!(err, CoreError::ChangeLogDrained { expected_ops: 1, found_ops: 0 }),
-            "got {err:?}"
-        );
-        // The engine stays unusable, and says so distinctly (rebuild is
-        // the recovery path — retrying apply would spin forever if the
-        // error still read as merely stale).
-        assert!(!e.is_fresh());
-        assert!(e.is_poisoned());
-        assert!(matches!(
-            e.search("Smith XML", &SearchOptions::default()),
-            Err(CoreError::EnginePoisoned)
-        ));
-    }
-
     /// A failed apply is a rejected transaction: every patched
     /// structure *and* the database batch roll back, and the engine
-    /// keeps serving the pre-mutation answers (no poisoning).
+    /// keeps serving the pre-mutation answers.
     #[test]
     fn failed_apply_rolls_back_and_keeps_serving() {
         let mut e = engine();
@@ -975,15 +902,16 @@ mod tests {
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
         // A good insert and a dangling one in the same batch: the batch
         // fails wholesale, like a rebuild's validation would.
-        e.db_mut()
+        e.writer_mut()
             .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
             .unwrap();
-        e.db_mut().insert(dep, vec!["t9".into(), "e-missing".into(), "X".into()]).unwrap();
+        e.writer_mut()
+            .insert(dep, vec!["t9".into(), "e-missing".into(), "X".into()])
+            .unwrap();
         let err = e.apply().unwrap_err();
         assert!(matches!(err, CoreError::Relational(_)), "got {err:?}");
-        // Engine fresh, not poisoned, serving identical answers.
+        // Engine fresh, serving identical answers.
         assert!(e.is_fresh());
-        assert!(!e.is_poisoned());
         let after = e.search("Smith XML", &SearchOptions::default()).unwrap();
         let render = |r: &SearchResults| {
             r.connections.iter().map(|c| c.rendering.clone()).collect::<Vec<_>>()
@@ -993,12 +921,56 @@ mod tests {
         assert!(e.db().lookup_pk(emp, &["e9".into()]).is_none());
         assert!(e.db().lookup_pk(dep, &["t9".into()]).is_none());
         // A corrected batch then applies cleanly.
-        e.db_mut()
+        e.writer_mut()
             .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
             .unwrap();
         let _ = e.apply().unwrap();
         let fixed = e.search("Smith XML", &SearchOptions::default()).unwrap();
         assert!(fixed.connections.len() > before.connections.len());
+    }
+
+    /// A typed op the database refuses stages nothing: the error keeps
+    /// its typed relational reason, and the engine stays fresh and
+    /// answers as before.
+    #[test]
+    fn refused_typed_ops_stage_nothing() {
+        use cla_relational::RelationalError;
+        let mut e = engine();
+        let render = |e: &SearchEngine| {
+            let r = e.search("Smith XML", &SearchOptions::default()).unwrap();
+            r.connections.into_iter().map(|c| c.rendering).collect::<Vec<_>>()
+        };
+        let before = render(&e);
+        let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
+        let e1 = e.db().lookup_pk(emp, &["e1".into()]).unwrap();
+
+        let err = e
+            .writer_mut()
+            .insert(emp, vec!["e1".into(), "Smith".into(), "Zoe".into(), "d1".into()])
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Relational(RelationalError::DuplicateKey { .. })),
+            "got {err:?}"
+        );
+        assert!(e.is_fresh());
+        assert_eq!(render(&e), before);
+
+        let err = e.writer_mut().update(e1, vec!["e1".into(), "Smith".into()]).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Relational(RelationalError::ArityMismatch { .. })),
+            "got {err:?}"
+        );
+        assert!(e.is_fresh());
+        assert_eq!(render(&e), before);
+
+        // w_f1 and t1 still reference e1.
+        let err = e.writer_mut().delete(e1).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Relational(RelationalError::DeleteRestricted { .. })),
+            "got {err:?}"
+        );
+        assert!(e.is_fresh());
+        assert_eq!(render(&e), before);
     }
 
     /// The `apply.mid` failpoint fires after the index patch, proving
@@ -1012,21 +984,20 @@ mod tests {
         e.enable_failpoints();
         let before = e.search("Smith XML", &SearchOptions::default()).unwrap();
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
-        e.db_mut()
+        e.writer_mut()
             .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
             .unwrap();
         failpoints::arm("apply.mid", failpoints::FailpointMode::Once);
         assert!(e.apply().is_err());
         assert_eq!(failpoints::hits("apply.mid"), 1);
         assert!(e.is_fresh());
-        assert!(!e.is_poisoned());
         let after = e.search("Smith XML", &SearchOptions::default()).unwrap();
         assert_eq!(
             before.connections.iter().map(|c| &c.rendering).collect::<Vec<_>>(),
             after.connections.iter().map(|c| &c.rendering).collect::<Vec<_>>()
         );
         // The failpoint is one-shot: the same mutation now goes through.
-        e.db_mut()
+        e.writer_mut()
             .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
             .unwrap();
         let _ = e.apply().unwrap();

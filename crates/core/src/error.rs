@@ -47,44 +47,27 @@ pub enum CoreError {
         /// or retry with the suggested nearest indexed term).
         diagnostics: Vec<KeywordDiagnostic>,
     },
-    /// Wrapped relational error.
-    Relational(String),
+    /// The database refused a mutation or failed validation (a
+    /// duplicate key, an arity or type mismatch, a restricted delete or
+    /// key change, a dangling reference); the typed reason is kept so
+    /// callers can match on it.
+    Relational(cla_relational::RelationalError),
     /// Saving or opening a snapshot image failed: an I/O error, or a
     /// file that is truncated, checksum-corrupt, from an unsupported
     /// format version, or internally inconsistent. Corruption is always
     /// reported through this variant — never a panic.
     Snapshot(cla_storage::StorageError),
-    /// The database was mutated after the engine's index and data graph
-    /// were built (or last patched); searching would silently return
-    /// wrong results. Call `SearchEngine::apply` to patch the engine up
-    /// to the database's current version.
+    /// Mutations were staged through the writer's typed ops after the
+    /// engine's index and data graph were built (or last patched);
+    /// searching or saving would silently drop them. Call
+    /// `SearchEngine::apply` to patch the engine up to the database's
+    /// current version.
     StaleEngine {
         /// The database version the engine structures reflect.
         engine_version: u64,
         /// The database's current version.
         db_version: u64,
     },
-    /// The database's change log no longer accounts for every mutation
-    /// since the engine last synced — someone called
-    /// `Database::take_changes` on the engine's database directly, so
-    /// the drained operations can never be patched in. Rebuild the
-    /// engine to recover.
-    ChangeLogDrained {
-        /// Mutations since the engine's last sync (version delta).
-        expected_ops: u64,
-        /// Operations actually present in the log.
-        found_ops: usize,
-    },
-    /// The engine is unrecoverably out of sync with its database and
-    /// refuses to serve. Recoverable apply failures no longer poison —
-    /// `SearchEngine::apply` is atomic and rolls both the engine's
-    /// structures and the database batch back, leaving the engine
-    /// serving pre-mutation answers. What remains poisonous is an
-    /// externally drained change log ([`CoreError::ChangeLogDrained`]):
-    /// the lost operations can neither be applied nor rolled back, so
-    /// unlike [`CoreError::StaleEngine`] no retry can recover — rebuild
-    /// the engine with `SearchEngine::new`.
-    EnginePoisoned,
 }
 
 impl fmt::Display for CoreError {
@@ -110,22 +93,12 @@ impl fmt::Display for CoreError {
                 }
                 Ok(())
             }
-            CoreError::Relational(msg) => write!(f, "relational error: {msg}"),
+            CoreError::Relational(e) => write!(f, "relational error: {e}"),
             CoreError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             CoreError::StaleEngine { engine_version, db_version } => write!(
                 f,
                 "stale engine: database is at version {db_version} but the engine reflects \
                  version {engine_version} — call SearchEngine::apply before searching"
-            ),
-            CoreError::ChangeLogDrained { expected_ops, found_ops } => write!(
-                f,
-                "change log drained externally: {expected_ops} mutations since the last \
-                 sync but only {found_ops} logged operations remain — rebuild the engine"
-            ),
-            CoreError::EnginePoisoned => write!(
-                f,
-                "engine poisoned by a failed apply (structures are half-patched) — \
-                 rebuild it with SearchEngine::new"
             ),
         }
     }
@@ -135,7 +108,7 @@ impl std::error::Error for CoreError {}
 
 impl From<cla_relational::RelationalError> for CoreError {
     fn from(e: cla_relational::RelationalError) -> Self {
-        CoreError::Relational(e.to_string())
+        CoreError::Relational(e)
     }
 }
 

@@ -17,9 +17,7 @@
 use crate::connection::Connection;
 use crate::datagraph::DataGraph;
 use cla_er::{Closeness, ErSchema, SchemaMapping};
-use cla_graph::{
-    bounded_bfs_distances_into, enumerate_simple_paths_undirected, NodeId, Path,
-};
+use cla_graph::{bounded_bfs_distances_into, NodeId, Path};
 use std::collections::{HashMap, VecDeque};
 
 /// The instance-level verdict for a connection.
@@ -166,9 +164,9 @@ impl WitnessCache {
 /// tests closeness per candidate path and stops at the **first** close
 /// witness (searching shorter paths first), instead of materializing
 /// every bounded path between the endpoints and converting each to a
-/// [`Connection`]. Verdicts are identical to
-/// [`instance_closeness_naive`]; any returned witness has minimal RDB
-/// length among close witnesses.
+/// [`Connection`] (the property suite checks its verdicts against that
+/// exhaustive scan); any returned witness has minimal RDB length among
+/// close witnesses.
 pub fn instance_closeness(
     conn: &Connection,
     dg: &DataGraph,
@@ -223,36 +221,6 @@ pub fn instance_closeness_with_cache(
         Some(w) => InstanceCloseness::WitnessClose(w),
         None => InstanceCloseness::Loose,
     }
-}
-
-/// The seed implementation: enumerate **all** bounded paths between the
-/// endpoints, sorted by `(length, edge ids)`, and return the first close
-/// one. Kept as the equivalence oracle for property tests and the
-/// before/after benchmarks.
-pub fn instance_closeness_naive(
-    conn: &Connection,
-    dg: &DataGraph,
-    schema: &ErSchema,
-    mapping: &SchemaMapping,
-    max_witness_rdb: usize,
-) -> InstanceCloseness {
-    if conn.closeness(dg, schema, mapping) == Closeness::Close {
-        return InstanceCloseness::SchemaClose;
-    }
-    let paths = enumerate_simple_paths_undirected(
-        dg.graph(),
-        conn.start(),
-        conn.end(),
-        max_witness_rdb,
-        None,
-    );
-    for p in &paths {
-        let candidate = Connection::from_path(p, dg, schema);
-        if candidate.closeness(dg, schema, mapping) == Closeness::Close {
-            return InstanceCloseness::WitnessClose(candidate);
-        }
-    }
-    InstanceCloseness::Loose
 }
 
 /// Find one schema-close connection linking `start` and `end` within
@@ -415,7 +383,7 @@ impl WitnessDfs<'_> {
 mod tests {
     use super::*;
     use cla_datagen::{company, CompanyDb};
-    use cla_graph::NodeId;
+    use cla_graph::{enumerate_simple_paths_undirected, NodeId};
 
     fn setup() -> (CompanyDb, DataGraph) {
         let c = company();
@@ -521,69 +489,6 @@ mod tests {
             instance_closeness(&c3, &dg, &c.er_schema, &c.mapping, 0),
             InstanceCloseness::Loose
         );
-    }
-
-    /// The short-circuit search agrees with the exhaustive seed
-    /// implementation on every paper connection and budget — under
-    /// every witness strategy, and the bounded-BFS witness is
-    /// *identical* to the iterative-deepening one.
-    #[test]
-    fn pruned_verdicts_match_naive() {
-        let (c, dg) = setup();
-        let all: &[&[&str]] = &[
-            &["d1", "e1"],
-            &["p1", "w_f1", "e1"],
-            &["p1", "d1", "e1"],
-            &["d1", "p1", "w_f1", "e1"],
-            &["d2", "e2"],
-            &["p2", "d2", "e2"],
-            &["d2", "p3", "w_f2", "e2"],
-            &["d1", "e3", "t1"],
-            &["d2", "p2", "w_f3", "e3", "t1"],
-        ];
-        for aliases in all {
-            let cn = conn(&c, &dg, aliases);
-            for budget in 0..=5 {
-                let fast = instance_closeness(&cn, &dg, &c.er_schema, &c.mapping, budget);
-                let slow =
-                    instance_closeness_naive(&cn, &dg, &c.er_schema, &c.mapping, budget);
-                assert_eq!(
-                    std::mem::discriminant(&fast),
-                    std::mem::discriminant(&slow),
-                    "{aliases:?} at budget {budget}: {fast:?} vs {slow:?}"
-                );
-                assert_eq!(fast.is_close(), slow.is_close());
-                // Both witnesses (when present) are minimal-length close
-                // connections between the same endpoints.
-                if let (
-                    InstanceCloseness::WitnessClose(a),
-                    InstanceCloseness::WitnessClose(b),
-                ) = (&fast, &slow)
-                {
-                    assert_eq!(a.rdb_length(), b.rdb_length(), "{aliases:?}");
-                    assert_eq!((a.start(), a.end()), (b.start(), b.end()));
-                }
-                // The bounded-BFS leg returns the *identical* verdict,
-                // witness connection included.
-                let bounded = instance_closeness_with_cache(
-                    &cn,
-                    &dg,
-                    &c.er_schema,
-                    &c.mapping,
-                    budget,
-                    &mut WitnessCache::with_strategy(WitnessStrategy::BoundedBfs),
-                );
-                let deepening = instance_closeness_with_cache(
-                    &cn,
-                    &dg,
-                    &c.er_schema,
-                    &c.mapping,
-                    budget,
-                    &mut WitnessCache::with_strategy(WitnessStrategy::IterativeDeepening),
-                );
-                assert_eq!(bounded, deepening, "{aliases:?} at budget {budget}");
-            }
-        }
     }
 
     /// Clearing a cache keeps it usable and forgets stale verdicts and

@@ -24,13 +24,15 @@
 //!
 //! ## Mutation subsystem
 //!
-//! The engine owns its database and stays **live** under churn: mutate
-//! through the writer's typed ops ([`EngineWriter::insert`], in-place
-//! [`EngineWriter::update`] — same `TupleId`; FK edges re-resolved,
+//! The engine owns its database and stays **live** under churn. The
+//! writer's typed ops are the only mutation path, reached through
+//! [`SearchEngine::writer_mut`]: [`EngineWriter::insert`], in-place
+//! [`EngineWriter::update`] (same `TupleId`; FK edges re-resolved,
 //! changed primary keys re-validated and restrict-checked against the
-//! persistent reverse-FK index — and restrict-checked
-//! [`EngineWriter::delete`]; [`SearchEngine::db_mut`] remains as the
-//! raw shim), then call [`SearchEngine::apply`] to patch postings,
+//! persistent reverse-FK index) and restrict-checked
+//! [`EngineWriter::delete`]. An op the database refuses returns its
+//! typed reason ([`CoreError::Relational`]) and stages nothing. Staged
+//! ops wait for [`SearchEngine::apply`], which patches postings,
 //! data-graph adjacency (updates rewire only their changed edges), the
 //! CSR overlay and the cardinality table into the **next published
 //! snapshot generation**. Three guarantees, all property-tested in
@@ -42,8 +44,7 @@
 //!   mapping role) rolls every patched structure back (index undo log,
 //!   mutation-free graph pre-validation) *and* rejects the database
 //!   batch via `Database::rollback`; the error returns with the engine
-//!   fresh and serving the pre-mutation answers. Only an externally
-//!   drained change log still poisons ([`CoreError::EnginePoisoned`]).
+//!   fresh and serving the pre-mutation answers.
 //! * **Slot reclamation** — [`SearchEngine::compact`] reclaims every
 //!   tombstoned row/node/edge slot end to end, renumbering ids behind
 //!   the returned `TupleRemap`, with rebuild equivalence and zero
@@ -116,7 +117,6 @@
 mod aliases;
 mod banks;
 mod budget;
-mod candidates;
 mod connection;
 mod datagraph;
 mod discover;
@@ -135,21 +135,16 @@ pub mod failpoints;
 
 pub use aliases::{AliasLookup, Aliases};
 pub use banks::{
-    banks_search, banks_search_budgeted, banks_search_counted, BanksOptions, BanksScratch,
-    BanksWork, EdgeWeighting, SteinerTree,
+    banks_search, banks_search_budgeted, BanksOptions, BanksScratch, BanksWork,
+    EdgeWeighting, SteinerTree,
 };
 pub use budget::SearchBudget;
-pub use candidates::{
-    evaluate_candidate_network, generate_candidate_networks, mtjnts_via_candidate_networks,
-    mtjnts_via_candidate_networks_topk, CandidateNetwork, CnEdge, CnNode, KeywordRelationMap,
-};
 pub use connection::{ConceptualStep, Connection, ConnectionStep};
 pub use datagraph::GraphPatch;
 pub use datagraph::{DataGraph, EdgeAnnotation};
 pub use discover::{
-    enumerate_joining_networks, enumerate_mtjnts, enumerate_mtjnts_budgeted,
-    enumerate_mtjnts_counted, is_joining, is_mtjnt, is_total, mtjnt_filter,
-    JoiningNetworkLevels,
+    enumerate_joining_networks, enumerate_mtjnts, enumerate_mtjnts_budgeted, is_joining,
+    is_mtjnt, is_total, mtjnt_filter, JoiningNetworkLevels,
 };
 pub use engine::SearchEngine;
 pub use error::{CoreError, KeywordDiagnostic};
@@ -158,8 +153,8 @@ pub use error::{CoreError, KeywordDiagnostic};
 pub use cla_storage::StorageError;
 pub use explain::explain_connection;
 pub use instance::{
-    instance_closeness, instance_closeness_naive, instance_closeness_with_cache,
-    InstanceCloseness, WitnessCache, WitnessStrategy,
+    instance_closeness, instance_closeness_with_cache, InstanceCloseness, WitnessCache,
+    WitnessStrategy,
 };
 pub use participation::{
     move_sequence, participation_degree, participation_fanout, reachable_set,

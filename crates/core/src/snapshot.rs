@@ -89,11 +89,6 @@ pub struct SearchOptions {
     pub max_witness_length: usize,
     /// Edge weighting for the BANKS expansion.
     pub weighting: EdgeWeighting,
-    /// Use the unpruned per-(source, target)-pair enumeration instead of
-    /// the distance-pruned multi-target DFS. The results are identical;
-    /// this exists as the A/B switch for the before/after benchmarks and
-    /// equivalence tests (see EXPERIMENTS.md B1).
-    pub naive_enumeration: bool,
     /// Worker threads for the parallelizable pipeline stages (the
     /// per-source enumeration fan-out and the per-connection
     /// metric/rendering stage). `1` runs fully sequential; `0` (the
@@ -118,9 +113,8 @@ pub struct SearchOptions {
     /// run (items are kept only while they provably dominate every
     /// connection the cut could have missed); under
     /// [`RankStrategy::Combined`] the output is best-effort
-    /// found-so-far. The budget is probed at the pruned pipelines'
-    /// expansion-counting sites; the `naive_enumeration` oracle ignores
-    /// it.
+    /// found-so-far. The budget is probed at each pipeline's
+    /// expansion-counting sites.
     pub budget: SearchBudget,
 }
 
@@ -135,7 +129,6 @@ impl Default for SearchOptions {
             compute_instance: true,
             max_witness_length: 4,
             weighting: EdgeWeighting::Uniform,
-            naive_enumeration: false,
             threads: 0,
             witness_strategy: WitnessStrategy::Auto,
             budget: SearchBudget::UNLIMITED,
@@ -1031,10 +1024,7 @@ impl EngineSnapshot {
                 // length-monotone bound; the returned prefix is exactly
                 // the full pipeline's.
                 if let Some(k) = options.k {
-                    if query.len() == 2
-                        && !options.naive_enumeration
-                        && options.ranker.supports_streaming_topk()
-                    {
+                    if query.len() == 2 && options.ranker.supports_streaming_topk() {
                         let (ranked, stats) = self.stream_topk_paths(
                             k,
                             match_sets,
@@ -1056,27 +1046,19 @@ impl EngineSnapshot {
                     }
                 }
                 if query.len() == 2 {
-                    if options.naive_enumeration {
-                        connections.extend(self.pair_connections_naive(
-                            &match_sets[0],
-                            &match_sets[1],
-                            options.max_rdb_length,
-                        ));
-                    } else {
-                        let (pairs, expansions) = self.pair_enumeration(
-                            &match_sets[0],
-                            &match_sets[1],
-                            options.max_rdb_length,
-                            None,
-                            threads,
-                            &mut scratch.enumerate,
-                            budget,
-                            &mut faulted,
-                        );
-                        stats.expansions = expansions;
-                        stats.max_length_enumerated = options.max_rdb_length;
-                        connections.extend(pairs);
-                    }
+                    let (pairs, expansions) = self.pair_enumeration(
+                        &match_sets[0],
+                        &match_sets[1],
+                        options.max_rdb_length,
+                        None,
+                        threads,
+                        &mut scratch.enumerate,
+                        budget,
+                        &mut faulted,
+                    );
+                    stats.expansions = expansions;
+                    stats.max_length_enumerated = options.max_rdb_length;
+                    connections.extend(pairs);
                 }
             }
             Algorithm::Banks => {
@@ -1500,8 +1482,7 @@ impl EngineSnapshot {
     /// distance map from the target set (capped at the length budget —
     /// anything farther can never complete a path), then one pruned DFS
     /// per **source** (instead of one unpruned DFS per (source, target)
-    /// pair). Produces exactly the connections of
-    /// [`EngineSnapshot::pair_connections_naive`]. Runs on a pooled
+    /// pair; the property suite checks the two agree). Runs on a pooled
     /// scratch: warm calls perform no allocations in the enumeration
     /// kernel beyond the returned connections themselves.
     pub fn pair_connections(
@@ -1748,32 +1729,6 @@ impl EngineSnapshot {
             out[start..].sort_by(Connection::canonical_cmp);
         }
         (out, expansions)
-    }
-
-    /// The seed implementation of [`EngineSnapshot::pair_connections`]:
-    /// one unpruned DFS per (source, target) pair. Kept as the
-    /// equivalence oracle for property tests and the B1 before/after
-    /// benchmark.
-    pub fn pair_connections_naive(
-        &self,
-        set_a: &[NodeId],
-        set_b: &[NodeId],
-        max_rdb: usize,
-    ) -> Vec<Connection> {
-        let mut out = Vec::new();
-        for &a in set_a {
-            for &b in set_b {
-                if a == b {
-                    continue;
-                }
-                for p in
-                    enumerate_simple_paths_undirected(self.dg.graph(), a, b, max_rdb, None)
-                {
-                    out.push(Connection::from_path(&p, &self.dg, &self.er_schema));
-                }
-            }
-        }
-        out
     }
 
     /// Convert a path-shaped Steiner tree into a connection; `None` if

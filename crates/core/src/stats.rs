@@ -32,11 +32,10 @@ use std::hash::Hash;
 ///   the first dominated size level and never materializes the deeper
 ///   ones.
 ///
-/// The zero value for the naive `Paths` enumeration (the A/B bench
-/// switch), which does not count its work. With `k` set and a
-/// length-monotone ranker, a streaming run must report strictly fewer
-/// expansions than the full run while returning the identical ranked
-/// prefix — the property suite pins both halves for every algorithm.
+/// With `k` set and a length-monotone ranker, a streaming run must
+/// report strictly fewer expansions than the full run while returning
+/// the identical ranked prefix — the property suite pins both halves
+/// for every algorithm.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Units of enumeration work performed (see the type docs for the

@@ -241,11 +241,6 @@ pub struct EngineWriter {
     generation: u64,
     /// The database version the published structures reflect.
     published_version: u64,
-    /// Set when the writer is unrecoverably out of sync (the change log
-    /// was drained externally — see [`CoreError::ChangeLogDrained`]);
-    /// it then refuses applying and compacting, and the façade refuses
-    /// searching. Recoverable apply failures roll back instead.
-    poisoned: bool,
     /// Whether this engine probes the process-global
     /// [`failpoints`](crate::failpoints) registry; propagated into
     /// every published snapshot.
@@ -295,7 +290,6 @@ impl EngineWriter {
             history: VecDeque::new(),
             generation: 0,
             published_version,
-            poisoned: false,
             failpoints,
             compaction_policy: CompactionPolicy::default(),
         })
@@ -380,17 +374,11 @@ impl EngineWriter {
         self.db.is_materialized()
     }
 
-    /// Raw mutable database access for the façade's `db_mut` shim. Not
-    /// public: external code mutates through the typed
-    /// [`EngineWriter::insert`]/[`EngineWriter::update`]/
-    /// [`EngineWriter::delete`] path, which cannot drain the change
-    /// log out from under `apply`.
-    pub(crate) fn db_mut_raw(&mut self) -> &mut Database {
-        self.db.get_mut()
-    }
-
     /// Stage an insert in the owned database (logged in the change
-    /// set; call [`EngineWriter::apply`] to publish).
+    /// set; call [`EngineWriter::apply`] to publish). Like every typed
+    /// op, one the database refuses (a duplicate key, an arity or type
+    /// mismatch, a restrict) returns [`CoreError::Relational`] with the
+    /// typed reason and stages nothing.
     pub fn insert(
         &mut self,
         relation: RelationId,
@@ -415,7 +403,7 @@ impl EngineWriter {
     pub fn is_fresh(&self) -> bool {
         // `LazyDb::version` answers from the image header when the
         // store is unmaterialized — freshness never forces a decode.
-        !self.poisoned && self.published_version == self.db.version()
+        self.published_version == self.db.version()
     }
 
     /// The [`CoreError::StaleEngine`] for the current version gap (the
@@ -427,26 +415,15 @@ impl EngineWriter {
         }
     }
 
-    /// `true` when the writer is unrecoverably out of sync with its
-    /// database — see [`CoreError::ChangeLogDrained`]. Rebuild with
-    /// [`EngineWriter::new`] to recover; recoverable apply failures
-    /// roll back instead of poisoning.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     /// Save the published generation and its database as one
     /// offset-addressable snapshot image at `path` — the cold-start
     /// counterpart of [`EngineWriter::open`].
     ///
-    /// Refuses a poisoned writer ([`CoreError::EnginePoisoned`]) and a
-    /// stale one ([`CoreError::StaleEngine`] — staged mutations are not
-    /// published yet, so saving would silently drop them; call
-    /// [`EngineWriter::apply`] first).
+    /// Refuses a stale writer ([`CoreError::StaleEngine`]): staged
+    /// mutations are in the database but not in the published
+    /// structures, so the image would hold rows its index and graph do
+    /// not. Call [`EngineWriter::apply`] first.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CoreError> {
-        if self.poisoned {
-            return Err(CoreError::EnginePoisoned);
-        }
         if !self.is_fresh() {
             return Err(self.stale_error());
         }
@@ -483,7 +460,6 @@ impl EngineWriter {
             history: VecDeque::new(),
             generation,
             published_version,
-            poisoned: false,
             failpoints: failpoints_enabled_from_env(),
             compaction_policy: CompactionPolicy::default(),
         })
@@ -522,38 +498,27 @@ impl EngineWriter {
     /// through [`Database::rollback`] (the batch is a failed
     /// transaction; its mutations are rejected wholesale), and the
     /// error is returned with the engine fresh and **still serving the
-    /// pre-mutation answers**. Only an externally drained change log
-    /// ([`CoreError::ChangeLogDrained`]) still poisons — those
-    /// operations can neither be applied nor undone.
+    /// pre-mutation answers**.
     ///
     /// With a [`CompactionPolicy::TombstoneRatio`] policy, a successful
     /// apply that leaves the dead-slot fraction at or above the
     /// threshold triggers a full [`EngineWriter::compact`]; the remap
     /// is surfaced through [`ApplyOutcome::compaction`].
     pub fn apply(&mut self) -> Result<ApplyOutcome, CoreError> {
-        if self.poisoned {
-            return Err(CoreError::EnginePoisoned);
-        }
         let changes = self.db.get_mut().take_changes();
-        // Every mutation logs exactly one op, so the log must account
-        // for the whole version delta. A shortfall means someone called
-        // `take_changes` on the engine's database directly — those ops
-        // are unrecoverable, and stamping the engine fresh anyway would
-        // silently serve results missing them.
-        let expected_ops = self.db.version() - self.published_version;
-        if changes.len() as u64 != expected_ops {
-            self.poisoned = true;
-            return Err(CoreError::ChangeLogDrained {
-                expected_ops,
-                found_ops: changes.len(),
-            });
-        }
+        // Every mutation logs exactly one op, and only this method drains
+        // the log (the database is never handed out mutably), so the log
+        // accounts for the whole version delta.
+        debug_assert_eq!(
+            changes.len() as u64,
+            self.db.version() - self.published_version,
+            "the change log holds every op since the last publish"
+        );
         let mut buf = self.build_buffer();
         let undo = buf.index.apply_logged(self.db.get(), &changes);
         let result = if self.failpoints && failpoints::triggered("apply.mid") {
-            Err(CoreError::Relational(
-                "forced mid-apply failure (apply.mid failpoint)".into(),
-            ))
+            // Fails the way the graph plan does; the id names the failpoint.
+            Err(CoreError::UnknownTuple("<forced by the apply.mid failpoint>".into()))
         } else {
             // The plan stage pre-validates every fallible lookup before
             // anything mutates, so an error leaves the graph untouched.
@@ -734,9 +699,6 @@ impl EngineWriter {
     /// whole lineage, so the buffer-recycling state is dropped — the
     /// next apply pays one deep clone, then recycling resumes.
     pub fn compact(&mut self) -> Result<TupleRemap, CoreError> {
-        if self.poisoned {
-            return Err(CoreError::EnginePoisoned);
-        }
         if !self.is_fresh() {
             return Err(CoreError::StaleEngine {
                 engine_version: self.published_version,
@@ -801,7 +763,6 @@ impl EngineWriter {
             history: VecDeque::new(),
             generation: self.generation,
             published_version: self.published_version,
-            poisoned: self.poisoned,
             failpoints: self.failpoints,
             compaction_policy: self.compaction_policy,
         }

@@ -13,18 +13,18 @@
 //!
 //! plus the **atomicity property**: a failed apply (forced mid-apply
 //! failpoint or a genuinely dangling reference) leaves `search()`
-//! answering identically to pre-mutation, with the engine fresh and
-//! un-poisoned.
+//! answering identically to pre-mutation, with the engine fresh.
 //!
 //! Mutations are driven by a seeded generator over the synthetic
 //! company-shaped databases, planting, rewriting and removing the bench
 //! keywords (`xml`, `smith`, `alice`) so the match sets themselves
-//! churn.
+//! churn. Every mutation goes through the writer's typed ops.
 
-use cla_core::{Algorithm, CoreError, DataGraph, SearchEngine, SearchOptions};
+use cla_core::{Algorithm, CoreError, DataGraph, EngineWriter, SearchEngine, SearchOptions};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_index::InvertedIndex;
-use cla_relational::{Database, RelationId, RelationalError, TupleId, Value};
+use cla_relational::RelationalError::{DeleteRestricted, UpdateRestricted};
+use cla_relational::{Database, RelationId, TupleId, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
@@ -88,38 +88,39 @@ impl Mutator {
         Some(rows[i].clone())
     }
 
-    /// Perform one random mutation; returns `true` if the database
-    /// changed. Restricted deletes/re-keys and duplicate memberships
-    /// count as no-ops (the dice simply rolled an inapplicable op).
-    fn random_op(&mut self, db: &mut Database, rng: &mut StdRng) -> bool {
+    /// Stage one random mutation through the writer; returns `true` if
+    /// the database changed. Restricted deletes/re-keys and duplicate
+    /// memberships count as no-ops (the dice simply rolled an
+    /// inapplicable op).
+    fn random_op(&mut self, w: &mut EngineWriter, rng: &mut StdRng) -> bool {
         match rng.random_range(0..12usize) {
             // Insert a dependent of a random employee.
             0 => {
-                let Some((_, essn)) = Self::pick(db, self.emp, rng) else { return false };
+                let Some((_, essn)) = Self::pick(w.db(), self.emp, rng) else { return false };
                 let name = if rng.random::<f64>() < 0.5 { "Alice" } else { "Casey" };
                 let id = self.fresh_pk("t");
-                db.insert(self.dep, vec![id.into(), essn.into(), name.into()]).unwrap();
+                w.insert(self.dep, vec![id.into(), essn.into(), name.into()]).unwrap();
                 true
             }
             // Insert an employee into a random department.
             1 => {
-                let Some((_, d)) = Self::pick(db, self.dept, rng) else { return false };
+                let Some((_, d)) = Self::pick(w.db(), self.dept, rng) else { return false };
                 let surname = if rng.random::<f64>() < 0.5 { "Smith" } else { "Turing" };
                 let id = self.fresh_pk("e");
-                db.insert(self.emp, vec![id.into(), surname.into(), "Alan".into(), d.into()])
+                w.insert(self.emp, vec![id.into(), surname.into(), "Alan".into(), d.into()])
                     .unwrap();
                 true
             }
             // Insert a project into a random department.
             2 => {
-                let Some((_, d)) = Self::pick(db, self.dept, rng) else { return false };
+                let Some((_, d)) = Self::pick(w.db(), self.dept, rng) else { return false };
                 let desc = if rng.random::<f64>() < 0.5 {
                     "storage engines and xml pipelines"
                 } else {
                     "storage engines and parser pipelines"
                 };
                 let id = self.fresh_pk("p");
-                db.insert(
+                w.insert(
                     self.proj,
                     vec![id.into(), d.into(), "side project".into(), desc.into()],
                 )
@@ -128,69 +129,69 @@ impl Mutator {
             }
             // Insert a WORKS_FOR membership (skipped when taken).
             3 => {
-                let Some((_, essn)) = Self::pick(db, self.emp, rng) else { return false };
-                let Some((_, pid)) = Self::pick(db, self.proj, rng) else { return false };
+                let Some((_, essn)) = Self::pick(w.db(), self.emp, rng) else { return false };
+                let Some((_, pid)) = Self::pick(w.db(), self.proj, rng) else { return false };
                 let key = [Value::from(essn.as_str()), Value::from(pid.as_str())];
-                if db.lookup_pk(self.wf, &key).is_some() {
+                if w.db().lookup_pk(self.wf, &key).is_some() {
                     return false;
                 }
                 let hours = rng.random_range(5..80i64);
-                db.insert(self.wf, vec![essn.into(), pid.into(), hours.into()]).unwrap();
+                w.insert(self.wf, vec![essn.into(), pid.into(), hours.into()]).unwrap();
                 true
             }
             // Deletes: leaves always work; employees/projects only once
             // nothing references them (restrict is part of the contract).
             n @ 4..=7 => {
                 let rel = [self.dep, self.wf, self.emp, self.proj][n - 4];
-                let Some((id, _)) = Self::pick(db, rel, rng) else { return false };
-                match db.delete(id) {
+                let Some((id, _)) = Self::pick(w.db(), rel, rng) else { return false };
+                match w.delete(id) {
                     Ok(()) => true,
-                    Err(RelationalError::DeleteRestricted { .. }) => false,
+                    Err(CoreError::Relational(DeleteRestricted { .. })) => false,
                     Err(e) => panic!("unexpected delete failure: {e}"),
                 }
             }
             // In-place update of a dependent's name (text-only diff:
             // flips the `alice` match set under an unchanged TupleId).
             8 => {
-                let Some((id, _)) = Self::pick(db, self.dep, rng) else { return false };
-                let mut values = db.tuple(id).unwrap().values().to_vec();
+                let Some((id, _)) = Self::pick(w.db(), self.dep, rng) else { return false };
+                let mut values = w.db().tuple(id).unwrap().values().to_vec();
                 let name = if rng.random::<f64>() < 0.5 { "Alice" } else { "Casey" };
                 values[2] = name.into();
-                db.update(id, values).unwrap();
+                w.update(id, values).unwrap();
                 true
             }
             // Re-point a dependent to another employee (graph-only
             // rewiring: one edge removed, one added, same node).
             9 => {
-                let Some((id, _)) = Self::pick(db, self.dep, rng) else { return false };
-                let Some((_, essn)) = Self::pick(db, self.emp, rng) else { return false };
-                let mut values = db.tuple(id).unwrap().values().to_vec();
+                let Some((id, _)) = Self::pick(w.db(), self.dep, rng) else { return false };
+                let Some((_, essn)) = Self::pick(w.db(), self.emp, rng) else { return false };
+                let mut values = w.db().tuple(id).unwrap().values().to_vec();
                 values[1] = essn.into();
-                db.update(id, values).unwrap();
+                w.update(id, values).unwrap();
                 true
             }
             // Update an employee's surname *and* department in one op
             // (index diff and edge rewiring together).
             10 => {
-                let Some((id, _)) = Self::pick(db, self.emp, rng) else { return false };
-                let Some((_, d)) = Self::pick(db, self.dept, rng) else { return false };
-                let mut values = db.tuple(id).unwrap().values().to_vec();
+                let Some((id, _)) = Self::pick(w.db(), self.emp, rng) else { return false };
+                let Some((_, d)) = Self::pick(w.db(), self.dept, rng) else { return false };
+                let mut values = w.db().tuple(id).unwrap().values().to_vec();
                 let surname = if rng.random::<f64>() < 0.5 { "Smith" } else { "Turing" };
                 values[1] = surname.into();
                 values[3] = d.into();
-                db.update(id, values).unwrap();
+                w.update(id, values).unwrap();
                 true
             }
             // Primary-key change (re-key a project): restricted while a
             // WORKS_FOR row references it — restrict is part of the
             // contract, so a blocked re-key is a rolled no-op.
             11 => {
-                let Some((id, _)) = Self::pick(db, self.proj, rng) else { return false };
-                let mut values = db.tuple(id).unwrap().values().to_vec();
+                let Some((id, _)) = Self::pick(w.db(), self.proj, rng) else { return false };
+                let mut values = w.db().tuple(id).unwrap().values().to_vec();
                 values[0] = self.fresh_pk("p").into();
-                match db.update(id, values) {
+                match w.update(id, values) {
                     Ok(()) => true,
-                    Err(RelationalError::UpdateRestricted { .. }) => false,
+                    Err(CoreError::Relational(UpdateRestricted { .. })) => false,
                     Err(e) => panic!("unexpected update failure: {e}"),
                 }
             }
@@ -327,7 +328,7 @@ proptest! {
             let ops = rng.random_range(1..6usize);
             let mut mutated = false;
             for _ in 0..ops {
-                mutated |= mutator.random_op(engine.db_mut(), &mut rng);
+                mutated |= mutator.random_op(engine.writer_mut(), &mut rng);
             }
             // Stale-engine guard: any mutation makes search refuse until
             // the engine is patched.
@@ -372,7 +373,7 @@ proptest! {
     /// (fires after the index patch) or a genuinely dangling
     /// reference in the batch — leaves `search()` answering identically
     /// to pre-mutation for every query and algorithm, with the engine
-    /// fresh, un-poisoned and immediately usable for a corrected batch.
+    /// fresh and immediately usable for a corrected batch.
     #[test]
     fn failed_apply_serves_pre_mutation_answers(seed in 0u64..500) {
         // The failpoint registry is process-global; the exclusive guard
@@ -417,7 +418,7 @@ proptest! {
 
         // A batch of otherwise-good mutations…
         for _ in 0..rng.random_range(1..6usize) {
-            mutator.random_op(engine.db_mut(), &mut rng);
+            mutator.random_op(engine.writer_mut(), &mut rng);
         }
         // …failed either by injection (after the index patched) or by a
         // genuinely dangling reference the graph plan rejects.
@@ -425,7 +426,7 @@ proptest! {
             cla_core::failpoints::arm("apply.mid", cla_core::failpoints::FailpointMode::Once);
         } else {
             engine
-                .db_mut()
+                .writer_mut()
                 .insert(
                     mutator.dep,
                     vec![
@@ -438,7 +439,6 @@ proptest! {
         }
         prop_assert!(engine.apply().is_err());
         prop_assert!(engine.is_fresh(), "rollback must leave the engine fresh");
-        prop_assert!(!engine.is_poisoned(), "recoverable failures must not poison");
         prop_assert_eq!(
             snapshot(&engine),
             before,
@@ -450,7 +450,7 @@ proptest! {
         // and still matches a from-scratch rebuild.
         let mut mutated = false;
         for _ in 0..3 {
-            mutated |= mutator.random_op(engine.db_mut(), &mut rng);
+            mutated |= mutator.random_op(engine.writer_mut(), &mut rng);
         }
         let _ = engine.apply().unwrap();
         if mutated {
@@ -478,12 +478,12 @@ proptest! {
         let deps: Vec<TupleId> =
             engine.db().tuples(mutator.dep).map(|(id, _)| id).collect();
         for id in deps {
-            engine.db_mut().delete(id).unwrap();
+            engine.writer_mut().delete(id).unwrap();
         }
         let wfs: Vec<TupleId> = engine.db().tuples(mutator.wf).map(|(id, _)| id).collect();
         for id in wfs {
             if rng.random::<f64>() < 0.8 {
-                engine.db_mut().delete(id).unwrap();
+                engine.writer_mut().delete(id).unwrap();
             }
         }
         let _ = engine.apply().unwrap();
@@ -494,13 +494,13 @@ proptest! {
         let mut mutator = mutator;
         let emps: Vec<TupleId> = engine.db().tuples(mutator.emp).map(|(id, _)| id).collect();
         for id in emps.into_iter().take(4) {
-            match engine.db_mut().delete(id) {
-                Ok(()) | Err(RelationalError::DeleteRestricted { .. }) => {}
+            match engine.writer_mut().delete(id) {
+                Ok(()) | Err(CoreError::Relational(DeleteRestricted { .. })) => {}
                 Err(e) => panic!("unexpected delete failure: {e}"),
             }
         }
         for _ in 0..5 {
-            mutator.random_op(engine.db_mut(), &mut rng);
+            mutator.random_op(engine.writer_mut(), &mut rng);
         }
         let _ = engine.apply().unwrap();
         assert_matches_rebuild(&engine, &format!("seed {seed} wave2"))?;
@@ -528,13 +528,13 @@ fn csr_compaction_threshold_crossed_by_update_burst() {
     // op); 40 pairs = 160 edits ≥ threshold, forcing ≥ 1 compaction.
     for i in 0..40 {
         let id = engine
-            .db_mut()
+            .writer_mut()
             .insert(
                 mutator.dep,
                 vec![format!("burst{i}").as_str().into(), essn.as_str().into(), "B".into()],
             )
             .unwrap();
-        engine.db_mut().delete(id).unwrap();
+        engine.writer_mut().delete(id).unwrap();
         let _ = engine.apply().unwrap();
     }
     assert!(

@@ -1,17 +1,22 @@
 //! Property-based tests for the keyword-search core, driven by random
-//! synthetic databases.
+//! synthetic databases. The reference implementations the engine is
+//! compared against live in `support/`.
+
+mod support;
 
 use cla_core::{
-    banks_search, banks_search_counted, enumerate_joining_networks, instance_closeness,
-    instance_closeness_naive, instance_closeness_with_cache, is_joining, is_mtjnt, is_total,
-    Algorithm, BanksOptions, BanksScratch, Connection, DataGraph, RankStrategy, SearchEngine,
+    banks_search, banks_search_budgeted, enumerate_joining_networks, instance_closeness,
+    instance_closeness_with_cache, is_joining, is_mtjnt, is_total, Algorithm, BanksOptions,
+    BanksScratch, Connection, DataGraph, InstanceCloseness, RankStrategy, SearchEngine,
     SearchOptions, WitnessCache, WitnessStrategy,
 };
-use cla_datagen::{generate_synthetic, SyntheticConfig};
-use cla_er::Closeness;
+use cla_datagen::{company, generate_synthetic, SyntheticConfig};
+use cla_er::{map_to_relational, Cardinality, Closeness, ErSchemaBuilder};
 use cla_graph::{enumerate_simple_paths_undirected, EdgeId, NodeId};
+use cla_relational::{DataType, Database};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
+use support::{instance_closeness_naive, pair_connections_naive};
 
 fn small_config(seed: u64) -> SyntheticConfig {
     SyntheticConfig {
@@ -189,7 +194,7 @@ proptest! {
         ];
         prop_assume!(matches.iter().all(|m| !m.is_empty()));
         let via_cn =
-            cla_core::mtjnts_via_candidate_networks(&s.db, &dg, &matches, 3);
+            support::candidates::mtjnts_via_candidate_networks(&s.db, &dg, &matches, 3);
         let sets: Vec<HashSet<NodeId>> = matches
             .iter()
             .map(|v| v.iter().filter_map(|&t| dg.node_of(t)).collect())
@@ -232,33 +237,34 @@ proptest! {
                 .iter()
                 .map(key)
                 .collect();
-            let mut naive: Vec<_> = engine
-                .pair_connections_naive(&sets[0], &sets[1], max_rdb)
-                .iter()
-                .map(key)
-                .collect();
+            let mut naive: Vec<_> = pair_connections_naive(
+                engine.data_graph(),
+                engine.er_schema(),
+                &sets[0],
+                &sets[1],
+                max_rdb,
+            )
+            .iter()
+            .map(key)
+            .collect();
             pruned.sort();
             naive.sort();
             prop_assert_eq!(pruned, naive, "max_rdb {}", max_rdb);
         }
     }
 
-    /// End-to-end: a search with `naive_enumeration` renders the same
-    /// ranked results as the pruned default.
+    /// End-to-end: a `k: None` search returns exactly what the per-pair
+    /// oracle predicts (see [`search_and_pair_oracle`]). The synthetic
+    /// schema has no parallel edges; the parallel-edge representative
+    /// is checked by `pruned_search_keeps_the_oracles_parallel_edge_representative`.
     #[test]
     fn pruned_search_equals_naive_search(seed in 0u64..100) {
         let s = generate_synthetic(&small_config(seed));
         let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
             .unwrap()
             .with_aliases(s.aliases.clone());
-        let pruned_opts = SearchOptions { max_rdb_length: 4, ..Default::default() };
-        let naive_opts =
-            SearchOptions { naive_enumeration: true, ..pruned_opts };
-        let a = engine.search("xml smith", &pruned_opts).unwrap();
-        let b = engine.search("xml smith", &naive_opts).unwrap();
-        let ra: Vec<String> = a.connections.iter().map(|r| r.rendering.clone()).collect();
-        let rb: Vec<String> = b.connections.iter().map(|r| r.rendering.clone()).collect();
-        prop_assert_eq!(ra, rb);
+        let (got, want, _) = search_and_pair_oracle(&engine, 4);
+        prop_assert_eq!(got, want);
     }
 
     /// The short-circuiting witness search agrees with the exhaustive
@@ -461,17 +467,19 @@ proptest! {
                 continue;
             }
             let mut scratch = BanksScratch::new();
-            let (full, full_work) = banks_search_counted(
+            let (full, full_work, _) = banks_search_budgeted(
                 &dg,
                 &sets,
                 &BanksOptions { k: None, ..Default::default() },
                 &mut scratch,
+                &mut |_| false,
             );
-            let (cut, cut_work) = banks_search_counted(
+            let (cut, cut_work, _) = banks_search_budgeted(
                 &dg,
                 &sets,
                 &BanksOptions { k: Some(k), ..Default::default() },
                 &mut scratch,
+                &mut |_| false,
             );
             prop_assert_eq!(cut.len(), full.len().min(k), "{:?} k {}", kws, k);
             for (a, b) in cut.iter().zip(&full) {
@@ -777,17 +785,19 @@ fn cutoffs_beat_full_enumeration_at_b7_shape() {
         })
         .collect();
     let mut scratch = BanksScratch::new();
-    let (full_trees, full_work) = banks_search_counted(
+    let (full_trees, full_work, _) = banks_search_budgeted(
         &dg,
         &sets,
         &BanksOptions { k: None, ..Default::default() },
         &mut scratch,
+        &mut |_| false,
     );
-    let (cut_trees, cut_work) = banks_search_counted(
+    let (cut_trees, cut_work, _) = banks_search_budgeted(
         &dg,
         &sets,
         &BanksOptions { k: Some(20), ..Default::default() },
         &mut scratch,
+        &mut |_| false,
     );
     assert_eq!(cut_trees.len(), 20);
     for (a, b) in cut_trees.iter().zip(&full_trees) {
@@ -824,6 +834,174 @@ fn banks_k_none_returns_more_than_100_trees() {
     let capped =
         banks_search(&dg, &sets, &BanksOptions { k: Some(100), ..Default::default() });
     assert_eq!(capped.len(), 100);
+}
+
+/// A connection as the oracle comparisons see it: nodes and edges.
+type ConnKey = (Vec<NodeId>, Vec<EdgeId>);
+
+/// The `(nodes, edges)` of every connection a `k: None` "xml smith"
+/// search ranks, and what the per-pair oracle predicts: its paths plus
+/// the single-tuple matches, oriented canonically (smaller endpoint
+/// tuple first), keeping the first connection per node sequence. Both
+/// lists come sorted. Comparing edges as well as nodes checks that the
+/// pipeline keeps the same representative among parallel-edge
+/// variants; the third value counts the oracle connections the dedup
+/// dropped.
+fn search_and_pair_oracle(
+    engine: &SearchEngine,
+    max_rdb: usize,
+) -> (Vec<ConnKey>, Vec<ConnKey>, usize) {
+    let dg = engine.data_graph();
+    let sets: Vec<Vec<NodeId>> = ["xml", "smith"]
+        .iter()
+        .map(|kw| {
+            engine
+                .index()
+                .matching_tuples(kw)
+                .into_iter()
+                .filter_map(|t| dg.node_of(t))
+                .collect()
+        })
+        .collect();
+    let key = |c: &Connection| -> ConnKey {
+        (c.nodes().to_vec(), c.steps().iter().map(|s| s.edge).collect())
+    };
+    let mut singles: Vec<NodeId> =
+        sets[0].iter().copied().filter(|n| sets[1].contains(n)).collect();
+    singles.sort();
+    singles.dedup();
+    let oracle: Vec<Connection> = singles
+        .into_iter()
+        .map(Connection::single)
+        .chain(pair_connections_naive(dg, engine.er_schema(), &sets[0], &sets[1], max_rdb))
+        .map(|c| if dg.tuple_of(c.end()) < dg.tuple_of(c.start()) { c.reversed() } else { c })
+        .collect();
+    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
+    let mut want: Vec<ConnKey> =
+        oracle.iter().filter(|c| seen.insert(c.nodes().to_vec())).map(key).collect();
+    let dropped = oracle.len() - want.len();
+    let opts = SearchOptions { max_rdb_length: max_rdb, ..Default::default() };
+    let mut got: Vec<ConnKey> = engine
+        .search("xml smith", &opts)
+        .unwrap()
+        .connections
+        .iter()
+        .map(|r| key(&r.connection))
+        .collect();
+    want.sort();
+    got.sort();
+    (got, want, dropped)
+}
+
+/// Two foreign keys from EMPLOYEE to DEPARTMENT: an employee who works
+/// for and advises the same department is linked to it by two parallel
+/// edges, so several connections share one node sequence.
+#[test]
+fn pruned_search_keeps_the_oracles_parallel_edge_representative() {
+    let er = ErSchemaBuilder::new()
+        .entity("DEPARTMENT", |e| {
+            e.key("ID", DataType::Text).attr("D_DESCRIPTION", DataType::Text)
+        })
+        .entity("EMPLOYEE", |e| e.key("SSN", DataType::Text).attr("L_NAME", DataType::Text))
+        .relationship("WORKS_FOR", "EMPLOYEE", "DEPARTMENT", Cardinality::MANY_TO_ONE, |r| {
+            r.verb("works for").fk_columns(&["D_ID"])
+        })
+        .relationship("ADVISES", "EMPLOYEE", "DEPARTMENT", Cardinality::MANY_TO_ONE, |r| {
+            r.verb("advises").fk_columns(&["A_ID"])
+        })
+        .build()
+        .unwrap();
+    let mapping = map_to_relational(&er).unwrap();
+    let mut db = Database::new(mapping.catalog().clone()).unwrap();
+    let dept = db.catalog().relation_id("DEPARTMENT").unwrap();
+    let emp = db.catalog().relation_id("EMPLOYEE").unwrap();
+    for (id, desc) in [("d1", "xml tools"), ("d2", "xml storage"), ("d3", "parsers")] {
+        db.insert(dept, vec![id.into(), desc.into()]).unwrap();
+    }
+    // SSN, L_NAME, works for, advises.
+    for (ssn, name, works, advises) in [
+        ("e1", "Smith", "d1", "d1"),
+        ("e2", "Smith", "d1", "d2"),
+        ("e3", "Jones", "d2", "d2"),
+        ("e4", "Smith", "d3", "d3"),
+        ("e5", "Jones", "d3", "d1"),
+    ] {
+        db.insert(emp, vec![ssn.into(), name.into(), works.into(), advises.into()]).unwrap();
+    }
+    let engine = SearchEngine::new(db, er, mapping).unwrap();
+    let (got, want, dropped) = search_and_pair_oracle(&engine, 4);
+    assert!(dropped > 0, "the fixture must yield parallel-edge variants");
+    assert_eq!(got, want);
+}
+
+/// The short-circuit witness search agrees with the exhaustive scan on
+/// every paper connection and budget — under every witness strategy,
+/// and the bounded-BFS witness is *identical* to the iterative-deepening
+/// one.
+#[test]
+fn pruned_verdicts_match_naive() {
+    let c = company();
+    let dg = DataGraph::build(&c.db, &c.mapping).unwrap();
+    let conn = |aliases: &[&str]| -> Connection {
+        let want: Vec<NodeId> =
+            aliases.iter().map(|a| dg.node_of(c.tuple(a).unwrap()).unwrap()).collect();
+        enumerate_simple_paths_undirected(dg.graph(), want[0], *want.last().unwrap(), 6, None)
+            .iter()
+            .map(|p| Connection::from_path(p, &dg, &c.er_schema))
+            .find(|cn| cn.nodes() == want.as_slice())
+            .expect("path exists")
+    };
+    let all: &[&[&str]] = &[
+        &["d1", "e1"],
+        &["p1", "w_f1", "e1"],
+        &["p1", "d1", "e1"],
+        &["d1", "p1", "w_f1", "e1"],
+        &["d2", "e2"],
+        &["p2", "d2", "e2"],
+        &["d2", "p3", "w_f2", "e2"],
+        &["d1", "e3", "t1"],
+        &["d2", "p2", "w_f3", "e3", "t1"],
+    ];
+    for aliases in all {
+        let cn = conn(aliases);
+        for budget in 0..=5 {
+            let fast = instance_closeness(&cn, &dg, &c.er_schema, &c.mapping, budget);
+            let slow = instance_closeness_naive(&cn, &dg, &c.er_schema, &c.mapping, budget);
+            assert_eq!(
+                std::mem::discriminant(&fast),
+                std::mem::discriminant(&slow),
+                "{aliases:?} at budget {budget}: {fast:?} vs {slow:?}"
+            );
+            assert_eq!(fast.is_close(), slow.is_close());
+            // Both witnesses (when present) are minimal-length close
+            // connections between the same endpoints.
+            if let (InstanceCloseness::WitnessClose(a), InstanceCloseness::WitnessClose(b)) =
+                (&fast, &slow)
+            {
+                assert_eq!(a.rdb_length(), b.rdb_length(), "{aliases:?}");
+                assert_eq!((a.start(), a.end()), (b.start(), b.end()));
+            }
+            // The bounded-BFS leg returns the *identical* verdict,
+            // witness connection included.
+            let bounded = instance_closeness_with_cache(
+                &cn,
+                &dg,
+                &c.er_schema,
+                &c.mapping,
+                budget,
+                &mut WitnessCache::with_strategy(WitnessStrategy::BoundedBfs),
+            );
+            let deepening = instance_closeness_with_cache(
+                &cn,
+                &dg,
+                &c.er_schema,
+                &c.mapping,
+                budget,
+                &mut WitnessCache::with_strategy(WitnessStrategy::IterativeDeepening),
+            );
+            assert_eq!(bounded, deepening, "{aliases:?} at budget {budget}");
+        }
+    }
 }
 
 /// Brute force: minimal iff no proper non-empty subset is total+joining.

@@ -21,6 +21,7 @@
 
 use cla_core::{Algorithm, CoreError, SearchEngine, SearchOptions, StorageError};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
+use cla_relational::RelationalError::DeleteRestricted;
 use cla_relational::{Database, RelationId, TupleId, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -183,14 +184,7 @@ impl Mutator {
                 let Some((id, _)) = Self::pick(w.db(), rel, rng) else { return false };
                 match w.delete(id) {
                     Ok(()) => true,
-                    Err(CoreError::Relational(msg)) => {
-                        // Surface anything that is not a restrict.
-                        assert!(
-                            msg.contains("still referenced"),
-                            "unexpected delete failure: {msg}"
-                        );
-                        false
-                    }
+                    Err(CoreError::Relational(DeleteRestricted { .. })) => false,
                     Err(e) => panic!("unexpected delete failure: {e}"),
                 }
             }

@@ -1,4 +1,6 @@
-//! DISCOVER-style schema-level candidate networks (reference [4]).
+//! DISCOVER-style schema-level candidate networks (reference [4]): a
+//! second, schema-level implementation of DISCOVER's semantics, kept as
+//! a test oracle.
 //!
 //! DISCOVER plans keyword queries at the *schema* level: a **candidate
 //! network** (CN) is a tree of relation occurrences — each annotated
@@ -7,15 +9,13 @@
 //! foreign key. A CN is admissible when it covers every keyword and no
 //! leaf is free. Evaluating a CN joins the corresponding tuple sets,
 //! producing joining networks of tuples; filtering those through
-//! [`is_mtjnt`](crate::is_mtjnt) yields exactly DISCOVER's answers.
+//! `cla_core::is_mtjnt` yields exactly DISCOVER's answers.
 //!
 //! [`mtjnts_via_candidate_networks`] is cross-validated against the
-//! instance-level growth enumeration in
-//! [`enumerate_mtjnts`](crate::enumerate_mtjnts) by the tests — two
-//! independent routes to the same MTJNT semantics.
+//! engine's instance-level growth enumeration (`cla_core::enumerate_mtjnts`)
+//! by the tests — two independent routes to the same MTJNT semantics.
 
-use crate::datagraph::DataGraph;
-use crate::discover::is_mtjnt;
+use cla_core::{is_mtjnt, DataGraph};
 use cla_graph::NodeId;
 use cla_relational::{Database, RelationId, TupleId};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -143,11 +143,7 @@ impl KeywordRelationMap {
 /// occurrences, given per-keyword match sets.
 ///
 /// CNs come out in **non-decreasing size order** (the generation is a
-/// breadth-first growth over occurrence counts) — the size/weight
-/// lower bound [`mtjnts_via_candidate_networks_topk`] cuts on: a CN of
-/// `s` occurrences only ever evaluates to joining networks of exactly
-/// `s` tuples, so under any length-monotone ranking, once the held top
-/// k stems from CNs of size ≤ `s`, every unevaluated CN is dominated.
+/// breadth-first growth over occurrence counts).
 pub fn generate_candidate_networks(
     db: &Database,
     keyword_matches: &[Vec<TupleId>],
@@ -345,69 +341,10 @@ pub fn mtjnts_via_candidate_networks(
     v
 }
 
-/// The k smallest MTJNTs by `(size, node set)` through the candidate-
-/// network pipeline, evaluating CNs **in ascending size** and cutting
-/// as soon as the held top k dominates every unevaluated network.
-///
-/// The cut is sound for any length-monotone ranking because a CN of
-/// `s` occurrences evaluates to tuple networks of exactly `s` distinct
-/// tuples: once `k` MTJNTs of size ≤ `s` are held after finishing the
-/// size-`s` group, every remaining CN can only produce strictly larger
-/// networks. Returns exactly the first `k` of
-/// [`mtjnts_via_candidate_networks`] under the `(size, set)` order
-/// (cross-validated by the tests), along with the number of CNs
-/// actually evaluated — strictly fewer than the full pipeline whenever
-/// the cut fires.
-///
-/// What the cut skips is the **evaluation** (the instance-level joins,
-/// the expensive half); CN *generation* is the schema-level phase and
-/// still runs to completion up front. The engine's own streaming path
-/// avoids even that through the lazy
-/// [`JoiningNetworkLevels`](crate::JoiningNetworkLevels) generator.
-pub fn mtjnts_via_candidate_networks_topk(
-    db: &Database,
-    dg: &DataGraph,
-    keyword_matches: &[Vec<TupleId>],
-    max_size: usize,
-    k: usize,
-) -> (Vec<BTreeSet<NodeId>>, usize) {
-    let keyword_sets: Vec<HashSet<NodeId>> = keyword_matches
-        .iter()
-        .map(|v| v.iter().filter_map(|&t| dg.node_of(t)).collect())
-        .collect();
-    let mut out: HashSet<BTreeSet<NodeId>> = HashSet::new();
-    let mut evaluated = 0usize;
-    let mut current_size = 0usize;
-    for cn in generate_candidate_networks(db, keyword_matches, max_size) {
-        if cn.size() > current_size {
-            // The size-`current_size` group is complete; everything
-            // still to come is strictly larger, so a full top k held
-            // now can never be displaced.
-            if out.len() >= k {
-                break;
-            }
-            current_size = cn.size();
-        }
-        evaluated += 1;
-        for tuple_set in evaluate_candidate_network(db, &cn, keyword_matches) {
-            let nodes: Option<BTreeSet<NodeId>> =
-                tuple_set.iter().map(|&t| dg.node_of(t)).collect();
-            let Some(nodes) = nodes else { continue };
-            if is_mtjnt(dg, &nodes, &keyword_sets) {
-                out.insert(nodes);
-            }
-        }
-    }
-    let mut v: Vec<BTreeSet<NodeId>> = out.into_iter().collect();
-    v.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    v.truncate(k);
-    (v, evaluated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discover::enumerate_mtjnts;
+    use cla_core::enumerate_mtjnts;
     use cla_datagen::company;
     use cla_index::InvertedIndex;
 
@@ -475,29 +412,6 @@ mod tests {
         via_growth.sort();
         assert_eq!(via_cn, via_growth, "two routes to the same MTJNT semantics");
         assert_eq!(via_cn.len(), 3, "connections 1, 2, 5");
-    }
-
-    /// The size-ordered top-k pipeline returns exactly the first k of
-    /// the full pipeline under the `(size, set)` order, while
-    /// evaluating strictly fewer candidate networks once the cut fires.
-    #[test]
-    fn topk_pipeline_matches_full_prefix_with_fewer_evaluations() {
-        let (c, dg, matches) = setup();
-        let mut full = mtjnts_via_candidate_networks(&c.db, &dg, &matches, 4);
-        full.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-        let full_cns = generate_candidate_networks(&c.db, &matches, 4).len();
-        for k in [1usize, 2, 3, 10] {
-            let (topk, evaluated) =
-                mtjnts_via_candidate_networks_topk(&c.db, &dg, &matches, 4, k);
-            let expect: Vec<_> = full.iter().take(k).cloned().collect();
-            assert_eq!(topk, expect, "k={k}");
-            assert!(evaluated <= full_cns, "k={k}");
-            if k <= 2 {
-                // Two MTJNTs of ≤ 2 tuples exist, so small k cuts before
-                // the larger CN groups are ever evaluated.
-                assert!(evaluated < full_cns, "k={k}: {evaluated} vs {full_cns}");
-            }
-        }
     }
 
     #[test]

@@ -51,8 +51,7 @@ pub use dijkstra::{
 pub use graph::{EdgeId, EdgeRef, Graph, NodeId};
 pub use paths::{
     enumerate_paths_to_targets, enumerate_simple_paths_undirected, for_each_path_to_targets,
-    for_each_path_to_targets_budgeted, for_each_path_to_targets_counted,
-    for_each_path_to_targets_scratch, shortest_path_undirected, Path, TraversalScratch,
+    for_each_path_to_targets_budgeted, shortest_path_undirected, Path, TraversalScratch,
 };
 pub use traversal::{
     bfs_distances_csr, bfs_distances_undirected, bfs_tree_undirected, bounded_bfs_distances,

@@ -153,21 +153,22 @@ pub fn for_each_path_to_targets<F>(
 where
     F: FnMut(&[NodeId], &[EdgeId]) -> ControlFlow<()>,
 {
-    let mut expansions = 0;
-    for_each_path_to_targets_counted(
+    for_each_path_to_targets_budgeted(
         csr,
         source,
         is_target,
         dist_to_target,
         max_edges,
-        &mut expansions,
+        &mut 0,
+        &mut TraversalScratch::new(),
+        &mut |_| false,
         visit,
     )
 }
 
 /// Reusable buffers of the pruned path DFS: the path stacks and the
 /// on-path bitset. One scratch serves any number of
-/// [`for_each_path_to_targets_scratch`] calls (the DFS restores the
+/// [`for_each_path_to_targets_budgeted`] calls (the DFS restores the
 /// bitset on unwind, break included), so a warm search epoch performs
 /// zero allocations in the enumeration kernel.
 #[derive(Debug, Default, Clone)]
@@ -196,76 +197,26 @@ impl TraversalScratch {
     }
 }
 
-/// [`for_each_path_to_targets`] with work accounting: every DFS descent
-/// (a node pushed onto the path under exploration) increments
-/// `*expansions`. The counter is how the engine's streaming top-k mode
-/// *proves* its early termination does less traversal work than full
-/// enumeration — see `SearchStats` in `cla-core`.
-pub fn for_each_path_to_targets_counted<F>(
-    csr: &CsrAdjacency,
-    source: NodeId,
-    is_target: &[bool],
-    dist_to_target: &[u32],
-    max_edges: usize,
-    expansions: &mut u64,
-    visit: F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&[NodeId], &[EdgeId]) -> ControlFlow<()>,
-{
-    let mut scratch = TraversalScratch::new();
-    for_each_path_to_targets_scratch(
-        csr,
-        source,
-        is_target,
-        dist_to_target,
-        max_edges,
-        expansions,
-        &mut scratch,
-        visit,
-    )
-}
-
-/// [`for_each_path_to_targets_counted`] over caller-owned scratch
-/// buffers — the allocation-free form the engine's warm search epoch
-/// runs on. Results are identical for any (reused or fresh) scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn for_each_path_to_targets_scratch<F>(
-    csr: &CsrAdjacency,
-    source: NodeId,
-    is_target: &[bool],
-    dist_to_target: &[u32],
-    max_edges: usize,
-    expansions: &mut u64,
-    scratch: &mut TraversalScratch,
-    visit: F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&[NodeId], &[EdgeId]) -> ControlFlow<()>,
-{
-    // The no-op interrupt monomorphizes away: this instantiation is the
-    // exact pre-budget DFS, paying nothing for the budgeted variant.
-    for_each_path_to_targets_budgeted(
-        csr,
-        source,
-        is_target,
-        dist_to_target,
-        max_edges,
-        expansions,
-        scratch,
-        &mut |_| false,
-        visit,
-    )
-}
-
-/// [`for_each_path_to_targets_scratch`] under a cooperative work
-/// budget: `interrupt` is called with the running `*expansions` total
-/// after every counted descent (the existing expansion-counting sites);
-/// returning `true` aborts the whole traversal with
-/// [`ControlFlow::Break`], scratch invariants intact (the bitset is
-/// restored on the way out, exactly like a visitor break). The caller
-/// distinguishes a budget abort from a visitor break through its own
-/// interrupt state — the traversal itself treats them identically.
+/// [`for_each_path_to_targets`] with work accounting, caller-owned
+/// scratch and a cooperative work budget — the form the engine's
+/// search pipeline runs on.
+///
+/// Every DFS descent (a node pushed onto the path under exploration)
+/// increments `*expansions`. The counter is how the engine's streaming
+/// top-k mode *proves* its early termination does less traversal work
+/// than full enumeration — see `SearchStats` in `cla-core`.
+///
+/// `scratch` holds the DFS buffers; results are identical for any
+/// (reused or fresh) scratch, and a reused one keeps a warm search
+/// epoch allocation-free.
+///
+/// `interrupt` is called with the running `*expansions` total after
+/// every counted descent; returning `true` aborts the whole traversal
+/// with [`ControlFlow::Break`], scratch invariants intact (the bitset
+/// is restored on the way out, exactly like a visitor break). The
+/// caller distinguishes a budget abort from a visitor break through its
+/// own interrupt state — the traversal itself treats them identically.
+/// `&mut |_| false` never interrupts.
 #[allow(clippy::too_many_arguments)]
 pub fn for_each_path_to_targets_budgeted<F, I>(
     csr: &CsrAdjacency,
@@ -627,13 +578,15 @@ mod tests {
         let dist = multi_source_bfs_distances(&csr, &[ns[4]]);
         let count = |max: usize| {
             let mut expansions = 0;
-            let _ = for_each_path_to_targets_counted(
+            let _ = for_each_path_to_targets_budgeted(
                 &csr,
                 ns[0],
                 &is_target,
                 &dist,
                 max,
                 &mut expansions,
+                &mut TraversalScratch::new(),
+                &mut |_| false,
                 |_, _| ControlFlow::Continue(()),
             );
             expansions
@@ -649,13 +602,15 @@ mod tests {
         // nothing at all.
         let mut expansions = 0;
         let far = multi_source_bfs_distances(&csr, &[ns[4]]);
-        let _ = for_each_path_to_targets_counted(
+        let _ = for_each_path_to_targets_budgeted(
             &csr,
             ns[0],
             &is_target,
             &far,
             1,
             &mut expansions,
+            &mut TraversalScratch::new(),
+            &mut |_| false,
             |_, _| ControlFlow::Continue(()),
         );
         assert_eq!(expansions, 0);

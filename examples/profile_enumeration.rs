@@ -1,7 +1,8 @@
-//! Quick profiling probe for the connection-generation hot path: times
-//! the pruned vs naive pair enumeration and the full search pipeline at
-//! the B1 dept16/len4 shape. Used to sanity-check EXPERIMENTS.md
-//! numbers outside the bench harness.
+//! Quick profiling probe for the search hot path at the B1 dept16/len4
+//! shape: times the pruned pair enumeration, the full search pipeline,
+//! the instance-closeness witness search and the per-connection metric,
+//! rendering and explanation stages. Used to sanity-check
+//! EXPERIMENTS.md numbers outside the bench harness.
 
 use close_loose_ks::core::{SearchEngine, SearchOptions};
 use close_loose_ks::datagen::{generate_synthetic, SyntheticConfig};
@@ -57,44 +58,19 @@ fn main() {
         engine.data_graph().edge_count()
     );
     let max = 4;
-    println!(
-        "paths: pruned={} naive={}",
-        engine.pair_connections(&sets[0], &sets[1], max).len(),
-        engine.pair_connections_naive(&sets[0], &sets[1], max).len()
-    );
+    println!("paths: {}", engine.pair_connections(&sets[0], &sets[1], max).len());
     let reps = 50;
     time("pair_connections (pruned)", reps, || {
         engine.pair_connections(&sets[0], &sets[1], max).len()
     });
-    time("pair_connections (naive)", reps, || {
-        engine.pair_connections_naive(&sets[0], &sets[1], max).len()
-    });
     let pruned_opts =
         SearchOptions { max_rdb_length: max, compute_instance: false, ..Default::default() };
-    let naive_opts = SearchOptions { naive_enumeration: true, ..pruned_opts };
     time("search (pruned)", reps, || engine.search("xml smith", &pruned_opts).unwrap().len());
-    time("search (naive)", reps, || engine.search("xml smith", &naive_opts).unwrap().len());
     let witness_opts = SearchOptions { compute_instance: true, ..pruned_opts };
     time("search+witness (pruned)", reps, || {
         engine.search("xml smith", &witness_opts).unwrap().len()
     });
     let results = engine.search("xml smith", &pruned_opts).unwrap();
-    time("witness naive (results)", reps, || {
-        results
-            .connections
-            .iter()
-            .filter(|r| {
-                close_loose_ks::core::instance_closeness_naive(
-                    &r.connection,
-                    engine.data_graph(),
-                    engine.er_schema(),
-                    engine.mapping(),
-                    4,
-                )
-                .is_close()
-            })
-            .count()
-    });
     time("witness pruned (results)", reps, || {
         let mut cache = close_loose_ks::core::WitnessCache::new();
         results

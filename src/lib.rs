@@ -45,9 +45,7 @@
 //!   mutex only poisons that mutex, which the next search clears and
 //!   rebuilds. The next search answers byte-identically to an unfaulted
 //!   engine. Sequential (`threads: 1`) panics propagate to the caller —
-//!   nothing is swallowed when there is no executor to isolate — and an
-//!   externally drained change log still poisons
-//!   (`CoreError::EnginePoisoned`), by design.
+//!   nothing is swallowed when there is no executor to isolate.
 //! * **Diagnosable** — a query with no usable keyword fails with
 //!   per-keyword diagnostics ([`core::KeywordDiagnostic`]: tokenization
 //!   result plus the nearest indexed term by edit distance), and the
@@ -70,10 +68,10 @@
 //!   `compact()`'s id renumbering. Readers holding a pin therefore
 //!   never see `StaleEngine`; staleness is a property of the façade's
 //!   owned current generation only. Writes remain single-writer:
-//!   `EngineWriter`'s typed `insert`/`update`/`delete` ops are the
-//!   mutation path (they cannot drain the change log out from under
-//!   `apply`), and a publish recycles retired snapshot buffers by
-//!   patch replay instead of deep-cloning the engine (pinned in
+//!   `EngineWriter`'s typed `insert`/`update`/`delete` ops are the only
+//!   mutation path (a refused op stages nothing), and a publish
+//!   recycles retired snapshot buffers by patch replay instead of
+//!   deep-cloning the engine (pinned in
 //!   `crates/core/tests/{concurrent,alloc}.rs`; demonstrated in
 //!   `examples/concurrent_serving.rs`).
 //! * **Cold-startable from disk, zero-copy** — `core::SearchEngine::save`
