@@ -294,6 +294,25 @@ fn banks_vs_discover(c: &mut Criterion) {
             });
         }
     }
+    // Three far-apart department keywords: the cutoff fires only after
+    // almost every root has completed, so the arm times the per-root
+    // tree work of a top-k BANKS search.
+    let engine = synthetic_engine(256, SEED);
+    let far = "d3 d131 d250";
+    let opts = SearchOptions {
+        algorithm: Algorithm::Banks,
+        k: Some(10),
+        compute_instance: false,
+        ..Default::default()
+    };
+    let k10 = engine.search(far, &opts).unwrap();
+    eprintln!(
+        "banks dept256 far k=10: {} candidate completions (early_terminated={})",
+        k10.stats.expansions, k10.stats.early_terminated
+    );
+    group.bench_function(BenchmarkId::from_parameter("banks_far_dept256_k10"), |b| {
+        b.iter(|| black_box(engine.search(far, &opts).unwrap().len()))
+    });
     // DISCOVER under the length ranker, whose pure length domination
     // lets the k = 20 size-level cut saturate from dept16 up (the
     // close-first bound additionally needs low-ER results on top; it

@@ -19,7 +19,7 @@ use cla_er::FkRole;
 use cla_graph::{EdgeId, LazyDijkstra, NodeId};
 use cla_relational::TupleId;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// Edge-weight schemes for the expansion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -161,8 +161,19 @@ pub struct BanksWork {
 }
 
 /// Reusable state of the BANKS expansion — per-set lazy Dijkstra
-/// forests, per-node completion accounting and the candidate heap — so
-/// repeated searches on a live engine re-allocate none of it.
+/// forests, per-node completion accounting, the candidate heap and the
+/// tree-assembly buffers — so repeated searches on a live engine
+/// re-allocate none of it.
+///
+/// Node-set dedup needs no set of seen trees. Every processed root is
+/// *registered* with its tree's node count instead, and a tree is a
+/// duplicate exactly when some registered root on its node set has the
+/// same node count and parent chains that stay inside that set. An
+/// earlier tree with the same node set contains its own root, and a
+/// completed root's parent chains are final (every chain node was
+/// settled before the root), so re-walking them later gives the same
+/// nodes; conversely, a subset of the same size is the same set. No
+/// set is hashed or stored per tree.
 #[derive(Debug, Clone, Default)]
 pub struct BanksScratch {
     forests: Vec<LazyDijkstra<TupleId>>,
@@ -173,6 +184,7 @@ pub struct BanksScratch {
     /// Completed candidate roots, keyed ascending by
     /// `(total bits, root tuple, root)` — the classic BANKS priority.
     candidates: BinaryHeap<Reverse<(u64, TupleId, NodeId)>>,
+    assembly: TreeAssembly,
 }
 
 impl BanksScratch {
@@ -195,6 +207,122 @@ impl BanksScratch {
         self.total.clear();
         self.total.resize(n, 0.0);
         self.candidates.clear();
+        self.assembly.reset(n, dg.graph().edge_slots());
+    }
+}
+
+/// The buffers one completed root's tree is assembled into, with
+/// stamp-based node and edge dedup: assembly is linear in the chain
+/// lengths and allocates nothing once the buffers are warm.
+#[derive(Debug, Clone, Default)]
+struct TreeAssembly {
+    /// The assembled tree: root first, then discovery order.
+    nodes: Vec<NodeId>,
+    edges: Vec<(EdgeId, NodeId, NodeId)>,
+    keyword_nodes: Vec<NodeId>,
+    /// `node_stamp[n] == stamp`: `n` is on the tree last assembled.
+    node_stamp: Vec<u32>,
+    /// `edge_stamp[e] == stamp`: `e` is on the tree last assembled.
+    edge_stamp: Vec<u32>,
+    stamp: u32,
+    /// The node count of each processed root's tree, 0 for a root not
+    /// processed yet (see [`BanksScratch`]).
+    registered: Vec<usize>,
+}
+
+impl TreeAssembly {
+    fn reset(&mut self, node_count: usize, edge_slots: usize) {
+        self.node_stamp.clear();
+        self.node_stamp.resize(node_count, 0);
+        self.edge_stamp.clear();
+        self.edge_stamp.resize(edge_slots, 0);
+        self.stamp = 0;
+        self.registered.clear();
+        self.registered.resize(node_count, 0);
+    }
+
+    /// Assemble `root`'s tree: walk each keyword set's parent chain
+    /// from the root back to its origin in that set, keeping the first
+    /// occurrence of every node and edge. Returns the tree's weight,
+    /// summed over the distinct edges in discovery order.
+    fn assemble(
+        &mut self,
+        root: NodeId,
+        forests: &[LazyDijkstra<TupleId>],
+        weight_of: impl Fn(EdgeId) -> f64,
+    ) -> f64 {
+        if self.stamp == u32::MAX {
+            self.node_stamp.fill(0);
+            self.edge_stamp.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let stamp = self.stamp;
+        self.nodes.clear();
+        self.edges.clear();
+        self.keyword_nodes.clear();
+        self.nodes.push(root);
+        self.node_stamp[root.index()] = stamp;
+        for forest in forests {
+            let mut current = root;
+            // Parent chains point from the origin outward; walk from the
+            // root back toward the origin.
+            while let Some((prev, e)) = forest.parent[current.index()] {
+                if self.edge_stamp[e.index()] != stamp {
+                    self.edge_stamp[e.index()] = stamp;
+                    self.edges.push((e, current, prev));
+                }
+                if self.node_stamp[prev.index()] != stamp {
+                    self.node_stamp[prev.index()] = stamp;
+                    self.nodes.push(prev);
+                }
+                current = prev;
+            }
+            debug_assert_eq!(
+                forest.origin[root.index()],
+                Some(current),
+                "consistent forests end every chain at the recorded origin"
+            );
+            self.keyword_nodes.push(current);
+        }
+        // Distinct-edge weight: shared chain segments are counted once,
+        // so the weight always equals the assembled tree's edge sum.
+        self.edges.iter().map(|&(e, _, _)| weight_of(e)).sum()
+    }
+
+    /// Whether an earlier tree had the assembled tree's node set: some
+    /// registered root on it has a tree of the same size whose chains
+    /// stay on the assembled tree.
+    fn duplicates_registered(&self, forests: &[LazyDijkstra<TupleId>]) -> bool {
+        self.nodes.iter().any(|&r| {
+            self.registered[r.index()] == self.nodes.len()
+                && forests.iter().all(|forest| {
+                    let mut current = Some(r);
+                    while let Some(n) = current {
+                        if self.node_stamp[n.index()] != self.stamp {
+                            return false;
+                        }
+                        current = forest.parent[n.index()].map(|(prev, _)| prev);
+                    }
+                    true
+                })
+        })
+    }
+
+    /// Register the root of the tree last assembled.
+    fn register(&mut self, root: NodeId) {
+        self.registered[root.index()] = self.nodes.len();
+    }
+
+    /// The assembled tree as an owned answer.
+    fn materialize(&self, root: NodeId, weight: f64) -> SteinerTree {
+        SteinerTree {
+            root,
+            nodes: self.nodes.clone(),
+            edges: self.edges.clone(),
+            keyword_nodes: self.keyword_nodes.clone(),
+            weight,
+        }
     }
 }
 
@@ -244,6 +372,17 @@ pub fn banks_search(
 /// equal to the full enumeration truncated at `k` (property-tested;
 /// the dedup-safety argument lives on the cutoff branch below).
 ///
+/// Per-candidate work: a completed root's tree is assembled from its
+/// parent chains into buffers kept in the scratch, and it is
+/// materialized only if it can still enter the held top k. A tree
+/// strictly heavier than the held k-th weight is skipped, since the k
+/// held trees stay ahead of it in the final order; only its root is
+/// registered. Node-set dedup re-walks the registered roots on a tree
+/// that would enter (see [`BanksScratch`]), so a skipped tree still
+/// blocks a later tree with its node set, as a stored one would. The
+/// output is the same as materializing every tree and cutting the
+/// sorted list at `k` (property-tested against an eager reference).
+///
 /// The work budget: `interrupt` is probed with the running settle count
 /// after every frontier settle (the expansion-counting site); returning
 /// `true` stops the expansion (`&mut |_| false` never does). The pending
@@ -279,7 +418,6 @@ pub fn banks_search_budgeted(
     scratch.reset(dg, keyword_sets);
 
     let mut out: Vec<SteinerTree> = Vec::new();
-    let mut seen: HashSet<BTreeSet<NodeId>> = HashSet::new();
     // Worst of the best k weights collected so far, kept as a max-heap
     // of order-preserving f64 bit images (comparisons happen directly in
     // bit space) — the cutoff bound below.
@@ -293,7 +431,8 @@ pub fn banks_search_budgeted(
     let mut process = |root: NodeId,
                        total: f64,
                        best_k: &mut BinaryHeap<u64>,
-                       forests: &[LazyDijkstra<TupleId>]|
+                       forests: &[LazyDijkstra<TupleId>],
+                       assembly: &mut TreeAssembly|
      -> bool {
         // Each per-set chain is a subset of the tree's distinct edges,
         // so `weight >= total / num_sets`, and candidates arrive in
@@ -306,56 +445,31 @@ pub fn banks_search_budgeted(
         if weight_floor > max_weight_bits {
             return false;
         }
-        if let Some(k) = opts.k {
-            if best_k.len() >= k
-                // lint: allow(unwrap, guarded by best_k.len() >= k with k >= 1)
-                && weight_floor > *best_k.peek().expect("k >= 1 and heap at capacity")
-            {
-                return false;
-            }
+        // The held k-th best weight, once k trees are held.
+        let kth = opts.k.filter(|&k| best_k.len() >= k).and_then(|_| best_k.peek().copied());
+        if kth.is_some_and(|kth| weight_floor > kth) {
+            return false;
         }
-        // Assemble the tree: walk each keyword set's parent chain from
-        // the root back to its origin in that set.
-        let mut nodes: Vec<NodeId> = vec![root];
-        let mut node_set: BTreeSet<NodeId> = [root].into();
-        let mut edges: Vec<(EdgeId, NodeId, NodeId)> = Vec::new();
-        let mut edge_set: HashSet<EdgeId> = HashSet::new();
-        let mut keyword_nodes = Vec::with_capacity(keyword_sets.len());
-        for forest in forests {
-            let mut current = root;
-            // Parent chains point from the origin outward; walk from the
-            // root back toward the origin.
-            while let Some((prev, e)) = forest.parent[current.index()] {
-                if edge_set.insert(e) {
-                    edges.push((e, current, prev));
-                }
-                if node_set.insert(prev) {
-                    nodes.push(prev);
-                }
-                current = prev;
-            }
-            debug_assert_eq!(
-                forest.origin[root.index()],
-                Some(current),
-                "consistent forests end every chain at the recorded origin"
-            );
-            keyword_nodes.push(current);
-        }
-        // Distinct-edge weight: shared chain segments are counted once,
-        // so the weight always equals the assembled tree's edge sum.
-        let weight: f64 = edges.iter().map(|&(e, _, _)| weight_of(e)).sum();
+        let weight = assembly.assemble(root, forests, weight_of);
         if weight > opts.max_weight {
             return true;
         }
-        if seen.insert(node_set) {
+        // A tree strictly heavier than the held k-th weight has k lighter
+        // trees ahead of it for good, so it is never returned and is not
+        // materialized. Registering its root keeps the dedup of later
+        // trees exactly as if it had been stored.
+        if kth.is_none_or(|kth| f64_sort_bits_asc(weight) <= kth)
+            && !assembly.duplicates_registered(forests)
+        {
             if let Some(k) = opts.k {
                 best_k.push(f64_sort_bits_asc(weight));
                 if best_k.len() > k {
                     best_k.pop();
                 }
             }
-            out.push(SteinerTree { root, nodes, edges, keyword_nodes, weight });
+            out.push(assembly.materialize(root, weight));
         }
+        assembly.register(root);
         true
     };
 
@@ -382,7 +496,13 @@ pub fn banks_search_budgeted(
             }
             // lint: allow(unwrap, pop follows a successful peek on the same queue)
             let Reverse((_, _, root)) = scratch.candidates.pop().expect("peeked");
-            if !process(root, scratch.total[root.index()], &mut best_k, &scratch.forests) {
+            if !process(
+                root,
+                scratch.total[root.index()],
+                &mut best_k,
+                &scratch.forests,
+                &mut scratch.assembly,
+            ) {
                 work.early_terminated = cheapest_set.is_some();
                 break 'drive;
             }
@@ -420,8 +540,13 @@ pub fn banks_search_budgeted(
             });
         if dominated {
             while let Some(Reverse((_, _, root))) = scratch.candidates.pop() {
-                if !process(root, scratch.total[root.index()], &mut best_k, &scratch.forests)
-                {
+                if !process(
+                    root,
+                    scratch.total[root.index()],
+                    &mut best_k,
+                    &scratch.forests,
+                    &mut scratch.assembly,
+                ) {
                     break;
                 }
             }
@@ -451,8 +576,13 @@ pub fn banks_search_budgeted(
         // `banks_search_budgeted`).
         if interrupt(work.expansions) {
             while let Some(Reverse((_, _, root))) = scratch.candidates.pop() {
-                if !process(root, scratch.total[root.index()], &mut best_k, &scratch.forests)
-                {
+                if !process(
+                    root,
+                    scratch.total[root.index()],
+                    &mut best_k,
+                    &scratch.forests,
+                    &mut scratch.assembly,
+                ) {
                     break;
                 }
             }

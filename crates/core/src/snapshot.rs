@@ -28,7 +28,7 @@ use crate::failpoints;
 use crate::instance::{instance_closeness_with_cache, WitnessCache, WitnessStrategy};
 use crate::ranking::{ConnectionInfo, RankStrategy};
 use crate::stats::{Completeness, SearchStats, TruncationReason};
-use cla_er::{Cardinality, CardinalityChain, ErSchema, SchemaMapping};
+use cla_er::{Cardinality, CardinalityChain, Closeness, ErSchema, SchemaMapping};
 use cla_graph::{
     bounded_bfs_distances_into, enumerate_simple_paths_undirected,
     for_each_path_to_targets_budgeted, NodeId, Path, TraversalScratch,
@@ -71,13 +71,22 @@ pub struct SearchOptions {
     /// Result budget: `None` returns everything, `Some(k)` at most `k`
     /// results **in total** — ranked connections first, any remaining
     /// budget going to branching answer trees. With a length-monotone
-    /// ranker on the `Paths` algorithm, a set `k` also switches the
-    /// engine into streaming top-k mode: connections are enumerated
-    /// length level by length level and the search stops as soon as the
-    /// held top `k` provably dominates every unexplored level (see
-    /// [`RankStrategy::dominates_all_longer`]), skipping both the deeper
-    /// DFS exploration and the metric/rendering work for results that
-    /// could never rank. The returned prefix is identical to running the
+    /// ranker on the two-keyword `Paths` and `Discover` algorithms, a
+    /// set `k` also switches the engine into streaming top-k mode:
+    /// connections are enumerated length (or network-size) level by
+    /// level and the search stops as soon as the held top `k` provably
+    /// dominates every unexplored level (see
+    /// [`RankStrategy::dominates_all_longer`]), skipping the deeper
+    /// enumeration. Within a level that does not fit in the buffer, each
+    /// connection first gets only its cheap ranking key (text score,
+    /// conceptual steps, ER chain). The witness search then runs only
+    /// for connections that can still enter the top `k` and, except
+    /// under [`RankStrategy::InstanceCloseFirst`], only for those that
+    /// do. Rendering runs only for connections that tie with or beat the
+    /// k-th key, and the explanation only for those that enter. On
+    /// `Banks`, a set `k` cuts the expansion off once no incomplete root
+    /// can enter, and a completed root's answer tree is materialized
+    /// only if it can. The returned prefix is identical to running the
     /// full enumeration and truncating.
     pub k: Option<usize>,
     /// Post-filter connections to MTJNTs only (demonstrates the paper's
@@ -184,6 +193,25 @@ struct RankContext<'a> {
     /// Witness pruning strategy (worker threads build their own caches
     /// with it).
     witness_strategy: WitnessStrategy,
+}
+
+impl RankContext<'_> {
+    /// The summed tf·idf score of a connection's tuples.
+    fn text_score(&self, connection: &Connection) -> f64 {
+        connection.nodes().iter().map(|&n| self.text_scores[n.index()]).sum()
+    }
+}
+
+/// A fresh candidate of a key-first level merge
+/// ([`EngineSnapshot::absorb_level`]): the connection with its cheap
+/// ranking info and that info's packed sort key. `instance_close` is
+/// exact once `witnessed` is set; until then it is the pessimistic
+/// `Some(false)`.
+struct Keyed {
+    key: (u128, u64),
+    connection: Connection,
+    info: ConnectionInfo,
+    witnessed: bool,
 }
 
 /// Per-worker mutable state of the metric stage: reusable buffers and
@@ -334,14 +362,56 @@ fn dedup_canonical(connections: Vec<Connection>, dg: &DataGraph) -> Vec<Connecti
 /// to `sort_by_strategy(.., final_tiebreak)`, just cheaper per
 /// comparison.
 fn sort_ranked(ranked: &mut Vec<RankedConnection>, strategy: RankStrategy, dg: &DataGraph) {
-    let mut keyed: Vec<((u128, u64), RankedConnection)> =
-        ranked.drain(..).map(|r| (strategy.sort_key(&r.info), r)).collect();
+    let mut keyed: Vec<_> =
+        ranked.drain(..).map(|r| (strategy.sort_key(&r.info), r, ())).collect();
+    sort_keyed(&mut keyed, strategy, dg);
+    ranked.extend(keyed.into_iter().map(|(_, r, ())| r));
+}
+
+/// [`sort_ranked`]'s order over results paired with their sort keys and
+/// a payload the sort carries along.
+fn sort_keyed<T>(
+    keyed: &mut [((u128, u64), RankedConnection, T)],
+    strategy: RankStrategy,
+    dg: &DataGraph,
+) {
     keyed.sort_by(|a, b| {
         a.0.cmp(&b.0)
             .then_with(|| strategy.compare(&a.1.info, &b.1.info))
             .then_with(|| final_tiebreak(&a.1, &b.1, dg))
     });
-    ranked.extend(keyed.into_iter().map(|(_, r)| r));
+}
+
+/// The ranking order without the rendering tie-break: packed key first,
+/// the full comparison on key ties.
+fn key_order(
+    strategy: RankStrategy,
+    a: ((u128, u64), &ConnectionInfo),
+    b: ((u128, u64), &ConnectionInfo),
+) -> Ordering {
+    a.0.cmp(&b.0).then_with(|| strategy.compare(a.1, b.1))
+}
+
+/// The k-th best (key, info) of the held results and the fresh
+/// candidates together, in [`key_order`]; `None` when they number at
+/// most k, so that every one of them enters.
+fn kth_best(
+    held: &[RankedConnection],
+    fresh: &[Keyed],
+    k: usize,
+    strategy: RankStrategy,
+) -> Option<((u128, u64), ConnectionInfo)> {
+    if held.len() + fresh.len() <= k {
+        return None;
+    }
+    let mut all: Vec<((u128, u64), &ConnectionInfo)> = held
+        .iter()
+        .map(|r| (strategy.sort_key(&r.info), &r.info))
+        .chain(fresh.iter().map(|c| (c.key, &c.info)))
+        .collect();
+    let (_, &mut (key, info), _) =
+        all.select_nth_unstable_by(k - 1, |a, b| key_order(strategy, *a, *b));
+    Some((key, info.clone()))
 }
 /// One ranked search result.
 #[derive(Debug, Clone)]
@@ -730,11 +800,10 @@ impl EngineSnapshot {
         ctx: &RankContext<'_>,
         scratch: &mut RankScratch,
     ) -> RankedConnection {
-        let text_score = connection.nodes().iter().map(|&n| ctx.text_scores[n.index()]).sum();
         let info = self.info_with(
             &connection,
             &mut scratch.csteps,
-            text_score,
+            ctx.text_score(&connection),
             ctx.compute_instance,
             ctx.max_witness_length,
             &mut scratch.witness,
@@ -745,8 +814,20 @@ impl EngineSnapshot {
             ctx.markers,
             &mut scratch.labels,
         );
-        let explanation = crate::explain::explain_connection_from_steps(
-            &connection,
+        let explanation = self.explain_from_steps(&connection, ctx, scratch);
+        RankedConnection { connection, info, rendering, explanation }
+    }
+
+    /// The explanation of a connection whose conceptual steps
+    /// `scratch.csteps` holds.
+    fn explain_from_steps(
+        &self,
+        connection: &Connection,
+        ctx: &RankContext<'_>,
+        scratch: &mut RankScratch,
+    ) -> String {
+        crate::explain::explain_connection_from_steps(
+            connection,
             &mut scratch.csteps,
             &self.dg,
             &self.er_schema,
@@ -754,8 +835,26 @@ impl EngineSnapshot {
             &self.aliases,
             ctx.markers,
             &mut scratch.descs,
-        );
-        RankedConnection { connection, info, rendering, explanation }
+        )
+    }
+
+    /// The instance-closeness verdict of a connection (the witness
+    /// search, shared through the scratch's cache).
+    fn witness_close(
+        &self,
+        connection: &Connection,
+        ctx: &RankContext<'_>,
+        scratch: &mut RankScratch,
+    ) -> bool {
+        instance_closeness_with_cache(
+            connection,
+            &self.dg,
+            &self.er_schema,
+            &self.mapping,
+            ctx.max_witness_length,
+            &mut scratch.witness,
+        )
+        .is_close()
     }
 
     /// The per-connection metric/rendering stage over a batch of
@@ -1117,7 +1216,6 @@ impl EngineSnapshot {
                             &kw_sets,
                             options,
                             &ctx,
-                            threads,
                             connections,
                             &mut scratch.rank,
                             budget,
@@ -1218,13 +1316,45 @@ impl EngineSnapshot {
     }
 
     /// One streamed level of a top-k accumulator: canonical orientation
-    /// with node-sequence dedup, the optional MTJNT filter, the metric
-    /// stage, and the bounded best-k re-sort (a sorted, truncated
-    /// vector, since k is small). Items that fall off the buffer can
-    /// never re-enter the top k (later levels only add candidates,
-    /// never improve dropped ones), so streamed accumulation equals the
-    /// full enumeration's ranked prefix — the equivalence the property
-    /// tests pin down for both the `Paths` and `Discover` modes.
+    /// with node-sequence dedup, the optional MTJNT filter, and the merge
+    /// into the bounded best-k buffer (a sorted vector, since k is
+    /// small). Items that fall off the buffer can never re-enter the top
+    /// k (later levels only add candidates, never improve dropped ones),
+    /// so streamed accumulation equals the full enumeration's ranked
+    /// prefix — the equivalence the property tests pin down for both the
+    /// `Paths` and `Discover` modes.
+    ///
+    /// The merge is **key first**, and does the expensive per-connection
+    /// work only for connections that can still enter the top k. It is
+    /// sequential: it witnesses, renders and explains few connections,
+    /// and renders read the per-node label cache.
+    ///
+    /// 1. Every fresh connection gets its cheap info (text score,
+    ///    conceptual steps, ER chain) and no witness search. Its
+    ///    `instance_close` is exact for a schema-close connection and
+    ///    pessimistic (`Some(false)`) for a loose one.
+    /// 2. `T` is the k-th best of the buffer and the fresh connections
+    ///    by packed key, then the full comparison. A fresh connection
+    ///    strictly worse than `T` even with `instance_close` set
+    ///    optimistically (`Some(true)`) is dropped. This is exact: a
+    ///    connection's exact position lies between its optimistic and
+    ///    pessimistic ones, so at least k connections strictly beat a
+    ///    dropped one, whatever their witnesses say. (When the buffer
+    ///    and the level hold at most k connections together, steps 2
+    ///    and 4 drop nothing.)
+    /// 3. Under [`RankStrategy::InstanceCloseFirst`], whose order reads
+    ///    `instance_close`, the loose connections left get their
+    ///    witness. No other ranker reads it.
+    /// 4. With every order now exact, the connections strictly worse
+    ///    than the exact k-th are dropped. The rest tie with or beat it,
+    ///    and are rendered: the rendering is the final tie-break, and a
+    ///    tie group at the k-th can be large.
+    /// 5. The rendered connections merge with the buffer in the full
+    ///    order, the buffer keeps k, and only its new entrants get their
+    ///    witness (when not yet done) and explanation.
+    ///
+    /// The buffer ends exactly as if every fresh connection had been
+    /// ranked in full, merged and cut to k.
     #[allow(clippy::too_many_arguments)]
     fn absorb_level(
         &self,
@@ -1233,11 +1363,9 @@ impl EngineSnapshot {
         conns: Vec<Connection>,
         mtjnt_sets: Option<&[HashSet<NodeId>]>,
         ctx: &RankContext<'_>,
-        threads: usize,
         ranker: RankStrategy,
         k: usize,
-        rank_scratch: &mut RankScratch,
-        faulted: &mut bool,
+        scratch: &mut RankScratch,
     ) {
         let mut fresh: Vec<Connection> = conns
             .into_iter()
@@ -1250,9 +1378,84 @@ impl EngineSnapshot {
                 is_mtjnt(&self.dg, &set, kw)
             });
         }
-        acc.extend(self.rank_stage(fresh, ctx, threads, rank_scratch, faulted));
-        sort_ranked(acc, ranker, &self.dg);
-        acc.truncate(k);
+        let mut cands: Vec<Keyed> = fresh
+            .into_iter()
+            .map(|connection| {
+                let mut info = self.info_with(
+                    &connection,
+                    &mut scratch.csteps,
+                    ctx.text_score(&connection),
+                    false,
+                    ctx.max_witness_length,
+                    &mut scratch.witness,
+                );
+                let close = info.closeness == Closeness::Close;
+                info.instance_close = ctx.compute_instance.then_some(close);
+                let witnessed = close || !ctx.compute_instance;
+                Keyed { key: ranker.sort_key(&info), connection, info, witnessed }
+            })
+            .collect();
+        if let Some((t_key, t_info)) = kth_best(acc, &cands, k, ranker) {
+            cands.retain_mut(|c| {
+                let pessimistic = c.info.instance_close;
+                if !c.witnessed {
+                    c.info.instance_close = Some(true);
+                }
+                let optimistic = (ranker.sort_key(&c.info), &c.info);
+                let keep =
+                    key_order(ranker, optimistic, (t_key, &t_info)) != Ordering::Greater;
+                c.info.instance_close = pessimistic;
+                keep
+            });
+        }
+        if ranker == RankStrategy::InstanceCloseFirst {
+            for c in cands.iter_mut().filter(|c| !c.witnessed) {
+                c.info.instance_close = Some(self.witness_close(&c.connection, ctx, scratch));
+                c.key = ranker.sort_key(&c.info);
+                c.witnessed = true;
+            }
+        }
+        if let Some((kth_key, kth_info)) = kth_best(acc, &cands, k, ranker) {
+            cands.retain(|c| {
+                key_order(ranker, (c.key, &c.info), (kth_key, &kth_info)) != Ordering::Greater
+            });
+        }
+
+        let mut merged: Vec<((u128, u64), RankedConnection, Option<bool>)> =
+            acc.drain(..).map(|r| (ranker.sort_key(&r.info), r, None)).collect();
+        for c in cands {
+            let rendering = c.connection.render_cached(
+                &self.dg,
+                &self.aliases,
+                ctx.markers,
+                &mut scratch.labels,
+            );
+            let ranked = RankedConnection {
+                connection: c.connection,
+                info: c.info,
+                rendering,
+                explanation: String::new(),
+            };
+            merged.push((c.key, ranked, Some(c.witnessed)));
+        }
+        sort_keyed(&mut merged, ranker, &self.dg);
+        merged.truncate(k);
+        for (_, mut r, entrant) in merged {
+            if let Some(witnessed) = entrant {
+                if !witnessed {
+                    r.info.instance_close =
+                        Some(self.witness_close(&r.connection, ctx, scratch));
+                }
+                r.connection.conceptual_steps_into(
+                    &mut scratch.csteps,
+                    &self.dg,
+                    &self.er_schema,
+                    &self.mapping,
+                );
+                r.explanation = self.explain_from_steps(&r.connection, ctx, scratch);
+            }
+            acc.push(r);
+        }
     }
 
     /// Streaming top-k for the two-keyword `Paths` pipeline: per length
@@ -1294,11 +1497,9 @@ impl EngineSnapshot {
             singles,
             kw_sets.as_deref(),
             ctx,
-            threads,
             options.ranker,
             k,
             rank_scratch,
-            &mut faulted,
         );
         for level in 1..=options.max_rdb_length {
             // Any connection still to come has RDB length >= level; if
@@ -1344,23 +1545,18 @@ impl EngineSnapshot {
                 conns,
                 kw_sets.as_deref(),
                 ctx,
-                threads,
                 options.ranker,
                 k,
                 rank_scratch,
-                &mut faulted,
             );
             if faulted {
-                // A worker chunk panicked somewhere in this level; its
-                // contribution is gone, so no prefix can be certified.
+                // A worker chunk panicked somewhere in this level's
+                // enumeration; its contribution is gone, so no prefix
+                // can be certified.
                 stats.completeness =
                     Completeness::Truncated { reason: TruncationReason::WorkerFault };
                 return (acc, stats);
             }
-        }
-        if faulted {
-            stats.completeness =
-                Completeness::Truncated { reason: TruncationReason::WorkerFault };
         }
         (acc, stats)
     }
@@ -1383,7 +1579,6 @@ impl EngineSnapshot {
         kw_sets: &[HashSet<NodeId>],
         options: &SearchOptions,
         ctx: &RankContext<'_>,
-        threads: usize,
         singles: Vec<Connection>,
         rank_scratch: &mut RankScratch,
         budget: Option<&BudgetShared>,
@@ -1395,7 +1590,6 @@ impl EngineSnapshot {
         let mut stats = SearchStats::default();
         let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
         let mut acc: Vec<RankedConnection> = Vec::new();
-        let mut faulted = false;
         let mut probe = BudgetProbe::new(budget);
         // Edge count of the last fully absorbed size level — the
         // certified floor if the budget cuts growth short.
@@ -1410,17 +1604,15 @@ impl EngineSnapshot {
             singles,
             None,
             ctx,
-            threads,
             options.ranker,
             k,
             rank_scratch,
-            &mut faulted,
         );
         let max_tuples = options.max_rdb_length + 1;
         if levels.next_size() <= max_tuples {
             let _ = levels.next_level_budgeted(&mut |n| probe.check(n));
         }
-        while !faulted && levels.next_size() <= max_tuples {
+        while levels.next_size() <= max_tuples {
             let level_edges = levels.next_size() - 1;
             // Every network still to come has >= level_edges edges; once
             // the held k-th best dominates that whole tail, deeper
@@ -1446,21 +1638,14 @@ impl EngineSnapshot {
                 conns,
                 None,
                 ctx,
-                threads,
                 options.ranker,
                 k,
                 rank_scratch,
-                &mut faulted,
             );
-            if !faulted {
-                completed_edges = level_edges;
-            }
+            completed_edges = level_edges;
         }
         stats.expansions = levels.expansions();
-        if faulted {
-            stats.completeness =
-                Completeness::Truncated { reason: TruncationReason::WorkerFault };
-        } else if levels.truncated() {
+        if levels.truncated() {
             // The generator dropped a partial level: everything missing
             // has more than `completed_edges` edges, so the held prefix
             // is certified against `completed_edges + 1`.

@@ -6,7 +6,10 @@
 //! Kept as a single `#[test]` so no sibling test thread pollutes the
 //! global counters while a measurement window is open.
 
-use cla_core::{SearchEngine, SearchOptions, WitnessStrategy};
+use cla_core::{
+    banks_search_budgeted, BanksOptions, BanksScratch, SearchEngine, SearchOptions,
+    WitnessStrategy,
+};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_graph::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -212,5 +215,35 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "warm threaded searches must allocate a constant amount per call: {counts:?}"
+    );
+
+    // ── Part 4: top-k BANKS allocates per answer, not per candidate
+    // root. A completed root's tree is assembled in scratch buffers, and
+    // only a tree that can still enter the top k is materialized, so a
+    // warm call makes fewer allocations than it completes roots.
+    let dg = engine.data_graph();
+    let sets: Vec<Vec<NodeId>> = ["xml", "smith", "alice"]
+        .iter()
+        .map(|kw| {
+            engine
+                .index()
+                .matching_tuples(kw)
+                .into_iter()
+                .filter_map(|t| dg.node_of(t))
+                .collect()
+        })
+        .collect();
+    let opts = BanksOptions { k: Some(5), ..Default::default() };
+    let mut scratch = BanksScratch::new();
+    let _ = banks_search_budgeted(dg, &sets, &opts, &mut scratch, &mut |_| false);
+    let before = allocations();
+    let (trees, work, _) =
+        banks_search_budgeted(dg, &sets, &opts, &mut scratch, &mut |_| false);
+    let made = allocations() - before;
+    assert_eq!(trees.len(), 5);
+    assert!(
+        made < work.candidates,
+        "warm top-5 BANKS made {made} allocations for {} completed roots",
+        work.candidates
     );
 }

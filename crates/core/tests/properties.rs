@@ -7,8 +7,9 @@ mod support;
 use cla_core::{
     banks_search, banks_search_budgeted, enumerate_joining_networks, instance_closeness,
     instance_closeness_with_cache, is_joining, is_mtjnt, is_total, Algorithm, BanksOptions,
-    BanksScratch, Connection, DataGraph, InstanceCloseness, RankStrategy, SearchEngine,
-    SearchOptions, WitnessCache, WitnessStrategy,
+    BanksScratch, Connection, ConnectionInfo, DataGraph, EdgeWeighting, InstanceCloseness,
+    RankStrategy, RankedConnection, SearchEngine, SearchOptions, WitnessCache,
+    WitnessStrategy,
 };
 use cla_datagen::{company, generate_synthetic, SyntheticConfig};
 use cla_er::{map_to_relational, Cardinality, Closeness, ErSchemaBuilder};
@@ -16,7 +17,37 @@ use cla_graph::{enumerate_simple_paths_undirected, EdgeId, NodeId};
 use cla_relational::{DataType, Database};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
+use support::banks::banks_naive;
 use support::{instance_closeness_naive, pair_connections_naive};
+
+/// Every ranker with a length bound, i.e. every ranker the streaming
+/// top-k modes run under.
+const STREAMING_RANKERS: [RankStrategy; 4] = [
+    RankStrategy::RdbLength,
+    RankStrategy::ErLength,
+    RankStrategy::CloseFirst,
+    RankStrategy::InstanceCloseFirst,
+];
+
+/// What a ranked answer shows for each connection: rendering,
+/// explanation and ranking info, in order.
+fn ranked_view(ranked: &[RankedConnection]) -> Vec<(&str, &str, &ConnectionInfo)> {
+    ranked.iter().map(|r| (r.rendering.as_str(), r.explanation.as_str(), &r.info)).collect()
+}
+
+/// The data-graph nodes matching each keyword.
+fn keyword_node_sets(
+    index: &cla_index::InvertedIndex,
+    dg: &DataGraph,
+    keywords: &[&str],
+) -> Vec<Vec<NodeId>> {
+    keywords
+        .iter()
+        .map(|kw| {
+            index.matching_tuples(kw).into_iter().filter_map(|t| dg.node_of(t)).collect()
+        })
+        .collect()
+}
 
 fn small_config(seed: u64) -> SyntheticConfig {
     SyntheticConfig {
@@ -182,26 +213,29 @@ proptest! {
     /// The schema-level candidate-network pipeline and the
     /// instance-level growth enumeration agree on the MTJNT set for
     /// random synthetic instances — two independent implementations of
-    /// DISCOVER's semantics.
+    /// DISCOVER's semantics — with 2 and 3 keywords and networks of up
+    /// to 5 tuples, where branching networks and free inner
+    /// occurrences appear.
     #[test]
     fn candidate_networks_agree_with_growth(seed in 0u64..120) {
         let s = generate_synthetic(&small_config(seed));
         let dg = DataGraph::build(&s.db, &s.mapping).unwrap();
         let index = cla_index::InvertedIndex::build(&s.db);
-        let matches = vec![
-            index.matching_tuples("xml"),
-            index.matching_tuples("smith"),
-        ];
-        prop_assume!(matches.iter().all(|m| !m.is_empty()));
-        let via_cn =
-            support::candidates::mtjnts_via_candidate_networks(&s.db, &dg, &matches, 3);
-        let sets: Vec<HashSet<NodeId>> = matches
-            .iter()
-            .map(|v| v.iter().filter_map(|&t| dg.node_of(t)).collect())
-            .collect();
-        let mut via_growth = cla_core::enumerate_mtjnts(&dg, &sets, 3);
-        via_growth.sort();
-        prop_assert_eq!(via_cn, via_growth);
+        for kws in [&["xml", "smith"][..], &["xml", "smith", "alice"][..]] {
+            let matches: Vec<_> = kws.iter().map(|kw| index.matching_tuples(kw)).collect();
+            if matches.iter().any(|m| m.is_empty()) {
+                continue;
+            }
+            let via_cn =
+                support::candidates::mtjnts_via_candidate_networks(&s.db, &dg, &matches, 5);
+            let sets: Vec<HashSet<NodeId>> = matches
+                .iter()
+                .map(|v| v.iter().filter_map(|&t| dg.node_of(t)).collect())
+                .collect();
+            let mut via_growth = cla_core::enumerate_mtjnts(&dg, &sets, 5);
+            via_growth.sort();
+            prop_assert_eq!(via_cn, via_growth, "{:?}", kws);
+        }
     }
 
     /// The distance-pruned multi-target pair enumeration produces
@@ -397,48 +431,54 @@ proptest! {
     }
 
     /// Streaming top-k returns exactly the full enumeration's ranked
-    /// prefix, never expands more DFS nodes, and its work accounting is
-    /// consistent, across rankers with a length bound.
+    /// prefix — rendering, explanation and info, item by item — never
+    /// expands more DFS nodes, and its work accounting is consistent,
+    /// under every streaming ranker with instance closeness on and off.
     #[test]
     fn streaming_topk_matches_full_enumeration(seed in 0u64..100, k in 1usize..12) {
         let s = generate_synthetic(&small_config(seed));
         let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
             .unwrap()
             .with_aliases(s.aliases.clone());
-        for ranker in [RankStrategy::RdbLength, RankStrategy::CloseFirst] {
-            let base = SearchOptions {
-                max_rdb_length: 4,
-                ranker,
-                threads: 1,
-                ..Default::default()
-            };
-            let full = engine.search("xml smith", &base).unwrap();
-            let stream = engine
-                .search("xml smith", &SearchOptions { k: Some(k), ..base })
-                .unwrap();
-            let want: Vec<&str> = full
-                .connections
-                .iter()
-                .take(k)
-                .map(|r| r.rendering.as_str())
-                .collect();
-            let got: Vec<&str> =
-                stream.connections.iter().map(|r| r.rendering.as_str()).collect();
-            prop_assert_eq!(got, want, "ranker {} k {}", ranker.name(), k);
-            prop_assert!(stream.stats.max_length_enumerated <= full.stats.max_length_enumerated);
-            // Early termination must stop before the budget; iterative
-            // deepening that runs to the *full* budget may legitimately
-            // re-expand shallow prefixes (the classic IDDFS trade), so
-            // the strictly-fewer-expansions claim applies exactly when
-            // the search stopped early.
-            if stream.stats.early_terminated {
-                prop_assert!(stream.stats.max_length_enumerated < base.max_rdb_length);
-                prop_assert!(
-                    stream.stats.expansions < full.stats.expansions,
-                    "early-terminated streaming must expand fewer nodes: {} vs {}",
-                    stream.stats.expansions,
-                    full.stats.expansions
+        for ranker in STREAMING_RANKERS {
+            for compute_instance in [true, false] {
+                let base = SearchOptions {
+                    max_rdb_length: 4,
+                    ranker,
+                    compute_instance,
+                    threads: 1,
+                    ..Default::default()
+                };
+                let full = engine.search("xml smith", &base).unwrap();
+                let stream = engine
+                    .search("xml smith", &SearchOptions { k: Some(k), ..base })
+                    .unwrap();
+                let prefix = &full.connections[..k.min(full.connections.len())];
+                prop_assert_eq!(
+                    ranked_view(&stream.connections),
+                    ranked_view(prefix),
+                    "ranker {} instance {} k {}",
+                    ranker.name(),
+                    compute_instance,
+                    k
                 );
+                prop_assert!(
+                    stream.stats.max_length_enumerated <= full.stats.max_length_enumerated
+                );
+                // Early termination must stop before the budget; iterative
+                // deepening that runs to the *full* budget may legitimately
+                // re-expand shallow prefixes (the classic IDDFS trade), so
+                // the strictly-fewer-expansions claim applies exactly when
+                // the search stopped early.
+                if stream.stats.early_terminated {
+                    prop_assert!(stream.stats.max_length_enumerated < base.max_rdb_length);
+                    prop_assert!(
+                        stream.stats.expansions < full.stats.expansions,
+                        "early-terminated streaming must expand fewer nodes: {} vs {}",
+                        stream.stats.expansions,
+                        full.stats.expansions
+                    );
+                }
             }
         }
     }
@@ -502,53 +542,93 @@ proptest! {
         }
     }
 
+    /// BANKS equals the eager reference `banks_naive`, which shares
+    /// none of the engine's expansion loop: the same trees (root,
+    /// nodes, edges, keyword nodes and weight) in the same order, in
+    /// full at `k: None` and as a prefix at `k`, for 2 and 3 keywords
+    /// under both edge weightings.
+    #[test]
+    fn banks_matches_eager_reference(seed in 0u64..120, k in 1usize..25) {
+        let s = generate_synthetic(&small_config(seed));
+        let dg = DataGraph::build(&s.db, &s.mapping).unwrap();
+        let index = cla_index::InvertedIndex::build(&s.db);
+        let mut scratch = BanksScratch::new();
+        for kws in [&["xml", "smith"][..], &["xml", "smith", "alice"][..]] {
+            let sets = keyword_node_sets(&index, &dg, kws);
+            for weighting in [EdgeWeighting::Uniform, EdgeWeighting::ErAware] {
+                let all = BanksOptions { k: None, weighting, ..Default::default() };
+                let (want, _) = banks_naive(&dg, &sets, &all);
+                for opts in [all, BanksOptions { k: Some(k), ..all }] {
+                    let (got, _, _) =
+                        banks_search_budgeted(&dg, &sets, &opts, &mut scratch, &mut |_| false);
+                    let n = opts.k.map_or(want.len(), |k| k.min(want.len()));
+                    prop_assert_eq!(
+                        &got[..],
+                        &want[..n],
+                        "{:?} {:?} k {:?}",
+                        kws,
+                        weighting,
+                        opts.k
+                    );
+                }
+            }
+        }
+    }
+
     /// DISCOVER's streamed top-k equals the batch pipeline truncated —
-    /// renderings, explanations and infos — and never materializes more
-    /// candidate networks, across rankers with a length bound.
+    /// rendering, explanation and info, item by item — and never
+    /// materializes more candidate networks, under every streaming
+    /// ranker with instance closeness on and off.
     #[test]
     fn discover_streaming_matches_batch(seed in 0u64..80, k in 1usize..10) {
         let s = generate_synthetic(&small_config(seed));
         let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
             .unwrap()
             .with_aliases(s.aliases.clone());
-        for ranker in [RankStrategy::RdbLength, RankStrategy::CloseFirst] {
-            let base = SearchOptions {
-                algorithm: Algorithm::Discover,
-                max_rdb_length: 3,
-                ranker,
-                threads: 1,
-                ..Default::default()
-            };
-            let full = engine.search("xml smith", &base).unwrap();
-            let stream = engine
-                .search("xml smith", &SearchOptions { k: Some(k), ..base })
-                .unwrap();
-            let want: Vec<&str> = full
-                .connections
-                .iter()
-                .take(k)
-                .map(|r| r.rendering.as_str())
-                .collect();
-            let got: Vec<&str> =
-                stream.connections.iter().map(|r| r.rendering.as_str()).collect();
-            prop_assert_eq!(got, want, "ranker {} k {}", ranker.name(), k);
-            // The cut can fire on an already-exhausted frontier (a tiny
-            // keyword component has nothing left to grow), in which
-            // case it legitimately saves nothing — so the random-graph
-            // invariant is monotonicity; the strictly-fewer claim is
-            // pinned at the deterministic B7/B1 shapes where the cut
-            // provably skips whole levels.
-            prop_assert!(stream.stats.expansions <= full.stats.expansions);
-            // The non-monotone ranker takes the batch path and agrees
-            // on its own truncation.
-            let combined = SearchOptions {
-                ranker: RankStrategy::Combined { structure_weight: 1.0 },
-                k: Some(k),
-                ..base
-            };
-            let batch = engine.search("xml smith", &combined).unwrap();
-            prop_assert!(!batch.stats.early_terminated);
+        for ranker in STREAMING_RANKERS {
+            for compute_instance in [true, false] {
+                let base = SearchOptions {
+                    algorithm: Algorithm::Discover,
+                    max_rdb_length: 3,
+                    ranker,
+                    compute_instance,
+                    threads: 1,
+                    ..Default::default()
+                };
+                let full = engine.search("xml smith", &base).unwrap();
+                let stream = engine
+                    .search("xml smith", &SearchOptions { k: Some(k), ..base })
+                    .unwrap();
+                let prefix = &full.connections[..k.min(full.connections.len())];
+                prop_assert_eq!(
+                    ranked_view(&stream.connections),
+                    ranked_view(prefix),
+                    "ranker {} instance {} k {}",
+                    ranker.name(),
+                    compute_instance,
+                    k
+                );
+                // The cut can fire on an already-exhausted frontier (a tiny
+                // keyword component has nothing left to grow), in which
+                // case it legitimately saves nothing — so the random-graph
+                // invariant is monotonicity; the strictly-fewer claim is
+                // pinned at the deterministic B7/B1 shapes where the cut
+                // provably skips whole levels.
+                prop_assert!(stream.stats.expansions <= full.stats.expansions);
+            }
         }
+        // The non-monotone ranker takes the batch path and agrees on its
+        // own truncation.
+        let combined = SearchOptions {
+            algorithm: Algorithm::Discover,
+            max_rdb_length: 3,
+            ranker: RankStrategy::Combined { structure_weight: 1.0 },
+            k: Some(k),
+            threads: 1,
+            ..Default::default()
+        };
+        let batch = engine.search("xml smith", &combined).unwrap();
+        prop_assert!(!batch.stats.early_terminated);
     }
 
     /// Witness strategies are a pure cost knob: iterative deepening,
@@ -703,6 +783,25 @@ fn streaming_topk_expands_strictly_less_at_b1_shape() {
     }
 }
 
+/// The candidate-network oracle at the B1 shape, on the query whose
+/// networks of 5 tuples exposed its old dedup key: two non-isomorphic
+/// networks with equal node and edge multisets (one of them with a free
+/// leaf) took one key, and the admissible one was lost.
+#[test]
+fn candidate_networks_agree_with_growth_at_b1_shape() {
+    let s = generate_synthetic(&b1_config());
+    let dg = DataGraph::build(&s.db, &s.mapping).unwrap();
+    let index = cla_index::InvertedIndex::build(&s.db);
+    let matches: Vec<_> =
+        ["xml", "smith", "alice"].iter().map(|kw| index.matching_tuples(kw)).collect();
+    let via_cn = support::candidates::mtjnts_via_candidate_networks(&s.db, &dg, &matches, 5);
+    let sets: Vec<HashSet<NodeId>> =
+        matches.iter().map(|v| v.iter().filter_map(|&t| dg.node_of(t)).collect()).collect();
+    let mut via_growth = cla_core::enumerate_mtjnts(&dg, &sets, 5);
+    via_growth.sort();
+    assert_eq!(via_cn, via_growth);
+}
+
 /// The B7 bench shape (dept8, seed 7 — `scaling/banks_vs_discover`).
 fn b7_config() -> SyntheticConfig {
     SyntheticConfig { departments: 8, ..b1_config() }
@@ -811,6 +910,25 @@ fn cutoffs_beat_full_enumeration_at_b7_shape() {
         full_work.candidates
     );
     assert!(cut_work.expansions < full_work.expansions, "and settle fewer frontier nodes");
+}
+
+/// The eager reference's node-set dedup really drops trees on the
+/// property fixture, so `banks_matches_eager_reference` exercises the
+/// engine's registered-root dedup and not only its tree assembly.
+#[test]
+fn banks_reference_dedup_fires_on_small_config() {
+    let mut dropped = 0;
+    for seed in 0..24 {
+        let s = generate_synthetic(&small_config(seed));
+        let dg = DataGraph::build(&s.db, &s.mapping).unwrap();
+        let index = cla_index::InvertedIndex::build(&s.db);
+        let sets = keyword_node_sets(&index, &dg, &["xml", "smith", "alice"]);
+        let opts = BanksOptions { k: None, ..Default::default() };
+        let (want, d) = banks_naive(&dg, &sets, &opts);
+        assert_eq!(banks_search(&dg, &sets, &opts), want, "seed {seed}");
+        dropped += d;
+    }
+    assert!(dropped > 0, "the reference must drop duplicate node sets on this fixture");
 }
 
 /// `k: None` means *unbounded*: on a graph with more than 100 candidate

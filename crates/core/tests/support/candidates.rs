@@ -6,8 +6,9 @@
 //! network** (CN) is a tree of relation occurrences — each annotated
 //! with the keyword subset its tuples must match, possibly *free*
 //! (matching none) — whose adjacent occurrences are connected by a
-//! foreign key. A CN is admissible when it covers every keyword and no
-//! leaf is free. Evaluating a CN joins the corresponding tuple sets,
+//! foreign key. A CN is admissible when it covers every keyword, no
+//! leaf is free, and no occurrence joins two others through one foreign
+//! key of its own. Evaluating a CN joins the corresponding tuple sets,
 //! producing joining networks of tuples; filtering those through
 //! `cla_core::is_mtjnt` yields exactly DISCOVER's answers.
 //!
@@ -77,18 +78,42 @@ impl CandidateNetwork {
             && (self.nodes.len() > 1 || !self.nodes[0].keywords.is_empty())
     }
 
-    /// Canonical key for deduplication: sorted node multiset plus
-    /// sorted edge multiset over node keys.
-    fn canonical_key(&self) -> (Vec<CnNode>, Vec<(CnNode, CnNode, usize)>) {
-        let mut ns = self.nodes.clone();
-        ns.sort();
-        let mut es: Vec<(CnNode, CnNode, usize)> = self
+    /// Canonical key for deduplication: the smallest rooted canonical
+    /// encoding (AHU) over every choice of root, so two networks share a
+    /// key exactly when they are isomorphic as labeled trees. (A sorted
+    /// node multiset plus a sorted edge multiset is not enough: two
+    /// different trees can share both.)
+    fn canonical_key(&self) -> String {
+        (0..self.nodes.len()).map(|root| self.encode(root, None)).min().unwrap_or_default()
+    }
+
+    /// The rooted encoding of the subtree at occurrence `v`, entered
+    /// from `parent`: its label, then its children's encodings in sorted
+    /// order, each tagged with the join it hangs by (which side owns the
+    /// foreign key, and which key).
+    fn encode(&self, v: usize, parent: Option<usize>) -> String {
+        let mut children: Vec<String> = self
             .edges
             .iter()
-            .map(|e| (self.nodes[e.from].clone(), self.nodes[e.to].clone(), e.fk_index))
+            .filter_map(|e| {
+                let (child, tag) = match (e.from == v, e.to == v) {
+                    (true, _) => (e.to, '>'),
+                    (_, true) => (e.from, '<'),
+                    _ => return None,
+                };
+                (Some(child) != parent)
+                    .then(|| format!("{tag}{}{}", e.fk_index, self.encode(child, Some(v))))
+            })
             .collect();
-        es.sort();
-        (ns, es)
+        children.sort();
+        let node = &self.nodes[v];
+        format!("({}:{:?}{})", node.relation.0, node.keywords, children.concat())
+    }
+
+    /// Whether occurrence `occ` already joins another occurrence through
+    /// its own foreign key `fk_index`.
+    fn owns_join(&self, occ: usize, fk_index: usize) -> bool {
+        self.edges.iter().any(|e| e.from == occ && e.fk_index == fk_index)
     }
 }
 
@@ -225,8 +250,10 @@ pub fn generate_candidate_networks(
                         }
                     }
                 }
-                // …or as FK target referenced by `node`.
-                if owner == node.relation {
+                // …or as FK target referenced by `node`. DISCOVER's
+                // rule: no `R ← S → R` through one foreign key, since
+                // one tuple of S references one tuple of R through it.
+                if owner == node.relation && !cn.owns_join(occ, fk_idx) {
                     for kws in std::iter::once(BTreeSet::new()).chain(annotations(target)) {
                         let mut next = cn.clone();
                         next.nodes.push(CnNode { relation: target, keywords: kws });

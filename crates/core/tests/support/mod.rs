@@ -2,6 +2,7 @@
 //! against. Each is the straightforward, unpruned version of a search
 //! stage, built only on `cla_core`'s public API.
 
+pub mod banks;
 pub mod candidates;
 
 use cla_core::{Connection, DataGraph, InstanceCloseness};
