@@ -529,8 +529,9 @@ fn budget_overhead(c: &mut Criterion) {
 /// apply, i.e. two publishes per iteration — but in the worst serving
 /// posture: a live [`SnapshotHandle`](cla_core::SnapshotHandle) makes
 /// every publish go through the shared publication cell, and one
-/// reader keeps a generation pinned the whole time, so that retired
-/// buffer can never be recycled and the writer must work around it.
+/// reader keeps a generation pinned the whole time, so the writer can
+/// never recycle that buffer: it clones once when the pinned
+/// generation is its spare, then alternates two unpinned buffers.
 /// The acceptance claim is `publish_single_tuple ≤ apply_single_tuple
 /// · 2` at dept16 (i.e. snapshot publication costs at most one extra
 /// apply's worth over the façade-only path), with `full_rebuild/` —

@@ -157,19 +157,12 @@ enum PlanOp {
 
 /// The resolved execution plan of one mutation batch against one graph
 /// state: every lookup pre-validated, every edge target addressed by
-/// stable [`TupleId`]. Produced by [`DataGraph::plan`], consumed —
-/// possibly repeatedly, against different same-lineage buffers — by
-/// [`DataGraph::execute`].
+/// stable [`TupleId`]. Produced by [`DataGraph::plan`] and consumed by
+/// [`DataGraph::execute`]: the writer executes it against its build
+/// buffer and later replays it into its spare buffer.
 #[derive(Debug, Clone, Default)]
-pub struct GraphPatch {
+pub(crate) struct GraphPatch {
     ops: Vec<PlanOp>,
-}
-
-impl GraphPatch {
-    /// `true` when executing the patch would change nothing.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
 }
 
 impl DataGraph {
@@ -294,7 +287,7 @@ impl DataGraph {
     /// batch, validate every lookup, and resolve each op's edges into a
     /// [`GraphPatch`] of stable tuple ids. An error leaves the graph
     /// exactly as it was (nothing was mutated).
-    pub fn plan(
+    pub(crate) fn plan(
         &self,
         db: &Database,
         mapping: &SchemaMapping,
@@ -347,7 +340,7 @@ impl DataGraph {
     /// a lineage, which is what keeps replayed snapshot buffers
     /// byte-identical to the originally published ones. Returns the
     /// added edge ids for edge-indexed side tables.
-    pub fn execute(&mut self, patch: &GraphPatch) -> Vec<EdgeId> {
+    pub(crate) fn execute(&mut self, patch: &GraphPatch) -> Vec<EdgeId> {
         let plan = &patch.ops;
         // First mutation after a zero-copy open: promote the image-backed
         // tuple→node view to an owned map before any structural edit.

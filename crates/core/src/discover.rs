@@ -85,10 +85,12 @@ pub fn mtjnt_filter(
 /// of `s - 1` foreign-key edges, so size is a rank lower bound).
 ///
 /// Growth is breadth-first from the members of the smallest keyword
-/// set; candidate networks are keyed by their canonical signature (the
-/// sorted node vector), each materialized exactly once and counted
-/// into [`JoiningNetworkLevels::expansions`] — the "network
-/// materializations" figure `SearchStats` reports for DISCOVER.
+/// set, taken in node order, so every run reports the networks of a
+/// level in the same order; candidate networks are keyed by their
+/// canonical signature (the sorted node vector), each materialized
+/// exactly once and counted into [`JoiningNetworkLevels::expansions`]
+/// — the "network materializations" figure `SearchStats` reports for
+/// DISCOVER.
 #[derive(Debug)]
 pub struct JoiningNetworkLevels<'a> {
     dg: &'a DataGraph,
@@ -130,7 +132,12 @@ impl<'a> JoiningNetworkLevels<'a> {
         let Some(seed_set) = keyword_sets.iter().min_by_key(|s| s.len()) else {
             return levels;
         };
-        for &seed in seed_set.iter() {
+        // Seed in node order, not hash-set order: the frontier order is
+        // the order every later level, and so the reported networks,
+        // come out in.
+        let mut seeds: Vec<NodeId> = seed_set.iter().copied().collect();
+        seeds.sort_unstable();
+        for seed in seeds {
             let s = vec![seed];
             if levels.visited.insert(s.clone().into_boxed_slice()) {
                 levels.expansions += 1;
@@ -241,10 +248,10 @@ impl<'a> JoiningNetworkLevels<'a> {
 /// `max_tuples` tuples (DISCOVER's size bound `T`), by breadth-first
 /// growth from the members of the smallest keyword set.
 ///
-/// Networks are returned deduplicated, in ascending size order (no
-/// particular order within a size). The search space is exponential in
-/// `max_tuples`; intended for the small bounds DISCOVER uses in
-/// practice (T ≤ 5–7).
+/// Networks are returned deduplicated, in ascending size order (within
+/// a size, in growth order, which depends only on the graph). The
+/// search space is exponential in `max_tuples`; intended for the small
+/// bounds DISCOVER uses in practice (T ≤ 5–7).
 pub fn enumerate_joining_networks(
     dg: &DataGraph,
     keyword_sets: &[HashSet<NodeId>],

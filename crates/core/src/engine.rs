@@ -974,8 +974,8 @@ mod tests {
     }
 
     /// The `apply.mid` failpoint fires after the index patch, proving
-    /// the index undo log (not just the graph's pre-validation)
-    /// restores the pre-apply state.
+    /// that dropping the half-patched build buffer (not just the
+    /// graph's pre-validation) keeps the pre-apply state.
     #[test]
     fn forced_mid_apply_failure_is_atomic() {
         let _guard = failpoints::exclusive();

@@ -41,10 +41,10 @@
 //! * **Rebuild equivalence** — a patched engine answers byte-identically
 //!   to a fresh [`SearchEngine::new`] over the mutated database.
 //! * **Atomic apply** — a failed `apply` (dangling reference, missing
-//!   mapping role) rolls every patched structure back (index undo log,
-//!   mutation-free graph pre-validation) *and* rejects the database
-//!   batch via `Database::rollback`; the error returns with the engine
-//!   fresh and serving the pre-mutation answers.
+//!   mapping role) drops the private buffer it was patching, never
+//!   published, *and* rejects the database batch via
+//!   `Database::rollback`; the error returns with the engine fresh and
+//!   serving the pre-mutation answers.
 //! * **Slot reclamation** — [`SearchEngine::compact`] reclaims every
 //!   tombstoned row/node/edge slot end to end, renumbering ids behind
 //!   the returned `TupleRemap`, with rebuild equivalence and zero
@@ -56,8 +56,9 @@
 //! [`EngineSnapshot`]; [`SearchEngine`] is a thin façade over one
 //! [`EngineWriter`] that builds and atomically publishes the next
 //! generation per `apply`/`compact` (a pointer swap under a write lock,
-//! no full-engine deep clone per publish — retired snapshot buffers are
-//! recycled by patch replay). Reader threads pin generations through a
+//! no full-engine deep clone per publish — the previous generation's
+//! buffer is recycled by replaying the one batch it missed, unless a
+//! reader still pins it). Reader threads pin generations through a
 //! cloneable [`SnapshotHandle`] — a pin takes a read lock for one `Arc`
 //! clone, and no search runs under the lock — and keep answering from
 //! their pinned generation, byte-identically to a from-scratch engine
@@ -140,7 +141,6 @@ pub use banks::{
 };
 pub use budget::SearchBudget;
 pub use connection::{ConceptualStep, Connection, ConnectionStep};
-pub use datagraph::GraphPatch;
 pub use datagraph::{DataGraph, EdgeAnnotation};
 pub use discover::{
     enumerate_joining_networks, enumerate_mtjnts, enumerate_mtjnts_budgeted, is_joining,

@@ -35,7 +35,7 @@ use cla_relational::{Database, TupleId};
 use cla_storage::{ByteReader, ByteWriter, ImageBuilder, SharedImage, StorageError};
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Engine-level metadata: the snapshot's publication ordinal.
 const SECTION_META: u32 = 1;
@@ -264,7 +264,7 @@ pub(crate) fn decode_image(
         mapping,
         index,
         dg,
-        aliases,
+        aliases: Arc::new(aliases),
         edge_cards,
         generation,
         failpoints: AtomicBool::new(failpoints_enabled_from_env()),

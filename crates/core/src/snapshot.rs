@@ -40,7 +40,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
 /// Which connection-generation algorithm to run.
@@ -481,8 +481,10 @@ pub struct EngineSnapshot {
     pub(crate) index: InvertedIndex,
     pub(crate) dg: DataGraph,
     /// Display aliases — image-backed views after a zero-copy open,
-    /// an owned map otherwise (see [`crate::Aliases`]).
-    pub(crate) aliases: Aliases,
+    /// an owned map otherwise (see [`crate::Aliases`]). No mutation
+    /// batch edits them, so generations share one table until
+    /// `with_aliases` or a compaction replaces it.
+    pub(crate) aliases: Arc<Aliases>,
     /// Per-edge owner→target RDB cardinality (`rdb_edge_cardinality`
     /// evaluated once per edge slot), so converting enumerated paths
     /// into connections never probes the schema. Indexed by
@@ -531,14 +533,14 @@ impl EngineSnapshot {
 
     /// A deep copy of this snapshot's contents as the writer's next
     /// build buffer (fresh scratch pool; per-search buffers carry no
-    /// semantic state).
+    /// semantic state). The alias table is shared, not copied.
     pub(crate) fn clone_contents(&self) -> EngineSnapshot {
         EngineSnapshot {
             er_schema: self.er_schema.clone(),
             mapping: self.mapping.clone(),
             index: self.index.clone(),
             dg: self.dg.clone(),
-            aliases: self.aliases.clone(),
+            aliases: Arc::clone(&self.aliases),
             edge_cards: self.edge_cards.clone(),
             generation: self.generation,
             failpoints: AtomicBool::new(self.failpoints()),
@@ -810,7 +812,7 @@ impl EngineSnapshot {
         );
         let rendering = connection.render_cached(
             &self.dg,
-            &self.aliases,
+            &*self.aliases,
             ctx.markers,
             &mut scratch.labels,
         );
@@ -832,7 +834,7 @@ impl EngineSnapshot {
             &self.dg,
             &self.er_schema,
             &self.mapping,
-            &self.aliases,
+            &*self.aliases,
             ctx.markers,
             &mut scratch.descs,
         )
@@ -1426,7 +1428,7 @@ impl EngineSnapshot {
         for c in cands {
             let rendering = c.connection.render_cached(
                 &self.dg,
-                &self.aliases,
+                &*self.aliases,
                 ctx.markers,
                 &mut scratch.labels,
             );

@@ -2,11 +2,10 @@
 //! immutable snapshot generations.
 //!
 //! [`EngineWriter`] owns the [`Database`] and its ChangeSet log — it is
-//! the **only mutation path**. `apply`/`compact` reuse the atomic-apply
-//! machinery (index undo log, mutation-free graph planning,
-//! [`Database::rollback`], [`TupleRemap`]) as the commit point, build
-//! the next [`EngineSnapshot`] generation in a private buffer, and
-//! publish it by swapping the new `Arc` into a shared
+//! the **only mutation path**. `apply`/`compact` build the next
+//! [`EngineSnapshot`] generation in a private buffer (mutation-free
+//! graph planning, [`Database::rollback`] and [`TupleRemap`] at the
+//! commit point) and publish it by swapping the new `Arc` into a shared
 //! `RwLock<Arc<EngineSnapshot>>`. Readers holding a [`SnapshotHandle`]
 //! pin a generation by taking the read lock for one `Arc` clone, and a
 //! publish holds the write lock only for the pointer swap, so neither
@@ -15,22 +14,30 @@
 //!
 //! ## Publish without deep clone
 //!
-//! A publish must not deep-clone the whole engine (postings + CSR +
-//! node tables), so the writer recycles **retired snapshot buffers**:
-//! when the previously published snapshot drops to a single owner (no
-//! reader pins it anymore), its buffer is reclaimed with
-//! `Arc::try_unwrap` and **caught up by replaying the missed
-//! generations' patches** — the self-contained [`ChangeSet`] against
-//! the inverted index, the pre-resolved [`GraphPatch`] against the data
-//! graph. Node numbering is deterministic within a mutation lineage, so
-//! a replayed buffer is byte-identical to the snapshot it recycles
-//! into. In the steady single-writer state this alternates between two
-//! buffers and each publish costs two incremental patch applications
-//! (every buffer eventually sees every op — the amortized floor).
-//! Deep-cloning the current snapshot is the fallback when every retired
-//! buffer is still pinned by readers, and the documented cost of the
-//! first apply after a [`EngineWriter::compact`] (id renumbering
-//! invalidates replay, so compaction drops the recycling state).
+//! The writer keeps **one spare buffer**: the previous generation, plus
+//! the batch that turned it into the current one — the self-contained
+//! [`ChangeSet`] for the inverted index and the pre-resolved
+//! `GraphPatch` for the data graph. When no reader pins the spare, the
+//! next build reclaims it with `Arc::try_unwrap` and replays that one
+//! batch into it. Node numbering is deterministic within a mutation
+//! lineage, so the replayed buffer is byte-identical to the current
+//! snapshot. The alias table is never edited by a batch: the buffer
+//! takes the current generation's `Arc` of it. In the steady
+//! single-writer state the writer alternates between two buffers, and
+//! a publish costs two incremental patch applications.
+//!
+//! When a reader still pins the spare, the writer deep-clones the
+//! current snapshot instead: the index, the graph with its CSR and the
+//! cardinality table, with the alias table shared. For a built
+//! 1024-department synthetic engine on a 2-core x86-64 host that clone
+//! takes about 2.7 ms; copying the owned alias map too took 7.4 ms.
+//! The same clone follows a [`EngineWriter::compact`] (renumbered ids
+//! cannot be replayed into), a failed apply, an open and a fresh build,
+//! none of which leave a spare.
+//!
+//! A failed apply drops its private buffer instead of undoing it, and
+//! rejects the database batch through [`Database::rollback`]; the
+//! published generation was never touched.
 
 use crate::aliases::Aliases;
 use crate::datagraph::{DataGraph, GraphPatch};
@@ -41,21 +48,9 @@ use cla_er::{rdb_edge_cardinality, ErSchema, SchemaMapping};
 use cla_index::InvertedIndex;
 use cla_relational::{Catalog, ChangeSet, Database, RelationId, TupleId, TupleRemap, Value};
 use cla_storage::SharedBytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
-
-/// Retired snapshots kept as buffer-recycling candidates. Beyond this
-/// the oldest is released outright (it frees when its readers unpin);
-/// replaying a long-lagging buffer would cost more than the deep-clone
-/// fallback anyway, and the bound also caps the replay history.
-const MAX_RETIRED: usize = 4;
-
-/// How many generations a retired buffer may lag behind the write
-/// frontier before the writer gives up recycling it (see
-/// [`EngineWriter::prune_history`]) — the bound on both the replay
-/// log's length and the per-publish catch-up scan.
-const MAX_HISTORY: u64 = 32;
 
 /// When [`EngineWriter::apply`] (and the [`SearchEngine`] façade's
 /// `apply`) reclaims tombstoned slots on its own.
@@ -120,11 +115,12 @@ impl SnapshotHandle {
     }
 }
 
-/// One published generation's replay delta: the self-contained change
-/// batch (for the inverted index) and the pre-resolved graph patch.
+/// The previous generation and the batch that produced the current one
+/// from it: the self-contained change set (for the inverted index) and
+/// the pre-resolved graph patch.
 #[derive(Debug)]
-struct HistoryEntry {
-    generation: u64,
+struct Spare {
+    snapshot: Arc<EngineSnapshot>,
     changes: ChangeSet,
     patch: GraphPatch,
 }
@@ -218,7 +214,7 @@ impl Clone for LazyDb {
 
 /// The single writer over one database: owns the change log, builds
 /// the next snapshot generation per `apply`/`compact`, and publishes it
-/// atomically — see the module docs for the buffer-recycling protocol.
+/// atomically — see the module docs for the spare buffer.
 #[derive(Debug)]
 pub struct EngineWriter {
     db: LazyDb,
@@ -228,15 +224,9 @@ pub struct EngineWriter {
     /// first [`EngineWriter::handle`] so purely single-threaded use
     /// (and the construction-time builders) never pays for sharing.
     cell: OnceLock<Arc<RwLock<Arc<EngineSnapshot>>>>,
-    /// Retired snapshot Arcs kept as recycling candidates, oldest
-    /// first.
-    retired: Vec<Arc<EngineSnapshot>>,
-    /// A build buffer already at the current generation (left over from
-    /// a failed — rolled back — apply).
-    spare: Option<Box<EngineSnapshot>>,
-    /// Replay deltas for the generations the retired buffers have not
-    /// seen yet; pruned as buffers are reclaimed or released.
-    history: VecDeque<HistoryEntry>,
+    /// The buffer the next build recycles when no reader pins it; `None`
+    /// after a compaction, a failed apply, an open or a fresh build.
+    spare: Option<Spare>,
     /// Publication ordinal of `current`.
     generation: u64,
     /// The database version the published structures reflect.
@@ -275,7 +265,7 @@ impl EngineWriter {
             mapping,
             index,
             dg,
-            aliases: Aliases::default(),
+            aliases: Arc::new(Aliases::default()),
             edge_cards,
             generation: 0,
             failpoints: AtomicBool::new(failpoints),
@@ -285,9 +275,7 @@ impl EngineWriter {
             db: LazyDb::ready(db),
             current: Arc::new(snapshot),
             cell: OnceLock::new(),
-            retired: Vec::new(),
             spare: None,
-            history: VecDeque::new(),
             generation: 0,
             published_version,
             failpoints,
@@ -297,7 +285,7 @@ impl EngineWriter {
 
     /// Attach display aliases (`d1`, `e1`, …) for rendering.
     pub fn with_aliases(mut self, aliases: HashMap<TupleId, String>) -> Self {
-        self.edit_snapshot(|snap| snap.aliases = aliases.into());
+        self.edit_snapshot(|snap| snap.aliases = Arc::new(aliases.into()));
         self
     }
 
@@ -455,9 +443,7 @@ impl EngineWriter {
             db,
             current: Arc::new(snapshot),
             cell: OnceLock::new(),
-            retired: Vec::new(),
             spare: None,
-            history: VecDeque::new(),
             generation,
             published_version,
             failpoints: failpoints_enabled_from_env(),
@@ -492,13 +478,12 @@ impl EngineWriter {
     ///
     /// The apply is **atomic**. On error (e.g. a dangling reference
     /// that a full rebuild's validation would also reject) nothing is
-    /// published: the build buffer rolls back through the index undo
-    /// log (the graph never partially patches — its plan stage
-    /// pre-validates), the *database batch itself* is rolled back
-    /// through [`Database::rollback`] (the batch is a failed
-    /// transaction; its mutations are rejected wholesale), and the
-    /// error is returned with the engine fresh and **still serving the
-    /// pre-mutation answers**.
+    /// published: the private build buffer is dropped, the *database
+    /// batch itself* is rolled back through [`Database::rollback`] (the
+    /// batch is a failed transaction; its mutations are rejected
+    /// wholesale), and the error is returned with the engine fresh and
+    /// **still serving the pre-mutation answers**. The next apply builds
+    /// from a clone of the current snapshot.
     ///
     /// With a [`CompactionPolicy::TombstoneRatio`] policy, a successful
     /// apply that leaves the dead-slot fraction at or above the
@@ -515,7 +500,7 @@ impl EngineWriter {
             "the change log holds every op since the last publish"
         );
         let mut buf = self.build_buffer();
-        let undo = buf.index.apply_logged(self.db.get(), &changes);
+        buf.index.apply(self.db.get(), &changes);
         let result = if self.failpoints && failpoints::triggered("apply.mid") {
             // Fails the way the graph plan does; the id names the failpoint.
             Err(CoreError::UnknownTuple("<forced by the apply.mid failpoint>".into()))
@@ -548,15 +533,12 @@ impl EngineWriter {
                 Ok(outcome)
             }
             Err(e) => {
-                // Roll the build buffer back via the index undo log and
-                // reject the database batch via inverse ops — engine
-                // and database agree on the pre-mutation state again,
-                // and the buffer (back at the current generation) is
-                // kept as the next apply's spare.
-                buf.index.undo(undo);
+                // The half-patched buffer was never published: drop it,
+                // and reject the database batch via inverse ops so that
+                // engine and database agree on the pre-mutation state.
+                drop(buf);
                 self.db.get_mut().rollback(&changes);
                 self.published_version = self.db.version();
-                self.spare = Some(buf);
                 debug_assert!(self.is_fresh());
                 Err(e)
             }
@@ -573,57 +555,34 @@ impl EngineWriter {
         }
     }
 
-    /// Acquire the next build buffer **without deep-cloning the
-    /// engine** whenever possible: the spare from a failed apply (
-    /// already current), else the newest retired snapshot no longer
-    /// pinned by any reader (reclaimed via `Arc::try_unwrap` and caught
-    /// up by patch replay), else — only when every retired buffer is
-    /// still pinned, or after a compact dropped the recycling state — a
-    /// deep copy of the current snapshot.
+    /// The next build buffer at the current generation: the spare,
+    /// when no reader pins it, with its one missed batch replayed (the
+    /// change set against the index, the graph patch against the graph,
+    /// the added edges into the cardinality table) and the current
+    /// alias table; otherwise a deep copy of the current snapshot.
     fn build_buffer(&mut self) -> Box<EngineSnapshot> {
-        if let Some(mut spare) = self.spare.take() {
-            self.catch_up(&mut spare);
-            return spare;
-        }
-        for i in (0..self.retired.len()).rev() {
-            let arc = self.retired.remove(i);
-            match Arc::try_unwrap(arc) {
-                Ok(snap) => {
-                    let mut buf = Box::new(snap);
-                    self.catch_up(&mut buf);
-                    return buf;
-                }
-                Err(arc) => self.retired.insert(i, arc),
+        if let Some(Spare { snapshot, changes, patch }) = self.spare.take() {
+            if let Ok(snap) = Arc::try_unwrap(snapshot) {
+                debug_assert_eq!(
+                    snap.generation + 1,
+                    self.generation,
+                    "the spare is one batch behind"
+                );
+                let mut buf = Box::new(snap);
+                buf.index.apply(self.db.get(), &changes);
+                let added = buf.dg.execute(&patch);
+                Self::extend_edge_cards(&mut buf, &added);
+                buf.aliases = Arc::clone(&self.current.aliases);
+                buf.generation = self.generation;
+                return buf;
             }
         }
         Box::new(self.current.clone_contents())
     }
 
-    /// Replay every published generation `buf` has not seen yet, in
-    /// order: the self-contained change batch against the index, the
-    /// pre-resolved graph patch against the graph, the added edges into
-    /// the cardinality table. Deterministic node numbering within the
-    /// lineage makes the result byte-identical to the published
-    /// snapshots it fast-forwards through.
-    fn catch_up(&self, buf: &mut EngineSnapshot) {
-        for entry in &self.history {
-            if entry.generation <= buf.generation {
-                continue;
-            }
-            buf.index.apply(self.db.get(), &entry.changes);
-            let added = buf.dg.execute(&entry.patch);
-            Self::extend_edge_cards(buf, &added);
-            buf.generation = entry.generation;
-        }
-        debug_assert_eq!(
-            buf.generation, self.generation,
-            "replay history covers every generation a recycled buffer missed"
-        );
-    }
-
     /// Publish `buf` as the next generation: bump the ordinal, swap it
-    /// into the cell under the write lock, retire the previous snapshot
-    /// as a recycling candidate and record the replay delta.
+    /// into the cell under the write lock, and keep the previous
+    /// snapshot with the batch that produced `buf` as the spare.
     fn publish(&mut self, mut buf: EngineSnapshot, changes: ChangeSet, patch: GraphPatch) {
         // Fold the index's patch overlay into the flat term dictionary
         // once it has grown past its threshold — the publish-time twin
@@ -635,51 +594,16 @@ impl EngineWriter {
         buf.generation = self.generation;
         *buf.failpoints.get_mut() = self.failpoints;
         let new_arc = Arc::new(buf);
-        let old = std::mem::replace(&mut self.current, Arc::clone(&new_arc));
+        let previous = std::mem::replace(&mut self.current, Arc::clone(&new_arc));
         if let Some(cell) = self.cell.get() {
-            // The cell's previous Arc is the same snapshot as `old`;
-            // retiring one pin and dropping the other (after the guard
-            // is released) leaves exactly the retired count.
+            // Drop the cell's pin of `previous` after the guard is
+            // released, so the spare can be reclaimed once readers unpin.
             let mut slot = cell.write().unwrap_or_else(PoisonError::into_inner);
             let prev = std::mem::replace(&mut *slot, new_arc);
             drop(slot);
             drop(prev);
         }
-        self.retired.push(old);
-        if self.retired.len() > MAX_RETIRED {
-            // Give up recycling the oldest candidate — it frees when
-            // its readers unpin.
-            self.retired.remove(0);
-        }
-        self.history.push_back(HistoryEntry { generation: self.generation, changes, patch });
-        self.prune_history();
-    }
-
-    /// Drop replay deltas no recyclable buffer still needs.
-    fn prune_history(&mut self) {
-        // A candidate parked too far behind the write frontier (a
-        // long-held reader pin blocks its `try_unwrap` while churn
-        // races ahead) is not worth the replay log it keeps alive:
-        // retaining it would grow `history` without bound *and* make
-        // every future catch-up scan that unbounded log. Dropping it
-        // from `retired` costs at most one future deep clone; the
-        // buffer itself frees when its readers unpin.
-        let cutoff = self.generation.saturating_sub(MAX_HISTORY);
-        self.retired.retain(|s| s.generation >= cutoff);
-        let floor = self
-            .retired
-            .iter()
-            .map(|s| s.generation)
-            .chain(self.spare.as_deref().map(|s| s.generation))
-            .min();
-        match floor {
-            Some(f) => {
-                while self.history.front().is_some_and(|e| e.generation <= f) {
-                    self.history.pop_front();
-                }
-            }
-            None => self.history.clear(),
-        }
+        self.spare = Some(Spare { snapshot: previous, changes, patch });
     }
 
     /// Reclaim every tombstoned slot churn left behind, end to end:
@@ -696,8 +620,8 @@ impl EngineWriter {
     /// generations still speak the old ids consistently. The engine
     /// must be fresh (apply pending mutations first; a stale engine
     /// returns [`CoreError::StaleEngine`]). Compaction renumbers the
-    /// whole lineage, so the buffer-recycling state is dropped — the
-    /// next apply pays one deep clone, then recycling resumes.
+    /// whole lineage, so it leaves no spare: the next apply pays one
+    /// deep clone, then recycling resumes.
     pub fn compact(&mut self) -> Result<TupleRemap, CoreError> {
         if !self.is_fresh() {
             return Err(CoreError::StaleEngine {
@@ -722,19 +646,19 @@ impl EngineWriter {
             .filter(|(_, new)| new.is_some())
             .map(|(old, _)| buf.edge_cards[old])
             .collect();
-        buf.aliases = std::mem::take(&mut buf.aliases)
-            .into_owned()
-            .into_iter()
-            .filter_map(|(t, alias)| remap.map(t).map(|nt| (nt, alias)))
-            .collect::<HashMap<_, _>>()
-            .into();
+        buf.aliases = Arc::new(
+            Arc::unwrap_or_clone(std::mem::take(&mut buf.aliases))
+                .into_owned()
+                .into_iter()
+                .filter_map(|(t, alias)| remap.map(t).map(|nt| (nt, alias)))
+                .collect::<HashMap<_, _>>()
+                .into(),
+        );
         self.published_version = self.db.version();
         self.publish(*buf, ChangeSet::default(), GraphPatch::default());
-        // Pre-compaction buffers speak renumbered-away ids — they can
+        // The pre-compaction buffer speaks renumbered-away ids — it can
         // never be replayed into the new lineage.
-        self.retired.clear();
         self.spare = None;
-        self.history.clear();
         Ok(remap)
     }
 
@@ -742,8 +666,8 @@ impl EngineWriter {
     /// arrays now, without waiting for the deferred-rebuild threshold,
     /// and publish the folded state. Purely a storage operation —
     /// adjacency (and therefore search output) is unchanged, so the
-    /// replay delta for this generation is empty (recycled sibling
-    /// buffers may keep their overlay; they answer identically).
+    /// spare's replay batch is empty (a recycled sibling buffer may
+    /// keep its overlay; it answers identically).
     pub fn compact_csr(&mut self) {
         let mut buf = self.build_buffer();
         buf.dg.compact_csr();
@@ -751,16 +675,13 @@ impl EngineWriter {
     }
 
     /// Clone for the façade's `Clone`: same database and published
-    /// content, fresh publication state (own cell, empty recycling
-    /// pool).
+    /// content, fresh publication state (own cell, no spare).
     pub(crate) fn clone_writer(&self) -> Self {
         EngineWriter {
             db: self.db.clone(),
             current: Arc::new(self.current.clone_contents()),
             cell: OnceLock::new(),
-            retired: Vec::new(),
             spare: None,
-            history: VecDeque::new(),
             generation: self.generation,
             published_version: self.published_version,
             failpoints: self.failpoints,

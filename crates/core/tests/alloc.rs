@@ -4,7 +4,8 @@
 //! heap growth behind.
 //!
 //! Kept as a single `#[test]` so no sibling test thread pollutes the
-//! global counters while a measurement window is open.
+//! global counters while a measurement window is open. The harness's
+//! own thread is not counted either (see [`counted`]).
 
 use cla_core::{
     banks_search_budgeted, BanksOptions, BanksScratch, SearchEngine, SearchOptions,
@@ -13,7 +14,8 @@ use cla_core::{
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_graph::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 /// System allocator wrapped with allocation / net-byte counters.
 struct CountingAlloc;
@@ -21,24 +23,61 @@ struct CountingAlloc;
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static NET_BYTES: AtomicI64 = AtomicI64::new(0);
 
+/// Set by the first thread that allocates: the test harness's main
+/// thread, which runs before it spawns the thread the test runs on.
+static HARNESS_CLAIMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread is the harness thread, decided at its first
+    /// allocation. `const`-initialized and drop-free, so reading it
+    /// inside the allocator never allocates.
+    static IS_HARNESS: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Whether the calling thread's allocator calls are counted: every
+/// thread's but the harness's. While it waits for the test, the
+/// harness thread allocates now and then, a few hundred bytes inside a
+/// measurement window when the machine is busy, which is not the
+/// engine's doing. The test thread and the engine's search workers
+/// stay counted.
+fn counted() -> bool {
+    IS_HARNESS
+        .try_with(|role| {
+            let harness = role.get().unwrap_or_else(|| {
+                let first = !HARNESS_CLAIMED.swap(true, Ordering::Relaxed);
+                role.set(Some(first));
+                first
+            });
+            !harness
+        })
+        .unwrap_or(true)
+}
+
 // SAFETY: defers to the system allocator; the counters are side-effect
 // bookkeeping only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        NET_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        if counted() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            NET_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        }
+        // SAFETY: caller upholds GlobalAlloc's contract; pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        NET_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        if counted() {
+            NET_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        }
         // SAFETY: caller upholds GlobalAlloc's contract; pass through.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        NET_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        if counted() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            NET_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        }
         // SAFETY: caller upholds GlobalAlloc's contract; pass through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -72,6 +111,12 @@ fn bench_shape() -> SyntheticConfig {
 
 #[test]
 fn warm_engine_reuses_buffers_instead_of_allocating() {
+    // The measuring thread itself must be counted, or every window
+    // below would trivially read zero.
+    let before = allocations();
+    drop(std::hint::black_box(Box::new(0u64)));
+    assert_eq!(allocations() - before, 1, "the test thread's allocations are counted");
+
     let s = generate_synthetic(&bench_shape());
     let mut engine =
         SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap().with_aliases(s.aliases);

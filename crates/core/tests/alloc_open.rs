@@ -7,22 +7,54 @@
 //!
 //! Kept as a single `#[test]` in its own binary so this file's global
 //! counting allocator sees no sibling-test noise while a measurement
-//! window is open (same discipline as `tests/alloc.rs`).
+//! window is open, and the harness's own thread is not counted (same
+//! discipline as `tests/alloc.rs`).
 
 use cla_core::{SearchEngine, SearchOptions};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Set by the first thread that allocates: the test harness's main
+/// thread, which runs before it spawns the thread the test runs on.
+static HARNESS_CLAIMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Whether this thread is the harness thread, decided at its first
+    /// allocation. `const`-initialized and drop-free, so reading it
+    /// inside the allocator never allocates.
+    static IS_HARNESS: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Whether the calling thread's allocations are counted: every
+/// thread's but the harness's, which allocates now and then while it
+/// waits for the test.
+fn counted() -> bool {
+    IS_HARNESS
+        .try_with(|role| {
+            let harness = role.get().unwrap_or_else(|| {
+                let first = !HARNESS_CLAIMED.swap(true, Ordering::Relaxed);
+                role.set(Some(first));
+                first
+            });
+            !harness
+        })
+        .unwrap_or(true)
+}
+
 // SAFETY: defers to the system allocator; the counter is side-effect
 // bookkeeping only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: caller upholds GlobalAlloc's contract; pass through.
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +64,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: caller upholds GlobalAlloc's contract; pass through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -62,6 +96,12 @@ fn shape(departments: usize) -> SyntheticConfig {
 
 #[test]
 fn open_and_first_search_allocate_constant_count_in_db_size() {
+    // The measuring thread itself must be counted, or the windows below
+    // would trivially read zero.
+    let before = allocations();
+    drop(std::hint::black_box(Box::new(0u64)));
+    assert_eq!(allocations() - before, 1, "the test thread's allocations are counted");
+
     // 8× apart in size: an O(rows) or O(terms) allocation loop anywhere
     // on the open path would separate the two counts by thousands.
     let sizes = [8usize, 64];

@@ -9,15 +9,19 @@
 //! * Readers never observe `StaleEngine` or a half-applied batch — a
 //!   pinned [`EngineSnapshot`](cla_core::EngineSnapshot) is always a
 //!   complete published generation.
-//! * Buffer recycling in the writer (retired snapshots reclaimed and
-//!   caught up by patch replay) never mutates a generation a reader
-//!   still pins: a snapshot pinned early stays byte-stable across
-//!   every later publish and compaction.
+//! * Buffer recycling in the writer (the previous generation
+//!   reclaimed when unpinned and brought up to date by replaying one
+//!   batch) never mutates a generation a reader still pins: a snapshot
+//!   pinned early stays byte-stable across every later publish and
+//!   compaction.
+//! * A recycled buffer carries the current generation's aliases, so an
+//!   alias edit published after a handle escaped survives later
+//!   applies.
 //! * All of it holds across `compact()`, which renumbers ids — readers
 //!   pinned to pre-compaction generations keep answering in the old id
 //!   space, consistently.
 //! * Once its readers let go, a generation is freed: neither the
-//!   writer's retired list nor the handle's publication cell keeps it
+//!   writer's spare buffer nor the handle's publication cell keeps it
 //!   alive.
 
 use cla_core::failpoints;
@@ -311,18 +315,16 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
     }
 }
 
-/// A reader pin held across *many more* publishes than the writer's
-/// replay-history window (`MAX_HISTORY` = 32 generations) must stay
-/// byte-stable while the writer silently gives up recycling the parked
-/// buffer — the regression pinned here is the unbounded-history
-/// pathology: a long-held pin used to anchor the replay log's floor at
-/// its own generation, so the log grew with every publish and every
-/// buffer catch-up scanned all of it (publish latency degraded ~5×
-/// after 20k churn rounds). The latest generation must also keep
-/// answering exactly like a from-scratch rebuild, proving the dropped
-/// candidate never leaked into the recycling path. Finally, once the
-/// readers let go, neither the writer's retired list nor the handle's
-/// cell may keep an unpinned generation alive.
+/// A reader pin held across many publishes must stay byte-stable
+/// while the writer gives up recycling the pinned buffer: the first
+/// build that finds it pinned drops it from the spare slot and clones
+/// instead, so the writer keeps no replay state for a parked reader
+/// (an older design kept a replay log anchored at the pin, which grew
+/// with every publish). The latest generation must also keep answering
+/// exactly like a from-scratch rebuild, proving the dropped buffer
+/// never leaked into the recycling path. Finally, once the readers let
+/// go, neither the writer's spare nor the handle's cell may keep an
+/// unpinned generation alive.
 #[test]
 fn long_pinned_reader_outlives_the_recycling_window() {
     let schema = generate_synthetic(&small_config(9));
@@ -361,8 +363,8 @@ fn long_pinned_reader_outlives_the_recycling_window() {
 
     let pinned = engine.snapshots().latest();
     let before = observe_snapshot(&pinned);
-    // 3× the history window of single-tuple publishes, all while the
-    // gen-0 pin blocks that buffer's reclamation.
+    // 192 single-tuple publishes, all while the gen-0 pin blocks that
+    // buffer's reclamation.
     churn(&mut engine, 0..96);
     assert_eq!(engine.generation(), 192);
     assert_eq!(pinned.generation(), 0);
@@ -375,7 +377,7 @@ fn long_pinned_reader_outlives_the_recycling_window() {
     assert_eq!(
         observe_snapshot(&engine.snapshot()),
         observe_snapshot(&rebuilt.snapshot()),
-        "recycled buffers past the history cap must still equal a rebuild"
+        "recycled buffers past a parked pin must still equal a rebuild"
     );
 
     // Drop the gen-0 pin and a fresh pin of the latest generation, then
@@ -388,6 +390,61 @@ fn long_pinned_reader_outlives_the_recycling_window() {
         unpinned.iter().all(|w| w.upgrade().is_none()),
         "an unpinned generation outlived its readers"
     );
+}
+
+/// `with_aliases` after a handle escaped publishes a generation whose
+/// only change is the alias table. No mutation batch carries aliases,
+/// so every later apply must keep that table — for the façade and for
+/// readers — whether it builds from a recycled buffer or a clone.
+#[test]
+fn aliases_set_after_a_handle_escaped_survive_later_applies() {
+    let schema = generate_synthetic(&small_config(5));
+    let engine = SearchEngine::new(
+        schema.db.clone(),
+        schema.er_schema.clone(),
+        schema.mapping.clone(),
+    )
+    .unwrap()
+    .with_aliases(schema.aliases.clone());
+    let handle = engine.snapshots();
+    let renamed: HashMap<TupleId, String> =
+        schema.aliases.iter().map(|(t, alias)| (*t, format!("{alias}_renamed"))).collect();
+    assert!(!renamed.is_empty());
+    let mut engine = engine.with_aliases(renamed.clone());
+
+    let emp = engine.db().catalog().relation_id("EMPLOYEE").unwrap();
+    let dept = engine.db().catalog().relation_id("DEPARTMENT").unwrap();
+    let d: String = engine
+        .db()
+        .tuples(dept)
+        .next()
+        .and_then(|(_, t)| t.get(0).and_then(Value::as_text).map(str::to_owned))
+        .unwrap();
+    for round in 0..4 {
+        engine
+            .writer_mut()
+            .insert(
+                emp,
+                vec![
+                    format!("ar{round}").into(),
+                    "Smith".into(),
+                    "Alan".into(),
+                    d.as_str().into(),
+                ],
+            )
+            .unwrap();
+        let _ = engine.apply().unwrap();
+        assert_eq!(
+            engine.aliases(),
+            &renamed,
+            "round {round}: the engine's aliases reverted"
+        );
+        assert_eq!(
+            handle.latest().aliases(),
+            &renamed,
+            "round {round}: the published aliases reverted"
+        );
+    }
 }
 
 #[test]

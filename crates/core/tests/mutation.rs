@@ -373,7 +373,9 @@ proptest! {
     /// (fires after the index patch) or a genuinely dangling
     /// reference in the batch — leaves `search()` answering identically
     /// to pre-mutation for every query and algorithm, with the engine
-    /// fresh and immediately usable for a corrected batch.
+    /// fresh and immediately usable for a corrected batch. The failure
+    /// follows 1–3 successful applies, so it drops a recycled buffer;
+    /// the recovery apply then builds from a clone.
     #[test]
     fn failed_apply_serves_pre_mutation_answers(seed in 0u64..500) {
         // The failpoint registry is process-global; the exclusive guard
@@ -414,6 +416,14 @@ proptest! {
             }
             out
         };
+        // 1–3 successful batches first, so the failing apply below
+        // builds on the writer's recycled spare buffer, not a clone.
+        for _ in 0..rng.random_range(1..4usize) {
+            for _ in 0..rng.random_range(1..4usize) {
+                mutator.random_op(engine.writer_mut(), &mut rng);
+            }
+            let _ = engine.apply().unwrap();
+        }
         let before = snapshot(&engine);
 
         // A batch of otherwise-good mutations…

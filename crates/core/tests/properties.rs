@@ -931,6 +931,42 @@ fn banks_reference_dedup_fires_on_small_config() {
     assert!(dropped > 0, "the reference must drop duplicate node sets on this fixture");
 }
 
+/// DISCOVER's branching answer trees come out in one order: two engines
+/// over the same database return the same trees (nodes, edges, weight)
+/// in the same sequence, whatever order their keyword hash sets iterate
+/// in.
+#[test]
+fn discover_trees_come_out_in_one_order() {
+    let opts = SearchOptions {
+        algorithm: Algorithm::Discover,
+        max_rdb_length: 4,
+        threads: 1,
+        k: None,
+        ..Default::default()
+    };
+    let mut multi_tree_seeds = 0;
+    for seed in 0..200 {
+        let s = generate_synthetic(&small_config(seed));
+        let trees = || {
+            let engine =
+                SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
+                    .unwrap();
+            let results = engine.search("xml smith alice", &opts).unwrap();
+            results
+                .trees
+                .iter()
+                .map(|t| (t.nodes.clone(), t.edges.clone(), t.weight))
+                .collect::<Vec<_>>()
+        };
+        let first = trees();
+        if first.len() >= 2 {
+            multi_tree_seeds += 1;
+        }
+        assert_eq!(first, trees(), "seed {seed}: tree order differs between engines");
+    }
+    assert!(multi_tree_seeds > 0, "the fixture must produce several trees for some seed");
+}
+
 /// `k: None` means *unbounded*: on a graph with more than 100 candidate
 /// answer trees BANKS returns them all — the seed's silent
 /// `unwrap_or(100)` cap is gone.

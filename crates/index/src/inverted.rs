@@ -11,7 +11,7 @@
 //! mirroring the CSR adjacency's deferred-compaction design.
 
 use crate::tokenize::Tokenizer;
-use cla_relational::{ChangeOp, ChangeSet, Database, RelationId, TupleId, Value};
+use cla_relational::{ChangeSet, Database, RelationId, TupleId, Value};
 use cla_storage::{ByteReader, ByteWriter, SharedBytes, StorageError, StrArena};
 use std::collections::HashMap;
 
@@ -24,40 +24,6 @@ pub struct Posting {
     pub attribute: usize,
     /// Number of occurrences of the term in that attribute value.
     pub frequency: u32,
-}
-
-/// One inverse operation of the [`IndexUndo`] log, recorded **per
-/// posting** as the patch mutates it.
-#[derive(Debug, Clone)]
-enum UndoOp {
-    /// The patch inserted this posting; undo removes it (dropping the
-    /// term entirely when its list drains, like a fresh build).
-    Inserted { term: String, tuple: TupleId, attribute: usize },
-    /// The patch removed this posting; undo re-inserts it at its
-    /// sorted slot (recreating the term when it was dropped).
-    Removed { term: String, posting: Posting },
-    /// The patch adjusted this posting's frequency in place; undo
-    /// restores the prior value.
-    Frequency { term: String, tuple: TupleId, attribute: usize, old: u32 },
-}
-
-/// Undo log of one [`InvertedIndex::apply_logged`] batch: the exact
-/// inverse of every **posting-level** edit the patch performed, plus
-/// the prior tuple counter. Feed it back to [`InvertedIndex::undo`]
-/// (which replays the inverses in reverse order) to restore the
-/// pre-apply state exactly.
-///
-/// Per-posting entries replace the earlier per-*list* snapshots: a
-/// batch touching one tuple of a high-frequency term used to clone the
-/// term's whole posting list up front; now it logs one entry per
-/// posting actually edited, shrinking the atomicity overhead of
-/// `SearchEngine::apply` on churn-heavy workloads (measured in
-/// EXPERIMENTS.md B9) and making undo cost proportional to the batch,
-/// not to the popularity of the terms it touches.
-#[derive(Debug)]
-pub struct IndexUndo {
-    ops: Vec<UndoOp>,
-    tuples: usize,
 }
 
 /// Term → postings index over every text attribute of a database.
@@ -121,7 +87,7 @@ impl InvertedIndex {
                 continue;
             }
             for (id, tuple) in db.tuples(rel) {
-                index.index_tuple(id, tuple.values(), &text_attrs, None);
+                index.index_tuple(id, tuple.values(), &text_attrs);
             }
         }
         index.compact();
@@ -315,27 +281,13 @@ impl InvertedIndex {
 
     /// Add one tuple's postings, keeping every touched list sorted by
     /// `(tuple, attribute)` (insert position found by binary search).
-    /// With `log` set, every inserted posting records its inverse.
-    fn index_tuple(
-        &mut self,
-        id: TupleId,
-        values: &[Value],
-        text_attrs: &[usize],
-        mut log: Option<&mut Vec<UndoOp>>,
-    ) {
+    fn index_tuple(&mut self, id: TupleId, values: &[Value], text_attrs: &[usize]) {
         self.indexed_tuples += 1;
         for &attr in text_attrs {
             let Some(value) = values.get(attr).and_then(Value::as_text) else {
                 continue;
             };
             for (term, frequency) in self.terms_of(value) {
-                if let Some(log) = log.as_deref_mut() {
-                    log.push(UndoOp::Inserted {
-                        term: term.clone(),
-                        tuple: id,
-                        attribute: attr,
-                    });
-                }
                 self.insert_posting(&term, Posting { tuple: id, attribute: attr, frequency });
             }
         }
@@ -354,7 +306,6 @@ impl InvertedIndex {
         old_values: &[Value],
         new_values: &[Value],
         text_attrs: &[usize],
-        mut log: Option<&mut Vec<UndoOp>>,
     ) {
         for &attr in text_attrs {
             let old_text = old_values.get(attr).and_then(Value::as_text);
@@ -372,40 +323,20 @@ impl InvertedIndex {
                     debug_assert!(false, "updating a term that was never indexed");
                     continue;
                 }
-                if let Some(removed) = self.remove_posting(term, id, attr) {
-                    if let Some(log) = log.as_deref_mut() {
-                        log.push(UndoOp::Removed { term: term.clone(), posting: removed });
-                    }
-                }
+                self.remove_posting(term, id, attr);
             }
             for (term, &frequency) in &new_terms {
                 match old_terms.get(term) {
                     None => {
-                        if let Some(log) = log.as_deref_mut() {
-                            log.push(UndoOp::Inserted {
-                                term: term.clone(),
-                                tuple: id,
-                                attribute: attr,
-                            });
-                        }
                         self.insert_posting(
                             term,
                             Posting { tuple: id, attribute: attr, frequency },
                         );
                     }
                     Some(&old_frequency) if old_frequency != frequency => {
-                        let old = self
-                            .set_frequency(term, id, attr, frequency)
+                        self.set_frequency(term, id, attr, frequency)
                             // lint: allow(unwrap, the tuple was indexed under this term)
                             .expect("surviving term has this tuple's posting");
-                        if let Some(log) = log.as_deref_mut() {
-                            log.push(UndoOp::Frequency {
-                                term: term.clone(),
-                                tuple: id,
-                                attribute: attr,
-                                old,
-                            });
-                        }
                     }
                     Some(_) => {} // same term, same frequency: untouched
                 }
@@ -417,13 +348,7 @@ impl InvertedIndex {
     /// snapshot `values` (the tuple itself may already be gone from the
     /// database). Terms whose lists drain are dropped entirely so the
     /// patched index is structurally identical to a fresh build.
-    fn unindex_tuple(
-        &mut self,
-        id: TupleId,
-        values: &[Value],
-        text_attrs: &[usize],
-        mut log: Option<&mut Vec<UndoOp>>,
-    ) {
+    fn unindex_tuple(&mut self, id: TupleId, values: &[Value], text_attrs: &[usize]) {
         self.indexed_tuples -= 1;
         for &attr in text_attrs {
             let Some(value) = values.get(attr).and_then(Value::as_text) else {
@@ -434,11 +359,7 @@ impl InvertedIndex {
                     debug_assert!(false, "unindexing a term that was never indexed");
                     continue;
                 }
-                if let Some(removed) = self.remove_posting(&term, id, attr) {
-                    if let Some(log) = log.as_deref_mut() {
-                        log.push(UndoOp::Removed { term, posting: removed });
-                    }
-                }
+                self.remove_posting(&term, id, attr);
             }
         }
     }
@@ -460,20 +381,7 @@ impl InvertedIndex {
     /// df/idf statistics rest on), identical
     /// [`InvertedIndex::indexed_tuples`].
     pub fn apply(&mut self, db: &Database, changes: &ChangeSet) {
-        self.apply_net(db, &changes.net_ops(), None);
-    }
-
-    /// The patch kernel over an already-computed net-op list, shared by
-    /// [`InvertedIndex::apply`] and [`InvertedIndex::apply_logged`]
-    /// (the latter passes the undo log the kernel records inverses
-    /// into as it mutates).
-    fn apply_net(
-        &mut self,
-        db: &Database,
-        net_ops: &[&ChangeOp],
-        mut log: Option<&mut Vec<UndoOp>>,
-    ) {
-        for op in net_ops {
+        for op in changes.net_ops() {
             let change = op.change();
             let Some(schema) = db.catalog().relation(change.id.relation) else {
                 debug_assert!(false, "change for unknown relation {}", change.id.relation);
@@ -484,85 +392,14 @@ impl InvertedIndex {
                 continue; // relation contributes nothing to the index
             }
             if let Some((old, new)) = op.update_sides() {
-                self.update_tuple(
-                    change.id,
-                    &old.values,
-                    &new.values,
-                    &text_attrs,
-                    log.as_deref_mut(),
-                );
+                self.update_tuple(change.id, &old.values, &new.values, &text_attrs);
             } else if op.is_insert() {
-                self.index_tuple(change.id, &change.values, &text_attrs, log.as_deref_mut());
+                self.index_tuple(change.id, &change.values, &text_attrs);
             } else {
-                self.unindex_tuple(
-                    change.id,
-                    &change.values,
-                    &text_attrs,
-                    log.as_deref_mut(),
-                );
+                self.unindex_tuple(change.id, &change.values, &text_attrs);
             }
         }
         debug_assert!(self.posting_order_ok(), "apply must preserve posting order");
-    }
-
-    /// [`InvertedIndex::apply`] with an **undo log**: the returned
-    /// [`IndexUndo`] records the inverse of every posting-level edit
-    /// the batch performs (plus the prior tuple counter), so a caller
-    /// whose multi-structure apply fails elsewhere can roll this index
-    /// back to the pre-apply state with [`InvertedIndex::undo`]. No
-    /// snapshot pre-pass and no posting-list clones: logging costs one
-    /// entry per posting actually edited, independent of how long the
-    /// touched terms' lists are.
-    pub fn apply_logged(&mut self, db: &Database, changes: &ChangeSet) -> IndexUndo {
-        let tuples = self.indexed_tuples;
-        let mut ops = Vec::new();
-        self.apply_net(db, &changes.net_ops(), Some(&mut ops));
-        IndexUndo { ops, tuples }
-    }
-
-    /// Roll the index back to the state [`InvertedIndex::apply_logged`]
-    /// captured, replaying the per-posting inverses in reverse order —
-    /// the rollback half of an atomic multi-structure apply.
-    pub fn undo(&mut self, undo: IndexUndo) {
-        for op in undo.ops.into_iter().rev() {
-            match op {
-                UndoOp::Inserted { term, tuple, attribute } => {
-                    if !self.knows_term(&term) {
-                        debug_assert!(false, "undoing an insert into a missing term");
-                        continue;
-                    }
-                    self.remove_posting(&term, tuple, attribute);
-                }
-                UndoOp::Removed { term, posting } => {
-                    self.pending_edits += 1;
-                    let list = self.overlay_entry(&term);
-                    let was_empty = list.is_empty();
-                    match list
-                        .binary_search_by_key(&(posting.tuple, posting.attribute), |p| {
-                            (p.tuple, p.attribute)
-                        }) {
-                        Ok(_) => {
-                            debug_assert!(false, "undoing a removal that never happened")
-                        }
-                        Err(pos) => {
-                            list.insert(pos, posting);
-                            if was_empty {
-                                self.live_terms += 1;
-                            }
-                        }
-                    }
-                }
-                UndoOp::Frequency { term, tuple, attribute, old } => {
-                    if !self.knows_term(&term) {
-                        debug_assert!(false, "undoing a frequency edit of a missing term");
-                        continue;
-                    }
-                    self.set_frequency(&term, tuple, attribute, old);
-                }
-            }
-        }
-        self.indexed_tuples = undo.tuples;
-        debug_assert!(self.posting_order_ok(), "undo must restore posting order");
     }
 
     /// The posting-order invariant, stated explicitly: every posting list
@@ -1307,39 +1144,6 @@ mod tests {
         assert!(!idx.matching_tuples("smith").contains(&e1));
         assert_eq!(idx.frequency_in("xml", d1), 3);
         assert!(idx.matching_tuples("databases").is_empty());
-    }
-
-    #[test]
-    fn apply_logged_undo_restores_pre_apply_state() {
-        let mut database = db();
-        database.take_changes();
-        let mut idx = InvertedIndex::build(&database);
-        let before: Vec<(String, Vec<Posting>)> = {
-            let mut v: Vec<_> =
-                idx.terms().map(|(t, l)| (t.to_owned(), l.to_vec())).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-
-        let emp = database.catalog().relation_id("EMPLOYEE").unwrap();
-        let e1 = database.lookup_pk(emp, &[Value::from("e1")]).unwrap();
-        database.insert(emp, vec!["e3".into(), "Turing".into(), "Alan".into()]).unwrap();
-        database.update(e1, vec!["e1".into(), "Miller".into(), "John".into()]).unwrap();
-        let e2 = database.lookup_pk(emp, &[Value::from("e2")]).unwrap();
-        database.delete(e2).unwrap();
-        let changes = database.take_changes();
-
-        let undo = idx.apply_logged(&database, &changes);
-        assert!(idx.matching_tuples("turing").len() == 1, "apply took effect");
-        idx.undo(undo);
-        let after: Vec<(String, Vec<Posting>)> = {
-            let mut v: Vec<_> =
-                idx.terms().map(|(t, l)| (t.to_owned(), l.to_vec())).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        assert_eq!(before, after, "undo must restore every posting list");
-        assert_eq!(idx.indexed_tuples(), 4);
     }
 
     #[test]

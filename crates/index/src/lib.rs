@@ -45,7 +45,7 @@ mod query;
 mod score;
 mod tokenize;
 
-pub use inverted::{IndexUndo, InvertedIndex, Posting};
+pub use inverted::{InvertedIndex, Posting};
 pub use query::{KeywordQuery, MatchSemantics};
 pub use score::{idf, tf, tuple_score};
 pub use tokenize::Tokenizer;

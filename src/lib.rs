@@ -70,8 +70,9 @@
 //!   owned current generation only. Writes remain single-writer:
 //!   `EngineWriter`'s typed `insert`/`update`/`delete` ops are the only
 //!   mutation path (a refused op stages nothing), and a publish
-//!   recycles retired snapshot buffers by patch replay instead of
-//!   deep-cloning the engine (pinned in
+//!   recycles the previous generation's buffer by replaying the one
+//!   batch it missed, deep-cloning the engine only while a reader
+//!   still pins that buffer (pinned in
 //!   `crates/core/tests/{concurrent,alloc}.rs`; demonstrated in
 //!   `examples/concurrent_serving.rs`).
 //! * **Cold-startable from disk, zero-copy** — `core::SearchEngine::save`
