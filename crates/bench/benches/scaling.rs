@@ -91,16 +91,17 @@ fn parallel_and_topk(c: &mut Criterion) {
 /// `apply_single_tuple/` measures one complete churn round trip through
 /// the mutation subsystem: insert a dependent + `SearchEngine::apply`,
 /// then delete it + `apply` again — i.e. **two** single-tuple applies
-/// per iteration, postings patched in place, adjacency through the CSR
-/// overlay, deferred compaction included whenever its threshold trips.
-/// The pre-PR-3 baseline for the same round trip is rebuilding the
-/// derived structures from scratch: `rebuild_index_graph/` times one
-/// index + data-graph construction (the two structures `apply` patches)
-/// and `rebuild_engine/` the full `SearchEngine::new` including
-/// referential validation. The acceptance claim is
-/// `apply_single_tuple ≤ rebuild_index_graph / 10` at dept16 and above
-/// (and the gap widens with scale: apply cost is per-tuple, rebuild cost
-/// is per-database).
+/// per iteration, each copying the current generation, merging the
+/// batch's postings into new index arrays, editing the graph and
+/// rebuilding its CSR. The baseline for the same round trip is
+/// rebuilding the derived structures from the database:
+/// `rebuild_index_graph/` times one index + data-graph construction
+/// (the two structures `apply` derives) and `rebuild_engine/` the full
+/// `SearchEngine::new` including referential validation. The
+/// acceptance claim is `apply_single_tuple ≤ rebuild_index_graph / 10`
+/// at dept16 and dept32. Both sides grow with the database: an apply
+/// copies flat arrays (tombstoned slots included), a rebuild re-reads
+/// and re-tokenizes every tuple.
 ///
 /// `apply_employee_restrict/` deletes from an FK-*targeted* relation,
 /// paying the restrict check. Since PR 4 that check is one probe of the
@@ -113,7 +114,7 @@ fn parallel_and_topk(c: &mut Criterion) {
 /// `update` + apply round trip: a text-only value change
 /// (postings diffed, zero edge churn, zero tombstones — no periodic
 /// rebuild needed) and an FK re-point (one edge removed + one added
-/// through the CSR overlay per iteration).
+/// per iteration).
 ///
 /// Slots are tombstoned by insert/delete churn, so those arms rebuild
 /// their engine every 4096 iterations, bounding churn bloat at ~4k
@@ -216,8 +217,7 @@ fn update_maintenance(c: &mut Criterion) {
         });
 
         // In-place update, FK re-point: alternate a dependent between
-        // two employees — one edge removed + one added per apply, via
-        // the CSR overlay (deferred compaction trips as it fills).
+        // two employees — one edge removed + one added per apply.
         let mut engine4 = synthetic_engine(departments, SEED);
         let dep_id4 = engine4.db().tuples(dep).next().map(|(id, _)| id).expect("dependents");
         let essns: Vec<String> = engine4
@@ -529,10 +529,9 @@ fn budget_overhead(c: &mut Criterion) {
 /// apply, i.e. two publishes per iteration — but in the worst serving
 /// posture: a live [`SnapshotHandle`](cla_core::SnapshotHandle) makes
 /// every publish go through the shared publication cell, and one
-/// reader keeps a generation pinned the whole time, so the writer can
-/// never recycle that buffer: it clones once when the pinned
-/// generation is its spare, then alternates two unpinned buffers.
-/// The acceptance claim is `publish_single_tuple ≤ apply_single_tuple
+/// reader keeps a generation pinned the whole time, which the writer
+/// must leave untouched while it copies the latest generation for
+/// every build. The acceptance claim is `publish_single_tuple ≤ apply_single_tuple
 /// · 2` at dept16 (i.e. snapshot publication costs at most one extra
 /// apply's worth over the façade-only path), with `full_rebuild/` —
 /// the `SearchEngine::new` a per-mutation rebuild would pay — as the

@@ -13,13 +13,6 @@ use cla_relational::{ChangeSet, Database, RelationId, TupleId, TupleRemap};
 use cla_storage::{ByteReader, ByteWriter, SharedBytes, StorageError};
 use std::collections::{HashMap, HashSet};
 
-/// Pending CSR edge edits tolerated before [`DataGraph::apply`] folds
-/// the patch overlay back into flat arrays (see
-/// [`CsrAdjacency::compact`]). Small enough that the overlay hash probe
-/// stays rare on the traversal hot path, large enough that a burst of
-/// single-tuple updates pays for one `O(V + E)` repack instead of many.
-const CSR_COMPACT_THRESHOLD: usize = 128;
-
 /// Edge payload: which foreign key produced the edge, and its conceptual
 /// role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,9 +27,11 @@ pub struct EdgeAnnotation {
 #[derive(Debug, Clone)]
 pub struct DataGraph {
     graph: Graph<TupleId, EdgeAnnotation>,
-    /// Flat undirected adjacency, built once — every traversal-heavy
-    /// algorithm (path enumeration, BFS frontiers, BANKS expansion,
-    /// MTJNT growth) walks this instead of the nested edge lists.
+    /// Flat undirected adjacency: the arrays [`CsrAdjacency::build`]
+    /// writes over `graph` (after an open, the arrays the image stored)
+    /// — every traversal-heavy algorithm (path enumeration, BFS
+    /// frontiers, BANKS expansion, MTJNT growth) walks this instead of
+    /// the nested edge lists.
     csr: CsrAdjacency,
     /// Tuple → node lookup: owned hash map on built graphs, a borrowed
     /// image view straight after decode (promoted by the first patch).
@@ -134,11 +129,9 @@ impl NodeIndex {
 
 /// One resolved, pre-validated graph mutation — the output of
 /// [`DataGraph::plan`]. Everything fallible (FK target resolution,
-/// mapping roles, tuple existence) happened at plan time; targets are
-/// addressed by [`TupleId`], which is stable across every graph of the
-/// same mutation lineage, so one plan can be executed against any
-/// snapshot buffer sharing that lineage (the writer's replay path).
-#[derive(Debug, Clone)]
+/// mapping roles, tuple existence) happened at plan time, so executing
+/// it cannot fail.
+#[derive(Debug)]
 enum PlanOp {
     Insert {
         id: TupleId,
@@ -157,11 +150,10 @@ enum PlanOp {
 
 /// The resolved execution plan of one mutation batch against one graph
 /// state: every lookup pre-validated, every edge target addressed by
-/// stable [`TupleId`]. Produced by [`DataGraph::plan`] and consumed by
-/// [`DataGraph::execute`]: the writer executes it against its build
-/// buffer and later replays it into its spare buffer.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GraphPatch {
+/// [`TupleId`]. Produced by [`DataGraph::plan`] and consumed by
+/// [`DataGraph::execute`].
+#[derive(Debug)]
+struct GraphPatch {
     ops: Vec<PlanOp>,
 }
 
@@ -238,11 +230,10 @@ impl DataGraph {
     }
 
     /// Patch the graph in place with a batch of database mutations,
-    /// instead of rebuilding node maps, adjacency and CSR from scratch.
+    /// instead of rebuilding node maps and adjacency from scratch.
     ///
     /// * **Deletes** detach the tuple's node: every incident edge is
-    ///   removed from the graph and from the CSR (through its patch
-    ///   overlay), and the node is tombstoned. Incoming references
+    ///   removed, and the node is tombstoned. Incoming references
     ///   cannot exist at delete time — the database enforces restrict
     ///   semantics — so a deleted node's incident edges are exactly its
     ///   own resolved references plus references from tuples deleted or
@@ -262,13 +253,11 @@ impl DataGraph {
     /// The apply is **atomic**: every fallible lookup (dangling
     /// references, missing mapping roles, unknown tuples) happens in a
     /// mutation-free plan stage, so an error leaves the graph exactly as
-    /// it was — the engine's atomic apply rests on this contract.
+    /// it was.
     ///
-    /// The CSR absorbs edits through its sparse overlay; once the edits
-    /// pending since the last fold exceed a threshold, the overlay is
-    /// compacted back into flat arrays (`O(V + E)`, amortized over many
-    /// updates — the *deferred rebuild*). Traversals are oblivious:
-    /// [`CsrAdjacency::neighbors`] consults the overlay transparently.
+    /// A batch that changes anything ends with a fresh
+    /// [`CsrAdjacency::build`] over the edited graph (`O(V + E)`), so
+    /// the CSR is always the flat form of the graph.
     ///
     /// Returns the ids of the edges added, so callers maintaining
     /// edge-indexed side tables (the engine's cardinality table) can
@@ -285,9 +274,9 @@ impl DataGraph {
 
     /// The fallible, mutation-free half of [`DataGraph::apply`]: net the
     /// batch, validate every lookup, and resolve each op's edges into a
-    /// [`GraphPatch`] of stable tuple ids. An error leaves the graph
-    /// exactly as it was (nothing was mutated).
-    pub(crate) fn plan(
+    /// [`GraphPatch`] of tuple ids. An error leaves the graph exactly as
+    /// it was (nothing was mutated).
+    fn plan(
         &self,
         db: &Database,
         mapping: &SchemaMapping,
@@ -333,20 +322,16 @@ impl DataGraph {
     }
 
     /// The infallible execution half of [`DataGraph::apply`] — every
-    /// lookup was pre-validated by [`DataGraph::plan`]. The patch is
-    /// addressed by tuple id, so it may be executed against any graph
-    /// of the same mutation lineage (identical tuple content at the
-    /// patch's base generation); node numbering is deterministic within
-    /// a lineage, which is what keeps replayed snapshot buffers
-    /// byte-identical to the originally published ones. Returns the
-    /// added edge ids for edge-indexed side tables.
-    pub(crate) fn execute(&mut self, patch: &GraphPatch) -> Vec<EdgeId> {
+    /// lookup was pre-validated by [`DataGraph::plan`]. Returns the added
+    /// edge ids for edge-indexed side tables.
+    fn execute(&mut self, patch: &GraphPatch) -> Vec<EdgeId> {
         let plan = &patch.ops;
+        if plan.is_empty() {
+            return Vec::new();
+        }
         // First mutation after a zero-copy open: promote the image-backed
         // tuple→node view to an owned map before any structural edit.
-        if !plan.is_empty() {
-            self.node_of.promote();
-        }
+        self.node_of.promote();
         // Phase 1: create every inserted tuple's node before wiring any
         // edges, so an insert may reference a tuple inserted *later* in
         // the same batch (references are validated lazily — batches can
@@ -357,8 +342,6 @@ impl DataGraph {
         for op in plan {
             if let PlanOp::Insert { id, middle, .. } = op {
                 let n = self.graph.add_node(*id);
-                let csr_n = self.csr.push_node();
-                debug_assert_eq!(n, csr_n, "graph and CSR slots advance in lockstep");
                 self.node_of.insert(*id, n);
                 self.middle.push(*middle);
             }
@@ -371,66 +354,23 @@ impl DataGraph {
         // to add; it *does* detach old edges that phase 4 updates would
         // otherwise remove, which the per-fk diff there tolerates.
         for op in plan {
-            let PlanOp::Delete { id } = op else {
-                continue;
-            };
-            let n = self.node_of_existing(*id);
-            let incident = self.csr.neighbors(n).to_vec();
-            for &(m, e) in &incident {
-                self.graph.remove_edge(e);
-                if m != n {
-                    let adj_m: Vec<_> = self
-                        .csr
-                        .neighbors(m)
-                        .iter()
-                        .copied()
-                        .filter(|&(_, me)| me != e)
-                        .collect();
-                    self.csr.patch(m, adj_m, 1);
-                }
+            if let PlanOp::Delete { id } = op {
+                self.graph.remove_node(self.node_of_existing(*id));
+                self.node_of.remove(id);
             }
-            self.csr.patch(n, Vec::new(), incident.len());
-            self.graph.remove_node(n);
-            self.node_of.remove(id);
         }
-        // Phase 3: wire insert edges — each inserted node's own
-        // out-edges first (3a), every in-edge appended afterwards (3b),
-        // preserving a rebuilt CSR's per-node out-before-in layout even
-        // when a batch references a node inserted later in it. (Relative
-        // order *among* a pre-existing node's appended in-edges follows
-        // batch op order rather than the rebuild's relation-iteration
-        // order; every order-sensitive consumer therefore keys on graph
-        // content — tuple ids — not on adjacency position.)
+        // Phase 3: wire insert edges, in batch op order.
         let mut added_edges = Vec::new();
-        let mut in_patches: Vec<(NodeId, NodeId, EdgeId)> = Vec::new();
         for op in plan {
             let PlanOp::Insert { id, edges, .. } = op else {
                 continue;
             };
             let n = self.node_of_existing(*id);
-            let mut adj_n = self.csr.neighbors(n).to_vec();
-            let before = adj_n.len();
             for &(fk_index, target, role) in edges {
                 let to = self.node_of_existing(target);
                 let e = self.graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
                 added_edges.push(e);
-                adj_n.push((to, e));
-                if to != n {
-                    in_patches.push((to, n, e));
-                } else {
-                    // A self-loop appears once in the CSR (matching
-                    // `incident_edges`), as the out-entry just pushed.
-                }
             }
-            let edits = adj_n.len() - before;
-            if edits > 0 {
-                self.csr.patch(n, adj_n, edits);
-            }
-        }
-        for (to, n, e) in in_patches {
-            let mut adj_to = self.csr.neighbors(to).to_vec();
-            adj_to.push((n, e));
-            self.csr.patch(to, adj_to, 1);
         }
         // Phase 4: rewire updates as per-fk diffs against the live
         // graph. The graph is final-state for everything but the
@@ -446,28 +386,13 @@ impl DataGraph {
             let n = self.node_of_existing(*id);
             let old: HashMap<usize, (EdgeId, NodeId)> =
                 self.graph.out_edges(n).map(|e| (e.payload.fk_index, (e.id, e.to))).collect();
-            let mut adj_n = self.csr.neighbors(n).to_vec();
-            let mut edits = 0usize;
             for (&fk_index, &(e, to)) in &old {
                 let kept = edges.iter().any(|&(fk, target, _)| {
                     fk == fk_index && self.node_of_existing(target) == to
                 });
-                if kept {
-                    continue;
+                if !kept {
+                    self.graph.remove_edge(e);
                 }
-                self.graph.remove_edge(e);
-                adj_n.retain(|&(_, ae)| ae != e);
-                if to != n {
-                    let adj_to: Vec<_> = self
-                        .csr
-                        .neighbors(to)
-                        .iter()
-                        .copied()
-                        .filter(|&(_, te)| te != e)
-                        .collect();
-                    self.csr.patch(to, adj_to, 1);
-                }
-                edits += 1;
             }
             for &(fk_index, target, role) in edges {
                 let to = self.node_of_existing(target);
@@ -476,30 +401,10 @@ impl DataGraph {
                 }
                 let e = self.graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
                 added_edges.push(e);
-                adj_n.push((to, e));
-                if to != n {
-                    let mut adj_to = self.csr.neighbors(to).to_vec();
-                    adj_to.push((n, e));
-                    self.csr.patch(to, adj_to, 1);
-                }
-                edits += 1;
-            }
-            if edits > 0 {
-                self.csr.patch(n, adj_n, edits);
             }
         }
-        if self.csr.pending_edits() >= CSR_COMPACT_THRESHOLD {
-            self.csr.compact();
-        }
+        self.csr = CsrAdjacency::build(&self.graph);
         added_edges
-    }
-
-    /// Fold any pending CSR patches into flat arrays now, regardless of
-    /// the deferred-rebuild threshold (adjacency is unchanged; only its
-    /// storage moves). Exposed for tests and benchmarks that want to
-    /// measure or pin down both representations.
-    pub fn compact_csr(&mut self) {
-        self.csr.compact();
     }
 
     /// Reclaim every tombstoned node and edge slot left behind by
@@ -509,7 +414,7 @@ impl DataGraph {
     /// post-compaction [`TupleId`]s (via `remap`, from
     /// [`cla_relational::Database::compact`]), the tuple→node map and
     /// middle flags are rebuilt, and the CSR is rebuilt from the live
-    /// set (dropping its patch overlay and tombstoned slots alike).
+    /// set.
     ///
     /// Returns the edge remap so callers can renumber edge-indexed side
     /// tables (the engine's cardinality table). Afterwards
@@ -536,7 +441,7 @@ impl DataGraph {
             }
         }
         self.middle = middle;
-        self.csr.rebuild(&self.graph);
+        self.csr = CsrAdjacency::build(&self.graph);
         edge_remap
     }
 
@@ -605,26 +510,15 @@ impl DataGraph {
     }
 
     /// Serialize the CSR into one flat snapshot section: the offset
-    /// array and the flat neighbor array, **with any pending patch
-    /// overlay folded in logically** — the section is built per node
-    /// from [`CsrAdjacency::neighbors`] (which consults the overlay), so
-    /// an uncompacted snapshot and its compacted twin encode
-    /// byte-identically and the reopened CSR starts overlay-free.
+    /// array and the flat neighbor array, as they are.
     pub(crate) fn encode_csr(&self) -> Vec<u8> {
-        let mut offsets: Vec<u32> = Vec::with_capacity(self.csr.node_count() + 1);
-        let mut flat: Vec<(NodeId, EdgeId)> = Vec::new();
-        offsets.push(0);
-        for i in 0..self.csr.node_count() {
-            flat.extend_from_slice(self.csr.neighbors(NodeId(i as u32)));
-            offsets.push(flat.len() as u32);
-        }
         let mut w = ByteWriter::new();
-        w.len(offsets.len());
-        for o in offsets {
+        w.len(self.csr.offsets().len());
+        for &o in self.csr.offsets() {
             w.u32(o);
         }
-        w.len(flat.len());
-        for (m, e) in flat {
+        w.len(self.csr.neighbors_flat().len());
+        for &(m, e) in self.csr.neighbors_flat() {
             w.u32(m.0);
             w.u32(e.0);
         }
@@ -783,7 +677,7 @@ impl DataGraph {
         &self.graph
     }
 
-    /// The flat undirected adjacency (built once at construction).
+    /// The flat undirected adjacency.
     pub fn csr(&self) -> &CsrAdjacency {
         &self.csr
     }
@@ -904,18 +798,18 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trips_with_overlay_and_tombstones() {
+    fn encode_decode_round_trips_with_tombstones() {
         let c = company();
         let mut db = c.db.clone();
         let mut dg = DataGraph::build(&db, &c.mapping).unwrap();
         db.take_changes();
-        // Leave both tombstones and a pending CSR overlay behind.
+        // Leave tombstones behind.
         let dep = db.catalog().relation_id("DEPENDENT").unwrap();
         db.insert(dep, vec!["t9".into(), "e1".into(), "Zoe".into()]).unwrap();
         db.delete(c.tuple("t1").unwrap()).unwrap();
         let changes = db.take_changes();
         dg.apply(&db, &c.mapping, &changes).unwrap();
-        assert!(dg.csr().has_pending_patches(), "test wants a dirty overlay");
+        assert!(dg.alive_node_count() < dg.node_count(), "test wants a tombstone");
 
         let graph_bytes = dg.encode_graph();
         let csr_bytes = dg.encode_csr();
@@ -930,7 +824,6 @@ mod tests {
         assert_eq!(back.node_count(), dg.node_count());
         assert_eq!(back.alive_node_count(), dg.alive_node_count());
         assert_eq!(back.edge_count(), dg.edge_count());
-        assert!(!back.csr().has_pending_patches(), "overlay folded at encode");
         for n in dg.graph().nodes() {
             assert_eq!(back.graph().is_node_alive(n), dg.graph().is_node_alive(n));
             if dg.graph().is_node_alive(n) {
@@ -943,13 +836,9 @@ mod tests {
         for e in dg.graph().edges() {
             assert_eq!(back.annotation(e.id), dg.annotation(e.id));
         }
-        // The uncompacted graph and its compacted-overlay twin encode
-        // byte-identically: the CSR section is logically folded.
-        let mut folded = dg.clone();
-        folded.compact_csr();
-        assert_eq!(folded.encode_csr(), csr_bytes);
-        assert_eq!(folded.encode_graph(), graph_bytes);
-        assert_eq!(folded.encode_node_map(), nm_bytes);
+        // The decoded graph re-encodes byte-identically.
+        assert_eq!(back.encode_csr(), csr_bytes);
+        assert_eq!(back.encode_graph(), graph_bytes);
         // A decoded (image-backed) graph re-encodes its node map
         // byte-identically and promotes on its first patch.
         assert_eq!(back.encode_node_map(), nm_bytes);
@@ -1068,12 +957,6 @@ mod tests {
             vec!["DEPARTMENT".to_owned(), "DEPENDENT".to_owned()],
             "out-edge (department) must precede the forward in-edge (dependent)"
         );
-
-        // Compaction folds the overlay without changing adjacency.
-        let before = tuple_adjacency(&db, &dg);
-        dg.compact_csr();
-        assert!(!dg.csr().has_pending_patches());
-        assert_eq!(tuple_adjacency(&db, &dg), before);
     }
 
     #[test]

@@ -157,11 +157,13 @@ impl SearchEngine {
 
     /// Drain the database's pending mutations and publish the next
     /// snapshot generation — see [`EngineWriter::apply`] for the full
-    /// contract (atomicity, rollback, auto-compaction).
+    /// contract (atomicity, rollback, auto-compaction). Each apply costs
+    /// `O(slots)`, tombstoned ones included, so a writer with steady
+    /// churn should call [`SearchEngine::compact`] on a schedule.
     /// After a successful apply the engine answers exactly like a
     /// freshly built [`SearchEngine::new`] over the mutated database —
     /// the rebuild-equivalence property the mutation test suite pins
-    /// down — at per-tuple instead of whole-database cost.
+    /// down.
     pub fn apply(&mut self) -> Result<ApplyOutcome, CoreError> {
         self.writer.apply()
     }
@@ -172,13 +174,6 @@ impl SearchEngine {
     /// state through the returned table.
     pub fn compact(&mut self) -> Result<TupleRemap, CoreError> {
         self.writer.compact()
-    }
-
-    /// Fold any pending CSR patch overlay into flat arrays now, without
-    /// waiting for the deferred-rebuild threshold. Purely a storage
-    /// operation — adjacency (and therefore search output) is unchanged.
-    pub fn compact_csr(&mut self) {
-        self.writer.compact_csr()
     }
 
     /// The underlying database (materializes a zero-copy-opened
@@ -780,7 +775,6 @@ mod tests {
         assert_eq!(e.db().total_row_slots(), e.db().total_tuples());
         assert_eq!(e.data_graph().node_count(), e.data_graph().alive_node_count());
         assert_eq!(e.data_graph().graph().edge_slots(), e.data_graph().edge_count());
-        assert!(!e.data_graph().csr().has_pending_patches());
 
         // Rebuild equivalence over the compacted database, all three
         // algorithms — and the pre-compaction ranked output is unchanged

@@ -32,11 +32,12 @@
 //! persistent reverse-FK index) and restrict-checked
 //! [`EngineWriter::delete`]. An op the database refuses returns its
 //! typed reason ([`CoreError::Relational`]) and stages nothing. Staged
-//! ops wait for [`SearchEngine::apply`], which patches postings,
-//! data-graph adjacency (updates rewire only their changed edges), the
-//! CSR overlay and the cardinality table into the **next published
-//! snapshot generation**. Three guarantees, all property-tested in
-//! `crates/core/tests/mutation.rs`:
+//! ops wait for [`SearchEngine::apply`], which builds the **next
+//! published snapshot generation** from a copy of the current one: the
+//! batch's postings merged into new index arrays, the data graph edited
+//! (updates rewire only their changed edges) with its CSR rebuilt,
+//! and the cardinality table extended. Three guarantees, all
+//! property-tested in `crates/core/tests/mutation.rs`:
 //!
 //! * **Rebuild equivalence** — a patched engine answers byte-identically
 //!   to a fresh [`SearchEngine::new`] over the mutated database.
@@ -55,15 +56,14 @@
 //! Everything `search()` reads lives in an immutable, Arc-shared
 //! [`EngineSnapshot`]; [`SearchEngine`] is a thin façade over one
 //! [`EngineWriter`] that builds and atomically publishes the next
-//! generation per `apply`/`compact` (a pointer swap under a write lock,
-//! no full-engine deep clone per publish — the previous generation's
-//! buffer is recycled by replaying the one batch it missed, unless a
-//! reader still pins it). Reader threads pin generations through a
-//! cloneable [`SnapshotHandle`] — a pin takes a read lock for one `Arc`
-//! clone, and no search runs under the lock — and keep answering from
-//! their pinned generation, byte-identically to a from-scratch engine
-//! at that generation, while the writer keeps publishing
-//! (`crates/core/tests/concurrent.rs`;
+//! generation per `apply`/`compact` (a pointer swap under a write lock;
+//! the build copies the current generation's flat arrays, so a publish
+//! costs `O(database)` whatever the batch size). Reader threads pin
+//! generations through a cloneable [`SnapshotHandle`] — a pin takes a
+//! read lock for one `Arc` clone, and no search runs under the lock —
+//! and keep answering from their pinned generation, byte-identically
+//! to a from-scratch engine at that generation, while the writer keeps
+//! publishing (`crates/core/tests/concurrent.rs`;
 //! `examples/concurrent_serving.rs`).
 //!
 //! ## Cold start from disk

@@ -15,11 +15,10 @@
 //! call a fresh build runs, which is what keeps an opened engine
 //! answering byte-identically to a rebuilt one.
 //!
-//! Overlay state never reaches disk: the index's patch overlay and the
-//! CSR's patch overlay are folded *logically* while encoding (the
-//! in-memory snapshot is immutable and stays untouched), so an
-//! uncompacted snapshot and its compacted twin produce byte-identical
-//! images and every reopened structure starts overlay-free.
+//! Every structure a snapshot reads is held as flat arrays, and the
+//! encoders write those arrays as they are: an applied snapshot and a
+//! rebuild over the same database hold the same index arrays, so their
+//! index sections match byte for byte.
 //!
 //! Instrumentation state is recomputed, not persisted: the failpoint
 //! opt-in is re-read from `CLA_FAILPOINTS` on open, and the scratch
@@ -48,7 +47,7 @@ const SECTION_DATABASE: u32 = 3;
 const SECTION_INDEX: u32 = 4;
 /// The data graph's node and edge slot arrays with annotations.
 const SECTION_GRAPH: u32 = 5;
-/// The CSR adjacency: offsets and flat neighbor array, overlay folded.
+/// The CSR adjacency: offsets and flat neighbor array.
 const SECTION_CSR: u32 = 6;
 /// Display aliases: sorted keys, arena bounds, string arena.
 const SECTION_ALIASES: u32 = 7;
@@ -260,8 +259,8 @@ pub(crate) fn decode_image(
 
     let db = LazyDb::from_image(catalog, db_bytes, summary.version);
     let snapshot = EngineSnapshot {
-        er_schema,
-        mapping,
+        er_schema: Arc::new(er_schema),
+        mapping: Arc::new(mapping),
         index,
         dg,
         aliases: Arc::new(aliases),
@@ -283,9 +282,8 @@ impl EngineSnapshot {
     /// from, with no staged-but-unapplied mutations; the
     /// [`EngineWriter::save`](crate::EngineWriter::save) and
     /// `SearchEngine::save` entry points enforce that freshness and
-    /// should be preferred. Saving never mutates the snapshot: pending
-    /// index/CSR overlays are folded into the *encoded* flat arrays
-    /// only, so concurrent readers of this generation are unaffected.
+    /// should be preferred. Saving never mutates the snapshot, so
+    /// concurrent readers of this generation are unaffected.
     pub fn save(&self, db: &Database, path: impl AsRef<Path>) -> Result<(), CoreError> {
         write_image(self, db, path.as_ref())
     }
@@ -315,8 +313,8 @@ mod tests {
         dir.join(format!("{name}_{}.snap", std::process::id()))
     }
 
-    /// Stage one employee insert (under a fresh primary key) so the
-    /// applied snapshot carries dirty index and CSR overlays.
+    /// Stage one employee insert (under a fresh primary key), so the
+    /// applied snapshot's index and graph differ from the built ones.
     fn stage_insert(engine: &mut SearchEngine, pk: &str) {
         let db = engine.db();
         let emp = db.catalog().relation_id("EMPLOYEE").unwrap();
@@ -342,23 +340,20 @@ mod tests {
         );
     }
 
+    /// An applied generation's image reopens at its ordinal and
+    /// re-encodes byte-identically, and its index section equals a
+    /// fresh build's over the mutated database.
     #[test]
-    fn encode_folds_overlays_and_open_starts_overlay_free() {
+    fn applied_image_round_trips_byte_identically() {
         let mut engine = company_engine();
         stage_insert(&mut engine, "e_z1");
         let _ = engine.apply().unwrap();
-        let snap = engine.snapshot();
-        assert!(
-            snap.index.pending_edits() > 0 || snap.dg.csr().has_pending_patches(),
-            "test wants a dirty overlay on the published snapshot"
-        );
-        let bytes = encode_image(&snap, engine.db());
+        let bytes = encode_image(&engine.snapshot(), engine.db());
         let image = SnapshotImage::parse(bytes.clone()).unwrap().into_shared();
         let (opened, db, generation) = decode_image(&image).unwrap();
         assert_eq!(generation, 1);
-        assert_eq!(opened.index.pending_edits(), 0, "index overlay folded at encode");
-        assert!(!opened.dg.csr().has_pending_patches(), "CSR overlay folded at encode");
-        assert_eq!(encode_image(&opened, db.get()), bytes, "folded twin encodes identically");
+        assert_eq!(encode_image(&opened, db.get()), bytes, "decode re-encodes identically");
+        assert_eq!(opened.index.encode(), InvertedIndex::build(db.get()).encode());
     }
 
     #[test]

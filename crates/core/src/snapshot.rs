@@ -1,8 +1,8 @@
 //! The immutable, shareable half of the engine: one published
 //! generation of every structure `search()` reads.
 //!
-//! An [`EngineSnapshot`] owns the inverted index, the data graph (CSR +
-//! patch overlay), the per-edge cardinality table, display aliases and
+//! An [`EngineSnapshot`] owns the inverted index, the data graph with
+//! its CSR, the per-edge cardinality table, display aliases and
 //! the pooled per-search scratch state — everything the whole search
 //! pipeline (keyword match → connection generation → metrics → ranking)
 //! touches. It is **never mutated after publication**: the
@@ -476,8 +476,10 @@ impl SearchResults {
 /// writer publishing newer generations never invalidates it.
 #[derive(Debug)]
 pub struct EngineSnapshot {
-    pub(crate) er_schema: ErSchema,
-    pub(crate) mapping: SchemaMapping,
+    /// The ER schema and the mapping, shared by every generation of a
+    /// lineage (no batch edits them).
+    pub(crate) er_schema: Arc<ErSchema>,
+    pub(crate) mapping: Arc<SchemaMapping>,
     pub(crate) index: InvertedIndex,
     pub(crate) dg: DataGraph,
     /// Display aliases — image-backed views after a zero-copy open,
@@ -507,7 +509,7 @@ pub struct EngineSnapshot {
     /// pop one and push it back, so a warm snapshot re-allocates nothing
     /// on the enumeration hot path at any thread count; the pool is
     /// bounded to keep rarely-used concurrency from pinning memory.
-    /// This mutex guards spare buffers, not snapshot state: it is held
+    /// This mutex guards pooled buffers, not snapshot state: it is held
     /// for a pop/push only, never across any search work, and an empty
     /// pool just means a fresh buffer — readers can never block on the
     /// writer through it.
@@ -531,15 +533,16 @@ impl EngineSnapshot {
         self.failpoints.load(AtomicOrdering::Relaxed)
     }
 
-    /// A deep copy of this snapshot's contents as the writer's next
-    /// build buffer (fresh scratch pool; per-search buffers carry no
-    /// semantic state). The alias table is shared, not copied.
-    pub(crate) fn clone_contents(&self) -> EngineSnapshot {
+    /// The writer's next build buffer: `index` and `dg` as given, a copy
+    /// of the cardinality table, the schema, mapping and alias tables
+    /// shared, and a fresh scratch pool (per-search buffers carry no
+    /// semantic state).
+    pub(crate) fn successor(&self, index: InvertedIndex, dg: DataGraph) -> EngineSnapshot {
         EngineSnapshot {
-            er_schema: self.er_schema.clone(),
-            mapping: self.mapping.clone(),
-            index: self.index.clone(),
-            dg: self.dg.clone(),
+            er_schema: Arc::clone(&self.er_schema),
+            mapping: Arc::clone(&self.mapping),
+            index,
+            dg,
             aliases: Arc::clone(&self.aliases),
             edge_cards: self.edge_cards.clone(),
             generation: self.generation,

@@ -12,41 +12,30 @@
 //! side ever waits on a search — and a publish never invalidates a
 //! pinned generation.
 //!
-//! ## Publish without deep clone
+//! ## Publish by copy
 //!
-//! The writer keeps **one spare buffer**: the previous generation, plus
-//! the batch that turned it into the current one — the self-contained
-//! [`ChangeSet`] for the inverted index and the pre-resolved
-//! `GraphPatch` for the data graph. When no reader pins the spare, the
-//! next build reclaims it with `Arc::try_unwrap` and replays that one
-//! batch into it. Node numbering is deterministic within a mutation
-//! lineage, so the replayed buffer is byte-identical to the current
-//! snapshot. The alias table is never edited by a batch: the buffer
-//! takes the current generation's `Arc` of it. In the steady
-//! single-writer state the writer alternates between two buffers, and
-//! a publish costs two incremental patch applications.
+//! Every build derives the next generation from the current one: the
+//! inverted index merges the batch's posting edits with the current
+//! arrays into new ones, a copy of the data graph is edited and its CSR
+//! rebuilt, and the cardinality table is copied and extended. The
+//! schema, the mapping and the alias table are shared behind their
+//! `Arc`s (no batch edits them). A published snapshot therefore holds
+//! only flat arrays, and a publish costs `O(database)` whatever the
+//! batch size. The writer keeps no earlier generation: a snapshot is
+//! freed when its last reader drops it.
 //!
-//! When a reader still pins the spare, the writer deep-clones the
-//! current snapshot instead: the index, the graph with its CSR and the
-//! cardinality table, with the alias table shared. For a built
-//! 1024-department synthetic engine on a 2-core x86-64 host that clone
-//! takes about 2.7 ms; copying the owned alias map too took 7.4 ms.
-//! The same clone follows a [`EngineWriter::compact`] (renumbered ids
-//! cannot be replayed into), a failed apply, an open and a fresh build,
-//! none of which leave a spare.
-//!
-//! A failed apply drops its private buffer instead of undoing it, and
-//! rejects the database batch through [`Database::rollback`]; the
-//! published generation was never touched.
+//! A failed apply drops its private buffer, and rejects the database
+//! batch through [`Database::rollback`]; the published generation was
+//! never touched.
 
 use crate::aliases::Aliases;
-use crate::datagraph::{DataGraph, GraphPatch};
+use crate::datagraph::DataGraph;
 use crate::error::CoreError;
 use crate::failpoints;
 use crate::snapshot::{failpoints_enabled_from_env, EngineSnapshot};
 use cla_er::{rdb_edge_cardinality, ErSchema, SchemaMapping};
 use cla_index::InvertedIndex;
-use cla_relational::{Catalog, ChangeSet, Database, RelationId, TupleId, TupleRemap, Value};
+use cla_relational::{Catalog, Database, RelationId, TupleId, TupleRemap, Value};
 use cla_storage::SharedBytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
@@ -67,7 +56,11 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum CompactionPolicy {
     /// Never compact automatically; [`EngineWriter::compact`] is the
-    /// caller's explicit, scheduled operation.
+    /// caller's explicit, scheduled operation. Every apply copies all
+    /// node, edge and cardinality slots, tombstoned ones included, so
+    /// under this policy the applies of a long-running writer that
+    /// deletes or re-points get slower as tombstones pile up until it
+    /// calls `compact`.
     #[default]
     Manual,
     /// Compact when `tombstoned row slots / total row slots` reaches
@@ -83,8 +76,8 @@ pub enum CompactionPolicy {
 pub struct ApplyOutcome {
     /// The slot remap of an auto-compaction, when the engine's
     /// [`CompactionPolicy`] triggered one — **every previously held
-    /// [`TupleId`] must be remapped through it**. `None` on the common
-    /// patch-only path.
+    /// [`TupleId`] must be remapped through it**. `None` when the apply
+    /// did not compact.
     pub compaction: Option<TupleRemap>,
 }
 
@@ -113,16 +106,6 @@ impl SnapshotHandle {
         // whole-`Arc` swap, so even a poisoned slot is valid: recover it.
         Arc::clone(&self.cell.read().unwrap_or_else(PoisonError::into_inner))
     }
-}
-
-/// The previous generation and the batch that produced the current one
-/// from it: the self-contained change set (for the inverted index) and
-/// the pre-resolved graph patch.
-#[derive(Debug)]
-struct Spare {
-    snapshot: Arc<EngineSnapshot>,
-    changes: ChangeSet,
-    patch: GraphPatch,
 }
 
 /// The writer's database slot: either an already-owned [`Database`] or
@@ -214,7 +197,7 @@ impl Clone for LazyDb {
 
 /// The single writer over one database: owns the change log, builds
 /// the next snapshot generation per `apply`/`compact`, and publishes it
-/// atomically — see the module docs for the spare buffer.
+/// atomically — see the module docs.
 #[derive(Debug)]
 pub struct EngineWriter {
     db: LazyDb,
@@ -224,9 +207,6 @@ pub struct EngineWriter {
     /// first [`EngineWriter::handle`] so purely single-threaded use
     /// (and the construction-time builders) never pays for sharing.
     cell: OnceLock<Arc<RwLock<Arc<EngineSnapshot>>>>,
-    /// The buffer the next build recycles when no reader pins it; `None`
-    /// after a compaction, a failed apply, an open or a fresh build.
-    spare: Option<Spare>,
     /// Publication ordinal of `current`.
     generation: u64,
     /// The database version the published structures reflect.
@@ -261,8 +241,8 @@ impl EngineWriter {
             .collect();
         let failpoints = failpoints_enabled_from_env();
         let snapshot = EngineSnapshot {
-            er_schema,
-            mapping,
+            er_schema: Arc::new(er_schema),
+            mapping: Arc::new(mapping),
             index,
             dg,
             aliases: Arc::new(Aliases::default()),
@@ -275,7 +255,6 @@ impl EngineWriter {
             db: LazyDb::ready(db),
             current: Arc::new(snapshot),
             cell: OnceLock::new(),
-            spare: None,
             generation: 0,
             published_version,
             failpoints,
@@ -311,13 +290,14 @@ impl EngineWriter {
                 return;
             }
         }
-        let mut copy = self.current.clone_contents();
+        let mut copy =
+            self.current.successor(self.current.index.clone(), self.current.dg.clone());
         f(&mut copy);
         // Published under the same data generation: the contents edit
         // (aliases) is presentation state, not a mutation batch — but
         // it must go through the cell so pinned readers keep their
         // pre-edit view and new loads see the edit.
-        self.publish(copy, ChangeSet::default(), GraphPatch::default());
+        self.publish(copy);
     }
 
     /// The shared publication cell, created on first use.
@@ -443,7 +423,6 @@ impl EngineWriter {
             db,
             current: Arc::new(snapshot),
             cell: OnceLock::new(),
-            spare: None,
             generation,
             published_version,
             failpoints: failpoints_enabled_from_env(),
@@ -463,18 +442,26 @@ impl EngineWriter {
         self.current.failpoints.store(true, AtomicOrdering::Relaxed);
     }
 
-    /// Drain the database's pending mutations, patch every derived
-    /// structure into the **next snapshot generation** and publish it
-    /// atomically: inverted-index postings (insert-sorted,
-    /// df-consistent, updates applied as term diffs), data-graph
-    /// nodes/adjacency with its deferred CSR rebuild (updates rewiring
-    /// only their changed edges), and the per-edge cardinality table.
-    /// After a successful apply the published snapshot answers exactly
-    /// like a freshly built engine over the mutated database — the
-    /// rebuild-equivalence property the mutation test suite pins down —
-    /// at per-tuple instead of whole-database cost, and **readers
-    /// pinned to older generations are untouched** (their snapshots
-    /// stay alive and byte-stable until they drop them).
+    /// Drain the database's pending mutations, build every derived
+    /// structure of the **next snapshot generation** from a copy of the
+    /// current one and publish it atomically: inverted-index postings
+    /// (updates merged as term diffs), data-graph nodes and edges
+    /// (updates rewiring only their changed edges) with a CSR rebuilt
+    /// from them, and the per-edge cardinality table. After a successful
+    /// apply the published snapshot answers exactly like a freshly built
+    /// engine over the mutated database — the rebuild-equivalence
+    /// property the mutation test suite pins down — without re-reading
+    /// the database, and **readers pinned to older generations are
+    /// untouched** (their snapshots stay alive and byte-stable until
+    /// they drop them).
+    ///
+    /// Each apply costs `O(slots)`, whatever the batch size: the copy
+    /// covers every node, edge and cardinality slot, tombstoned ones
+    /// included. A writer with steady churn should therefore call
+    /// [`EngineWriter::compact`] on a schedule, or opt into
+    /// [`CompactionPolicy::TombstoneRatio`]. That policy counts row
+    /// slots only, so it never fires for re-points, which tombstone
+    /// edge slots.
     ///
     /// The apply is **atomic**. On error (e.g. a dangling reference
     /// that a full rebuild's validation would also reject) nothing is
@@ -482,8 +469,7 @@ impl EngineWriter {
     /// batch itself* is rolled back through [`Database::rollback`] (the
     /// batch is a failed transaction; its mutations are rejected
     /// wholesale), and the error is returned with the engine fresh and
-    /// **still serving the pre-mutation answers**. The next apply builds
-    /// from a clone of the current snapshot.
+    /// **still serving the pre-mutation answers**.
     ///
     /// With a [`CompactionPolicy::TombstoneRatio`] policy, a successful
     /// apply that leaves the dead-slot fraction at or above the
@@ -499,24 +485,29 @@ impl EngineWriter {
             self.db.version() - self.published_version,
             "the change log holds every op since the last publish"
         );
-        let mut buf = self.build_buffer();
-        buf.index.apply(self.db.get(), &changes);
+        let current = &self.current;
+        let index = current.index.apply(self.db.get(), &changes);
+        let mut dg = current.dg.clone();
         let result = if self.failpoints && failpoints::triggered("apply.mid") {
             // Fails the way the graph plan does; the id names the failpoint.
             Err(CoreError::UnknownTuple("<forced by the apply.mid failpoint>".into()))
         } else {
-            // The plan stage pre-validates every fallible lookup before
-            // anything mutates, so an error leaves the graph untouched.
-            // The mapping is immutable schema state, identical in every
-            // snapshot of the lineage — read it off the buffer.
-            buf.dg.plan(self.db.get(), &buf.mapping, &changes)
+            dg.apply(self.db.get(), &current.mapping, &changes)
         };
         match result {
-            Ok(patch) => {
-                let added_edges = buf.dg.execute(&patch);
-                Self::extend_edge_cards(&mut buf, &added_edges);
+            Ok(added_edges) => {
+                let mut buf = current.successor(index, dg);
+                for e in added_edges {
+                    debug_assert_eq!(
+                        e.index(),
+                        buf.edge_cards.len(),
+                        "edge slots are sequential"
+                    );
+                    let role = buf.dg.annotation(e).role;
+                    buf.edge_cards.push(rdb_edge_cardinality(&buf.er_schema, role));
+                }
                 self.published_version = self.db.version();
-                self.publish(*buf, changes, patch);
+                self.publish(buf);
                 let mut outcome = ApplyOutcome::default();
                 if let CompactionPolicy::TombstoneRatio(threshold) = self.compaction_policy {
                     let total = self.db.get().total_row_slots();
@@ -533,10 +524,11 @@ impl EngineWriter {
                 Ok(outcome)
             }
             Err(e) => {
-                // The half-patched buffer was never published: drop it,
-                // and reject the database batch via inverse ops so that
-                // engine and database agree on the pre-mutation state.
-                drop(buf);
+                // The half-built structures were never published: drop
+                // them, and reject the database batch via inverse ops so
+                // that engine and database agree on the pre-mutation
+                // state.
+                drop((index, dg));
                 self.db.get_mut().rollback(&changes);
                 self.published_version = self.db.version();
                 debug_assert!(self.is_fresh());
@@ -545,65 +537,23 @@ impl EngineWriter {
         }
     }
 
-    /// Extend the slot-indexed cardinality table with the edges a patch
-    /// execution added (new edges occupy the next slots, in order).
-    fn extend_edge_cards(buf: &mut EngineSnapshot, added_edges: &[cla_graph::EdgeId]) {
-        for &e in added_edges {
-            debug_assert_eq!(e.index(), buf.edge_cards.len(), "edge slots are sequential");
-            let role = buf.dg.annotation(e).role;
-            buf.edge_cards.push(rdb_edge_cardinality(&buf.er_schema, role));
-        }
-    }
-
-    /// The next build buffer at the current generation: the spare,
-    /// when no reader pins it, with its one missed batch replayed (the
-    /// change set against the index, the graph patch against the graph,
-    /// the added edges into the cardinality table) and the current
-    /// alias table; otherwise a deep copy of the current snapshot.
-    fn build_buffer(&mut self) -> Box<EngineSnapshot> {
-        if let Some(Spare { snapshot, changes, patch }) = self.spare.take() {
-            if let Ok(snap) = Arc::try_unwrap(snapshot) {
-                debug_assert_eq!(
-                    snap.generation + 1,
-                    self.generation,
-                    "the spare is one batch behind"
-                );
-                let mut buf = Box::new(snap);
-                buf.index.apply(self.db.get(), &changes);
-                let added = buf.dg.execute(&patch);
-                Self::extend_edge_cards(&mut buf, &added);
-                buf.aliases = Arc::clone(&self.current.aliases);
-                buf.generation = self.generation;
-                return buf;
-            }
-        }
-        Box::new(self.current.clone_contents())
-    }
-
-    /// Publish `buf` as the next generation: bump the ordinal, swap it
-    /// into the cell under the write lock, and keep the previous
-    /// snapshot with the batch that produced `buf` as the spare.
-    fn publish(&mut self, mut buf: EngineSnapshot, changes: ChangeSet, patch: GraphPatch) {
-        // Fold the index's patch overlay into the flat term dictionary
-        // once it has grown past its threshold — the publish-time twin
-        // of the CSR overlay compaction in `DataGraph::execute`. Only
-        // this private build buffer is touched; published (shared)
-        // snapshots stay immutable.
-        buf.index.maybe_compact();
+    /// Publish `buf` as the next generation: bump the ordinal and swap
+    /// it into the cell under the write lock.
+    fn publish(&mut self, mut buf: EngineSnapshot) {
         self.generation += 1;
         buf.generation = self.generation;
         *buf.failpoints.get_mut() = self.failpoints;
         let new_arc = Arc::new(buf);
-        let previous = std::mem::replace(&mut self.current, Arc::clone(&new_arc));
+        self.current = Arc::clone(&new_arc);
         if let Some(cell) = self.cell.get() {
-            // Drop the cell's pin of `previous` after the guard is
-            // released, so the spare can be reclaimed once readers unpin.
+            // Drop the cell's pin of the previous generation after the
+            // guard is released, so a last-reference drop never runs
+            // under the lock.
             let mut slot = cell.write().unwrap_or_else(PoisonError::into_inner);
-            let prev = std::mem::replace(&mut *slot, new_arc);
+            let previous = std::mem::replace(&mut *slot, new_arc);
             drop(slot);
-            drop(prev);
+            drop(previous);
         }
-        self.spare = Some(Spare { snapshot: previous, changes, patch });
     }
 
     /// Reclaim every tombstoned slot churn left behind, end to end:
@@ -619,9 +569,7 @@ impl EngineWriter {
     /// Readers pinned to pre-compaction snapshots are unaffected: their
     /// generations still speak the old ids consistently. The engine
     /// must be fresh (apply pending mutations first; a stale engine
-    /// returns [`CoreError::StaleEngine`]). Compaction renumbers the
-    /// whole lineage, so it leaves no spare: the next apply pays one
-    /// deep clone, then recycling resumes.
+    /// returns [`CoreError::StaleEngine`]).
     pub fn compact(&mut self) -> Result<TupleRemap, CoreError> {
         if !self.is_fresh() {
             return Err(CoreError::StaleEngine {
@@ -630,13 +578,16 @@ impl EngineWriter {
             });
         }
         let remap = self.db.get_mut().compact()?;
-        let mut buf = self.build_buffer();
+        let current = &self.current;
         // Postings speak tuple ids: rebuild them from the live set under
         // the same tokenizer (renumbering every posting in place would
         // also break the sorted-by-tuple invariant, since row order is
         // preserved but *relative* ids shift across relations).
-        buf.index = InvertedIndex::build_with(self.db.get(), buf.index.tokenizer().clone());
-        let edge_remap = buf.dg.compact(&remap);
+        let index =
+            InvertedIndex::build_with(self.db.get(), current.index.tokenizer().clone());
+        let mut dg = current.dg.clone();
+        let edge_remap = dg.compact(&remap);
+        let mut buf = current.successor(index, dg);
         // Surviving edges renumber monotonically in slot order, so
         // collecting the survivors' cards in old order yields the new
         // dense numbering.
@@ -655,33 +606,19 @@ impl EngineWriter {
                 .into(),
         );
         self.published_version = self.db.version();
-        self.publish(*buf, ChangeSet::default(), GraphPatch::default());
-        // The pre-compaction buffer speaks renumbered-away ids — it can
-        // never be replayed into the new lineage.
-        self.spare = None;
+        self.publish(buf);
         Ok(remap)
     }
 
-    /// Fold the current snapshot's pending CSR patch overlay into flat
-    /// arrays now, without waiting for the deferred-rebuild threshold,
-    /// and publish the folded state. Purely a storage operation —
-    /// adjacency (and therefore search output) is unchanged, so the
-    /// spare's replay batch is empty (a recycled sibling buffer may
-    /// keep its overlay; it answers identically).
-    pub fn compact_csr(&mut self) {
-        let mut buf = self.build_buffer();
-        buf.dg.compact_csr();
-        self.publish(*buf, ChangeSet::default(), GraphPatch::default());
-    }
-
     /// Clone for the façade's `Clone`: same database and published
-    /// content, fresh publication state (own cell, no spare).
+    /// content, fresh publication state (own cell).
     pub(crate) fn clone_writer(&self) -> Self {
         EngineWriter {
             db: self.db.clone(),
-            current: Arc::new(self.current.clone_contents()),
+            current: Arc::new(
+                self.current.successor(self.current.index.clone(), self.current.dg.clone()),
+            ),
             cell: OnceLock::new(),
-            spare: None,
             generation: self.generation,
             published_version: self.published_version,
             failpoints: self.failpoints,

@@ -9,20 +9,17 @@
 //! * Readers never observe `StaleEngine` or a half-applied batch — a
 //!   pinned [`EngineSnapshot`](cla_core::EngineSnapshot) is always a
 //!   complete published generation.
-//! * Buffer recycling in the writer (the previous generation
-//!   reclaimed when unpinned and brought up to date by replaying one
-//!   batch) never mutates a generation a reader still pins: a snapshot
-//!   pinned early stays byte-stable across every later publish and
+//! * The writer derives every generation from the current one and
+//!   never mutates a generation a reader still pins: a snapshot pinned
+//!   early stays byte-stable across every later publish and
 //!   compaction.
-//! * A recycled buffer carries the current generation's aliases, so an
-//!   alias edit published after a handle escaped survives later
-//!   applies.
+//! * Each new generation shares the current one's aliases, so an alias
+//!   edit published after a handle escaped survives later applies.
 //! * All of it holds across `compact()`, which renumbers ids — readers
 //!   pinned to pre-compaction generations keep answering in the old id
 //!   space, consistently.
 //! * Once its readers let go, a generation is freed: neither the
-//!   writer's spare buffer nor the handle's publication cell keeps it
-//!   alive.
+//!   writer nor the handle's publication cell keeps it alive.
 
 use cla_core::failpoints;
 use cla_core::{Algorithm, SearchEngine, SearchOptions};
@@ -315,16 +312,12 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
     }
 }
 
-/// A reader pin held across many publishes must stay byte-stable
-/// while the writer gives up recycling the pinned buffer: the first
-/// build that finds it pinned drops it from the spare slot and clones
-/// instead, so the writer keeps no replay state for a parked reader
-/// (an older design kept a replay log anchored at the pin, which grew
-/// with every publish). The latest generation must also keep answering
-/// exactly like a from-scratch rebuild, proving the dropped buffer
-/// never leaked into the recycling path. Finally, once the readers let
-/// go, neither the writer's spare nor the handle's cell may keep an
-/// unpinned generation alive.
+/// A reader pin held across many publishes must stay byte-stable: the
+/// writer derives every generation from the latest one and keeps no
+/// state for a parked reader. The latest generation must also keep
+/// answering exactly like a from-scratch rebuild. Finally, once the
+/// readers let go, neither the writer nor the handle's cell may keep
+/// an unpinned generation alive.
 #[test]
 fn long_pinned_reader_outlives_the_recycling_window() {
     let schema = generate_synthetic(&small_config(9));
@@ -363,21 +356,20 @@ fn long_pinned_reader_outlives_the_recycling_window() {
 
     let pinned = engine.snapshots().latest();
     let before = observe_snapshot(&pinned);
-    // 192 single-tuple publishes, all while the gen-0 pin blocks that
-    // buffer's reclamation.
+    // 192 single-tuple publishes, all while the gen-0 pin is held.
     churn(&mut engine, 0..96);
     assert_eq!(engine.generation(), 192);
     assert_eq!(pinned.generation(), 0);
     assert_eq!(
         observe_snapshot(&pinned),
         before,
-        "a pin parked far behind the recycling window must stay byte-stable"
+        "a pin parked far behind the latest generation must stay byte-stable"
     );
     let rebuilt = oracle(engine.db(), &schema, engine.aliases());
     assert_eq!(
         observe_snapshot(&engine.snapshot()),
         observe_snapshot(&rebuilt.snapshot()),
-        "recycled buffers past a parked pin must still equal a rebuild"
+        "generations published past a parked pin must still equal a rebuild"
     );
 
     // Drop the gen-0 pin and a fresh pin of the latest generation, then
@@ -395,7 +387,7 @@ fn long_pinned_reader_outlives_the_recycling_window() {
 /// `with_aliases` after a handle escaped publishes a generation whose
 /// only change is the alias table. No mutation batch carries aliases,
 /// so every later apply must keep that table — for the façade and for
-/// readers — whether it builds from a recycled buffer or a clone.
+/// readers.
 #[test]
 fn aliases_set_after_a_handle_escaped_survive_later_applies() {
     let schema = generate_synthetic(&small_config(5));
@@ -473,8 +465,7 @@ fn concurrent_readers_see_their_pinned_generation_exactly() {
 
         let handle = engine.snapshots();
         // Pin one snapshot *before* any mutation: it must stay
-        // byte-stable across every publish, compaction and buffer
-        // recycle below.
+        // byte-stable across every publish and compaction below.
         let pinned_gen0 = handle.latest();
         let gen0_observation = observe_snapshot(&pinned_gen0);
 

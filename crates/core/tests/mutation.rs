@@ -7,8 +7,7 @@
 //!
 //! * inverted-index postings (term set, posting lists, order invariant,
 //!   `indexed_tuples` and therefore every df/idf statistic),
-//! * data-graph adjacency as traversals see it (through the CSR, both
-//!   while the patch overlay is live and after compaction),
+//! * data-graph adjacency as traversals see it (through the CSR),
 //! * full ranked `search()` output, for all three algorithms —
 //!
 //! plus the **atomicity property**: a failed apply (forced mid-apply
@@ -22,6 +21,7 @@
 
 use cla_core::{Algorithm, CoreError, DataGraph, EngineWriter, SearchEngine, SearchOptions};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
+use cla_graph::CsrAdjacency;
 use cla_index::InvertedIndex;
 use cla_relational::RelationalError::{DeleteRestricted, UpdateRestricted};
 use cla_relational::{Database, RelationId, TupleId, Value};
@@ -258,6 +258,21 @@ fn assert_matches_rebuild(engine: &SearchEngine, context: &str) -> Result<(), Te
     );
     prop_assert_eq!(engine.data_graph().alive_node_count(), fresh_dg.alive_node_count());
     prop_assert_eq!(engine.data_graph().edge_count(), fresh_dg.edge_count());
+    // The published CSR holds exactly the arrays a build over its own
+    // graph writes.
+    let built = CsrAdjacency::build(engine.data_graph().graph());
+    prop_assert_eq!(
+        engine.data_graph().csr().offsets(),
+        built.offsets(),
+        "{}: CSR offsets",
+        context
+    );
+    prop_assert_eq!(
+        engine.data_graph().csr().neighbors_flat(),
+        built.neighbors_flat(),
+        "{}: CSR neighbors",
+        context
+    );
 
     // 3. Ranked search output, all three algorithms, plus streaming
     // top-k on the Paths pipeline.
@@ -362,11 +377,6 @@ proptest! {
                 assert_matches_rebuild(&engine, &format!("seed {seed} round {round} compacted"))?;
             }
         }
-
-        // Fold the CSR overlay and re-verify: compaction is storage-only.
-        engine.compact_csr();
-        prop_assert!(!engine.data_graph().csr().has_pending_patches());
-        assert_matches_rebuild(&engine, &format!("seed {seed} post-compaction"))?;
     }
 
     /// Atomicity: a failed apply — whether the `apply.mid` failpoint
@@ -374,8 +384,8 @@ proptest! {
     /// reference in the batch — leaves `search()` answering identically
     /// to pre-mutation for every query and algorithm, with the engine
     /// fresh and immediately usable for a corrected batch. The failure
-    /// follows 1–3 successful applies, so it drops a recycled buffer;
-    /// the recovery apply then builds from a clone.
+    /// follows 1–3 successful applies, so it drops a copy of an applied
+    /// generation, not of the built one.
     #[test]
     fn failed_apply_serves_pre_mutation_answers(seed in 0u64..500) {
         // The failpoint registry is process-global; the exclusive guard
@@ -417,7 +427,7 @@ proptest! {
             out
         };
         // 1–3 successful batches first, so the failing apply below
-        // builds on the writer's recycled spare buffer, not a clone.
+        // builds on an applied generation.
         for _ in 0..rng.random_range(1..4usize) {
             for _ in 0..rng.random_range(1..4usize) {
                 mutator.random_op(engine.writer_mut(), &mut rng);
@@ -517,12 +527,14 @@ proptest! {
     }
 }
 
-/// Driving more pending CSR edge edits than the deferred-rebuild
-/// threshold (128) through one engine must trigger the in-place
-/// compaction — and, per the properties above, never change results.
-/// Pinned as a plain test so the threshold crossing is deterministic.
+/// A burst of single-op batches: each dependent insert and each delete
+/// is applied as its own batch, so every apply edits the index and the
+/// graph and publishes a rebuilt CSR. The inserted dependents are all
+/// named Alice, so the `alice` match set churns; every third one stays.
+/// Afterwards postings, adjacency and every rendering, explanation and
+/// info of all three algorithms match a rebuild built `with_aliases`.
 #[test]
-fn csr_compaction_threshold_crossed_by_update_burst() {
+fn single_op_burst_equals_rebuild() {
     let s = generate_synthetic(&small_config(7));
     let mut engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
         .unwrap()
@@ -534,30 +546,30 @@ fn csr_compaction_threshold_crossed_by_update_burst() {
         .next()
         .and_then(|(_, t)| t.get(0).and_then(Value::as_text).map(str::to_owned))
         .unwrap();
-    // Each dependent insert+delete is 4 edge edits (2 per endpoint per
-    // op); 40 pairs = 160 edits ≥ threshold, forcing ≥ 1 compaction.
+    let slots = engine.data_graph().node_count();
+    let mut kept = 0;
     for i in 0..40 {
         let id = engine
             .writer_mut()
             .insert(
                 mutator.dep,
-                vec![format!("burst{i}").as_str().into(), essn.as_str().into(), "B".into()],
+                vec![
+                    format!("burst{i}").as_str().into(),
+                    essn.as_str().into(),
+                    "Alice".into(),
+                ],
             )
             .unwrap();
-        engine.writer_mut().delete(id).unwrap();
         let _ = engine.apply().unwrap();
+        if i % 3 == 0 {
+            kept += 1;
+        } else {
+            engine.writer_mut().delete(id).unwrap();
+            let _ = engine.apply().unwrap();
+        }
     }
-    assert!(
-        !engine.data_graph().csr().has_pending_patches()
-            || engine.data_graph().csr().pending_edits() < 128,
-        "the deferred rebuild must have folded the overlay at least once"
-    );
-    // And the burst left results identical to a rebuild.
-    let rebuilt = SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap();
-    let opts = SearchOptions { threads: 1, ..Default::default() };
-    let a = engine.search("xml smith", &opts).unwrap();
-    let b = rebuilt.search("xml smith", &opts).unwrap();
-    let ra: Vec<&str> = a.connections.iter().map(|r| r.rendering.as_str()).collect();
-    let rb: Vec<&str> = b.connections.iter().map(|r| r.rendering.as_str()).collect();
-    assert_eq!(ra.len(), rb.len());
+    assert_eq!(engine.writer().generation(), 40 + 40 - kept);
+    assert_eq!(engine.data_graph().node_count(), slots + 40, "each insert took a slot");
+    assert_eq!(engine.data_graph().alive_node_count(), slots + kept as usize);
+    assert_matches_rebuild(&engine, "single-op burst").unwrap();
 }

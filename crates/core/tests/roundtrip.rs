@@ -8,8 +8,8 @@
 //!   structural info and the full `SearchStats`, for all three
 //!   algorithms, in sequential and multi-threaded search legs.
 //! * **Byte-stable images** — re-saving an opened engine reproduces the
-//!   image byte for byte (the on-disk form is canonical: overlays are
-//!   folded at encode, sections are deterministic).
+//!   image byte for byte (the on-disk form is canonical: every
+//!   section writes flat arrays as they are, deterministically).
 //! * **Mutation after open** — an opened engine is a *live* engine:
 //!   fuzzed insert/update/delete batches applied post-open keep it
 //!   byte-identical to a from-scratch rebuild over the mutated
@@ -232,9 +232,8 @@ proptest! {
         prop_assert_eq!(first, second, "re-saved image diverged");
     }
 
-    /// Save/open in the middle of a mutation history: the image folds
-    /// the published overlays and the opened engine still answers like
-    /// the original.
+    /// Save/open in the middle of a mutation history: the opened engine
+    /// still answers like the original.
     #[test]
     fn save_open_after_mutations_answers_identically(seed in 0u64..500) {
         let s = generate_synthetic(&small_config(seed));

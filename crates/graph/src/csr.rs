@@ -13,33 +13,18 @@
 //! traversals visit edges in the same order as the adjacency-list based
 //! ones and produce identical results.
 //!
-//! ## Incremental edits
-//!
-//! A CSR's flat arrays are cheap to read and expensive to splice, so
-//! mutations go through a sparse **overlay**: [`CsrAdjacency::patch`]
-//! records a node's replacement adjacency in a side map consulted by
-//! [`CsrAdjacency::neighbors`] before the flat arrays (one branch on the
-//! hot path while the overlay is empty). Each patch counts its edge
-//! edits into [`CsrAdjacency::pending_edits`]; when the count crosses a
-//! caller-chosen threshold, [`CsrAdjacency::compact`] folds the overlay
-//! back into freshly packed flat arrays in `O(V + E)` — the *deferred
-//! rebuild* that amortizes CSR reconstruction over many small updates.
+//! The arrays are never edited in place: a mutated graph gets a new
+//! CSR from [`CsrAdjacency::build`].
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use std::collections::HashMap;
 
-/// Flat adjacency of the undirected view of a [`Graph`], with a sparse
-/// patch overlay for incremental edits.
+/// Flat adjacency of the undirected view of a [`Graph`].
 #[derive(Debug, Clone)]
 pub struct CsrAdjacency {
     /// `offsets[n]..offsets[n + 1]` indexes `neighbors` for node `n`.
     offsets: Vec<u32>,
     /// `(other endpoint, edge)` pairs, grouped by node.
     neighbors: Vec<(NodeId, EdgeId)>,
-    /// Overlay: nodes whose adjacency diverged from the flat arrays.
-    patched: HashMap<u32, Vec<(NodeId, EdgeId)>>,
-    /// Edge edits accumulated since the last compaction.
-    pending_edits: usize,
 }
 
 impl CsrAdjacency {
@@ -56,7 +41,7 @@ impl CsrAdjacency {
             }
             offsets.push(neighbors.len() as u32);
         }
-        CsrAdjacency { offsets, neighbors, patched: HashMap::new(), pending_edits: 0 }
+        CsrAdjacency { offsets, neighbors }
     }
 
     /// Number of node slots.
@@ -65,15 +50,9 @@ impl CsrAdjacency {
     }
 
     /// The `(neighbor, edge)` pairs incident to `n`, in
-    /// [`Graph::incident_edges`] order. Patched nodes read from the
-    /// overlay; everything else from the flat arrays.
+    /// [`Graph::incident_edges`] order.
     #[inline]
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, EdgeId)] {
-        if !self.patched.is_empty() {
-            if let Some(list) = self.patched.get(&(n.index() as u32)) {
-                return list;
-            }
-        }
         let lo = self.offsets[n.index()] as usize;
         let hi = self.offsets[n.index() + 1] as usize;
         &self.neighbors[lo..hi]
@@ -84,67 +63,23 @@ impl CsrAdjacency {
         self.neighbors(n).len()
     }
 
-    /// Append one node slot with empty adjacency (mirrors
-    /// [`Graph::add_node`]). Cheap: extends the offset array only.
-    pub fn push_node(&mut self) -> NodeId {
-        let id = NodeId(self.node_count() as u32);
-        // lint: allow(unwrap, offsets starts as vec![0] and only grows)
-        self.offsets.push(*self.offsets.last().expect("offsets are never empty"));
-        id
-    }
-
-    /// Replace node `n`'s adjacency through the overlay, accounting
-    /// `edits` edge edits (additions + removals) toward the deferred
-    /// compaction threshold.
-    pub fn patch(&mut self, n: NodeId, adjacency: Vec<(NodeId, EdgeId)>, edits: usize) {
-        assert!(n.index() < self.node_count(), "patch of unknown node {n}");
-        self.patched.insert(n.index() as u32, adjacency);
-        self.pending_edits += edits;
-    }
-
-    /// Edge edits accumulated since the last [`CsrAdjacency::compact`]
-    /// (0 while the overlay is empty).
-    pub fn pending_edits(&self) -> usize {
-        self.pending_edits
-    }
-
-    /// `true` while any node reads from the overlay.
-    pub fn has_pending_patches(&self) -> bool {
-        !self.patched.is_empty()
-    }
-
-    /// Replace this adjacency with a fresh build over `g`'s **live**
-    /// set, dropping the patch overlay and every tombstoned slot the old
-    /// flat arrays still carried. This is the CSR half of slot
-    /// reclamation: after [`Graph::compact`] renumbered the graph, the
-    /// old offsets/overlay speak the old numbering and are rebuilt
-    /// rather than remapped.
-    pub fn rebuild<N, E>(&mut self, g: &Graph<N, E>) {
-        *self = CsrAdjacency::build(g);
-    }
-
     /// The flat offset array (`node_count() + 1` entries): node `n`'s
     /// group is `neighbors_flat()[offsets()[n]..offsets()[n + 1]]`.
-    /// This is the serializable half of the CSR; callers saving a
-    /// snapshot fold the overlay first (or walk
-    /// [`CsrAdjacency::neighbors`] per node).
+    /// This is the serializable half of the CSR.
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
     }
 
-    /// The flat `(neighbor, edge)` array the offsets index. Pending
-    /// overlay patches are **not** reflected here — check
-    /// [`CsrAdjacency::has_pending_patches`] before treating the flat
-    /// arrays as the effective adjacency.
+    /// The flat `(neighbor, edge)` array the offsets index.
     pub fn neighbors_flat(&self) -> &[(NodeId, EdgeId)] {
         &self.neighbors
     }
 
-    /// Reassemble a CSR from serialized flat arrays (empty overlay).
-    /// Validates the offset invariants — first entry 0, monotone
-    /// non-decreasing, last entry equal to `neighbors.len()` — and
-    /// returns `None` on any violation, so corrupt input cannot
-    /// construct an adjacency whose reads would index out of bounds.
+    /// Reassemble a CSR from serialized flat arrays. Validates the
+    /// offset invariants — first entry 0, monotone non-decreasing, last
+    /// entry equal to `neighbors.len()` — and returns `None` on any
+    /// violation, so corrupt input cannot construct an adjacency whose
+    /// reads would index out of bounds.
     pub fn from_parts(offsets: Vec<u32>, neighbors: Vec<(NodeId, EdgeId)>) -> Option<Self> {
         if offsets.first() != Some(&0) {
             return None;
@@ -155,29 +90,7 @@ impl CsrAdjacency {
         if *offsets.last()? as usize != neighbors.len() {
             return None;
         }
-        Some(CsrAdjacency { offsets, neighbors, patched: HashMap::new(), pending_edits: 0 })
-    }
-
-    /// Fold the overlay into freshly packed flat arrays (`O(V + E)`),
-    /// clearing the patch map and the pending-edit counter. Neighbor
-    /// lists are unchanged — only their storage moves, so traversal
-    /// results are identical before and after.
-    pub fn compact(&mut self) {
-        if self.patched.is_empty() {
-            self.pending_edits = 0;
-            return;
-        }
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        let mut neighbors = Vec::with_capacity(self.neighbors.len());
-        offsets.push(0);
-        for n in 0..self.node_count() {
-            neighbors.extend_from_slice(self.neighbors(NodeId(n as u32)));
-            offsets.push(neighbors.len() as u32);
-        }
-        self.offsets = offsets;
-        self.neighbors = neighbors;
-        self.patched.clear();
-        self.pending_edits = 0;
+        Some(CsrAdjacency { offsets, neighbors })
     }
 }
 
@@ -242,51 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_overlays_and_compact_folds_in() {
-        let (g, ns) = diamond();
-        let mut csr = CsrAdjacency::build(&g);
-        let (a, b) = (ns[0], ns[1]);
-        // Drop the a–b edge from both endpoints through the overlay.
-        let ab = csr.neighbors(a).iter().find(|(m, _)| *m == b).unwrap().1;
-        let new_a: Vec<_> =
-            csr.neighbors(a).iter().copied().filter(|&(_, e)| e != ab).collect();
-        let new_b: Vec<_> =
-            csr.neighbors(b).iter().copied().filter(|&(_, e)| e != ab).collect();
-        csr.patch(a, new_a.clone(), 1);
-        csr.patch(b, new_b.clone(), 1);
-        assert!(csr.has_pending_patches());
-        assert_eq!(csr.pending_edits(), 2);
-        assert_eq!(csr.neighbors(a), new_a.as_slice());
-        assert_eq!(csr.neighbors(b), new_b.as_slice());
-        // Unpatched nodes still read the flat arrays.
-        assert_eq!(csr.degree(ns[3]), 2);
-
-        let before: Vec<Vec<(NodeId, EdgeId)>> =
-            g.nodes().map(|n| csr.neighbors(n).to_vec()).collect();
-        csr.compact();
-        assert!(!csr.has_pending_patches());
-        assert_eq!(csr.pending_edits(), 0);
-        let after: Vec<Vec<(NodeId, EdgeId)>> =
-            g.nodes().map(|n| csr.neighbors(n).to_vec()).collect();
-        assert_eq!(before, after, "compaction must not change adjacency");
-    }
-
-    #[test]
-    fn push_node_extends_with_empty_adjacency() {
-        let (g, _) = diamond();
-        let mut csr = CsrAdjacency::build(&g);
-        let n = csr.push_node();
-        assert_eq!(n.index(), 4);
-        assert_eq!(csr.node_count(), 5);
-        assert!(csr.neighbors(n).is_empty());
-        // Patching the fresh node works like any other.
-        csr.patch(n, vec![(NodeId(0), EdgeId(99))], 1);
-        assert_eq!(csr.degree(n), 1);
-        csr.compact();
-        assert_eq!(csr.neighbors(n), &[(NodeId(0), EdgeId(99))]);
-    }
-
-    #[test]
     fn from_parts_round_trips_and_validates() {
         let (g, _) = diamond();
         let csr = CsrAdjacency::build(&g);
@@ -303,13 +171,5 @@ mod tests {
             CsrAdjacency::from_parts(vec![0, 2, 1], vec![(NodeId(0), EdgeId(0))]).is_none()
         );
         assert!(CsrAdjacency::from_parts(vec![0, 5], vec![(NodeId(0), EdgeId(0))]).is_none());
-    }
-
-    #[test]
-    fn compact_on_clean_csr_is_a_noop() {
-        let (g, ns) = diamond();
-        let mut csr = CsrAdjacency::build(&g);
-        csr.compact();
-        assert_eq!(csr.degree(ns[0]), 2);
     }
 }

@@ -79,9 +79,7 @@ pub fn multi_source_bfs_distances(csr: &CsrAdjacency, sources: &[NodeId]) -> Vec
 /// distance larger than its budget, so the bounded map prunes it
 /// identically to the full map while the BFS itself only ever touches
 /// the `max_hops`-neighborhood of the sources — the difference between
-/// `O(V + E)` and output-sensitive work on large graphs. Patch-overlay
-/// aware for free: neighbor reads go through
-/// [`CsrAdjacency::neighbors`].
+/// `O(V + E)` and output-sensitive work on large graphs.
 pub fn bounded_bfs_distances(
     csr: &CsrAdjacency,
     sources: &[NodeId],

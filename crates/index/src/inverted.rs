@@ -1,17 +1,15 @@
 //! The inverted index over tuple text attributes.
 //!
-//! The base representation is **flat**: one sorted term dictionary (a
+//! The representation is **flat**: one sorted term dictionary (a
 //! string arena plus offset bounds) and one contiguous posting array
 //! grouped by term — the offset-addressable layout the snapshot file
-//! serializes directly. Mutations never edit the flat arrays
-//! structurally; they go through a small patch `overlay` (term →
-//! effective posting list, empty list = term deleted from the base)
-//! that the engine folds back into the arrays once enough edits
-//! accumulate ([`InvertedIndex::maybe_compact`] at publish time),
-//! mirroring the CSR adjacency's deferred-compaction design.
+//! serializes directly. A mutation batch never edits these arrays in
+//! place: [`InvertedIndex::apply`] turns the batch into sorted posting
+//! edits and merges them with the current arrays into new ones in one
+//! pass, and a fresh build is the same merge into an empty index.
 
 use crate::tokenize::Tokenizer;
-use cla_relational::{ChangeSet, Database, RelationId, TupleId, Value};
+use cla_relational::{ChangeOp, ChangeSet, Database, RelationId, TupleId, Value};
 use cla_storage::{ByteReader, ByteWriter, SharedBytes, StorageError, StrArena};
 use std::collections::HashMap;
 
@@ -38,38 +36,36 @@ pub struct Posting {
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     /// Concatenated sorted terms (the dictionary's string arena).
-    /// Either owned (built or promoted) or a shared view over the
-    /// snapshot image (zero-copy open); [`InvertedIndex::install_base`]
-    /// always installs an owned arena, so the first compaction after a
-    /// mutated open promotes the dictionary off the image.
+    /// Either owned (built or merged) or a shared view over the
+    /// snapshot image (zero-copy open); the first apply that edits an
+    /// opened index writes an owned arena.
     term_arena: StrArena,
-    /// `base_len() + 1` byte offsets into `term_arena`.
+    /// `term_count() + 1` byte offsets into `term_arena`.
     term_bounds: Vec<u32>,
-    /// `base_len() + 1` offsets into `postings`: term `i`'s group.
+    /// `term_count() + 1` offsets into `postings`: term `i`'s group.
     posting_bounds: Vec<u32>,
-    /// Contiguous postings grouped by term, each group strictly sorted
-    /// by `(tuple, attribute)`.
+    /// Contiguous postings grouped by term, each group non-empty and
+    /// strictly sorted by `(tuple, attribute)`.
     postings: Vec<Posting>,
     /// 257-entry first-byte accelerator: `first_byte[b]` is the index
     /// of the first term whose leading byte is ≥ `b`, so a dictionary
     /// probe binary-searches only its own first-byte bucket.
     first_byte: Vec<u32>,
-    /// Patch overlay: terms whose effective posting list diverged from
-    /// the flat base (an empty list tombstones a base term).
-    overlay: HashMap<String, Vec<Posting>>,
-    /// Structural posting edits recorded in the overlay since the last
-    /// compaction (drives [`InvertedIndex::maybe_compact`]).
-    pending_edits: usize,
     tokenizer: Tokenizer,
     indexed_tuples: usize,
-    /// Distinct live terms, maintained across overlay transitions so
-    /// [`InvertedIndex::term_count`] stays O(1).
-    live_terms: usize,
 }
 
-/// Overlay edits that trigger a deferred fold-back into the flat
-/// arrays, mirroring the CSR adjacency's compaction threshold.
-const COMPACT_THRESHOLD: usize = 128;
+/// One posting edit of a batch, filed under its term: after the merge
+/// the term holds the `(tuple, attribute)` posting with `frequency`, or
+/// none when it is `None`.
+struct PostingEdit {
+    tuple: TupleId,
+    attribute: usize,
+    frequency: Option<u32>,
+}
+
+/// A batch's posting edits, grouped by term.
+type Edits = HashMap<String, Vec<PostingEdit>>;
 
 impl InvertedIndex {
     /// Build the index over all text attributes of `db` with the default
@@ -78,24 +74,26 @@ impl InvertedIndex {
         Self::build_with(db, Tokenizer::new())
     }
 
-    /// Build with a custom tokenizer.
+    /// Build with a custom tokenizer: every tuple's postings, merged
+    /// into an empty index.
     pub fn build_with(db: &Database, tokenizer: Tokenizer) -> Self {
-        let mut index = InvertedIndex::empty(tokenizer);
+        let empty = InvertedIndex::empty(tokenizer);
+        let mut edits = Edits::new();
+        let mut indexed_tuples = 0;
         for (rel, schema) in db.catalog().iter() {
             let text_attrs = schema.text_attributes();
             if text_attrs.is_empty() {
                 continue;
             }
             for (id, tuple) in db.tuples(rel) {
-                index.index_tuple(id, tuple.values(), &text_attrs);
+                empty.diff_tuple(id, None, Some(tuple.values()), &text_attrs, &mut edits);
+                indexed_tuples += 1;
             }
         }
-        index.compact();
-        debug_assert!(index.posting_order_ok());
-        index
+        empty.merged(edits, indexed_tuples)
     }
 
-    /// An index over nothing: empty flat base, empty overlay.
+    /// An index over nothing.
     fn empty(tokenizer: Tokenizer) -> Self {
         InvertedIndex {
             term_arena: StrArena::empty(),
@@ -103,170 +101,57 @@ impl InvertedIndex {
             posting_bounds: vec![0],
             postings: Vec::new(),
             first_byte: vec![0; 257],
-            overlay: HashMap::new(),
-            pending_edits: 0,
             tokenizer,
             indexed_tuples: 0,
-            live_terms: 0,
         }
     }
 
-    /// Number of terms in the flat base (live or tombstoned).
-    fn base_len(&self) -> usize {
-        self.term_bounds.len() - 1
-    }
-
-    /// Base term `i`'s text.
-    fn base_term(&self, i: usize) -> &str {
+    /// Term `i`'s text.
+    fn term(&self, i: usize) -> &str {
         self.term_arena
             .get(self.term_bounds[i], self.term_bounds[i + 1])
             // lint: allow(unwrap, every term slice was bounds- and UTF-8-validated at decode; owned arenas are built from strs)
             .expect("term bounds validated at decode")
     }
 
-    /// Whether the flat base still reads out of the snapshot image
-    /// (true only for an opened, not-yet-compacted dictionary).
+    /// Whether the dictionary still reads out of the snapshot image
+    /// (true only for an opened index no apply has edited yet).
     pub fn base_is_image_backed(&self) -> bool {
         matches!(self.term_arena, StrArena::Shared(_))
     }
 
-    /// Base term `i`'s posting group.
-    fn base_postings(&self, i: usize) -> &[Posting] {
+    /// Term `i`'s posting group.
+    fn term_postings(&self, i: usize) -> &[Posting] {
         &self.postings[self.posting_bounds[i] as usize..self.posting_bounds[i + 1] as usize]
     }
 
-    /// Dictionary probe: binary search within the term's first-byte
-    /// bucket of the sorted flat dictionary.
-    fn base_find(&self, term: &str) -> Option<usize> {
-        let &first = term.as_bytes().first()?;
-        let mut lo = self.first_byte[first as usize] as usize;
-        let mut hi = self.first_byte[first as usize + 1] as usize;
+    /// Index of the first term not less than `term`: a binary search
+    /// within the term's first-byte bucket of the sorted dictionary.
+    fn lower_bound(&self, term: &str) -> usize {
+        let first = term.as_bytes().first().map_or(0, |&b| b as usize);
+        let mut lo = self.first_byte[first] as usize;
+        let mut hi = self.first_byte[first + 1] as usize;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.base_term(mid).cmp(term) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
+            if self.term(mid) < term {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        None
+        lo
     }
 
-    /// The effective posting list of `term`: the overlay entry when the
-    /// term diverged, the flat base group otherwise. `None` when the
-    /// term holds no postings (absent or tombstoned).
-    fn effective(&self, term: &str) -> Option<&[Posting]> {
-        if let Some(list) = self.overlay.get(term) {
-            return if list.is_empty() { None } else { Some(list) };
-        }
-        self.base_find(term).map(|i| self.base_postings(i))
-    }
-
-    /// Whether either representation has ever heard of `term` (used by
-    /// the debug asserts guarding impossible unindex paths).
-    fn knows_term(&self, term: &str) -> bool {
-        self.overlay.contains_key(term) || self.base_find(term).is_some()
-    }
-
-    /// Materialize `term`'s effective list into the overlay and return
-    /// it mutably — structural edits never touch the flat base in
-    /// place.
-    fn overlay_entry(&mut self, term: &str) -> &mut Vec<Posting> {
-        if !self.overlay.contains_key(term) {
-            let base = self
-                .base_find(term)
-                .map(|i| self.base_postings(i).to_vec())
-                .unwrap_or_default();
-            self.overlay.insert(term.to_owned(), base);
-        }
-        // lint: allow(unwrap, the entry was inserted just above)
-        self.overlay.get_mut(term).expect("overlay entry materialized above")
-    }
-
-    /// Insert `posting` at its sorted slot in `term`'s list. Panics if
-    /// the `(tuple, attribute)` pair is already present — a pair is
-    /// indexed exactly once.
-    fn insert_posting(&mut self, term: &str, posting: Posting) {
-        self.pending_edits += 1;
-        let list = self.overlay_entry(term);
-        let was_empty = list.is_empty();
-        match list.binary_search_by_key(&(posting.tuple, posting.attribute), |p| {
-            (p.tuple, p.attribute)
-        }) {
-            Ok(_) => unreachable!("a (tuple, attribute) pair is indexed once"),
-            Err(pos) => list.insert(pos, posting),
-        }
-        if was_empty {
-            self.live_terms += 1;
-        }
-    }
-
-    /// Remove the `(tuple, attribute)` posting of `term`, returning it
-    /// (`None` when no such posting exists). A drained term stays in
-    /// the overlay as an empty tombstone when the base knows it, and is
-    /// dropped entirely otherwise.
-    fn remove_posting(
-        &mut self,
-        term: &str,
-        tuple: TupleId,
-        attribute: usize,
-    ) -> Option<Posting> {
-        if !self.knows_term(term) {
-            return None;
-        }
-        self.pending_edits += 1;
-        let (removed, now_empty) = {
-            let list = self.overlay_entry(term);
-            let removed = match list
-                .binary_search_by_key(&(tuple, attribute), |p| (p.tuple, p.attribute))
-            {
-                Ok(pos) => Some(list.remove(pos)),
-                Err(_) => None,
-            };
-            (removed, list.is_empty())
-        };
-        if removed.is_some() && now_empty {
-            self.live_terms -= 1;
-        }
-        if now_empty && self.base_find(term).is_none() {
-            self.overlay.remove(term);
-        }
-        removed
-    }
-
-    /// Point a posting's frequency at a new value, in whichever
-    /// representation currently holds it. Frequency edits preserve sort
-    /// order, so the flat base is patched in place — no overlay
-    /// materialization, no pending-edit charge. Returns the prior
-    /// value.
-    fn set_frequency(
-        &mut self,
-        term: &str,
-        tuple: TupleId,
-        attribute: usize,
-        frequency: u32,
-    ) -> Option<u32> {
-        let key = (tuple, attribute);
-        if let Some(list) = self.overlay.get_mut(term) {
-            let pos = list.binary_search_by_key(&key, |p| (p.tuple, p.attribute)).ok()?;
-            let old = list[pos].frequency;
-            list[pos].frequency = frequency;
-            return Some(old);
-        }
-        let i = self.base_find(term)?;
-        let (lo, hi) = (self.posting_bounds[i] as usize, self.posting_bounds[i + 1] as usize);
-        let group = &mut self.postings[lo..hi];
-        let pos = group.binary_search_by_key(&key, |p| (p.tuple, p.attribute)).ok()?;
-        let old = group[pos].frequency;
-        group[pos].frequency = frequency;
-        Some(old)
+    /// `term`'s posting list, `None` when the index does not hold it.
+    fn find(&self, term: &str) -> Option<&[Posting]> {
+        let i = self.lower_bound(term);
+        (i < self.term_count() && self.term(i) == term).then(|| self.term_postings(i))
     }
 
     /// The term → frequency map of one attribute value: every word token
     /// (via [`Tokenizer::tokenize`]) plus the normalized whole value —
-    /// the single source of truth shared by [`InvertedIndex::build_with`]
-    /// and [`InvertedIndex::apply`], so incremental unindexing always
-    /// regenerates exactly the terms indexing produced.
+    /// the single source of truth for building and applying, so a
+    /// removal always regenerates exactly the terms indexing produced.
     fn terms_of(&self, value: &str) -> HashMap<String, u32> {
         let mut counts: HashMap<String, u32> = HashMap::new();
         for tok in self.tokenizer.tokenize(value) {
@@ -279,169 +164,198 @@ impl InvertedIndex {
         counts
     }
 
-    /// Add one tuple's postings, keeping every touched list sorted by
-    /// `(tuple, attribute)` (insert position found by binary search).
-    fn index_tuple(&mut self, id: TupleId, values: &[Value], text_attrs: &[usize]) {
-        self.indexed_tuples += 1;
-        for &attr in text_attrs {
-            let Some(value) = values.get(attr).and_then(Value::as_text) else {
-                continue;
-            };
-            for (term, frequency) in self.terms_of(value) {
-                self.insert_posting(&term, Posting { tuple: id, attribute: attr, frequency });
-            }
-        }
-    }
-
-    /// Patch one tuple's postings for an in-place update, as a **diff**
-    /// between its old and new value snapshots: per changed attribute,
-    /// terms only in the old value lose their posting, terms only in the
-    /// new value gain one, terms in both adjust their stored frequency
-    /// in place — unchanged attributes (and unchanged terms) are never
-    /// touched, unlike a blind delete + re-insert. `indexed_tuples` is
-    /// unchanged (same tuple, same id).
-    fn update_tuple(
-        &mut self,
-        id: TupleId,
-        old_values: &[Value],
-        new_values: &[Value],
+    /// File the posting edits that take tuple `id` from its `before`
+    /// values to its `after` values (`None`: the tuple does not exist on
+    /// that side), as a **diff** per text attribute: terms only before
+    /// lose their posting, terms only after gain one, terms on both
+    /// sides change only when their frequency does. Unchanged attributes
+    /// and terms produce no edit.
+    fn diff_tuple(
+        &self,
+        tuple: TupleId,
+        before: Option<&[Value]>,
+        after: Option<&[Value]>,
         text_attrs: &[usize],
+        edits: &mut Edits,
     ) {
-        for &attr in text_attrs {
-            let old_text = old_values.get(attr).and_then(Value::as_text);
-            let new_text = new_values.get(attr).and_then(Value::as_text);
-            if old_text == new_text {
+        for &attribute in text_attrs {
+            let old = before.and_then(|v| v.get(attribute)).and_then(Value::as_text);
+            let new = after.and_then(|v| v.get(attribute)).and_then(Value::as_text);
+            if old == new {
                 continue;
             }
-            let old_terms = old_text.map(|v| self.terms_of(v)).unwrap_or_default();
-            let new_terms = new_text.map(|v| self.terms_of(v)).unwrap_or_default();
-            for term in old_terms.keys() {
-                if new_terms.contains_key(term) {
-                    continue; // survives; frequency handled below
+            let mut old_terms = old.map(|v| self.terms_of(v)).unwrap_or_default();
+            for (term, frequency) in new.map(|v| self.terms_of(v)).unwrap_or_default() {
+                if old_terms.remove(&term) != Some(frequency) {
+                    let edit = PostingEdit { tuple, attribute, frequency: Some(frequency) };
+                    edits.entry(term).or_default().push(edit);
                 }
-                if !self.knows_term(term) {
-                    debug_assert!(false, "updating a term that was never indexed");
-                    continue;
-                }
-                self.remove_posting(term, id, attr);
             }
-            for (term, &frequency) in &new_terms {
-                match old_terms.get(term) {
-                    None => {
-                        self.insert_posting(
-                            term,
-                            Posting { tuple: id, attribute: attr, frequency },
-                        );
-                    }
-                    Some(&old_frequency) if old_frequency != frequency => {
-                        self.set_frequency(term, id, attr, frequency)
-                            // lint: allow(unwrap, the tuple was indexed under this term)
-                            .expect("surviving term has this tuple's posting");
-                    }
-                    Some(_) => {} // same term, same frequency: untouched
-                }
+            for term in old_terms.into_keys() {
+                let edit = PostingEdit { tuple, attribute, frequency: None };
+                edits.entry(term).or_default().push(edit);
             }
         }
     }
 
-    /// Remove one tuple's postings, regenerating its terms from the
-    /// snapshot `values` (the tuple itself may already be gone from the
-    /// database). Terms whose lists drain are dropped entirely so the
-    /// patched index is structurally identical to a fresh build.
-    fn unindex_tuple(&mut self, id: TupleId, values: &[Value], text_attrs: &[usize]) {
-        self.indexed_tuples -= 1;
-        for &attr in text_attrs {
-            let Some(value) = values.get(attr).and_then(Value::as_text) else {
-                continue;
+    /// This index with `edits` (at most one per `(term, tuple,
+    /// attribute)`) merged in, as new flat arrays written in one pass
+    /// over the current ones: runs of terms no edit touches are copied
+    /// in bulk, each edited term's group is merged with its edits, and a
+    /// term whose group drains is dropped. No per-term allocation; the
+    /// first-byte accelerator is recomputed.
+    fn merged(&self, edits: Edits, indexed_tuples: usize) -> InvertedIndex {
+        if edits.is_empty() {
+            return InvertedIndex { indexed_tuples, ..self.clone() };
+        }
+        let mut edits: Vec<(String, Vec<PostingEdit>)> = edits.into_iter().collect();
+        edits.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let n = self.term_count();
+        let mut arena = String::with_capacity(self.term_arena.len());
+        let mut term_bounds = Vec::with_capacity(n + edits.len() + 1);
+        let mut posting_bounds = Vec::with_capacity(n + edits.len() + 1);
+        let mut postings = Vec::with_capacity(self.postings.len() + edits.len());
+        term_bounds.push(0);
+        posting_bounds.push(0);
+        let mut next = 0; // first current term not yet carried over
+        for k in 0..=edits.len() {
+            // Carry over the terms before the next edited one (all the
+            // rest after the last) unchanged.
+            let stop = edits.get(k).map_or(n, |(term, _)| self.lower_bound(term));
+            let (t0, t1) = (self.term_bounds[next], self.term_bounds[stop]);
+            let (p0, p1) = (self.posting_bounds[next], self.posting_bounds[stop]);
+            let (arena_at, postings_at) = (arena.len() as u32, postings.len() as u32);
+            // lint: allow(unwrap, a run of whole terms starts and ends on term bounds)
+            let run = self.term_arena.get(t0, t1).expect("term bounds validated at decode");
+            arena.push_str(run);
+            postings.extend_from_slice(&self.postings[p0 as usize..p1 as usize]);
+            term_bounds
+                .extend(self.term_bounds[next + 1..=stop].iter().map(|b| b - t0 + arena_at));
+            posting_bounds.extend(
+                self.posting_bounds[next + 1..=stop].iter().map(|b| b - p0 + postings_at),
+            );
+            next = stop;
+            let Some((term, term_edits)) = edits.get_mut(k) else {
+                break;
             };
-            for term in self.terms_of(value).into_keys() {
-                if !self.knows_term(&term) {
-                    debug_assert!(false, "unindexing a term that was never indexed");
-                    continue;
+            let group = if next < n && self.term(next) == term.as_str() {
+                next += 1;
+                self.term_postings(next - 1)
+            } else {
+                &[]
+            };
+            term_edits.sort_unstable_by_key(|e| (e.tuple, e.attribute));
+            let start = postings.len();
+            let mut current = group.iter().copied().peekable();
+            for e in term_edits.iter() {
+                let key = (e.tuple, e.attribute);
+                while let Some(p) = current.next_if(|p| (p.tuple, p.attribute) < key) {
+                    postings.push(p);
                 }
-                self.remove_posting(&term, id, attr);
+                let replaced = current.next_if(|p| (p.tuple, p.attribute) == key);
+                debug_assert!(
+                    replaced.is_some() || e.frequency.is_some(),
+                    "removing a posting that was never indexed"
+                );
+                if let Some(frequency) = e.frequency {
+                    postings.push(Posting {
+                        tuple: e.tuple,
+                        attribute: e.attribute,
+                        frequency,
+                    });
+                }
+            }
+            postings.extend(current);
+            if postings.len() > start {
+                arena.push_str(term);
+                term_bounds.push(arena.len() as u32);
+                posting_bounds.push(postings.len() as u32);
             }
         }
+        let mut index = InvertedIndex {
+            term_arena: StrArena::Owned(arena),
+            term_bounds,
+            posting_bounds,
+            postings,
+            first_byte: Vec::new(),
+            tokenizer: self.tokenizer.clone(),
+            indexed_tuples,
+        };
+        index.rebuild_first_byte();
+        debug_assert!(index.posting_order_ok(), "a merge must preserve posting order");
+        index
     }
 
-    /// Patch the index in place with a batch of database mutations.
+    /// This index after a batch of database mutations, written as new
+    /// flat arrays (`self` is untouched).
     ///
     /// `db` must be the database the changes were drained from (its
-    /// catalog drives which attributes are text); postings of deleted
-    /// tuples are regenerated from the change-time value snapshots, so
-    /// the tuples being tombstoned already is fine. Updates are applied
-    /// as a **diff** of the old and new snapshots (unchanged attributes
-    /// and terms untouched, frequencies adjusted in place — see
-    /// `update_tuple`). Insert-then-delete spans within the batch cancel
-    /// out, intermediate updates included. After the patch the index is
-    /// **equivalent to a fresh [`InvertedIndex::build_with`]** over the
-    /// mutated database with the same tokenizer: identical term set,
-    /// identical posting lists (still sorted by `(tuple, attribute)` —
-    /// the invariant [`InvertedIndex::matching_tuples`]' dedup and all
-    /// df/idf statistics rest on), identical
+    /// catalog drives which attributes are text). Each changed tuple is
+    /// diffed once, from its state before the batch (the first op's old
+    /// snapshot) to its state after it (the last op's new snapshot), so
+    /// postings of deleted tuples come from their change-time values,
+    /// an update touches only the terms and frequencies it changed, and
+    /// an insert-then-delete span within the batch cancels out. The
+    /// result is **identical to a fresh [`InvertedIndex::build_with`]**
+    /// over the mutated database with the same tokenizer: same arrays,
+    /// so the same [`InvertedIndex::encode`] bytes, and the same
     /// [`InvertedIndex::indexed_tuples`].
-    pub fn apply(&mut self, db: &Database, changes: &ChangeSet) {
-        for op in changes.net_ops() {
-            let change = op.change();
-            let Some(schema) = db.catalog().relation(change.id.relation) else {
-                debug_assert!(false, "change for unknown relation {}", change.id.relation);
+    #[must_use = "apply returns the next index; self is unchanged"]
+    pub fn apply(&self, db: &Database, changes: &ChangeSet) -> InvertedIndex {
+        // A stable sort keeps each tuple's ops in log order.
+        let mut ops: Vec<&ChangeOp> = changes.ops().iter().collect();
+        ops.sort_by_key(|op| op.change().id);
+        let mut edits = Edits::new();
+        let mut indexed_tuples = self.indexed_tuples;
+        for run in ops.chunk_by(|a, b| a.change().id == b.change().id) {
+            let id = run[0].change().id;
+            let Some(schema) = db.catalog().relation(id.relation) else {
+                debug_assert!(false, "change for unknown relation {}", id.relation);
                 continue;
             };
             let text_attrs = schema.text_attributes();
             if text_attrs.is_empty() {
                 continue; // relation contributes nothing to the index
             }
-            if let Some((old, new)) = op.update_sides() {
-                self.update_tuple(change.id, &old.values, &new.values, &text_attrs);
-            } else if op.is_insert() {
-                self.index_tuple(change.id, &change.values, &text_attrs);
-            } else {
-                self.unindex_tuple(change.id, &change.values, &text_attrs);
+            let before = match run[0] {
+                ChangeOp::Insert(_) => None,
+                ChangeOp::Update { old, .. } => Some(old.values.as_slice()),
+                ChangeOp::Delete(gone) => Some(gone.values.as_slice()),
+            };
+            let after = match run[run.len() - 1] {
+                ChangeOp::Delete(_) => None,
+                op => Some(op.change().values.as_slice()),
+            };
+            match (before, after) {
+                (None, Some(_)) => indexed_tuples += 1,
+                (Some(_), None) => indexed_tuples -= 1,
+                _ => {}
             }
+            self.diff_tuple(id, before, after, &text_attrs, &mut edits);
         }
-        debug_assert!(self.posting_order_ok(), "apply must preserve posting order");
+        self.merged(edits, indexed_tuples)
     }
 
-    /// The posting-order invariant, stated explicitly: every posting list
-    /// is strictly sorted by `(tuple, attribute)`. `matching_tuples`
-    /// dedups adjacent tuples and the df/idf statistics count distinct
-    /// tuples under that assumption; incremental patching asserts it in
-    /// debug builds after every [`InvertedIndex::apply`], and tests call
-    /// it directly.
+    /// The posting-order invariant, stated explicitly: the dictionary is
+    /// strictly sorted and every posting list is non-empty and strictly
+    /// sorted by `(tuple, attribute)`. `matching_tuples` dedups adjacent
+    /// tuples and the df/idf statistics count distinct tuples under that
+    /// assumption; every merge asserts it in debug builds, and tests
+    /// call it directly.
     pub fn posting_order_ok(&self) -> bool {
-        fn strictly_sorted(list: &[Posting]) -> bool {
-            list.windows(2)
-                .all(|w| (w[0].tuple, w[0].attribute) < (w[1].tuple, w[1].attribute))
-        }
-        let base_ok = (0..self.base_len()).all(|i| {
-            let list = self.base_postings(i);
-            !list.is_empty() && strictly_sorted(list)
+        let lists_ok = (0..self.term_count()).all(|i| {
+            let list = self.term_postings(i);
+            !list.is_empty()
+                && list
+                    .windows(2)
+                    .all(|w| (w[0].tuple, w[0].attribute) < (w[1].tuple, w[1].attribute))
         });
-        let dictionary_ok =
-            (1..self.base_len()).all(|i| self.base_term(i - 1) < self.base_term(i));
-        // Overlay lists stay sorted too; an empty one is only legal as a
-        // tombstone of a term the base holds.
-        let overlay_ok = self.overlay.iter().all(|(term, list)| {
-            strictly_sorted(list) && (!list.is_empty() || self.base_find(term).is_some())
-        });
-        base_ok && dictionary_ok && overlay_ok
+        lists_ok && (1..self.term_count()).all(|i| self.term(i - 1) < self.term(i))
     }
 
-    /// Iterate over `(term, postings)` pairs in unspecified order (used
-    /// by equivalence tests comparing a patched index against a fresh
-    /// build). Overlay entries shadow their base groups; tombstoned
-    /// terms are skipped — callers always see the *effective* index.
+    /// Iterate over `(term, postings)` pairs in term order.
     pub fn terms(&self) -> impl Iterator<Item = (&str, &[Posting])> {
-        let base = (0..self.base_len()).filter_map(move |i| {
-            let term = self.base_term(i);
-            (!self.overlay.contains_key(term)).then(|| (term, self.base_postings(i)))
-        });
-        let patched = self
-            .overlay
-            .iter()
-            .filter(|(_, list)| !list.is_empty())
-            .map(|(term, list)| (term.as_str(), list.as_slice()));
-        base.chain(patched)
+        (0..self.term_count()).map(move |i| (self.term(i), self.term_postings(i)))
     }
 
     /// The indexed term nearest to `keyword` by Levenshtein edit
@@ -504,7 +418,7 @@ impl InvertedIndex {
             Ok([single]) => single,
             Err(_) => self.tokenizer.normalize_value(keyword),
         };
-        self.effective(&normalized).unwrap_or(&[])
+        self.find(&normalized).unwrap_or(&[])
     }
 
     /// Distinct tuples containing `keyword`, sorted.
@@ -527,7 +441,7 @@ impl InvertedIndex {
 
     /// Number of distinct indexed terms.
     pub fn term_count(&self) -> usize {
-        self.live_terms
+        self.term_bounds.len() - 1
     }
 
     /// Number of tuples that were scanned for indexing (tuples of
@@ -542,81 +456,6 @@ impl InvertedIndex {
         self.lookup(keyword).iter().filter(|p| p.tuple == t).map(|p| p.frequency).sum()
     }
 
-    /// Structural posting edits accumulated in the overlay since the
-    /// last compaction.
-    pub fn pending_edits(&self) -> usize {
-        self.pending_edits
-    }
-
-    /// Fold the patch overlay back into the flat arrays: tombstoned
-    /// terms vanish, diverged lists replace their base groups, new
-    /// terms merge into the sorted dictionary. Afterwards the overlay
-    /// is empty and the index is byte-for-byte what a fresh
-    /// [`InvertedIndex::build_with`] over the same content produces.
-    pub fn compact(&mut self) {
-        if self.overlay.is_empty() {
-            self.pending_edits = 0;
-            return;
-        }
-        let mut overlay = std::mem::take(&mut self.overlay);
-        let mut entries: Vec<(String, Vec<Posting>)> =
-            Vec::with_capacity(self.base_len() + overlay.len());
-        for i in 0..self.base_len() {
-            let term = self.base_term(i);
-            match overlay.remove(term) {
-                Some(list) if list.is_empty() => {} // tombstoned
-                Some(list) => entries.push((term.to_owned(), list)),
-                None => entries.push((term.to_owned(), self.base_postings(i).to_vec())),
-            }
-        }
-        for (term, list) in overlay {
-            if !list.is_empty() {
-                entries.push((term, list));
-            }
-        }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        self.install_base(entries);
-    }
-
-    /// Deferred compaction: fold the overlay once enough structural
-    /// edits accumulated, mirroring the CSR adjacency's threshold.
-    /// Called by the engine at publish time; returns whether a fold
-    /// ran.
-    pub fn maybe_compact(&mut self) -> bool {
-        if self.pending_edits >= COMPACT_THRESHOLD {
-            self.compact();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Install `entries` (strictly sorted by term, lists non-empty and
-    /// sorted) as the new flat base, clearing the overlay.
-    fn install_base(&mut self, entries: Vec<(String, Vec<Posting>)>) {
-        let mut arena = String::new();
-        let mut term_bounds = Vec::with_capacity(entries.len() + 1);
-        let mut posting_bounds = Vec::with_capacity(entries.len() + 1);
-        let mut postings =
-            Vec::with_capacity(entries.iter().map(|(_, l)| l.len()).sum::<usize>());
-        term_bounds.push(0);
-        posting_bounds.push(0);
-        for (term, list) in &entries {
-            arena.push_str(term);
-            term_bounds.push(arena.len() as u32);
-            postings.extend_from_slice(list);
-            posting_bounds.push(postings.len() as u32);
-        }
-        self.live_terms = entries.len();
-        self.term_arena = StrArena::Owned(arena);
-        self.term_bounds = term_bounds;
-        self.posting_bounds = posting_bounds;
-        self.postings = postings;
-        self.overlay.clear();
-        self.pending_edits = 0;
-        self.rebuild_first_byte();
-    }
-
     /// Recompute the 257-entry first-byte bucket index over the sorted
     /// dictionary (a counting pass + prefix sum). Reads leading bytes
     /// straight off the arena — no per-term `str` materialization, so
@@ -624,8 +463,8 @@ impl InvertedIndex {
     fn rebuild_first_byte(&mut self) {
         let arena = self.term_arena.as_bytes();
         let mut counts = [0u32; 256];
-        for i in 0..self.base_len() {
-            counts[arena[self.term_bounds[i] as usize] as usize] += 1;
+        for &bound in &self.term_bounds[..self.term_count()] {
+            counts[arena[bound as usize] as usize] += 1;
         }
         let mut fb = vec![0u32; 257];
         for b in 0..256 {
@@ -639,9 +478,7 @@ impl InvertedIndex {
     /// in-memory shape** — one string arena, `n+1` term bounds, `n+1`
     /// posting bounds, one contiguous posting array — so a decoder can
     /// keep the arena as a view over the image instead of re-building
-    /// owned strings. The overlay is folded *logically* during the walk
-    /// — encoding never mutates `self` — so an uncompacted index and
-    /// its compacted twin encode byte-identically.
+    /// owned strings.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.len(self.tokenizer.min_len());
@@ -651,35 +488,17 @@ impl InvertedIndex {
             w.str(word);
         }
         w.len(self.indexed_tuples);
-        let mut entries: Vec<(&str, &[Posting])> = self.terms().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        w.len(entries.len());
-        let arena_len: usize = entries.iter().map(|(t, _)| t.len()).sum();
-        let mut arena = String::with_capacity(arena_len);
-        for (term, _) in &entries {
-            arena.push_str(term);
-        }
-        w.bytes(arena.as_bytes());
-        let mut bound = 0u32;
-        w.u32(bound);
-        for (term, _) in &entries {
-            bound += term.len() as u32;
+        w.len(self.term_count());
+        w.bytes(self.term_arena.as_bytes());
+        for &bound in self.term_bounds.iter().chain(&self.posting_bounds) {
             w.u32(bound);
         }
-        let mut bound = 0u32;
-        w.u32(bound);
-        for (_, list) in &entries {
-            bound += list.len() as u32;
-            w.u32(bound);
-        }
-        w.len(entries.iter().map(|(_, l)| l.len()).sum::<usize>());
-        for (_, list) in &entries {
-            for p in *list {
-                w.u32(p.tuple.relation.0);
-                w.u32(p.tuple.row);
-                w.len(p.attribute);
-                w.u32(p.frequency);
-            }
+        w.len(self.postings.len());
+        for p in &self.postings {
+            w.u32(p.tuple.relation.0);
+            w.u32(p.tuple.row);
+            w.len(p.attribute);
+            w.u32(p.frequency);
         }
         w.into_vec()
     }
@@ -790,7 +609,6 @@ impl InvertedIndex {
         index.term_bounds = term_bounds;
         index.posting_bounds = posting_bounds;
         index.postings = postings;
-        index.live_terms = n_terms;
         index.indexed_tuples = indexed_tuples;
         index.rebuild_first_byte();
         debug_assert!(index.posting_order_ok());
@@ -1061,7 +879,7 @@ mod tests {
         database.delete(d3).unwrap(); // insert-then-delete cancels
 
         let changes = database.take_changes();
-        idx.apply(&database, &changes);
+        idx = idx.apply(&database, &changes);
         assert!(idx.posting_order_ok());
 
         let fresh = InvertedIndex::build(&database);
@@ -1101,7 +919,7 @@ mod tests {
         // New tuple in relation A: its TupleId precedes every B tuple.
         database.insert(a, vec!["a1".into(), "shared term".into()]).unwrap();
         let changes = database.take_changes();
-        idx.apply(&database, &changes);
+        idx = idx.apply(&database, &changes);
         assert!(idx.posting_order_ok());
         let fresh = InvertedIndex::build(&database);
         assert_eq!(idx.matching_tuples("shared"), fresh.matching_tuples("shared"));
@@ -1128,7 +946,7 @@ mod tests {
             )
             .unwrap();
         let changes = database.take_changes();
-        idx.apply(&database, &changes);
+        idx = idx.apply(&database, &changes);
         assert!(idx.posting_order_ok());
 
         let fresh = InvertedIndex::build(&database);
@@ -1162,7 +980,7 @@ mod tests {
         let terms_before = idx.term_count();
         database.delete(t1).unwrap();
         let changes = database.take_changes();
-        idx.apply(&database, &changes);
+        idx = idx.apply(&database, &changes);
         assert!(idx.lookup("unique-word").is_empty());
         assert!(idx.term_count() < terms_before);
         assert_eq!(idx.indexed_tuples(), 0);
@@ -1174,64 +992,6 @@ mod tests {
         let mut v: Vec<_> = idx.terms().map(|(t, l)| (t.to_owned(), l.to_vec())).collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
-    }
-
-    #[test]
-    fn compact_folds_overlay_without_changing_content() {
-        let mut database = db();
-        database.take_changes();
-        let mut idx = InvertedIndex::build(&database);
-        assert_eq!(idx.pending_edits(), 0, "a fresh build is compacted");
-
-        let emp = database.catalog().relation_id("EMPLOYEE").unwrap();
-        let e1 = database.lookup_pk(emp, &[Value::from("e1")]).unwrap();
-        database.insert(emp, vec!["e3".into(), "Turing".into(), "Alan".into()]).unwrap();
-        database.update(e1, vec!["e1".into(), "Miller".into(), "John".into()]).unwrap();
-        let changes = database.take_changes();
-        idx.apply(&database, &changes);
-        assert!(idx.pending_edits() > 0, "patches land in the overlay");
-
-        let before = contents(&idx);
-        let term_count = idx.term_count();
-        idx.compact();
-        assert_eq!(idx.pending_edits(), 0);
-        assert!(idx.posting_order_ok());
-        assert_eq!(contents(&idx), before, "compaction must not change content");
-        assert_eq!(idx.term_count(), term_count);
-        // And the compacted index equals a fresh flat build exactly.
-        assert_eq!(contents(&idx), contents(&InvertedIndex::build(&database)));
-    }
-
-    #[test]
-    fn maybe_compact_fires_at_the_threshold_only() {
-        let mut database = db();
-        database.take_changes();
-        let mut idx = InvertedIndex::build(&database);
-        let emp = database.catalog().relation_id("EMPLOYEE").unwrap();
-        // One small batch stays under the threshold.
-        database.insert(emp, vec!["e9".into(), "Lovelace".into(), "Ada".into()]).unwrap();
-        let changes = database.take_changes();
-        idx.apply(&database, &changes);
-        assert!(!idx.maybe_compact(), "a small overlay is kept");
-        assert!(idx.pending_edits() > 0);
-        // Enough churn trips the deferred fold.
-        for i in 0..64 {
-            database
-                .insert(
-                    emp,
-                    vec![
-                        format!("x{i}").into(),
-                        format!("last{i}").into(),
-                        format!("first{i}").into(),
-                    ],
-                )
-                .unwrap();
-        }
-        let changes = database.take_changes();
-        idx.apply(&database, &changes);
-        assert!(idx.maybe_compact(), "a large overlay is folded");
-        assert_eq!(idx.pending_edits(), 0);
-        assert_eq!(contents(&idx), contents(&InvertedIndex::build(&database)));
     }
 
     /// Decode from an owned buffer (tests exercise the same shared-view
@@ -1259,47 +1019,29 @@ mod tests {
         assert_eq!(back.encode(), bytes);
     }
 
+    /// A decoded dictionary reads straight out of the section view; an
+    /// empty batch keeps it there, and the first batch that edits the
+    /// index writes an owned arena without changing content — the
+    /// promotion contract of the zero-copy open path.
     #[test]
-    fn encode_folds_overlay_logically() {
+    fn decoded_arena_is_image_backed_until_an_edit() {
         let mut database = db();
         database.take_changes();
-        let mut idx = InvertedIndex::build(&database);
-        let emp = database.catalog().relation_id("EMPLOYEE").unwrap();
-        database.insert(emp, vec!["e3".into(), "Hopper".into(), "Grace".into()]).unwrap();
-        let changes = database.take_changes();
-        idx.apply(&database, &changes);
-        assert!(idx.pending_edits() > 0);
-        let encoded_dirty = idx.encode();
-        let mut compacted = idx.clone();
-        compacted.compact();
-        assert_eq!(
-            encoded_dirty,
-            compacted.encode(),
-            "overlay and compacted twins must encode identically"
-        );
-        let back = decode(&encoded_dirty).unwrap();
-        assert_eq!(contents(&back), contents(&idx));
-    }
-
-    /// A decoded dictionary reads straight out of the section view; its
-    /// first compaction installs an owned arena without changing
-    /// content — the promotion contract of the zero-copy open path.
-    #[test]
-    fn decoded_arena_is_image_backed_until_compaction() {
-        let idx = InvertedIndex::build(&db());
+        let idx = InvertedIndex::build(&database);
         assert!(!idx.base_is_image_backed(), "a built index owns its arena");
         let mut back = decode(&idx.encode()).unwrap();
         assert!(back.base_is_image_backed(), "a decoded index borrows the section");
         assert_eq!(contents(&back), contents(&idx));
         assert_eq!(back.matching_tuples("xml"), idx.matching_tuples("xml"));
-        // compact() on an overlay-free index is a no-op (stays shared);
-        // force a fold through install_base via a real edit cycle.
-        back.compact();
-        assert!(back.base_is_image_backed(), "no-op compaction keeps the view");
-        let entries: Vec<(String, Vec<Posting>)> = contents(&back);
-        back.install_base(entries);
-        assert!(!back.base_is_image_backed(), "a fold promotes to an owned arena");
-        assert_eq!(contents(&back), contents(&idx));
+        let changes = database.take_changes();
+        back = back.apply(&database, &changes);
+        assert!(back.base_is_image_backed(), "an empty batch keeps the view");
+        let emp = database.catalog().relation_id("EMPLOYEE").unwrap();
+        database.insert(emp, vec!["e3".into(), "Hopper".into(), "Grace".into()]).unwrap();
+        let changes = database.take_changes();
+        back = back.apply(&database, &changes);
+        assert!(!back.base_is_image_backed(), "an edit writes an owned arena");
+        assert_eq!(back.encode(), InvertedIndex::build(&database).encode());
     }
 
     /// Assemble a v2 section payload from raw parts, so corruption
@@ -1396,29 +1138,26 @@ mod tests {
     }
 
     #[test]
-    fn lookup_hits_flat_base_and_overlay_consistently() {
+    fn lookup_reflects_each_applied_batch() {
         let mut database = db();
         database.take_changes();
         let mut idx = InvertedIndex::build(&database);
-        // Flat-base hit.
         assert_eq!(idx.matching_tuples("xml").len(), 2);
-        // Overlay shadow: delete a tuple, the base keeps stale postings
-        // but the overlay tombstones/filters them.
+        // A deleted tuple's postings are gone from every term it held.
         let emp = database.catalog().relation_id("EMPLOYEE").unwrap();
         let e1 = database.lookup_pk(emp, &[Value::from("e1")]).unwrap();
         database.delete(e1).unwrap();
         let changes = database.take_changes();
-        idx.apply(&database, &changes);
+        idx = idx.apply(&database, &changes);
         assert!(!idx.matching_tuples("smith").contains(&e1));
         assert!(!idx.matching_tuples("john").contains(&e1));
-        // A term added only via the overlay resolves before compaction.
+        // A term only an inserted tuple holds resolves at once.
         database.insert(emp, vec!["e4".into(), "Dijkstra".into(), "Edsger".into()]).unwrap();
         let changes = database.take_changes();
-        idx.apply(&database, &changes);
+        idx = idx.apply(&database, &changes);
         assert_eq!(idx.matching_tuples("dijkstra").len(), 1);
-        idx.compact();
-        assert_eq!(idx.matching_tuples("dijkstra").len(), 1);
-        assert!(!idx.matching_tuples("smith").contains(&e1));
+        assert_eq!(idx.matching_tuples("xml").len(), 2);
+        assert_eq!(idx.encode(), InvertedIndex::build(&database).encode());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the text substrate.
 
 use cla_index::{idf, tf, InvertedIndex, KeywordQuery, Tokenizer};
-use cla_relational::{DataType, Database, SchemaBuilder};
+use cla_relational::{DataType, Database, SchemaBuilder, TupleId, Value};
 use proptest::prelude::*;
 
 fn text_db(rows: &[String]) -> Database {
@@ -74,5 +74,64 @@ proptest! {
         }
         prop_assert!(idf(df, n) > 0.0);
         prop_assert!(tf(f) >= 1.0);
+    }
+
+    /// Applying random batches of inserts, text updates and deletes
+    /// leaves the index byte-identical to a fresh build over the same
+    /// database, batch after batch. Two text attributes over a
+    /// four-letter alphabet make terms collide, drain and reappear, and
+    /// a batch may update or delete a tuple it inserted itself.
+    #[test]
+    fn apply_encodes_like_a_fresh_build(
+        rows in proptest::collection::vec(("[a-d ]{0,12}", "[a-d ]{0,6}"), 0..6),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, any::<u16>(), "[a-d ]{0,12}", "[a-d ]{0,6}"), 1..6),
+            1..6,
+        ),
+        min_len in 1usize..3,
+    ) {
+        let catalog = SchemaBuilder::new()
+            .relation("R", |r| {
+                r.attr("ID", DataType::Int)
+                    .attr("A", DataType::Text)
+                    .attr("B", DataType::Text)
+                    .primary_key(&["ID"])
+            })
+            .build()
+            .unwrap();
+        let mut db = Database::new(catalog).unwrap();
+        let r = db.catalog().relation_id("R").unwrap();
+        let mut next_key = 0i64;
+        let row = |key: &mut i64, a: &str, b: &str| -> Vec<Value> {
+            *key += 1;
+            vec![Value::from(*key), a.into(), b.into()]
+        };
+        for (a, b) in &rows {
+            db.insert(r, row(&mut next_key, a, b)).unwrap();
+        }
+        let tokenizer = Tokenizer::new().with_min_len(min_len).with_stopwords(["ab"]);
+        let mut index = InvertedIndex::build_with(&db, tokenizer.clone());
+        db.take_changes();
+        for (round, batch) in batches.iter().enumerate() {
+            for (kind, pick, a, b) in batch {
+                let live: Vec<TupleId> = db.tuples(r).map(|(id, _)| id).collect();
+                let target = (!live.is_empty()).then(|| live[*pick as usize % live.len()]);
+                match (kind, target) {
+                    (1, Some(id)) => {
+                        let key = db.tuple(id).unwrap().values()[0].clone();
+                        db.update(id, vec![key, a.as_str().into(), b.as_str().into()]).unwrap();
+                    }
+                    (2, Some(id)) => db.delete(id).unwrap(),
+                    _ => {
+                        db.insert(r, row(&mut next_key, a, b)).unwrap();
+                    }
+                }
+            }
+            let changes = db.take_changes();
+            index = index.apply(&db, &changes);
+            let fresh = InvertedIndex::build_with(&db, tokenizer.clone());
+            prop_assert!(index.posting_order_ok(), "round {}: posting order", round);
+            prop_assert_eq!(index.encode(), fresh.encode(), "round {}: encodings differ", round);
+        }
     }
 }

@@ -70,9 +70,8 @@
 //!   owned current generation only. Writes remain single-writer:
 //!   `EngineWriter`'s typed `insert`/`update`/`delete` ops are the only
 //!   mutation path (a refused op stages nothing), and a publish
-//!   recycles the previous generation's buffer by replaying the one
-//!   batch it missed, deep-cloning the engine only while a reader
-//!   still pins that buffer (pinned in
+//!   builds the next generation from a copy of the current one's flat
+//!   arrays, never touching a generation a reader pins (pinned in
 //!   `crates/core/tests/{concurrent,alloc}.rs`; demonstrated in
 //!   `examples/concurrent_serving.rs`).
 //! * **Cold-startable from disk, zero-copy** — `core::SearchEngine::save`
