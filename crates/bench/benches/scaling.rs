@@ -341,6 +341,33 @@ fn banks_vs_discover(c: &mut Criterion) {
             });
         }
     }
+    // A whole DISCOVER answer whose seeds each match every keyword: on
+    // dept16 "the main are" matches every department and project
+    // description. The options are those of the `perfbench` `full_small`
+    // DISCOVER queries, expansion cap included; growth that does not stop
+    // at total networks runs into that cap here.
+    let engine = synthetic_engine(16, SEED);
+    let total_seed = "the main are";
+    let opts = SearchOptions {
+        algorithm: Algorithm::Discover,
+        k: None,
+        threads: 1,
+        compute_instance: true,
+        max_rdb_length: 4,
+        budget: SearchBudget::with_max_expansions(200_000),
+        ..Default::default()
+    };
+    let r = engine.search(total_seed, &opts).unwrap();
+    eprintln!(
+        "discover dept16 total seed: {} network materializations, {} connections ({:?})",
+        r.stats.expansions,
+        r.connections.len(),
+        r.stats.completeness
+    );
+    group.bench_function(
+        BenchmarkId::from_parameter("discover_dept16_total_seed_full"),
+        |b| b.iter(|| black_box(engine.search(total_seed, &opts).unwrap().len())),
+    );
     group.finish();
 }
 

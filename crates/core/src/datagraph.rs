@@ -668,6 +668,7 @@ impl DataGraph {
         let csr = CsrAdjacency::from_parts(offsets, flat).ok_or_else(|| {
             StorageError::Malformed("CSR offset array is not monotone from zero".into())
         })?;
+        check_csr_matches_graph(&csr, &graph)?;
 
         Ok(DataGraph { graph, csr, node_of, middle })
     }
@@ -732,6 +733,50 @@ impl DataGraph {
     pub fn edge_count(&self) -> usize {
         self.graph.edge_count()
     }
+}
+
+/// Check that a decoded CSR is the graph's adjacency: every entry's
+/// edge joins its node and its neighbour, and every live edge appears
+/// exactly once at each endpoint (a self-loop once). Searches read only
+/// the CSR, so an entry that disagrees with the graph would silently
+/// change answers.
+fn check_csr_matches_graph(
+    csr: &CsrAdjacency,
+    graph: &Graph<TupleId, EdgeAnnotation>,
+) -> Result<(), StorageError> {
+    // Per edge slot: bit 0 once seen at its `from` node, bit 1 once seen
+    // at its `to` node.
+    let mut seen = vec![0u8; graph.edge_slots()];
+    for n in graph.nodes() {
+        for &(m, e) in csr.neighbors(n) {
+            let (from, to) = graph.endpoints(e);
+            let side = if (from, to) == (n, m) {
+                1
+            } else if (from, to) == (m, n) {
+                2
+            } else {
+                return Err(StorageError::Malformed(format!(
+                    "CSR entry ({m:?}, {e:?}) of node {n:?} does not match its edge"
+                )));
+            };
+            if seen[e.index()] & side != 0 {
+                return Err(StorageError::Malformed(format!(
+                    "CSR lists edge {e:?} twice at node {n:?}"
+                )));
+            }
+            seen[e.index()] |= side;
+        }
+    }
+    for e in graph.edges() {
+        let want = if e.from == e.to { 1 } else { 3 };
+        if seen[e.id.index()] != want {
+            return Err(StorageError::Malformed(format!(
+                "CSR misses edge {:?} at an endpoint",
+                e.id
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -846,6 +846,37 @@ mod tests {
         assert!(manual.db().total_row_slots() > manual.db().total_tuples());
     }
 
+    /// Re-pointing updates tombstone edge slots without freeing a row,
+    /// and the tombstone-ratio policy counts those too: repeated
+    /// re-points of one employee compact once the dead edge slots reach
+    /// the fraction, and leave no dead edge slot behind.
+    #[test]
+    fn auto_compaction_counts_edge_slots_tombstoned_by_repoints() {
+        let c = company();
+        let mut e = SearchEngine::new(c.db.clone(), c.er_schema.clone(), c.mapping.clone())
+            .unwrap()
+            .with_compaction_policy(CompactionPolicy::TombstoneRatio(0.25));
+        let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
+        let mut compactions = 0;
+        for round in 0..40 {
+            let e1 = e.db().lookup_pk(emp, &["e1".into()]).unwrap();
+            let mut values = e.db().tuple(e1).unwrap().values().to_vec();
+            values[3] = if round % 2 == 0 { "d2" } else { "d1" }.into();
+            e.writer_mut().update(e1, values).unwrap();
+            let outcome = e.apply().unwrap();
+            let graph = e.snapshot().data_graph().graph().clone();
+            if outcome.compaction.is_some() {
+                compactions += 1;
+                assert_eq!(graph.edge_slots(), graph.edge_count(), "round {round}");
+            } else {
+                let dead = graph.edge_slots() - graph.edge_count();
+                assert!((dead as f64) < 0.25 * graph.edge_slots() as f64, "round {round}");
+            }
+        }
+        assert!(compactions > 0, "re-points must trigger the policy");
+        assert_eq!(e.db().total_row_slots(), e.db().total_tuples(), "no row ever died");
+    }
+
     /// The typed writer mutation path stages, applies and publishes,
     /// and each publish bumps the snapshot generation without
     /// disturbing previously pinned generations.

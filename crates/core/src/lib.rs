@@ -18,7 +18,10 @@
 //! * [`banks_search`] — BANKS backward expansion (the paper's reference
 //!   `[1]`);
 //! * [`is_mtjnt`]/[`enumerate_mtjnts`] — DISCOVER's MTJNT semantics
-//!   (the paper's reference `[4]`) used to demonstrate the §3 loss claim;
+//!   (the paper's reference `[4]`) used to demonstrate the §3 loss
+//!   claim; [`JoiningNetworkLevels`] grows, level by level, only the
+//!   networks that can still become MTJNTs (the unpruned enumeration of
+//!   every total network is a test reference, not library API);
 //! * [`explain_connection`] — natural-language readings (§3);
 //! * [`SearchEngine`] — the façade: index → match → connect → rank.
 //!
@@ -143,8 +146,8 @@ pub use budget::SearchBudget;
 pub use connection::{ConceptualStep, Connection, ConnectionStep};
 pub use datagraph::{DataGraph, EdgeAnnotation};
 pub use discover::{
-    enumerate_joining_networks, enumerate_mtjnts, enumerate_mtjnts_budgeted, is_joining,
-    is_mtjnt, is_total, mtjnt_filter, JoiningNetworkLevels,
+    enumerate_mtjnts, enumerate_mtjnts_budgeted, is_joining, is_mtjnt, is_total,
+    mtjnt_filter, JoiningNetworkLevels,
 };
 pub use engine::SearchEngine;
 pub use error::{CoreError, KeywordDiagnostic};

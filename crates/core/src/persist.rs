@@ -478,6 +478,21 @@ mod tests {
             decode_image(&swapped),
             Err(CoreError::Snapshot(StorageError::Malformed(_)))
         ));
+        // A CSR entry whose neighbour no longer matches its edge: every id
+        // is in range and every edge alive, but a search would step along
+        // that edge to the wrong tuple.
+        let rewired = rewrite_section(&image, SECTION_CSR, |mut p| {
+            let n_offsets = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
+            let first = 4 + 4 * n_offsets + 4;
+            let m = u32::from_le_bytes([p[first], p[first + 1], p[first + 2], p[first + 3]]);
+            let other = if m == 0 { 1 } else { m - 1 };
+            p[first..first + 4].copy_from_slice(&other.to_le_bytes());
+            p
+        });
+        assert!(matches!(
+            decode_image(&rewired),
+            Err(CoreError::Snapshot(StorageError::Malformed(_)))
+        ));
         // A truncated ALIASES payload is caught by the section decoder.
         let clipped = rewrite_section(&image, SECTION_ALIASES, |mut p| {
             p.truncate(p.len() - 1);

@@ -123,7 +123,10 @@ pub struct SearchOptions {
     /// connection the cut could have missed); under
     /// [`RankStrategy::Combined`] the output is best-effort
     /// found-so-far. The budget is probed at each pipeline's
-    /// expansion-counting sites.
+    /// expansion-counting sites; DISCOVER counts only the networks that
+    /// can still become MTJNTs (see [`SearchStats::expansions`]), so
+    /// the same cap reaches further there than a count of every
+    /// connected network would.
     pub budget: SearchBudget,
 }
 
@@ -1566,9 +1569,9 @@ impl EngineSnapshot {
         (acc, stats)
     }
 
-    /// Streaming top-k for the two-keyword `Discover` pipeline:
-    /// candidate joining networks are consumed one **size level** at a
-    /// time from [`JoiningNetworkLevels`], MTJNT-filtered, converted to
+    /// Streaming top-k for the two-keyword `Discover` pipeline: MTJNTs
+    /// are consumed one **size level** at a time from
+    /// [`JoiningNetworkLevels`], converted to
     /// connections (two-keyword MTJNTs are always path-shaped: every
     /// leaf of a minimal network must carry a keyword) and absorbed
     /// into the bounded best-k buffer; enumeration cuts as soon as the
@@ -1591,7 +1594,8 @@ impl EngineSnapshot {
         if k == 0 {
             return (Vec::new(), SearchStats::default());
         }
-        let mut levels = JoiningNetworkLevels::new(&self.dg, kw_sets);
+        let max_tuples = options.max_rdb_length + 1;
+        let mut levels = JoiningNetworkLevels::new(&self.dg, kw_sets, max_tuples);
         let mut stats = SearchStats::default();
         let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
         let mut acc: Vec<RankedConnection> = Vec::new();
@@ -1613,10 +1617,7 @@ impl EngineSnapshot {
             k,
             rank_scratch,
         );
-        let max_tuples = options.max_rdb_length + 1;
-        if levels.next_size() <= max_tuples {
-            let _ = levels.next_level_budgeted(&mut |n| probe.check(n));
-        }
+        let _ = levels.next_level_budgeted(&mut |n| probe.check(n));
         while levels.next_size() <= max_tuples {
             let level_edges = levels.next_size() - 1;
             // Every network still to come has >= level_edges edges; once
@@ -1628,15 +1629,12 @@ impl EngineSnapshot {
                 stats.early_terminated = true;
                 break;
             }
-            let Some(totals) = levels.next_level_budgeted(&mut |n| probe.check(n)) else {
+            let Some(mtjnts) = levels.next_level_budgeted(&mut |n| probe.check(n)) else {
                 break;
             };
             stats.max_length_enumerated = level_edges;
-            let conns: Vec<Connection> = totals
-                .iter()
-                .filter(|n| is_mtjnt(&self.dg, n, kw_sets))
-                .filter_map(|n| self.network_to_connection(n))
-                .collect();
+            let conns: Vec<Connection> =
+                mtjnts.iter().filter_map(|n| self.network_to_connection(n)).collect();
             self.absorb_level(
                 &mut acc,
                 &mut seen,

@@ -27,10 +27,13 @@ use std::hash::Hash;
 ///   keyword sets; the priority-queue cutoff strictly fewer whenever
 ///   it fires. (`cla_core::BanksWork` additionally reports the raw
 ///   per-set Dijkstra settles.)
-/// * `Discover` — candidate joining networks materialized by the
-///   level-wise growth (total or not); the streaming cutoff stops at
-///   the first dominated size level and never materializes the deeper
-///   ones.
+/// * `Discover` — joining networks materialized by the level-wise
+///   growth, counting only networks that can still become an MTJNT
+///   within the size bound (total ones are reported and never grown,
+///   and ones too far from a keyword set they miss are never built), so
+///   an expansion cap reaches further than it would over every
+///   connected network; the streaming cutoff stops at the first
+///   dominated size level and never materializes the deeper ones.
 ///
 /// With `k` set and a length-monotone ranker, a streaming run must
 /// report strictly fewer expansions than the full run while returning

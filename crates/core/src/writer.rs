@@ -63,10 +63,12 @@ pub enum CompactionPolicy {
     /// calls `compact`.
     #[default]
     Manual,
-    /// Compact when `tombstoned row slots / total row slots` reaches
-    /// this fraction (e.g. `0.25` for the ROADMAP's ≥ 25% trigger).
-    /// Values are clamped to `(0, 1]`; a non-positive threshold would
-    /// compact on every apply.
+    /// Compact when `tombstoned row slots / total row slots` or
+    /// `tombstoned edge slots / total edge slots` reaches this fraction
+    /// (e.g. `0.25` for the ROADMAP's ≥ 25% trigger). Edge slots count
+    /// because re-pointing updates tombstone edges without freeing a
+    /// row. Values are clamped to `(0, 1]`; a non-positive threshold
+    /// would compact on every apply.
     TombstoneRatio(f64),
 }
 
@@ -459,9 +461,9 @@ impl EngineWriter {
     /// covers every node, edge and cardinality slot, tombstoned ones
     /// included. A writer with steady churn should therefore call
     /// [`EngineWriter::compact`] on a schedule, or opt into
-    /// [`CompactionPolicy::TombstoneRatio`]. That policy counts row
-    /// slots only, so it never fires for re-points, which tombstone
-    /// edge slots.
+    /// [`CompactionPolicy::TombstoneRatio`], which counts both dead
+    /// row slots and dead edge slots, so re-points, which tombstone
+    /// edge slots only, trigger it too.
     ///
     /// The apply is **atomic**. On error (e.g. a dangling reference
     /// that a full rebuild's validation would also reject) nothing is
@@ -472,9 +474,9 @@ impl EngineWriter {
     /// **still serving the pre-mutation answers**.
     ///
     /// With a [`CompactionPolicy::TombstoneRatio`] policy, a successful
-    /// apply that leaves the dead-slot fraction at or above the
-    /// threshold triggers a full [`EngineWriter::compact`]; the remap
-    /// is surfaced through [`ApplyOutcome::compaction`].
+    /// apply that leaves the dead row-slot or edge-slot fraction at or
+    /// above the threshold triggers a full [`EngineWriter::compact`];
+    /// the remap is surfaced through [`ApplyOutcome::compaction`].
     pub fn apply(&mut self) -> Result<ApplyOutcome, CoreError> {
         let changes = self.db.get_mut().take_changes();
         // Every mutation logs exactly one op, and only this method drains
@@ -510,11 +512,17 @@ impl EngineWriter {
                 self.publish(buf);
                 let mut outcome = ApplyOutcome::default();
                 if let CompactionPolicy::TombstoneRatio(threshold) = self.compaction_policy {
-                    let total = self.db.get().total_row_slots();
-                    let dead = total - self.db.get().total_tuples();
-                    if dead > 0
-                        && dead as f64
-                            >= threshold.clamp(f64::MIN_POSITIVE, 1.0) * total as f64
+                    let threshold = threshold.clamp(f64::MIN_POSITIVE, 1.0);
+                    let reached = |dead: usize, total: usize| {
+                        dead > 0 && dead as f64 >= threshold * total as f64
+                    };
+                    let rows = self.db.get().total_row_slots();
+                    let graph = self.current.dg.graph();
+                    if reached(rows - self.db.get().total_tuples(), rows)
+                        || reached(
+                            graph.edge_slots() - graph.edge_count(),
+                            graph.edge_slots(),
+                        )
                     {
                         // The engine is fresh right here (just
                         // published), so compaction cannot be refused.

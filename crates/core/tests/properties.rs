@@ -5,11 +5,11 @@
 mod support;
 
 use cla_core::{
-    banks_search, banks_search_budgeted, enumerate_joining_networks, instance_closeness,
+    banks_search, banks_search_budgeted, enumerate_mtjnts_budgeted, instance_closeness,
     instance_closeness_with_cache, is_joining, is_mtjnt, is_total, Algorithm, BanksOptions,
-    BanksScratch, Connection, ConnectionInfo, DataGraph, EdgeWeighting, InstanceCloseness,
-    RankStrategy, RankedConnection, SearchEngine, SearchOptions, WitnessCache,
-    WitnessStrategy,
+    BanksScratch, Completeness, Connection, ConnectionInfo, DataGraph, EdgeWeighting,
+    InstanceCloseness, JoiningNetworkLevels, RankStrategy, RankedConnection, SearchBudget,
+    SearchEngine, SearchOptions, WitnessCache, WitnessStrategy,
 };
 use cla_datagen::{company, generate_synthetic, SyntheticConfig};
 use cla_er::{map_to_relational, Cardinality, Closeness, ErSchemaBuilder};
@@ -18,6 +18,7 @@ use cla_relational::{DataType, Database};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 use support::banks::banks_naive;
+use support::discover::{enumerate_joining_networks, joining_network_levels, ReferenceLevel};
 use support::{instance_closeness_naive, pair_connections_naive};
 
 /// Every ranker with a length bound, i.e. every ranker the streaming
@@ -47,6 +48,39 @@ fn keyword_node_sets(
             index.matching_tuples(kw).into_iter().filter_map(|t| dg.node_of(t)).collect()
         })
         .collect()
+}
+
+/// DISCOVER queries of 2 to 4 keywords. In the third, every department
+/// and project description matches "main", so a description that holds
+/// both "xml" and "databases" matches every keyword.
+const DISCOVER_QUERIES: [&[&str]; 4] = [
+    &["xml", "smith"],
+    &["xml", "smith", "alice"],
+    &["main", "xml", "databases"],
+    &["xml", "smith", "alice", "databases"],
+];
+
+/// The data-graph nodes matching each keyword, as hash sets.
+fn keyword_hash_sets(
+    index: &cla_index::InvertedIndex,
+    dg: &DataGraph,
+    keywords: &[&str],
+) -> Vec<HashSet<NodeId>> {
+    keyword_node_sets(index, dg, keywords)
+        .into_iter()
+        .map(|set| set.into_iter().collect())
+        .collect()
+}
+
+/// The MTJNTs among a reference level's total networks, in order.
+fn reference_mtjnts(
+    level: Option<&ReferenceLevel>,
+    dg: &DataGraph,
+    sets: &[HashSet<NodeId>],
+) -> Vec<BTreeSet<NodeId>> {
+    level.map_or_else(Vec::new, |level| {
+        level.totals.iter().filter(|n| is_mtjnt(dg, n, sets)).cloned().collect()
+    })
 }
 
 fn small_config(seed: u64) -> SyntheticConfig {
@@ -150,6 +184,70 @@ proptest! {
             let fast = is_mtjnt(&dg, n, &sets);
             let brute = bruteforce_minimal(&dg, n, &sets);
             prop_assert_eq!(fast, brute, "network {:?}", n);
+        }
+    }
+
+    /// The pruned level generator reports, level by level and in order,
+    /// exactly the MTJNTs among the unpruned growth's total networks,
+    /// for every size bound from 1 to 6, and never materializes more
+    /// networks than the unpruned growth does up to the same bound.
+    #[test]
+    fn pruned_levels_equal_reference(seed in 0u64..300) {
+        let s = generate_synthetic(&small_config(seed));
+        let dg = DataGraph::build(&s.db, &s.mapping).unwrap();
+        let index = cla_index::InvertedIndex::build(&s.db);
+        for kws in DISCOVER_QUERIES {
+            let sets = keyword_hash_sets(&index, &dg, kws);
+            let reference = joining_network_levels(&dg, &sets, 6);
+            for max_tuples in 1..=6 {
+                let mut levels = JoiningNetworkLevels::new(&dg, &sets, max_tuples);
+                let mut materialized = 0;
+                for size in 1..=max_tuples {
+                    let want = reference_mtjnts(reference.get(size - 1), &dg, &sets);
+                    let got = levels.next_level().unwrap_or_default();
+                    prop_assert_eq!(got, want, "{:?} bound {} size {}", kws, max_tuples, size);
+                    materialized += reference.get(size - 1).map_or(0, |l| l.materialized);
+                }
+                prop_assert!(levels.next_level().is_none(), "{:?} bound {}", kws, max_tuples);
+                prop_assert!(
+                    levels.expansions() <= materialized,
+                    "{:?} bound {}: {} vs {}",
+                    kws,
+                    max_tuples,
+                    levels.expansions(),
+                    materialized
+                );
+            }
+        }
+    }
+
+    /// Under an expansion cap the pruned enumeration returns exactly the
+    /// reference's MTJNTs of the completed levels, and reports the last
+    /// completed level as its floor.
+    #[test]
+    fn pruned_enumeration_under_a_cap_equals_reference_to_the_floor(
+        seed in 0u64..300,
+        cap in 1u64..60,
+    ) {
+        let s = generate_synthetic(&small_config(seed));
+        let dg = DataGraph::build(&s.db, &s.mapping).unwrap();
+        let index = cla_index::InvertedIndex::build(&s.db);
+        for kws in DISCOVER_QUERIES {
+            let sets = keyword_hash_sets(&index, &dg, kws);
+            let reference = joining_network_levels(&dg, &sets, 5);
+            let mut expansions = 0;
+            let (got, floor) =
+                enumerate_mtjnts_budgeted(&dg, &sets, 5, &mut expansions, &mut |n| n >= cap);
+            let complete = floor.unwrap_or(5);
+            let want: Vec<BTreeSet<NodeId>> = (0..complete)
+                .flat_map(|i| reference_mtjnts(reference.get(i), &dg, &sets))
+                .collect();
+            prop_assert_eq!(got, want, "{:?} cap {} floor {:?}", kws, cap, floor);
+            if floor.is_some() {
+                prop_assert!(expansions >= cap);
+            }
+            let materialized: u64 = reference.iter().map(|l| l.materialized).sum();
+            prop_assert!(expansions <= materialized);
         }
     }
 
@@ -929,6 +1027,30 @@ fn banks_reference_dedup_fires_on_small_config() {
         dropped += d;
     }
     assert!(dropped > 0, "the reference must drop duplicate node sets on this fixture");
+}
+
+/// A DISCOVER search whose seeds match every keyword completes under
+/// the benchmark's expansion cap: on the dept16 fixture "the main are"
+/// matches every department and project description, and those tuples
+/// are each an MTJNT alone, so nothing grows from them.
+#[test]
+fn discover_with_total_seeds_completes_under_the_cap() {
+    let s = generate_synthetic(&b1_config());
+    let engine =
+        SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap().with_aliases(s.aliases);
+    let opts = SearchOptions {
+        algorithm: Algorithm::Discover,
+        k: None,
+        threads: 1,
+        compute_instance: true,
+        max_rdb_length: 4,
+        budget: SearchBudget::with_max_expansions(200_000),
+        ..Default::default()
+    };
+    let r = engine.search("the main are", &opts).unwrap();
+    assert_eq!(r.stats.completeness, Completeness::Complete);
+    assert_eq!(r.connections.len(), 64, "16 departments and 48 projects");
+    assert!(r.stats.expansions <= 1_000, "{} materializations", r.stats.expansions);
 }
 
 /// DISCOVER's branching answer trees come out in one order: two engines

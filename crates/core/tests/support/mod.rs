@@ -4,6 +4,7 @@
 
 pub mod banks;
 pub mod candidates;
+pub mod discover;
 
 use cla_core::{Connection, DataGraph, InstanceCloseness};
 use cla_er::{Closeness, ErSchema, SchemaMapping};
