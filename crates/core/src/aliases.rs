@@ -44,7 +44,7 @@ impl AliasLookup for Aliases {
 }
 
 /// The alias table: owned after any edit, image-backed straight after
-/// [`Aliases::decode`].
+/// a snapshot open decodes it.
 #[derive(Debug)]
 pub struct Aliases {
     backing: Backing,

@@ -34,8 +34,11 @@ use std::time::{Duration, Instant};
 /// its amortized cost invisible next to the per-expansion graph work.
 const TIME_STRIDE: u64 = 512;
 
-/// A cooperative bound on one search call. The default is unlimited;
-/// see the [module docs](self) for semantics.
+/// A cooperative bound on one search call. The default is unlimited.
+/// Exhaustion stops the search at its next probe, ranks what was found
+/// and labels the output through
+/// [`SearchStats::completeness`](crate::SearchStats#structfield.completeness);
+/// see [`SearchOptions::budget`](crate::SearchOptions::budget).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchBudget {
     /// Wall-clock allowance, measured from the start of the search.

@@ -65,6 +65,10 @@ pub struct ConceptualStep {
 }
 
 /// A connection: a simple path of tuples joined by foreign keys.
+///
+/// Each step's RDB cardinality is derived when the connection is built,
+/// from the edge's [`FkRole`] and the ER schema
+/// ([`rdb_edge_cardinality`]); no per-edge copy of it is kept anywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Connection {
     nodes: Vec<NodeId>,
@@ -75,32 +79,17 @@ impl Connection {
     /// Wrap a graph [`Path`] into a connection, computing per-step
     /// annotations.
     pub fn from_path(path: &Path, dg: &DataGraph, schema: &ErSchema) -> Self {
-        let mut steps = Vec::with_capacity(path.edges.len());
-        for (i, &edge) in path.edges.iter().enumerate() {
-            let (from, to) = (path.nodes[i], path.nodes[i + 1]);
-            let er = dg.graph().edge(edge);
-            let along_fk = er.from == from;
-            let role = er.payload.role;
-            let owner_to_target = rdb_edge_cardinality(schema, role);
-            let cardinality =
-                if along_fk { owner_to_target } else { owner_to_target.reversed() };
-            steps.push(ConnectionStep { edge, from, to, role, along_fk, cardinality });
-        }
-        Connection { nodes: path.nodes.clone(), steps }
+        Self::from_slices(&path.nodes, &path.edges, dg, schema)
     }
 
-    /// [`Connection::from_path`] against a precomputed per-edge
-    /// owner→target cardinality table (`edge_cards[e.index()]`,
-    /// `rdb_edge_cardinality` evaluated once per edge at engine build),
-    /// over borrowed node/edge slices — the search pipeline's
-    /// enumeration visitor hands its scratch buffers straight in,
-    /// skipping both the per-step schema probe and the intermediate
-    /// [`Path`] allocation.
-    pub fn from_slices_with_edge_cards(
+    /// [`Connection::from_path`] over borrowed node/edge slices — the
+    /// search pipeline's enumeration visitor hands its scratch buffers
+    /// straight in, skipping the intermediate [`Path`] allocation.
+    pub(crate) fn from_slices(
         nodes: &[NodeId],
         edges: &[EdgeId],
         dg: &DataGraph,
-        edge_cards: &[Cardinality],
+        schema: &ErSchema,
     ) -> Self {
         debug_assert_eq!(nodes.len(), edges.len() + 1);
         let mut steps = Vec::with_capacity(edges.len());
@@ -108,17 +97,11 @@ impl Connection {
             let (from, to) = (nodes[i], nodes[i + 1]);
             let er = dg.graph().edge(edge);
             let along_fk = er.from == from;
-            let owner_to_target = edge_cards[edge.index()];
+            let role = er.payload.role;
+            let owner_to_target = rdb_edge_cardinality(schema, role);
             let cardinality =
                 if along_fk { owner_to_target } else { owner_to_target.reversed() };
-            steps.push(ConnectionStep {
-                edge,
-                from,
-                to,
-                role: er.payload.role,
-                along_fk,
-                cardinality,
-            });
+            steps.push(ConnectionStep { edge, from, to, role, along_fk, cardinality });
         }
         Connection { nodes: nodes.to_vec(), steps }
     }

@@ -7,7 +7,7 @@
 //! conceptual lengths (§3 of the paper).
 
 use crate::error::CoreError;
-use cla_er::{FkRole, RelationshipId, SchemaMapping};
+use cla_er::{FkRole, SchemaMapping};
 use cla_graph::{CsrAdjacency, EdgeId, Graph, NodeId};
 use cla_relational::{ChangeSet, Database, RelationId, TupleId, TupleRemap};
 use cla_storage::{ByteReader, ByteWriter, SharedBytes, StorageError};
@@ -23,15 +23,30 @@ pub struct EdgeAnnotation {
     pub role: FkRole,
 }
 
+/// What the mapping says about one relation: whether it is a middle
+/// relation, and per foreign key (by index) its role and the relation
+/// it references. [`DataGraph::decode`] reads middle flags and edge
+/// roles from these instead of from the image.
+struct RelationRoles {
+    middle: bool,
+    fks: Vec<Option<(FkRole, RelationId)>>,
+}
+
 /// The data graph over a database instance.
+///
+/// Edge roles, middle flags and the CSR are functions of the database
+/// and the [`SchemaMapping`]: a snapshot image stores only the node and
+/// edge slots (each edge with its foreign-key index) and the tuple→node
+/// map, and opening the image derives the rest exactly as
+/// [`DataGraph::build`] does.
 #[derive(Debug, Clone)]
 pub struct DataGraph {
     graph: Graph<TupleId, EdgeAnnotation>,
     /// Flat undirected adjacency: the arrays [`CsrAdjacency::build`]
-    /// writes over `graph` (after an open, the arrays the image stored)
-    /// — every traversal-heavy algorithm (path enumeration, BFS
-    /// frontiers, BANKS expansion, MTJNT growth) walks this instead of
-    /// the nested edge lists.
+    /// writes over `graph`, after a build, an apply, a compaction or an
+    /// open alike — every traversal-heavy algorithm (path enumeration,
+    /// BFS frontiers, BANKS expansion, MTJNT growth) walks this instead
+    /// of the nested edge lists.
     csr: CsrAdjacency,
     /// Tuple → node lookup: owned hash map on built graphs, a borrowed
     /// image view straight after decode (promoted by the first patch).
@@ -258,18 +273,15 @@ impl DataGraph {
     /// A batch that changes anything ends with a fresh
     /// [`CsrAdjacency::build`] over the edited graph (`O(V + E)`), so
     /// the CSR is always the flat form of the graph.
-    ///
-    /// Returns the ids of the edges added, so callers maintaining
-    /// edge-indexed side tables (the engine's cardinality table) can
-    /// extend them.
     pub fn apply(
         &mut self,
         db: &Database,
         mapping: &SchemaMapping,
         changes: &ChangeSet,
-    ) -> Result<Vec<EdgeId>, CoreError> {
+    ) -> Result<(), CoreError> {
         let patch = self.plan(db, mapping, changes)?;
-        Ok(self.execute(&patch))
+        self.execute(&patch);
+        Ok(())
     }
 
     /// The fallible, mutation-free half of [`DataGraph::apply`]: net the
@@ -322,12 +334,11 @@ impl DataGraph {
     }
 
     /// The infallible execution half of [`DataGraph::apply`] — every
-    /// lookup was pre-validated by [`DataGraph::plan`]. Returns the added
-    /// edge ids for edge-indexed side tables.
-    fn execute(&mut self, patch: &GraphPatch) -> Vec<EdgeId> {
+    /// lookup was pre-validated by [`DataGraph::plan`].
+    fn execute(&mut self, patch: &GraphPatch) {
         let plan = &patch.ops;
         if plan.is_empty() {
-            return Vec::new();
+            return;
         }
         // First mutation after a zero-copy open: promote the image-backed
         // tuple→node view to an owned map before any structural edit.
@@ -360,7 +371,6 @@ impl DataGraph {
             }
         }
         // Phase 3: wire insert edges, in batch op order.
-        let mut added_edges = Vec::new();
         for op in plan {
             let PlanOp::Insert { id, edges, .. } = op else {
                 continue;
@@ -368,8 +378,7 @@ impl DataGraph {
             let n = self.node_of_existing(*id);
             for &(fk_index, target, role) in edges {
                 let to = self.node_of_existing(target);
-                let e = self.graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
-                added_edges.push(e);
+                self.graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
             }
         }
         // Phase 4: rewire updates as per-fk diffs against the live
@@ -399,30 +408,27 @@ impl DataGraph {
                 if old.get(&fk_index).is_some_and(|&(_, old_to)| old_to == to) {
                     continue; // unchanged edge keeps its id and slot
                 }
-                let e = self.graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
-                added_edges.push(e);
+                self.graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
             }
         }
         self.csr = CsrAdjacency::build(&self.graph);
-        added_edges
     }
 
     /// Reclaim every tombstoned node and edge slot left behind by
     /// deletes and update rewirings, renumbering ids densely: the
-    /// underlying [`Graph::compact`] hands back the node/edge remap
-    /// tables, node payloads are rewritten to the database's
-    /// post-compaction [`TupleId`]s (via `remap`, from
+    /// underlying [`Graph::compact`] hands back the node remap table,
+    /// node payloads are rewritten to the database's post-compaction
+    /// [`TupleId`]s (via `remap`, from
     /// [`cla_relational::Database::compact`]), the tuple→node map and
     /// middle flags are rebuilt, and the CSR is rebuilt from the live
     /// set.
     ///
-    /// Returns the edge remap so callers can renumber edge-indexed side
-    /// tables (the engine's cardinality table). Afterwards
-    /// [`DataGraph::node_count`] equals [`DataGraph::alive_node_count`]
-    /// and the graph is structurally equivalent to a fresh
-    /// [`DataGraph::build`] over the compacted database.
-    pub fn compact(&mut self, remap: &TupleRemap) -> Vec<Option<EdgeId>> {
-        let (node_remap, edge_remap) = self.graph.compact();
+    /// Afterwards [`DataGraph::node_count`] equals
+    /// [`DataGraph::alive_node_count`] and the graph is structurally
+    /// equivalent to a fresh [`DataGraph::build`] over the compacted
+    /// database.
+    pub fn compact(&mut self, remap: &TupleRemap) {
+        let node_remap = self.graph.compact();
         let mut node_of = HashMap::with_capacity(self.graph.node_count());
         for i in 0..self.graph.node_count() {
             let n = NodeId(i as u32);
@@ -442,7 +448,6 @@ impl DataGraph {
         }
         self.middle = middle;
         self.csr = CsrAdjacency::build(&self.graph);
-        edge_remap
     }
 
     /// Serialize the tuple→node map as the `NODE_MAP` snapshot section:
@@ -470,10 +475,13 @@ impl DataGraph {
 
     /// Serialize the graph half of this data graph into one flat
     /// snapshot section: every node and edge **slot** (tombstones
-    /// included, so [`TupleId`]-keyed state and [`EdgeId`]-indexed side
-    /// tables survive a save/open round trip) plus the per-slot middle
-    /// flags. The tuple→node map rides in its own
-    /// [`DataGraph::encode_node_map`] section.
+    /// included, so [`TupleId`]-keyed state and [`EdgeId`]s survive a
+    /// save/open round trip). A node record is its tuple and live flag
+    /// (9 bytes); an edge record is its endpoints, live flag and
+    /// foreign-key index (13 bytes). What the mapping decides (middle
+    /// flags, edge roles) and the CSR are not stored: decode derives
+    /// them as [`DataGraph::build`] does. The tuple→node map rides in
+    /// its own [`DataGraph::encode_node_map`] section.
     pub(crate) fn encode_graph(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.len(self.graph.node_count());
@@ -482,110 +490,112 @@ impl DataGraph {
             w.u32(t.relation.0);
             w.u32(t.row);
             w.bool(self.graph.is_node_alive(n));
-            w.bool(self.middle[n.index()]);
         }
         w.len(self.graph.edge_slots());
         for i in 0..self.graph.edge_slots() {
             let e = EdgeId(i as u32);
             let (from, to) = self.graph.endpoints(e);
-            let ann = self.graph.edge(e).payload;
             w.u32(from.0);
             w.u32(to.0);
             w.bool(self.graph.is_edge_alive(e));
-            w.len(ann.fk_index);
-            match ann.role {
-                FkRole::Direct { relationship, owner_is_left } => {
-                    w.u8(0);
-                    w.u32(relationship.0);
-                    w.bool(owner_is_left);
-                }
-                FkRole::Middle { relationship, to_left } => {
-                    w.u8(1);
-                    w.u32(relationship.0);
-                    w.bool(to_left);
-                }
-            }
+            w.len(self.graph.edge(e).payload.fk_index);
         }
         w.into_vec()
     }
 
-    /// Serialize the CSR into one flat snapshot section: the offset
-    /// array and the flat neighbor array, as they are.
-    pub(crate) fn encode_csr(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.len(self.csr.offsets().len());
-        for &o in self.csr.offsets() {
-            w.u32(o);
-        }
-        w.len(self.csr.neighbors_flat().len());
-        for &(m, e) in self.csr.neighbors_flat() {
-            w.u32(m.0);
-            w.u32(e.0);
-        }
-        w.into_vec()
-    }
-
-    /// Rebuild a data graph from its [`DataGraph::encode_graph`],
-    /// [`DataGraph::encode_csr`] and [`DataGraph::encode_node_map`]
-    /// sections. Every payload is validated, never trusted: slot arrays
-    /// must be mutually consistent ([`Graph::from_slots`]), the CSR must
-    /// be a well-formed offset array over in-bounds **live** edges that
-    /// agrees with the graph's slot counts, and the node map must be a
-    /// strictly-sorted bijection onto the live nodes (see below). The
-    /// accepted node-map records are then kept as a borrowed view and
-    /// binary-searched per lookup — no hash map is built until the first
-    /// mutation. Corrupt input is a typed error, never a panic.
+    /// Rebuild a data graph from its [`DataGraph::encode_graph`] and
+    /// [`DataGraph::encode_node_map`] sections, against the `mapping`
+    /// of the image's own schema. Every payload is validated, never
+    /// trusted: each node must name a relation of the mapping's catalog,
+    /// each edge a foreign key of its source node's relation that
+    /// references its target node's relation, the slot arrays must be
+    /// mutually consistent ([`Graph::from_slots`]), and the node map
+    /// must be a strictly-sorted bijection onto the live nodes (see
+    /// below). Middle flags and edge roles are read from the mapping and
+    /// the CSR is built by [`CsrAdjacency::build`], as in
+    /// [`DataGraph::build`]. The accepted node-map records are then kept
+    /// as a borrowed view and binary-searched per lookup — no hash map
+    /// is built until the first mutation. Corrupt input is a typed
+    /// error, never a panic.
     pub(crate) fn decode(
         graph_bytes: &[u8],
-        csr_bytes: &[u8],
         node_map: SharedBytes,
+        mapping: &SchemaMapping,
     ) -> Result<Self, StorageError> {
-        // Both slot arrays are fixed-stride records (nodes 10 bytes,
-        // edges 19 — the two fk-role variants serialize identically
-        // sized), so each is grabbed as one raw region and decoded with
-        // `chunks_exact` instead of per-field cursor reads.
+        // What the mapping says about each relation, indexed by relation
+        // id and built once, so a slot resolves by indexing instead of a
+        // hash lookup.
+        let relations: Vec<RelationRoles> = mapping
+            .catalog()
+            .iter()
+            .map(|(rel, schema)| RelationRoles {
+                middle: mapping.is_middle(rel),
+                fks: schema
+                    .foreign_keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, fk)| mapping.fk_role(rel, i).map(|role| (role, fk.target)))
+                    .collect(),
+            })
+            .collect();
+        // Both slot arrays are fixed-stride records (nodes 9 bytes,
+        // edges 13), so each is grabbed as one raw region and decoded
+        // with `chunks_exact` instead of per-field cursor reads.
         let flag = |b: u8| match b {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(StorageError::Malformed(format!("bool byte {other}"))),
         };
         let mut r = ByteReader::new(graph_bytes);
-        let n_nodes = r.len_of(10)?;
-        let node_bytes = r.raw(n_nodes * 10)?;
+        let n_nodes = r.len_of(9)?;
+        let node_bytes = r.raw(n_nodes * 9)?;
         let mut nodes = Vec::with_capacity(n_nodes);
         let mut node_alive = Vec::with_capacity(n_nodes);
         let mut middle = Vec::with_capacity(n_nodes);
-        for c in node_bytes.chunks_exact(10) {
+        for c in node_bytes.chunks_exact(9) {
             let relation = RelationId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
             let row = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            let Some(roles) = relations.get(relation.index()) else {
+                return Err(StorageError::Malformed(format!(
+                    "node slot names unknown relation {relation}"
+                )));
+            };
             nodes.push(TupleId::new(relation, row));
             node_alive.push(flag(c[8])?);
-            middle.push(flag(c[9])?);
+            middle.push(roles.middle);
         }
-        let n_edges = r.len_of(16)?;
-        let edge_bytes = r.raw(n_edges * 19)?;
+        let n_edges = r.len_of(13)?;
+        let edge_bytes = r.raw(n_edges * 13)?;
         let mut edges = Vec::with_capacity(n_edges);
         let mut edge_alive = Vec::with_capacity(n_edges);
-        for c in edge_bytes.chunks_exact(19) {
+        for c in edge_bytes.chunks_exact(13) {
             let from = NodeId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
             let to = NodeId(u32::from_le_bytes([c[4], c[5], c[6], c[7]]));
             edge_alive.push(flag(c[8])?);
             let fk_index = u32::from_le_bytes([c[9], c[10], c[11], c[12]]) as usize;
-            let relationship =
-                RelationshipId(u32::from_le_bytes([c[14], c[15], c[16], c[17]]));
-            let role = match c[13] {
-                0 => FkRole::Direct { relationship, owner_is_left: flag(c[18])? },
-                1 => FkRole::Middle { relationship, to_left: flag(c[18])? },
-                tag => {
-                    return Err(StorageError::Malformed(format!("unknown fk role tag {tag}")))
+            let (Some(source), Some(target)) =
+                (nodes.get(from.index()), nodes.get(to.index()))
+            else {
+                return Err(StorageError::Malformed(format!(
+                    "edge {from}→{to} has an endpoint out of range"
+                )));
+            };
+            let fk = relations.get(source.relation.index()).and_then(|r| r.fks.get(fk_index));
+            let role = match fk {
+                Some(&Some((role, referenced))) if referenced == target.relation => role,
+                _ => {
+                    return Err(StorageError::Malformed(format!(
+                        "edge {from}→{to}: relation {} has no foreign key {fk_index} to {}",
+                        source.relation, target.relation
+                    )))
                 }
             };
             edges.push((from, to, EdgeAnnotation { fk_index, role }));
         }
         r.finish()?;
 
-        let graph = Graph::from_slots(nodes, node_alive, edges, edge_alive.clone())
-            .ok_or_else(|| {
+        let graph =
+            Graph::from_slots(nodes, node_alive, edges, edge_alive).ok_or_else(|| {
                 StorageError::Malformed("inconsistent graph slot arrays".into())
             })?;
 
@@ -634,42 +644,7 @@ impl DataGraph {
         r.finish()?;
         let node_of = NodeIndex::Image(node_map.slice(records_start..records_end)?);
 
-        let mut r = ByteReader::new(csr_bytes);
-        let n_offsets = r.len_of(4)?;
-        if n_offsets != n_nodes + 1 {
-            return Err(StorageError::Malformed(format!(
-                "CSR has {n_offsets} offsets for {n_nodes} node slots"
-            )));
-        }
-        let off_bytes = r.raw(n_offsets * 4)?;
-        let mut offsets = Vec::with_capacity(n_offsets);
-        offsets.extend(
-            off_bytes.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-        );
-        let n_flat = r.len_of(8)?;
-        let flat_bytes = r.raw(n_flat * 8)?;
-        let mut flat = Vec::with_capacity(n_flat);
-        for c in flat_bytes.chunks_exact(8) {
-            let m = NodeId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-            let e = EdgeId(u32::from_le_bytes([c[4], c[5], c[6], c[7]]));
-            if m.index() >= n_nodes {
-                return Err(StorageError::Malformed(format!(
-                    "CSR neighbor node {m:?} out of range"
-                )));
-            }
-            if !edge_alive.get(e.index()).copied().unwrap_or(false) {
-                return Err(StorageError::Malformed(format!(
-                    "CSR references dead or out-of-range edge {e:?}"
-                )));
-            }
-            flat.push((m, e));
-        }
-        r.finish()?;
-        let csr = CsrAdjacency::from_parts(offsets, flat).ok_or_else(|| {
-            StorageError::Malformed("CSR offset array is not monotone from zero".into())
-        })?;
-        check_csr_matches_graph(&csr, &graph)?;
-
+        let csr = CsrAdjacency::build(&graph);
         Ok(DataGraph { graph, csr, node_of, middle })
     }
 
@@ -733,50 +708,6 @@ impl DataGraph {
     pub fn edge_count(&self) -> usize {
         self.graph.edge_count()
     }
-}
-
-/// Check that a decoded CSR is the graph's adjacency: every entry's
-/// edge joins its node and its neighbour, and every live edge appears
-/// exactly once at each endpoint (a self-loop once). Searches read only
-/// the CSR, so an entry that disagrees with the graph would silently
-/// change answers.
-fn check_csr_matches_graph(
-    csr: &CsrAdjacency,
-    graph: &Graph<TupleId, EdgeAnnotation>,
-) -> Result<(), StorageError> {
-    // Per edge slot: bit 0 once seen at its `from` node, bit 1 once seen
-    // at its `to` node.
-    let mut seen = vec![0u8; graph.edge_slots()];
-    for n in graph.nodes() {
-        for &(m, e) in csr.neighbors(n) {
-            let (from, to) = graph.endpoints(e);
-            let side = if (from, to) == (n, m) {
-                1
-            } else if (from, to) == (m, n) {
-                2
-            } else {
-                return Err(StorageError::Malformed(format!(
-                    "CSR entry ({m:?}, {e:?}) of node {n:?} does not match its edge"
-                )));
-            };
-            if seen[e.index()] & side != 0 {
-                return Err(StorageError::Malformed(format!(
-                    "CSR lists edge {e:?} twice at node {n:?}"
-                )));
-            }
-            seen[e.index()] |= side;
-        }
-    }
-    for e in graph.edges() {
-        let want = if e.from == e.to { 1 } else { 3 };
-        if seen[e.id.index()] != want {
-            return Err(StorageError::Malformed(format!(
-                "CSR misses edge {:?} at an endpoint",
-                e.id
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -857,12 +788,11 @@ mod tests {
         assert!(dg.alive_node_count() < dg.node_count(), "test wants a tombstone");
 
         let graph_bytes = dg.encode_graph();
-        let csr_bytes = dg.encode_csr();
         let nm_bytes = dg.encode_node_map();
-        let decode = |g: &[u8], c: &[u8], m: &[u8]| {
-            DataGraph::decode(g, c, SharedBytes::from_vec(m.to_vec()))
+        let decode = |g: &[u8], m: &[u8]| {
+            DataGraph::decode(g, SharedBytes::from_vec(m.to_vec()), &c.mapping)
         };
-        let back = decode(&graph_bytes, &csr_bytes, &nm_bytes).unwrap();
+        let back = decode(&graph_bytes, &nm_bytes).unwrap();
         assert!(back.node_map_is_image_backed(), "decode must not build the hash map");
         assert!(!dg.node_map_is_image_backed(), "built graphs own their map");
 
@@ -882,7 +812,6 @@ mod tests {
             assert_eq!(back.annotation(e.id), dg.annotation(e.id));
         }
         // The decoded graph re-encodes byte-identically.
-        assert_eq!(back.encode_csr(), csr_bytes);
         assert_eq!(back.encode_graph(), graph_bytes);
         // A decoded (image-backed) graph re-encodes its node map
         // byte-identically and promotes on its first patch.
@@ -897,13 +826,10 @@ mod tests {
 
         // Corrupt payloads are typed errors, never panics.
         for cut in 0..graph_bytes.len() {
-            assert!(decode(&graph_bytes[..cut], &csr_bytes, &nm_bytes).is_err());
-        }
-        for cut in 0..csr_bytes.len() {
-            assert!(decode(&graph_bytes, &csr_bytes[..cut], &nm_bytes).is_err());
+            assert!(decode(&graph_bytes[..cut], &nm_bytes).is_err());
         }
         for cut in 0..nm_bytes.len() {
-            assert!(decode(&graph_bytes, &csr_bytes, &nm_bytes[..cut]).is_err());
+            assert!(decode(&graph_bytes, &nm_bytes[..cut]).is_err());
         }
         // Node-map faults the truncation sweep cannot reach: swapped
         // (unsorted) records, a record pointing at the wrong node, and
@@ -912,15 +838,15 @@ mod tests {
         for i in 0..12 {
             swapped.swap(4 + i, 16 + i);
         }
-        assert!(decode(&graph_bytes, &csr_bytes, &swapped).is_err());
+        assert!(decode(&graph_bytes, &swapped).is_err());
         let mut wrong_node = nm_bytes.clone();
         let node_off = 4 + 8; // first record's node field
         let old = u32::from_le_bytes(wrong_node[node_off..node_off + 4].try_into().unwrap());
         wrong_node[node_off..node_off + 4].copy_from_slice(&(old + 1).to_le_bytes());
-        assert!(decode(&graph_bytes, &csr_bytes, &wrong_node).is_err());
+        assert!(decode(&graph_bytes, &wrong_node).is_err());
         let mut wrong_key = nm_bytes.clone();
         wrong_key[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode(&graph_bytes, &csr_bytes, &wrong_key).is_err());
+        assert!(decode(&graph_bytes, &wrong_key).is_err());
     }
 
     /// Tuple-level adjacency view for rebuild-equivalence comparisons
@@ -1011,14 +937,15 @@ mod tests {
         let mut dg = DataGraph::build(&db, &c.mapping).unwrap();
         db.take_changes();
         let nodes_before = dg.node_count();
+        let edge_slots_before = dg.graph().edge_slots();
 
         let dep = db.catalog().relation_id("DEPENDENT").unwrap();
         let t = db.insert(dep, vec!["tz".into(), "e1".into(), "Ghost".into()]).unwrap();
         db.delete(t).unwrap();
         let changes = db.take_changes();
-        let added = dg.apply(&db, &c.mapping, &changes).unwrap();
-        assert!(added.is_empty());
+        dg.apply(&db, &c.mapping, &changes).unwrap();
         assert_eq!(dg.node_count(), nodes_before, "cancelled pair adds no slots");
+        assert_eq!(dg.graph().edge_slots(), edge_slots_before, "nor edge slots");
         let fresh = DataGraph::build(&db, &c.mapping).unwrap();
         assert_eq!(tuple_adjacency(&db, &dg), tuple_adjacency(&db, &fresh));
     }

@@ -37,10 +37,10 @@
 //! typed reason ([`CoreError::Relational`]) and stages nothing. Staged
 //! ops wait for [`SearchEngine::apply`], which builds the **next
 //! published snapshot generation** from a copy of the current one: the
-//! batch's postings merged into new index arrays, the data graph edited
-//! (updates rewire only their changed edges) with its CSR rebuilt,
-//! and the cardinality table extended. Three guarantees, all
-//! property-tested in `crates/core/tests/mutation.rs`:
+//! batch's postings merged into new index arrays, and the data graph
+//! edited (updates rewire only their changed edges) with its CSR
+//! rebuilt. Three guarantees, all property-tested in
+//! `crates/core/tests/mutation.rs`:
 //!
 //! * **Rebuild equivalence** — a patched engine answers byte-identically
 //!   to a fresh [`SearchEngine::new`] over the mutated database.

@@ -1,19 +1,22 @@
 //! Offset-addressable snapshot persistence: one flat-buffer image per
 //! published engine generation, for cold starts that skip the whole
-//! build pipeline (tokenize → index → graph → CSR).
+//! build pipeline (tokenize → index → graph).
 //!
 //! The image is a [`cla_storage::SnapshotImage`]: a checksummed,
-//! versioned container of independently addressable sections. Every
-//! derived structure is stored in (or reconstructed from) the flat form
-//! it already serves searches from — the sorted term dictionary and
-//! contiguous posting arrays of the inverted index, the CSR offset and
-//! neighbor arrays, the tombstone-preserving row/node/edge slot arrays
-//! — so opening is section reads plus validation, not a rebuild. Two
-//! structures are deliberately *not* stored: the relational catalog and
-//! the [`SchemaMapping`](cla_er::SchemaMapping) are recomputed from the
-//! decoded ER schema by the same pure [`cla_er::map_to_relational`]
-//! call a fresh build runs, which is what keeps an opened engine
-//! answering byte-identically to a rebuilt one.
+//! versioned container of independently addressable sections. It stores
+//! only what opening cannot derive: the ER schema, the database's row
+//! slots, the inverted index in the flat form it serves searches from
+//! (sorted term dictionary, contiguous posting arrays), the data graph's
+//! tombstone-preserving node and edge slots with each edge's foreign-key
+//! index, the tuple→node map and the display aliases. Everything else
+//! is recomputed on open by the code a fresh build runs: the relational
+//! catalog and the [`SchemaMapping`](cla_er::SchemaMapping) from the
+//! schema ([`cla_er::map_to_relational`]), each node's middle flag and
+//! each edge's [`FkRole`](cla_er::FkRole) from the mapping, and the CSR
+//! from the graph slots ([`cla_graph::CsrAdjacency::build`]); searches
+//! derive an edge's RDB cardinality from its role and the schema. So an
+//! image cannot contradict its own schema, and an opened engine answers
+//! byte-identically to a rebuilt one.
 //!
 //! Every structure a snapshot reads is held as flat arrays, and the
 //! encoders write those arrays as they are: an applied snapshot and a
@@ -28,7 +31,7 @@ use crate::datagraph::DataGraph;
 use crate::error::CoreError;
 use crate::snapshot::{failpoints_enabled_from_env, EngineSnapshot};
 use crate::writer::LazyDb;
-use cla_er::{map_to_relational, Cardinality, Side};
+use cla_er::{map_to_relational, ErSchema, SchemaMapping};
 use cla_index::InvertedIndex;
 use cla_relational::{Database, TupleId};
 use cla_storage::{ByteReader, ByteWriter, ImageBuilder, SharedImage, StorageError};
@@ -45,53 +48,16 @@ const SECTION_ER_SCHEMA: u32 = 2;
 const SECTION_DATABASE: u32 = 3;
 /// The inverted index: tokenizer config, term dictionary, postings.
 const SECTION_INDEX: u32 = 4;
-/// The data graph's node and edge slot arrays with annotations.
+/// The data graph's node and edge slots: tuples, live flags, and each
+/// edge's foreign-key index.
 const SECTION_GRAPH: u32 = 5;
-/// The CSR adjacency: offsets and flat neighbor array.
-const SECTION_CSR: u32 = 6;
 /// Display aliases: sorted keys, arena bounds, string arena.
 const SECTION_ALIASES: u32 = 7;
-/// The per-edge-slot RDB cardinality table.
-const SECTION_EDGE_CARDS: u32 = 8;
 /// The tuple→node map: strictly-sorted `(rel, row, node)` records, one
 /// per live graph node, binary-searched in place after open.
 const SECTION_NODE_MAP: u32 = 9;
-
-fn encode_side(w: &mut ByteWriter, side: Side) {
-    w.u8(match side {
-        Side::One => 0,
-        Side::Many => 1,
-    });
-}
-
-fn decode_side(r: &mut ByteReader<'_>) -> Result<Side, StorageError> {
-    match r.u8()? {
-        0 => Ok(Side::One),
-        1 => Ok(Side::Many),
-        tag => Err(StorageError::Malformed(format!("unknown side tag {tag}"))),
-    }
-}
-
-fn encode_edge_cards(cards: &[Cardinality]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.len(cards.len());
-    for c in cards {
-        encode_side(&mut w, c.left);
-        encode_side(&mut w, c.right);
-    }
-    w.into_vec()
-}
-
-fn decode_edge_cards(bytes: &[u8]) -> Result<Vec<Cardinality>, StorageError> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.len_of(2)?;
-    let mut cards = Vec::with_capacity(n);
-    for _ in 0..n {
-        cards.push(Cardinality::new(decode_side(&mut r)?, decode_side(&mut r)?));
-    }
-    r.finish()?;
-    Ok(cards)
-}
+// Ids 6 and 8 are retired (format version 2 stored the CSR and the
+// per-edge cardinalities there); do not reuse them.
 
 fn build_image(snapshot: &EngineSnapshot, db: &Database) -> ImageBuilder {
     let mut meta = ByteWriter::new();
@@ -103,9 +69,7 @@ fn build_image(snapshot: &EngineSnapshot, db: &Database) -> ImageBuilder {
         .section(SECTION_DATABASE, db.encode_flat())
         .section(SECTION_INDEX, snapshot.index.encode())
         .section(SECTION_GRAPH, snapshot.dg.encode_graph())
-        .section(SECTION_CSR, snapshot.dg.encode_csr())
         .section(SECTION_ALIASES, snapshot.aliases.encode())
-        .section(SECTION_EDGE_CARDS, encode_edge_cards(&snapshot.edge_cards))
         .section(SECTION_NODE_MAP, snapshot.dg.encode_node_map());
     builder
 }
@@ -131,14 +95,23 @@ pub(crate) fn write_image(
     Ok(())
 }
 
+/// The ER schema section and the mapping it produces.
+fn decode_schema(image: &SharedImage) -> Result<(ErSchema, SchemaMapping), CoreError> {
+    let er_schema = ErSchema::decode(image.section(SECTION_ER_SCHEMA)?.as_slice())?;
+    let mapping = map_to_relational(&er_schema)
+        .map_err(|e| StorageError::Malformed(format!("schema does not map: {e}")))?;
+    Ok((er_schema, mapping))
+}
+
 /// Decode a shared image into `(snapshot, lazy database, generation)`
 /// **zero-copy**: sections are bounds-validated once, then generation 0
 /// serves straight out of the shared buffer. The term and alias arenas,
 /// the tuple→node map, and the relational rows stay borrowed views; the
-/// alignment-sensitive POD arrays (postings, CSR, graph slots) decode
-/// with a constant number of allocations; and the owned [`Database`]
-/// with its PK/reverse-FK hash indexes is **not built here at all** —
-/// the returned [`LazyDb`] materializes it on first mutation.
+/// alignment-sensitive POD arrays (postings, graph slots) decode with a
+/// constant number of allocations; the CSR is built from the graph
+/// slots; and the owned [`Database`] with its PK/reverse-FK hash
+/// indexes is **not built here at all** — the returned [`LazyDb`]
+/// materializes it on first mutation.
 ///
 /// The image is authenticated by its checksum, but a *well-formed* image
 /// could still be internally inconsistent — every such inconsistency is
@@ -152,33 +125,40 @@ pub(crate) fn write_image(
 pub(crate) fn decode_image(
     image: &SharedImage,
 ) -> Result<(EngineSnapshot, LazyDb, u64), CoreError> {
+    // The graph decode reads middle flags and edge roles from the
+    // mapping, so the schema comes first. A schema that fails to decode
+    // may sit in a corrupt image: the checksum verdict is then reported
+    // first, as an eager-checksum parse would.
+    let schema = decode_schema(image);
+    if schema.is_err() {
+        image.verify_checksum()?;
+    }
+    let (er_schema, mapping) = schema?;
     // Four independent lanes: the whole-body checksum (deferred by
     // `EngineWriter::open`'s `parse_deferred`), the index decode (plus
-    // the small alias and cardinality sections), the graph decode, and
-    // the schema decode followed by the database validation walk. On a
-    // multi-core host the first three run on scoped threads while the
-    // main lane runs here; on a single core the spawns would only add
-    // overhead (tens of microseconds against a sub-millisecond open),
-    // so the lanes run inline instead. Every decoder already treats
-    // its bytes as hostile (typed errors, never a panic — the property
-    // suite pins this), so decoding before the checksum verdict lands
-    // is safe; the verdict is checked *first* below, which keeps the
-    // observable error of a corrupt image identical to an
-    // eager-checksum parse. Lane results are consumed in a fixed
-    // order, so error precedence is deterministic regardless of
-    // thread timing.
+    // the small alias section), the graph decode (which builds the
+    // CSR), and the database validation walk. On a multi-core host the
+    // first three run on scoped threads while the main lane runs here;
+    // on a single core the spawns would only add overhead (tens of
+    // microseconds against a sub-millisecond open), so the lanes run
+    // inline instead. Every decoder already treats its bytes as hostile
+    // (typed errors, never a panic — the property suite pins this), so
+    // decoding before the checksum verdict lands is safe; the verdict
+    // is checked *first* below, which keeps the observable error of a
+    // corrupt image identical to an eager-checksum parse. Lane results
+    // are consumed in a fixed order, so error precedence is
+    // deterministic regardless of thread timing.
     let checksum_lane = || image.verify_checksum();
     let index_lane = || -> Result<_, CoreError> {
         let index = InvertedIndex::decode(image.section(SECTION_INDEX)?)?;
         let aliases = crate::aliases::Aliases::decode(image.section(SECTION_ALIASES)?)?;
-        let edge_cards = decode_edge_cards(image.section(SECTION_EDGE_CARDS)?.as_slice())?;
-        Ok((index, aliases, edge_cards))
+        Ok((index, aliases))
     };
     let graph_lane = || -> Result<_, CoreError> {
         Ok(DataGraph::decode(
             image.section(SECTION_GRAPH)?.as_slice(),
-            image.section(SECTION_CSR)?.as_slice(),
             image.section(SECTION_NODE_MAP)?,
+            &mapping,
         )?)
     };
     let main_lane = || -> Result<_, CoreError> {
@@ -186,10 +166,6 @@ pub(crate) fn decode_image(
         let mut meta = ByteReader::new(meta_section.as_slice());
         let generation = meta.u64()?;
         meta.finish()?;
-        let er_schema =
-            cla_er::ErSchema::decode(image.section(SECTION_ER_SCHEMA)?.as_slice())?;
-        let mapping = map_to_relational(&er_schema)
-            .map_err(|e| StorageError::Malformed(format!("schema does not map: {e}")))?;
 
         // Re-slice the node-map records region for the merge walk
         // below (the graph lane validates the same section
@@ -223,7 +199,7 @@ pub(crate) fn decode_image(
                 "graph has {n_map} live nodes for {cursor} live tuples"
             ))));
         }
-        Ok((generation, er_schema, mapping, catalog, db_bytes, summary))
+        Ok((generation, catalog, db_bytes, summary))
     };
     // A decoder panic would be a bug, not a data condition; surface
     // it unchanged instead of swallowing it.
@@ -246,16 +222,9 @@ pub(crate) fn decode_image(
         (checksum_lane(), index_lane(), graph_lane(), main_lane())
     };
     checksum.map_err(CoreError::Snapshot)?;
-    let (generation, er_schema, mapping, catalog, db_bytes, summary) = main_res?;
-    let (index, aliases, edge_cards) = index_res?;
+    let (generation, catalog, db_bytes, summary) = main_res?;
+    let (index, aliases) = index_res?;
     let dg = graph_res?;
-    if edge_cards.len() != dg.graph().edge_slots() {
-        return Err(CoreError::Snapshot(StorageError::Malformed(format!(
-            "cardinality table has {} entries for {} edge slots",
-            edge_cards.len(),
-            dg.graph().edge_slots()
-        ))));
-    }
 
     let db = LazyDb::from_image(catalog, db_bytes, summary.version);
     let snapshot = EngineSnapshot {
@@ -264,7 +233,6 @@ pub(crate) fn decode_image(
         index,
         dg,
         aliases: Arc::new(aliases),
-        edge_cards,
         generation,
         failpoints: AtomicBool::new(failpoints_enabled_from_env()),
         scratch_pool: Mutex::new(Vec::new()),
@@ -435,20 +403,60 @@ mod tests {
         SnapshotImage::parse(builder.finish()).unwrap().into_shared()
     }
 
+    /// One seeded byte flip inside one section of the company image,
+    /// checksum re-stamped, either fails the open with a typed snapshot
+    /// error or opens an engine that answers every algorithm without
+    /// panicking.
+    #[test]
+    fn section_byte_flips_fail_typed_or_answer() {
+        use crate::snapshot::Algorithm;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let engine = company_engine();
+        let image =
+            SnapshotImage::parse(encode_image(&engine.snapshot(), engine.db())).unwrap();
+        let ids: Vec<u32> = image.section_ids().collect();
+        let mut rng = StdRng::seed_from_u64(0x5ec7_10f1);
+        for case in 0..2_000 {
+            let id = ids[rng.random_range(0..ids.len())];
+            let len = image.section(id).unwrap().len();
+            let at = rng.random_range(0..len);
+            let mask = rng.random_range(0..u8::MAX) + 1;
+            let flipped = rewrite_section(&image, id, |mut p| {
+                p[at] ^= mask;
+                p
+            });
+            let what = format!("case {case}: section {id}, byte {at} ^ {mask:#04x}");
+            let opened = catch_unwind(AssertUnwindSafe(|| decode_image(&flipped)))
+                .unwrap_or_else(|_| panic!("{what}: decode panicked"));
+            let snapshot = match opened {
+                Ok((snapshot, _, _)) => snapshot,
+                Err(CoreError::Snapshot(_)) => continue,
+                Err(e) => panic!("{what}: untyped open error {e:?}"),
+            };
+            for query in ["Smith XML", "xml smith alice"] {
+                for algorithm in [Algorithm::Paths, Algorithm::Banks, Algorithm::Discover] {
+                    for k in [None, Some(3)] {
+                        let opts =
+                            SearchOptions { algorithm, k, threads: 1, ..Default::default() };
+                        let _ =
+                            catch_unwind(AssertUnwindSafe(|| snapshot.search(query, &opts)))
+                                .unwrap_or_else(|_| {
+                                    panic!("{what}: {algorithm:?} k={k:?} `{query}` panicked")
+                                });
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn decode_rejects_cross_section_inconsistency() {
         let engine = company_engine();
         let bytes = encode_image(&engine.snapshot(), engine.db());
         let image = SnapshotImage::parse(bytes).unwrap();
-        // An empty cardinality table: every section is individually
-        // well-formed, but the table no longer covers the graph's edge
-        // slots.
-        let inconsistent =
-            rewrite_section(&image, SECTION_EDGE_CARDS, |_| encode_edge_cards(&[]));
-        assert!(matches!(
-            decode_image(&inconsistent),
-            Err(CoreError::Snapshot(StorageError::Malformed(_)))
-        ));
         // An empty node map: the graph decodes, but the merge walk
         // against the database's live rows fails on the first tuple.
         let mut w = ByteWriter::new();
@@ -478,19 +486,16 @@ mod tests {
             decode_image(&swapped),
             Err(CoreError::Snapshot(StorageError::Malformed(_)))
         ));
-        // A CSR entry whose neighbour no longer matches its edge: every id
-        // is in range and every edge alive, but a search would step along
-        // that edge to the wrong tuple.
-        let rewired = rewrite_section(&image, SECTION_CSR, |mut p| {
-            let n_offsets = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
-            let first = 4 + 4 * n_offsets + 4;
-            let m = u32::from_le_bytes([p[first], p[first + 1], p[first + 2], p[first + 3]]);
-            let other = if m == 0 { 1 } else { m - 1 };
-            p[first..first + 4].copy_from_slice(&other.to_le_bytes());
+        // A GRAPH edge whose foreign-key index names no foreign key of
+        // its source relation: there is no role for it to carry.
+        let unkeyed = rewrite_section(&image, SECTION_GRAPH, |mut p| {
+            let n_nodes = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
+            let first_fk_index = 4 + 9 * n_nodes + 4 + 9;
+            p[first_fk_index..first_fk_index + 4].copy_from_slice(&99u32.to_le_bytes());
             p
         });
         assert!(matches!(
-            decode_image(&rewired),
+            decode_image(&unkeyed),
             Err(CoreError::Snapshot(StorageError::Malformed(_)))
         ));
         // A truncated ALIASES payload is caught by the section decoder.

@@ -2,10 +2,9 @@
 //! generation of every structure `search()` reads.
 //!
 //! An [`EngineSnapshot`] owns the inverted index, the data graph with
-//! its CSR, the per-edge cardinality table, display aliases and
-//! the pooled per-search scratch state — everything the whole search
-//! pipeline (keyword match → connection generation → metrics → ranking)
-//! touches. It is **never mutated after publication**: the
+//! its CSR, display aliases and the pooled per-search scratch state —
+//! everything the whole search pipeline (keyword match → connection
+//! generation → metrics → ranking) touches. It is **never mutated after publication**: the
 //! [`EngineWriter`](crate::EngineWriter) builds the next generation in a
 //! private buffer and publishes it by swapping an `Arc` under a write
 //! lock, so any number of reader threads can search a pinned snapshot
@@ -28,7 +27,7 @@ use crate::failpoints;
 use crate::instance::{instance_closeness_with_cache, WitnessCache, WitnessStrategy};
 use crate::ranking::{ConnectionInfo, RankStrategy};
 use crate::stats::{Completeness, SearchStats, TruncationReason};
-use cla_er::{Cardinality, CardinalityChain, Closeness, ErSchema, SchemaMapping};
+use cla_er::{CardinalityChain, Closeness, ErSchema, SchemaMapping};
 use cla_graph::{
     bounded_bfs_distances_into, enumerate_simple_paths_undirected,
     for_each_path_to_targets_budgeted, NodeId, Path, TraversalScratch,
@@ -490,13 +489,6 @@ pub struct EngineSnapshot {
     /// batch edits them, so generations share one table until
     /// `with_aliases` or a compaction replaces it.
     pub(crate) aliases: Arc<Aliases>,
-    /// Per-edge owner→target RDB cardinality (`rdb_edge_cardinality`
-    /// evaluated once per edge slot), so converting enumerated paths
-    /// into connections never probes the schema. Indexed by
-    /// `EdgeId::index()`; extended by the writer as edges are added
-    /// (tombstoned slots keep their stale entry, which is never read —
-    /// traversals only surface live edges).
-    pub(crate) edge_cards: Vec<Cardinality>,
     /// Publication ordinal of this snapshot: 0 for the freshly built
     /// engine, +1 per published apply/compact. Distinct from the
     /// database version (which also counts rolled-back batches).
@@ -536,10 +528,9 @@ impl EngineSnapshot {
         self.failpoints.load(AtomicOrdering::Relaxed)
     }
 
-    /// The writer's next build buffer: `index` and `dg` as given, a copy
-    /// of the cardinality table, the schema, mapping and alias tables
-    /// shared, and a fresh scratch pool (per-search buffers carry no
-    /// semantic state).
+    /// The writer's next build buffer: `index` and `dg` as given, the
+    /// schema, mapping and alias tables shared, and a fresh scratch pool
+    /// (per-search buffers carry no semantic state).
     pub(crate) fn successor(&self, index: InvertedIndex, dg: DataGraph) -> EngineSnapshot {
         EngineSnapshot {
             er_schema: Arc::clone(&self.er_schema),
@@ -547,7 +538,6 @@ impl EngineSnapshot {
             index,
             dg,
             aliases: Arc::clone(&self.aliases),
-            edge_cards: self.edge_cards.clone(),
             generation: self.generation,
             failpoints: AtomicBool::new(self.failpoints()),
             scratch_pool: Mutex::new(Vec::new()),
@@ -1901,11 +1891,11 @@ impl EngineSnapshot {
                 &mut |n| probe.check(n),
                 |nodes, edges| {
                     if exact.is_none_or(|l| edges.len() == l) {
-                        out.push(Connection::from_slices_with_edge_cards(
+                        out.push(Connection::from_slices(
                             nodes,
                             edges,
                             &self.dg,
-                            &self.edge_cards,
+                            &self.er_schema,
                         ));
                     }
                     ControlFlow::Continue(())

@@ -16,13 +16,12 @@
 //!
 //! Every build derives the next generation from the current one: the
 //! inverted index merges the batch's posting edits with the current
-//! arrays into new ones, a copy of the data graph is edited and its CSR
-//! rebuilt, and the cardinality table is copied and extended. The
-//! schema, the mapping and the alias table are shared behind their
-//! `Arc`s (no batch edits them). A published snapshot therefore holds
-//! only flat arrays, and a publish costs `O(database)` whatever the
-//! batch size. The writer keeps no earlier generation: a snapshot is
-//! freed when its last reader drops it.
+//! arrays into new ones, and a copy of the data graph is edited and its
+//! CSR rebuilt. The schema, the mapping and the alias table are shared
+//! behind their `Arc`s (no batch edits them). A published snapshot
+//! therefore holds only flat arrays, and a publish costs `O(database)`
+//! whatever the batch size. The writer keeps no earlier generation: a
+//! snapshot is freed when its last reader drops it.
 //!
 //! A failed apply drops its private buffer, and rejects the database
 //! batch through [`Database::rollback`]; the published generation was
@@ -33,7 +32,7 @@ use crate::datagraph::DataGraph;
 use crate::error::CoreError;
 use crate::failpoints;
 use crate::snapshot::{failpoints_enabled_from_env, EngineSnapshot};
-use cla_er::{rdb_edge_cardinality, ErSchema, SchemaMapping};
+use cla_er::{ErSchema, SchemaMapping};
 use cla_index::InvertedIndex;
 use cla_relational::{Catalog, Database, RelationId, TupleId, TupleRemap, Value};
 use cla_storage::SharedBytes;
@@ -236,11 +235,6 @@ impl EngineWriter {
         let published_version = db.version();
         let index = InvertedIndex::build(&db);
         let dg = DataGraph::build(&db, &mapping)?;
-        let edge_cards = dg
-            .graph()
-            .edges()
-            .map(|e| rdb_edge_cardinality(&er_schema, e.payload.role))
-            .collect();
         let failpoints = failpoints_enabled_from_env();
         let snapshot = EngineSnapshot {
             er_schema: Arc::new(er_schema),
@@ -248,7 +242,6 @@ impl EngineWriter {
             index,
             dg,
             aliases: Arc::new(Aliases::default()),
-            edge_cards,
             generation: 0,
             failpoints: AtomicBool::new(failpoints),
             scratch_pool: Mutex::new(Vec::new()),
@@ -332,7 +325,8 @@ impl EngineWriter {
     }
 
     /// The underlying database (materializes a zero-copy-opened
-    /// engine's lazy store on first call — see [`LazyDb`]).
+    /// engine's lazy store on first call — see
+    /// [`EngineWriter::db_materialized`]).
     pub fn db(&self) -> &Database {
         self.db.get()
     }
@@ -447,19 +441,18 @@ impl EngineWriter {
     /// Drain the database's pending mutations, build every derived
     /// structure of the **next snapshot generation** from a copy of the
     /// current one and publish it atomically: inverted-index postings
-    /// (updates merged as term diffs), data-graph nodes and edges
+    /// (updates merged as term diffs), and data-graph nodes and edges
     /// (updates rewiring only their changed edges) with a CSR rebuilt
-    /// from them, and the per-edge cardinality table. After a successful
-    /// apply the published snapshot answers exactly like a freshly built
-    /// engine over the mutated database — the rebuild-equivalence
-    /// property the mutation test suite pins down — without re-reading
-    /// the database, and **readers pinned to older generations are
-    /// untouched** (their snapshots stay alive and byte-stable until
-    /// they drop them).
+    /// from them. After a successful apply the published snapshot
+    /// answers exactly like a freshly built engine over the mutated
+    /// database — the rebuild-equivalence property the mutation test
+    /// suite pins down — without re-reading the database, and **readers
+    /// pinned to older generations are untouched** (their snapshots stay
+    /// alive and byte-stable until they drop them).
     ///
     /// Each apply costs `O(slots)`, whatever the batch size: the copy
-    /// covers every node, edge and cardinality slot, tombstoned ones
-    /// included. A writer with steady churn should therefore call
+    /// covers every node and edge slot, tombstoned ones included. A
+    /// writer with steady churn should therefore call
     /// [`EngineWriter::compact`] on a schedule, or opt into
     /// [`CompactionPolicy::TombstoneRatio`], which counts both dead
     /// row slots and dead edge slots, so re-points, which tombstone
@@ -497,17 +490,8 @@ impl EngineWriter {
             dg.apply(self.db.get(), &current.mapping, &changes)
         };
         match result {
-            Ok(added_edges) => {
-                let mut buf = current.successor(index, dg);
-                for e in added_edges {
-                    debug_assert_eq!(
-                        e.index(),
-                        buf.edge_cards.len(),
-                        "edge slots are sequential"
-                    );
-                    let role = buf.dg.annotation(e).role;
-                    buf.edge_cards.push(rdb_edge_cardinality(&buf.er_schema, role));
-                }
+            Ok(()) => {
+                let buf = current.successor(index, dg);
                 self.published_version = self.db.version();
                 self.publish(buf);
                 let mut outcome = ApplyOutcome::default();
@@ -566,9 +550,9 @@ impl EngineWriter {
 
     /// Reclaim every tombstoned slot churn left behind, end to end:
     /// database row slots (via [`Database::compact`]), graph node and
-    /// edge slots, the CSR's flat arrays and the cardinality table —
-    /// with ids renumbered densely behind the returned [`TupleRemap`] —
-    /// and publish the compacted state as the next snapshot generation.
+    /// edge slots and the CSR's flat arrays — with ids renumbered
+    /// densely behind the returned [`TupleRemap`] — and publish the
+    /// compacted state as the next snapshot generation.
     /// Postings are rebuilt from the live set (they must speak the new
     /// tuple ids); display aliases are remapped in place.
     ///
@@ -594,17 +578,8 @@ impl EngineWriter {
         let index =
             InvertedIndex::build_with(self.db.get(), current.index.tokenizer().clone());
         let mut dg = current.dg.clone();
-        let edge_remap = dg.compact(&remap);
+        dg.compact(&remap);
         let mut buf = current.successor(index, dg);
-        // Surviving edges renumber monotonically in slot order, so
-        // collecting the survivors' cards in old order yields the new
-        // dense numbering.
-        buf.edge_cards = edge_remap
-            .iter()
-            .enumerate()
-            .filter(|(_, new)| new.is_some())
-            .map(|(old, _)| buf.edge_cards[old])
-            .collect();
         buf.aliases = Arc::new(
             Arc::unwrap_or_clone(std::mem::take(&mut buf.aliases))
                 .into_owned()

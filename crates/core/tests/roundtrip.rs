@@ -358,14 +358,15 @@ fn company_image() -> Vec<u8> {
 /// variant (the versioning-policy contract: readers never guess).
 #[test]
 fn future_format_version_is_refused() {
+    let future = cla_storage::FORMAT_VERSION + 1;
     let mut bytes = company_image();
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&future.to_le_bytes());
     let path = snap_path("version", 0);
     std::fs::write(&path, &bytes).unwrap();
     let result = SearchEngine::open(&path);
     std::fs::remove_file(&path).unwrap();
     assert!(matches!(
         result,
-        Err(CoreError::Snapshot(StorageError::UnsupportedVersion { found: 3, .. }))
+        Err(CoreError::Snapshot(StorageError::UnsupportedVersion { found, .. })) if found == future
     ));
 }

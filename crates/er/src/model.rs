@@ -280,7 +280,7 @@ impl ErSchema {
 
     /// Serialize the schema declaration into one flat snapshot section.
     ///
-    /// Only the declaration is stored — the relational [`crate::Catalog`]
+    /// Only the declaration is stored — the relational [`cla_relational::Catalog`]
     /// and [`crate::SchemaMapping`] derived from it are recomputed by
     /// [`crate::map_to_relational`] after [`ErSchema::decode`], which is
     /// what keeps a reopened engine byte-compatible with a rebuilt one:

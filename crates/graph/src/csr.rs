@@ -13,12 +13,14 @@
 //! traversals visit edges in the same order as the adjacency-list based
 //! ones and produce identical results.
 //!
-//! The arrays are never edited in place: a mutated graph gets a new
-//! CSR from [`CsrAdjacency::build`].
+//! The arrays are never edited in place, and never stored: a mutated
+//! graph, like a graph decoded from a saved image, gets a new CSR from
+//! [`CsrAdjacency::build`].
 
 use crate::graph::{EdgeId, Graph, NodeId};
 
-/// Flat adjacency of the undirected view of a [`Graph`].
+/// Flat adjacency of the undirected view of a [`Graph`]. The only way
+/// to make one is [`CsrAdjacency::build`].
 #[derive(Debug, Clone)]
 pub struct CsrAdjacency {
     /// `offsets[n]..offsets[n + 1]` indexes `neighbors` for node `n`.
@@ -61,36 +63,6 @@ impl CsrAdjacency {
     /// Undirected degree of `n` (self-loops count once).
     pub fn degree(&self, n: NodeId) -> usize {
         self.neighbors(n).len()
-    }
-
-    /// The flat offset array (`node_count() + 1` entries): node `n`'s
-    /// group is `neighbors_flat()[offsets()[n]..offsets()[n + 1]]`.
-    /// This is the serializable half of the CSR.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The flat `(neighbor, edge)` array the offsets index.
-    pub fn neighbors_flat(&self) -> &[(NodeId, EdgeId)] {
-        &self.neighbors
-    }
-
-    /// Reassemble a CSR from serialized flat arrays. Validates the
-    /// offset invariants — first entry 0, monotone non-decreasing, last
-    /// entry equal to `neighbors.len()` — and returns `None` on any
-    /// violation, so corrupt input cannot construct an adjacency whose
-    /// reads would index out of bounds.
-    pub fn from_parts(offsets: Vec<u32>, neighbors: Vec<(NodeId, EdgeId)>) -> Option<Self> {
-        if offsets.first() != Some(&0) {
-            return None;
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return None;
-        }
-        if *offsets.last()? as usize != neighbors.len() {
-            return None;
-        }
-        Some(CsrAdjacency { offsets, neighbors })
     }
 }
 
@@ -152,24 +124,5 @@ mod tests {
         let csr = CsrAdjacency::build(&g);
         assert_eq!(csr.node_count(), 1);
         assert!(csr.neighbors(a).is_empty());
-    }
-
-    #[test]
-    fn from_parts_round_trips_and_validates() {
-        let (g, _) = diamond();
-        let csr = CsrAdjacency::build(&g);
-        let back =
-            CsrAdjacency::from_parts(csr.offsets().to_vec(), csr.neighbors_flat().to_vec())
-                .unwrap();
-        for n in g.nodes() {
-            assert_eq!(back.neighbors(n), csr.neighbors(n));
-        }
-        // Invalid offset shapes are rejected, not trusted.
-        assert!(CsrAdjacency::from_parts(vec![], vec![]).is_none());
-        assert!(CsrAdjacency::from_parts(vec![1, 2], vec![(NodeId(0), EdgeId(0))]).is_none());
-        assert!(
-            CsrAdjacency::from_parts(vec![0, 2, 1], vec![(NodeId(0), EdgeId(0))]).is_none()
-        );
-        assert!(CsrAdjacency::from_parts(vec![0, 5], vec![(NodeId(0), EdgeId(0))]).is_none());
     }
 }

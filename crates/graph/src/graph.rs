@@ -436,9 +436,9 @@ impl<N, E> Graph<N, E> {
     }
 
     /// Reclaim every tombstoned node and edge slot, renumbering the
-    /// survivors densely in slot order behind the returned remap tables
+    /// survivors densely in slot order. Returns the node remap table
     /// (`remap[old.index()] = Some(new)` for survivors, `None` for
-    /// reclaimed slots).
+    /// reclaimed slots); surviving edges keep their relative order.
     ///
     /// This is the one operation that moves ids: all outstanding
     /// [`NodeId`]s/[`EdgeId`]s and any dense side arrays indexed by them
@@ -449,21 +449,13 @@ impl<N, E> Graph<N, E> {
     /// [`Graph::node_count`] equals [`Graph::alive_node_count`] and
     /// [`Graph::edge_slots`] equals [`Graph::edge_count`]: zero
     /// tombstoned slots.
-    pub fn compact(&mut self) -> (Vec<Option<NodeId>>, Vec<Option<EdgeId>>) {
+    pub fn compact(&mut self) -> Vec<Option<NodeId>> {
         let mut node_remap: Vec<Option<NodeId>> = Vec::with_capacity(self.nodes.len());
         let mut next = 0u32;
         for &alive in &self.node_alive {
             node_remap.push(alive.then(|| {
                 next += 1;
                 NodeId(next - 1)
-            }));
-        }
-        let mut edge_remap: Vec<Option<EdgeId>> = Vec::with_capacity(self.edges.len());
-        let mut next = 0u32;
-        for &alive in &self.edge_alive {
-            edge_remap.push(alive.then(|| {
-                next += 1;
-                EdgeId(next - 1)
             }));
         }
 
@@ -516,7 +508,7 @@ impl<N, E> Graph<N, E> {
         self.edge_alive = vec![true; self.edges.len()];
         debug_assert_eq!(self.live_nodes, self.nodes.len());
         debug_assert_eq!(self.live_edges, self.edges.len());
-        (node_remap, edge_remap)
+        node_remap
     }
 }
 
@@ -754,7 +746,7 @@ mod tests {
             .map(|n| (*g.node(n), g.incident_edges(n).map(|e| *g.node(e.other(n))).collect()))
             .collect();
 
-        let (node_remap, edge_remap) = g.compact();
+        let node_remap = g.compact();
         assert_eq!(g.node_count(), g.alive_node_count());
         assert_eq!(g.edge_slots(), g.edge_count());
         assert_eq!(g.node_count(), 3);
@@ -763,7 +755,6 @@ mod tests {
         // densely in slot order.
         assert_eq!(node_remap[ns[2].index()], None);
         assert_eq!(node_remap[ns[3].index()], Some(NodeId(2)));
-        assert_eq!(edge_remap.iter().filter(|e| e.is_none()).count(), 3);
         // Adjacency by payload is unchanged.
         let after: Vec<(&str, Vec<&str>)> = g
             .nodes()
@@ -771,9 +762,10 @@ mod tests {
             .collect();
         assert_eq!(expected, after);
         // Compacting a clean graph is the identity.
-        let (nr, er) = g.compact();
+        let edges_before: Vec<_> = g.edges().map(|e| (e.id, e.from, e.to)).collect();
+        let nr = g.compact();
         assert!(nr.iter().enumerate().all(|(i, r)| *r == Some(NodeId(i as u32))));
-        assert!(er.iter().enumerate().all(|(i, r)| *r == Some(EdgeId(i as u32))));
+        assert_eq!(g.edges().map(|e| (e.id, e.from, e.to)).collect::<Vec<_>>(), edges_before);
         // New elements extend the compacted numbering densely.
         let x = g.add_node("x");
         assert_eq!(x.index(), 3);
@@ -791,7 +783,7 @@ mod tests {
         g.add_edge(a, a, 4);
         g.remove_edge(e2);
         g.remove_node(dead);
-        let (_, _) = g.compact();
+        g.compact();
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 3);
         let payloads: Vec<u8> = g.incident_edges(NodeId(0)).map(|e| *e.payload).collect();

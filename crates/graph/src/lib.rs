@@ -6,10 +6,9 @@
 //! * [`Graph`] — adjacency-list multigraph with dense `u32` ids;
 //! * [`CsrAdjacency`] — a flat, build-once CSR view of the undirected
 //!   incidence, the substrate of every search hot path;
-//! * BFS distances/parents and connected components
+//! * BFS distances/parents and induced-subset connectivity
 //!   ([`bfs_distances_undirected`], [`multi_source_bfs_distances`],
-//!   [`connected_components_undirected`], [`is_connected_subset`],
-//!   [`is_connected_subset_sorted`]);
+//!   [`is_connected_subset`], [`is_connected_subset_sorted`]);
 //! * bounded **simple-path enumeration** in the undirected view
 //!   ([`enumerate_simple_paths_undirected`]) — the workhorse behind the
 //!   paper's connection enumeration (§3) — and its distance-pruned
@@ -19,8 +18,7 @@
 //! * Dijkstra shortest paths with pluggable edge weights ([`dijkstra`],
 //!   [`dijkstra_csr`]), and the multi-source **forest** variant
 //!   ([`multi_source_dijkstra_csr`]) whose parent chains are guaranteed
-//!   consistent — the substrate of the BANKS-style backward expansion;
-//! * a [`UnionFind`] for fast connectivity checks.
+//!   consistent — the substrate of the BANKS-style backward expansion.
 //!
 //! The crate is deliberately generic: `cla-core` instantiates it with
 //! tuple payloads and foreign-key edge annotations, the benches with
@@ -41,7 +39,6 @@ mod dijkstra;
 mod graph;
 mod paths;
 mod traversal;
-mod unionfind;
 
 pub use csr::CsrAdjacency;
 pub use dijkstra::{
@@ -55,7 +52,6 @@ pub use paths::{
 };
 pub use traversal::{
     bfs_distances_csr, bfs_distances_undirected, bfs_tree_undirected, bounded_bfs_distances,
-    bounded_bfs_distances_into, connected_components_undirected, is_connected_subset,
-    is_connected_subset_sorted, multi_source_bfs_distances, BfsTree,
+    bounded_bfs_distances_into, is_connected_subset, is_connected_subset_sorted,
+    multi_source_bfs_distances, BfsTree,
 };
-pub use unionfind::UnionFind;

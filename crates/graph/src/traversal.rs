@@ -164,32 +164,6 @@ pub fn is_connected_subset_sorted(csr: &CsrAdjacency, nodes: &[NodeId]) -> bool 
     reached == nodes.len()
 }
 
-/// Connected components of the undirected view: returns
-/// `(component id per node, number of components)`.
-pub fn connected_components_undirected<N, E>(g: &Graph<N, E>) -> (Vec<u32>, usize) {
-    let mut comp = vec![u32::MAX; g.node_count()];
-    let mut next = 0u32;
-    for start in g.nodes() {
-        if comp[start.index()] != u32::MAX {
-            continue;
-        }
-        let mut queue = VecDeque::new();
-        comp[start.index()] = next;
-        queue.push_back(start);
-        while let Some(n) = queue.pop_front() {
-            for e in g.incident_edges(n) {
-                let m = e.other(n);
-                if comp[m.index()] == u32::MAX {
-                    comp[m.index()] = next;
-                    queue.push_back(m);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next as usize)
-}
-
 /// Whether the subgraph *induced* by `nodes` is connected in the
 /// undirected view (edges with both endpoints in `nodes`).
 ///
@@ -253,16 +227,6 @@ mod tests {
         let (nodes, edges) = tree.path_to(ns[0]).unwrap();
         assert_eq!(nodes, vec![ns[0]]);
         assert!(edges.is_empty());
-    }
-
-    #[test]
-    fn components_counted() {
-        let (g, ns) = two_components();
-        let (comp, count) = connected_components_undirected(&g);
-        assert_eq!(count, 2);
-        assert_eq!(comp[ns[0].index()], comp[ns[1].index()]);
-        assert_eq!(comp[ns[1].index()], comp[ns[2].index()]);
-        assert_ne!(comp[ns[0].index()], comp[ns[3].index()]);
     }
 
     #[test]
@@ -348,13 +312,5 @@ mod tests {
                 "{idxs:?}"
             );
         }
-    }
-
-    #[test]
-    fn empty_graph_has_no_components() {
-        let g: Graph<(), ()> = Graph::new();
-        let (comp, count) = connected_components_undirected(&g);
-        assert!(comp.is_empty());
-        assert_eq!(count, 0);
     }
 }

@@ -1,11 +1,10 @@
 //! Property-based tests for the graph substrate.
 
 use cla_graph::{
-    bfs_distances_csr, bfs_distances_undirected, connected_components_undirected, dijkstra,
-    dijkstra_csr, enumerate_paths_to_targets, enumerate_simple_paths_undirected,
-    is_connected_subset, is_connected_subset_sorted, multi_source_bfs_distances,
-    multi_source_dijkstra_csr, shortest_path_undirected, CsrAdjacency, EdgeId, Graph, NodeId,
-    Path, UnionFind,
+    bfs_distances_csr, bfs_distances_undirected, dijkstra, dijkstra_csr,
+    enumerate_paths_to_targets, enumerate_simple_paths_undirected, is_connected_subset,
+    is_connected_subset_sorted, multi_source_bfs_distances, multi_source_dijkstra_csr,
+    shortest_path_undirected, CsrAdjacency, EdgeId, Graph, NodeId, Path,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -21,26 +20,6 @@ fn build(n: usize, edges: &[(usize, usize)]) -> Graph<(), ()> {
 }
 
 proptest! {
-    /// Union-find connectivity agrees with BFS component labels.
-    #[test]
-    fn unionfind_agrees_with_bfs(
-        n in 1usize..20,
-        edges in proptest::collection::vec((0usize..20, 0usize..20), 0..40)
-    ) {
-        let g = build(n, &edges);
-        let mut uf = UnionFind::new(n);
-        for e in g.edges() {
-            uf.union(e.from.index(), e.to.index());
-        }
-        let (comp, count) = connected_components_undirected(&g);
-        prop_assert_eq!(uf.component_count(), count);
-        for a in 0..n {
-            for b in 0..n {
-                prop_assert_eq!(uf.connected(a, b), comp[a] == comp[b]);
-            }
-        }
-    }
-
     /// BFS distance equals the length of the shortest enumerated simple
     /// path, whenever one exists.
     #[test]

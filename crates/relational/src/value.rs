@@ -120,8 +120,8 @@ impl Value {
     }
 
     /// Append this value to a snapshot section: one tag byte (equal to
-    /// [`Value::type_rank`], which is therefore part of the file format)
-    /// followed by the payload. Floats are stored by bit pattern, so a
+    /// the value's rank in the cross-type ordering, which is therefore
+    /// part of the file format) followed by the payload. Floats are stored by bit pattern, so a
     /// NaN round-trips to the identical NaN.
     pub fn encode(&self, w: &mut ByteWriter) {
         match self {

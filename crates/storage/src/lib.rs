@@ -44,7 +44,10 @@ pub const MAGIC: [u8; 8] = *b"CLASNAP\0";
 /// arena + bounds form addressable in place, added the node-map
 /// section, and replaced the CRC-32 body checksum with the faster
 /// [`image_checksum`] mix — together enabling zero-copy open.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3 stopped storing derived state: the CSR and per-edge
+/// cardinality sections are gone, and graph records keep no fk roles
+/// or middle flags.
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 8 + 4 + 4 + 4;
 const SECTION_ENTRY_LEN: usize = 4 + 8 + 8;
