@@ -681,12 +681,13 @@ fn snapshot_publish(c: &mut Criterion) {
 /// Every arm ends at the same place — a ranked answer for `QUERY` — but
 /// starts differently. `open_first_answer/` reads the saved image back
 /// with [`SearchEngine::open`]: one file read, checksum, and the
-/// zero-copy section parse — POD arrays (postings, CSR, graph slots)
-/// decode once, while the term/alias arenas, the tuple→node map and the
-/// relational rows stay as borrowed views over the image buffer, with
-/// the owned database and its hash indexes deferred to the first
-/// mutation. `regen_first_answer/` is the true cold-process
-/// alternative: nothing exists but the data source, so it regenerates
+/// zero-copy section parse — POD arrays (postings, graph slots) decode
+/// once and the CSR and the tuple→node index are built from the graph
+/// slots, while the term/alias arenas and the relational rows stay as
+/// borrowed views over the image buffer, with the owned database and
+/// its hash indexes deferred to the first mutation.
+/// `regen_first_answer/` is the true cold-process alternative: nothing
+/// exists but the data source, so it regenerates
 /// the database *and* runs the tokenize → index → graph → CSR build
 /// pipeline. `rebuild_first_answer/` is the generous lower bound for
 /// the rebuild side — the database is already in memory and only the

@@ -4,13 +4,15 @@
 //! from the *referencing* tuple to the *referenced* tuple), each carrying
 //! its conceptual [`FkRole`] from the [`SchemaMapping`]. Middle-relation
 //! tuples are flagged so connections can collapse them when computing
-//! conceptual lengths (§3 of the paper).
+//! conceptual lengths (§3 of the paper). A tuple finds its node through
+//! one array per relation, indexed by row slot, in every state of the
+//! graph: built, applied, compacted or opened.
 
 use crate::error::CoreError;
 use cla_er::{FkRole, SchemaMapping};
 use cla_graph::{CsrAdjacency, EdgeId, Graph, NodeId};
 use cla_relational::{ChangeSet, Database, RelationId, TupleId, TupleRemap};
-use cla_storage::{ByteReader, ByteWriter, SharedBytes, StorageError};
+use cla_storage::{ByteReader, ByteWriter, StorageError};
 use std::collections::{HashMap, HashSet};
 
 /// Edge payload: which foreign key produced the edge, and its conceptual
@@ -34,11 +36,11 @@ struct RelationRoles {
 
 /// The data graph over a database instance.
 ///
-/// Edge roles, middle flags and the CSR are functions of the database
-/// and the [`SchemaMapping`]: a snapshot image stores only the node and
-/// edge slots (each edge with its foreign-key index) and the tuple→node
-/// map, and opening the image derives the rest exactly as
-/// [`DataGraph::build`] does.
+/// Edge roles, middle flags, the CSR and the tuple→node index are
+/// functions of the database and the [`SchemaMapping`]: a snapshot
+/// image stores only the node and edge slots (each edge with its
+/// foreign-key index), and opening the image derives the rest exactly
+/// as [`DataGraph::build`] does.
 #[derive(Debug, Clone)]
 pub struct DataGraph {
     graph: Graph<TupleId, EdgeAnnotation>,
@@ -48,98 +50,47 @@ pub struct DataGraph {
     /// BFS frontiers, BANKS expansion, MTJNT growth) walks this instead
     /// of the nested edge lists.
     csr: CsrAdjacency,
-    /// Tuple → node lookup: owned hash map on built graphs, a borrowed
-    /// image view straight after decode (promoted by the first patch).
-    node_of: NodeIndex,
+    /// Tuple → node lookup: per relation, the node id of each row slot,
+    /// [`NO_NODE`] where the row has no node (a tombstone, or a row past
+    /// the end of the relation's array). Filled by a build, an apply, a
+    /// compaction or an open alike.
+    node_of: Vec<Vec<u32>>,
     middle: Vec<bool>,
 }
 
-/// The tuple→node lookup behind [`DataGraph::node_of`].
-///
-/// A freshly opened snapshot serves lookups by binary search over the
-/// image's `NODE_MAP` section — 12-byte `(rel, row, node)` records
-/// strictly sorted by `(rel, row)`, validated once at decode — and only
-/// the first structural mutation pays for the owned hash map.
-#[derive(Debug, Clone)]
-enum NodeIndex {
-    /// Owned map (post-build, post-promotion, post-compaction).
-    Map(HashMap<TupleId, NodeId>),
-    /// Borrowed view of the validated `NODE_MAP` records.
-    Image(SharedBytes),
+/// The tuple→node entry of a row slot without a node.
+const NO_NODE: u32 = u32::MAX;
+/// While an open fills the tuple→node index: the entry of a live row
+/// no node has claimed yet.
+const UNCLAIMED: u32 = u32::MAX - 1;
+
+/// The node of row slot `t` in a tuple→node index, if it has one.
+fn lookup(node_of: &[Vec<u32>], t: TupleId) -> Option<NodeId> {
+    let &n = node_of.get(t.relation.index())?.get(t.row as usize)?;
+    (n != NO_NODE).then_some(NodeId(n))
 }
 
-/// The `(rel, row)` key of image record `i`.
-fn node_map_key(recs: &SharedBytes, i: usize) -> (u32, u32) {
-    // lint: allow(unwrap, decode sized the record view to exactly n records)
-    let rec = recs.record(i, 12).expect("node map index is in bounds");
-    let rel = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
-    let row = u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]);
-    (rel, row)
+/// Point row slot `t` of a tuple→node index at `node` ([`NO_NODE`]
+/// clears it), growing the relation's array as needed.
+fn set_node(node_of: &mut [Vec<u32>], t: TupleId, node: u32) {
+    let rows = &mut node_of[t.relation.index()];
+    let row = t.row as usize;
+    if rows.len() <= row {
+        rows.resize(row + 1, NO_NODE);
+    }
+    rows[row] = node;
 }
 
-/// The node id of image record `i`.
-fn node_map_node(recs: &SharedBytes, i: usize) -> NodeId {
-    // lint: allow(unwrap, decode sized the record view to exactly n records)
-    let rec = recs.record(i, 12).expect("node map index is in bounds");
-    NodeId(u32::from_le_bytes([rec[8], rec[9], rec[10], rec[11]]))
-}
-
-impl NodeIndex {
-    fn get(&self, t: TupleId) -> Option<NodeId> {
-        match self {
-            NodeIndex::Map(m) => m.get(&t).copied(),
-            NodeIndex::Image(recs) => {
-                let n = recs.len() / 12;
-                let target = (t.relation.0, t.row);
-                let (mut lo, mut hi) = (0usize, n);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if node_map_key(recs, mid) < target {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                (lo < n && node_map_key(recs, lo) == target).then(|| node_map_node(recs, lo))
-            }
-        }
+/// Record live row `t`, of a relation with `slots` row slots, in the
+/// per-relation arrays an open hands to [`DataGraph::index_rows`]: the
+/// relation's array is allocated at its first live row, sized from the
+/// validated slot count, and the row is marked unclaimed.
+pub(crate) fn mark_live_row(rows: &mut [Vec<u32>], t: TupleId, slots: usize) {
+    let rel = &mut rows[t.relation.index()];
+    if rel.is_empty() {
+        *rel = vec![NO_NODE; slots];
     }
-
-    fn contains(&self, t: TupleId) -> bool {
-        self.get(t).is_some()
-    }
-
-    /// Materialize the owned map (no-op when already owned) — the
-    /// promotion point for the first structural mutation.
-    fn promote(&mut self) {
-        if let NodeIndex::Image(recs) = self {
-            let n = recs.len() / 12;
-            let mut m = HashMap::with_capacity(n);
-            for i in 0..n {
-                let (rel, row) = node_map_key(recs, i);
-                m.insert(TupleId::new(RelationId(rel), row), node_map_node(recs, i));
-            }
-            *self = NodeIndex::Map(m);
-        }
-    }
-
-    fn insert(&mut self, t: TupleId, n: NodeId) {
-        self.promote();
-        if let NodeIndex::Map(m) = self {
-            m.insert(t, n);
-        }
-    }
-
-    fn remove(&mut self, t: &TupleId) {
-        self.promote();
-        if let NodeIndex::Map(m) = self {
-            m.remove(t);
-        }
-    }
-
-    fn is_image_backed(&self) -> bool {
-        matches!(self, NodeIndex::Image(_))
-    }
+    rel[t.row as usize] = UNCLAIMED;
 }
 
 /// One resolved, pre-validated graph mutation — the output of
@@ -180,14 +131,14 @@ impl DataGraph {
     /// catalogs produced by [`cla_er::map_to_relational`]).
     pub fn build(db: &Database, mapping: &SchemaMapping) -> Result<Self, CoreError> {
         let mut graph = Graph::with_capacity(db.total_tuples(), db.total_tuples());
-        let mut node_of = HashMap::with_capacity(db.total_tuples());
+        let mut node_of = vec![Vec::new(); db.catalog().len()];
         let mut middle = Vec::with_capacity(db.total_tuples());
 
         for (rel, _) in db.catalog().iter() {
             let is_middle = mapping.is_middle(rel);
             for (id, _) in db.tuples(rel) {
                 let n = graph.add_node(id);
-                node_of.insert(id, n);
+                set_node(&mut node_of, id, n.0);
                 middle.push(is_middle);
             }
         }
@@ -197,14 +148,17 @@ impl DataGraph {
                     let role = mapping.fk_role(rel, fk_index).ok_or_else(|| {
                         CoreError::MissingFkRole { relation: schema.name.clone(), fk_index }
                     })?;
-                    let from = node_of[&id];
-                    let to = node_of[&target];
+                    let (Some(from), Some(to)) =
+                        (lookup(&node_of, id), lookup(&node_of, target))
+                    else {
+                        return Err(CoreError::UnknownTuple(target.to_string()));
+                    };
                     graph.add_edge(from, to, EdgeAnnotation { fk_index, role });
                 }
             }
         }
         let csr = CsrAdjacency::build(&graph);
-        Ok(DataGraph { graph, csr, node_of: NodeIndex::Map(node_of), middle })
+        Ok(DataGraph { graph, csr, node_of, middle })
     }
 
     /// Resolve the out-edges tuple `id` must carry, reading `db`'s
@@ -236,7 +190,7 @@ impl DataGraph {
                         .unwrap_or_else(|| rel.to_string()),
                     fk_index,
                 })?;
-            if !self.node_of.contains(target) && !batch_inserted.contains(&target) {
+            if self.node_of(target).is_none() && !batch_inserted.contains(&target) {
                 return Err(CoreError::UnknownTuple(target.to_string()));
             }
             out.push((fk_index, target, role));
@@ -245,7 +199,8 @@ impl DataGraph {
     }
 
     /// Patch the graph in place with a batch of database mutations,
-    /// instead of rebuilding node maps and adjacency from scratch.
+    /// instead of rebuilding the tuple→node index and adjacency from
+    /// scratch.
     ///
     /// * **Deletes** detach the tuple's node: every incident edge is
     ///   removed, and the node is tombstoned. Incoming references
@@ -311,7 +266,7 @@ impl DataGraph {
                 if batch_deleted.contains(&id) {
                     continue; // the later delete subsumes the rewiring
                 }
-                if !self.node_of.contains(id) && !batch_inserted.contains(&id) {
+                if self.node_of(id).is_none() && !batch_inserted.contains(&id) {
                     return Err(CoreError::UnknownTuple(id.to_string()));
                 }
                 let edges = self.resolve_edges(db, mapping, id, &batch_inserted)?;
@@ -324,7 +279,7 @@ impl DataGraph {
                     edges,
                 });
             } else {
-                if !self.node_of.contains(id) {
+                if self.node_of(id).is_none() {
                     return Err(CoreError::UnknownTuple(id.to_string()));
                 }
                 ops.push(PlanOp::Delete { id });
@@ -340,9 +295,6 @@ impl DataGraph {
         if plan.is_empty() {
             return;
         }
-        // First mutation after a zero-copy open: promote the image-backed
-        // tuple→node view to an owned map before any structural edit.
-        self.node_of.promote();
         // Phase 1: create every inserted tuple's node before wiring any
         // edges, so an insert may reference a tuple inserted *later* in
         // the same batch (references are validated lazily — batches can
@@ -353,7 +305,7 @@ impl DataGraph {
         for op in plan {
             if let PlanOp::Insert { id, middle, .. } = op {
                 let n = self.graph.add_node(*id);
-                self.node_of.insert(*id, n);
+                set_node(&mut self.node_of, *id, n.0);
                 self.middle.push(*middle);
             }
         }
@@ -367,7 +319,7 @@ impl DataGraph {
         for op in plan {
             if let PlanOp::Delete { id } = op {
                 self.graph.remove_node(self.node_of_existing(*id));
-                self.node_of.remove(id);
+                set_node(&mut self.node_of, *id, NO_NODE);
             }
         }
         // Phase 3: wire insert edges, in batch op order.
@@ -419,7 +371,7 @@ impl DataGraph {
     /// underlying [`Graph::compact`] hands back the node remap table,
     /// node payloads are rewritten to the database's post-compaction
     /// [`TupleId`]s (via `remap`, from
-    /// [`cla_relational::Database::compact`]), the tuple→node map and
+    /// [`cla_relational::Database::compact`]), the tuple→node index and
     /// middle flags are rebuilt, and the CSR is rebuilt from the live
     /// set.
     ///
@@ -429,7 +381,7 @@ impl DataGraph {
     /// database.
     pub fn compact(&mut self, remap: &TupleRemap) {
         let node_remap = self.graph.compact();
-        let mut node_of = HashMap::with_capacity(self.graph.node_count());
+        let mut node_of = vec![Vec::new(); self.node_of.len()];
         for i in 0..self.graph.node_count() {
             let n = NodeId(i as u32);
             let new_tuple = remap
@@ -437,9 +389,9 @@ impl DataGraph {
                 // lint: allow(unwrap, compaction remaps every live tuple and graph nodes are live)
                 .expect("a live node's tuple survives database compaction");
             *self.graph.node_mut(n) = new_tuple;
-            node_of.insert(new_tuple, n);
+            set_node(&mut node_of, new_tuple, n.0);
         }
-        self.node_of = NodeIndex::Map(node_of);
+        self.node_of = node_of;
         let mut middle = vec![false; self.graph.node_count()];
         for (old, new) in node_remap.iter().enumerate() {
             if let Some(new) = new {
@@ -450,38 +402,14 @@ impl DataGraph {
         self.csr = CsrAdjacency::build(&self.graph);
     }
 
-    /// Serialize the tuple→node map as the `NODE_MAP` snapshot section:
-    /// record count, then 12-byte `(rel, row, node)` records strictly
-    /// sorted by tuple id — one per **live** node. Decode validates the
-    /// section against the graph and then binary-searches it in place
-    /// instead of rebuilding a hash map.
-    pub(crate) fn encode_node_map(&self) -> Vec<u8> {
-        let mut recs: Vec<(TupleId, NodeId)> = self
-            .graph
-            .nodes()
-            .filter(|&n| self.graph.is_node_alive(n))
-            .map(|n| (*self.graph.node(n), n))
-            .collect();
-        recs.sort_by_key(|&(t, _)| t);
-        let mut w = ByteWriter::new();
-        w.len(recs.len());
-        for (t, n) in recs {
-            w.u32(t.relation.0);
-            w.u32(t.row);
-            w.u32(n.0);
-        }
-        w.into_vec()
-    }
-
     /// Serialize the graph half of this data graph into one flat
     /// snapshot section: every node and edge **slot** (tombstones
     /// included, so [`TupleId`]-keyed state and [`EdgeId`]s survive a
     /// save/open round trip). A node record is its tuple and live flag
     /// (9 bytes); an edge record is its endpoints, live flag and
     /// foreign-key index (13 bytes). What the mapping decides (middle
-    /// flags, edge roles) and the CSR are not stored: decode derives
-    /// them as [`DataGraph::build`] does. The tuple→node map rides in
-    /// its own [`DataGraph::encode_node_map`] section.
+    /// flags, edge roles), the CSR and the tuple→node index are not
+    /// stored: an open derives them as [`DataGraph::build`] does.
     pub(crate) fn encode_graph(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.len(self.graph.node_count());
@@ -503,23 +431,19 @@ impl DataGraph {
         w.into_vec()
     }
 
-    /// Rebuild a data graph from its [`DataGraph::encode_graph`] and
-    /// [`DataGraph::encode_node_map`] sections, against the `mapping`
-    /// of the image's own schema. Every payload is validated, never
-    /// trusted: each node must name a relation of the mapping's catalog,
-    /// each edge a foreign key of its source node's relation that
-    /// references its target node's relation, the slot arrays must be
-    /// mutually consistent ([`Graph::from_slots`]), and the node map
-    /// must be a strictly-sorted bijection onto the live nodes (see
-    /// below). Middle flags and edge roles are read from the mapping and
-    /// the CSR is built by [`CsrAdjacency::build`], as in
-    /// [`DataGraph::build`]. The accepted node-map records are then kept
-    /// as a borrowed view and binary-searched per lookup — no hash map
-    /// is built until the first mutation. Corrupt input is a typed
-    /// error, never a panic.
+    /// Rebuild a data graph from its [`DataGraph::encode_graph`]
+    /// section, against the `mapping` of the image's own schema. Every
+    /// payload is validated, never trusted: each node must name a
+    /// relation of the mapping's catalog, each edge a foreign key of its
+    /// source node's relation that references its target node's
+    /// relation, and the slot arrays must be mutually consistent
+    /// ([`Graph::from_slots`]). Middle flags and edge roles are read
+    /// from the mapping and the CSR is built by [`CsrAdjacency::build`],
+    /// as in [`DataGraph::build`]. The tuple→node index stays empty
+    /// until [`DataGraph::index_rows`] fills it from the database's live
+    /// rows. Corrupt input is a typed error, never a panic.
     pub(crate) fn decode(
         graph_bytes: &[u8],
-        node_map: SharedBytes,
         mapping: &SchemaMapping,
     ) -> Result<Self, StorageError> {
         // What the mapping says about each relation, indexed by relation
@@ -599,53 +523,42 @@ impl DataGraph {
                 StorageError::Malformed("inconsistent graph slot arrays".into())
             })?;
 
-        // NODE_MAP: strictly-sorted `(tuple → node)` records, one per
-        // live node. Validation proves a bijection without building a
-        // hash map: keys strictly ascend (hence are distinct), every
-        // record's node is a live slot whose stored tuple equals the key
-        // (so two records can never share a node), and the record count
-        // equals the live-node count — together, every live node appears
-        // exactly once and no tuple labels two live nodes.
-        let mut r = ByteReader::new(node_map.as_slice());
-        let n_map = r.len_of(12)?;
-        if n_map != graph.alive_node_count() {
+        let csr = CsrAdjacency::build(&graph);
+        Ok(DataGraph { graph, csr, node_of: Vec::new(), middle })
+    }
+
+    /// Fill the tuple→node index of a graph [`DataGraph::decode`] built,
+    /// from `rows`: per relation of the image's DATABASE section, one
+    /// entry per row slot, each live row marked by [`mark_live_row`].
+    /// Every live node must claim a distinct live row, and there must be
+    /// `live_rows` live nodes, so live nodes and live rows correspond
+    /// one to one. The arrays were sized from the validated DATABASE
+    /// section, so a hostile row id costs a failed lookup, never an
+    /// allocation.
+    pub(crate) fn index_rows(
+        &mut self,
+        mut rows: Vec<Vec<u32>>,
+        live_rows: usize,
+    ) -> Result<(), StorageError> {
+        let live_nodes = self.graph.alive_node_count();
+        if live_nodes != live_rows {
             return Err(StorageError::Malformed(format!(
-                "node map has {n_map} records for {} live nodes",
-                graph.alive_node_count()
+                "graph has {live_nodes} live nodes for {live_rows} live tuples"
             )));
         }
-        let records_start = r.position();
-        let map_bytes = r.raw(n_map * 12)?;
-        let mut prev: Option<(u32, u32)> = None;
-        for c in map_bytes.chunks_exact(12) {
-            let key = (
-                u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-            );
-            if prev.is_some_and(|p| p >= key) {
-                return Err(StorageError::Malformed(
-                    "node map keys must be strictly sorted".into(),
-                ));
-            }
-            prev = Some(key);
-            let node = NodeId(u32::from_le_bytes([c[8], c[9], c[10], c[11]]));
-            if node.index() >= n_nodes || !graph.is_node_alive(node) {
-                return Err(StorageError::Malformed(format!(
-                    "node map references dead or out-of-range node {node}"
-                )));
-            }
-            if *graph.node(node) != TupleId::new(RelationId(key.0), key.1) {
-                return Err(StorageError::Malformed(format!(
-                    "node map key does not match node {node}'s tuple"
-                )));
+        for n in self.graph.nodes().filter(|&n| self.graph.is_node_alive(n)) {
+            let t = *self.graph.node(n);
+            match rows.get_mut(t.relation.index()).and_then(|r| r.get_mut(t.row as usize)) {
+                Some(slot) if *slot == UNCLAIMED => *slot = n.0,
+                _ => {
+                    return Err(StorageError::Malformed(format!(
+                        "live node {n} names {t}, which is not an unclaimed live tuple"
+                    )))
+                }
             }
         }
-        let records_end = r.position();
-        r.finish()?;
-        let node_of = NodeIndex::Image(node_map.slice(records_start..records_end)?);
-
-        let csr = CsrAdjacency::build(&graph);
-        Ok(DataGraph { graph, csr, node_of, middle })
+        self.node_of = rows;
+        Ok(())
     }
 
     /// The underlying graph.
@@ -660,20 +573,14 @@ impl DataGraph {
 
     /// Node for tuple `t`, if present.
     pub fn node_of(&self, t: TupleId) -> Option<NodeId> {
-        self.node_of.get(t)
+        lookup(&self.node_of, t)
     }
 
     /// Node of a tuple the patch pre-validated (plan stage guarantees
     /// presence).
     fn node_of_existing(&self, t: TupleId) -> NodeId {
         // lint: allow(unwrap, plan pre-validated every tuple the patch references)
-        self.node_of.get(t).expect("patch references only planned tuples")
-    }
-
-    /// `true` while the tuple→node lookup still serves from the
-    /// snapshot image (no patch has promoted it to an owned map).
-    pub fn node_map_is_image_backed(&self) -> bool {
-        self.node_of.is_image_backed()
+        self.node_of(t).expect("patch references only planned tuples")
     }
 
     /// Tuple stored at node `n`.
@@ -787,14 +694,21 @@ mod tests {
         dg.apply(&db, &c.mapping, &changes).unwrap();
         assert!(dg.alive_node_count() < dg.node_count(), "test wants a tombstone");
 
+        // Open's recipe: the node index comes from the database's live
+        // rows, the rest from the graph section.
         let graph_bytes = dg.encode_graph();
-        let nm_bytes = dg.encode_node_map();
-        let decode = |g: &[u8], m: &[u8]| {
-            DataGraph::decode(g, SharedBytes::from_vec(m.to_vec()), &c.mapping)
+        let db_bytes = db.encode_flat();
+        let decode = |g: &[u8]| -> Result<DataGraph, StorageError> {
+            let mut rows = vec![Vec::new(); db.catalog().len()];
+            let summary = Database::validate_flat(db.catalog(), &db_bytes, |t, slots| {
+                mark_live_row(&mut rows, t, slots);
+                Ok(())
+            })?;
+            let mut back = DataGraph::decode(g, &c.mapping)?;
+            back.index_rows(rows, summary.live_rows)?;
+            Ok(back)
         };
-        let back = decode(&graph_bytes, &nm_bytes).unwrap();
-        assert!(back.node_map_is_image_backed(), "decode must not build the hash map");
-        assert!(!dg.node_map_is_image_backed(), "built graphs own their map");
+        let back = decode(&graph_bytes).unwrap();
 
         assert_eq!(back.node_count(), dg.node_count());
         assert_eq!(back.alive_node_count(), dg.alive_node_count());
@@ -804,49 +718,37 @@ mod tests {
             if dg.graph().is_node_alive(n) {
                 assert_eq!(back.tuple_of(n), dg.tuple_of(n));
                 assert_eq!(back.is_middle(n), dg.is_middle(n));
-                assert_eq!(back.node_of(dg.tuple_of(n)), Some(n));
                 assert_eq!(back.csr().neighbors(n), dg.csr().neighbors(n));
             }
         }
         for e in dg.graph().edges() {
             assert_eq!(back.annotation(e.id), dg.annotation(e.id));
         }
-        // The decoded graph re-encodes byte-identically.
-        assert_eq!(back.encode_graph(), graph_bytes);
-        // A decoded (image-backed) graph re-encodes its node map
-        // byte-identically and promotes on its first patch.
-        assert_eq!(back.encode_node_map(), nm_bytes);
-        let mut promoted = back.clone();
-        db.insert(dep, vec!["t12".into(), "e2".into(), "Ira".into()]).unwrap();
-        let changes = db.take_changes();
-        promoted.apply(&db, &c.mapping, &changes).unwrap();
-        assert!(!promoted.node_map_is_image_backed(), "first patch promotes");
-        let fresh = DataGraph::build(&db, &c.mapping).unwrap();
-        assert_eq!(tuple_adjacency(&db, &promoted), tuple_adjacency(&db, &fresh));
-
+        for t in db.all_tuple_ids() {
+            assert!(back.node_of(t).is_some());
+            assert_eq!(back.node_of(t), dg.node_of(t));
+        }
+        // Tombstoned, out-of-range rows and relations have no node.
+        let t1 = c.tuple("t1").unwrap();
+        let past_end = TupleId::new(dep, u32::MAX);
+        let no_relation = TupleId::new(RelationId(99), 0);
+        for t in [t1, past_end, no_relation] {
+            assert_eq!(back.node_of(t), None, "{t}");
+            assert_eq!(dg.node_of(t), None, "{t}");
+        }
         // Corrupt payloads are typed errors, never panics.
         for cut in 0..graph_bytes.len() {
-            assert!(decode(&graph_bytes[..cut], &nm_bytes).is_err());
+            assert!(decode(&graph_bytes[..cut]).is_err());
         }
-        for cut in 0..nm_bytes.len() {
-            assert!(decode(&graph_bytes, &nm_bytes[..cut]).is_err());
-        }
-        // Node-map faults the truncation sweep cannot reach: swapped
-        // (unsorted) records, a record pointing at the wrong node, and
-        // a key that matches no live tuple.
-        let mut swapped = nm_bytes.clone();
-        for i in 0..12 {
-            swapped.swap(4 + i, 16 + i);
-        }
-        assert!(decode(&graph_bytes, &swapped).is_err());
-        let mut wrong_node = nm_bytes.clone();
-        let node_off = 4 + 8; // first record's node field
-        let old = u32::from_le_bytes(wrong_node[node_off..node_off + 4].try_into().unwrap());
-        wrong_node[node_off..node_off + 4].copy_from_slice(&(old + 1).to_le_bytes());
-        assert!(decode(&graph_bytes, &wrong_node).is_err());
-        let mut wrong_key = nm_bytes.clone();
-        wrong_key[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode(&graph_bytes, &wrong_key).is_err());
+        // The decoded graph re-encodes byte-identically, and patches
+        // like a built one.
+        assert_eq!(back.encode_graph(), graph_bytes);
+        let mut patched = back.clone();
+        db.insert(dep, vec!["t12".into(), "e2".into(), "Ira".into()]).unwrap();
+        let changes = db.take_changes();
+        patched.apply(&db, &c.mapping, &changes).unwrap();
+        let fresh = DataGraph::build(&db, &c.mapping).unwrap();
+        assert_eq!(tuple_adjacency(&db, &patched), tuple_adjacency(&db, &fresh));
     }
 
     /// Tuple-level adjacency view for rebuild-equivalence comparisons

@@ -77,14 +77,15 @@
 //! [`SearchEngine::open`] cold-starts from that file **zero-copy**:
 //! every section is bounds-validated once, then generation 0 serves
 //! searches straight out of the shared image buffer — term and alias
-//! arenas, the tuple→node map, and the relational rows stay borrowed,
-//! and the handful of alignment-sensitive POD arrays (postings, CSR,
-//! graph slots) decode with a constant number of allocations. Derived
+//! arenas and the relational rows stay borrowed, the handful of
+//! alignment-sensitive POD arrays (postings, graph slots) decode with a
+//! constant number of allocations, and the CSR and the tuple→node index
+//! (one row array per relation) are built from the graph slots. Derived
 //! owned structures are **lazy**: the relational store with its PK and
-//! reverse-FK hash indexes, the tuple→node hash map, and the owned
-//! term dictionary are materialized only when a mutation first needs
-//! them. Guarantees, property-tested in `crates/core/tests/roundtrip.rs`
-//! and `crates/core/tests/zero_copy.rs`:
+//! reverse-FK hash indexes and the owned term dictionary are
+//! materialized only when a mutation first needs them. Guarantees,
+//! property-tested in `crates/core/tests/roundtrip.rs` and
+//! `crates/core/tests/zero_copy.rs`:
 //!
 //! * **Round-trip equivalence** — an opened engine answers
 //!   byte-identically (rankings, explanations, stats) to one rebuilt
@@ -159,16 +160,10 @@ pub use instance::{
     instance_closeness, instance_closeness_with_cache, InstanceCloseness, WitnessCache,
     WitnessStrategy,
 };
-pub use participation::{
-    move_sequence, participation_degree, participation_fanout, reachable_set,
-    RelationshipMove,
-};
+pub use participation::participation_fanout;
 pub use ranking::{sort_by_strategy, ConnectionInfo, RankStrategy};
 pub use snapshot::{
     Algorithm, EngineSnapshot, RankedConnection, SearchOptions, SearchResults,
 };
-pub use stats::{
-    close_precision_at_k, kendall_tau, overlap_at_k, ClosenessProfile, Completeness,
-    SearchStats, TruncationReason,
-};
+pub use stats::{kendall_tau, ClosenessProfile, Completeness, SearchStats, TruncationReason};
 pub use writer::{ApplyOutcome, CompactionPolicy, EngineWriter, SnapshotHandle};

@@ -28,16 +28,16 @@ use std::collections::HashSet;
 
 /// One conceptual move: a relationship crossed in a fixed direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RelationshipMove {
+struct RelationshipMove {
     /// The relationship crossed.
-    pub relationship: RelationshipId,
+    relationship: RelationshipId,
     /// `true` when crossed left→right.
-    pub forward: bool,
+    forward: bool,
 }
 
 /// The conceptual move sequence of a connection (middle hops collapse
 /// into one N:M move, mirroring [`Connection::conceptual_steps`]).
-pub fn move_sequence(
+fn move_sequence(
     conn: &Connection,
     dg: &DataGraph,
     schema: &ErSchema,
@@ -107,7 +107,7 @@ fn step_targets(dg: &DataGraph, from: NodeId, mv: RelationshipMove) -> Vec<NodeI
 
 /// The set of tuples reachable from `start` by following `moves` in
 /// order across the instance.
-pub fn reachable_set(
+fn reachable_set(
     dg: &DataGraph,
     start: NodeId,
     moves: &[RelationshipMove],
@@ -138,20 +138,6 @@ pub fn participation_fanout(
 ) -> usize {
     let moves = move_sequence(conn, dg, schema, mapping);
     reachable_set(dg, conn.start(), &moves).len()
-}
-
-/// Degree-aware looseness: the fan-out measured in *both* directions
-/// (start→end and end→start), reported as the larger of the two. The
-/// paper's §4: the actual number of participating tuples.
-pub fn participation_degree(
-    conn: &Connection,
-    dg: &DataGraph,
-    schema: &ErSchema,
-    mapping: &SchemaMapping,
-) -> usize {
-    let forward = participation_fanout(conn, dg, schema, mapping);
-    let backward = participation_fanout(&conn.reversed(), dg, schema, mapping);
-    forward.max(backward)
 }
 
 #[cfg(test)]
@@ -218,8 +204,6 @@ mod tests {
         // are {e3} ∪ {e2, e4}; dependents of those: e3 → {t1, t2}.
         let c9 = conn(&c, &dg, &["d2", "p2", "w_f3", "e3", "t1"]);
         assert_eq!(participation_fanout(&c9, &dg, &c.er_schema, &c.mapping), 2);
-        let degree = participation_degree(&c9, &dg, &c.er_schema, &c.mapping);
-        assert!(degree >= 2);
     }
 
     #[test]

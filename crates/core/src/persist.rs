@@ -8,14 +8,15 @@
 //! slots, the inverted index in the flat form it serves searches from
 //! (sorted term dictionary, contiguous posting arrays), the data graph's
 //! tombstone-preserving node and edge slots with each edge's foreign-key
-//! index, the tuple→node map and the display aliases. Everything else
-//! is recomputed on open by the code a fresh build runs: the relational
-//! catalog and the [`SchemaMapping`](cla_er::SchemaMapping) from the
-//! schema ([`cla_er::map_to_relational`]), each node's middle flag and
-//! each edge's [`FkRole`](cla_er::FkRole) from the mapping, and the CSR
-//! from the graph slots ([`cla_graph::CsrAdjacency::build`]); searches
-//! derive an edge's RDB cardinality from its role and the schema. So an
-//! image cannot contradict its own schema, and an opened engine answers
+//! index, and the display aliases. Everything else is recomputed on open
+//! by the code a fresh build runs: the relational catalog and the
+//! [`SchemaMapping`](cla_er::SchemaMapping) from the schema
+//! ([`cla_er::map_to_relational`]), each node's middle flag and each
+//! edge's [`FkRole`](cla_er::FkRole) from the mapping, the CSR from the
+//! graph slots ([`cla_graph::CsrAdjacency::build`]), and the tuple→node
+//! index from the graph's node slots; searches derive an edge's RDB
+//! cardinality from its role and the schema. So an image cannot
+//! contradict its own schema, and an opened engine answers
 //! byte-identically to a rebuilt one.
 //!
 //! Every structure a snapshot reads is held as flat arrays, and the
@@ -27,13 +28,13 @@
 //! opt-in is re-read from `CLA_FAILPOINTS` on open, and the scratch
 //! pool starts empty (it refills on first search).
 
-use crate::datagraph::DataGraph;
+use crate::datagraph::{mark_live_row, DataGraph};
 use crate::error::CoreError;
 use crate::snapshot::{failpoints_enabled_from_env, EngineSnapshot};
 use crate::writer::LazyDb;
 use cla_er::{map_to_relational, ErSchema, SchemaMapping};
 use cla_index::InvertedIndex;
-use cla_relational::{Database, TupleId};
+use cla_relational::Database;
 use cla_storage::{ByteReader, ByteWriter, ImageBuilder, SharedImage, StorageError};
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
@@ -53,11 +54,9 @@ const SECTION_INDEX: u32 = 4;
 const SECTION_GRAPH: u32 = 5;
 /// Display aliases: sorted keys, arena bounds, string arena.
 const SECTION_ALIASES: u32 = 7;
-/// The tuple→node map: strictly-sorted `(rel, row, node)` records, one
-/// per live graph node, binary-searched in place after open.
-const SECTION_NODE_MAP: u32 = 9;
-// Ids 6 and 8 are retired (format version 2 stored the CSR and the
-// per-edge cardinalities there); do not reuse them.
+// Ids 6, 8 and 9 are retired (format version 2 stored the CSR and the
+// per-edge cardinalities there, version 3 the tuple→node map); do not
+// reuse them.
 
 fn build_image(snapshot: &EngineSnapshot, db: &Database) -> ImageBuilder {
     let mut meta = ByteWriter::new();
@@ -69,8 +68,7 @@ fn build_image(snapshot: &EngineSnapshot, db: &Database) -> ImageBuilder {
         .section(SECTION_DATABASE, db.encode_flat())
         .section(SECTION_INDEX, snapshot.index.encode())
         .section(SECTION_GRAPH, snapshot.dg.encode_graph())
-        .section(SECTION_ALIASES, snapshot.aliases.encode())
-        .section(SECTION_NODE_MAP, snapshot.dg.encode_node_map());
+        .section(SECTION_ALIASES, snapshot.aliases.encode());
     builder
 }
 
@@ -105,11 +103,11 @@ fn decode_schema(image: &SharedImage) -> Result<(ErSchema, SchemaMapping), CoreE
 
 /// Decode a shared image into `(snapshot, lazy database, generation)`
 /// **zero-copy**: sections are bounds-validated once, then generation 0
-/// serves straight out of the shared buffer. The term and alias arenas,
-/// the tuple→node map, and the relational rows stay borrowed views; the
-/// alignment-sensitive POD arrays (postings, graph slots) decode with a
-/// constant number of allocations; the CSR is built from the graph
-/// slots; and the owned [`Database`] with its PK/reverse-FK hash
+/// serves straight out of the shared buffer. The term and alias arenas
+/// and the relational rows stay borrowed views; the alignment-sensitive
+/// POD arrays (postings, graph slots) decode with a constant number of
+/// allocations; the CSR and the tuple→node index are built from the
+/// graph slots; and the owned [`Database`] with its PK/reverse-FK hash
 /// indexes is **not built here at all** — the returned [`LazyDb`]
 /// materializes it on first mutation.
 ///
@@ -118,10 +116,12 @@ fn decode_schema(image: &SharedImage) -> Result<(ErSchema, SchemaMapping), CoreE
 /// a typed error, never a panic or UB. The DATABASE payload is
 /// validated check-for-check with [`Database::decode_flat`] via
 /// [`Database::validate_flat`], so the deferred materialization is
-/// guaranteed to succeed; the same pass merge-walks the strictly-sorted
-/// NODE_MAP records against the live rows (both enumerate live tuples
-/// in ascending `(relation, row)` order), proving record-by-record that
-/// the graph covers exactly the database's live tuples.
+/// guaranteed to succeed; the same pass marks each live row in
+/// per-relation arrays sized from its validated slot counts, and
+/// [`DataGraph::index_rows`] then fills them from the graph's live
+/// nodes, proving that live nodes and live tuples correspond one to
+/// one. The graph's live edges must number the rows' non-NULL
+/// references.
 pub(crate) fn decode_image(
     image: &SharedImage,
 ) -> Result<(EngineSnapshot, LazyDb, u64), CoreError> {
@@ -155,11 +155,7 @@ pub(crate) fn decode_image(
         Ok((index, aliases))
     };
     let graph_lane = || -> Result<_, CoreError> {
-        Ok(DataGraph::decode(
-            image.section(SECTION_GRAPH)?.as_slice(),
-            image.section(SECTION_NODE_MAP)?,
-            &mapping,
-        )?)
+        Ok(DataGraph::decode(image.section(SECTION_GRAPH)?.as_slice(), &mapping)?)
     };
     let main_lane = || -> Result<_, CoreError> {
         let meta_section = image.section(SECTION_META)?;
@@ -167,39 +163,17 @@ pub(crate) fn decode_image(
         let generation = meta.u64()?;
         meta.finish()?;
 
-        // Re-slice the node-map records region for the merge walk
-        // below (the graph lane validates the same section
-        // structurally, in parallel).
-        let node_map = image.section(SECTION_NODE_MAP)?;
-        let mut nm_reader = ByteReader::new(node_map.as_slice());
-        let n_map = nm_reader.len_of(12)?;
-        let records_start = nm_reader.position();
-        let records = node_map.slice(records_start..records_start + n_map * 12)?;
-
+        // The validation walk also marks each live row in per-relation
+        // arrays sized from the validated slot counts; the graph's node
+        // index is filled into them once the lanes join.
         let catalog = mapping.catalog().clone();
         let db_bytes = image.section(SECTION_DATABASE)?;
-        let mut cursor = 0usize;
-        let summary = Database::validate_flat(&catalog, db_bytes.as_slice(), |rel, row| {
-            let expected = records.record(cursor, 12).map(|rec| {
-                (
-                    u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]),
-                    u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]),
-                )
-            });
-            if expected == Some((rel.0, row)) {
-                cursor += 1;
-                Ok(())
-            } else {
-                Err(format!("live tuple {} has no graph node", TupleId::new(rel, row)))
-            }
+        let mut rows = vec![Vec::new(); catalog.len()];
+        let summary = Database::validate_flat(&catalog, db_bytes.as_slice(), |t, slots| {
+            mark_live_row(&mut rows, t, slots);
+            Ok(())
         })?;
-        debug_assert_eq!(summary.live_rows, cursor);
-        if cursor != n_map {
-            return Err(CoreError::Snapshot(StorageError::Malformed(format!(
-                "graph has {n_map} live nodes for {cursor} live tuples"
-            ))));
-        }
-        Ok((generation, catalog, db_bytes, summary))
+        Ok((generation, catalog, db_bytes, summary, rows))
     };
     // A decoder panic would be a bug, not a data condition; surface
     // it unchanged instead of swallowing it.
@@ -222,9 +196,20 @@ pub(crate) fn decode_image(
         (checksum_lane(), index_lane(), graph_lane(), main_lane())
     };
     checksum.map_err(CoreError::Snapshot)?;
-    let (generation, catalog, db_bytes, summary) = main_res?;
+    let (generation, catalog, db_bytes, summary, rows) = main_res?;
     let (index, aliases) = index_res?;
-    let dg = graph_res?;
+    let mut dg = graph_res?;
+    dg.index_rows(rows, summary.live_rows)?;
+    // Every non-NULL reference of a saved database resolves (engines
+    // validate references before they publish), and each is one live
+    // edge.
+    if dg.edge_count() != summary.references {
+        return Err(CoreError::Snapshot(StorageError::Malformed(format!(
+            "graph has {} live edges for {} references",
+            dg.edge_count(),
+            summary.references
+        ))));
+    }
 
     let db = LazyDb::from_image(catalog, db_bytes, summary.version);
     let snapshot = EngineSnapshot {
@@ -452,70 +437,113 @@ mod tests {
         }
     }
 
+    /// Byte offset of node record `i` in a GRAPH payload.
+    fn node_record(i: usize) -> usize {
+        4 + 9 * i
+    }
+
+    /// Byte offset of edge record `j` in a GRAPH payload.
+    fn edge_record(graph: &[u8], j: usize) -> usize {
+        let n_nodes = u32::from_le_bytes(graph[..4].try_into().unwrap()) as usize;
+        4 + 9 * n_nodes + 4 + 13 * j
+    }
+
+    fn put_u32(p: &mut [u8], at: usize, v: u32) {
+        p[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn assert_malformed(image: &SharedImage, what: &str) {
+        assert!(
+            matches!(
+                decode_image(image),
+                Err(CoreError::Snapshot(StorageError::Malformed(_)))
+            ),
+            "{what}"
+        );
+    }
+
+    /// A live edge marked dead (checksum re-stamped): every GRAPH record
+    /// is well-formed on its own, but the graph then holds fewer live
+    /// edges than the rows hold non-NULL references.
     #[test]
     fn decode_rejects_cross_section_inconsistency() {
         let engine = company_engine();
-        let bytes = encode_image(&engine.snapshot(), engine.db());
-        let image = SnapshotImage::parse(bytes).unwrap();
-        // An empty node map: the graph decodes, but the merge walk
-        // against the database's live rows fails on the first tuple.
-        let mut w = ByteWriter::new();
-        w.len(0);
-        let empty_map = w.into_vec();
-        let unmapped = rewrite_section(&image, SECTION_NODE_MAP, move |_| empty_map.clone());
-        assert!(matches!(
-            decode_image(&unmapped),
-            Err(CoreError::Snapshot(StorageError::Malformed(_)))
-        ));
+        let image =
+            SnapshotImage::parse(encode_image(&engine.snapshot(), engine.db())).unwrap();
+        let dead_edge = rewrite_section(&image, SECTION_GRAPH, |mut p| {
+            let alive = edge_record(&p, 0) + 8;
+            assert_eq!(p[alive], 1, "the first edge is live");
+            p[alive] = 0;
+            p
+        });
+        assert_malformed(&dead_edge, "live edge marked dead");
     }
 
+    /// Sections rewritten with hostile bytes (checksum re-stamped), in
+    /// the image of an engine with a tombstoned dependent. The GRAPH node
+    /// records break the one-to-one match of live nodes and live rows;
+    /// none may size an allocation by its bad row (a row of `u32::MAX`
+    /// would ask for gigabytes).
     #[test]
     fn decode_rejects_hostile_rewritten_sections() {
-        let engine = company_engine();
-        let bytes = encode_image(&engine.snapshot(), engine.db());
-        let image = SnapshotImage::parse(bytes).unwrap();
-        // NODE_MAP with its first two records swapped breaks the strict
-        // key ordering the binary-search accessor relies on.
-        let swapped = rewrite_section(&image, SECTION_NODE_MAP, |mut p| {
-            for i in 0..12 {
-                p.swap(4 + i, 16 + i);
-            }
-            p
+        let mut engine = company_engine();
+        let catalog = engine.db().catalog();
+        let (dep, emp) = (
+            catalog.relation_id("DEPENDENT").unwrap(),
+            catalog.relation_id("EMPLOYEE").unwrap(),
+        );
+        let of = |rel| engine.db().all_tuple_ids().filter(move |t| t.relation == rel);
+        let (gone, kept) = (of(dep).next().unwrap(), of(dep).nth(1).unwrap());
+        let (emp_a, emp_b) = (of(emp).next().unwrap(), of(emp).nth(1).unwrap());
+        engine.writer_mut().delete(gone).unwrap();
+        let _ = engine.apply().unwrap();
+        let snapshot = engine.snapshot();
+        let dg = snapshot.data_graph();
+        let image = SnapshotImage::parse(encode_image(&snapshot, engine.db())).unwrap();
+        let graph = |f: &dyn Fn(&mut Vec<u8>)| {
+            rewrite_section(&image, SECTION_GRAPH, |mut p| {
+                f(&mut p);
+                p
+            })
+        };
+        decode_image(&graph(&|_| {})).unwrap();
+        let kept_row = node_record(dg.node_of(kept).unwrap().index()) + 4;
+
+        let row_past_end = graph(&|p| put_u32(p, kept_row, u32::MAX));
+        assert_malformed(&row_past_end, "live node whose row is u32::MAX");
+        let twice = graph(&|p| {
+            put_u32(p, node_record(dg.node_of(emp_b).unwrap().index()) + 4, emp_a.row)
         });
-        assert!(matches!(
-            decode_image(&swapped),
-            Err(CoreError::Snapshot(StorageError::Malformed(_)))
-        ));
+        assert_malformed(&twice, "two live nodes naming one tuple");
+        let on_tombstone = graph(&|p| put_u32(p, kept_row, gone.row));
+        assert_malformed(&on_tombstone, "live node naming a tombstoned row");
+        // The kept dependent's node dies with its edges, so the slot
+        // arrays stay consistent and only its live row is left over.
+        let no_node = graph(&|p| {
+            let n = dg.node_of(kept).unwrap();
+            p[node_record(n.index()) + 8] = 0;
+            for e in dg.graph().incident_edges(n) {
+                let alive = edge_record(p, e.id.index()) + 8;
+                p[alive] = 0;
+            }
+        });
+        assert_malformed(&no_node, "live row with no node");
         // A GRAPH edge whose foreign-key index names no foreign key of
         // its source relation: there is no role for it to carry.
-        let unkeyed = rewrite_section(&image, SECTION_GRAPH, |mut p| {
-            let n_nodes = u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize;
-            let first_fk_index = 4 + 9 * n_nodes + 4 + 9;
-            p[first_fk_index..first_fk_index + 4].copy_from_slice(&99u32.to_le_bytes());
-            p
+        let unkeyed = graph(&|p| {
+            let first_fk_index = edge_record(p, 0) + 9;
+            put_u32(p, first_fk_index, 99);
         });
-        assert!(matches!(
-            decode_image(&unkeyed),
-            Err(CoreError::Snapshot(StorageError::Malformed(_)))
-        ));
-        // A truncated ALIASES payload is caught by the section decoder.
-        let clipped = rewrite_section(&image, SECTION_ALIASES, |mut p| {
-            p.truncate(p.len() - 1);
-            p
-        });
-        assert!(matches!(decode_image(&clipped), Err(CoreError::Snapshot(_))));
-        // A truncated INDEX payload likewise.
-        let clipped = rewrite_section(&image, SECTION_INDEX, |mut p| {
-            p.truncate(p.len() - 1);
-            p
-        });
-        assert!(matches!(decode_image(&clipped), Err(CoreError::Snapshot(_))));
-        // A truncated DATABASE payload is caught by the materialization-
-        // free validation pass.
-        let clipped = rewrite_section(&image, SECTION_DATABASE, |mut p| {
-            p.truncate(p.len() - 1);
-            p
-        });
-        assert!(matches!(decode_image(&clipped), Err(CoreError::Snapshot(_))));
+        assert_malformed(&unkeyed, "edge with an unknown foreign key");
+        // Truncated ALIASES and INDEX payloads are caught by their
+        // section decoders, a truncated DATABASE payload by the
+        // materialization-free validation pass.
+        for id in [SECTION_ALIASES, SECTION_INDEX, SECTION_DATABASE] {
+            let clipped = rewrite_section(&image, id, |mut p| {
+                p.truncate(p.len() - 1);
+                p
+            });
+            assert!(matches!(decode_image(&clipped), Err(CoreError::Snapshot(_))));
+        }
     }
 }

@@ -127,17 +127,6 @@ pub fn kendall_tau<T: Eq + Hash>(a: &[T], b: &[T]) -> Option<f64> {
     Some((concordant - discordant) as f64 / pairs)
 }
 
-/// Overlap@k: |top-k(a) ∩ top-k(b)| / k.
-pub fn overlap_at_k<T: Eq + Hash>(a: &[T], b: &[T], k: usize) -> f64 {
-    let k = k.min(a.len()).min(b.len());
-    if k == 0 {
-        return 0.0;
-    }
-    let top_b: std::collections::HashSet<&T> = b.iter().take(k).collect();
-    let hits = a.iter().take(k).filter(|x| top_b.contains(x)).count();
-    hits as f64 / k as f64
-}
-
 /// Distribution of a result list over closeness classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClosenessProfile {
@@ -176,18 +165,6 @@ impl ClosenessProfile {
             self.close as f64 / self.total() as f64
         }
     }
-}
-
-/// Precision-of-closeness@k: the fraction of the first `k` results that
-/// are schema-close — how well a ranking surfaces unambiguous
-/// associations early.
-pub fn close_precision_at_k(infos: &[&ConnectionInfo], k: usize) -> f64 {
-    let k = k.min(infos.len());
-    if k == 0 {
-        return 0.0;
-    }
-    let close = infos.iter().take(k).filter(|i| i.closeness == Closeness::Close).count();
-    close as f64 / k as f64
 }
 
 #[cfg(test)]
@@ -238,15 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_at_k_counts_shared_prefix_items() {
-        let a = [1, 2, 3, 4];
-        let b = [2, 1, 9, 8];
-        assert_eq!(overlap_at_k(&a, &b, 2), 1.0);
-        assert_eq!(overlap_at_k(&a, &b, 4), 0.5);
-        assert_eq!(overlap_at_k(&a, &b, 0), 0.0);
-    }
-
-    #[test]
     fn closeness_profile_partitions() {
         use Cardinality as C;
         let close = info(&[C::ONE_TO_MANY]);
@@ -258,16 +226,5 @@ mod tests {
         assert_eq!(p.loose_nm, 2);
         assert_eq!(p.total(), 4);
         assert!((p.close_ratio() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn close_precision_measures_prefix() {
-        use Cardinality as C;
-        let close = info(&[C::ONE_TO_MANY]);
-        let nm = info(&[C::MANY_TO_ONE, C::ONE_TO_MANY]);
-        let list = [&close, &close, &nm, &nm];
-        assert_eq!(close_precision_at_k(&list, 2), 1.0);
-        assert_eq!(close_precision_at_k(&list, 4), 0.5);
-        assert_eq!(close_precision_at_k(&[], 3), 0.0);
     }
 }

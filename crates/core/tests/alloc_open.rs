@@ -1,9 +1,9 @@
 //! The zero-copy cold-start allocation pin: `SearchEngine::open` plus
 //! the first warm search allocate **O(1) in database size**. Sections
-//! serve as borrowed views (term/alias arenas, node map, relational
-//! rows) and the POD arrays decode into capacity-reserved buffers, so
-//! the allocation *count* — not the byte volume — must not grow with
-//! the dataset.
+//! serve as borrowed views (term/alias arenas, relational rows), the
+//! POD arrays decode into capacity-reserved buffers, and the tuple→node
+//! index takes one array per relation, so the allocation *count* — not
+//! the byte volume — must not grow with the dataset.
 //!
 //! Kept as a single `#[test]` in its own binary so this file's global
 //! counting allocator sees no sibling-test noise while a measurement
@@ -134,7 +134,6 @@ fn open_and_first_search_allocate_constant_count_in_db_size() {
         // views — and the engine still answers a real query.
         assert!(!opened.db_materialized(), "open + search must not materialize the db");
         assert!(opened.index().base_is_image_backed());
-        assert!(opened.data_graph().node_map_is_image_backed());
         assert!(!opened.search("xml smith", &opts).unwrap().is_empty());
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,12 +1,13 @@
 //! Property suite for the zero-copy open path: an engine opened from a
 //! snapshot image answers **byte-identically** to the engine that saved
-//! it — before the first mutation (while postings, aliases, the
-//! tuple→node map and the relational rows still serve from borrowed
-//! image views) and after it (once the first write promotes the lazy
-//! structures to owned) — across all three algorithms and several
-//! datasets. The suite also pins the promotion points themselves via
-//! the introspection accessors, and that arbitrary truncation of an
-//! image is rejected with a typed error, never a panic.
+//! it — before the first mutation (while the term and alias arenas and
+//! the relational rows still serve from borrowed image views, and the
+//! tuple→node index built at open serves lookups) and after it (once
+//! the first write promotes the lazy structures to owned) — across all
+//! three algorithms and several datasets. The suite also pins the
+//! promotion points themselves via the introspection accessors, and
+//! that arbitrary truncation of an image is rejected with a typed
+//! error, never a panic.
 
 use cla_core::{Algorithm, CoreError, SearchEngine, SearchOptions};
 use cla_datagen::{company, generate_synthetic, SyntheticConfig};
@@ -84,10 +85,9 @@ fn check_roundtrip(name: &str, mut oracle: SearchEngine, queries: &[&str]) {
     std::fs::remove_file(&path).unwrap();
 
     // Generation 0 serves straight out of the image buffer: no owned
-    // database, borrowed term/alias arenas, binary-searched node map.
+    // database, borrowed term/alias arenas.
     assert!(!opened.db_materialized(), "open must not materialize the database");
     assert!(opened.index().base_is_image_backed(), "term arena must stay borrowed");
-    assert!(opened.data_graph().node_map_is_image_backed(), "node map must stay borrowed");
     assert!(opened.snapshot().aliases_image_backed(), "alias table must stay borrowed");
 
     assert_eq!(
@@ -97,20 +97,15 @@ fn check_roundtrip(name: &str, mut oracle: SearchEngine, queries: &[&str]) {
     );
     // Searching is a pure read: the lazy structures must survive it.
     assert!(!opened.db_materialized(), "searches must not materialize the database");
-    assert!(opened.data_graph().node_map_is_image_backed(), "searches must not promote");
+    assert!(opened.index().base_is_image_backed(), "searches must not promote");
 
     // The first mutation promotes: the database (with its PK and
-    // reverse-FK hash indexes) materializes from the validated bytes,
-    // and apply's patch planning promotes the node map.
+    // reverse-FK hash indexes) materializes from the validated bytes.
     stage_insert(&mut oracle, "e_zz1");
     stage_insert(&mut opened, "e_zz1");
     let _ = oracle.apply().unwrap();
     let _ = opened.apply().unwrap();
     assert!(opened.db_materialized(), "a staged insert materializes the database");
-    assert!(
-        !opened.snapshot().data_graph().node_map_is_image_backed(),
-        "apply promotes the node map to a hash index"
-    );
 
     assert_eq!(
         fingerprint(&oracle, queries),

@@ -665,9 +665,11 @@ impl Database {
     /// lockstep check-for-check.
     ///
     /// `on_live_row` is invoked once per live row in storage order
-    /// (catalog relation order, ascending row); returning an error
-    /// message surfaces as [`StorageError::Malformed`] — callers use it
-    /// to cross-check the payload against sibling sections.
+    /// (catalog relation order, ascending row) with the row's id and its
+    /// relation's slot count; returning an error message surfaces as
+    /// [`StorageError::Malformed`] — callers use it to cross-check the
+    /// payload against sibling sections, or to size per-relation arrays
+    /// from validated counts.
     ///
     /// Primary-key uniqueness is checked without building an index:
     /// live rows are hashed over their PK attributes' encoded bytes
@@ -680,7 +682,7 @@ impl Database {
     pub fn validate_flat(
         catalog: &Catalog,
         bytes: &[u8],
-        mut on_live_row: impl FnMut(RelationId, u32) -> std::result::Result<(), String>,
+        mut on_live_row: impl FnMut(TupleId, usize) -> std::result::Result<(), String>,
     ) -> std::result::Result<FlatSummary, StorageError> {
         let malformed = |e: &dyn std::fmt::Display| StorageError::Malformed(e.to_string());
         catalog.validate().map_err(|e| malformed(&e))?;
@@ -694,10 +696,12 @@ impl Database {
             )));
         }
         let mut live_rows = 0usize;
+        let mut references = 0usize;
         // Scratch buffers reused across every relation and row: the
         // whole pass allocates a constant number of times regardless of
         // how many rows the payload holds.
         let mut pk_rows: Vec<(u64, u32, u32)> = Vec::new();
+        let mut null_attrs: Vec<usize> = Vec::new();
         let mut spans_a: Vec<(usize, usize)> = Vec::new();
         let mut spans_b: Vec<(usize, usize)> = Vec::new();
         for rel_idx in 0..n_rel {
@@ -723,6 +727,7 @@ impl Database {
                 // folding stays injective enough — any collision is
                 // resolved byte-exactly below).
                 let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+                null_attrs.clear();
                 for attr_idx in 0..n_values {
                     let before = r.position();
                     let view = ValueView::decode(&mut r)?;
@@ -737,6 +742,7 @@ impl Database {
                                 schema.name, attr.name
                             )));
                         }
+                        null_attrs.push(attr_idx);
                     } else if !view.matches_type(attr.data_type) {
                         return Err(StorageError::Malformed(format!(
                             "type mismatch in {}.{}",
@@ -761,8 +767,22 @@ impl Database {
                 }
                 if alive {
                     live_rows += 1;
+                    // A foreign key with a NULL attribute references
+                    // nothing; most rows hold no NULL at all.
+                    references += if null_attrs.is_empty() {
+                        schema.foreign_keys.len()
+                    } else {
+                        schema
+                            .foreign_keys
+                            .iter()
+                            .filter(|fk| {
+                                !fk.attributes.iter().any(|a| null_attrs.contains(a))
+                            })
+                            .count()
+                    };
                     pk_rows.push((hash, row as u32, values_start as u32));
-                    on_live_row(rel, row as u32).map_err(StorageError::Malformed)?;
+                    on_live_row(TupleId::new(rel, row as u32), n_slots)
+                        .map_err(StorageError::Malformed)?;
                 }
             }
             // Equal hashes are only a candidate set; the verdict is an
@@ -791,7 +811,7 @@ impl Database {
             }
         }
         r.finish()?;
-        Ok(FlatSummary { version, live_rows })
+        Ok(FlatSummary { version, live_rows, references })
     }
 
     /// Re-parse one live row's primary-key attribute byte spans into
@@ -847,6 +867,9 @@ pub struct FlatSummary {
     pub version: u64,
     /// Live (non-tombstoned) rows across all relations.
     pub live_rows: usize,
+    /// Foreign keys of live rows whose attributes are all non-NULL: the
+    /// references a fully resolved instance turns into graph edges.
+    pub references: usize,
 }
 
 /// Remap table returned by [`Database::compact`]: for every pre-compact
@@ -1375,13 +1398,16 @@ mod tests {
         let bytes = db.encode_flat();
 
         let mut visited = Vec::new();
-        let summary = Database::validate_flat(db.catalog(), &bytes, |rel, row| {
-            visited.push(TupleId::new(rel, row));
+        let summary = Database::validate_flat(db.catalog(), &bytes, |t, slots| {
+            assert_eq!(slots, db.data[t.relation.index()].slot_count());
+            visited.push(t);
             Ok(())
         })
         .unwrap();
         assert_eq!(summary.version, db.version());
         assert_eq!(summary.live_rows, db.total_tuples());
+        // e2's D_ID is a reference; e3's NULL D_ID is none.
+        assert_eq!(summary.references, 1);
         let expected: Vec<_> = db.all_tuple_ids().collect();
         assert_eq!(visited, expected, "live rows visited in storage order");
         // The visitor's error becomes a typed Malformed.

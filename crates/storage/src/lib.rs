@@ -46,8 +46,9 @@ pub const MAGIC: [u8; 8] = *b"CLASNAP\0";
 /// [`image_checksum`] mix — together enabling zero-copy open.
 /// Version 3 stopped storing derived state: the CSR and per-edge
 /// cardinality sections are gone, and graph records keep no fk roles
-/// or middle flags.
-pub const FORMAT_VERSION: u32 = 3;
+/// or middle flags. Version 4 dropped the node-map section: an open
+/// derives the tuple→node index from the graph's node slots.
+pub const FORMAT_VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 8 + 4 + 4 + 4;
 const SECTION_ENTRY_LEN: usize = 4 + 8 + 8;

@@ -80,11 +80,12 @@
 //!   `ANALYSIS.md`), and `core::SearchEngine::open` cold-starts from
 //!   that file without re-running the tokenize → index → graph → CSR
 //!   build pipeline — and without copying what it can serve in place:
-//!   generation 0 borrows the term/alias string arenas, the tuple→node
-//!   map, and the relational rows straight from the image buffer, the
-//!   POD arrays (postings, CSR, graph slots) decode in one bulk pass
-//!   each, and the database's PK/FK hash indexes are derived lazily on
-//!   first mutation, which promotes the borrowed views to owned without
+//!   generation 0 borrows the term/alias string arenas and the
+//!   relational rows straight from the image buffer, the POD arrays
+//!   (postings, graph slots) decode in one bulk pass each, the CSR and
+//!   the tuple→node index are built from the graph slots, and the
+//!   database's PK/FK hash indexes are derived lazily on first
+//!   mutation, which promotes the borrowed views to owned without
 //!   readers noticing (open-to-first-answer runs ~12× faster than
 //!   regenerating from source at the dept64 scale — B13 in
 //!   `EXPERIMENTS.md`). The opened engine answers byte-identically to
