@@ -399,7 +399,7 @@ mod tests {
             aliases.iter().map(|a| dg.node_of(c.tuple(a).unwrap()).unwrap()).collect();
         let from = want[0];
         let to = *want.last().unwrap();
-        let paths = enumerate_simple_paths_undirected(dg.graph(), from, to, 6, None);
+        let paths = enumerate_simple_paths_undirected(dg.csr(), from, to, 6, None);
         paths
             .iter()
             .map(|p| Connection::from_path(p, dg, &c.er_schema))

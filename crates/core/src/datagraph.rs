@@ -5,15 +5,16 @@
 //! its conceptual [`FkRole`] from the [`SchemaMapping`]. Middle-relation
 //! tuples are flagged so connections can collapse them when computing
 //! conceptual lengths (§3 of the paper). A tuple finds its node through
-//! one array per relation, indexed by row slot, in every state of the
-//! graph: built, applied, compacted or opened.
+//! one array per relation, indexed by row slot, and a node its
+//! neighbors through one CSR built from the live edge slots, in every
+//! state of the graph: built, applied, compacted or opened.
 
 use crate::error::CoreError;
 use cla_er::{FkRole, SchemaMapping};
 use cla_graph::{CsrAdjacency, EdgeId, Graph, NodeId};
 use cla_relational::{ChangeSet, Database, RelationId, TupleId, TupleRemap};
 use cla_storage::{ByteReader, ByteWriter, StorageError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Edge payload: which foreign key produced the edge, and its conceptual
 /// role.
@@ -43,12 +44,14 @@ struct RelationRoles {
 /// as [`DataGraph::build`] does.
 #[derive(Debug, Clone)]
 pub struct DataGraph {
+    /// Node and edge slots; no adjacency.
     graph: Graph<TupleId, EdgeAnnotation>,
-    /// Flat undirected adjacency: the arrays [`CsrAdjacency::build`]
-    /// writes over `graph`, after a build, an apply, a compaction or an
-    /// open alike — every traversal-heavy algorithm (path enumeration,
-    /// BFS frontiers, BANKS expansion, MTJNT growth) walks this instead
-    /// of the nested edge lists.
+    /// The one adjacency: the arrays [`CsrAdjacency::build`] writes
+    /// over `graph`'s live edge slots, after a build, an apply, a
+    /// compaction or an open alike. Every traversal (path enumeration,
+    /// BFS frontiers, BANKS expansion, MTJNT growth) walks it, and the
+    /// next generation's apply reads it for a deleted node's edges and
+    /// an updated tuple's old out-edges.
     csr: CsrAdjacency,
     /// Tuple → node lookup: per relation, the node id of each row slot,
     /// [`NO_NODE`] where the row has no node (a tombstone, or a row past
@@ -79,6 +82,13 @@ fn set_node(node_of: &mut [Vec<u32>], t: TupleId, node: u32) {
         rows.resize(row + 1, NO_NODE);
     }
     rows[row] = node;
+}
+
+/// The node of a tuple a patch references (the plan stage validated
+/// its presence).
+fn existing(node_of: &[Vec<u32>], t: TupleId) -> NodeId {
+    // lint: allow(unwrap, plan pre-validated every tuple the patch references)
+    lookup(node_of, t).expect("patch references only planned tuples")
 }
 
 /// Record live row `t`, of a relation with `slots` row slots, in the
@@ -198,16 +208,18 @@ impl DataGraph {
         Ok(out)
     }
 
-    /// Patch the graph in place with a batch of database mutations,
-    /// instead of rebuilding the tuple→node index and adjacency from
-    /// scratch.
+    /// The next generation: this graph with a batch of database
+    /// mutations applied, derived from the current slots instead of
+    /// rebuilding the tuple→node index and adjacency from scratch. The
+    /// current CSR is read for the adjacency the batch needs and is
+    /// never copied; the new one is built from the new slots.
     ///
-    /// * **Deletes** detach the tuple's node: every incident edge is
-    ///   removed, and the node is tombstoned. Incoming references
+    /// * **Deletes** detach the tuple's node: every live incident edge
+    ///   is removed, and the node is tombstoned. Incoming references
     ///   cannot exist at delete time — the database enforces restrict
     ///   semantics — so a deleted node's incident edges are exactly its
     ///   own resolved references plus references from tuples deleted or
-    ///   re-pointed earlier in the same batch (already detached).
+    ///   re-pointed in the same batch.
     /// * **Inserts** append a node slot and resolve the tuple's
     ///   references against `db` *at apply time* (the whole batch is
     ///   present by then, so references to tuples inserted later in the
@@ -216,33 +228,32 @@ impl DataGraph {
     ///   changed edges**: per foreign key, an edge whose target is
     ///   unchanged keeps its [`EdgeId`] (and its slot in edge-indexed
     ///   side tables) untouched; re-pointed, dropped and newly resolved
-    ///   references remove/add exactly those edges. Updates of a tuple
-    ///   the batch later deletes are subsumed by the delete.
+    ///   references remove/add exactly those edges.
     /// * Insert-then-delete spans within the batch cancel.
+    ///
+    /// Every op's edges are resolved against the batch's final
+    /// database, so one update per tuple reaches its final wiring:
+    /// repeated updates of a tuple collapse into the first, and updates
+    /// of a tuple the batch inserts or deletes are subsumed by that
+    /// insert or delete.
     ///
     /// The apply is **atomic**: every fallible lookup (dangling
     /// references, missing mapping roles, unknown tuples) happens in a
-    /// mutation-free plan stage, so an error leaves the graph exactly as
-    /// it was.
-    ///
-    /// A batch that changes anything ends with a fresh
-    /// [`CsrAdjacency::build`] over the edited graph (`O(V + E)`), so
-    /// the CSR is always the flat form of the graph.
+    /// mutation-free plan stage, so an error leaves nothing behind and
+    /// `self` is never edited.
     pub fn apply(
-        &mut self,
+        &self,
         db: &Database,
         mapping: &SchemaMapping,
         changes: &ChangeSet,
-    ) -> Result<(), CoreError> {
+    ) -> Result<DataGraph, CoreError> {
         let patch = self.plan(db, mapping, changes)?;
-        self.execute(&patch);
-        Ok(())
+        Ok(self.execute(&patch))
     }
 
     /// The fallible, mutation-free half of [`DataGraph::apply`]: net the
     /// batch, validate every lookup, and resolve each op's edges into a
-    /// [`GraphPatch`] of tuple ids. An error leaves the graph exactly as
-    /// it was (nothing was mutated).
+    /// [`GraphPatch`] of tuple ids, at most one update per tuple.
     fn plan(
         &self,
         db: &Database,
@@ -259,14 +270,18 @@ impl DataGraph {
                 batch_deleted.insert(op.change().id);
             }
         }
+        let mut updated: HashSet<TupleId> = HashSet::new();
         let mut ops: Vec<PlanOp> = Vec::with_capacity(net_ops.len());
         for op in &net_ops {
             let id = op.change().id;
             if op.is_update() {
-                if batch_deleted.contains(&id) {
-                    continue; // the later delete subsumes the rewiring
+                if batch_deleted.contains(&id)
+                    || batch_inserted.contains(&id)
+                    || !updated.insert(id)
+                {
+                    continue; // wired by the delete, the insert or the first update
                 }
-                if self.node_of(id).is_none() && !batch_inserted.contains(&id) {
+                if self.node_of(id).is_none() {
                     return Err(CoreError::UnknownTuple(id.to_string()));
                 }
                 let edges = self.resolve_edges(db, mapping, id, &batch_inserted)?;
@@ -289,12 +304,17 @@ impl DataGraph {
     }
 
     /// The infallible execution half of [`DataGraph::apply`] — every
-    /// lookup was pre-validated by [`DataGraph::plan`].
-    fn execute(&mut self, patch: &GraphPatch) {
+    /// lookup was pre-validated by [`DataGraph::plan`]. Copies the slots
+    /// and the tuple→node index, edits the copies, and builds the CSR of
+    /// the result.
+    fn execute(&self, patch: &GraphPatch) -> DataGraph {
         let plan = &patch.ops;
         if plan.is_empty() {
-            return;
+            return self.clone();
         }
+        let mut graph = self.graph.clone();
+        let mut node_of = self.node_of.clone();
+        let mut middle = self.middle.clone();
         // Phase 1: create every inserted tuple's node before wiring any
         // edges, so an insert may reference a tuple inserted *later* in
         // the same batch (references are validated lazily — batches can
@@ -303,23 +323,24 @@ impl DataGraph {
         // never point at a tuple deleted in the same batch (the delete
         // would have been restricted by the live referencer).
         for op in plan {
-            if let PlanOp::Insert { id, middle, .. } = op {
-                let n = self.graph.add_node(*id);
-                set_node(&mut self.node_of, *id, n.0);
-                self.middle.push(*middle);
+            if let PlanOp::Insert { id, middle: is_middle, .. } = op {
+                let n = graph.add_node(*id);
+                set_node(&mut node_of, *id, n.0);
+                middle.push(*is_middle);
             }
         }
-        // Phase 2: detach deletes. Deletes commute with the wiring
-        // phases below — a delete's incident edges are all pre-existing
-        // (an insert- or update-added edge pointing at it would have
-        // restricted the delete, and inserted nodes were net-cancelled),
-        // so detaching first cannot drop an edge phase 3 or 4 is about
-        // to add; it *does* detach old edges that phase 4 updates would
-        // otherwise remove, which the per-fk diff there tolerates.
+        // Phase 2: detach deletes. Only nodes that existed before the
+        // batch are deleted (inserted ones were net-cancelled), and no
+        // edge added by this batch touches them, so the current CSR
+        // lists every edge to detach; one a delete earlier in this
+        // phase already tombstoned (two adjacent tuples deleted) is
+        // skipped. Deletes commute with the wiring phases below: they
+        // can detach an updated tuple's old edge, which phase 4 then no
+        // longer finds.
         for op in plan {
             if let PlanOp::Delete { id } = op {
-                self.graph.remove_node(self.node_of_existing(*id));
-                set_node(&mut self.node_of, *id, NO_NODE);
+                graph.remove_node(existing(&node_of, *id), &self.csr);
+                set_node(&mut node_of, *id, NO_NODE);
             }
         }
         // Phase 3: wire insert edges, in batch op order.
@@ -327,79 +348,84 @@ impl DataGraph {
             let PlanOp::Insert { id, edges, .. } = op else {
                 continue;
             };
-            let n = self.node_of_existing(*id);
+            let n = existing(&node_of, *id);
             for &(fk_index, target, role) in edges {
-                let to = self.node_of_existing(target);
-                self.graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
+                let to = existing(&node_of, target);
+                graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
             }
         }
-        // Phase 4: rewire updates as per-fk diffs against the live
-        // graph. The graph is final-state for everything but the
-        // updates themselves by now, and an update's new side was
-        // resolved against the final database — so an edge the diff
-        // keeps is genuinely unchanged, and repeated updates of one
-        // tuple converge (the first diff reaches the final wiring, the
-        // rest are no-ops).
+        // Phase 4: rewire updates as per-fk diffs. An updated tuple
+        // existed before the batch, has one update op, and no other op
+        // adds its out-edges, so its old out-edges are the current
+        // CSR's, less those phase 2 detached; the new side was resolved
+        // against the final database, so an edge the diff keeps is
+        // genuinely unchanged.
         for op in plan {
             let PlanOp::Update { id, edges } = op else {
                 continue;
             };
-            let n = self.node_of_existing(*id);
-            let old: HashMap<usize, (EdgeId, NodeId)> =
-                self.graph.out_edges(n).map(|e| (e.payload.fk_index, (e.id, e.to))).collect();
-            for (&fk_index, &(e, to)) in &old {
+            let n = existing(&node_of, *id);
+            let old: Vec<(usize, EdgeId, NodeId)> = self
+                .csr
+                .neighbors(n)
+                .iter()
+                .filter(|&&(_, e)| graph.is_edge_alive(e) && graph.endpoints(e).0 == n)
+                .map(|&(to, e)| (graph.edge(e).payload.fk_index, e, to))
+                .collect();
+            for &(fk_index, e, to) in &old {
                 let kept = edges.iter().any(|&(fk, target, _)| {
-                    fk == fk_index && self.node_of_existing(target) == to
+                    fk == fk_index && existing(&node_of, target) == to
                 });
                 if !kept {
-                    self.graph.remove_edge(e);
+                    graph.remove_edge(e);
                 }
             }
             for &(fk_index, target, role) in edges {
-                let to = self.node_of_existing(target);
-                if old.get(&fk_index).is_some_and(|&(_, old_to)| old_to == to) {
+                let to = existing(&node_of, target);
+                if old.iter().any(|&(fk, _, old_to)| fk == fk_index && old_to == to) {
                     continue; // unchanged edge keeps its id and slot
                 }
-                self.graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
+                graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
             }
         }
-        self.csr = CsrAdjacency::build(&self.graph);
+        let csr = CsrAdjacency::build(&graph);
+        DataGraph { graph, csr, node_of, middle }
     }
 
-    /// Reclaim every tombstoned node and edge slot left behind by
-    /// deletes and update rewirings, renumbering ids densely: the
-    /// underlying [`Graph::compact`] hands back the node remap table,
-    /// node payloads are rewritten to the database's post-compaction
+    /// The compacted generation: every tombstoned node and edge slot
+    /// left behind by deletes and update rewirings reclaimed, ids
+    /// renumbered densely. The copied slots are compacted by
+    /// [`Graph::compact`], which hands back the node remap table; node
+    /// payloads are rewritten to the database's post-compaction
     /// [`TupleId`]s (via `remap`, from
     /// [`cla_relational::Database::compact`]), the tuple→node index and
-    /// middle flags are rebuilt, and the CSR is rebuilt from the live
-    /// set.
+    /// middle flags are rebuilt, and the CSR is built from the live set.
     ///
     /// Afterwards [`DataGraph::node_count`] equals
     /// [`DataGraph::alive_node_count`] and the graph is structurally
     /// equivalent to a fresh [`DataGraph::build`] over the compacted
     /// database.
-    pub fn compact(&mut self, remap: &TupleRemap) {
-        let node_remap = self.graph.compact();
+    pub fn compact(&self, remap: &TupleRemap) -> DataGraph {
+        let mut graph = self.graph.clone();
+        let node_remap = graph.compact();
         let mut node_of = vec![Vec::new(); self.node_of.len()];
-        for i in 0..self.graph.node_count() {
+        for i in 0..graph.node_count() {
             let n = NodeId(i as u32);
             let new_tuple = remap
-                .map(*self.graph.node(n))
+                .map(*graph.node(n))
                 // lint: allow(unwrap, compaction remaps every live tuple and graph nodes are live)
                 .expect("a live node's tuple survives database compaction");
-            *self.graph.node_mut(n) = new_tuple;
+            *graph.node_mut(n) = new_tuple;
             set_node(&mut node_of, new_tuple, n.0);
         }
-        self.node_of = node_of;
-        let mut middle = vec![false; self.graph.node_count()];
+        let mut middle = vec![false; graph.node_count()];
         for (old, new) in node_remap.iter().enumerate() {
             if let Some(new) = new {
                 middle[new.index()] = self.middle[old];
             }
         }
-        self.middle = middle;
-        self.csr = CsrAdjacency::build(&self.graph);
+        let csr = CsrAdjacency::build(&graph);
+        DataGraph { graph, csr, node_of, middle }
     }
 
     /// Serialize the graph half of this data graph into one flat
@@ -576,13 +602,6 @@ impl DataGraph {
         lookup(&self.node_of, t)
     }
 
-    /// Node of a tuple the patch pre-validated (plan stage guarantees
-    /// presence).
-    fn node_of_existing(&self, t: TupleId) -> NodeId {
-        // lint: allow(unwrap, plan pre-validated every tuple the patch references)
-        self.node_of(t).expect("patch references only planned tuples")
-    }
-
     /// Tuple stored at node `n`.
     pub fn tuple_of(&self, n: NodeId) -> TupleId {
         *self.graph.node(n)
@@ -658,11 +677,8 @@ mod tests {
         let c = company();
         let dg = DataGraph::build(&c.db, &c.mapping).unwrap();
         let e1 = dg.node_of(c.tuple("e1").unwrap()).unwrap();
-        let neighbors: Vec<String> = dg
-            .graph()
-            .incident_edges(e1)
-            .map(|e| c.alias(dg.tuple_of(e.other(e1))))
-            .collect();
+        let neighbors: Vec<String> =
+            dg.csr().neighbors(e1).iter().map(|&(m, _)| c.alias(dg.tuple_of(m))).collect();
         assert!(neighbors.contains(&"d1".to_owned()));
         assert!(neighbors.contains(&"w_f1".to_owned()));
         assert_eq!(neighbors.len(), 2);
@@ -673,9 +689,12 @@ mod tests {
         let c = company();
         let dg = DataGraph::build(&c.db, &c.mapping).unwrap();
         assert_eq!(dg.csr().node_count(), dg.node_count());
-        for n in dg.graph().nodes() {
-            let expect: Vec<_> =
-                dg.graph().incident_edges(n).map(|e| (e.other(n), e.id)).collect();
+        let g = dg.graph();
+        for n in g.nodes() {
+            // Out-edges by id, then in-edges other than self-loops by id.
+            let out = g.edges().filter(|e| e.from == n).map(|e| (e.to, e.id));
+            let into = g.edges().filter(|e| e.to == n && e.from != n).map(|e| (e.from, e.id));
+            let expect: Vec<_> = out.chain(into).collect();
             assert_eq!(dg.csr().neighbors(n), expect.as_slice());
         }
     }
@@ -684,14 +703,14 @@ mod tests {
     fn encode_decode_round_trips_with_tombstones() {
         let c = company();
         let mut db = c.db.clone();
-        let mut dg = DataGraph::build(&db, &c.mapping).unwrap();
+        let dg = DataGraph::build(&db, &c.mapping).unwrap();
         db.take_changes();
         // Leave tombstones behind.
         let dep = db.catalog().relation_id("DEPENDENT").unwrap();
         db.insert(dep, vec!["t9".into(), "e1".into(), "Zoe".into()]).unwrap();
         db.delete(c.tuple("t1").unwrap()).unwrap();
         let changes = db.take_changes();
-        dg.apply(&db, &c.mapping, &changes).unwrap();
+        let dg = dg.apply(&db, &c.mapping, &changes).unwrap();
         assert!(dg.alive_node_count() < dg.node_count(), "test wants a tombstone");
 
         // Open's recipe: the node index comes from the database's live
@@ -743,10 +762,9 @@ mod tests {
         // The decoded graph re-encodes byte-identically, and patches
         // like a built one.
         assert_eq!(back.encode_graph(), graph_bytes);
-        let mut patched = back.clone();
         db.insert(dep, vec!["t12".into(), "e2".into(), "Ira".into()]).unwrap();
         let changes = db.take_changes();
-        patched.apply(&db, &c.mapping, &changes).unwrap();
+        let patched = back.apply(&db, &c.mapping, &changes).unwrap();
         let fresh = DataGraph::build(&db, &c.mapping).unwrap();
         assert_eq!(tuple_adjacency(&db, &patched), tuple_adjacency(&db, &fresh));
     }
@@ -780,13 +798,18 @@ mod tests {
     fn apply_matches_rebuild_on_insert_and_delete() {
         let c = company();
         let mut db = c.db.clone();
-        let mut dg = DataGraph::build(&db, &c.mapping).unwrap();
+        let parent = DataGraph::build(&db, &c.mapping).unwrap();
         db.take_changes();
 
         let dep = db.catalog().relation_id("DEPENDENT").unwrap();
         let emp = db.catalog().relation_id("EMPLOYEE").unwrap();
+        let essn = |db: &Database, t: TupleId, essn: &str| {
+            let mut values = db.tuple(t).unwrap().values().to_vec();
+            values[1] = essn.into();
+            values
+        };
         // New dependent referencing e1; delete the existing dependent t1.
-        db.insert(dep, vec!["t9".into(), "e1".into(), "Zoe".into()]).unwrap();
+        let t9 = db.insert(dep, vec!["t9".into(), "e1".into(), "Zoe".into()]).unwrap();
         let t1 = c.tuple("t1").unwrap();
         db.delete(t1).unwrap();
         // Same-batch references in both orders: a dependent of an
@@ -798,15 +821,31 @@ mod tests {
         // batches can arrive in any relation order like initial loads).
         db.insert(dep, vec!["t11".into(), "e10".into(), "Bo".into()]).unwrap();
         db.insert(emp, vec!["e10".into(), "Late".into(), "Arr".into(), "d1".into()]).unwrap();
+        // The same-batch traps. An update of a dependent the batch
+        // inserted: its insert already wires the final edge.
+        db.update(t9, essn(&db, t9, "e2")).unwrap();
+        // Two re-pointing updates of one dependent, away from an
+        // employee the batch then deletes…
+        let t2 = c.tuple("t2").unwrap();
+        db.update(t2, essn(&db, t2, "e4")).unwrap();
+        db.update(t2, essn(&db, t2, "e1")).unwrap();
+        // …together with its last referencer, which shares an edge with
+        // it and goes first (the shared edge is tombstoned once). t1 and
+        // e3 are such a pair too.
+        db.delete(c.tuple("w_f3").unwrap()).unwrap();
+        db.delete(c.tuple("e3").unwrap()).unwrap();
 
         let changes = db.take_changes();
-        dg.apply(&db, &c.mapping, &changes).unwrap();
+        let dg = parent.apply(&db, &c.mapping, &changes).unwrap();
 
         let fresh = DataGraph::build(&db, &c.mapping).unwrap();
         assert_eq!(tuple_adjacency(&db, &dg), tuple_adjacency(&db, &fresh));
         assert_eq!(dg.alive_node_count(), fresh.alive_node_count());
         assert_eq!(dg.edge_count(), fresh.edge_count());
         assert!(dg.node_of(t1).is_none());
+        // One slot per inserted edge (five inserts) and one for t2's
+        // re-point; updates that change nothing take none.
+        assert_eq!(dg.graph().edge_slots(), parent.graph().edge_slots() + 6);
 
         // Order-sensitive check the sorted comparison above would mask:
         // e10 was *referenced* (by t11) before it was inserted, yet its
@@ -836,7 +875,7 @@ mod tests {
     fn apply_cancels_insert_then_delete() {
         let c = company();
         let mut db = c.db.clone();
-        let mut dg = DataGraph::build(&db, &c.mapping).unwrap();
+        let dg = DataGraph::build(&db, &c.mapping).unwrap();
         db.take_changes();
         let nodes_before = dg.node_count();
         let edge_slots_before = dg.graph().edge_slots();
@@ -845,7 +884,7 @@ mod tests {
         let t = db.insert(dep, vec!["tz".into(), "e1".into(), "Ghost".into()]).unwrap();
         db.delete(t).unwrap();
         let changes = db.take_changes();
-        dg.apply(&db, &c.mapping, &changes).unwrap();
+        let dg = dg.apply(&db, &c.mapping, &changes).unwrap();
         assert_eq!(dg.node_count(), nodes_before, "cancelled pair adds no slots");
         assert_eq!(dg.graph().edge_slots(), edge_slots_before, "nor edge slots");
         let fresh = DataGraph::build(&db, &c.mapping).unwrap();
@@ -856,7 +895,7 @@ mod tests {
     fn apply_reports_dangling_insert() {
         let c = company();
         let mut db = c.db.clone();
-        let mut dg = DataGraph::build(&db, &c.mapping).unwrap();
+        let dg = DataGraph::build(&db, &c.mapping).unwrap();
         db.take_changes();
         let dep = db.catalog().relation_id("DEPENDENT").unwrap();
         db.insert(dep, vec!["tz".into(), "e-nonexistent".into(), "Ghost".into()]).unwrap();

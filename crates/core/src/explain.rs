@@ -174,7 +174,7 @@ mod tests {
     fn conn(c: &CompanyDb, dg: &DataGraph, aliases: &[&str]) -> Connection {
         let want: Vec<NodeId> =
             aliases.iter().map(|a| dg.node_of(c.tuple(a).unwrap()).unwrap()).collect();
-        enumerate_simple_paths_undirected(dg.graph(), want[0], *want.last().unwrap(), 6, None)
+        enumerate_simple_paths_undirected(dg.csr(), want[0], *want.last().unwrap(), 6, None)
             .iter()
             .map(|p| Connection::from_path(p, dg, &c.er_schema))
             .find(|cn| cn.nodes() == want.as_slice())

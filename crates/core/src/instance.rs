@@ -395,7 +395,7 @@ mod tests {
         let want: Vec<NodeId> =
             aliases.iter().map(|a| dg.node_of(c.tuple(a).unwrap()).unwrap()).collect();
         let paths = enumerate_simple_paths_undirected(
-            dg.graph(),
+            dg.csr(),
             want[0],
             *want.last().unwrap(),
             6,

@@ -51,18 +51,17 @@ fn move_sequence(
 
 /// All tuples reachable from `start` by one conceptual move.
 fn step_targets(dg: &DataGraph, from: NodeId, mv: RelationshipMove) -> Vec<NodeId> {
-    let g = dg.graph();
+    let csr = dg.csr();
     let mut out = Vec::new();
-    for e in g.incident_edges(from) {
-        let other = e.other(from);
-        match e.payload.role {
+    for &(other, e) in csr.neighbors(from) {
+        match dg.annotation(e).role {
             FkRole::Direct { relationship, owner_is_left } => {
                 if relationship != mv.relationship {
                     continue;
                 }
                 // Crossing from `from` to `other`: along the FK when
                 // `from` is the edge source.
-                let along_fk = e.from == from;
+                let along_fk = dg.graph().endpoints(e).0 == from;
                 let forward = if along_fk { owner_is_left } else { !owner_is_left };
                 if forward == mv.forward {
                     out.push(other);
@@ -84,13 +83,12 @@ fn step_targets(dg: &DataGraph, from: NodeId, mv: RelationshipMove) -> Vec<NodeI
                 if forward != mv.forward {
                     continue;
                 }
-                for e2 in g.incident_edges(other) {
-                    let far = e2.other(other);
+                for &(far, e2) in csr.neighbors(other) {
                     if far == from {
                         continue;
                     }
                     if let FkRole::Middle { relationship: r2, to_left: far_left } =
-                        e2.payload.role
+                        dg.annotation(e2).role
                     {
                         if r2 == mv.relationship && far_left != from_is_left {
                             out.push(far);
@@ -155,7 +153,7 @@ mod tests {
     fn conn(c: &CompanyDb, dg: &DataGraph, aliases: &[&str]) -> Connection {
         let want: Vec<NodeId> =
             aliases.iter().map(|a| dg.node_of(c.tuple(a).unwrap()).unwrap()).collect();
-        enumerate_simple_paths_undirected(dg.graph(), want[0], *want.last().unwrap(), 6, None)
+        enumerate_simple_paths_undirected(dg.csr(), want[0], *want.last().unwrap(), 6, None)
             .iter()
             .map(|p| Connection::from_path(p, dg, &c.er_schema))
             .find(|cn| cn.nodes() == want.as_slice())

@@ -522,8 +522,8 @@ mod tests {
         let no_node = graph(&|p| {
             let n = dg.node_of(kept).unwrap();
             p[node_record(n.index()) + 8] = 0;
-            for e in dg.graph().incident_edges(n) {
-                let alive = edge_record(p, e.id.index()) + 8;
+            for &(_, e) in dg.csr().neighbors(n) {
+                let alive = edge_record(p, e.index()) + 8;
                 p[alive] = 0;
             }
         });

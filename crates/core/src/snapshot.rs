@@ -683,7 +683,7 @@ impl EngineSnapshot {
             return Some(Connection::single(want[0]));
         }
         let paths = enumerate_simple_paths_undirected(
-            self.dg.graph(),
+            self.dg.csr(),
             want[0],
             want[want.len() - 1],
             want.len() - 1,
@@ -2004,9 +2004,9 @@ impl EngineSnapshot {
         let csr = self.dg.csr();
         let root = network.iter().copied().min_by_key(|&n| self.dg.tuple_of(n))?;
         // Spanning tree of the induced subgraph via BFS. Neighbors are
-        // visited in tuple order, not CSR position: adjacency-list
-        // position differs between a patched and a rebuilt graph, and
-        // which cycle edge the spanning tree drops must not.
+        // visited in tuple order, not CSR position: CSR position follows
+        // edge ids, which differ between a patched and a rebuilt graph,
+        // and which cycle edge the spanning tree drops must not.
         let mut edges = Vec::new();
         let mut seen: HashSet<NodeId> = [root].into();
         let mut queue = std::collections::VecDeque::from([root]);

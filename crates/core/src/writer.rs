@@ -16,12 +16,14 @@
 //!
 //! Every build derives the next generation from the current one: the
 //! inverted index merges the batch's posting edits with the current
-//! arrays into new ones, and a copy of the data graph is edited and its
-//! CSR rebuilt. The schema, the mapping and the alias table are shared
-//! behind their `Arc`s (no batch edits them). A published snapshot
-//! therefore holds only flat arrays, and a publish costs `O(database)`
-//! whatever the batch size. The writer keeps no earlier generation: a
-//! snapshot is freed when its last reader drops it.
+//! arrays into new ones, and a copy of the data graph's slots is edited
+//! and a CSR built from it (the current CSR supplies the adjacency the
+//! edits need; it is read, not copied). The schema, the mapping and the
+//! alias table are shared behind their `Arc`s (no batch edits them). A
+//! published snapshot therefore holds only flat arrays, and a publish
+//! costs `O(database)` whatever the batch size. The writer keeps no
+//! earlier generation: a snapshot is freed when its last reader drops
+//! it.
 //!
 //! A failed apply drops its private buffer, and rejects the database
 //! batch through [`Database::rollback`]; the published generation was
@@ -438,20 +440,21 @@ impl EngineWriter {
         self.current.failpoints.store(true, AtomicOrdering::Relaxed);
     }
 
-    /// Drain the database's pending mutations, build every derived
-    /// structure of the **next snapshot generation** from a copy of the
-    /// current one and publish it atomically: inverted-index postings
-    /// (updates merged as term diffs), and data-graph nodes and edges
-    /// (updates rewiring only their changed edges) with a CSR rebuilt
-    /// from them. After a successful apply the published snapshot
-    /// answers exactly like a freshly built engine over the mutated
-    /// database — the rebuild-equivalence property the mutation test
-    /// suite pins down — without re-reading the database, and **readers
-    /// pinned to older generations are untouched** (their snapshots stay
-    /// alive and byte-stable until they drop them).
+    /// Drain the database's pending mutations, derive every structure
+    /// of the **next snapshot generation** from the current one and
+    /// publish it atomically: inverted-index postings (updates merged
+    /// as term diffs), and data-graph nodes and edges (updates rewiring
+    /// only their changed edges, found through the current CSR) with a
+    /// CSR built from them. After a successful apply the published
+    /// snapshot answers exactly like a freshly built engine over the
+    /// mutated database — the rebuild-equivalence property the mutation
+    /// test suite pins down — without re-reading the database, and
+    /// **readers pinned to older generations are untouched** (their
+    /// snapshots stay alive and byte-stable until they drop them).
     ///
-    /// Each apply costs `O(slots)`, whatever the batch size: the copy
-    /// covers every node and edge slot, tombstoned ones included. A
+    /// Each apply costs `O(slots)`, whatever the batch size: the
+    /// derivation copies every node and edge slot, tombstoned ones
+    /// included. A
     /// writer with steady churn should therefore call
     /// [`EngineWriter::compact`] on a schedule, or opt into
     /// [`CompactionPolicy::TombstoneRatio`], which counts both dead
@@ -460,7 +463,7 @@ impl EngineWriter {
     ///
     /// The apply is **atomic**. On error (e.g. a dangling reference
     /// that a full rebuild's validation would also reject) nothing is
-    /// published: the private build buffer is dropped, the *database
+    /// published: the half-built index is dropped, the *database
     /// batch itself* is rolled back through [`Database::rollback`] (the
     /// batch is a failed transaction; its mutations are rejected
     /// wholesale), and the error is returned with the engine fresh and
@@ -482,15 +485,14 @@ impl EngineWriter {
         );
         let current = &self.current;
         let index = current.index.apply(self.db.get(), &changes);
-        let mut dg = current.dg.clone();
         let result = if self.failpoints && failpoints::triggered("apply.mid") {
             // Fails the way the graph plan does; the id names the failpoint.
             Err(CoreError::UnknownTuple("<forced by the apply.mid failpoint>".into()))
         } else {
-            dg.apply(self.db.get(), &current.mapping, &changes)
+            current.dg.apply(self.db.get(), &current.mapping, &changes)
         };
         match result {
-            Ok(()) => {
+            Ok(dg) => {
                 let buf = current.successor(index, dg);
                 self.published_version = self.db.version();
                 self.publish(buf);
@@ -516,11 +518,10 @@ impl EngineWriter {
                 Ok(outcome)
             }
             Err(e) => {
-                // The half-built structures were never published: drop
-                // them, and reject the database batch via inverse ops so
-                // that engine and database agree on the pre-mutation
-                // state.
-                drop((index, dg));
+                // The half-built index was never published: drop it,
+                // and reject the database batch via inverse ops so that
+                // engine and database agree on the pre-mutation state.
+                drop(index);
                 self.db.get_mut().rollback(&changes);
                 self.published_version = self.db.version();
                 debug_assert!(self.is_fresh());
@@ -577,9 +578,7 @@ impl EngineWriter {
         // preserved but *relative* ids shift across relations).
         let index =
             InvertedIndex::build_with(self.db.get(), current.index.tokenizer().clone());
-        let mut dg = current.dg.clone();
-        dg.compact(&remap);
-        let mut buf = current.successor(index, dg);
+        let mut buf = current.successor(index, current.dg.compact(&remap));
         buf.aliases = Arc::new(
             Arc::unwrap_or_clone(std::mem::take(&mut buf.aliases))
                 .into_owned()

@@ -21,7 +21,7 @@
 
 use cla_core::{Algorithm, CoreError, DataGraph, EngineWriter, SearchEngine, SearchOptions};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
-use cla_graph::CsrAdjacency;
+use cla_graph::{EdgeId, NodeId};
 use cla_index::InvertedIndex;
 use cla_relational::RelationalError::{DeleteRestricted, UpdateRestricted};
 use cla_relational::{Database, RelationId, TupleId, Value};
@@ -258,13 +258,27 @@ fn assert_matches_rebuild(engine: &SearchEngine, context: &str) -> Result<(), Te
     );
     prop_assert_eq!(engine.data_graph().alive_node_count(), fresh_dg.alive_node_count());
     prop_assert_eq!(engine.data_graph().edge_count(), fresh_dg.edge_count());
-    // The published CSR holds exactly the arrays a build over its own
-    // graph writes.
+    // The published CSR lists, per node, what a scan of its graph's live
+    // edge slots finds: out-edges by id, then in-edges other than
+    // self-loops by id.
     let csr = engine.data_graph().csr();
-    let built = CsrAdjacency::build(engine.data_graph().graph());
-    prop_assert_eq!(csr.node_count(), built.node_count(), "{}: CSR node slots", context);
-    for n in engine.data_graph().graph().nodes() {
-        prop_assert_eq!(csr.neighbors(n), built.neighbors(n), "{}: CSR at {}", context, n);
+    let graph = engine.data_graph().graph();
+    let mut scan: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); graph.node_count()];
+    for e in graph.edges() {
+        scan[e.from.index()].push((e.to, e.id));
+    }
+    for e in graph.edges().filter(|e| e.from != e.to) {
+        scan[e.to.index()].push((e.from, e.id));
+    }
+    prop_assert_eq!(csr.node_count(), scan.len(), "{}: CSR node slots", context);
+    for (n, want) in scan.iter().enumerate() {
+        prop_assert_eq!(
+            csr.neighbors(NodeId(n as u32)),
+            want.as_slice(),
+            "{}: CSR at n{}",
+            context,
+            n
+        );
     }
 
     // 3. Ranked search output, all three algorithms, plus streaming

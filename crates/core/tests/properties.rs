@@ -115,7 +115,7 @@ proptest! {
             if a == b {
                 continue;
             }
-            for p in enumerate_simple_paths_undirected(dg.graph(), a, b, 4, Some(20)) {
+            for p in enumerate_simple_paths_undirected(dg.csr(), a, b, 4, Some(20)) {
                 let conn = Connection::from_path(&p, &dg, &s.er_schema);
                 let er = conn.er_length(&dg, &s.er_schema, &s.mapping);
                 prop_assert!(er <= conn.rdb_length());
@@ -143,7 +143,7 @@ proptest! {
         prop_assume!(nodes.len() >= 2);
         let a = nodes[0];
         let b = nodes[nodes.len() - 1];
-        for p in enumerate_simple_paths_undirected(dg.graph(), a, b, 5, Some(30)) {
+        for p in enumerate_simple_paths_undirected(dg.csr(), a, b, 5, Some(30)) {
             let conn = Connection::from_path(&p, &dg, &s.er_schema);
             let chain = conn.er_chain(&dg, &s.er_schema, &s.mapping);
             if chain.is_functional() || chain.len() <= 1 {
@@ -414,7 +414,7 @@ proptest! {
             if a == b {
                 continue;
             }
-            for p in enumerate_simple_paths_undirected(dg.graph(), a, b, 4, Some(8)) {
+            for p in enumerate_simple_paths_undirected(dg.csr(), a, b, 4, Some(8)) {
                 let conn = Connection::from_path(&p, &dg, &s.er_schema);
                 for budget in [0usize, 2, 4] {
                     let fast =
@@ -748,7 +748,7 @@ proptest! {
             if a == b {
                 continue;
             }
-            for p in enumerate_simple_paths_undirected(dg.graph(), a, b, 4, Some(6)) {
+            for p in enumerate_simple_paths_undirected(dg.csr(), a, b, 4, Some(6)) {
                 let cn = Connection::from_path(&p, dg, &s.er_schema);
                 let naive = instance_closeness_naive(&cn, dg, &s.er_schema, &s.mapping, 4);
                 for strategy in [
@@ -1221,7 +1221,7 @@ fn pruned_verdicts_match_naive() {
     let conn = |aliases: &[&str]| -> Connection {
         let want: Vec<NodeId> =
             aliases.iter().map(|a| dg.node_of(c.tuple(a).unwrap()).unwrap()).collect();
-        enumerate_simple_paths_undirected(dg.graph(), want[0], *want.last().unwrap(), 6, None)
+        enumerate_simple_paths_undirected(dg.csr(), want[0], *want.last().unwrap(), 6, None)
             .iter()
             .map(|p| Connection::from_path(p, &dg, &c.er_schema))
             .find(|cn| cn.nodes() == want.as_slice())

@@ -24,7 +24,7 @@ pub fn instance_closeness_naive(
         return InstanceCloseness::SchemaClose;
     }
     let paths = enumerate_simple_paths_undirected(
-        dg.graph(),
+        dg.csr(),
         conn.start(),
         conn.end(),
         max_witness_rdb,
@@ -55,7 +55,7 @@ pub fn pair_connections_naive(
             if a == b {
                 continue;
             }
-            for p in enumerate_simple_paths_undirected(dg.graph(), a, b, max_rdb, None) {
+            for p in enumerate_simple_paths_undirected(dg.csr(), a, b, max_rdb, None) {
                 out.push(Connection::from_path(&p, dg, schema));
             }
         }

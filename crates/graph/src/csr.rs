@@ -1,17 +1,17 @@
-//! Flat CSR (compressed sparse row) adjacency for the undirected view.
+//! Flat CSR (compressed sparse row) adjacency for the undirected view:
+//! the graph's only adjacency.
 //!
-//! [`Graph`] stores per-node edge lists as `Vec<Vec<EdgeId>>` and its
-//! undirected [`Graph::incident_edges`] chains two of them through a
-//! filter — fine for construction, but every traversal step pays two
-//! pointer chases plus iterator plumbing. The search hot path (bounded
-//! path enumeration, BFS distance maps, Dijkstra expansions) instead
-//! walks a [`CsrAdjacency`]: one contiguous `(neighbor, edge)` array
-//! with per-node offset slices, built once per graph.
+//! [`Graph`] stores node and edge slots and nothing else. Every
+//! traversal (bounded path enumeration, BFS distance maps, Dijkstra
+//! expansions, minimality checks) and every mid-batch edit that needs a
+//! node's edges walks a [`CsrAdjacency`]: one contiguous
+//! `(neighbor, edge)` array with per-node offset slices, built from the
+//! live edge slots.
 //!
-//! Neighbor order matches [`Graph::incident_edges`] exactly (out-edges
-//! in insertion order, then in-edges excluding self-loops), so CSR-based
-//! traversals visit edges in the same order as the adjacency-list based
-//! ones and produce identical results.
+//! Per node the neighbors are its out-edges in id order, then its
+//! in-edges other than self-loops in id order. That order depends only
+//! on the live slots, so a graph reassembled from saved slots gets the
+//! same arrays as the graph that saved them.
 //!
 //! The arrays are never edited in place, and never stored: a mutated
 //! graph, like a graph decoded from a saved image, gets a new CSR from
@@ -30,18 +30,36 @@ pub struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Build from a graph's undirected view. `O(V + E)`.
+    /// Build from a graph's live edge slots: count each node's
+    /// neighbors, prefix-sum the counts into offsets, then place every
+    /// out-edge and after them every in-edge other than a self-loop,
+    /// both in id order. `O(V + E)` over the slots, in three
+    /// allocations whatever the size.
     pub fn build<N, E>(g: &Graph<N, E>) -> Self {
-        let mut offsets = Vec::with_capacity(g.node_count() + 1);
+        let n = g.node_count();
         // Each non-loop edge appears twice (once per endpoint), each
-        // self-loop once — same as `incident_edges`.
-        let mut neighbors = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0);
-        for n in g.nodes() {
-            for e in g.incident_edges(n) {
-                neighbors.push((e.other(n), e.id));
+        // self-loop once.
+        let mut offsets = vec![0u32; n + 1];
+        for e in g.edges() {
+            offsets[e.from.index() + 1] += 1;
+            if e.to != e.from {
+                offsets[e.to.index() + 1] += 1;
             }
-            offsets.push(neighbors.len() as u32);
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut neighbors = vec![(NodeId(0), EdgeId(0)); offsets[n] as usize];
+        for e in g.edges() {
+            let at = &mut next[e.from.index()];
+            neighbors[*at as usize] = (e.to, e.id);
+            *at += 1;
+        }
+        for e in g.edges().filter(|e| e.to != e.from) {
+            let at = &mut next[e.to.index()];
+            neighbors[*at as usize] = (e.from, e.id);
+            *at += 1;
         }
         CsrAdjacency { offsets, neighbors }
     }
@@ -51,8 +69,8 @@ impl CsrAdjacency {
         self.offsets.len() - 1
     }
 
-    /// The `(neighbor, edge)` pairs incident to `n`, in
-    /// [`Graph::incident_edges`] order.
+    /// The `(neighbor, edge)` pairs incident to `n`: its out-edges in id
+    /// order, then its in-edges other than self-loops in id order.
     #[inline]
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, EdgeId)] {
         let lo = self.offsets[n.index()] as usize;
@@ -85,15 +103,16 @@ mod tests {
 
     #[test]
     fn mirrors_incident_edges_exactly() {
-        let (g, _) = diamond();
+        let (g, ns) = diamond();
+        let (a, b, c, d) = (ns[0], ns[1], ns[2], ns[3]);
         let csr = CsrAdjacency::build(&g);
         assert_eq!(csr.node_count(), g.node_count());
-        for n in g.nodes() {
-            let expect: Vec<(NodeId, EdgeId)> =
-                g.incident_edges(n).map(|e| (e.other(n), e.id)).collect();
-            assert_eq!(csr.neighbors(n), expect.as_slice(), "node {n}");
-            assert_eq!(csr.degree(n), g.degree(n));
-        }
+        let e = |i: u32| EdgeId(i);
+        assert_eq!(csr.neighbors(a), &[(b, e(0)), (c, e(1))]);
+        assert_eq!(csr.neighbors(b), &[(d, e(2)), (a, e(0))]);
+        assert_eq!(csr.neighbors(c), &[(d, e(3)), (a, e(1))]);
+        assert_eq!(csr.neighbors(d), &[(b, e(2)), (c, e(3))]);
+        assert_eq!(csr.degree(b), 2);
     }
 
     #[test]
@@ -101,16 +120,20 @@ mod tests {
         let mut g: Graph<(), u8> = Graph::new();
         let a = g.add_node(());
         let b = g.add_node(());
-        g.add_edge(a, b, 1);
-        g.add_edge(a, b, 2);
-        g.add_edge(b, a, 3);
-        g.add_edge(a, a, 4);
+        let ab1 = g.add_edge(a, b, 1);
+        let ab2 = g.add_edge(a, b, 2);
+        let ba = g.add_edge(b, a, 3);
+        let aa = g.add_edge(a, a, 4);
         let csr = CsrAdjacency::build(&g);
         assert_eq!(csr.degree(a), 4); // two out, one in, one loop
         assert_eq!(csr.degree(b), 3);
-        let expect: Vec<(NodeId, EdgeId)> =
-            g.incident_edges(a).map(|e| (e.other(a), e.id)).collect();
-        assert_eq!(csr.neighbors(a), expect.as_slice());
+        assert_eq!(csr.neighbors(a), &[(b, ab1), (b, ab2), (a, aa), (b, ba)]);
+        // Tombstoned edges drop out of the next build.
+        g.remove_edge(ab2);
+        g.remove_edge(aa);
+        let csr = CsrAdjacency::build(&g);
+        assert_eq!(csr.neighbors(a), &[(b, ab1), (b, ba)]);
+        assert_eq!(csr.neighbors(b), &[(a, ba), (a, ab1)]);
     }
 
     #[test]

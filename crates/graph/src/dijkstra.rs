@@ -1,116 +1,9 @@
 //! Dijkstra shortest paths with pluggable non-negative edge weights.
 
 use crate::csr::CsrAdjacency;
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Result of a Dijkstra run.
-#[derive(Debug, Clone)]
-pub struct DijkstraResult {
-    /// `dist[n]` is the weighted distance from the start (`f64::INFINITY`
-    /// when unreachable).
-    pub dist: Vec<f64>,
-    /// `parent[n]` is the `(predecessor, edge)` on a shortest path.
-    pub parent: Vec<Option<(NodeId, EdgeId)>>,
-}
-
-impl DijkstraResult {
-    /// Reconstruct the shortest path to `target`, if reachable.
-    pub fn path_to(&self, target: NodeId) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
-        if self.dist[target.index()].is_infinite() {
-            return None;
-        }
-        let mut nodes = vec![target];
-        let mut edges = Vec::new();
-        let mut current = target;
-        while let Some((prev, edge)) = self.parent[current.index()] {
-            nodes.push(prev);
-            edges.push(edge);
-            current = prev;
-        }
-        nodes.reverse();
-        edges.reverse();
-        Some((nodes, edges))
-    }
-}
-
-/// Max-heap entry ordered by reversed distance (so the heap pops the
-/// minimum).
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.node == other.node
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse on distance for a min-heap; tie-break on node for
-        // determinism.
-        other.dist.total_cmp(&self.dist).then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-/// Dijkstra from `start`. `weight` maps each edge to a non-negative
-/// weight (panics in debug builds on negative weights); `undirected`
-/// selects whether edges may be crossed against their direction.
-pub fn dijkstra<N, E, W>(
-    g: &Graph<N, E>,
-    start: NodeId,
-    undirected: bool,
-    weight: W,
-) -> DijkstraResult
-where
-    W: Fn(EdgeId) -> f64,
-{
-    let mut dist = vec![f64::INFINITY; g.node_count()];
-    let mut parent = vec![None; g.node_count()];
-    let mut heap = BinaryHeap::new();
-    dist[start.index()] = 0.0;
-    heap.push(HeapEntry { dist: 0.0, node: start });
-
-    while let Some(HeapEntry { dist: d, node: n }) = heap.pop() {
-        if d > dist[n.index()] {
-            continue; // stale entry
-        }
-        let relax = |e: crate::graph::EdgeRef<'_, E>,
-                     m: NodeId,
-                     dist: &mut Vec<f64>,
-                     parent: &mut Vec<Option<(NodeId, EdgeId)>>,
-                     heap: &mut BinaryHeap<HeapEntry>| {
-            let w = weight(e.id);
-            debug_assert!(w >= 0.0, "negative edge weight {w} on edge {}", e.id);
-            let nd = d + w;
-            if nd < dist[m.index()] {
-                dist[m.index()] = nd;
-                parent[m.index()] = Some((n, e.id));
-                heap.push(HeapEntry { dist: nd, node: m });
-            }
-        };
-        if undirected {
-            for e in g.incident_edges(n) {
-                let m = e.other(n);
-                relax(e, m, &mut dist, &mut parent, &mut heap);
-            }
-        } else {
-            for e in g.out_edges(n) {
-                let m = e.to;
-                relax(e, m, &mut dist, &mut parent, &mut heap);
-            }
-        }
-    }
-    DijkstraResult { dist, parent }
-}
 
 /// Result of a multi-source Dijkstra run: one shortest-path **forest**
 /// rooted at the sources.
@@ -157,39 +50,27 @@ impl MultiSourceDijkstra {
 /// Multi-source Dijkstra over a CSR adjacency: shortest distance from
 /// every node to its nearest source, as one consistent forest (the
 /// "virtual source" formulation — all sources start on the heap at
-/// distance 0). Deterministic: heap ties break by node id, relaxations
-/// keep the first-found parent among equal distances.
+/// distance 0). Duplicate source entries are ignored. This is the eager
+/// expansion the lazy one ([`LazyDijkstra`]) must reproduce, and the
+/// reference side of the BANKS oracle.
 ///
-/// This is what a per-keyword-set BANKS expansion needs: taking the
-/// per-node **minimum** over single-source runs instead produces parent
-/// pointers from *different* sources' trees, so a walked parent chain
-/// can splice two trees together and its edge weights no longer sum to
-/// `dist` (and the chain may end at a different source than the claimed
-/// nearest one). Duplicate source entries are ignored.
-pub fn multi_source_dijkstra_csr<W>(
-    csr: &CsrAdjacency,
-    sources: &[NodeId],
-    weight: W,
-) -> MultiSourceDijkstra
-where
-    W: Fn(EdgeId) -> f64,
-{
-    multi_source_dijkstra_csr_by_key(csr, sources, weight, |n| n)
-}
-
-/// [`multi_source_dijkstra_csr`] with equal-distance heap ties broken by
-/// `key(node)` instead of the raw node id.
+/// Taking the per-node **minimum** over single-source runs instead
+/// produces parent pointers from *different* sources' trees, so a
+/// walked parent chain can splice two trees together and its edge
+/// weights no longer sum to `dist` (and the chain may end at a
+/// different source than the claimed nearest one).
 ///
-/// Distances are tie-independent; **parent chains are not** — the
-/// first-processed node at a given distance claims parenthood of its
-/// unreached neighbors. On a graph that was patched incrementally, node
-/// ids reflect insertion history, so id-based ties would pick different
-/// (equally short) chains than on a freshly rebuilt graph. Keying the
-/// ties by a stable external identity (the data graph passes the node's
-/// `TupleId`) makes the forest — and everything assembled from it —
-/// depend only on graph *content*, which is what the patched ≡ rebuilt
-/// equivalence property needs. Nodes tying on `key` too fall back to the
-/// node id.
+/// Deterministic: equal-distance heap ties break by `key(node)`, then
+/// by node id, and relaxations keep the first-found parent among equal
+/// distances. Distances are tie-independent; **parent chains are
+/// not** — the first-processed node at a given distance claims
+/// parenthood of its unreached neighbors. On a graph that was patched
+/// incrementally, node ids reflect insertion history, so id-based ties
+/// would pick different (equally short) chains than on a freshly
+/// rebuilt graph. Keying the ties by a stable external identity (the
+/// data graph passes the node's `TupleId`) makes the forest — and
+/// everything assembled from it — depend only on graph *content*, which
+/// is what the patched ≡ rebuilt equivalence property needs.
 pub fn multi_source_dijkstra_csr_by_key<W, K, F>(
     csr: &CsrAdjacency,
     sources: &[NodeId],
@@ -397,42 +278,12 @@ impl<K: Ord> Ord for KeyedEntry<K> {
     }
 }
 
-/// Dijkstra over a CSR adjacency (always the undirected view — the CSR
-/// *is* the undirected incidence). Same results as
-/// [`dijkstra`]`(g, start, true, weight)` without per-step adjacency
-/// indirection; the BANKS backward expansion runs on this.
-pub fn dijkstra_csr<W>(csr: &CsrAdjacency, start: NodeId, weight: W) -> DijkstraResult
-where
-    W: Fn(EdgeId) -> f64,
-{
-    let mut dist = vec![f64::INFINITY; csr.node_count()];
-    let mut parent = vec![None; csr.node_count()];
-    let mut heap = BinaryHeap::new();
-    dist[start.index()] = 0.0;
-    heap.push(HeapEntry { dist: 0.0, node: start });
-
-    while let Some(HeapEntry { dist: d, node: n }) = heap.pop() {
-        if d > dist[n.index()] {
-            continue; // stale entry
-        }
-        for &(m, e) in csr.neighbors(n) {
-            let w = weight(e);
-            debug_assert!(w >= 0.0, "negative edge weight {w} on edge {e}");
-            let nd = d + w;
-            if nd < dist[m.index()] {
-                dist[m.index()] = nd;
-                parent[m.index()] = Some((n, e));
-                heap.push(HeapEntry { dist: nd, node: m });
-            }
-        }
-    }
-    DijkstraResult { dist, parent }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::bfs_distances_undirected;
+    use crate::graph::Graph;
+    use crate::traversal::bounded_bfs_distances_into;
+    use std::collections::VecDeque;
 
     /// Weighted diamond: a→b (1), b→d (1), a→c (5), c→d (1), a→d (10).
     fn graph() -> (Graph<(), f64>, Vec<NodeId>) {
@@ -449,10 +300,20 @@ mod tests {
         (g, vec![a, b, c, d])
     }
 
+    /// The forest from `sources`, ties broken by node id.
+    fn forest<W: Fn(EdgeId) -> f64>(
+        csr: &CsrAdjacency,
+        sources: &[NodeId],
+        weight: W,
+    ) -> MultiSourceDijkstra {
+        multi_source_dijkstra_csr_by_key(csr, sources, weight, |n| n)
+    }
+
     #[test]
     fn picks_cheapest_route() {
         let (g, ns) = graph();
-        let r = dijkstra(&g, ns[0], false, |e| *g.edge(e).payload);
+        let csr = CsrAdjacency::build(&g);
+        let r = forest(&csr, &[ns[0]], |e| *g.edge(e).payload);
         assert_eq!(r.dist[ns[3].index()], 2.0);
         let (nodes, edges) = r.path_to(ns[3]).unwrap();
         assert_eq!(nodes, vec![ns[0], ns[1], ns[3]]);
@@ -460,32 +321,21 @@ mod tests {
     }
 
     #[test]
-    fn directed_respects_direction() {
-        let (g, ns) = graph();
-        // No directed path d → a.
-        let r = dijkstra(&g, ns[3], false, |e| *g.edge(e).payload);
-        assert!(r.dist[ns[0].index()].is_infinite());
-        assert!(r.path_to(ns[0]).is_none());
-        // Undirected: reachable.
-        let r = dijkstra(&g, ns[3], true, |e| *g.edge(e).payload);
-        assert_eq!(r.dist[ns[0].index()], 2.0);
-    }
-
-    #[test]
     fn unit_weights_match_bfs() {
         let (g, ns) = graph();
-        let r = dijkstra(&g, ns[0], true, |_| 1.0);
-        let bfs = bfs_distances_undirected(&g, ns[0]);
+        let csr = CsrAdjacency::build(&g);
+        let r = forest(&csr, &[ns[0]], |_| 1.0);
+        let mut bfs = Vec::new();
+        bounded_bfs_distances_into(&csr, &[ns[0]], u32::MAX, &mut bfs, &mut VecDeque::new());
         for n in g.nodes() {
-            assert_eq!(r.dist[n.index()] as u32, bfs[n.index()].unwrap());
+            assert_eq!(r.dist[n.index()], f64::from(bfs[n.index()]));
         }
-        let _ = ns;
     }
 
     #[test]
     fn start_has_zero_distance_and_no_parent() {
         let (g, ns) = graph();
-        let r = dijkstra(&g, ns[0], true, |_| 1.0);
+        let r = forest(&CsrAdjacency::build(&g), &[ns[0]], |_| 1.0);
         assert_eq!(r.dist[ns[0].index()], 0.0);
         assert!(r.parent[ns[0].index()].is_none());
         let (nodes, edges) = r.path_to(ns[0]).unwrap();
@@ -494,28 +344,16 @@ mod tests {
     }
 
     #[test]
-    fn csr_dijkstra_matches_undirected_dijkstra() {
-        let (g, ns) = graph();
-        let csr = CsrAdjacency::build(&g);
-        let on_graph = dijkstra(&g, ns[0], true, |e| *g.edge(e).payload);
-        let on_csr = dijkstra_csr(&csr, ns[0], |e| *g.edge(e).payload);
-        assert_eq!(on_graph.dist, on_csr.dist);
-        for n in g.nodes() {
-            assert_eq!(on_graph.path_to(n), on_csr.path_to(n));
-        }
-    }
-
-    #[test]
     fn multi_source_matches_min_over_single_sources() {
         let (g, ns) = graph();
         let csr = CsrAdjacency::build(&g);
         let weight = |e: EdgeId| *g.edge(e).payload;
         let sources = [ns[1], ns[2]];
-        let ms = multi_source_dijkstra_csr(&csr, &sources, weight);
+        let ms = forest(&csr, &sources, weight);
         for n in g.nodes() {
             let best = sources
                 .iter()
-                .map(|&s| dijkstra_csr(&csr, s, weight).dist[n.index()])
+                .map(|&s| forest(&csr, &[s], weight).dist[n.index()])
                 .fold(f64::INFINITY, f64::min);
             assert_eq!(ms.dist[n.index()], best, "node {n}");
         }
@@ -526,7 +364,7 @@ mod tests {
         let (g, ns) = graph();
         let csr = CsrAdjacency::build(&g);
         let weight = |e: EdgeId| *g.edge(e).payload;
-        let ms = multi_source_dijkstra_csr(&csr, &[ns[1], ns[2]], weight);
+        let ms = forest(&csr, &[ns[1], ns[2]], weight);
         for n in g.nodes() {
             let Some((nodes, edges)) = ms.path_to(n) else { continue };
             // The walked chain starts at the recorded origin and its edge
@@ -543,7 +381,7 @@ mod tests {
         let (g, ns) = graph();
         let csr = CsrAdjacency::build(&g);
         // Duplicate source entries are ignored.
-        let ms = multi_source_dijkstra_csr(&csr, &[ns[0], ns[0]], |_| 1.0);
+        let ms = forest(&csr, &[ns[0], ns[0]], |_| 1.0);
         assert_eq!(ms.dist[ns[0].index()], 0.0);
         assert_eq!(ms.origin[ns[0].index()], Some(ns[0]));
         assert!(ms.parent[ns[0].index()].is_none());
@@ -555,7 +393,7 @@ mod tests {
         let a = g.add_node(());
         let b = g.add_node(());
         let csr = CsrAdjacency::build(&g);
-        let ms = multi_source_dijkstra_csr(&csr, &[a], |_| 1.0);
+        let ms = forest(&csr, &[a], |_| 1.0);
         assert!(ms.dist[b.index()].is_infinite());
         assert_eq!(ms.origin[b.index()], None);
         assert!(ms.path_to(b).is_none());
@@ -597,7 +435,7 @@ mod tests {
         let a = g.add_node(());
         let b = g.add_node(());
         g.add_edge(a, b, ());
-        let r = dijkstra(&g, a, false, |_| 0.0);
+        let r = forest(&CsrAdjacency::build(&g), &[a], |_| 0.0);
         assert_eq!(r.dist[b.index()], 0.0);
     }
 }

@@ -1,6 +1,8 @@
-//! The directed multigraph container.
+//! The directed multigraph container: node and edge slots with live
+//! flags. Adjacency lives in [`CsrAdjacency`], built from the slots.
 
 // lint: allow-file(unwrap, compaction remaps are total over live nodes/edges; the expects document those invariants)
+use crate::csr::CsrAdjacency;
 use std::fmt;
 
 /// Dense node identifier.
@@ -57,35 +59,23 @@ pub struct EdgeRef<'g, E> {
     pub payload: &'g E,
 }
 
-impl<'g, E> EdgeRef<'g, E> {
-    /// The endpoint different from `n` (either endpoint of a self-loop).
-    pub fn other(&self, n: NodeId) -> NodeId {
-        if self.from == n {
-            self.to
-        } else {
-            self.from
-        }
-    }
-}
-
-/// A directed multigraph with typed payloads and stable dense ids.
+/// A directed multigraph with typed payloads and stable dense ids:
+/// pure slot storage, with no adjacency of its own.
 ///
 /// Parallel edges and self-loops are permitted; the keyword-search data
 /// graph uses parallel edges when two different foreign keys connect the
 /// same pair of tuples.
 ///
 /// Removal is by tombstone: [`Graph::remove_edge`] and
-/// [`Graph::remove_node`] detach the element from every adjacency list
-/// but keep its slot (payload included), so ids stay stable and dense
-/// arrays indexed by `id.index()` keep working. [`Graph::node_count`] and
+/// [`Graph::remove_node`] clear the element's live flag but keep its
+/// slot (payload included), so ids stay stable and dense arrays indexed
+/// by `id.index()` keep working. [`Graph::node_count`] and
 /// [`Graph::edge_slots`] count **slots** (for buffer sizing);
 /// [`Graph::edge_count`] and [`Graph::alive_node_count`] count live
-/// elements. Slots are never reused.
+/// elements. Slots are never reused: a new edge takes the largest id.
 ///
-/// Adjacency is stored intrusively: per-node head/tail cursors plus a
-/// per-edge `next` pointer for each direction. Appending keeps lists in
-/// edge-insertion order (which is also id order — fresh ids are always
-/// the largest), and the whole structure is six flat `Vec`s, so
+/// Traversals read a [`CsrAdjacency`] built from the live edge slots;
+/// the whole structure is four flat `Vec`s and two counters, so
 /// reassembling a graph from serialized slots costs a constant number
 /// of allocations regardless of size.
 #[derive(Debug, Clone)]
@@ -94,77 +84,13 @@ pub struct Graph<N, E> {
     node_alive: Vec<bool>,
     edges: Vec<EdgeRecord<E>>,
     edge_alive: Vec<bool>,
-    first_out: Vec<Option<EdgeId>>,
-    last_out: Vec<Option<EdgeId>>,
-    first_in: Vec<Option<EdgeId>>,
-    last_in: Vec<Option<EdgeId>>,
-    next_out: Vec<Option<EdgeId>>,
-    next_in: Vec<Option<EdgeId>>,
     live_nodes: usize,
     live_edges: usize,
 }
 
-/// Append edge `e` to a node's intrusive adjacency list, keeping
-/// insertion order.
-fn list_append(
-    first: &mut [Option<EdgeId>],
-    last: &mut [Option<EdgeId>],
-    next: &mut [Option<EdgeId>],
-    node: usize,
-    e: EdgeId,
-) {
-    match last[node] {
-        Some(tail) => next[tail.index()] = Some(e),
-        None => first[node] = Some(e),
-    }
-    last[node] = Some(e);
-}
-
-/// Unlink edge `e` from a node's intrusive adjacency list (no-op if the
-/// edge is not on the list).
-fn list_unlink(
-    first: &mut [Option<EdgeId>],
-    last: &mut [Option<EdgeId>],
-    next: &mut [Option<EdgeId>],
-    node: usize,
-    e: EdgeId,
-) {
-    let mut prev: Option<EdgeId> = None;
-    let mut cur = first[node];
-    while let Some(c) = cur {
-        if c == e {
-            let after = next[c.index()];
-            match prev {
-                Some(p) => next[p.index()] = after,
-                None => first[node] = after,
-            }
-            if last[node] == Some(e) {
-                last[node] = prev;
-            }
-            next[c.index()] = None;
-            return;
-        }
-        prev = cur;
-        cur = next[c.index()];
-    }
-}
-
 impl<N, E> Default for Graph<N, E> {
     fn default() -> Self {
-        Graph {
-            nodes: Vec::new(),
-            node_alive: Vec::new(),
-            edges: Vec::new(),
-            edge_alive: Vec::new(),
-            first_out: Vec::new(),
-            last_out: Vec::new(),
-            first_in: Vec::new(),
-            last_in: Vec::new(),
-            next_out: Vec::new(),
-            next_in: Vec::new(),
-            live_nodes: 0,
-            live_edges: 0,
-        }
+        Graph::with_capacity(0, 0)
     }
 }
 
@@ -181,28 +107,14 @@ impl<N, E> Graph<N, E> {
             node_alive: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
             edge_alive: Vec::with_capacity(edges),
-            first_out: Vec::with_capacity(nodes),
-            last_out: Vec::with_capacity(nodes),
-            first_in: Vec::with_capacity(nodes),
-            last_in: Vec::with_capacity(nodes),
-            next_out: Vec::with_capacity(edges),
-            next_in: Vec::with_capacity(edges),
             live_nodes: 0,
             live_edges: 0,
         }
     }
 
     /// Reassemble a graph from serialized slot arrays: every node and
-    /// edge slot (tombstones included, so ids keep their lineage-stable
-    /// numbering), with adjacency lists rebuilt from the live edges in
-    /// id order.
-    ///
-    /// That rebuild is exact, not approximate: adjacency lists only
-    /// ever grow in edge-id order ([`Graph::add_edge`] appends the
-    /// freshly allocated — hence largest — id) and shrink through the
-    /// order-preserving `retain` in [`Graph::remove_edge`], so a live
-    /// graph's adjacency is always the id-sorted list of its live
-    /// incident edges.
+    /// edge slot, tombstones included, so ids keep their lineage-stable
+    /// numbering.
     ///
     /// Returns `None` if the arrays are inconsistent (length mismatch,
     /// an endpoint out of bounds, or a live edge touching a dead node)
@@ -216,12 +128,6 @@ impl<N, E> Graph<N, E> {
         if node_alive.len() != nodes.len() || edge_alive.len() != edges.len() {
             return None;
         }
-        let mut first_out: Vec<Option<EdgeId>> = vec![None; nodes.len()];
-        let mut last_out: Vec<Option<EdgeId>> = vec![None; nodes.len()];
-        let mut first_in: Vec<Option<EdgeId>> = vec![None; nodes.len()];
-        let mut last_in: Vec<Option<EdgeId>> = vec![None; nodes.len()];
-        let mut next_out: Vec<Option<EdgeId>> = vec![None; edges.len()];
-        let mut next_in: Vec<Option<EdgeId>> = vec![None; edges.len()];
         let mut live_edges = 0;
         let mut records = Vec::with_capacity(edges.len());
         for (i, (from, to, payload)) in edges.into_iter().enumerate() {
@@ -232,28 +138,12 @@ impl<N, E> Graph<N, E> {
                 if !node_alive[from.index()] || !node_alive[to.index()] {
                     return None;
                 }
-                let id = EdgeId(i as u32);
-                list_append(&mut first_out, &mut last_out, &mut next_out, from.index(), id);
-                list_append(&mut first_in, &mut last_in, &mut next_in, to.index(), id);
                 live_edges += 1;
             }
             records.push(EdgeRecord { from, to, payload });
         }
         let live_nodes = node_alive.iter().filter(|&&a| a).count();
-        Some(Graph {
-            nodes,
-            node_alive,
-            edges: records,
-            edge_alive,
-            first_out,
-            last_out,
-            first_in,
-            last_in,
-            next_out,
-            next_in,
-            live_nodes,
-            live_edges,
-        })
+        Some(Graph { nodes, node_alive, edges: records, edge_alive, live_nodes, live_edges })
     }
 
     /// Add a node, returning its id.
@@ -262,10 +152,6 @@ impl<N, E> Graph<N, E> {
         self.nodes.push(payload);
         self.node_alive.push(true);
         self.live_nodes += 1;
-        self.first_out.push(None);
-        self.last_out.push(None);
-        self.first_in.push(None);
-        self.last_in.push(None);
         id
     }
 
@@ -282,52 +168,35 @@ impl<N, E> Graph<N, E> {
         self.edges.push(EdgeRecord { from, to, payload });
         self.edge_alive.push(true);
         self.live_edges += 1;
-        self.next_out.push(None);
-        self.next_in.push(None);
-        list_append(
-            &mut self.first_out,
-            &mut self.last_out,
-            &mut self.next_out,
-            from.index(),
-            id,
-        );
-        list_append(&mut self.first_in, &mut self.last_in, &mut self.next_in, to.index(), id);
         id
     }
 
-    /// Detach edge `e` from both endpoints' adjacency lists and
-    /// tombstone it. The record slot (endpoints and payload) stays
+    /// Tombstone edge `e`. The record slot (endpoints and payload) stays
     /// readable through [`Graph::edge`]; the id is never reused.
     ///
     /// Panics if `e` is out of bounds or already removed.
     pub fn remove_edge(&mut self, e: EdgeId) {
         assert!(self.is_edge_alive(e), "edge {e} does not exist or was already removed");
-        let (from, to) = self.endpoints(e);
-        list_unlink(
-            &mut self.first_out,
-            &mut self.last_out,
-            &mut self.next_out,
-            from.index(),
-            e,
-        );
-        list_unlink(&mut self.first_in, &mut self.last_in, &mut self.next_in, to.index(), e);
         self.edge_alive[e.index()] = false;
         self.live_edges -= 1;
     }
 
-    /// Remove node `n`: every incident edge is removed first, then the
-    /// node is tombstoned. The payload slot stays readable through
-    /// [`Graph::node`]; the id is never reused and [`Graph::nodes`] keeps
-    /// yielding it (callers reaching nodes through adjacency never see
-    /// it — its adjacency is empty).
+    /// Remove node `n`: every live edge `adjacency` lists at `n` is
+    /// removed first, then the node is tombstoned. The payload slot
+    /// stays readable through [`Graph::node`]; the id is never reused
+    /// and [`Graph::nodes`] keeps yielding it.
+    ///
+    /// `adjacency` may predate edits to this graph, so one CSR serves a
+    /// whole batch of removals: it must list every live edge incident to
+    /// `n`, which holds for a [`CsrAdjacency::build`] of this graph
+    /// taken after `n` and every edge touching it were added. Edges
+    /// removed since (by a neighbor's removal earlier in the batch, say)
+    /// are skipped.
     ///
     /// Panics if `n` is out of bounds or already removed.
-    pub fn remove_node(&mut self, n: NodeId) {
+    pub fn remove_node(&mut self, n: NodeId, adjacency: &CsrAdjacency) {
         assert!(self.is_node_alive(n), "node {n} does not exist or was already removed");
-        let incident: Vec<EdgeId> =
-            self.out_edges(n).map(|e| e.id).chain(self.in_edges(n).map(|e| e.id)).collect();
-        for e in incident {
-            // A self-loop appears in both lists; remove once.
+        for &(_, e) in adjacency.neighbors(n) {
             if self.is_edge_alive(e) {
                 self.remove_edge(e);
             }
@@ -392,13 +261,13 @@ impl<N, E> Graph<N, E> {
     }
 
     /// Iterate over all node id **slots**, tombstoned ones included
-    /// (their adjacency is empty, so traversals never reach them; use
+    /// (no live edge touches them, so traversals never reach them; use
     /// [`Graph::is_node_alive`] to filter when enumerating directly).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Iterate over all **live** edges as [`EdgeRef`]s.
+    /// Iterate over all **live** edges as [`EdgeRef`]s, in id order.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef<'_, E>> {
         self.edges.iter().zip(&self.edge_alive).enumerate().filter(|(_, (_, a))| **a).map(
             |(i, (rec, _))| EdgeRef {
@@ -410,31 +279,6 @@ impl<N, E> Graph<N, E> {
         )
     }
 
-    /// Outgoing edges of `n`, in insertion (id) order.
-    pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> {
-        std::iter::successors(self.first_out[n.index()], |e| self.next_out[e.index()])
-            .map(move |e| self.edge(e))
-    }
-
-    /// Incoming edges of `n`, in insertion (id) order.
-    pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> {
-        std::iter::successors(self.first_in[n.index()], |e| self.next_in[e.index()])
-            .map(move |e| self.edge(e))
-    }
-
-    /// All edges incident to `n` in the undirected view (self-loops are
-    /// reported once per direction they were stored in).
-    pub fn incident_edges(&self, n: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> {
-        self.out_edges(n).chain(
-            self.in_edges(n).filter(move |er| er.from != n), // avoid double-reporting loops
-        )
-    }
-
-    /// Undirected degree of `n` (self-loops count once).
-    pub fn degree(&self, n: NodeId) -> usize {
-        self.incident_edges(n).count()
-    }
-
     /// Reclaim every tombstoned node and edge slot, renumbering the
     /// survivors densely in slot order. Returns the node remap table
     /// (`remap[old.index()] = Some(new)` for survivors, `None` for
@@ -442,13 +286,12 @@ impl<N, E> Graph<N, E> {
     ///
     /// This is the one operation that moves ids: all outstanding
     /// [`NodeId`]s/[`EdgeId`]s and any dense side arrays indexed by them
-    /// must be remapped by the caller. Adjacency is preserved exactly —
-    /// per-node edge lists keep their relative order (edge insertion
-    /// order), so traversal results over the compacted graph equal the
-    /// pre-compaction ones modulo renumbering. Afterwards
-    /// [`Graph::node_count`] equals [`Graph::alive_node_count`] and
-    /// [`Graph::edge_slots`] equals [`Graph::edge_count`]: zero
-    /// tombstoned slots.
+    /// (a [`CsrAdjacency`] included) must be remapped or rebuilt by the
+    /// caller. Relative order is kept, so a CSR built afterwards lists
+    /// each node's neighbors in the pre-compaction order, modulo
+    /// renumbering. Afterwards [`Graph::node_count`] equals
+    /// [`Graph::alive_node_count`] and [`Graph::edge_slots`] equals
+    /// [`Graph::edge_count`]: zero tombstoned slots.
     pub fn compact(&mut self) -> Vec<Option<NodeId>> {
         let mut node_remap: Vec<Option<NodeId>> = Vec::with_capacity(self.nodes.len());
         let mut next = 0u32;
@@ -474,35 +317,6 @@ impl<N, E> Graph<N, E> {
         for rec in &mut self.edges {
             rec.from = node_remap[rec.from.index()].expect("live edge endpoints are live");
             rec.to = node_remap[rec.to.index()].expect("live edge endpoints are live");
-        }
-        // Rebuild the intrusive adjacency from scratch in new-id order.
-        // New ids preserve relative order and a live graph's per-node
-        // list is always id-sorted (appends take the largest id, unlinks
-        // preserve order), so this reproduces adjacency exactly.
-        let n = self.nodes.len();
-        self.first_out = vec![None; n];
-        self.last_out = vec![None; n];
-        self.first_in = vec![None; n];
-        self.last_in = vec![None; n];
-        self.next_out = vec![None; self.edges.len()];
-        self.next_in = vec![None; self.edges.len()];
-        for i in 0..self.edges.len() {
-            let (from, to) = (self.edges[i].from, self.edges[i].to);
-            let id = EdgeId(i as u32);
-            list_append(
-                &mut self.first_out,
-                &mut self.last_out,
-                &mut self.next_out,
-                from.index(),
-                id,
-            );
-            list_append(
-                &mut self.first_in,
-                &mut self.last_in,
-                &mut self.next_in,
-                to.index(),
-                id,
-            );
         }
         self.node_alive = vec![true; self.nodes.len()];
         self.edge_alive = vec![true; self.edges.len()];
@@ -530,13 +344,19 @@ mod tests {
         (g, vec![a, b, c, d])
     }
 
+    /// The live edge `from → to`.
+    fn edge_between<N, E>(g: &Graph<N, E>, from: NodeId, to: NodeId) -> EdgeId {
+        g.edges().find(|e| e.from == from && e.to == to).expect("edge exists").id
+    }
+
     #[test]
     fn from_slots_round_trips_with_tombstones() {
         let (mut g, ns) = diamond();
-        // Tombstone one edge and one node so the slot arrays are sparse.
-        let ab = g.out_edges(ns[0]).find(|e| e.to == ns[1]).unwrap().id;
-        g.remove_edge(ab);
-        g.remove_node(ns[1]);
+        // Tombstone one edge and one node (with its other edge) so the
+        // slot arrays are sparse.
+        let csr = CsrAdjacency::build(&g);
+        g.remove_edge(edge_between(&g, ns[0], ns[1]));
+        g.remove_node(ns[1], &csr);
 
         let nodes: Vec<&'static str> =
             (0..g.node_count()).map(|i| *g.node(NodeId(i as u32))).collect();
@@ -561,16 +381,14 @@ mod tests {
         assert_eq!(back.alive_node_count(), g.alive_node_count());
         assert_eq!(back.edge_count(), g.edge_count());
         assert_eq!(back.edge_slots(), g.edge_slots());
+        let live = |g: &Graph<&str, u32>| -> Vec<(EdgeId, NodeId, NodeId, u32)> {
+            g.edges().map(|e| (e.id, e.from, e.to, *e.payload)).collect()
+        };
+        assert_eq!(live(&back), live(&g));
+        let (csr, back_csr) = (CsrAdjacency::build(&g), CsrAdjacency::build(&back));
         for n in g.nodes() {
             assert_eq!(back.is_node_alive(n), g.is_node_alive(n));
-            let orig_out: Vec<(EdgeId, NodeId)> =
-                g.out_edges(n).map(|e| (e.id, e.to)).collect();
-            let back_out: Vec<(EdgeId, NodeId)> =
-                back.out_edges(n).map(|e| (e.id, e.to)).collect();
-            assert_eq!(back_out, orig_out);
-            let orig_in: Vec<EdgeId> = g.in_edges(n).map(|e| e.id).collect();
-            let back_in: Vec<EdgeId> = back.in_edges(n).map(|e| e.id).collect();
-            assert_eq!(back_in, orig_in);
+            assert_eq!(back_csr.neighbors(n), csr.neighbors(n));
         }
 
         // Inconsistent inputs are rejected, not trusted.
@@ -608,24 +426,24 @@ mod tests {
     #[test]
     fn adjacency_is_consistent() {
         let (g, ns) = diamond();
+        let csr = CsrAdjacency::build(&g);
         let (a, b, _c, d) = (ns[0], ns[1], ns[2], ns[3]);
-        assert_eq!(g.out_edges(a).count(), 2);
-        assert_eq!(g.in_edges(a).count(), 0);
-        assert_eq!(g.in_edges(d).count(), 2);
-        assert_eq!(g.out_edges(d).count(), 0);
-        assert_eq!(g.degree(b), 2);
-        let out_of_a: Vec<NodeId> = g.out_edges(a).map(|e| e.to).collect();
-        assert!(out_of_a.contains(&b));
+        // a only sends, d only receives, b does one of each.
+        assert_eq!(csr.degree(a), 2);
+        assert!(csr.neighbors(a).iter().all(|&(_, e)| g.endpoints(e).0 == a));
+        assert_eq!(csr.degree(d), 2);
+        assert!(csr.neighbors(d).iter().all(|&(_, e)| g.endpoints(e).1 == d));
+        assert_eq!(csr.degree(b), 2);
+        assert!(csr.neighbors(a).iter().any(|&(m, _)| m == b));
     }
 
     #[test]
     fn incident_edges_cover_both_directions() {
         let (g, ns) = diamond();
+        let csr = CsrAdjacency::build(&g);
         let b = ns[1];
-        let incident: Vec<EdgeId> = g.incident_edges(b).map(|e| e.id).collect();
-        assert_eq!(incident.len(), 2);
-        let others: Vec<NodeId> = g.incident_edges(b).map(|e| e.other(b)).collect();
-        assert!(others.contains(&ns[0]) && others.contains(&ns[3]));
+        let others: Vec<NodeId> = csr.neighbors(b).iter().map(|&(m, _)| m).collect();
+        assert_eq!(others, vec![ns[3], ns[0]], "out-edge b→d, then in-edge a→b");
     }
 
     #[test]
@@ -637,18 +455,16 @@ mod tests {
         g.add_edge(a, b, 2);
         g.add_edge(b, a, 3);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.incident_edges(a).count(), 3);
+        assert_eq!(CsrAdjacency::build(&g).degree(a), 3);
     }
 
     #[test]
     fn self_loop_counted_once_in_incident() {
         let mut g: Graph<(), ()> = Graph::new();
         let a = g.add_node(());
-        g.add_edge(a, a, ());
-        assert_eq!(g.incident_edges(a).count(), 1);
-        assert_eq!(g.degree(a), 1);
-        let e = g.incident_edges(a).next().unwrap();
-        assert_eq!(e.other(a), a);
+        let e = g.add_edge(a, a, ());
+        let csr = CsrAdjacency::build(&g);
+        assert_eq!(csr.neighbors(a), &[(a, e)]);
     }
 
     #[test]
@@ -678,13 +494,14 @@ mod tests {
     fn remove_edge_detaches_but_keeps_slot() {
         let (mut g, ns) = diamond();
         let (a, b) = (ns[0], ns[1]);
-        let ab = g.incident_edges(a).find(|e| e.other(a) == b).unwrap().id;
+        let ab = edge_between(&g, a, b);
         g.remove_edge(ab);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.edge_slots(), 4);
         assert!(!g.is_edge_alive(ab));
-        assert!(g.incident_edges(a).all(|e| e.id != ab));
-        assert!(g.incident_edges(b).all(|e| e.id != ab));
+        let csr = CsrAdjacency::build(&g);
+        assert!(csr.neighbors(a).iter().all(|&(_, e)| e != ab));
+        assert!(csr.neighbors(b).iter().all(|&(_, e)| e != ab));
         assert!(g.edges().all(|e| e.id != ab));
         // The record slot stays readable (payload preserved).
         assert_eq!(*g.edge(ab).payload, 1);
@@ -693,14 +510,20 @@ mod tests {
     #[test]
     fn remove_node_removes_incident_edges() {
         let (mut g, ns) = diamond();
+        let csr = CsrAdjacency::build(&g);
         let b = ns[1];
-        g.remove_node(b);
+        g.remove_node(b, &csr);
         assert!(!g.is_node_alive(b));
         assert_eq!(g.alive_node_count(), 3);
         assert_eq!(g.node_count(), 4, "slots are kept");
         assert_eq!(g.edge_count(), 2, "a–b and b–d are gone");
-        assert_eq!(g.degree(b), 0);
-        assert!(g.incident_edges(ns[0]).all(|e| e.other(ns[0]) != b));
+        let after = CsrAdjacency::build(&g);
+        assert_eq!(after.degree(b), 0);
+        assert!(after.neighbors(ns[0]).iter().all(|&(m, _)| m != b));
+        // The same, older CSR serves a neighbor's removal: b–d is
+        // already gone and is skipped, c–d goes.
+        g.remove_node(ns[3], &csr);
+        assert_eq!(g.edges().map(|e| *e.payload).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
@@ -710,9 +533,9 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, a, ());
         g.add_edge(a, b, ());
-        g.remove_node(a);
+        g.remove_node(a, &CsrAdjacency::build(&g));
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.degree(b), 0);
+        assert_eq!(CsrAdjacency::build(&g).degree(b), 0);
     }
 
     #[test]
@@ -729,22 +552,31 @@ mod tests {
         let mut g: Graph<(), ()> = Graph::new();
         let a = g.add_node(());
         let b = g.add_node(());
-        g.remove_node(b);
+        g.remove_node(b, &CsrAdjacency::build(&g));
         g.add_edge(a, b, ());
+    }
+
+    /// Each live node's payload and its neighbors' payloads, in CSR order.
+    fn adjacency_by_payload(
+        g: &Graph<&'static str, u32>,
+    ) -> Vec<(&'static str, Vec<&'static str>)> {
+        let csr = CsrAdjacency::build(g);
+        g.nodes()
+            .filter(|&n| g.is_node_alive(n))
+            .map(|n| {
+                (*g.node(n), csr.neighbors(n).iter().map(|&(m, _)| *g.node(m)).collect())
+            })
+            .collect()
     }
 
     #[test]
     fn compact_reclaims_slots_and_preserves_adjacency() {
         let (mut g, ns) = diamond();
         // Remove node c (and with it a–c, c–d), plus edge b–d directly.
-        let bd = g.incident_edges(ns[1]).find(|e| e.other(ns[1]) == ns[3]).unwrap().id;
-        g.remove_edge(bd);
-        g.remove_node(ns[2]);
-        let expected: Vec<(&str, Vec<&str>)> = g
-            .nodes()
-            .filter(|&n| g.is_node_alive(n))
-            .map(|n| (*g.node(n), g.incident_edges(n).map(|e| *g.node(e.other(n))).collect()))
-            .collect();
+        let csr = CsrAdjacency::build(&g);
+        g.remove_edge(edge_between(&g, ns[1], ns[3]));
+        g.remove_node(ns[2], &csr);
+        let expected = adjacency_by_payload(&g);
 
         let node_remap = g.compact();
         assert_eq!(g.node_count(), g.alive_node_count());
@@ -756,11 +588,7 @@ mod tests {
         assert_eq!(node_remap[ns[2].index()], None);
         assert_eq!(node_remap[ns[3].index()], Some(NodeId(2)));
         // Adjacency by payload is unchanged.
-        let after: Vec<(&str, Vec<&str>)> = g
-            .nodes()
-            .map(|n| (*g.node(n), g.incident_edges(n).map(|e| *g.node(e.other(n))).collect()))
-            .collect();
-        assert_eq!(expected, after);
+        assert_eq!(adjacency_by_payload(&g), expected);
         // Compacting a clean graph is the identity.
         let edges_before: Vec<_> = g.edges().map(|e| (e.id, e.from, e.to)).collect();
         let nr = g.compact();
@@ -782,23 +610,24 @@ mod tests {
         g.add_edge(b, a, 3);
         g.add_edge(a, a, 4);
         g.remove_edge(e2);
-        g.remove_node(dead);
+        g.remove_node(dead, &CsrAdjacency::build(&g));
         g.compact();
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 3);
-        let payloads: Vec<u8> = g.incident_edges(NodeId(0)).map(|e| *e.payload).collect();
-        assert_eq!(payloads, vec![1, 4, 3], "out (insertion order), loop, then in");
-        assert_eq!(g.degree(NodeId(0)), 3);
+        let csr = CsrAdjacency::build(&g);
+        let payloads: Vec<u8> =
+            csr.neighbors(NodeId(0)).iter().map(|&(_, e)| *g.edge(e).payload).collect();
+        assert_eq!(payloads, vec![1, 4, 3], "out (id order), loop, then in");
     }
 
     #[test]
     fn ids_stay_stable_across_removals() {
         let (mut g, ns) = diamond();
-        g.remove_node(ns[2]);
+        g.remove_node(ns[2], &CsrAdjacency::build(&g));
         let e = g.add_node("e");
         assert_eq!(e.index(), 4, "slots are never reused");
         let new_edge = g.add_edge(ns[0], e, 9);
         assert_eq!(new_edge.index(), 4);
-        assert!(g.incident_edges(ns[0]).any(|er| er.other(ns[0]) == e));
+        assert!(CsrAdjacency::build(&g).neighbors(ns[0]).iter().any(|&(m, _)| m == e));
     }
 }

@@ -1,24 +1,25 @@
 //! # cla-graph — generic graph substrate
 //!
 //! A small, dependency-free directed multigraph with typed node and edge
-//! payloads, plus the traversal toolkit the keyword-search layer needs:
+//! payloads, plus the traversals the keyword-search layer needs:
 //!
-//! * [`Graph`] — adjacency-list multigraph with dense `u32` ids;
-//! * [`CsrAdjacency`] — a flat, build-once CSR view of the undirected
-//!   incidence, the substrate of every search hot path;
-//! * BFS distances/parents and induced-subset connectivity
-//!   ([`bfs_distances_undirected`], [`multi_source_bfs_distances`],
-//!   [`is_connected_subset`], [`is_connected_subset_sorted`]);
-//! * bounded **simple-path enumeration** in the undirected view
-//!   ([`enumerate_simple_paths_undirected`]) — the workhorse behind the
-//!   paper's connection enumeration (§3) — and its distance-pruned
-//!   multi-target form ([`for_each_path_to_targets`],
-//!   [`enumerate_paths_to_targets`]), which runs one frontier-aware DFS
-//!   per source instead of one unpruned DFS per (source, target) pair;
-//! * Dijkstra shortest paths with pluggable edge weights ([`dijkstra`],
-//!   [`dijkstra_csr`]), and the multi-source **forest** variant
-//!   ([`multi_source_dijkstra_csr`]) whose parent chains are guaranteed
-//!   consistent — the substrate of the BANKS-style backward expansion.
+//! * [`Graph`] — node and edge slots with dense `u32` ids and tombstone
+//!   removal; it stores no adjacency;
+//! * [`CsrAdjacency`] — the one adjacency: a flat CSR of the undirected
+//!   incidence, built from the live edge slots and read by every
+//!   traversal and by mid-batch edits alike;
+//! * multi-source bounded BFS distances and induced-subset connectivity
+//!   ([`bounded_bfs_distances_into`], [`is_connected_subset_sorted`]);
+//! * bounded **simple-path enumeration** in the undirected view: the
+//!   distance-pruned multi-target form the paper's connection
+//!   enumeration (§3) runs on ([`for_each_path_to_targets_budgeted`]),
+//!   one frontier-aware DFS per source instead of one unpruned DFS per
+//!   (source, target) pair, and the per-pair form it is checked against
+//!   ([`enumerate_simple_paths_undirected`]);
+//! * the multi-source Dijkstra **forest** whose parent chains are
+//!   guaranteed consistent — the substrate of the BANKS-style backward
+//!   expansion — settled lazily ([`LazyDijkstra`]) or eagerly
+//!   ([`multi_source_dijkstra_csr_by_key`]).
 //!
 //! The crate is deliberately generic: `cla-core` instantiates it with
 //! tuple payloads and foreign-key edge annotations, the benches with
@@ -41,17 +42,10 @@ mod paths;
 mod traversal;
 
 pub use csr::CsrAdjacency;
-pub use dijkstra::{
-    dijkstra, dijkstra_csr, multi_source_dijkstra_csr, multi_source_dijkstra_csr_by_key,
-    DijkstraResult, LazyDijkstra, MultiSourceDijkstra,
-};
+pub use dijkstra::{multi_source_dijkstra_csr_by_key, LazyDijkstra, MultiSourceDijkstra};
 pub use graph::{EdgeId, EdgeRef, Graph, NodeId};
 pub use paths::{
-    enumerate_paths_to_targets, enumerate_simple_paths_undirected, for_each_path_to_targets,
-    for_each_path_to_targets_budgeted, shortest_path_undirected, Path, TraversalScratch,
+    enumerate_simple_paths_undirected, for_each_path_to_targets_budgeted, Path,
+    TraversalScratch,
 };
-pub use traversal::{
-    bfs_distances_csr, bfs_distances_undirected, bfs_tree_undirected, bounded_bfs_distances,
-    bounded_bfs_distances_into, is_connected_subset, is_connected_subset_sorted,
-    multi_source_bfs_distances, BfsTree,
-};
+pub use traversal::{bounded_bfs_distances_into, is_connected_subset_sorted};

@@ -1,8 +1,7 @@
-//! Bounded simple-path enumeration and shortest paths (undirected view).
+//! Bounded simple-path enumeration in the undirected view.
 
 use crate::csr::CsrAdjacency;
-use crate::graph::{EdgeId, Graph, NodeId};
-use crate::traversal::{bfs_tree_undirected, multi_source_bfs_distances};
+use crate::graph::{EdgeId, NodeId};
 use std::ops::ControlFlow;
 
 /// A path through the graph: `nodes.len() == edges.len() + 1`.
@@ -57,8 +56,12 @@ impl Path {
 /// deterministic. `limit` caps the number of returned paths (`None` for
 /// unlimited); enumeration stops early once reached, exploring
 /// shortest-first is *not* guaranteed under a limit.
-pub fn enumerate_simple_paths_undirected<N, E>(
-    g: &Graph<N, E>,
+///
+/// This is the per-pair oracle the distance-pruned
+/// [`for_each_path_to_targets_budgeted`] is checked against, and the
+/// lookup behind addressing a connection by its tuple sequence.
+pub fn enumerate_simple_paths_undirected(
+    csr: &CsrAdjacency,
     from: NodeId,
     to: NodeId,
     max_edges: usize,
@@ -75,16 +78,16 @@ pub fn enumerate_simple_paths_undirected<N, E>(
     }
     let mut nodes = vec![from];
     let mut edges: Vec<EdgeId> = Vec::new();
-    let mut on_path = vec![false; g.node_count()];
+    let mut on_path = vec![false; csr.node_count()];
     on_path[from.index()] = true;
-    dfs(g, from, to, max_edges, cap, &mut nodes, &mut edges, &mut on_path, &mut out);
+    dfs(csr, from, to, max_edges, cap, &mut nodes, &mut edges, &mut on_path, &mut out);
     out.sort_by(Path::canonical_cmp);
     out
 }
 
 #[allow(clippy::too_many_arguments)]
-fn dfs<N, E>(
-    g: &Graph<N, E>,
+fn dfs(
+    csr: &CsrAdjacency,
     current: NodeId,
     to: NodeId,
     budget: usize,
@@ -94,13 +97,12 @@ fn dfs<N, E>(
     on_path: &mut [bool],
     out: &mut Vec<Path>,
 ) {
-    for e in g.incident_edges(current) {
+    for &(next, e) in csr.neighbors(current) {
         if out.len() >= cap {
             return;
         }
-        let next = e.other(current);
         if next == to {
-            edges.push(e.id);
+            edges.push(e);
             nodes.push(next);
             out.push(Path { nodes: nodes.clone(), edges: edges.clone() });
             nodes.pop();
@@ -113,57 +115,13 @@ fn dfs<N, E>(
         if budget > 1 && !on_path[next.index()] {
             on_path[next.index()] = true;
             nodes.push(next);
-            edges.push(e.id);
-            dfs(g, next, to, budget - 1, cap, nodes, edges, on_path, out);
+            edges.push(e);
+            dfs(csr, next, to, budget - 1, cap, nodes, edges, on_path, out);
             edges.pop();
             nodes.pop();
             on_path[next.index()] = false;
         }
     }
-}
-
-/// Distance-pruned multi-target path enumeration: visit every simple
-/// path of `1..=max_edges` edges that starts at `source` and ends at a
-/// node with `is_target[end]`, in DFS discovery order.
-///
-/// This replaces the quadratic per-(source, target) loop of repeated
-/// [`enumerate_simple_paths_undirected`] calls with **one** DFS per
-/// source against the whole target set. `dist_to_target[n]` must be the
-/// unweighted distance from `n` to the *nearest* target (from
-/// [`multi_source_bfs_distances`] over the targets, computed once and
-/// shared across sources); any branch with
-/// `depth + 1 + dist_to_target[next] > max_edges` is cut — it cannot
-/// complete within budget even in the unconstrained graph, so pruning
-/// never loses a path. Exploration cost drops from `O(b^max_edges)`
-/// dead-end wandering to near-output-sensitive work.
-///
-/// Paths passing *through* one target on the way to another are
-/// visited once per target endpoint, exactly like the per-pair union.
-/// The visitor receives each path's nodes and edges (borrowed scratch
-/// buffers; copy to keep) and can stop the whole search by returning
-/// [`ControlFlow::Break`]. Returns whether the search was broken.
-pub fn for_each_path_to_targets<F>(
-    csr: &CsrAdjacency,
-    source: NodeId,
-    is_target: &[bool],
-    dist_to_target: &[u32],
-    max_edges: usize,
-    visit: F,
-) -> ControlFlow<()>
-where
-    F: FnMut(&[NodeId], &[EdgeId]) -> ControlFlow<()>,
-{
-    for_each_path_to_targets_budgeted(
-        csr,
-        source,
-        is_target,
-        dist_to_target,
-        max_edges,
-        &mut 0,
-        &mut TraversalScratch::new(),
-        &mut |_| false,
-        visit,
-    )
 }
 
 /// Reusable buffers of the pruned path DFS: the path stacks and the
@@ -197,9 +155,27 @@ impl TraversalScratch {
     }
 }
 
-/// [`for_each_path_to_targets`] with work accounting, caller-owned
-/// scratch and a cooperative work budget — the form the engine's
-/// search pipeline runs on.
+/// Distance-pruned multi-target path enumeration: visit every simple
+/// path of `1..=max_edges` edges that starts at `source` and ends at a
+/// node with `is_target[end]`, in DFS discovery order — the form the
+/// engine's search pipeline runs on.
+///
+/// This replaces the quadratic per-(source, target) loop of repeated
+/// [`enumerate_simple_paths_undirected`] calls with **one** DFS per
+/// source against the whole target set. `dist_to_target[n]` must be the
+/// unweighted distance from `n` to the *nearest* target (from
+/// [`crate::bounded_bfs_distances_into`] over the targets, computed once
+/// and shared across sources); any branch with
+/// `depth + 1 + dist_to_target[next] > max_edges` is cut — it cannot
+/// complete within budget even in the unconstrained graph, so pruning
+/// never loses a path. Exploration cost drops from `O(b^max_edges)`
+/// dead-end wandering to near-output-sensitive work.
+///
+/// Paths passing *through* one target on the way to another are
+/// visited once per target endpoint, exactly like the per-pair union.
+/// The visitor receives each path's nodes and edges (borrowed scratch
+/// buffers; copy to keep) and can stop the whole search by returning
+/// [`ControlFlow::Break`]. Returns whether the search was broken.
 ///
 /// Every DFS descent (a node pushed onto the path under exploration)
 /// increments `*expansions`. The counter is how the engine's streaming
@@ -334,61 +310,17 @@ where
     ControlFlow::Continue(())
 }
 
-/// Collect the paths [`for_each_path_to_targets`] visits for one source,
-/// sorted by length then edge ids (the [`enumerate_simple_paths_undirected`]
-/// order). Builds the target mask and distance map itself — use the
-/// visitor API directly to share them across many sources.
-///
-/// Equivalent to the union over `t ∈ targets, t ≠ source` of
-/// `enumerate_simple_paths_undirected(g, source, t, max_edges, None)`,
-/// computed in one pruned traversal.
-pub fn enumerate_paths_to_targets(
-    csr: &CsrAdjacency,
-    source: NodeId,
-    targets: &[NodeId],
-    max_edges: usize,
-) -> Vec<Path> {
-    let mut is_target = vec![false; csr.node_count()];
-    for &t in targets {
-        is_target[t.index()] = true;
-    }
-    let dist = multi_source_bfs_distances(csr, targets);
-    let mut out = Vec::new();
-    let _ = for_each_path_to_targets(
-        csr,
-        source,
-        &is_target,
-        &dist,
-        max_edges,
-        |nodes, edges| {
-            out.push(Path { nodes: nodes.to_vec(), edges: edges.to_vec() });
-            ControlFlow::Continue(())
-        },
-    );
-    out.sort_by(Path::canonical_cmp);
-    out
-}
-
-/// One shortest path between `from` and `to` in the undirected view, via
-/// BFS. Returns `None` if unreachable.
-pub fn shortest_path_undirected<N, E>(
-    g: &Graph<N, E>,
-    from: NodeId,
-    to: NodeId,
-) -> Option<Path> {
-    let tree = bfs_tree_undirected(g, from);
-    let (nodes, edges) = tree.path_to(to)?;
-    Some(Path { nodes, edges })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
+    use crate::traversal::bounded_bfs_distances_into;
+    use std::collections::VecDeque;
 
     /// Diamond with an extra long way round:
     /// a–b–d, a–c–d, a–d (direct), plus tail d–e.
-    fn graph() -> (Graph<(), ()>, Vec<NodeId>) {
-        let mut g = Graph::new();
+    fn graph() -> (CsrAdjacency, Vec<NodeId>) {
+        let mut g: Graph<(), ()> = Graph::new();
         let a = g.add_node(());
         let b = g.add_node(());
         let c = g.add_node(());
@@ -400,13 +332,52 @@ mod tests {
         g.add_edge(c, d, ());
         g.add_edge(a, d, ());
         g.add_edge(d, e, ());
-        (g, vec![a, b, c, d, e])
+        (CsrAdjacency::build(&g), vec![a, b, c, d, e])
+    }
+
+    /// The target mask and nearest-target distance map of `targets`.
+    fn target_maps(csr: &CsrAdjacency, targets: &[NodeId]) -> (Vec<bool>, Vec<u32>) {
+        let mut is_target = vec![false; csr.node_count()];
+        for &t in targets {
+            is_target[t.index()] = true;
+        }
+        let mut dist = Vec::new();
+        bounded_bfs_distances_into(csr, targets, u32::MAX, &mut dist, &mut VecDeque::new());
+        (is_target, dist)
+    }
+
+    /// Every path the pruned enumeration visits from `source`, sorted
+    /// canonically.
+    fn paths_to_targets(
+        csr: &CsrAdjacency,
+        source: NodeId,
+        targets: &[NodeId],
+        max_edges: usize,
+    ) -> Vec<Path> {
+        let (is_target, dist) = target_maps(csr, targets);
+        let mut out = Vec::new();
+        let _ = for_each_path_to_targets_budgeted(
+            csr,
+            source,
+            &is_target,
+            &dist,
+            max_edges,
+            &mut 0,
+            &mut TraversalScratch::new(),
+            &mut |_| false,
+            |nodes, edges| {
+                out.push(Path { nodes: nodes.to_vec(), edges: edges.to_vec() });
+                ControlFlow::Continue(())
+            },
+        );
+        out.sort_by(Path::canonical_cmp);
+        out
     }
 
     #[test]
     fn enumerates_all_simple_paths() {
-        let (g, ns) = graph();
-        let paths = enumerate_simple_paths_undirected(&g, ns[0], ns[3], 4, None);
+        let (csr, ns) = graph();
+        let paths = enumerate_simple_paths_undirected(&csr, ns[0], ns[3], 4, None);
         // a–d, a–b–d, a–c–d.
         assert_eq!(paths.len(), 3);
         assert_eq!(paths[0].len(), 1);
@@ -421,26 +392,26 @@ mod tests {
 
     #[test]
     fn max_edges_bounds_results() {
-        let (g, ns) = graph();
-        let paths = enumerate_simple_paths_undirected(&g, ns[0], ns[3], 1, None);
+        let (csr, ns) = graph();
+        let paths = enumerate_simple_paths_undirected(&csr, ns[0], ns[3], 1, None);
         assert_eq!(paths.len(), 1);
-        let paths = enumerate_simple_paths_undirected(&g, ns[0], ns[3], 0, None);
+        let paths = enumerate_simple_paths_undirected(&csr, ns[0], ns[3], 0, None);
         assert!(paths.is_empty());
     }
 
     #[test]
     fn limit_caps_results() {
-        let (g, ns) = graph();
-        let paths = enumerate_simple_paths_undirected(&g, ns[0], ns[3], 4, Some(2));
+        let (csr, ns) = graph();
+        let paths = enumerate_simple_paths_undirected(&csr, ns[0], ns[3], 4, Some(2));
         assert_eq!(paths.len(), 2);
-        let paths = enumerate_simple_paths_undirected(&g, ns[0], ns[3], 4, Some(0));
+        let paths = enumerate_simple_paths_undirected(&csr, ns[0], ns[3], 4, Some(0));
         assert!(paths.is_empty());
     }
 
     #[test]
     fn same_node_yields_trivial_path() {
-        let (g, ns) = graph();
-        let paths = enumerate_simple_paths_undirected(&g, ns[0], ns[0], 3, None);
+        let (csr, ns) = graph();
+        let paths = enumerate_simple_paths_undirected(&csr, ns[0], ns[0], 3, None);
         assert_eq!(paths.len(), 1);
         assert!(paths[0].is_empty());
     }
@@ -452,7 +423,8 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, 1);
         g.add_edge(b, a, 2);
-        let paths = enumerate_simple_paths_undirected(&g, a, b, 1, None);
+        let paths =
+            enumerate_simple_paths_undirected(&CsrAdjacency::build(&g), a, b, 1, None);
         assert_eq!(paths.len(), 2);
         assert_ne!(paths[0].edges, paths[1].edges);
     }
@@ -462,24 +434,14 @@ mod tests {
         let mut g: Graph<(), ()> = Graph::new();
         let a = g.add_node(());
         let b = g.add_node(());
-        let paths = enumerate_simple_paths_undirected(&g, a, b, 5, None);
-        assert!(paths.is_empty());
-        assert!(shortest_path_undirected(&g, a, b).is_none());
-    }
-
-    #[test]
-    fn shortest_path_is_minimal() {
-        let (g, ns) = graph();
-        let p = shortest_path_undirected(&g, ns[0], ns[4]).unwrap();
-        assert_eq!(p.len(), 2); // a–d–e
-        assert_eq!(p.nodes, vec![ns[0], ns[3], ns[4]]);
-        let all = enumerate_simple_paths_undirected(&g, ns[0], ns[4], 5, None);
-        assert!(all.iter().all(|q| q.len() >= p.len()));
+        let csr = CsrAdjacency::build(&g);
+        assert!(enumerate_simple_paths_undirected(&csr, a, b, 5, None).is_empty());
+        assert!(paths_to_targets(&csr, a, &[b], 5).is_empty());
     }
 
     /// Multi-target enumeration equals the union of per-pair runs.
     fn per_pair_union(
-        g: &Graph<(), ()>,
+        csr: &CsrAdjacency,
         from: NodeId,
         targets: &[NodeId],
         max: usize,
@@ -487,7 +449,7 @@ mod tests {
         let mut out: Vec<Path> = targets
             .iter()
             .filter(|&&t| t != from)
-            .flat_map(|&t| enumerate_simple_paths_undirected(g, from, t, max, None))
+            .flat_map(|&t| enumerate_simple_paths_undirected(csr, from, t, max, None))
             .collect();
         out.sort_by(|a, b| a.canonical_cmp(b));
         out
@@ -495,25 +457,23 @@ mod tests {
 
     #[test]
     fn multi_target_matches_per_pair_union() {
-        let (g, ns) = graph();
-        let csr = CsrAdjacency::build(&g);
+        let (csr, ns) = graph();
         for max in 0..=5 {
             let targets = [ns[3], ns[4]];
-            let pruned = enumerate_paths_to_targets(&csr, ns[0], &targets, max);
-            assert_eq!(pruned, per_pair_union(&g, ns[0], &targets, max), "max={max}");
+            let pruned = paths_to_targets(&csr, ns[0], &targets, max);
+            assert_eq!(pruned, per_pair_union(&csr, ns[0], &targets, max), "max={max}");
         }
     }
 
     #[test]
     fn multi_target_with_source_in_targets_skips_trivial_path() {
-        let (g, ns) = graph();
-        let csr = CsrAdjacency::build(&g);
+        let (csr, ns) = graph();
         // Source a is itself a target: only paths to OTHER targets count;
         // no zero-length path is reported.
         let targets = [ns[0], ns[3]];
-        let paths = enumerate_paths_to_targets(&csr, ns[0], &targets, 4);
+        let paths = paths_to_targets(&csr, ns[0], &targets, 4);
         assert!(paths.iter().all(|p| !p.is_empty()));
-        assert_eq!(paths, per_pair_union(&g, ns[0], &targets, 4));
+        assert_eq!(paths, per_pair_union(&csr, ns[0], &targets, 4));
     }
 
     #[test]
@@ -526,8 +486,7 @@ mod tests {
         let c = g.add_node(());
         g.add_edge(a, b, ());
         g.add_edge(b, c, ());
-        let csr = CsrAdjacency::build(&g);
-        let paths = enumerate_paths_to_targets(&csr, a, &[b, c], 4);
+        let paths = paths_to_targets(&CsrAdjacency::build(&g), a, &[b, c], 4);
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].end(), b);
         assert_eq!(paths[1].end(), c);
@@ -548,34 +507,56 @@ mod tests {
             prev = n;
         }
         let csr = CsrAdjacency::build(&g);
-        let paths = enumerate_paths_to_targets(&csr, a, &[t], 3);
+        let paths = paths_to_targets(&csr, a, &[t], 3);
         assert_eq!(paths.len(), 1);
-        assert_eq!(paths, per_pair_union(&g, a, &[t], 3));
+        assert_eq!(paths, per_pair_union(&csr, a, &[t], 3));
     }
 
     #[test]
     fn visitor_break_stops_enumeration() {
-        let (g, ns) = graph();
-        let csr = CsrAdjacency::build(&g);
-        let mut is_target = vec![false; csr.node_count()];
-        is_target[ns[3].index()] = true;
-        let dist = multi_source_bfs_distances(&csr, &[ns[3]]);
+        let (csr, ns) = graph();
+        let (is_target, dist) = target_maps(&csr, &[ns[3]]);
         let mut count = 0;
-        let flow = for_each_path_to_targets(&csr, ns[0], &is_target, &dist, 4, |_, _| {
-            count += 1;
-            ControlFlow::Break(())
-        });
+        let mut scratch = TraversalScratch::new();
+        let flow = for_each_path_to_targets_budgeted(
+            &csr,
+            ns[0],
+            &is_target,
+            &dist,
+            4,
+            &mut 0,
+            &mut scratch,
+            &mut |_| false,
+            |_, _| {
+                count += 1;
+                ControlFlow::Break(())
+            },
+        );
         assert_eq!(count, 1);
         assert!(flow.is_break());
+        // The break restored the scratch: a reuse sees every path.
+        let mut all = 0;
+        let _ = for_each_path_to_targets_budgeted(
+            &csr,
+            ns[0],
+            &is_target,
+            &dist,
+            4,
+            &mut 0,
+            &mut scratch,
+            &mut |_| false,
+            |_, _| {
+                all += 1;
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(all, paths_to_targets(&csr, ns[0], &[ns[3]], 4).len());
     }
 
     #[test]
     fn expansion_counter_tracks_descents_and_shrinks_with_budget() {
-        let (g, ns) = graph();
-        let csr = CsrAdjacency::build(&g);
-        let mut is_target = vec![false; csr.node_count()];
-        is_target[ns[4].index()] = true;
-        let dist = multi_source_bfs_distances(&csr, &[ns[4]]);
+        let (csr, ns) = graph();
+        let (is_target, dist) = target_maps(&csr, &[ns[4]]);
         let count = |max: usize| {
             let mut expansions = 0;
             let _ = for_each_path_to_targets_budgeted(
@@ -600,26 +581,13 @@ mod tests {
         assert!(shallow >= 1, "the source itself counts as an expansion");
         // A source that cannot reach any target within budget expands
         // nothing at all.
-        let mut expansions = 0;
-        let far = multi_source_bfs_distances(&csr, &[ns[4]]);
-        let _ = for_each_path_to_targets_budgeted(
-            &csr,
-            ns[0],
-            &is_target,
-            &far,
-            1,
-            &mut expansions,
-            &mut TraversalScratch::new(),
-            &mut |_| false,
-            |_, _| ControlFlow::Continue(()),
-        );
-        assert_eq!(expansions, 0);
+        assert_eq!(count(1), 0);
     }
 
     #[test]
     fn paths_never_repeat_nodes() {
-        let (g, ns) = graph();
-        for p in enumerate_simple_paths_undirected(&g, ns[0], ns[4], 5, None) {
+        let (csr, ns) = graph();
+        for p in enumerate_simple_paths_undirected(&csr, ns[0], ns[4], 5, None) {
             let mut sorted = p.nodes.clone();
             sorted.sort();
             sorted.dedup();

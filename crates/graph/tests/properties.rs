@@ -1,13 +1,20 @@
 //! Property-based tests for the graph substrate.
+//!
+//! The references here read the edge list (or the live edge slots)
+//! directly and share no code with the traversals: Floyd–Warshall hop
+//! and weighted distances, induced-subset connectivity by repeated
+//! relaxation, and a per-node scan of the live slots for the CSR itself.
 
 use cla_graph::{
-    bfs_distances_csr, bfs_distances_undirected, dijkstra, dijkstra_csr,
-    enumerate_paths_to_targets, enumerate_simple_paths_undirected, is_connected_subset,
-    is_connected_subset_sorted, multi_source_bfs_distances, multi_source_dijkstra_csr,
-    shortest_path_undirected, CsrAdjacency, EdgeId, Graph, NodeId, Path,
+    bounded_bfs_distances_into, enumerate_simple_paths_undirected,
+    for_each_path_to_targets_budgeted, is_connected_subset_sorted,
+    multi_source_dijkstra_csr_by_key, CsrAdjacency, EdgeId, Graph, NodeId, Path,
+    TraversalScratch,
 };
 use proptest::prelude::*;
-use std::collections::HashSet;
+use proptest::test_runner::TestCaseError;
+use std::collections::{HashSet, VecDeque};
+use std::ops::ControlFlow;
 
 /// Build a graph from a node count and an edge list (indices mod n).
 fn build(n: usize, edges: &[(usize, usize)]) -> Graph<(), ()> {
@@ -19,27 +26,114 @@ fn build(n: usize, edges: &[(usize, usize)]) -> Graph<(), ()> {
     g
 }
 
+/// All-pairs shortest distances over the live edges of `g`, ignoring
+/// direction (Floyd–Warshall): `d[a][b]` is `f64::INFINITY` when `b` is
+/// unreachable from `a`.
+fn floyd_warshall<N, E>(g: &Graph<N, E>, weight: impl Fn(EdgeId) -> f64) -> Vec<Vec<f64>> {
+    let n = g.node_count();
+    let mut d = vec![vec![f64::INFINITY; n]; n];
+    for (i, row) in d.iter_mut().enumerate() {
+        row[i] = 0.0;
+    }
+    for e in g.edges() {
+        let (a, b) = (e.from.index(), e.to.index());
+        let w = weight(e.id).min(d[a][b]);
+        d[a][b] = w;
+        d[b][a] = w;
+    }
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                let via = d[i][k] + d[k][j];
+                if via < d[i][j] {
+                    d[i][j] = via;
+                }
+            }
+        }
+    }
+    d
+}
+
+/// The hop distance `floyd_warshall` reports, in the BFS encoding
+/// (`u32::MAX` when unreachable).
+fn hops(d: f64) -> u32 {
+    if d.is_infinite() {
+        u32::MAX
+    } else {
+        d as u32
+    }
+}
+
+/// Unbounded BFS distances from `sources` over the CSR.
+fn bfs(csr: &CsrAdjacency, sources: &[NodeId]) -> Vec<u32> {
+    let mut dist = Vec::new();
+    bounded_bfs_distances_into(csr, sources, u32::MAX, &mut dist, &mut VecDeque::new());
+    dist
+}
+
+/// Whether the subgraph induced by `members` is connected, by growing
+/// the set reached from its first member until no live edge of `g`
+/// with both endpoints in `members` adds a node.
+fn induced_connected<N, E>(g: &Graph<N, E>, members: &HashSet<NodeId>) -> bool {
+    let Some(&start) = members.iter().min() else {
+        return true;
+    };
+    let mut reached: HashSet<NodeId> = [start].into();
+    loop {
+        let before = reached.len();
+        for e in g.edges() {
+            if members.contains(&e.from) && members.contains(&e.to) {
+                if reached.contains(&e.from) {
+                    reached.insert(e.to);
+                }
+                if reached.contains(&e.to) {
+                    reached.insert(e.from);
+                }
+            }
+        }
+        if reached.len() == before {
+            return reached.len() == members.len();
+        }
+    }
+}
+
+/// Per node slot, the `(neighbor, edge)` pairs of the live edge slots:
+/// its out-edges by id, then its in-edges other than self-loops by id.
+fn scan_live_slots<N, E>(g: &Graph<N, E>) -> Vec<Vec<(NodeId, EdgeId)>> {
+    let mut adj = vec![Vec::new(); g.node_count()];
+    for e in g.edges() {
+        adj[e.from.index()].push((e.to, e.id));
+    }
+    for e in g.edges() {
+        if e.from != e.to {
+            adj[e.to.index()].push((e.from, e.id));
+        }
+    }
+    adj
+}
+
 proptest! {
-    /// BFS distance equals the length of the shortest enumerated simple
-    /// path, whenever one exists.
+    /// BFS distance equals the Floyd–Warshall hop distance and the
+    /// length of the shortest enumerated simple path, whenever one
+    /// exists.
     #[test]
     fn bfs_matches_shortest_enumerated_path(
         n in 2usize..8,
         edges in proptest::collection::vec((0usize..8, 0usize..8), 1..16)
     ) {
         let g = build(n, &edges);
+        let csr = CsrAdjacency::build(&g);
         let from = NodeId(0);
         let to = NodeId(n as u32 - 1);
-        let dist = bfs_distances_undirected(&g, from);
-        let paths = enumerate_simple_paths_undirected(&g, from, to, n, None);
-        match dist[to.index()] {
-            None => prop_assert!(paths.is_empty()),
-            Some(d) => {
-                prop_assert!(!paths.is_empty());
-                prop_assert_eq!(paths[0].len() as u32, d);
-                let sp = shortest_path_undirected(&g, from, to).unwrap();
-                prop_assert_eq!(sp.len() as u32, d);
-            }
+        let dist = bfs(&csr, &[from]);
+        let fw = floyd_warshall(&g, |_| 1.0);
+        prop_assert_eq!(dist[to.index()], hops(fw[from.index()][to.index()]));
+        let paths = enumerate_simple_paths_undirected(&csr, from, to, n, None);
+        if dist[to.index()] == u32::MAX {
+            prop_assert!(paths.is_empty());
+        } else {
+            prop_assert!(!paths.is_empty());
+            prop_assert_eq!(paths[0].len() as u32, dist[to.index()]);
         }
     }
 
@@ -54,7 +148,7 @@ proptest! {
         let g = build(n, &edges);
         let from = NodeId(0);
         let to = NodeId(n as u32 - 1);
-        let paths = enumerate_simple_paths_undirected(&g, from, to, max, None);
+        let paths = enumerate_simple_paths_undirected(&CsrAdjacency::build(&g), from, to, max, None);
         let mut seen = HashSet::new();
         for p in &paths {
             prop_assert!(p.len() <= max);
@@ -74,28 +168,30 @@ proptest! {
         }
     }
 
-    /// Dijkstra with unit weights equals BFS hop distance.
+    /// The Dijkstra forest with unit weights equals the BFS hop
+    /// distance and the Floyd–Warshall one.
     #[test]
     fn dijkstra_unit_weights_match_bfs(
         n in 1usize..12,
         edges in proptest::collection::vec((0usize..12, 0usize..12), 0..24)
     ) {
         let g = build(n, &edges);
+        let csr = CsrAdjacency::build(&g);
         let start = NodeId(0);
-        let bfs = bfs_distances_undirected(&g, start);
-        let dj = dijkstra(&g, start, true, |_| 1.0);
+        let dist = bfs(&csr, &[start]);
+        let dj = multi_source_dijkstra_csr_by_key(&csr, &[start], |_| 1.0, |v| v);
+        let fw = floyd_warshall(&g, |_| 1.0);
         for v in g.nodes() {
-            match bfs[v.index()] {
-                None => prop_assert!(dj.dist[v.index()].is_infinite()),
-                Some(d) => prop_assert_eq!(dj.dist[v.index()], f64::from(d)),
-            }
+            prop_assert_eq!(dj.dist[v.index()], fw[start.index()][v.index()]);
+            prop_assert_eq!(hops(dj.dist[v.index()]), dist[v.index()]);
         }
     }
 
-    /// The distance-pruned multi-target enumeration returns exactly the
-    /// same path set as the union of per-pair enumerations over every
-    /// target — the equivalence behind replacing the engine's
-    /// |A|·|B| pair loop with one pruned DFS per source.
+    /// The distance-pruned multi-target enumeration, in the budgeted
+    /// form the engine runs, visits exactly the same path set as the
+    /// union of per-pair enumerations over every target — the
+    /// equivalence behind replacing the engine's |A|·|B| pair loop with
+    /// one pruned DFS per source.
     #[test]
     fn multi_target_equals_per_pair_union(
         n in 2usize..8,
@@ -112,20 +208,39 @@ proptest! {
             t.dedup();
             t
         };
-        let pruned = enumerate_paths_to_targets(&csr, from, &targets, max);
+        let mut is_target = vec![false; n];
+        for &t in &targets {
+            is_target[t.index()] = true;
+        }
+        let dist = bfs(&csr, &targets);
+        let mut pruned = Vec::new();
+        let _ = for_each_path_to_targets_budgeted(
+            &csr,
+            from,
+            &is_target,
+            &dist,
+            max,
+            &mut 0,
+            &mut TraversalScratch::new(),
+            &mut |_| false,
+            |nodes, edges| {
+                pruned.push(Path { nodes: nodes.to_vec(), edges: edges.to_vec() });
+                ControlFlow::Continue(())
+            },
+        );
+        pruned.sort_by(Path::canonical_cmp);
         let mut union: Vec<Path> = targets
             .iter()
             .filter(|&&t| t != from)
-            .flat_map(|&t| enumerate_simple_paths_undirected(&g, from, t, max, None))
+            .flat_map(|&t| enumerate_simple_paths_undirected(&csr, from, t, max, None))
             .collect();
-        union.sort_by(|a, b| {
-            a.canonical_cmp(b)
-        });
+        union.sort_by(Path::canonical_cmp);
         prop_assert_eq!(pruned, union);
     }
 
-    /// CSR traversals agree with their adjacency-list counterparts:
-    /// BFS distances (single- and multi-source) and Dijkstra.
+    /// CSR traversals agree with the Floyd–Warshall reference: BFS
+    /// distances (single- and multi-source, the latter the minimum over
+    /// the sources) and unit-weight Dijkstra.
     #[test]
     fn csr_traversals_match_graph_traversals(
         n in 1usize..12,
@@ -134,33 +249,28 @@ proptest! {
     ) {
         let g = build(n, &edges);
         let csr = CsrAdjacency::build(&g);
+        let fw = floyd_warshall(&g, |_| 1.0);
         let start = NodeId(0);
-        let bfs = bfs_distances_undirected(&g, start);
-        let bfs_csr = bfs_distances_csr(&csr, start);
+        let single = bfs(&csr, &[start]);
         for v in g.nodes() {
-            match bfs[v.index()] {
-                Some(d) => prop_assert_eq!(bfs_csr[v.index()], d),
-                None => prop_assert_eq!(bfs_csr[v.index()], u32::MAX),
-            }
+            prop_assert_eq!(single[v.index()], hops(fw[start.index()][v.index()]));
         }
-        // Multi-source distance = min over single-source distances.
         let sources: Vec<NodeId> =
             sources.iter().map(|&i| NodeId((i % n) as u32)).collect();
-        let multi = multi_source_bfs_distances(&csr, &sources);
+        let multi = bfs(&csr, &sources);
+        let dj = multi_source_dijkstra_csr_by_key(&csr, &sources, |_| 1.0, |v| v);
         for v in g.nodes() {
             let best = sources
                 .iter()
-                .filter_map(|&s| bfs_distances_undirected(&g, s)[v.index()])
-                .min();
-            prop_assert_eq!(multi[v.index()], best.unwrap_or(u32::MAX));
+                .map(|&s| fw[s.index()][v.index()])
+                .fold(f64::INFINITY, f64::min);
+            prop_assert_eq!(multi[v.index()], hops(best));
+            prop_assert_eq!(dj.dist[v.index()], best);
         }
-        let dj = dijkstra(&g, start, true, |_| 1.0);
-        let djc = dijkstra_csr(&csr, start, |_| 1.0);
-        prop_assert_eq!(dj.dist, djc.dist);
     }
 
-    /// The multi-source Dijkstra forest reports the same distances as
-    /// the minimum over single-source runs, and its parent chains are
+    /// The multi-source Dijkstra forest reports the Floyd–Warshall
+    /// distance to the nearest source, and its parent chains are
     /// internally consistent: each chain's edge weights telescope to the
     /// reported distance and end at the recorded origin. (The per-node
     /// minimum over independent runs satisfies the first property but
@@ -176,13 +286,14 @@ proptest! {
         // Deterministic pseudo-random positive weights, with plenty of
         // ties to stress the splice-prone case.
         let weight = |e: EdgeId| f64::from(e.0 % 3) * 0.5 + 0.5;
+        let fw = floyd_warshall(&g, weight);
         let sources: Vec<NodeId> =
             sources.iter().map(|&i| NodeId((i % n) as u32)).collect();
-        let ms = multi_source_dijkstra_csr(&csr, &sources, weight);
+        let ms = multi_source_dijkstra_csr_by_key(&csr, &sources, weight, |v| v);
         for v in g.nodes() {
             let best = sources
                 .iter()
-                .map(|&s| dijkstra_csr(&csr, s, weight).dist[v.index()])
+                .map(|&s| fw[s.index()][v.index()])
                 .fold(f64::INFINITY, f64::min);
             prop_assert_eq!(ms.dist[v.index()], best);
             match ms.path_to(v) {
@@ -204,8 +315,8 @@ proptest! {
         }
     }
 
-    /// Sorted-slice subset connectivity agrees with the hash-set
-    /// implementation on arbitrary subsets.
+    /// Sorted-slice subset connectivity agrees with induced-subset
+    /// connectivity computed from the edge list on arbitrary subsets.
     #[test]
     fn sorted_subset_connectivity_matches(
         n in 1usize..10,
@@ -219,10 +330,7 @@ proptest! {
             .map(|i| NodeId(i as u32))
             .collect();
         let set: HashSet<NodeId> = sorted.iter().copied().collect();
-        prop_assert_eq!(
-            is_connected_subset_sorted(&csr, &sorted),
-            is_connected_subset(&g, &set)
-        );
+        prop_assert_eq!(is_connected_subset_sorted(&csr, &sorted), induced_connected(&g, &set));
     }
 
     /// A full component is a connected subset; removing a cut vertex from
@@ -232,12 +340,61 @@ proptest! {
         // Path graph 0–1–…–(n-1).
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let g = build(n, &edges);
-        let all: HashSet<NodeId> = g.nodes().collect();
-        prop_assert!(is_connected_subset(&g, &all));
+        let csr = CsrAdjacency::build(&g);
+        let all: Vec<NodeId> = g.nodes().collect();
+        prop_assert!(is_connected_subset_sorted(&csr, &all));
         // Remove the middle node.
         let mid = NodeId((n / 2) as u32);
-        let mut set = all.clone();
-        set.remove(&mid);
-        prop_assert!(!is_connected_subset(&g, &set));
+        let without: Vec<NodeId> = all.into_iter().filter(|&v| v != mid).collect();
+        prop_assert!(!is_connected_subset_sorted(&csr, &without));
+    }
+
+    /// `CsrAdjacency::build` lists, per node, exactly what a scan of the
+    /// live edge slots finds (out-edges by id, then in-edges other than
+    /// self-loops by id) — on random graphs with parallel edges and
+    /// self-loops, after each round of random edge and node tombstones
+    /// and after a compaction. Node removals read the CSR built at the
+    /// start of their round, as a mutation batch does, so an edge an
+    /// earlier removal of the round tombstoned is skipped.
+    #[test]
+    fn csr_matches_a_scan_of_live_edge_slots(
+        n in 1usize..12,
+        edges in proptest::collection::vec((0usize..12, 0usize..12), 0..40),
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec(0usize..40, 0..6), proptest::collection::vec(0usize..12, 0..3)),
+            1..4
+        )
+    ) {
+        let mut g = build(n, &edges);
+        let check = |g: &Graph<(), ()>| -> Result<(), TestCaseError> {
+            let csr = CsrAdjacency::build(g);
+            prop_assert_eq!(csr.node_count(), g.node_count());
+            for (v, want) in scan_live_slots(g).iter().enumerate() {
+                prop_assert_eq!(csr.neighbors(NodeId(v as u32)), want.as_slice(), "node {}", v);
+            }
+            prop_assert!(g.edges().all(|e| g.is_node_alive(e.from) && g.is_node_alive(e.to)));
+            Ok(())
+        };
+        check(&g)?;
+        for (dead_edges, dead_nodes) in &rounds {
+            let csr = CsrAdjacency::build(&g);
+            for &i in dead_edges {
+                let e = EdgeId((i % g.edge_slots().max(1)) as u32);
+                if g.is_edge_alive(e) {
+                    g.remove_edge(e);
+                }
+            }
+            for &i in dead_nodes {
+                let v = NodeId((i % g.node_count()) as u32);
+                if g.is_node_alive(v) {
+                    g.remove_node(v, &csr);
+                }
+            }
+            check(&g)?;
+        }
+        let live_edges = g.edge_count();
+        g.compact();
+        prop_assert_eq!(g.edge_slots(), live_edges);
+        check(&g)?;
     }
 }
