@@ -12,37 +12,52 @@
 //! * [`EdgeWeighting::ErAware`] — middle-relation edges cost 0.5, so a
 //!   collapsed N:M hop costs 1 in total: BANKS weights aligned with the
 //!   paper's *conceptual length* (an ablation in the benches).
+//!
+//! Both weightings use weights of one or two half units, so the
+//! expansion counts distances in whole half units and keeps its
+//! frontiers and its completed candidates in bucket queues rather than
+//! binary heaps.
 
 use crate::datagraph::{DataGraph, EdgeAnnotation};
 use crate::ranking::f64_sort_bits_asc;
 use cla_er::FkRole;
 use cla_graph::{EdgeId, LazyDijkstra, NodeId};
 use cla_relational::TupleId;
-use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// Edge-weight schemes for the expansion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EdgeWeighting {
-    /// Every foreign-key edge costs 1.
+    /// Every foreign-key edge costs 1 (2 half units).
     #[default]
     Uniform,
-    /// Middle-relation edges cost ½ so an N:M hop totals 1 (conceptual
-    /// length).
+    /// Middle-relation edges cost ½ (1 half unit) so an N:M hop totals
+    /// 1 (conceptual length); every other edge costs 1.
     ErAware,
 }
 
 impl EdgeWeighting {
     /// The weight of one edge.
     pub fn weight(self, annotation: &EdgeAnnotation) -> f64 {
+        half(self.half_units(annotation))
+    }
+
+    /// The weight of one edge in half units, 1 or 2: what the
+    /// expansion's frontiers ([`LazyDijkstra`]) relax with.
+    pub(crate) fn half_units(self, annotation: &EdgeAnnotation) -> u32 {
         match self {
-            EdgeWeighting::Uniform => 1.0,
+            EdgeWeighting::Uniform => 2,
             EdgeWeighting::ErAware => match annotation.role {
-                FkRole::Middle { .. } => 0.5,
-                FkRole::Direct { .. } => 1.0,
+                FkRole::Middle { .. } => 1,
+                FkRole::Direct { .. } => 2,
             },
         }
     }
+}
+
+/// A count of half units as a weight.
+fn half(units: u32) -> f64 {
+    f64::from(units) * 0.5
 }
 
 /// Options for [`banks_search`].
@@ -146,9 +161,9 @@ impl SteinerTree {
 /// Traversal-work accounting of one [`banks_search_budgeted`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BanksWork {
-    /// Heap settles across all per-set expansions — one per node popped
-    /// from a keyword set's frontier. The full (`k: None`) search
-    /// settles every reachable node once per set; the priority-queue
+    /// Frontier settles across all per-set expansions — one per node
+    /// taken from a keyword set's bucket queue. The full (`k: None`)
+    /// search settles every reachable node once per set; the top-k
     /// cutoff stops as soon as no unfinished frontier entry can matter.
     pub expansions: u64,
     /// Candidate roots completed (reached by every keyword set). A full
@@ -161,9 +176,9 @@ pub struct BanksWork {
 }
 
 /// Reusable state of the BANKS expansion — per-set lazy Dijkstra
-/// forests, per-node completion accounting, the candidate heap and the
-/// tree-assembly buffers — so repeated searches on a live engine
-/// re-allocate none of it.
+/// forests, per-node completion accounting, the candidate queue, the
+/// held top k and the tree-assembly buffers — so repeated searches on a
+/// live engine re-allocate none of it.
 ///
 /// Node-set dedup needs no set of seen trees. Every processed root is
 /// *registered* with its tree's node count instead, and a tree is a
@@ -179,11 +194,14 @@ pub struct BanksScratch {
     forests: Vec<LazyDijkstra<TupleId>>,
     /// Number of keyword sets that settled each node.
     settled_sets: Vec<u32>,
-    /// Running sum of settled per-set distances per node.
-    total: Vec<f64>,
-    /// Completed candidate roots, keyed ascending by
-    /// `(total bits, root tuple, root)` — the classic BANKS priority.
-    candidates: BinaryHeap<Reverse<(u64, TupleId, NodeId)>>,
+    /// Running sum of settled per-set distances per node, in half units.
+    total: Vec<u32>,
+    /// Completed candidate roots in the classic BANKS priority.
+    candidates: CandidateQueue,
+    /// The held top k as a max-heap of `(weight bits, root tuple, index
+    /// into the output)`, weights as order-preserving `f64` bit images:
+    /// its top is the k-th best tree in the final order.
+    held: BinaryHeap<(u64, TupleId, usize)>,
     assembly: TreeAssembly,
 }
 
@@ -205,9 +223,75 @@ impl BanksScratch {
         self.settled_sets.clear();
         self.settled_sets.resize(n, 0);
         self.total.clear();
-        self.total.resize(n, 0.0);
+        self.total.resize(n, 0);
         self.candidates.clear();
+        self.held.clear();
         self.assembly.reset(n, dg.graph().edge_slots());
+    }
+}
+
+/// Completed candidate roots in ascending `(total, root tuple, root)`
+/// order, as a bucket queue over totals in half units.
+///
+/// A root completes when its last keyword set settles it at the global
+/// frontier minimum `L`, so its total (the sum of its per-set
+/// distances) is at least `L`, and `L` never falls. Roots are taken
+/// only below the current frontier, so no root ever lands in a bucket
+/// already taken from: each bucket is sorted once, when its first root
+/// is taken.
+#[derive(Debug, Clone, Default)]
+struct CandidateQueue {
+    /// `buckets[t]`: `(root tuple, root)` of the roots completed at
+    /// total `t`.
+    buckets: Vec<Vec<(TupleId, NodeId)>>,
+    /// Every bucket below `low` is empty.
+    low: usize,
+    /// Roots of `buckets[low]` already taken.
+    taken: usize,
+}
+
+impl CandidateQueue {
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.low = 0;
+        self.taken = 0;
+    }
+
+    fn push(&mut self, total: u32, tuple: TupleId, root: NodeId) {
+        let t = total as usize;
+        if t >= self.buckets.len() {
+            self.buckets.resize_with(t + 1, Vec::new);
+        }
+        debug_assert!(t > self.low || self.taken == 0, "bucket {t} was already taken from");
+        self.buckets[t].push((tuple, root));
+        // Taking skips empty buckets and may stop past the frontier, so
+        // a root completed since then can land below `low`.
+        self.low = self.low.min(t);
+    }
+
+    /// Take the next root in order if its total is below `limit`.
+    fn pop_below(&mut self, limit: u32) -> Option<NodeId> {
+        loop {
+            let bucket = self.buckets.get_mut(self.low)?;
+            if self.taken < bucket.len() {
+                break;
+            }
+            bucket.clear();
+            self.low += 1;
+            self.taken = 0;
+        }
+        if self.low >= limit as usize {
+            return None;
+        }
+        let bucket = &mut self.buckets[self.low];
+        if self.taken == 0 {
+            bucket.sort_unstable();
+        }
+        let (_, root) = bucket[self.taken];
+        self.taken += 1;
+        Some(root)
     }
 }
 
@@ -345,7 +429,7 @@ pub fn banks_search(
     banks_search_budgeted(dg, keyword_sets, opts, &mut BanksScratch::new(), &mut |_| false).0
 }
 
-/// [`banks_search`] as one **heap-driven expansion with a top-k
+/// [`banks_search`] as one **frontier-driven expansion with a top-k
 /// cutoff**, with work accounting, reusable scratch and a cooperative
 /// work budget.
 ///
@@ -363,6 +447,13 @@ pub fn banks_search(
 /// emitted only once every per-set frontier strictly exceeds its total
 /// (no cheaper completion can still appear).
 ///
+/// Distances count half units: every edge weighs one or two of them
+/// under both [`EdgeWeighting`]s. Each set's frontier and the completed
+/// candidates are bucket queues keyed by distance and by total, each
+/// bucket sorted once by tuple then node, so settles and candidates
+/// come out in the order a binary heap keyed by `(distance, tuple,
+/// node)` would give.
+///
 /// The cutoff: any root not yet **completed** is missing at least one
 /// set, whose chain alone is a subset of its tree's distinct edges —
 /// so its tree weight is at least the global frontier minimum `L`.
@@ -374,14 +465,16 @@ pub fn banks_search(
 ///
 /// Per-candidate work: a completed root's tree is assembled from its
 /// parent chains into buffers kept in the scratch, and it is
-/// materialized only if it can still enter the held top k. A tree
-/// strictly heavier than the held k-th weight is skipped, since the k
-/// held trees stay ahead of it in the final order; only its root is
-/// registered. Node-set dedup re-walks the registered roots on a tree
-/// that would enter (see [`BanksScratch`]), so a skipped tree still
-/// blocks a later tree with its node set, as a stored one would. The
-/// output is the same as materializing every tree and cutting the
-/// sorted list at `k` (property-tested against an eager reference).
+/// materialized only if it enters the held top k, which holds the k
+/// best trees so far by the final order `(weight, root tuple)`: a tree
+/// that ties the held k-th weight enters only when its root tuple sorts
+/// first, and the tree it displaces is dropped. Every processed root is
+/// registered, whether or not its tree entered, so node-set dedup
+/// re-walks the registered roots on a tree that would enter (see
+/// [`BanksScratch`]) and a skipped tree still blocks a later tree with
+/// its node set, as a stored one would. The output is the same as
+/// materializing every tree and cutting the sorted list at `k`
+/// (property-tested against an eager reference).
 ///
 /// The work budget: `interrupt` is probed with the running settle count
 /// after every frontier settle (the expansion-counting site); returning
@@ -395,7 +488,8 @@ pub fn banks_search(
 /// returned trees are therefore trimmed to weight strictly < `L` (strict:
 /// an undiscovered root could tie at `L` and win the tuple-id tie-break),
 /// making them exactly the full enumeration's prefix below `L`, in final
-/// order. `None` floor means the interrupt never fired.
+/// order; the held top k is a prefix of that same order, so the trim
+/// keeps a prefix of it. `None` floor means the interrupt never fired.
 pub fn banks_search_budgeted(
     dg: &DataGraph,
     keyword_sets: &[Vec<NodeId>],
@@ -411,6 +505,12 @@ pub fn banks_search_budgeted(
     }
     let g = dg.graph();
     let csr = dg.csr();
+    // Uniform weighs every edge the same, so only ErAware reads the
+    // edge's annotation.
+    let half_units = |e: EdgeId| match opts.weighting {
+        EdgeWeighting::Uniform => 2,
+        weighting => weighting.half_units(g.edge(e).payload),
+    };
     let weight_of = |e: EdgeId| opts.weighting.weight(g.edge(e).payload);
     let key = |v: NodeId| dg.tuple_of(v);
     let num_sets = keyword_sets.len() as f64;
@@ -418,19 +518,15 @@ pub fn banks_search_budgeted(
     scratch.reset(dg, keyword_sets);
 
     let mut out: Vec<SteinerTree> = Vec::new();
-    // Worst of the best k weights collected so far, kept as a max-heap
-    // of order-preserving f64 bit images (comparisons happen directly in
-    // bit space) — the cutoff bound below.
-    let mut best_k: BinaryHeap<u64> = BinaryHeap::new();
 
     // Process one emitted candidate exactly like the exhaustive loop:
     // break checks, tree assembly, max-weight filter, node-set dedup.
     // Returns `false` to stop the whole search (the break condition
-    // holds for every later candidate too: floors ascend, the held k-th
+    // holds for every later candidate too: totals ascend, the held k-th
     // best only improves).
     let mut process = |root: NodeId,
-                       total: f64,
-                       best_k: &mut BinaryHeap<u64>,
+                       total: u32,
+                       held: &mut BinaryHeap<(u64, TupleId, usize)>,
                        forests: &[LazyDijkstra<TupleId>],
                        assembly: &mut TreeAssembly|
      -> bool {
@@ -441,65 +537,69 @@ pub fn banks_search_budgeted(
         // once it strictly exceeds the k-th best weight held, no
         // remaining candidate can enter the top k — not even on a tie,
         // hence the strict comparison.
-        let weight_floor = f64_sort_bits_asc(total / num_sets);
+        let weight_floor = f64_sort_bits_asc(half(total) / num_sets);
         if weight_floor > max_weight_bits {
             return false;
         }
-        // The held k-th best weight, once k trees are held.
-        let kth = opts.k.filter(|&k| best_k.len() >= k).and_then(|_| best_k.peek().copied());
-        if kth.is_some_and(|kth| weight_floor > kth) {
+        // The held k-th best `(weight bits, root tuple)`, once k trees
+        // are held.
+        let kth = opts
+            .k
+            .filter(|&k| held.len() >= k)
+            .and_then(|_| held.peek().map(|&(weight, tuple, _)| (weight, tuple)));
+        if kth.is_some_and(|(weight, _)| weight_floor > weight) {
             return false;
         }
         let weight = assembly.assemble(root, forests, weight_of);
         if weight > opts.max_weight {
             return true;
         }
-        // A tree strictly heavier than the held k-th weight has k lighter
-        // trees ahead of it for good, so it is never returned and is not
+        // A tree behind the held k-th in the final order has k trees
+        // ahead of it for good, so it is never returned and is not
         // materialized. Registering its root keeps the dedup of later
         // trees exactly as if it had been stored.
-        if kth.is_none_or(|kth| f64_sort_bits_asc(weight) <= kth)
-            && !assembly.duplicates_registered(forests)
-        {
-            if let Some(k) = opts.k {
-                best_k.push(f64_sort_bits_asc(weight));
-                if best_k.len() > k {
-                    best_k.pop();
+        let entry = (f64_sort_bits_asc(weight), dg.tuple_of(root));
+        if kth.is_none_or(|kth| entry < kth) && !assembly.duplicates_registered(forests) {
+            let tree = assembly.materialize(root, weight);
+            match opts.k {
+                Some(k) if held.len() >= k => {
+                    // lint: allow(unwrap, the held top k is full and k >= 1)
+                    let mut top = held.peek_mut().expect("k >= 1 trees held");
+                    out[top.2] = tree;
+                    *top = (entry.0, entry.1, top.2);
                 }
+                Some(_) => {
+                    held.push((entry.0, entry.1, out.len()));
+                    out.push(tree);
+                }
+                None => out.push(tree),
             }
-            out.push(assembly.materialize(root, weight));
         }
         assembly.register(root);
         true
     };
 
     'drive: loop {
-        // The global frontier minimum L across sets (`None` = that set
-        // is exhausted). Every not-yet-completed root is missing at
-        // least one set whose settle distance will be >= L, so its
-        // total is >= L — which makes every candidate with total < L
-        // safe to emit in final order.
-        let mut frontier_min = f64::INFINITY;
+        // The global frontier minimum L across sets (`u32::MAX` once
+        // every set is exhausted). Every not-yet-completed root is
+        // missing at least one set whose settle distance will be >= L,
+        // so its total is >= L — which makes every candidate with
+        // total < L safe to emit in final order.
+        let mut frontier = u32::MAX;
         let mut cheapest_set = None;
         for (i, forest) in scratch.forests.iter_mut().enumerate() {
             if let Some(d) = forest.frontier_dist() {
-                if d < frontier_min {
-                    frontier_min = d;
+                if d < frontier {
+                    frontier = d;
                     cheapest_set = Some(i);
                 }
             }
         }
-        let frontier_bits = f64_sort_bits_asc(frontier_min);
-        while let Some(&Reverse((total_bits, _, _))) = scratch.candidates.peek() {
-            if total_bits >= frontier_bits {
-                break; // a cheaper completion could still appear
-            }
-            // lint: allow(unwrap, pop follows a successful peek on the same queue)
-            let Reverse((_, _, root)) = scratch.candidates.pop().expect("peeked");
+        while let Some(root) = scratch.candidates.pop_below(frontier) {
             if !process(
                 root,
                 scratch.total[root.index()],
-                &mut best_k,
+                &mut scratch.held,
                 &scratch.forests,
                 &mut scratch.assembly,
             ) {
@@ -507,19 +607,16 @@ pub fn banks_search_budgeted(
                 break 'drive;
             }
         }
-        let Some(set) = cheapest_set else {
-            // Frontiers exhausted: every candidate was emitted above
-            // (finite totals all sort below the infinite frontier).
-            debug_assert!(scratch.candidates.is_empty());
-            break;
-        };
+        // Frontiers exhausted: every candidate was emitted above
+        // (every total sorts below `u32::MAX`).
+        let Some(set) = cheapest_set else { break };
         // Expansion cutoff. Any root not yet completed is missing at
         // least one set, and that set's chain alone is a subset of its
         // tree's distinct edges — so its tree weight is at least L
         // itself (much tighter than the emitted-candidate floor). Once
         // L strictly exceeds the k-th best held weight (or max_weight),
         // no incomplete root can enter the top k; completed roots still
-        // pending in the heap are drained through the normal
+        // pending in the queue are drained through the normal
         // processing, and expansion stops.
         //
         // Dedup safety (why skipping incomplete roots cannot change the
@@ -532,18 +629,18 @@ pub fn banks_search_budgeted(
         // already settled everywhere and is complete, a contradiction.
         // The same argument (via total(A) <= num_sets · weight(C))
         // covers candidates skipped by the per-candidate floor break.
+        let frontier_bits = f64_sort_bits_asc(half(frontier));
         let dominated = frontier_bits > max_weight_bits
             || opts.k.is_some_and(|k| {
-                best_k.len() >= k
-                    // lint: allow(unwrap, guarded by best_k.len() >= k with k >= 1)
-                    && frontier_bits > *best_k.peek().expect("k >= 1 and heap at capacity")
+                scratch.held.len() >= k
+                    && scratch.held.peek().is_some_and(|&(kth, _, _)| frontier_bits > kth)
             });
         if dominated {
-            while let Some(Reverse((_, _, root))) = scratch.candidates.pop() {
+            while let Some(root) = scratch.candidates.pop_below(u32::MAX) {
                 if !process(
                     root,
                     scratch.total[root.index()],
-                    &mut best_k,
+                    &mut scratch.held,
                     &scratch.forests,
                     &mut scratch.assembly,
                 ) {
@@ -554,7 +651,7 @@ pub fn banks_search_budgeted(
             break;
         }
         let (node, d) = scratch.forests[set]
-            .settle_next(csr, weight_of, key)
+            .settle_next(csr, half_units, key)
             // lint: allow(unwrap, frontier_dist returned Some for this set just above)
             .expect("frontier_dist promised an entry");
         work.expansions += 1;
@@ -562,37 +659,28 @@ pub fn banks_search_budgeted(
         scratch.settled_sets[node.index()] += 1;
         if scratch.settled_sets[node.index()] as usize == keyword_sets.len() {
             work.candidates += 1;
-            scratch.candidates.push(Reverse((
-                f64_sort_bits_asc(scratch.total[node.index()]),
-                dg.tuple_of(node),
-                node,
-            )));
+            scratch.candidates.push(scratch.total[node.index()], dg.tuple_of(node), node);
         }
         // Cooperative budget probe, after the settle's accounting (so a
-        // completion this settle produced is already in the heap). On a
+        // completion this settle produced is already queued). On a
         // stop, drain every *completed* candidate through normal
         // processing — cheap, no further settles — then record the
         // frontier floor for the caller's prefix trim (see
         // `banks_search_budgeted`).
         if interrupt(work.expansions) {
-            while let Some(Reverse((_, _, root))) = scratch.candidates.pop() {
+            while let Some(root) = scratch.candidates.pop_below(u32::MAX) {
                 if !process(
                     root,
                     scratch.total[root.index()],
-                    &mut best_k,
+                    &mut scratch.held,
                     &scratch.forests,
                     &mut scratch.assembly,
                 ) {
                     break;
                 }
             }
-            let mut floor = f64::INFINITY;
-            for forest in scratch.forests.iter_mut() {
-                if let Some(d) = forest.frontier_dist() {
-                    floor = floor.min(d);
-                }
-            }
-            budget_floor = Some(floor);
+            let floor = scratch.forests.iter_mut().filter_map(|f| f.frontier_dist()).min();
+            budget_floor = Some(floor.map_or(f64::INFINITY, half));
             break;
         }
     }
@@ -606,9 +694,6 @@ pub fn banks_search_budgeted(
         // tied past) by an undiscovered root; below it the list is the
         // full enumeration's, in full order.
         out.retain(|t| t.weight < floor);
-    }
-    if let Some(k) = opts.k {
-        out.truncate(k);
     }
     (out, work, budget_floor)
 }

@@ -248,7 +248,7 @@ impl RankScratch {
 /// The reusable per-search state of one engine — the **allocation-free
 /// search epoch**. Every buffer the enumeration hot path touches
 /// (target mask, bounded BFS distance map and queue, DFS path stacks,
-/// per-node text scores, BANKS forests and heaps, metric-stage caches)
+/// per-node text scores, BANKS forests and queues, metric-stage caches)
 /// lives here; [`EngineSnapshot::search`] checks one scratch out of the
 /// snapshot's pool and returns it afterwards, so repeated searches on a
 /// warm engine reuse the high-water-mark buffers instead of
@@ -267,7 +267,8 @@ pub(crate) struct SearchScratch {
     markers: HashMap<NodeId, Vec<String>>,
     /// Per-tuple frequency accumulator of the text-score pass.
     per_tuple: HashMap<TupleId, u32>,
-    /// BANKS lazy forests, completion table and candidate heap.
+    /// BANKS lazy forests, completion table, candidate queue and held
+    /// top k.
     banks: BanksScratch,
 }
 

@@ -291,4 +291,38 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
         "warm top-5 BANKS made {made} allocations for {} completed roots",
         work.candidates
     );
+
+    // ── Part 5: ties past the k-th weight are not materialized. Every
+    // employee joins its department at weight 1, so dozens of trees tie
+    // the k-th weight; the held top k keeps the k best by the final
+    // order `(weight, root tuple)`, and a tie enters only when its root
+    // tuple sorts first. A warm call then allocates the k trees (three
+    // vectors each) and the returned vector, a bound in k alone.
+    let nodes_of = |relation: &str| -> Vec<NodeId> {
+        let rel = engine.db().catalog().relation_id(relation).unwrap();
+        dg.graph().nodes().filter(|&n| dg.tuple_of(n).relation == rel).collect()
+    };
+    let sets = vec![nodes_of("DEPARTMENT"), nodes_of("EMPLOYEE")];
+    let k = 3;
+    let all = banks_search_budgeted(
+        dg,
+        &sets,
+        &BanksOptions { k: None, ..Default::default() },
+        &mut BanksScratch::new(),
+        &mut |_| false,
+    )
+    .0;
+    let kth = all[k - 1].weight;
+    let ties = all.iter().filter(|t| t.weight == kth).count();
+    assert!(ties > 4 * k, "{ties} trees tie the k-th weight {kth}");
+    let opts = BanksOptions { k: Some(k), ..Default::default() };
+    let _ = banks_search_budgeted(dg, &sets, &opts, &mut scratch, &mut |_| false);
+    let before = allocations();
+    let (trees, _, _) = banks_search_budgeted(dg, &sets, &opts, &mut scratch, &mut |_| false);
+    let made = allocations() - before;
+    assert_eq!(trees, all[..k]);
+    assert!(
+        made <= 4 * k as u64,
+        "warm top-{k} BANKS with {ties} ties at the k-th weight made {made} allocations"
+    );
 }

@@ -1,4 +1,7 @@
-//! Dijkstra shortest paths with pluggable non-negative edge weights.
+//! Dijkstra shortest paths: an eager binary-heap run with pluggable
+//! non-negative edge weights, and a lazy bucket-queue run over weights
+//! of one or two half units that settles the same forest in the same
+//! order.
 
 use crate::csr::CsrAdjacency;
 use crate::graph::{EdgeId, NodeId};
@@ -112,43 +115,62 @@ where
     MultiSourceDijkstra { dist, parent, origin }
 }
 
-/// An **incremental** multi-source Dijkstra: the same shortest-path
-/// forest as [`multi_source_dijkstra_csr_by_key`], settled one node at a
-/// time on demand instead of eagerly to exhaustion.
+/// An **incremental** multi-source Dijkstra over edge weights of one
+/// or two *half units*: the same shortest-path forest as
+/// [`multi_source_dijkstra_csr_by_key`] run with the same weights,
+/// settled one node at a time on demand instead of eagerly to
+/// exhaustion.
 ///
-/// This is the substrate of heap-driven BANKS-style expansion with a
-/// top-k cutoff: each keyword set owns one `LazyDijkstra`, a driver
-/// settles whichever set's frontier is globally cheapest, and expansion
-/// stops as soon as the frontier distances prove that no future
-/// candidate root can enter the top k. Because each settle performs
-/// exactly the relaxations the eager run would (same `(dist, key,
-/// node)` heap order), the `dist`/`parent`/`origin` arrays of a lazy
-/// run driven to exhaustion are **identical** to the eager forest —
-/// and any prefix of settles is a prefix of that forest.
+/// This is the substrate of BANKS-style expansion with a top-k cutoff:
+/// each keyword set owns one `LazyDijkstra`, the search settles
+/// whichever set's frontier is globally cheapest, and expansion stops
+/// as soon as the frontier distances prove that no future candidate
+/// root can enter the top k.
+///
+/// The frontier is a bucket queue (Dial's algorithm). Distances are
+/// whole half units, and a ring of three buckets holds the entries
+/// pushed at the current distance `d`, at `d + 1` and at `d + 2`.
+/// Settling a node at `d` relaxes its edges to `d + 1` or `d + 2`,
+/// never to `d`, because every weight is at least one half unit. So
+/// no push reaches the bucket being drained, and that bucket is sorted
+/// by `(key, node)` once, when it becomes current. Settles therefore
+/// follow the eager run's heap order `(dist, key, node)` exactly, each
+/// performs the same relaxations (a neighbour's parent is the first
+/// settled node that reaches it at its final distance), and the
+/// `dist`/`parent`/`origin` arrays of a lazy run driven to exhaustion
+/// are **identical** to the eager forest; any prefix of settles is a
+/// prefix of that forest.
 ///
 /// Buffers are reusable: [`LazyDijkstra::reset`] re-arms the state for
 /// a new source set without re-allocating, so a warm search epoch runs
-/// the whole expansion allocation-free (up to heap growth beyond the
+/// the whole expansion allocation-free (up to bucket growth beyond the
 /// high-water mark).
 #[derive(Debug, Clone)]
 pub struct LazyDijkstra<K> {
-    /// `dist[n]`: settled shortest distance, `f64::INFINITY` while
-    /// unsettled (tentative distances live on the heap only; read
-    /// [`LazyDijkstra::settled`] to distinguish).
-    pub dist: Vec<f64>,
+    /// `dist[n]` in half units: final once `n` is settled, the best
+    /// distance found so far before that, `u32::MAX` while unreached
+    /// (read [`LazyDijkstra::settled`] to distinguish).
+    pub dist: Vec<u32>,
     /// `parent[n]` on the shortest path toward `origin[n]` — final once
     /// `n` is settled.
     pub parent: Vec<Option<(NodeId, EdgeId)>>,
     /// The source whose tree contains `n` (`None` while unreached).
     pub origin: Vec<Option<NodeId>>,
     settled: Vec<bool>,
-    tentative: Vec<f64>,
-    heap: BinaryHeap<KeyedEntry<K>>,
+    /// `buckets[d % 3]` holds the `(key, node)` entries pushed at
+    /// distance `d`, for `d` in `current..=current + 2`; the current
+    /// bucket is sorted. An entry is stale once its node settled at a
+    /// smaller distance.
+    buckets: [Vec<(K, NodeId)>; 3],
+    /// The distance of the bucket being drained.
+    current: u32,
+    /// Entries of the current bucket already taken.
+    taken: usize,
 }
 
 impl<K: Ord + Copy> LazyDijkstra<K> {
     /// A lazy run over `node_count` slots from `sources` (duplicates
-    /// ignored), heap ties broken by `key` like
+    /// ignored), distance ties broken by `key` like
     /// [`multi_source_dijkstra_csr_by_key`].
     pub fn new<F: Fn(NodeId) -> K>(node_count: usize, sources: &[NodeId], key: F) -> Self {
         let mut lazy = LazyDijkstra {
@@ -156,8 +178,9 @@ impl<K: Ord + Copy> LazyDijkstra<K> {
             parent: Vec::new(),
             origin: Vec::new(),
             settled: Vec::new(),
-            tentative: Vec::new(),
-            heap: BinaryHeap::new(),
+            buckets: [Vec::new(), Vec::new(), Vec::new()],
+            current: 0,
+            taken: 0,
         };
         lazy.reset(node_count, sources, key);
         lazy
@@ -171,23 +194,26 @@ impl<K: Ord + Copy> LazyDijkstra<K> {
         key: F,
     ) {
         self.dist.clear();
-        self.dist.resize(node_count, f64::INFINITY);
+        self.dist.resize(node_count, u32::MAX);
         self.parent.clear();
         self.parent.resize(node_count, None);
         self.origin.clear();
         self.origin.resize(node_count, None);
         self.settled.clear();
         self.settled.resize(node_count, false);
-        self.tentative.clear();
-        self.tentative.resize(node_count, f64::INFINITY);
-        self.heap.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.current = 0;
+        self.taken = 0;
         for &s in sources {
             if self.origin[s.index()].is_none() {
-                self.tentative[s.index()] = 0.0;
+                self.dist[s.index()] = 0;
                 self.origin[s.index()] = Some(s);
-                self.heap.push(KeyedEntry { dist: 0.0, key: key(s), node: s });
+                self.buckets[0].push((key(s), s));
             }
         }
+        self.buckets[0].sort_unstable();
     }
 
     /// `true` once `n` was settled (its `dist`/`parent`/`origin` final).
@@ -195,53 +221,65 @@ impl<K: Ord + Copy> LazyDijkstra<K> {
         self.settled[n.index()]
     }
 
-    /// The distance the next [`LazyDijkstra::settle_next`] will settle
-    /// at, or `None` when the frontier is exhausted. Pops stale heap
-    /// entries as a side effect; never settles.
-    pub fn frontier_dist(&mut self) -> Option<f64> {
-        while let Some(top) = self.heap.peek() {
-            if self.settled[top.node.index()] || top.dist > self.tentative[top.node.index()] {
-                self.heap.pop();
-                continue;
+    /// The distance in half units the next [`LazyDijkstra::settle_next`]
+    /// will settle at, or `None` when the frontier is exhausted. Skips
+    /// stale entries and moves on to the next bucket as a side effect;
+    /// never settles.
+    pub fn frontier_dist(&mut self) -> Option<u32> {
+        loop {
+            let bucket = &self.buckets[self.current as usize % 3];
+            while let Some(&(_, n)) = bucket.get(self.taken) {
+                if !self.settled[n.index()] {
+                    return Some(self.current);
+                }
+                self.taken += 1;
             }
-            return Some(top.dist);
+            let next = self.current as usize + 1;
+            if self.buckets[next % 3].is_empty() && self.buckets[(next + 1) % 3].is_empty() {
+                return None;
+            }
+            self.buckets[self.current as usize % 3].clear();
+            self.current += 1;
+            self.taken = 0;
+            // Becoming current: every push from here on lands one or two
+            // half units further, so this order is final.
+            self.buckets[next % 3].sort_unstable();
         }
-        None
     }
 
     /// Settle the cheapest frontier node and relax its neighbors,
-    /// returning `(node, dist)` — or `None` when exhausted. `weight` and
+    /// returning `(node, dist)` with `dist` in half units — or `None`
+    /// when exhausted. `weight` gives each edge's weight in half units
+    /// and must return 1 or 2 (the ring holds three distances); it and
     /// `key` must be the same functions on every call (the forest is
     /// built across calls).
+    ///
+    /// # Panics
+    ///
+    /// If `weight` returns anything other than 1 or 2.
     pub fn settle_next<W, F>(
         &mut self,
         csr: &CsrAdjacency,
         weight: W,
         key: F,
-    ) -> Option<(NodeId, f64)>
+    ) -> Option<(NodeId, u32)>
     where
-        W: Fn(EdgeId) -> f64,
+        W: Fn(EdgeId) -> u32,
         F: Fn(NodeId) -> K,
     {
-        let n = loop {
-            let top = self.heap.pop()?;
-            if self.settled[top.node.index()] || top.dist > self.tentative[top.node.index()] {
-                continue; // stale entry
-            }
-            break top.node;
-        };
-        let d = self.tentative[n.index()];
+        let d = self.frontier_dist()?;
+        let (_, n) = self.buckets[d as usize % 3][self.taken];
+        self.taken += 1;
         self.settled[n.index()] = true;
-        self.dist[n.index()] = d;
         for &(m, e) in csr.neighbors(n) {
             let w = weight(e);
-            debug_assert!(w >= 0.0, "negative edge weight {w} on edge {e}");
+            assert!(w == 1 || w == 2, "edge {e} weighs {w} half units, not 1 or 2");
             let nd = d + w;
-            if nd < self.tentative[m.index()] {
-                self.tentative[m.index()] = nd;
+            if nd < self.dist[m.index()] {
+                self.dist[m.index()] = nd;
                 self.parent[m.index()] = Some((n, e));
                 self.origin[m.index()] = self.origin[n.index()];
-                self.heap.push(KeyedEntry { dist: nd, key: key(m), node: m });
+                self.buckets[nd as usize % 3].push((key(m), m));
             }
         }
         Some((n, d))
@@ -405,28 +443,42 @@ mod tests {
     fn lazy_dijkstra_matches_eager_forest() {
         let (g, ns) = graph();
         let csr = CsrAdjacency::build(&g);
-        let weight = |e: EdgeId| *g.edge(e).payload;
+        // The diamond's weights clamped to one or two half units.
+        let half = |e: EdgeId| if *g.edge(e).payload == 1.0 { 1 } else { 2 };
+        let weight = |e: EdgeId| f64::from(half(e));
         let key = |n: NodeId| n;
         let eager = multi_source_dijkstra_csr_by_key(&csr, &[ns[1], ns[2]], weight, key);
         let mut lazy = LazyDijkstra::new(csr.node_count(), &[ns[1], ns[2]], key);
         let mut settles = 0;
         while let Some(front) = lazy.frontier_dist() {
-            let (n, d) = lazy.settle_next(&csr, weight, key).unwrap();
+            let (n, d) = lazy.settle_next(&csr, half, key).unwrap();
             assert_eq!(d, front, "frontier peek must predict the settle");
             assert!(lazy.settled(n));
-            assert_eq!(lazy.dist[n.index()], eager.dist[n.index()], "node {n}");
+            assert_eq!(f64::from(lazy.dist[n.index()]), eager.dist[n.index()], "node {n}");
             assert_eq!(lazy.parent[n.index()], eager.parent[n.index()], "node {n}");
             assert_eq!(lazy.origin[n.index()], eager.origin[n.index()], "node {n}");
             settles += 1;
         }
         assert_eq!(settles, g.node_count(), "connected graph settles every node");
-        assert!(lazy.settle_next(&csr, weight, key).is_none());
+        assert!(lazy.settle_next(&csr, half, key).is_none());
         // Reset reuses the buffers for a fresh run.
         lazy.reset(csr.node_count(), &[ns[0]], key);
         let eager0 = multi_source_dijkstra_csr_by_key(&csr, &[ns[0]], weight, key);
-        while lazy.settle_next(&csr, weight, key).is_some() {}
-        assert_eq!(lazy.dist, eager0.dist);
+        while lazy.settle_next(&csr, half, key).is_some() {}
+        let dist: Vec<f64> = lazy.dist.iter().map(|&d| f64::from(d)).collect();
+        assert_eq!(dist, eager0.dist);
         assert_eq!(lazy.parent, eager0.parent);
+    }
+
+    /// A weight outside one or two half units would land in the ring's
+    /// current bucket; it is refused.
+    #[test]
+    #[should_panic(expected = "half units, not 1 or 2")]
+    fn lazy_dijkstra_refuses_weights_past_two_half_units() {
+        let (g, ns) = graph();
+        let csr = CsrAdjacency::build(&g);
+        let mut lazy = LazyDijkstra::new(csr.node_count(), &[ns[0]], |n| n);
+        lazy.settle_next(&csr, |_| 3, |n| n);
     }
 
     #[test]

@@ -19,7 +19,14 @@
 //! * the multi-source Dijkstra **forest** whose parent chains are
 //!   guaranteed consistent — the substrate of the BANKS-style backward
 //!   expansion — settled lazily ([`LazyDijkstra`]) or eagerly
-//!   ([`multi_source_dijkstra_csr_by_key`]).
+//!   ([`multi_source_dijkstra_csr_by_key`]). The eager run pops a
+//!   binary heap in `(dist, key, node)` order. The lazy run takes edge
+//!   weights of one or two half units and keeps its frontier in a ring
+//!   of three distance buckets (Dial's algorithm): a settle at distance
+//!   `d` pushes only to `d + 1` or `d + 2`, never into the bucket being
+//!   drained, so each bucket is sorted by `(key, node)` once, when it
+//!   becomes current, and the lazy run settles the eager run's forest
+//!   in the eager run's order.
 //!
 //! The crate is deliberately generic: `cla-core` instantiates it with
 //! tuple payloads and foreign-key edge annotations, the benches with

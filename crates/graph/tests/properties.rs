@@ -4,12 +4,15 @@
 //! directly and share no code with the traversals: Floyd–Warshall hop
 //! and weighted distances, induced-subset connectivity by repeated
 //! relaxation, and a per-node scan of the live slots for the CSR itself.
+//! The lazy bucket-queue Dijkstra is checked against the eager
+//! binary-heap forest, which is itself checked against Floyd–Warshall
+//! and shares no queue code with it.
 
 use cla_graph::{
     bounded_bfs_distances_into, enumerate_simple_paths_undirected,
     for_each_path_to_targets_budgeted, is_connected_subset_sorted,
-    multi_source_dijkstra_csr_by_key, CsrAdjacency, EdgeId, Graph, NodeId, Path,
-    TraversalScratch,
+    multi_source_dijkstra_csr_by_key, CsrAdjacency, EdgeId, Graph, LazyDijkstra, NodeId,
+    Path, TraversalScratch,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -110,6 +113,55 @@ fn scan_live_slots<N, E>(g: &Graph<N, E>) -> Vec<Vec<(NodeId, EdgeId)>> {
         }
     }
     adj
+}
+
+/// Settle `lazy` (armed with `sources`) step by step and check it
+/// against the eager heap forest over the same weights. With weights of
+/// at least one half unit, every entry at distance `d` is on the eager
+/// heap before the first of them pops, so the eager settle order is the
+/// reachable nodes sorted by `(dist, key, node)`: the lazy run must
+/// settle exactly that sequence, and after every settle each settled
+/// node's dist, parent and origin must equal the eager forest's.
+fn check_lazy_against_eager(
+    lazy: &mut LazyDijkstra<u8>,
+    csr: &CsrAdjacency,
+    sources: &[NodeId],
+    half: &dyn Fn(EdgeId) -> u32,
+    key: &dyn Fn(NodeId) -> u8,
+) -> Result<(), TestCaseError> {
+    let eager = multi_source_dijkstra_csr_by_key(csr, sources, |e| f64::from(half(e)), key);
+    let mut order: Vec<NodeId> = (0..csr.node_count() as u32)
+        .map(NodeId)
+        .filter(|n| eager.origin[n.index()].is_some())
+        .collect();
+    order.sort_by(|a, b| {
+        eager.dist[a.index()]
+            .total_cmp(&eager.dist[b.index()])
+            .then(key(*a).cmp(&key(*b)))
+            .then(a.cmp(b))
+    });
+    let mut settled = Vec::new();
+    for &want in &order {
+        let front = lazy.frontier_dist();
+        let (n, d) = lazy.settle_next(csr, half, key).expect("the eager forest reaches more");
+        prop_assert_eq!(Some(d), front, "frontier peek must predict the settle");
+        prop_assert_eq!((n, f64::from(d)), (want, eager.dist[want.index()]));
+        settled.push(n);
+        for &s in &settled {
+            prop_assert!(lazy.settled(s));
+            prop_assert_eq!(
+                f64::from(lazy.dist[s.index()]),
+                eager.dist[s.index()],
+                "node {}",
+                s
+            );
+            prop_assert_eq!(lazy.parent[s.index()], eager.parent[s.index()], "node {}", s);
+            prop_assert_eq!(lazy.origin[s.index()], eager.origin[s.index()], "node {}", s);
+        }
+    }
+    prop_assert_eq!(lazy.frontier_dist(), None);
+    prop_assert!(lazy.settle_next(csr, half, key).is_none());
+    Ok(())
 }
 
 proptest! {
@@ -313,6 +365,35 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The lazy bucket-queue Dijkstra settles the eager heap forest's
+    /// nodes in its order, prefix by prefix, and again after `reset` —
+    /// on random graphs with parallel edges and self-loops, weights of
+    /// one or two half units, random multi-source sets and keys from a
+    /// small range, so that distance ties and key ties are common.
+    #[test]
+    fn lazy_dijkstra_settles_the_eager_forest_in_order(
+        n in 1usize..14,
+        edges in proptest::collection::vec((0usize..14, 0usize..14, 1u32..3), 0..36),
+        keys in proptest::collection::vec(0u8..3, 14),
+        sources in proptest::collection::vec(0usize..14, 1..5),
+        again in proptest::collection::vec(0usize..14, 1..5)
+    ) {
+        let pairs: Vec<(usize, usize)> = edges.iter().map(|&(a, b, _)| (a, b)).collect();
+        let g = build(n, &pairs);
+        let csr = CsrAdjacency::build(&g);
+        let half = |e: EdgeId| edges[e.index()].2;
+        let key = |v: NodeId| keys[v.index()];
+        let pick = |raw: &[usize]| -> Vec<NodeId> {
+            raw.iter().map(|&i| NodeId((i % n) as u32)).collect()
+        };
+        let sources = pick(&sources);
+        let mut lazy = LazyDijkstra::new(csr.node_count(), &sources, key);
+        check_lazy_against_eager(&mut lazy, &csr, &sources, &half, &key)?;
+        let again = pick(&again);
+        lazy.reset(csr.node_count(), &again, key);
+        check_lazy_against_eager(&mut lazy, &csr, &again, &half, &key)?;
     }
 
     /// Sorted-slice subset connectivity agrees with induced-subset
