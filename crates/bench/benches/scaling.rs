@@ -47,6 +47,10 @@ fn enumerate_scaling(c: &mut Criterion) {
 /// streaming `k` modes (identical ranked prefixes, verified by the
 /// property suite). DFS node-expansion counts are printed alongside so
 /// the early-termination claim stays visible in bench logs.
+/// `topk/k10_dept1024` runs the `k10` search on a 64× larger graph and
+/// logs its expansions next to dept16's: when its time grows far more
+/// than its expansions do, some per-search step costs what the graph
+/// does rather than what the search touches.
 fn parallel_and_topk(c: &mut Criterion) {
     let engine = synthetic_engine(16, SEED);
     let base = SearchOptions {
@@ -56,12 +60,16 @@ fn parallel_and_topk(c: &mut Criterion) {
         ..Default::default()
     };
     let full = engine.search(QUERY, &base).unwrap();
+    let mut k10_expansions = 0;
     for k in [3usize, 10] {
         let stream = engine.search(QUERY, &SearchOptions { k: Some(k), ..base }).unwrap();
         eprintln!(
             "topk dept16_len4 k={k}: expansions {} vs full {} (early_terminated={})",
             stream.stats.expansions, full.stats.expansions, stream.stats.early_terminated
         );
+        if k == 10 {
+            k10_expansions = stream.stats.expansions;
+        }
     }
 
     let mut group = c.benchmark_group("scaling/parallel");
@@ -81,6 +89,21 @@ fn parallel_and_topk(c: &mut Criterion) {
             b.iter(|| black_box(engine.search(QUERY, &opts).unwrap().len()))
         });
     }
+    group.bench_function(BenchmarkId::from_parameter("k10_dept1024"), |b| {
+        // Built only when the filter selects the arm.
+        let large = synthetic_engine(1024, SEED);
+        let opts = SearchOptions { k: Some(10), ..base };
+        let stream = large.search(QUERY, &opts).unwrap();
+        eprintln!(
+            "topk dept1024_len4 k=10: expansions {} vs dept16 {} (early_terminated={}, nodes {} vs {})",
+            stream.stats.expansions,
+            k10_expansions,
+            stream.stats.early_terminated,
+            large.data_graph().node_count(),
+            engine.data_graph().node_count()
+        );
+        b.iter(|| black_box(large.search(QUERY, &opts).unwrap().len()))
+    });
     group.finish();
 }
 

@@ -371,7 +371,9 @@ impl TreeAssembly {
         }
         // Distinct-edge weight: shared chain segments are counted once,
         // so the weight always equals the assembled tree's edge sum.
-        self.edges.iter().map(|&(e, _, _)| weight_of(e)).sum()
+        // Summed from +0.0 (`Iterator::sum` starts at -0.0), so a
+        // single-node tree weighs +0.0 and prints as `0`.
+        self.edges.iter().fold(0.0, |w, &(e, _, _)| w + weight_of(e))
     }
 
     /// Whether an earlier tree had the assembled tree's node set: some
@@ -846,6 +848,21 @@ mod tests {
         assert_eq!(trees[0].weight, 0.0);
         assert_eq!(trees[0].edge_count(), 0);
         assert!(trees[0].is_path());
+    }
+
+    #[test]
+    fn single_node_tree_weighs_positive_zero() {
+        let (c, dg) = setup();
+        let set = nodes_of(&c, &dg, &["d1"]);
+        for k in [None, Some(1)] {
+            let trees = banks_search(
+                &dg,
+                &[set.clone(), set.clone()],
+                &BanksOptions { k, ..Default::default() },
+            );
+            assert!(trees[0].weight.is_sign_positive(), "k={k:?}: {:?}", trees[0].weight);
+            assert_eq!(trees[0].weight.to_string(), "0");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ use cla_er::{
 use cla_graph::{EdgeId, NodeId, Path};
 use cla_relational::TupleId;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// One traversed foreign-key edge of a connection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -316,36 +317,43 @@ impl Connection {
     /// Render in the paper's Table 2 notation:
     /// `d1(XML) – e1(Smith)`. `aliases` maps tuples to display names,
     /// `markers` maps nodes to the keyword annotations shown in
-    /// parentheses.
+    /// parentheses. Costs what the connection's length does: each node
+    /// is labelled once, with no graph-sized cache.
     pub fn render(
         &self,
         dg: &DataGraph,
         aliases: &impl AliasLookup,
         markers: &HashMap<NodeId, Vec<String>>,
     ) -> String {
-        self.render_cached(dg, aliases, markers, &mut vec![None; dg.node_count()])
+        self.render_with(|out, n| write_label(out, n, dg, aliases, markers))
     }
 
     /// [`Connection::render`] with node labels memoized across calls in
-    /// a node-indexed cache (`cache.len() == dg.node_count()`) — result
-    /// sets label the same matched tuples in many connections, so the
-    /// engine shares one cache per search and every repeat label is a
-    /// direct slot read.
-    pub fn render_cached(
+    /// a per-search cache — result sets label the same matched tuples in
+    /// many connections, so the engine shares one cache per search and
+    /// every repeat label is a direct slot read.
+    pub(crate) fn render_cached(
         &self,
         dg: &DataGraph,
         aliases: &impl AliasLookup,
-        markers: &HashMap<NodeId, Vec<String>>,
-        cache: &mut [Option<String>],
+        markers: &impl MarkerLookup,
+        cache: &mut NodeLabels,
     ) -> String {
+        self.render_with(|out, n| {
+            out.push_str(cache.get_or_insert_with(n, |label| {
+                write_label(label, n, dg, aliases, markers);
+            }));
+        })
+    }
+
+    /// The rendering with each node's label written by `label`.
+    fn render_with(&self, mut label: impl FnMut(&mut String, NodeId)) -> String {
         let mut out = String::with_capacity(self.nodes.len() * 16 + 16);
         for (i, &n) in self.nodes.iter().enumerate() {
             if i > 0 {
                 out.push_str(" – ");
             }
-            let label =
-                cache[n.index()].get_or_insert_with(|| render_node(n, dg, aliases, markers));
-            out.push_str(label);
+            label(&mut out, n);
         }
         out
     }
@@ -358,26 +366,99 @@ impl Connection {
         aliases: &impl AliasLookup,
         markers: &HashMap<NodeId, Vec<String>>,
     ) -> String {
-        let mut out = render_node(self.nodes[0], dg, aliases, markers);
+        let mut out = String::new();
+        write_label(&mut out, self.nodes[0], dg, aliases, markers);
         for s in &self.steps {
-            out.push_str(&format!(" {} ", s.cardinality));
-            out.push_str(&render_node(s.to, dg, aliases, markers));
+            let _ = write!(out, " {} ", s.cardinality);
+            write_label(&mut out, s.to, dg, aliases, markers);
         }
         out
     }
 }
 
-fn render_node(
+/// Where rendering reads the keyword markers of a node: a prepared map
+/// ([`EngineSnapshot::markers`](crate::EngineSnapshot::markers)), or the
+/// search's own match lists, read only for the nodes it renders.
+pub(crate) trait MarkerLookup {
+    /// Call `f` with each keyword marker of node `n`, in keyword order.
+    fn for_each_marker(&self, n: NodeId, f: impl FnMut(&str));
+}
+
+impl MarkerLookup for HashMap<NodeId, Vec<String>> {
+    fn for_each_marker(&self, n: NodeId, mut f: impl FnMut(&str)) {
+        for kw in self.get(&n).into_iter().flatten() {
+            f(kw);
+        }
+    }
+}
+
+/// A node-indexed cache of rendered strings for one search. Each slot a
+/// search fills is recorded before it is written, and
+/// [`NodeLabels::reset`] clears exactly those slots, so re-arming the
+/// cache costs what the last search rendered, not the node count — and
+/// a search that panicked mid-render leaves no stale slot behind.
+#[derive(Debug, Default)]
+pub(crate) struct NodeLabels {
+    slots: Vec<Option<String>>,
+    filled: Vec<NodeId>,
+}
+
+impl NodeLabels {
+    /// Empty every filled slot, sized for `node_count` nodes (the slots
+    /// are rebuilt only on first use or when the node count changed).
+    pub(crate) fn reset(&mut self, node_count: usize) {
+        if self.slots.len() == node_count {
+            for n in self.filled.drain(..) {
+                self.slots[n.index()] = None;
+            }
+        } else {
+            self.slots.clear();
+            self.slots.resize(node_count, None);
+            self.filled.clear();
+        }
+    }
+
+    /// Node `n`'s string, written by `fill` on first use.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        n: NodeId,
+        fill: impl FnOnce(&mut String),
+    ) -> &str {
+        let slot = &mut self.slots[n.index()];
+        if slot.is_none() {
+            self.filled.push(n);
+            let mut s = String::new();
+            fill(&mut s);
+            *slot = Some(s);
+        }
+        slot.as_deref().unwrap_or_default()
+    }
+}
+
+/// Append node `n`'s label: its alias (or tuple id), then its keyword
+/// markers in parentheses, e.g. `d1(XML)`.
+pub(crate) fn write_label(
+    out: &mut String,
     n: NodeId,
     dg: &DataGraph,
     aliases: &impl AliasLookup,
-    markers: &HashMap<NodeId, Vec<String>>,
-) -> String {
+    markers: &impl MarkerLookup,
+) {
     let t = dg.tuple_of(n);
-    let alias = aliases.alias_of(t).map(str::to_owned).unwrap_or_else(|| t.to_string());
-    match markers.get(&n) {
-        Some(kws) if !kws.is_empty() => format!("{alias}({})", kws.join(", ")),
-        _ => alias,
+    match aliases.alias_of(t) {
+        Some(alias) => out.push_str(alias),
+        None => {
+            let _ = write!(out, "{t}");
+        }
+    }
+    let mut first = true;
+    markers.for_each_marker(n, |kw| {
+        out.push_str(if first { "(" } else { ", " });
+        out.push_str(kw);
+        first = false;
+    });
+    if !first {
+        out.push(')');
     }
 }
 

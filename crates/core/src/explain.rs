@@ -16,40 +16,37 @@
 //! the relationship's `verb`, backward steps its `reverse_verb`.
 
 use crate::aliases::AliasLookup;
-use crate::connection::{ConceptualStep, Connection};
+use crate::connection::{write_label, ConceptualStep, Connection, MarkerLookup, NodeLabels};
 use crate::datagraph::DataGraph;
 use cla_er::{ErSchema, SchemaMapping};
 use cla_graph::NodeId;
 use std::collections::HashMap;
 
-/// Render node `n` as `entity-type alias(markers)`, e.g.
+/// Append node `n` as `entity-type alias(markers)`, e.g.
 /// `department d1(XML)`.
-fn describe_node(
+fn write_description(
+    out: &mut String,
     n: NodeId,
     dg: &DataGraph,
     mapping: &SchemaMapping,
     schema: &ErSchema,
     aliases: &impl AliasLookup,
-    markers: &HashMap<NodeId, Vec<String>>,
-) -> String {
-    let t = dg.tuple_of(n);
-    let kind = mapping
-        .relation_entity(t.relation)
-        .and_then(|e| schema.entity(e))
-        .map(|e| e.name.to_lowercase())
-        .unwrap_or_else(|| "record".to_owned());
-    let alias = aliases.alias_of(t).map(str::to_owned).unwrap_or_else(|| t.to_string());
-    match markers.get(&n) {
-        Some(kws) if !kws.is_empty() => format!("{kind} {alias}({})", kws.join(", ")),
-        _ => format!("{kind} {alias}"),
+    markers: &impl MarkerLookup,
+) {
+    match mapping.relation_entity(dg.tuple_of(n).relation).and_then(|e| schema.entity(e)) {
+        Some(entity) => out.push_str(&entity.name.to_lowercase()),
+        None => out.push_str("record"),
     }
+    out.push(' ');
+    write_label(out, n, dg, aliases, markers);
 }
 
 /// Produce the paper-style sentence for a connection.
 ///
 /// Single-tuple connections read as `department d1(XML)`. Middle tuples
 /// are invisible (collapsed into their N:M step); terminal middle tuples
-/// are described as `record <id>`.
+/// are described as `record <id>`. Costs what the connection's length
+/// does: each node is described once, with no graph-sized cache.
 pub fn explain_connection(
     conn: &Connection,
     dg: &DataGraph,
@@ -59,21 +56,14 @@ pub fn explain_connection(
     markers: &HashMap<NodeId, Vec<String>>,
 ) -> String {
     let mut steps = conn.conceptual_steps(dg, schema, mapping);
-    explain_connection_from_steps(
-        conn,
-        &mut steps,
-        dg,
-        schema,
-        mapping,
-        aliases,
-        markers,
-        &mut vec![None; dg.node_count()],
-    )
+    explain_steps(conn, &mut steps, dg, schema, mapping, |out, n| {
+        write_description(out, n, dg, mapping, schema, aliases, markers);
+    })
 }
 
 /// [`explain_connection`] over an already-computed conceptual-steps
 /// buffer (which it may reverse in place) with node descriptions
-/// memoized in a node-indexed cache; the engine computes one conceptual
+/// memoized in a per-search cache; the engine computes one conceptual
 /// pass per connection that feeds both the ER chain and this, and shares
 /// one description cache per search since every connection of a result
 /// set describes nodes against the same markers.
@@ -85,14 +75,30 @@ pub(crate) fn explain_connection_from_steps(
     schema: &ErSchema,
     mapping: &SchemaMapping,
     aliases: &impl AliasLookup,
-    markers: &HashMap<NodeId, Vec<String>>,
-    cache: &mut [Option<String>],
+    markers: &impl MarkerLookup,
+    cache: &mut NodeLabels,
+) -> String {
+    explain_steps(conn, steps, dg, schema, mapping, |out, n| {
+        out.push_str(cache.get_or_insert_with(n, |desc| {
+            write_description(desc, n, dg, mapping, schema, aliases, markers);
+        }));
+    })
+}
+
+/// The sentence over `conn`'s conceptual steps, each node's description
+/// written by `describe`.
+fn explain_steps(
+    conn: &Connection,
+    steps: &mut [ConceptualStep],
+    dg: &DataGraph,
+    schema: &ErSchema,
+    mapping: &SchemaMapping,
+    mut describe: impl FnMut(&mut String, NodeId),
 ) -> String {
     if conn.rdb_length() == 0 {
-        let n = conn.start();
-        return cache[n.index()]
-            .get_or_insert_with(|| describe_node(n, dg, mapping, schema, aliases, markers))
-            .clone();
+        let mut out = String::new();
+        describe(&mut out, conn.start());
+        return out;
     }
     // Orient for the most active-verb readings; ties go to the
     // orientation that reads "specific → general" (first step not a
@@ -100,7 +106,7 @@ pub(crate) fn explain_connection_from_steps(
     // Both orientations' votes derive from ONE conceptual-steps pass:
     // reversing a connection flips each step's direction and walks them
     // back to front.
-    let votes = |steps: &[crate::connection::ConceptualStep], reversed: bool| {
+    let votes = |steps: &[ConceptualStep], reversed: bool| {
         let forward = steps.iter().filter(|s| s.forward != reversed).count();
         let boundary = if reversed { steps.last() } else { steps.first() };
         let narrative_start = boundary.is_some_and(|s| {
@@ -124,7 +130,7 @@ pub(crate) fn explain_connection_from_steps(
             } else {
                 !s.forward
             };
-            *s = crate::connection::ConceptualStep {
+            *s = ConceptualStep {
                 from: s.to,
                 to: s.from,
                 via: s.via,
@@ -135,17 +141,12 @@ pub(crate) fn explain_connection_from_steps(
         }
     }
     let mut out = String::with_capacity(32 * (steps.len() + 1));
-    let mut describe_into = |out: &mut String, n: NodeId| {
-        let label = cache[n.index()]
-            .get_or_insert_with(|| describe_node(n, dg, mapping, schema, aliases, markers));
-        out.push_str(label);
-    };
     for (i, step) in steps.iter().enumerate() {
         // lint: allow(unwrap, steps only reference relationship ids from the mapping)
         let rel = schema.relationship(step.relationship).expect("mapped relationship");
         let verb = if step.forward { &rel.verb } else { &rel.reverse_verb };
         if i == 0 {
-            describe_into(&mut out, step.from);
+            describe(&mut out, step.from);
             out.push(' ');
             out.push_str(verb);
             out.push(' ');
@@ -154,7 +155,7 @@ pub(crate) fn explain_connection_from_steps(
             out.push_str(verb);
             out.push(' ');
         }
-        describe_into(&mut out, step.to);
+        describe(&mut out, step.to);
     }
     out
 }

@@ -19,7 +19,7 @@ use crate::banks::{
     banks_search_budgeted, BanksOptions, BanksScratch, EdgeWeighting, SteinerTree,
 };
 use crate::budget::{BudgetProbe, BudgetShared, SearchBudget};
-use crate::connection::{ConceptualStep, Connection};
+use crate::connection::{ConceptualStep, Connection, MarkerLookup, NodeLabels};
 use crate::datagraph::DataGraph;
 use crate::discover::{enumerate_mtjnts_budgeted, is_mtjnt, JoiningNetworkLevels};
 use crate::error::{CoreError, KeywordDiagnostic};
@@ -29,13 +29,13 @@ use crate::ranking::{ConnectionInfo, RankStrategy};
 use crate::stats::{Completeness, SearchStats, TruncationReason};
 use cla_er::{CardinalityChain, Closeness, ErSchema, SchemaMapping};
 use cla_graph::{
-    bounded_bfs_distances_into, enumerate_simple_paths_undirected,
-    for_each_path_to_targets_budgeted, NodeId, Path, TraversalScratch,
+    enumerate_simple_paths_undirected, for_each_path_to_targets_budgeted, NodeId, Path,
+    RingBfs, TraversalScratch,
 };
 use cla_index::{tuple_score, InvertedIndex, KeywordQuery};
 use cla_relational::TupleId;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
@@ -187,7 +187,7 @@ struct RankContext<'a> {
     /// Per-node tf·idf scores for the query.
     text_scores: &'a [f64],
     /// Keyword markers for rendering.
-    markers: &'a HashMap<NodeId, Vec<String>>,
+    markers: QueryMarkers<'a>,
     /// Whether to run the instance-closeness witness search.
     compute_instance: bool,
     /// Witness-path length bound.
@@ -204,14 +204,40 @@ impl RankContext<'_> {
     }
 }
 
+/// A search's keyword markers, read on demand from its per-keyword
+/// match lists: a node carries keyword `i`'s display form when its tuple
+/// is in keyword `i`'s list. The lists are sorted by tuple, so a lookup
+/// is one binary search per keyword, and only the nodes the search
+/// renders are ever looked up — nothing is built per matched tuple.
+#[derive(Clone, Copy)]
+struct QueryMarkers<'a> {
+    dg: &'a DataGraph,
+    keywords: &'a [String],
+    display_keywords: &'a [String],
+    keyword_tuples: &'a [Vec<TupleId>],
+}
+
+impl MarkerLookup for QueryMarkers<'_> {
+    fn for_each_marker(&self, n: NodeId, mut f: impl FnMut(&str)) {
+        let t = self.dg.tuple_of(n);
+        for (i, tuples) in self.keyword_tuples.iter().enumerate() {
+            if tuples.binary_search(&t).is_ok() {
+                f(self.display_keywords.get(i).unwrap_or(&self.keywords[i]));
+            }
+        }
+    }
+}
+
 /// A fresh candidate of a key-first level merge
 /// ([`EngineSnapshot::absorb_level`]): the connection with its cheap
 /// ranking info and that info's packed sort key. `instance_close` is
 /// exact once `witnessed` is set; until then it is the pessimistic
-/// `Some(false)`.
-struct Keyed {
+/// `Some(false)`. While the merge's first pass still borrows the
+/// level's node sequences, `connection` is the connection's position
+/// in the level instead.
+struct Keyed<C = Connection> {
     key: (u128, u64),
-    connection: Connection,
+    connection: C,
     info: ConnectionInfo,
     witnessed: bool,
 }
@@ -219,14 +245,16 @@ struct Keyed {
 /// Per-worker mutable state of the metric stage: reusable buffers and
 /// memoization caches. Caches only affect cost, never results, so each
 /// worker thread owning its own scratch keeps parallel output identical
-/// to sequential.
+/// to sequential. The node-indexed caches follow the search epoch's
+/// reset rule (see [`SearchScratch`]): a reset clears the slots the
+/// last search filled, never all `node_count` of them.
 #[derive(Debug, Default)]
 struct RankScratch {
     witness: WitnessCache,
     /// Node-indexed rendering labels.
-    labels: Vec<Option<String>>,
+    labels: NodeLabels,
     /// Node-indexed explanation descriptions.
-    descs: Vec<Option<String>>,
+    descs: NodeLabels,
     /// Conceptual-steps buffer, reused across connections.
     csteps: Vec<ConceptualStep>,
 }
@@ -237,10 +265,8 @@ impl RankScratch {
     fn reset(&mut self, node_count: usize, witness_strategy: WitnessStrategy) {
         self.witness.clear();
         self.witness.set_strategy(witness_strategy);
-        self.labels.clear();
-        self.labels.resize(node_count, None);
-        self.descs.clear();
-        self.descs.resize(node_count, None);
+        self.labels.reset(node_count);
+        self.descs.reset(node_count);
         self.csteps.clear();
     }
 }
@@ -256,6 +282,14 @@ impl RankScratch {
 /// `crates/core/tests/alloc.rs`). Worker threads beyond the first
 /// check out (or create) their own scratch, keeping parallel output
 /// byte-identical.
+///
+/// **Reset rule:** every per-search buffer is cleared through the
+/// entries the last search wrote — the touched label slots, the scored
+/// nodes, the BFS's visited list — and never in `O(graph)`. A
+/// node-indexed buffer is sized (in `O(graph)`) only on its first use
+/// or when the node count changes, so a warm search costs what it
+/// touches. Each entry is recorded as it is written, so a search that
+/// panicked part way leaves nothing behind that the next reset misses.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
     rank: RankScratch,
@@ -263,25 +297,44 @@ pub(crate) struct SearchScratch {
     enumerate: EnumScratch,
     /// Per-node tf·idf scores of the query.
     text_scores: Vec<f64>,
-    /// Keyword markers per node for rendering.
-    markers: HashMap<NodeId, Vec<String>>,
-    /// Per-tuple frequency accumulator of the text-score pass.
-    per_tuple: HashMap<TupleId, u32>,
+    /// The nodes whose `text_scores` slot the last search wrote.
+    scored: Vec<NodeId>,
     /// BANKS lazy forests, completion table, candidate queue and held
     /// top k.
     banks: BanksScratch,
 }
 
-/// The buffers of one distance-pruned enumeration: target mask,
-/// bounded BFS distance map (+ frontier queue), and the DFS path
-/// stacks. Grouped so the borrow of the read-only mask/map and the
-/// mutable borrow of the DFS stacks stay visibly disjoint.
+/// The buffers of one distance-pruned enumeration: target mask, the
+/// BFS distance map from the targets (grown a hop ring at a time), and
+/// the DFS path stacks. Grouped so the borrow of the read-only mask/map
+/// and the mutable borrow of the DFS stacks stay visibly disjoint.
 #[derive(Debug, Default)]
 struct EnumScratch {
     is_target: Vec<bool>,
-    dist: Vec<u32>,
-    bfs_queue: VecDeque<NodeId>,
+    bfs: RingBfs,
     traversal: TraversalScratch,
+}
+
+impl EnumScratch {
+    /// Start a target set: the last set's mask bits and distances are
+    /// cleared through the BFS's visited list (every target is a BFS
+    /// source, so it is on that list), then `targets` are marked and
+    /// seeded at distance 0. The map is grown with
+    /// [`RingBfs::grow_to`] as far as the enumeration needs it.
+    fn seed_targets(&mut self, node_count: usize, targets: &[NodeId]) {
+        if self.is_target.len() == node_count {
+            for n in self.bfs.visited() {
+                self.is_target[n.index()] = false;
+            }
+        } else {
+            self.is_target.clear();
+            self.is_target.resize(node_count, false);
+        }
+        self.bfs.restart(node_count, targets);
+        for &b in targets {
+            self.is_target[b.index()] = true;
+        }
+    }
 }
 
 /// The deterministic final tie-break under any ranking strategy: the
@@ -328,11 +381,9 @@ impl std::hash::Hasher for Fnv1a {
 /// rebuilt graph). Shared by the batch dedup and the streaming top-k
 /// accumulator — both must pick identical representatives for the
 /// streamed prefix to equal the batch pipeline's.
-fn canonical_orient(c: Connection, dg: &DataGraph) -> Connection {
+fn canonical_orient(c: &mut Connection, dg: &DataGraph) {
     if dg.tuple_of(c.end()) < dg.tuple_of(c.start()) {
-        c.reversed()
-    } else {
-        c
+        *c = c.reversed();
     }
 }
 
@@ -340,9 +391,10 @@ fn canonical_orient(c: Connection, dg: &DataGraph) -> Connection {
 /// the first occurrence of each node sequence, preserving order. The
 /// seen-set borrows the node slices instead of allocating a key per
 /// connection, and the compaction is in place.
-fn dedup_canonical(connections: Vec<Connection>, dg: &DataGraph) -> Vec<Connection> {
-    let mut connections: Vec<Connection> =
-        connections.into_iter().map(|c| canonical_orient(c, dg)).collect();
+fn dedup_canonical(mut connections: Vec<Connection>, dg: &DataGraph) -> Vec<Connection> {
+    for c in &mut connections {
+        canonical_orient(c, dg);
+    }
     let mut keep = vec![false; connections.len()];
     {
         let mut seen: HashSet<&[NodeId], std::hash::BuildHasherDefault<Fnv1a>> =
@@ -416,6 +468,82 @@ fn kth_best(
         all.select_nth_unstable_by(k - 1, |a, b| key_order(strategy, *a, *b));
     Some((key, info.clone()))
 }
+
+/// A running k-th best, in [`key_order`], of the held results and of
+/// a level's candidates as they are kept. Offers collect in a pool;
+/// once it holds k (the first time) or 2k entries, a selection keeps
+/// the k best and the worst of them becomes the k-th — amortized O(1)
+/// per offer, whatever k is. It is the k-th of a subset of the offers,
+/// so it only improves as offers come in and is never better than the
+/// exact k-th of them all: whatever is strictly worse than it, at least
+/// k offers beat. Entries name their info by position: `i` below
+/// `held.len()` is `held[i]`, the rest index the kept candidates.
+struct RunningKth {
+    k: usize,
+    pool: Vec<((u128, u64), usize)>,
+    kth: Option<((u128, u64), usize)>,
+}
+
+impl RunningKth {
+    /// A running k-th seeded with the held results.
+    fn new(held: &[RankedConnection], k: usize, strategy: RankStrategy) -> Self {
+        let mut running = RunningKth { k, pool: Vec::new(), kth: None };
+        for (i, r) in held.iter().enumerate() {
+            running.offer(strategy.sort_key(&r.info), i, strategy, held, &[]);
+        }
+        running
+    }
+
+    /// Offer entry `i` with packed key `key`.
+    fn offer(
+        &mut self,
+        key: (u128, u64),
+        i: usize,
+        strategy: RankStrategy,
+        held: &[RankedConnection],
+        kept: &[Keyed<usize>],
+    ) {
+        self.pool.push((key, i));
+        let limit = if self.kth.is_some() { self.k.saturating_mul(2) } else { self.k };
+        if self.pool.len() >= limit {
+            let k = self.k;
+            let info = |i: usize| info_at(held, kept, i);
+            self.pool.select_nth_unstable_by(k - 1, |a, b| {
+                key_order(strategy, (a.0, info(a.1)), (b.0, info(b.1)))
+            });
+            self.pool.truncate(k);
+            self.kth = Some(self.pool[k - 1]);
+        }
+    }
+
+    /// Whether the running k-th is strictly better than `(key, info)`.
+    fn beats(
+        &self,
+        key: (u128, u64),
+        info: &ConnectionInfo,
+        strategy: RankStrategy,
+        held: &[RankedConnection],
+        kept: &[Keyed<usize>],
+    ) -> bool {
+        self.kth.is_some_and(|(kth, i)| {
+            key_order(strategy, (key, info), (kth, info_at(held, kept, i)))
+                == Ordering::Greater
+        })
+    }
+}
+
+/// The info of [`RunningKth`] entry `i`.
+fn info_at<'a>(
+    held: &'a [RankedConnection],
+    kept: &'a [Keyed<usize>],
+    i: usize,
+) -> &'a ConnectionInfo {
+    match i.checked_sub(held.len()) {
+        None => &held[i].info,
+        Some(j) => &kept[j].info,
+    }
+}
+
 /// One ranked search result.
 #[derive(Debug, Clone)]
 pub struct RankedConnection {
@@ -626,49 +754,24 @@ impl EngineSnapshot {
     }
 
     /// Keyword markers per node for rendering: which display keywords
-    /// each matched tuple carries.
+    /// each matched tuple carries. A search itself builds no such map:
+    /// it reads a node's markers from its match lists when it first
+    /// renders the node.
     pub fn markers(
         &self,
         query: &KeywordQuery,
         display_keywords: &[String],
     ) -> HashMap<NodeId, Vec<String>> {
-        let keyword_tuples: Vec<Vec<TupleId>> =
-            query.keywords().iter().map(|kw| self.index.matching_tuples(kw)).collect();
-        self.markers_from_matches(query, &keyword_tuples, display_keywords)
-    }
-
-    /// [`EngineSnapshot::markers`] over already-fetched per-keyword match
-    /// lists, so `search` resolves each keyword against the index once
-    /// and reuses the lists for both match sets and markers.
-    fn markers_from_matches(
-        &self,
-        query: &KeywordQuery,
-        keyword_tuples: &[Vec<TupleId>],
-        display_keywords: &[String],
-    ) -> HashMap<NodeId, Vec<String>> {
-        let mut markers = HashMap::new();
-        self.markers_from_matches_into(query, keyword_tuples, display_keywords, &mut markers);
-        markers
-    }
-
-    /// [`EngineSnapshot::markers_from_matches`] into a reused map (the
-    /// pooled scratch's) — cleared, then refilled.
-    fn markers_from_matches_into(
-        &self,
-        query: &KeywordQuery,
-        keyword_tuples: &[Vec<TupleId>],
-        display_keywords: &[String],
-        markers: &mut HashMap<NodeId, Vec<String>>,
-    ) {
-        markers.clear();
+        let mut markers: HashMap<NodeId, Vec<String>> = HashMap::new();
         for (i, kw) in query.keywords().iter().enumerate() {
-            let display = display_keywords.get(i).cloned().unwrap_or_else(|| kw.clone());
-            for &t in &keyword_tuples[i] {
+            let display = display_keywords.get(i).unwrap_or(kw);
+            for t in self.index.matching_tuples(kw) {
                 if let Some(n) = self.dg.node_of(t) {
                     markers.entry(n).or_default().push(display.clone());
                 }
             }
         }
+        markers
     }
 
     /// The connection following exactly the given tuple sequence, if the
@@ -723,30 +826,39 @@ impl EngineSnapshot {
     /// Per-node tf·idf contributions of `query`, computed once per
     /// search (into the pooled scratch's buffers) so scoring a
     /// connection is one slot read per node instead of re-hashing
-    /// keyword strings for every (node, keyword) pair.
+    /// keyword strings for every (node, keyword) pair. The dense array
+    /// is zeroed through `scored`, the nodes the last search scored, and
+    /// each keyword's postings (sorted by tuple) are summed run by run.
     /// `keyword_tuples[i]` must be the match list of keyword `i`.
     fn text_scores_by_node_into(
         &self,
         query: &KeywordQuery,
         keyword_tuples: &[Vec<TupleId>],
         scores: &mut Vec<f64>,
-        per_tuple: &mut HashMap<TupleId, u32>,
+        scored: &mut Vec<NodeId>,
     ) {
+        let node_count = self.dg.node_count();
+        if scores.len() == node_count {
+            for n in scored.drain(..) {
+                scores[n.index()] = 0.0;
+            }
+        } else {
+            scores.clear();
+            scores.resize(node_count, 0.0);
+            scored.clear();
+        }
         let total = self.index.indexed_tuples();
-        scores.clear();
-        scores.resize(self.dg.node_count(), 0.0);
-        for (i, kw) in query.keywords().iter().enumerate() {
+        for (kw, tuples) in query.keywords().iter().zip(keyword_tuples) {
+            let idf_kw = cla_index::idf(tuples.len(), total);
             // `frequency_in` semantics: occurrences summed across the
             // tuple's attributes, tf applied to the sum.
-            per_tuple.clear();
-            for p in self.index.lookup(kw) {
-                *per_tuple.entry(p.tuple).or_insert(0) += p.frequency;
-            }
-            let idf_kw = cla_index::idf(keyword_tuples[i].len(), total);
-            for (&t, &f) in per_tuple.iter() {
-                if let Some(n) = self.dg.node_of(t) {
-                    scores[n.index()] += cla_index::tf(f) * idf_kw;
+            for run in self.index.lookup(kw).chunk_by(|a, b| a.tuple == b.tuple) {
+                let Some(n) = self.dg.node_of(run[0].tuple) else { continue };
+                let frequency = run.iter().map(|p| p.frequency).sum();
+                if scores[n.index()] == 0.0 {
+                    scored.push(n);
                 }
+                scores[n.index()] += cla_index::tf(frequency) * idf_kw;
             }
         }
     }
@@ -810,7 +922,7 @@ impl EngineSnapshot {
         let rendering = connection.render_cached(
             &self.dg,
             &*self.aliases,
-            ctx.markers,
+            &ctx.markers,
             &mut scratch.labels,
         );
         let explanation = self.explain_from_steps(&connection, ctx, scratch);
@@ -832,7 +944,7 @@ impl EngineSnapshot {
             &self.er_schema,
             &self.mapping,
             &*self.aliases,
-            ctx.markers,
+            &ctx.markers,
             &mut scratch.descs,
         )
     }
@@ -1073,21 +1185,20 @@ impl EngineSnapshot {
         // intersection before any enumeration, so 1 is always sound.
         let mut trim_floor: usize = 1;
         scratch.rank.reset(self.dg.node_count(), options.witness_strategy);
-        self.markers_from_matches_into(
-            &query,
-            keyword_tuples,
-            &display_keywords,
-            &mut scratch.markers,
-        );
         self.text_scores_by_node_into(
             &query,
             keyword_tuples,
             &mut scratch.text_scores,
-            &mut scratch.per_tuple,
+            &mut scratch.scored,
         );
         let ctx = RankContext {
             text_scores: &scratch.text_scores,
-            markers: &scratch.markers,
+            markers: QueryMarkers {
+                dg: &self.dg,
+                keywords: query.keywords(),
+                display_keywords: &display_keywords,
+                keyword_tuples,
+            },
             compute_instance: options.compute_instance,
             max_witness_length: options.max_witness_length,
             witness_strategy: options.witness_strategy,
@@ -1098,14 +1209,16 @@ impl EngineSnapshot {
         let mut trees: Vec<SteinerTree> = Vec::new();
 
         // Tuples matching every keyword stand alone as zero-length
-        // connections.
-        let mut all: HashSet<NodeId> = match_sets[0].iter().copied().collect();
-        for set in &match_sets[1..] {
-            let s: HashSet<NodeId> = set.iter().copied().collect();
-            all.retain(|n| s.contains(n));
-        }
-        let mut singles: Vec<NodeId> = all.into_iter().collect();
-        singles.sort();
+        // connections: the intersection of the sorted match lists, each
+        // tuple of the shortest binary-searched in the others.
+        let shortest =
+            keyword_tuples.iter().min_by_key(|l| l.len()).map_or(&[][..], Vec::as_slice);
+        let mut singles: Vec<NodeId> = shortest
+            .iter()
+            .filter(|t| keyword_tuples.iter().all(|l| l.binary_search(t).is_ok()))
+            .filter_map(|&t| self.dg.node_of(t))
+            .collect();
+        singles.sort_unstable();
         connections.extend(singles.into_iter().map(Connection::single));
 
         match options.algorithm {
@@ -1321,26 +1434,37 @@ impl EngineSnapshot {
     /// k (later levels only add candidates, never improve dropped ones),
     /// so streamed accumulation equals the full enumeration's ranked
     /// prefix — the equivalence the property tests pin down for both the
-    /// `Paths` and `Discover` modes.
+    /// `Paths` and `Discover` modes. The dedup set lives for one level:
+    /// the connections of different levels have different node counts,
+    /// so their node sequences never collide.
     ///
     /// The merge is **key first**, and does the expensive per-connection
     /// work only for connections that can still enter the top k. It is
     /// sequential: it witnesses, renders and explains few connections,
     /// and renders read the per-node label cache.
     ///
-    /// 1. Every fresh connection gets its cheap info (text score,
-    ///    conceptual steps, ER chain) and no witness search. Its
-    ///    `instance_close` is exact for a schema-close connection and
-    ///    pessimistic (`Some(false)`) for a loose one.
-    /// 2. `T` is the k-th best of the buffer and the fresh connections
-    ///    by packed key, then the full comparison. A fresh connection
+    /// 1. One pass over the level orients each connection, drops a
+    ///    repeated node sequence, applies the MTJNT filter and gives the
+    ///    connection its cheap info (text score, conceptual steps, ER
+    ///    chain) and no witness search. Its `instance_close` is exact for
+    ///    a schema-close connection and pessimistic (`Some(false)`) for a
+    ///    loose one. The pass drops a connection at once when, even with
+    ///    `instance_close` set optimistically (`Some(true)`), it is
+    ///    strictly worse than a running k-th best ([`RunningKth`]) of the
+    ///    buffer and the level so far. That running k-th is never better
+    ///    than `T` below, so step 2 would drop the connection too; and k
+    ///    kept candidates or held results beat it, so dropping it leaves
+    ///    `T` unchanged. A level of a million paths therefore keeps only
+    ///    its few contenders.
+    /// 2. `T` is the k-th best of the buffer and the kept connections by
+    ///    packed key, then the full comparison. A kept connection
     ///    strictly worse than `T` even with `instance_close` set
-    ///    optimistically (`Some(true)`) is dropped. This is exact: a
-    ///    connection's exact position lies between its optimistic and
-    ///    pessimistic ones, so at least k connections strictly beat a
-    ///    dropped one, whatever their witnesses say. (When the buffer
-    ///    and the level hold at most k connections together, steps 2
-    ///    and 4 drop nothing.)
+    ///    optimistically is dropped. This is exact: a connection's exact
+    ///    position lies between its optimistic and pessimistic ones, so
+    ///    at least k connections strictly beat a dropped one, whatever
+    ///    their witnesses say. (When the buffer and the level hold at
+    ///    most k connections together, steps 1, 2 and 4 drop nothing by
+    ///    key.)
     /// 3. Under [`RankStrategy::InstanceCloseFirst`], whose order reads
     ///    `instance_close`, the loose connections left get their
     ///    witness. No other ranker reads it.
@@ -1358,32 +1482,41 @@ impl EngineSnapshot {
     fn absorb_level(
         &self,
         acc: &mut Vec<RankedConnection>,
-        seen: &mut HashSet<Vec<NodeId>>,
-        conns: Vec<Connection>,
+        mut conns: Vec<Connection>,
         mtjnt_sets: Option<&[HashSet<NodeId>]>,
         ctx: &RankContext<'_>,
         ranker: RankStrategy,
         k: usize,
         scratch: &mut RankScratch,
     ) {
-        let mut fresh: Vec<Connection> = conns
-            .into_iter()
-            .map(|c| canonical_orient(c, &self.dg))
-            .filter(|c| seen.insert(c.nodes().to_vec()))
-            .collect();
-        if let Some(kw) = mtjnt_sets {
-            fresh.retain(|conn| {
-                let set: BTreeSet<NodeId> = conn.nodes().iter().copied().collect();
-                is_mtjnt(&self.dg, &set, kw)
-            });
-        }
-        let mut cands: Vec<Keyed> = fresh
-            .into_iter()
-            .map(|connection| {
+        // Step 1. The connections stay in place while the dedup set
+        // borrows their node sequences; `kept` names each survivor by its
+        // position in the level.
+        let mut kept: Vec<Keyed<usize>> = Vec::new();
+        {
+            let held: &[RankedConnection] = acc;
+            let mut seen: HashSet<&[NodeId], std::hash::BuildHasherDefault<Fnv1a>> =
+                HashSet::with_capacity_and_hasher(conns.len(), Default::default());
+            // Nothing can fall out while the buffer and the level fit in
+            // k together.
+            let mut running =
+                (held.len() + conns.len() > k).then(|| RunningKth::new(held, k, ranker));
+            for (at, slot) in conns.iter_mut().enumerate() {
+                canonical_orient(slot, &self.dg);
+                let connection: &Connection = slot;
+                if !seen.insert(connection.nodes()) {
+                    continue;
+                }
+                if let Some(kw) = mtjnt_sets {
+                    let set: BTreeSet<NodeId> = connection.nodes().iter().copied().collect();
+                    if !is_mtjnt(&self.dg, &set, kw) {
+                        continue;
+                    }
+                }
                 let mut info = self.info_with(
-                    &connection,
+                    connection,
                     &mut scratch.csteps,
-                    ctx.text_score(&connection),
+                    ctx.text_score(connection),
                     false,
                     ctx.max_witness_length,
                     &mut scratch.witness,
@@ -1391,9 +1524,35 @@ impl EngineSnapshot {
                 let close = info.closeness == Closeness::Close;
                 info.instance_close = ctx.compute_instance.then_some(close);
                 let witnessed = close || !ctx.compute_instance;
-                Keyed { key: ranker.sort_key(&info), connection, info, witnessed }
+                let key = ranker.sort_key(&info);
+                if let Some(running) = &running {
+                    let pessimistic = info.instance_close;
+                    if !witnessed {
+                        info.instance_close = Some(true);
+                    }
+                    let optimistic = ranker.sort_key(&info);
+                    let dropped = running.beats(optimistic, &info, ranker, held, &kept);
+                    info.instance_close = pessimistic;
+                    if dropped {
+                        continue;
+                    }
+                }
+                kept.push(Keyed { key, connection: at, info, witnessed });
+                if let Some(running) = &mut running {
+                    running.offer(key, held.len() + kept.len() - 1, ranker, held, &kept);
+                }
+            }
+        }
+        let mut level = conns.into_iter().enumerate();
+        let mut cands: Vec<Keyed> = kept
+            .into_iter()
+            .filter_map(|c| {
+                let (_, connection) = level.find(|&(i, _)| i == c.connection)?;
+                Some(Keyed { key: c.key, connection, info: c.info, witnessed: c.witnessed })
             })
             .collect();
+
+        // Step 2.
         if let Some((t_key, t_info)) = kth_best(acc, &cands, k, ranker) {
             cands.retain_mut(|c| {
                 let pessimistic = c.info.instance_close;
@@ -1426,7 +1585,7 @@ impl EngineSnapshot {
             let rendering = c.connection.render_cached(
                 &self.dg,
                 &*self.aliases,
-                ctx.markers,
+                &ctx.markers,
                 &mut scratch.labels,
             );
             let ranked = RankedConnection {
@@ -1479,20 +1638,17 @@ impl EngineSnapshot {
             return (Vec::new(), SearchStats::default());
         }
         let (set_a, set_b) = (&match_sets[0], &match_sets[1]);
-        self.fill_target_mask_and_dist(set_b, options.max_rdb_length, enumerate);
         let kw_sets: Option<Vec<HashSet<NodeId>>> = options
             .mtjnt_only
             .then(|| match_sets.iter().map(|s| s.iter().copied().collect()).collect());
 
         let mut stats = SearchStats::default();
-        let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
         let mut acc: Vec<RankedConnection> = Vec::new();
         let mut faulted = false;
 
         // Level 0: the singles.
         self.absorb_level(
             &mut acc,
-            &mut seen,
             singles,
             kw_sets.as_deref(),
             ctx,
@@ -1509,10 +1665,19 @@ impl EngineSnapshot {
                 stats.early_terminated = true;
                 break;
             }
+            // The target mask and distance map are seeded only once a
+            // level is enumerated, and grown one hop per level: paths of
+            // `level` edges read exact distances up to `level` only (the
+            // DFS descends while `dist < remaining` and skips a source
+            // with `dist > level`), and a farther node reads `u32::MAX`.
+            if level == 1 {
+                enumerate.seed_targets(self.dg.node_count(), set_b);
+            }
+            enumerate.bfs.grow_to(self.dg.csr(), u32::try_from(level).unwrap_or(u32::MAX));
             let (conns, expansions) = self.fan_out_connections(
                 set_a,
                 &enumerate.is_target,
-                &enumerate.dist,
+                enumerate.bfs.distances(),
                 level,
                 Some(level),
                 threads,
@@ -1540,7 +1705,6 @@ impl EngineSnapshot {
             stats.max_length_enumerated = level;
             self.absorb_level(
                 &mut acc,
-                &mut seen,
                 conns,
                 kw_sets.as_deref(),
                 ctx,
@@ -1588,7 +1752,6 @@ impl EngineSnapshot {
         let max_tuples = options.max_rdb_length + 1;
         let mut levels = JoiningNetworkLevels::new(&self.dg, kw_sets, max_tuples);
         let mut stats = SearchStats::default();
-        let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
         let mut acc: Vec<RankedConnection> = Vec::new();
         let mut probe = BudgetProbe::new(budget);
         // Edge count of the last fully absorbed size level — the
@@ -1598,16 +1761,7 @@ impl EngineSnapshot {
         // Size level 1 *is* the singles set (tuples matching every
         // keyword), already collected by the caller; consume and drop
         // the duplicate level.
-        self.absorb_level(
-            &mut acc,
-            &mut seen,
-            singles,
-            None,
-            ctx,
-            options.ranker,
-            k,
-            rank_scratch,
-        );
+        self.absorb_level(&mut acc, singles, None, ctx, options.ranker, k, rank_scratch);
         let _ = levels.next_level_budgeted(&mut |n| probe.check(n));
         while levels.next_size() <= max_tuples {
             let level_edges = levels.next_size() - 1;
@@ -1626,16 +1780,7 @@ impl EngineSnapshot {
             stats.max_length_enumerated = level_edges;
             let conns: Vec<Connection> =
                 mtjnts.iter().filter_map(|n| self.network_to_connection(n)).collect();
-            self.absorb_level(
-                &mut acc,
-                &mut seen,
-                conns,
-                None,
-                ctx,
-                options.ranker,
-                k,
-                rank_scratch,
-            );
+            self.absorb_level(&mut acc, conns, None, ctx, options.ranker, k, rank_scratch);
             completed_edges = level_edges;
         }
         stats.expansions = levels.expansions();
@@ -1703,38 +1848,12 @@ impl EngineSnapshot {
         out
     }
 
-    /// Fill the scratch's target mask and shared bounded BFS distance
-    /// map for one target set — computed once per search and shared
-    /// across every enumeration source (and, in streaming mode, across
-    /// levels). The map is capped at `max_edges` hops: the pruned DFS
-    /// can never use a larger distance, so capped-out nodes read as
-    /// unreachable and the traversal result is identical to the full
-    /// map's while the BFS only touches the budget neighborhood.
-    fn fill_target_mask_and_dist(
-        &self,
-        set_b: &[NodeId],
-        max_edges: usize,
-        enumerate: &mut EnumScratch,
-    ) {
-        let csr = self.dg.csr();
-        enumerate.is_target.clear();
-        enumerate.is_target.resize(csr.node_count(), false);
-        for &b in set_b {
-            enumerate.is_target[b.index()] = true;
-        }
-        // Saturate rather than truncate: a pathological `usize` budget
-        // must mean "unbounded", not "mod 2^32".
-        bounded_bfs_distances_into(
-            csr,
-            set_b,
-            u32::try_from(max_edges).unwrap_or(u32::MAX),
-            &mut enumerate.dist,
-            &mut enumerate.bfs_queue,
-        );
-    }
-
-    /// Build the target mask + shared BFS distance map for `set_b` and
-    /// run the (optionally exact-length) fan-out from `set_a`.
+    /// Build the target mask and the shared BFS distance map for `set_b`
+    /// and run the (optionally exact-length) fan-out from `set_a`. The
+    /// map is grown to `max_rdb` hops at once: the pruned DFS can never
+    /// use a larger distance, so farther nodes read as unreachable and
+    /// the traversal result is identical to the full map's while the
+    /// BFS only touches the budget neighborhood.
     #[allow(clippy::too_many_arguments)]
     fn pair_enumeration(
         &self,
@@ -1747,11 +1866,14 @@ impl EngineSnapshot {
         budget: Option<&BudgetShared>,
         faulted: &mut bool,
     ) -> (Vec<Connection>, u64) {
-        self.fill_target_mask_and_dist(set_b, max_rdb, enumerate);
+        enumerate.seed_targets(self.dg.node_count(), set_b);
+        // Saturate rather than truncate: a pathological `usize` budget
+        // must mean "unbounded", not "mod 2^32".
+        enumerate.bfs.grow_to(self.dg.csr(), u32::try_from(max_rdb).unwrap_or(u32::MAX));
         self.fan_out_connections(
             set_a,
             &enumerate.is_target,
-            &enumerate.dist,
+            enumerate.bfs.distances(),
             max_rdb,
             exact,
             threads,

@@ -325,4 +325,36 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
         made <= 4 * k as u64,
         "warm top-{k} BANKS with {ties} ties at the k-th weight made {made} allocations"
     );
+
+    // ── Part 6: search setup allocates nothing per matched tuple. A warm
+    // top-10 BANKS search through `EngineSnapshot::search` matches about
+    // eight times as many tuples at dept64 as at dept8, yet may make only
+    // a few more allocations (match lists growing by doubling): markers
+    // are read on demand, text scores sit in a dense pooled array, and
+    // the singles come from the sorted match lists.
+    let warm_search_allocations = |departments: usize| {
+        let s = generate_synthetic(&SyntheticConfig { departments, ..bench_shape() });
+        let engine =
+            SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap().with_aliases(s.aliases);
+        let snapshot = engine.snapshots().latest();
+        let opts = SearchOptions {
+            algorithm: Algorithm::Banks,
+            k: Some(10),
+            threads: 1,
+            ..Default::default()
+        };
+        for _ in 0..3 {
+            let _ = snapshot.search("xml smith alice", &opts).unwrap();
+        }
+        let before = allocations();
+        let results = snapshot.search("xml smith alice", &opts).unwrap();
+        let made = allocations() - before;
+        assert!(!results.is_empty());
+        made
+    };
+    let (dept8, dept64) = (warm_search_allocations(8), warm_search_allocations(64));
+    assert!(
+        dept64 <= dept8 + 32,
+        "a warm top-10 BANKS search made {dept8} allocations at dept8 and {dept64} at dept64"
+    );
 }

@@ -9,7 +9,8 @@ use cla_core::{
     instance_closeness_with_cache, is_joining, is_mtjnt, is_total, Algorithm, BanksOptions,
     BanksScratch, Completeness, Connection, ConnectionInfo, DataGraph, EdgeWeighting,
     InstanceCloseness, JoiningNetworkLevels, RankStrategy, RankedConnection, SearchBudget,
-    SearchEngine, SearchOptions, WitnessCache, WitnessStrategy,
+    SearchEngine, SearchOptions, SearchResults, SearchStats, SteinerTree, WitnessCache,
+    WitnessStrategy,
 };
 use cla_datagen::{company, generate_synthetic, SyntheticConfig};
 use cla_er::{map_to_relational, Cardinality, Closeness, ErSchemaBuilder};
@@ -35,6 +36,34 @@ const STREAMING_RANKERS: [RankStrategy; 4] = [
 fn ranked_view(ranked: &[RankedConnection]) -> Vec<(&str, &str, &ConnectionInfo)> {
     ranked.iter().map(|r| (r.rendering.as_str(), r.explanation.as_str(), &r.info)).collect()
 }
+
+/// What an answer shows: each connection with its rendering,
+/// explanation and info, then the trees and the stats.
+#[allow(clippy::type_complexity)]
+fn answer_view(
+    r: &SearchResults,
+) -> (Vec<(&Connection, &str, &str, &ConnectionInfo)>, &[SteinerTree], SearchStats) {
+    let connections = r
+        .connections
+        .iter()
+        .map(|c| (&c.connection, c.rendering.as_str(), c.explanation.as_str(), &c.info))
+        .collect();
+    (connections, &r.trees, r.stats)
+}
+
+/// Queries of the search-history property: one to three keywords of
+/// the synthetic vocabulary, some differing only in display case.
+const HISTORY_QUERIES: [&str; 9] = [
+    "xml smith",
+    "XML Smith",
+    "smith alice",
+    "Alice xml",
+    "xml smith alice",
+    "databases xml",
+    "SMITH",
+    "xml",
+    "alice databases smith",
+];
 
 /// The data-graph nodes matching each keyword.
 fn keyword_node_sets(
@@ -287,6 +316,77 @@ proptest! {
             prop_assert_eq!(t.edges.len(), t.nodes.len() - 1);
             let set: BTreeSet<NodeId> = t.nodes.iter().copied().collect();
             prop_assert!(is_joining(&dg, &set));
+        }
+    }
+
+    /// Answers do not depend on search history: a sequence of random
+    /// queries on one snapshot, whose pooled scratch carries the last
+    /// search's buffers (label caches, text scores, BFS map, BANKS
+    /// forests) into the next, answers each query exactly as a freshly
+    /// made engine does — connections with their rendering, explanation
+    /// and info, trees and stats. Covers every algorithm and ranker,
+    /// k ∈ {None, 1, 3, 10}, threads 1 and 2, and engines after an
+    /// apply. Queries differ in display case as well as keywords, so a
+    /// stale label slot shows in a rendering.
+    #[test]
+    fn answers_do_not_depend_on_search_history(
+        seed in 0u64..200,
+        applied in any::<bool>(),
+        picks in proptest::collection::vec(
+            ((0usize..HISTORY_QUERIES.len(), 0usize..3), (0usize..4, 0usize..5, 1usize..3)),
+            2..9,
+        )
+    ) {
+        let s = generate_synthetic(&small_config(seed));
+        let make = || {
+            let mut engine =
+                SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
+                    .unwrap()
+                    .with_aliases(s.aliases.clone());
+            if applied {
+                let emp = engine.db().catalog().relation_id("EMPLOYEE").unwrap();
+                engine
+                    .writer_mut()
+                    .insert(emp, vec!["ez1".into(), "Smith".into(), "Alice".into(), "d1".into()])
+                    .unwrap();
+                let _ = engine.apply().unwrap();
+            }
+            engine
+        };
+        let history = make().snapshots().latest();
+        for ((q, algorithm), (k, ranker, threads)) in picks {
+            let options = SearchOptions {
+                algorithm: [Algorithm::Paths, Algorithm::Banks, Algorithm::Discover][algorithm],
+                k: [None, Some(1), Some(3), Some(10)][k],
+                ranker: [
+                    RankStrategy::RdbLength,
+                    RankStrategy::ErLength,
+                    RankStrategy::CloseFirst,
+                    RankStrategy::InstanceCloseFirst,
+                    RankStrategy::Combined { structure_weight: 1.0 },
+                ][ranker],
+                max_rdb_length: 3,
+                threads,
+                ..Default::default()
+            };
+            let query = HISTORY_QUERIES[q];
+            let warm = history.search(query, &options);
+            let fresh = make().search(query, &options);
+            match (warm, fresh) {
+                (Ok(warm), Ok(fresh)) => {
+                    prop_assert_eq!(
+                        answer_view(&warm),
+                        answer_view(&fresh),
+                        "{:?} {:?}",
+                        query,
+                        options
+                    );
+                }
+                (warm, fresh) => prop_assert_eq!(
+                    warm.map(|_| ()).map_err(|e| e.to_string()),
+                    fresh.map(|_| ()).map_err(|e| e.to_string())
+                ),
+            }
         }
     }
 

@@ -64,7 +64,7 @@ pub fn banks_naive(
             dropped += 1;
             continue;
         }
-        let weight = edges.iter().map(|&(e, _, _)| weight_of(e)).sum();
+        let weight = edges.iter().fold(0.0, |w, &(e, _, _)| w + weight_of(e));
         trees.push(SteinerTree { root, nodes, edges, keyword_nodes, weight });
     }
     trees.sort_by(|a, b| {

@@ -8,8 +8,10 @@
 //! * [`CsrAdjacency`] — the one adjacency: a flat CSR of the undirected
 //!   incidence, built from the live edge slots and read by every
 //!   traversal and by mid-batch edits alike;
-//! * multi-source bounded BFS distances and induced-subset connectivity
-//!   ([`bounded_bfs_distances_into`], [`is_connected_subset_sorted`]);
+//! * multi-source bounded BFS distances, at once or grown one hop ring
+//!   at a time, and induced-subset connectivity
+//!   ([`bounded_bfs_distances_into`], [`RingBfs`],
+//!   [`is_connected_subset_sorted`]);
 //! * bounded **simple-path enumeration** in the undirected view: the
 //!   distance-pruned multi-target form the paper's connection
 //!   enumeration (§3) runs on ([`for_each_path_to_targets_budgeted`]),
@@ -55,4 +57,4 @@ pub use paths::{
     enumerate_simple_paths_undirected, for_each_path_to_targets_budgeted, Path,
     TraversalScratch,
 };
-pub use traversal::{bounded_bfs_distances_into, is_connected_subset_sorted};
+pub use traversal::{bounded_bfs_distances_into, is_connected_subset_sorted, RingBfs};

@@ -434,9 +434,10 @@ impl InvertedIndex {
     }
 
     /// Number of distinct tuples containing `keyword` (document
-    /// frequency).
+    /// frequency), counted over the tuple-sorted postings without
+    /// allocating.
     pub fn document_frequency(&self, keyword: &str) -> usize {
-        self.matching_tuples(keyword).len()
+        self.lookup(keyword).chunk_by(|a, b| a.tuple == b.tuple).count()
     }
 
     /// Number of distinct indexed terms.
@@ -451,9 +452,12 @@ impl InvertedIndex {
     }
 
     /// Total frequency of `keyword` inside tuple `t` across attributes
-    /// (0 when absent).
+    /// (0 when absent). The postings are sorted by tuple, so `t`'s run
+    /// is found by binary search.
     pub fn frequency_in(&self, keyword: &str, t: TupleId) -> u32 {
-        self.lookup(keyword).iter().filter(|p| p.tuple == t).map(|p| p.frequency).sum()
+        let postings = self.lookup(keyword);
+        let start = postings.partition_point(|p| p.tuple < t);
+        postings[start..].iter().take_while(|p| p.tuple == t).map(|p| p.frequency).sum()
     }
 
     /// Recompute the 257-entry first-byte bucket index over the sorted

@@ -19,7 +19,61 @@ fn text_db(rows: &[String]) -> Database {
     db
 }
 
+/// A relation with two text attributes, so one tuple can hold a term
+/// in several postings.
+fn two_text_db(rows: &[(String, String)]) -> Database {
+    let catalog = SchemaBuilder::new()
+        .relation("R", |r| {
+            r.attr("ID", DataType::Int)
+                .attr("T", DataType::Text)
+                .attr("U", DataType::Text)
+                .primary_key(&["ID"])
+        })
+        .build()
+        .unwrap();
+    let mut db = Database::new(catalog).unwrap();
+    let r = db.catalog().relation_id("R").unwrap();
+    for (i, (t, u)) in rows.iter().enumerate() {
+        db.insert(r, vec![(i as i64).into(), t.as_str().into(), u.as_str().into()]).unwrap();
+    }
+    db
+}
+
+/// Values of up to eight words from a four-word vocabulary.
+fn words() -> impl Strategy<Value = String> {
+    const VOCABULARY: [&str; 4] = ["xml", "data", "smith", "alice"];
+    proptest::collection::vec(0usize..4, 0..8)
+        .prop_map(|ws| ws.iter().map(|&w| VOCABULARY[w]).collect::<Vec<_>>().join(" "))
+}
+
 proptest! {
+    /// `frequency_in` (a binary search for the tuple's run) and
+    /// `document_frequency` (a count of runs) equal a scan of the whole
+    /// posting list, for every indexed term against every tuple, matched
+    /// or not. Two text attributes over a four-word vocabulary give
+    /// posting lists with several postings per tuple.
+    #[test]
+    fn frequency_and_df_equal_a_posting_scan(
+        rows in proptest::collection::vec((words(), words()), 1..12)
+    ) {
+        let db = two_text_db(&rows);
+        let index = InvertedIndex::build(&db);
+        let r = db.catalog().relation_id("R").unwrap();
+        let tuples: Vec<TupleId> = db.tuples(r).map(|(id, _)| id).collect();
+        let terms: Vec<String> = index.terms().map(|(t, _)| t.to_owned()).collect();
+        for term in terms.iter().map(String::as_str).chain(["zz"]) {
+            let postings = index.lookup(term);
+            let distinct: std::collections::HashSet<TupleId> =
+                postings.iter().map(|p| p.tuple).collect();
+            prop_assert_eq!(index.document_frequency(term), distinct.len(), "term {}", term);
+            for &t in &tuples {
+                let scan: u32 =
+                    postings.iter().filter(|p| p.tuple == t).map(|p| p.frequency).sum();
+                prop_assert_eq!(index.frequency_in(term, t), scan, "term {} tuple {}", term, t);
+            }
+        }
+    }
+
     /// Every token produced by the tokenizer is findable through the
     /// index, and lookups are case-insensitive.
     #[test]
