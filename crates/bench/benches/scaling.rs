@@ -50,7 +50,11 @@ fn enumerate_scaling(c: &mut Criterion) {
 /// `topk/k10_dept1024` runs the `k10` search on a 64× larger graph and
 /// logs its expansions next to dept16's: when its time grows far more
 /// than its expansions do, some per-search step costs what the graph
-/// does rather than what the search touches.
+/// does rather than what the search touches. `topk/k10_head_pair_dept256`
+/// runs a top-10 search for the head project pair "p3 p1": nothing
+/// shorter dominates, so it enumerates through level 4, whose DFS emits
+/// 104,624 paths (at seed 7). Each path is keyed as it is emitted, and
+/// the arm's time is that per-path work.
 fn parallel_and_topk(c: &mut Criterion) {
     let engine = synthetic_engine(16, SEED);
     let base = SearchOptions {
@@ -104,8 +108,24 @@ fn parallel_and_topk(c: &mut Criterion) {
         );
         b.iter(|| black_box(large.search(QUERY, &opts).unwrap().len()))
     });
+    group.bench_function(BenchmarkId::from_parameter("k10_head_pair_dept256"), |b| {
+        // Built only when the filter selects the arm.
+        let engine = synthetic_engine(256, SEED);
+        let opts = SearchOptions { k: Some(10), ..base };
+        let stream = engine.search(HEAD_PAIR, &opts).unwrap();
+        eprintln!(
+            "topk dept256_len4 {HEAD_PAIR:?} k=10: expansions {} (levels {}, early_terminated={})",
+            stream.stats.expansions,
+            stream.stats.max_length_enumerated,
+            stream.stats.early_terminated
+        );
+        b.iter(|| black_box(engine.search(HEAD_PAIR, &opts).unwrap().len()))
+    });
     group.finish();
 }
+
+/// Two head project terms of the synthetic mix.
+const HEAD_PAIR: &str = "p3 p1";
 
 /// B8 (recorded as the PR 3 "B3" and PR 4 "B4" experiments in
 /// EXPERIMENTS.md): incremental maintenance — the update-workload

@@ -19,11 +19,19 @@
 //! — it never aborts, never panics, never poisons the engine.
 //!
 //! The unlimited budget (the default) costs one `Option` branch per
-//! probe. A `max_expansions` cap is enforced exactly in sequential
-//! searches; parallel workers flush their local counts in adaptive
-//! strides, so the cap can overshoot by at most one stride per worker.
-//! Deadlines poll `Instant::now()` at most once per [`TIME_STRIDE`]
-//! expansions per worker.
+//! probe. Every search that runs on one thread — BANKS, DISCOVER,
+//! streamed top-k Paths across all its levels, and a whole Paths answer
+//! at `threads: 1` — counts through one probe, so a cap `c` is exact:
+//! the search stops at the expansion that reaches `c`, and reports at
+//! most `c`. The one parallel counter is the per-source fan-out of a
+//! whole Paths answer, where `t` worker threads share the budget: each
+//! worker probes again after at most its share, `1/t` of what the cap
+//! had left at its last probe, and a worker that stops flushes what it
+//! has not yet reported. The count passes the cap only by what the other
+//! workers ran since their last probe, so a search with cap `c ≥ 1` ends
+//! within `c + (t − 1)·⌈c / t⌉` expansions, below `2c`. Deadlines poll
+//! `Instant::now()` at most once per [`TIME_STRIDE`] expansions per
+//! worker.
 
 use crate::stats::TruncationReason;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -141,13 +149,19 @@ impl BudgetShared {
 /// Per-worker budget probe. Each worker (or the sequential pipeline)
 /// owns one and calls [`BudgetProbe::check`] with its monotone local
 /// expansion count; the probe flushes deltas into the shared counter in
-/// adaptive strides so the cap stays exact sequentially and within one
-/// stride per worker in parallel.
+/// adaptive strides, at most its share of what the cap has left, so the
+/// cap stays exact sequentially and within the module's bound in
+/// parallel. Dropping the probe flushes the rest of its count.
 #[derive(Debug)]
 pub(crate) struct BudgetProbe<'a> {
     shared: Option<&'a BudgetShared>,
+    /// How many workers share the budget; a stride is at most this
+    /// share of what the cap has left.
+    workers: u64,
     /// Local count already flushed into `shared.spent`.
     flushed: u64,
+    /// The last local count [`BudgetProbe::check`] saw.
+    seen: u64,
     /// Next local count at which the slow path runs. Starts at 0 so
     /// the very first probe flushes — a pre-expired deadline trips on
     /// the first expansion, not after a stride.
@@ -155,10 +169,16 @@ pub(crate) struct BudgetProbe<'a> {
 }
 
 impl<'a> BudgetProbe<'a> {
-    /// `new(None)` probes an unlimited budget: every check is one
-    /// branch.
+    /// The probe of a search that runs on one thread. `new(None)`
+    /// probes an unlimited budget: every check is one branch.
     pub(crate) fn new(shared: Option<&'a BudgetShared>) -> Self {
-        BudgetProbe { shared, flushed: 0, next_probe: 0 }
+        Self::shared_by(shared, 1)
+    }
+
+    /// The probe of one of `workers` threads that share the budget.
+    pub(crate) fn shared_by(shared: Option<&'a BudgetShared>, workers: usize) -> Self {
+        let workers = u64::try_from(workers.max(1)).unwrap_or(u64::MAX);
+        BudgetProbe { shared, workers, flushed: 0, seen: 0, next_probe: 0 }
     }
 
     /// `true` iff the budget is exhausted and the caller must stop.
@@ -166,6 +186,7 @@ impl<'a> BudgetProbe<'a> {
     #[inline]
     pub(crate) fn check(&mut self, local: u64) -> bool {
         let Some(shared) = self.shared else { return false };
+        self.seen = local;
         if local < self.next_probe {
             // Fast path between strides: one relaxed u8 load, so a trip
             // by another worker (or an engine-forced trip) still stops
@@ -187,7 +208,7 @@ impl<'a> BudgetProbe<'a> {
             shared.trip(TruncationReason::ExpansionCap);
             return true;
         }
-        let mut stride = shared.cap - spent;
+        let mut stride = (shared.cap - spent) / self.workers;
         if let Some(deadline) = shared.deadline {
             if Instant::now() >= deadline {
                 shared.trip(TruncationReason::Deadline);
@@ -197,6 +218,18 @@ impl<'a> BudgetProbe<'a> {
         }
         self.next_probe = local + stride.max(1);
         shared.tripped_fast()
+    }
+}
+
+impl Drop for BudgetProbe<'_> {
+    /// A worker that stops — done, interrupted or unwinding — flushes
+    /// what it has not yet reported, so the workers still running see
+    /// the whole spend.
+    fn drop(&mut self) {
+        if let Some(shared) = self.shared {
+            // ordering: Relaxed — a pure counter, as in `probe_slow`.
+            shared.spent.fetch_add(self.seen.saturating_sub(self.flushed), Ordering::Relaxed);
+        }
     }
 }
 
@@ -229,6 +262,45 @@ mod tests {
             assert!(n < 10_000, "cap never tripped");
         };
         assert_eq!(tripped_at, 100);
+        assert_eq!(shared.reason(), Some(TruncationReason::ExpansionCap));
+    }
+
+    #[test]
+    fn a_dropped_probe_flushes_its_tail() {
+        let shared = BudgetShared::new(&SearchBudget::with_max_expansions(20));
+        let mut first = BudgetProbe::new(Some(&shared));
+        for n in 1..=10u64 {
+            assert!(!first.check(n));
+        }
+        drop(first);
+        let mut second = BudgetProbe::new(Some(&shared));
+        let tripped_at = (1..=20u64).find(|&n| second.check(n));
+        assert_eq!(tripped_at, Some(10), "the first probe's 10 expansions count");
+    }
+
+    #[test]
+    fn worker_shares_bound_the_overshoot() {
+        // The worst interleaving for two workers: one takes its share
+        // and runs it unreported while the other spends the rest of the
+        // cap alone, then the first probes again.
+        let (cap, workers) = (100u64, 2u64);
+        let shared = BudgetShared::new(&SearchBudget::with_max_expansions(cap));
+        let mut slow = BudgetProbe::shared_by(Some(&shared), 2);
+        let mut fast = BudgetProbe::shared_by(Some(&shared), 2);
+        assert!(!slow.check(1));
+        let mut slow_done = 1u64;
+        while slow_done < cap && !shared.tripped_fast() && slow.next_probe > slow_done + 1 {
+            slow_done += 1;
+            assert!(!slow.check(slow_done));
+        }
+        let fast_done = (1..).find(|&n| fast.check(n)).unwrap_or(0);
+        let slow_done = (slow_done + 1..).find(|&n| slow.check(n)).unwrap_or(0);
+        let total = slow_done + fast_done;
+        assert!(total > cap, "the interleaving must overshoot to test the bound");
+        assert!(
+            total <= cap + (workers - 1) * cap.div_ceil(workers),
+            "{total} expansions under a cap of {cap} shared by {workers} workers"
+        );
         assert_eq!(shared.reason(), Some(TruncationReason::ExpansionCap));
     }
 

@@ -128,14 +128,16 @@ pub struct JoiningNetworkLevels<'a> {
     /// caller that cuts enumeration never pays for a level it skips.
     primed: bool,
     expansions: u64,
-    /// Set when a budget interrupt fired mid-growth: the level being
-    /// built was dropped (it was incomplete) and the level cleared, so
-    /// enumeration ends. Every level already *reported* was complete.
+    /// Set when a budget interrupt fired while a level was built (seeded
+    /// or grown): that level was dropped (it was incomplete) and the
+    /// level cleared, so enumeration ends. Every level already
+    /// *reported* was complete.
     truncated: bool,
 }
 
 impl<'a> JoiningNetworkLevels<'a> {
-    /// Seed the enumeration of MTJNTs of at most `max_tuples` tuples.
+    /// Prepare the enumeration of MTJNTs of at most `max_tuples` tuples
+    /// (the first [`Self::next_level`] call builds the seed level).
     /// With an empty keyword set (conjunctive semantics) the enumerator
     /// yields nothing.
     pub fn new(
@@ -159,9 +161,6 @@ impl<'a> JoiningNetworkLevels<'a> {
         if max_tuples == 0 || keyword_sets.iter().any(HashSet::is_empty) {
             return levels;
         }
-        let Some(seed_set) = keyword_sets.iter().min_by_key(|s| s.len()) else {
-            return levels;
-        };
         let cap = u32::try_from(max_tuples - 1).unwrap_or(u32::MAX);
         let mut queue = VecDeque::new();
         let mut sources: Vec<NodeId> = Vec::new();
@@ -176,22 +175,38 @@ impl<'a> JoiningNetworkLevels<'a> {
         for i in 0..keyword_sets.len() {
             levels.full[i / 64] |= 1 << (i % 64);
         }
+        levels
+    }
+
+    /// Build the one-tuple level from the seeds (the smallest keyword
+    /// set): each seed that can still become an MTJNT is a network,
+    /// counted and probed like a grown one, so a cap below the seed
+    /// count binds too.
+    fn seed(&mut self, interrupt: &mut dyn FnMut(u64) -> bool) {
         // Seed in node order, not hash-set order: the level order is the
         // order every later level, and so the reported networks, come
         // out in.
+        let Some(seed_set) = self.keyword_sets.iter().min_by_key(|s| s.len()) else {
+            return;
+        };
         let mut seeds: Vec<NodeId> = seed_set.iter().copied().collect();
         seeds.sort_unstable();
-        let mut cover = vec![0; levels.full.len()];
+        let mut cover = vec![0; self.full.len()];
         for seed in seeds {
             cover.fill(0);
-            levels.cover_node(&mut cover, seed);
-            if levels.can_become_mtjnt(&cover, 1, |i| levels.hops[i][seed.index()]) {
-                levels.expansions += 1;
-                levels.nodes.push(seed);
-                levels.cover.extend_from_slice(&cover);
+            self.cover_node(&mut cover, seed);
+            if self.can_become_mtjnt(&cover, 1, |i| self.hops[i][seed.index()]) {
+                self.nodes.push(seed);
+                self.cover.extend_from_slice(&cover);
+                self.expansions += 1;
+                if interrupt(self.expansions) {
+                    self.truncated = true;
+                    self.nodes.clear();
+                    self.cover.clear();
+                    return;
+                }
             }
         }
-        levels
     }
 
     /// Networks materialized so far: each distinct network that can
@@ -238,6 +253,8 @@ impl<'a> JoiningNetworkLevels<'a> {
         }
         if self.primed {
             self.grow(interrupt);
+        } else {
+            self.seed(interrupt);
         }
         self.primed = true;
         if self.nodes.is_empty() {

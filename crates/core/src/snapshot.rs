@@ -29,8 +29,8 @@ use crate::ranking::{ConnectionInfo, RankStrategy};
 use crate::stats::{Completeness, SearchStats, TruncationReason};
 use cla_er::{CardinalityChain, Closeness, ErSchema, SchemaMapping};
 use cla_graph::{
-    enumerate_simple_paths_undirected, for_each_path_to_targets_budgeted, NodeId, Path,
-    RingBfs, TraversalScratch,
+    enumerate_simple_paths_undirected, for_each_path_to_targets_budgeted, EdgeId, NodeId,
+    Path, RingBfs, TraversalScratch,
 };
 use cla_index::{tuple_score, InvertedIndex, KeywordQuery};
 use cla_relational::TupleId;
@@ -97,14 +97,17 @@ pub struct SearchOptions {
     pub max_witness_length: usize,
     /// Edge weighting for the BANKS expansion.
     pub weighting: EdgeWeighting,
-    /// Worker threads for the parallelizable pipeline stages (the
-    /// per-source enumeration fan-out and the per-connection
-    /// metric/rendering stage). `1` runs fully sequential; `0` (the
-    /// default) resolves to the `CLA_SEARCH_THREADS` environment
-    /// variable if set (the CI determinism knob), else the machine's
-    /// available parallelism. Ranked output is byte-identical across
-    /// thread counts: work is split into contiguous chunks and merged
-    /// back in order.
+    /// Worker threads for the two parallel stages of the batch
+    /// pipeline: the per-source Paths enumeration fan-out of a whole
+    /// answer and the per-connection metric/rendering stage. Streamed
+    /// top-k searches (a set `k` on the two-keyword `Paths` and
+    /// `Discover` algorithms under a streaming ranker) and the BANKS
+    /// expansion run on the calling thread whatever this says. `1` runs
+    /// fully sequential; `0` (the default) resolves to the
+    /// `CLA_SEARCH_THREADS` environment variable if set (the CI
+    /// determinism knob), else the machine's available parallelism.
+    /// Ranked output is byte-identical across thread counts: work is
+    /// split into contiguous chunks and merged back in order.
     pub threads: usize,
     /// How the instance-closeness witness search prunes: iterative
     /// deepening, bounded-BFS distance maps, or (the default) an
@@ -232,14 +235,28 @@ impl MarkerLookup for QueryMarkers<'_> {
 /// ([`EngineSnapshot::absorb_level`]): the connection with its cheap
 /// ranking info and that info's packed sort key. `instance_close` is
 /// exact once `witnessed` is set; until then it is the pessimistic
-/// `Some(false)`. While the merge's first pass still borrows the
-/// level's node sequences, `connection` is the connection's position
-/// in the level instead.
-struct Keyed<C = Connection> {
+/// `Some(false)`.
+struct Keyed {
     key: (u128, u64),
-    connection: C,
+    connection: Connection,
     info: ConnectionInfo,
     witnessed: bool,
+}
+
+/// Step 1 of a key-first level merge ([`EngineSnapshot::absorb_level`])
+/// while its connections are offered one at a time: the held results,
+/// a running k-th of them and of the candidates kept so far, and those
+/// candidates.
+struct LevelMerge<'h> {
+    held: &'h [RankedConnection],
+    running: RunningKth,
+    kept: Vec<Keyed>,
+}
+
+impl<'h> LevelMerge<'h> {
+    fn new(held: &'h [RankedConnection], k: usize, strategy: RankStrategy) -> Self {
+        LevelMerge { held, running: RunningKth::new(held, k, strategy), kept: Vec::new() }
+    }
 }
 
 /// Per-worker mutable state of the metric stage: reusable buffers and
@@ -501,7 +518,7 @@ impl RunningKth {
         i: usize,
         strategy: RankStrategy,
         held: &[RankedConnection],
-        kept: &[Keyed<usize>],
+        kept: &[Keyed],
     ) {
         self.pool.push((key, i));
         let limit = if self.kth.is_some() { self.k.saturating_mul(2) } else { self.k };
@@ -523,7 +540,7 @@ impl RunningKth {
         info: &ConnectionInfo,
         strategy: RankStrategy,
         held: &[RankedConnection],
-        kept: &[Keyed<usize>],
+        kept: &[Keyed],
     ) -> bool {
         self.kth.is_some_and(|(kth, i)| {
             key_order(strategy, (key, info), (kth, info_at(held, kept, i)))
@@ -535,7 +552,7 @@ impl RunningKth {
 /// The info of [`RunningKth`] entry `i`.
 fn info_at<'a>(
     held: &'a [RankedConnection],
-    kept: &'a [Keyed<usize>],
+    kept: &'a [Keyed],
     i: usize,
 ) -> &'a ConnectionInfo {
     match i.checked_sub(held.len()) {
@@ -1241,7 +1258,6 @@ impl EngineSnapshot {
                             match_sets,
                             options,
                             &ctx,
-                            threads,
                             connections,
                             &mut scratch.enumerate,
                             &mut scratch.rank,
@@ -1261,7 +1277,6 @@ impl EngineSnapshot {
                         &match_sets[0],
                         &match_sets[1],
                         options.max_rdb_length,
-                        None,
                         threads,
                         &mut scratch.enumerate,
                         budget,
@@ -1427,35 +1442,37 @@ impl EngineSnapshot {
         Ok(SearchResults { query, display_keywords, connections: ranked, trees, stats })
     }
 
-    /// One streamed level of a top-k accumulator: canonical orientation
-    /// with node-sequence dedup, the optional MTJNT filter, and the merge
-    /// into the bounded best-k buffer (a sorted vector, since k is
-    /// small). Items that fall off the buffer can never re-enter the top
-    /// k (later levels only add candidates, never improve dropped ones),
-    /// so streamed accumulation equals the full enumeration's ranked
-    /// prefix — the equivalence the property tests pin down for both the
-    /// `Paths` and `Discover` modes. The dedup set lives for one level:
-    /// the connections of different levels have different node counts,
-    /// so their node sequences never collide.
+    /// One streamed level of a top-k accumulator, merged into the bounded
+    /// best-k buffer (a sorted vector, since k is small): each connection
+    /// is offered to step 1 below as it comes ([`EngineSnapshot::offer`]),
+    /// and steps 2–5 run on the candidates it kept
+    /// ([`EngineSnapshot::finish_level`]). Items that fall off the buffer
+    /// can never re-enter the top k (later levels only add candidates,
+    /// never improve dropped ones), so streamed accumulation equals the
+    /// full enumeration's ranked prefix — the equivalence the property
+    /// tests pin down for both the `Paths` and `Discover` modes. A level
+    /// offers each connection once: the singles and DISCOVER's networks
+    /// are distinct node sequences, and streamed Paths offers only the
+    /// path the batch pipeline's dedup would keep
+    /// ([`EngineSnapshot::represents_its_connection`]).
     ///
     /// The merge is **key first**, and does the expensive per-connection
     /// work only for connections that can still enter the top k. It is
     /// sequential: it witnesses, renders and explains few connections,
     /// and renders read the per-node label cache.
     ///
-    /// 1. One pass over the level orients each connection, drops a
-    ///    repeated node sequence, applies the MTJNT filter and gives the
-    ///    connection its cheap info (text score, conceptual steps, ER
-    ///    chain) and no witness search. Its `instance_close` is exact for
-    ///    a schema-close connection and pessimistic (`Some(false)`) for a
-    ///    loose one. The pass drops a connection at once when, even with
-    ///    `instance_close` set optimistically (`Some(true)`), it is
-    ///    strictly worse than a running k-th best ([`RunningKth`]) of the
-    ///    buffer and the level so far. That running k-th is never better
-    ///    than `T` below, so step 2 would drop the connection too; and k
-    ///    kept candidates or held results beat it, so dropping it leaves
-    ///    `T` unchanged. A level of a million paths therefore keeps only
-    ///    its few contenders.
+    /// 1. Each offered connection is oriented, passed through the
+    ///    optional MTJNT filter and given its cheap info (text score,
+    ///    conceptual steps, ER chain) and no witness search. Its
+    ///    `instance_close` is exact for a schema-close connection and
+    ///    pessimistic (`Some(false)`) for a loose one. The connection is
+    ///    dropped at once when, even with `instance_close` set
+    ///    optimistically (`Some(true)`), it is strictly worse than a
+    ///    running k-th best ([`RunningKth`]) of the buffer and the
+    ///    candidates kept so far. That running k-th is never better than
+    ///    `T` below, so step 2 would drop the connection too; and k kept
+    ///    candidates or held results beat it, so dropping it leaves `T`
+    ///    unchanged. Only the kept candidates are held.
     /// 2. `T` is the k-th best of the buffer and the kept connections by
     ///    packed key, then the full comparison. A kept connection
     ///    strictly worse than `T` even with `instance_close` set
@@ -1482,76 +1499,77 @@ impl EngineSnapshot {
     fn absorb_level(
         &self,
         acc: &mut Vec<RankedConnection>,
-        mut conns: Vec<Connection>,
+        conns: Vec<Connection>,
         mtjnt_sets: Option<&[HashSet<NodeId>]>,
         ctx: &RankContext<'_>,
         ranker: RankStrategy,
         k: usize,
         scratch: &mut RankScratch,
     ) {
-        // Step 1. The connections stay in place while the dedup set
-        // borrows their node sequences; `kept` names each survivor by its
-        // position in the level.
-        let mut kept: Vec<Keyed<usize>> = Vec::new();
-        {
-            let held: &[RankedConnection] = acc;
-            let mut seen: HashSet<&[NodeId], std::hash::BuildHasherDefault<Fnv1a>> =
-                HashSet::with_capacity_and_hasher(conns.len(), Default::default());
-            // Nothing can fall out while the buffer and the level fit in
-            // k together.
-            let mut running =
-                (held.len() + conns.len() > k).then(|| RunningKth::new(held, k, ranker));
-            for (at, slot) in conns.iter_mut().enumerate() {
-                canonical_orient(slot, &self.dg);
-                let connection: &Connection = slot;
-                if !seen.insert(connection.nodes()) {
-                    continue;
-                }
-                if let Some(kw) = mtjnt_sets {
-                    let set: BTreeSet<NodeId> = connection.nodes().iter().copied().collect();
-                    if !is_mtjnt(&self.dg, &set, kw) {
-                        continue;
-                    }
-                }
-                let mut info = self.info_with(
-                    connection,
-                    &mut scratch.csteps,
-                    ctx.text_score(connection),
-                    false,
-                    ctx.max_witness_length,
-                    &mut scratch.witness,
-                );
-                let close = info.closeness == Closeness::Close;
-                info.instance_close = ctx.compute_instance.then_some(close);
-                let witnessed = close || !ctx.compute_instance;
-                let key = ranker.sort_key(&info);
-                if let Some(running) = &running {
-                    let pessimistic = info.instance_close;
-                    if !witnessed {
-                        info.instance_close = Some(true);
-                    }
-                    let optimistic = ranker.sort_key(&info);
-                    let dropped = running.beats(optimistic, &info, ranker, held, &kept);
-                    info.instance_close = pessimistic;
-                    if dropped {
-                        continue;
-                    }
-                }
-                kept.push(Keyed { key, connection: at, info, witnessed });
-                if let Some(running) = &mut running {
-                    running.offer(key, held.len() + kept.len() - 1, ranker, held, &kept);
-                }
+        let mut merge = LevelMerge::new(acc, k, ranker);
+        for connection in conns {
+            self.offer(&mut merge, connection, mtjnt_sets, ctx, ranker, scratch);
+        }
+        let kept = merge.kept;
+        self.finish_level(acc, kept, ctx, ranker, k, scratch);
+    }
+
+    /// Step 1 of [`EngineSnapshot::absorb_level`] for one connection:
+    /// kept in `merge` only while it can still enter the top k.
+    fn offer(
+        &self,
+        merge: &mut LevelMerge<'_>,
+        mut connection: Connection,
+        mtjnt_sets: Option<&[HashSet<NodeId>]>,
+        ctx: &RankContext<'_>,
+        ranker: RankStrategy,
+        scratch: &mut RankScratch,
+    ) {
+        canonical_orient(&mut connection, &self.dg);
+        if let Some(kw) = mtjnt_sets {
+            let set: BTreeSet<NodeId> = connection.nodes().iter().copied().collect();
+            if !is_mtjnt(&self.dg, &set, kw) {
+                return;
             }
         }
-        let mut level = conns.into_iter().enumerate();
-        let mut cands: Vec<Keyed> = kept
-            .into_iter()
-            .filter_map(|c| {
-                let (_, connection) = level.find(|&(i, _)| i == c.connection)?;
-                Some(Keyed { key: c.key, connection, info: c.info, witnessed: c.witnessed })
-            })
-            .collect();
+        let mut info = self.info_with(
+            &connection,
+            &mut scratch.csteps,
+            ctx.text_score(&connection),
+            false,
+            ctx.max_witness_length,
+            &mut scratch.witness,
+        );
+        let close = info.closeness == Closeness::Close;
+        info.instance_close = ctx.compute_instance.then_some(close);
+        let witnessed = close || !ctx.compute_instance;
+        let key = ranker.sort_key(&info);
+        let pessimistic = info.instance_close;
+        if !witnessed {
+            info.instance_close = Some(true);
+        }
+        let optimistic = ranker.sort_key(&info);
+        let dropped = merge.running.beats(optimistic, &info, ranker, merge.held, &merge.kept);
+        info.instance_close = pessimistic;
+        if dropped {
+            return;
+        }
+        merge.kept.push(Keyed { key, connection, info, witnessed });
+        let at = merge.held.len() + merge.kept.len() - 1;
+        merge.running.offer(key, at, ranker, merge.held, &merge.kept);
+    }
 
+    /// Steps 2–5 of [`EngineSnapshot::absorb_level`]: merge the
+    /// candidates step 1 kept into the buffer `acc`.
+    fn finish_level(
+        &self,
+        acc: &mut Vec<RankedConnection>,
+        mut cands: Vec<Keyed>,
+        ctx: &RankContext<'_>,
+        ranker: RankStrategy,
+        k: usize,
+        scratch: &mut RankScratch,
+    ) {
         // Step 2.
         if let Some((t_key, t_info)) = kth_best(acc, &cands, k, ranker) {
             cands.retain_mut(|c| {
@@ -1616,11 +1634,17 @@ impl EngineSnapshot {
         }
     }
 
-    /// Streaming top-k for the two-keyword `Paths` pipeline: per length
-    /// level, fan the per-source exact-length enumeration out over the
-    /// worker threads, absorb the level into the bounded best-k buffer
-    /// ([`EngineSnapshot::absorb_level`]), and stop as soon as the k-th
-    /// best connection dominates every unexplored level.
+    /// Streaming top-k for the two-keyword `Paths` pipeline, on the
+    /// calling thread. Per length level, one pruned DFS per source emits
+    /// the level's paths, and each path that stands for its connection
+    /// ([`EngineSnapshot::represents_its_connection`]) is keyed against
+    /// the running k-th the moment it is emitted
+    /// ([`EngineSnapshot::absorb_level`] step 1) and dropped unless it
+    /// can still enter the top k: no level is ever collected. The
+    /// survivors merge into the bounded best-k buffer, and the search
+    /// stops as soon as the k-th best connection dominates every
+    /// unexplored level. One budget probe counts the expansions of every
+    /// level, so an expansion cap is exact.
     #[allow(clippy::too_many_arguments)]
     fn stream_topk_paths(
         &self,
@@ -1628,7 +1652,6 @@ impl EngineSnapshot {
         match_sets: &[Vec<NodeId>],
         options: &SearchOptions,
         ctx: &RankContext<'_>,
-        threads: usize,
         singles: Vec<Connection>,
         enumerate: &mut EnumScratch,
         rank_scratch: &mut RankScratch,
@@ -1641,27 +1664,20 @@ impl EngineSnapshot {
         let kw_sets: Option<Vec<HashSet<NodeId>>> = options
             .mtjnt_only
             .then(|| match_sets.iter().map(|s| s.iter().copied().collect()).collect());
+        let mtjnt_sets = kw_sets.as_deref();
+        let ranker = options.ranker;
 
         let mut stats = SearchStats::default();
         let mut acc: Vec<RankedConnection> = Vec::new();
-        let mut faulted = false;
+        let mut probe = BudgetProbe::new(budget);
 
         // Level 0: the singles.
-        self.absorb_level(
-            &mut acc,
-            singles,
-            kw_sets.as_deref(),
-            ctx,
-            options.ranker,
-            k,
-            rank_scratch,
-        );
+        self.absorb_level(&mut acc, singles, mtjnt_sets, ctx, ranker, k, rank_scratch);
         for level in 1..=options.max_rdb_length {
             // Any connection still to come has RDB length >= level; if
             // the k-th best already beats the best conceivable such
             // connection, deeper enumeration cannot change the top k.
-            if acc.len() == k && options.ranker.dominates_all_longer(&acc[k - 1].info, level)
-            {
+            if acc.len() == k && ranker.dominates_all_longer(&acc[k - 1].info, level) {
                 stats.early_terminated = true;
                 break;
             }
@@ -1674,54 +1690,104 @@ impl EngineSnapshot {
                 enumerate.seed_targets(self.dg.node_count(), set_b);
             }
             enumerate.bfs.grow_to(self.dg.csr(), u32::try_from(level).unwrap_or(u32::MAX));
-            let (conns, expansions) = self.fan_out_connections(
-                set_a,
-                &enumerate.is_target,
-                enumerate.bfs.distances(),
-                level,
-                Some(level),
-                threads,
-                &mut enumerate.traversal,
-                budget,
-                &mut faulted,
-            );
-            stats.expansions += expansions;
-            if !faulted {
-                if let Some(reason) = budget.and_then(|b| b.reason()) {
-                    // The budget cut this level mid-enumeration:
-                    // discard the partial level and certify the held
-                    // prefix against it — every connection the cut
-                    // could have missed has >= `level` edges (all
-                    // shallower levels were absorbed in full).
-                    let keep = acc
-                        .iter()
-                        .take_while(|r| options.ranker.dominates_all_longer(&r.info, level))
-                        .count();
-                    acc.truncate(keep);
-                    stats.completeness = Completeness::Truncated { reason };
-                    return (acc, stats);
+            let EnumScratch { is_target, bfs, traversal } = &mut *enumerate;
+            let is_target: &[bool] = is_target;
+            let mut merge = LevelMerge::new(&acc, k, ranker);
+            for &a in set_a {
+                let flow = for_each_path_to_targets_budgeted(
+                    self.dg.csr(),
+                    a,
+                    is_target,
+                    bfs.distances(),
+                    level,
+                    &mut stats.expansions,
+                    traversal,
+                    &mut |n| probe.check(n),
+                    |nodes, edges| {
+                        if edges.len() == level
+                            && self.represents_its_connection(nodes, edges, is_target, set_a)
+                        {
+                            let connection = Connection::from_slices(
+                                nodes,
+                                edges,
+                                &self.dg,
+                                &self.er_schema,
+                            );
+                            self.offer(
+                                &mut merge,
+                                connection,
+                                mtjnt_sets,
+                                ctx,
+                                ranker,
+                                rank_scratch,
+                            );
+                        }
+                        ControlFlow::Continue(())
+                    },
+                );
+                if flow.is_break() {
+                    break; // the budget ran out
                 }
             }
-            stats.max_length_enumerated = level;
-            self.absorb_level(
-                &mut acc,
-                conns,
-                kw_sets.as_deref(),
-                ctx,
-                options.ranker,
-                k,
-                rank_scratch,
-            );
-            if faulted {
-                // A worker chunk panicked somewhere in this level's
-                // enumeration; its contribution is gone, so no prefix
-                // can be certified.
-                stats.completeness =
-                    Completeness::Truncated { reason: TruncationReason::WorkerFault };
+            let kept = merge.kept;
+            if let Some(reason) = budget.and_then(|b| b.reason()) {
+                // The budget cut this level mid-enumeration: discard the
+                // partial level and certify the held prefix against it —
+                // every connection the cut could have missed has >=
+                // `level` edges (all shallower levels were absorbed in
+                // full).
+                let keep = acc
+                    .iter()
+                    .take_while(|r| ranker.dominates_all_longer(&r.info, level))
+                    .count();
+                acc.truncate(keep);
+                stats.completeness = Completeness::Truncated { reason };
                 return (acc, stats);
             }
+            stats.max_length_enumerated = level;
+            self.finish_level(&mut acc, kept, ctx, ranker, k, rank_scratch);
         }
         (acc, stats)
+    }
+
+    /// Whether a path a streamed Paths level emits is the one that
+    /// stands for its connection, so that each connection is offered
+    /// once. Of the paths that orient to one connection, the batch
+    /// pipeline keeps the first: sources in match-list order, each
+    /// source's paths in [`Connection::canonical_cmp`] order. Two
+    /// stateless rules pick that same path:
+    ///
+    /// * every hop uses the lowest-id edge joining its two nodes (of the
+    ///   parallel-edge variants of one node sequence, the one that sorts
+    ///   first), checked by scanning the shorter of the two nodes'
+    ///   neighbor lists;
+    /// * a path from `a` to `b` is skipped when `a` is also a target and
+    ///   `b` a source ordered before `a`: source `b` emitted the reverse
+    ///   path first, and it orients to the same connection.
+    ///
+    /// `sources` is sorted by tuple, as every match list is.
+    fn represents_its_connection(
+        &self,
+        nodes: &[NodeId],
+        edges: &[EdgeId],
+        is_target: &[bool],
+        sources: &[NodeId],
+    ) -> bool {
+        let (a, b) = (nodes[0], nodes[nodes.len() - 1]);
+        if is_target[a.index()] {
+            let tb = self.dg.tuple_of(b);
+            if tb < self.dg.tuple_of(a)
+                && sources.binary_search_by_key(&tb, |&n| self.dg.tuple_of(n)).is_ok()
+            {
+                return false;
+            }
+        }
+        let csr = self.dg.csr();
+        edges.iter().zip(nodes.windows(2)).all(|(&e, hop)| {
+            let (u, v) = (hop[0], hop[1]);
+            let (scan, other) = if csr.degree(u) <= csr.degree(v) { (u, v) } else { (v, u) };
+            csr.neighbors(scan).iter().all(|&(m, f)| m != other || f >= e)
+        })
     }
 
     /// Streaming top-k for the two-keyword `Discover` pipeline: MTJNTs
@@ -1837,7 +1903,6 @@ impl EngineSnapshot {
                 set_a,
                 set_b,
                 max_rdb,
-                None,
                 threads,
                 &mut scratch.enumerate,
                 None,
@@ -1849,18 +1914,17 @@ impl EngineSnapshot {
     }
 
     /// Build the target mask and the shared BFS distance map for `set_b`
-    /// and run the (optionally exact-length) fan-out from `set_a`. The
-    /// map is grown to `max_rdb` hops at once: the pruned DFS can never
-    /// use a larger distance, so farther nodes read as unreachable and
-    /// the traversal result is identical to the full map's while the
-    /// BFS only touches the budget neighborhood.
+    /// and run the fan-out from `set_a`. The map is grown to `max_rdb`
+    /// hops at once: the pruned DFS can never use a larger distance, so
+    /// farther nodes read as unreachable and the traversal result is
+    /// identical to the full map's while the BFS only touches the budget
+    /// neighborhood.
     #[allow(clippy::too_many_arguments)]
     fn pair_enumeration(
         &self,
         set_a: &[NodeId],
         set_b: &[NodeId],
         max_rdb: usize,
-        exact: Option<usize>,
         threads: usize,
         enumerate: &mut EnumScratch,
         budget: Option<&BudgetShared>,
@@ -1875,7 +1939,6 @@ impl EngineSnapshot {
             &enumerate.is_target,
             enumerate.bfs.distances(),
             max_rdb,
-            exact,
             threads,
             &mut enumerate.traversal,
             budget,
@@ -1891,6 +1954,9 @@ impl EngineSnapshot {
     /// its chunk, so the output is byte-identical to the sequential
     /// loop's. The sequential path reuses the pooled DFS stacks; worker
     /// threads own fresh ones (scratch only affects cost, not output).
+    /// The workers share the budget through one probe each, each
+    /// probing again after at most its share of what the cap has left
+    /// (the bound is in [`crate::budget`]'s module doc).
     /// Parallel chunks are fault-isolated ([`EngineSnapshot::rank_stage`]
     /// documents the policy): a panicking chunk drops its own sources'
     /// paths, sets `faulted`, and leaves the rest intact. The
@@ -1903,7 +1969,6 @@ impl EngineSnapshot {
         is_target: &[bool],
         dist: &[u32],
         max_edges: usize,
-        exact: Option<usize>,
         threads: usize,
         traversal: &mut TraversalScratch,
         budget: Option<&BudgetShared>,
@@ -1911,9 +1976,9 @@ impl EngineSnapshot {
     ) -> (Vec<Connection>, u64) {
         let threads = threads.clamp(1, sources.len().max(1));
         if threads == 1 {
-            return self.enumerate_chunk(
-                sources, is_target, dist, max_edges, exact, traversal, budget,
-            );
+            let probe = BudgetProbe::new(budget);
+            return self
+                .enumerate_chunk(sources, is_target, dist, max_edges, traversal, probe);
         }
         let chunk = sources.len().div_ceil(threads);
         let mut chunks = sources.chunks(chunk);
@@ -1939,9 +2004,8 @@ impl EngineSnapshot {
                                 is_target,
                                 dist,
                                 max_edges,
-                                exact,
                                 &mut worker.enumerate.traversal,
-                                budget,
+                                BudgetProbe::shared_by(budget, threads),
                             );
                             self.return_scratch(worker);
                             result
@@ -1950,9 +2014,8 @@ impl EngineSnapshot {
                 })
                 .collect();
             let head_result = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.enumerate_chunk(
-                    head, is_target, dist, max_edges, exact, traversal, budget,
-                )
+                let probe = BudgetProbe::shared_by(budget, threads);
+                self.enumerate_chunk(head, is_target, dist, max_edges, traversal, probe)
             }));
             match head_result {
                 Ok((conns, exp)) => {
@@ -1981,29 +2044,25 @@ impl EngineSnapshot {
     }
 
     /// The sequential enumeration kernel: one pruned DFS per source in
-    /// `sources`, collecting every target-ending path (or, with
-    /// `exact = Some(l)`, only paths of exactly `l` edges — the
-    /// streaming top-k level shape), canonically sorted per source and
-    /// converted to connections against the precomputed edge-cardinality
-    /// table. Returns the connections and the DFS expansion count.
-    #[allow(clippy::too_many_arguments)]
+    /// `sources`, collecting every target-ending path, canonically
+    /// sorted per source and converted to connections. Stops at the
+    /// first source the budget `probe` interrupts. Returns the
+    /// connections and the DFS expansion count.
     fn enumerate_chunk(
         &self,
         sources: &[NodeId],
         is_target: &[bool],
         dist: &[u32],
         max_edges: usize,
-        exact: Option<usize>,
         traversal: &mut TraversalScratch,
-        budget: Option<&BudgetShared>,
+        mut probe: BudgetProbe<'_>,
     ) -> (Vec<Connection>, u64) {
         let csr = self.dg.csr();
         let mut out: Vec<Connection> = Vec::new();
         let mut expansions = 0u64;
-        let mut probe = BudgetProbe::new(budget);
         for &a in sources {
             let start = out.len();
-            let _ = for_each_path_to_targets_budgeted(
+            let flow = for_each_path_to_targets_budgeted(
                 csr,
                 a,
                 is_target,
@@ -2013,14 +2072,12 @@ impl EngineSnapshot {
                 traversal,
                 &mut |n| probe.check(n),
                 |nodes, edges| {
-                    if exact.is_none_or(|l| edges.len() == l) {
-                        out.push(Connection::from_slices(
-                            nodes,
-                            edges,
-                            &self.dg,
-                            &self.er_schema,
-                        ));
-                    }
+                    out.push(Connection::from_slices(
+                        nodes,
+                        edges,
+                        &self.dg,
+                        &self.er_schema,
+                    ));
                     ControlFlow::Continue(())
                 },
             );
@@ -2028,6 +2085,9 @@ impl EngineSnapshot {
             // dedup picks the same representative among parallel-edge
             // variants as the per-pair enumeration.
             out[start..].sort_by(Connection::canonical_cmp);
+            if flow.is_break() {
+                break; // the budget ran out
+            }
         }
         (out, expansions)
     }

@@ -22,6 +22,8 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static NET_BYTES: AtomicI64 = AtomicI64::new(0);
+/// The most `NET_BYTES` has read since [`reset_peak`].
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
 
 /// Set by the first thread that allocates: the test harness's main
 /// thread, which runs before it spawns the thread the test runs on.
@@ -59,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if counted() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            NET_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+            grow_net(layout.size() as i64);
         }
         // SAFETY: caller upholds GlobalAlloc's contract; pass through.
         unsafe { System.alloc(layout) }
@@ -76,7 +78,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if counted() {
             ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            NET_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+            grow_net(new_size as i64 - layout.size() as i64);
         }
         // SAFETY: caller upholds GlobalAlloc's contract; pass through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -85,6 +87,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Add `delta` to the live bytes and raise the peak to them.
+fn grow_net(delta: i64) {
+    let live = NET_BYTES.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+/// Start a peak window at the bytes live now.
+fn reset_peak() {
+    PEAK_BYTES.store(net_bytes(), Ordering::Relaxed);
+}
+
+fn peak_bytes() -> i64 {
+    PEAK_BYTES.load(Ordering::Relaxed)
+}
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -356,5 +373,63 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
     assert!(
         dept64 <= dept8 + 32,
         "a warm top-10 BANKS search made {dept8} allocations at dept8 and {dept64} at dept64"
+    );
+
+    // ── Part 7: a streamed top-10 Paths search holds no level. Each
+    // path is keyed as the DFS emits it and dropped unless it can still
+    // enter the top 10, so the search's heap peak is set by its
+    // contenders, not by how many paths its deepest level emits. The
+    // head project pair "p3 p1" runs through level 4 at both scales,
+    // and at dept64 that level emits many times dept8's paths; the two
+    // peaks may differ by at most `PEAK_SLACK`.
+    const PEAK_SLACK: i64 = 64 * 1024;
+    let warm_search_peak = |departments: usize| {
+        let s = generate_synthetic(&SyntheticConfig { departments, ..bench_shape() });
+        let engine =
+            SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap().with_aliases(s.aliases);
+        let snapshot = engine.snapshots().latest();
+        let opts = SearchOptions { k: Some(10), threads: 1, ..Default::default() };
+        for _ in 0..3 {
+            let _ = snapshot.search("p3 p1", &opts).unwrap();
+        }
+        reset_peak();
+        let before = net_bytes();
+        let results = snapshot.search("p3 p1", &opts).unwrap();
+        let peak = peak_bytes() - before;
+        assert_eq!(results.len(), 10);
+        let depth = results.stats.max_length_enumerated;
+        assert_eq!(
+            depth, opts.max_rdb_length,
+            "dept{departments}: the search must reach level 4"
+        );
+        drop(results);
+        // How many paths the deepest level emits: the whole enumeration
+        // to that depth, outside the measured window.
+        let dg = engine.data_graph();
+        let sets: Vec<Vec<NodeId>> = ["p3", "p1"]
+            .iter()
+            .map(|kw| {
+                engine
+                    .index()
+                    .matching_tuples(kw)
+                    .into_iter()
+                    .filter_map(|t| dg.node_of(t))
+                    .collect()
+            })
+            .collect();
+        let paths = engine.pair_connections(&sets[0], &sets[1], depth);
+        let emitted = paths.iter().filter(|c| c.rdb_length() == depth).count();
+        (peak, emitted)
+    };
+    let ((peak8, emitted8), (peak64, emitted64)) =
+        (warm_search_peak(8), warm_search_peak(64));
+    assert!(
+        emitted64 >= 10 * emitted8,
+        "level 4 must emit many more paths at dept64 ({emitted64}) than at dept8 ({emitted8})"
+    );
+    assert!(
+        (peak64 - peak8).abs() <= PEAK_SLACK,
+        "a warm top-10 Paths search peaked at {peak8} B at dept8 ({emitted8} level-4 paths) \
+         and {peak64} B at dept64 ({emitted64})"
     );
 }

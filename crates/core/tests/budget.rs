@@ -11,6 +11,9 @@
 //!   `Complete` label always comes with output identical to the
 //!   unbudgeted run, and a cap above the search's real expansion count
 //!   never truncates;
+//! * the cap binds: below the full run's expansions a sequential search
+//!   is `Truncated` within the cap, and a parallel one stays within the
+//!   bound the `budget` module documents, whole answers and top-k alike;
 //! * an already-expired deadline still returns `Ok`, labeled
 //!   `Truncated { Deadline }`, with the same prefix guarantee;
 //! * a budget composes with top-k: the truncated top-k output is a
@@ -67,61 +70,98 @@ fn assert_ranked_prefix(cut: &SearchResults, full: &[String], ctx: &str) {
     }
 }
 
+/// The most expansions a search run by `threads` workers may report
+/// under a cap of `cap`: the bound the `budget` module documents.
+fn parallel_bound(cap: u64, threads: usize) -> u64 {
+    let t = threads as u64;
+    cap + (t - 1) * cap.div_ceil(t)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The core property, over random databases: for every algorithm and
-    /// both executors, every expansion cap yields a ranked prefix, and
-    /// `Complete` is reported iff nothing was cut.
+    /// The core property, over random databases: for every algorithm,
+    /// both executors, and both a whole and a top-k answer, every
+    /// expansion cap yields a ranked prefix, and `Complete` is reported
+    /// iff nothing was cut. The cap itself holds: under a cap below the
+    /// full run's expansions a sequential search stops `Truncated`
+    /// having reported at most the cap, and a parallel one reports at
+    /// most [`parallel_bound`].
     #[test]
     fn truncated_output_is_a_ranked_prefix_of_the_full_run(seed in 0u64..1_000) {
         let e = engine(seed);
         for algorithm in ALGORITHMS {
             for threads in THREADS {
-                let ctx = format!("{algorithm:?}/threads={threads}/seed={seed}");
-                let full = e
-                    .search("smith xml", &opts(algorithm, threads, SearchBudget::UNLIMITED))
-                    .unwrap();
-                prop_assert!(
-                    full.stats.completeness.is_complete(),
-                    "{ctx}: unbudgeted run must be Complete"
-                );
-                let full_r = renderings(&full);
-                let spent = full.stats.expansions;
+                for k in [None, Some(3)] {
+                    let ctx = format!("{algorithm:?}/threads={threads}/k={k:?}/seed={seed}");
+                    let run = |budget| {
+                        let o = SearchOptions { k, ..opts(algorithm, threads, budget) };
+                        e.search("smith xml", &o).unwrap()
+                    };
+                    let full = run(SearchBudget::UNLIMITED);
+                    prop_assert!(
+                        full.stats.completeness.is_complete(),
+                        "{ctx}: unbudgeted run must be Complete"
+                    );
+                    let full_r = renderings(&full);
+                    let spent = full.stats.expansions;
 
-                // A cap the search cannot reach never truncates — and the
-                // output is bit-identical, budget probes and all. (The
-                // cap counts raw settles for Banks, a coarser figure
-                // than `stats.expansions`, so "unreachable" means a
-                // huge constant rather than `spent + slack`.)
-                let roomy = e
-                    .search(
-                        "smith xml",
-                        &opts(algorithm, threads, SearchBudget::with_max_expansions(u64::MAX / 2)),
-                    )
-                    .unwrap();
-                prop_assert!(roomy.stats.completeness.is_complete(), "{ctx}: roomy cap truncated");
-                prop_assert_eq!(&renderings(&roomy), &full_r, "{}: roomy cap changed output", ctx);
+                    // A cap the search cannot reach never truncates — and
+                    // the output is bit-identical, budget probes and all.
+                    // (The cap counts raw settles for Banks, a coarser
+                    // figure than `stats.expansions`, so "unreachable"
+                    // means a huge constant rather than `spent + slack`.)
+                    let roomy = run(SearchBudget::with_max_expansions(u64::MAX / 2));
+                    prop_assert!(
+                        roomy.stats.completeness.is_complete(),
+                        "{ctx}: roomy cap truncated"
+                    );
+                    prop_assert_eq!(&renderings(&roomy), &full_r, "{}: roomy cap changed output", ctx);
 
-                if spent == 0 {
-                    continue; // nothing to cut on this fixture
-                }
-                for cap in [1, spent / 2, spent.saturating_sub(1).max(1)] {
-                    let cut = e
-                        .search(
-                            "smith xml",
-                            &opts(algorithm, threads, SearchBudget::with_max_expansions(cap)),
-                        )
-                        .unwrap();
-                    assert_ranked_prefix(&cut, &full_r, &format!("{ctx}/cap={cap}"));
-                    if !cut.stats.completeness.is_complete() {
-                        prop_assert_eq!(
-                            cut.stats.completeness,
-                            cla_core::Completeness::Truncated {
-                                reason: TruncationReason::ExpansionCap
-                            },
-                            "{}/cap={}: wrong truncation reason", ctx, cap
-                        );
+                    if spent == 0 {
+                        continue; // nothing to cut on this fixture
+                    }
+                    for cap in [1, spent / 2, spent.saturating_sub(1).max(1)] {
+                        let cut = run(SearchBudget::with_max_expansions(cap));
+                        let ctx = format!("{ctx}/cap={cap}");
+                        assert_ranked_prefix(&cut, &full_r, &ctx);
+                        if !cut.stats.completeness.is_complete() {
+                            prop_assert_eq!(
+                                cut.stats.completeness,
+                                cla_core::Completeness::Truncated {
+                                    reason: TruncationReason::ExpansionCap
+                                },
+                                "{}: wrong truncation reason", ctx
+                            );
+                        }
+                        if cap >= spent {
+                            continue;
+                        }
+                        // Banks's cap counts settles, at least one per
+                        // candidate it reports, so a cap below the
+                        // reported count binds there too.
+                        if threads == 1 {
+                            prop_assert!(
+                                !cut.stats.completeness.is_complete(),
+                                "{}: a cap below the full run's {} expansions must truncate",
+                                ctx,
+                                spent
+                            );
+                            prop_assert!(
+                                cut.stats.expansions <= cap,
+                                "{}: a sequential search ran {} expansions",
+                                ctx,
+                                cut.stats.expansions
+                            );
+                        } else {
+                            prop_assert!(
+                                cut.stats.expansions <= parallel_bound(cap, threads),
+                                "{}: {} workers ran {} expansions",
+                                ctx,
+                                threads,
+                                cut.stats.expansions
+                            );
+                        }
                     }
                 }
             }

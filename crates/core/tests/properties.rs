@@ -1269,11 +1269,15 @@ fn search_and_pair_oracle(
     (got, want, dropped)
 }
 
+/// Departments `(ID, D_DESCRIPTION)` and employees `(SSN, L_NAME,
+/// works for, advises)` of the two-FK fixture below.
+type TwoFkRows<'a> = (&'a [(&'a str, &'a str)], &'a [(&'a str, &'a str, &'a str, &'a str)]);
+
 /// Two foreign keys from EMPLOYEE to DEPARTMENT: an employee who works
 /// for and advises the same department is linked to it by two parallel
-/// edges, so several connections share one node sequence.
-#[test]
-fn pruned_search_keeps_the_oracles_parallel_edge_representative() {
+/// edges, so several connections share one node sequence. The first
+/// rows are the base fixture; `extra` rows follow them.
+fn two_fk_engine(extra: TwoFkRows<'_>) -> SearchEngine {
     let er = ErSchemaBuilder::new()
         .entity("DEPARTMENT", |e| {
             e.key("ID", DataType::Text).attr("D_DESCRIPTION", DataType::Text)
@@ -1291,23 +1295,91 @@ fn pruned_search_keeps_the_oracles_parallel_edge_representative() {
     let mut db = Database::new(mapping.catalog().clone()).unwrap();
     let dept = db.catalog().relation_id("DEPARTMENT").unwrap();
     let emp = db.catalog().relation_id("EMPLOYEE").unwrap();
-    for (id, desc) in [("d1", "xml tools"), ("d2", "xml storage"), ("d3", "parsers")] {
+    let departments = [("d1", "xml tools"), ("d2", "xml storage"), ("d3", "parsers")];
+    for &(id, desc) in departments.iter().chain(extra.0) {
         db.insert(dept, vec![id.into(), desc.into()]).unwrap();
     }
-    // SSN, L_NAME, works for, advises.
-    for (ssn, name, works, advises) in [
+    let employees = [
         ("e1", "Smith", "d1", "d1"),
         ("e2", "Smith", "d1", "d2"),
         ("e3", "Jones", "d2", "d2"),
         ("e4", "Smith", "d3", "d3"),
         ("e5", "Jones", "d3", "d1"),
-    ] {
+    ];
+    for &(ssn, name, works, advises) in employees.iter().chain(extra.1) {
         db.insert(emp, vec![ssn.into(), name.into(), works.into(), advises.into()]).unwrap();
     }
-    let engine = SearchEngine::new(db, er, mapping).unwrap();
+    SearchEngine::new(db, er, mapping).unwrap()
+}
+
+/// The pruned search keeps the per-pair oracle's representative among
+/// parallel-edge variants.
+#[test]
+fn pruned_search_keeps_the_oracles_parallel_edge_representative() {
+    let engine = two_fk_engine((&[], &[]));
     let (got, want, dropped) = search_and_pair_oracle(&engine, 4);
     assert!(dropped > 0, "the fixture must yield parallel-edge variants");
     assert_eq!(got, want);
+}
+
+/// Streamed top-k Paths offers each connection once, as the DFS emits
+/// it, picking the path the batch pipeline's dedup keeps by two rules:
+/// every hop on its lowest-id edge, and a path between two tuples that
+/// both match both keywords taken from the source ordered first. On
+/// the two-FK fixture with two such departments, joined through
+/// employees on both foreign keys, the streamed answer at every k is
+/// the whole answer's prefix: the same connections (node and edge ids),
+/// renderings, explanations and infos, under every streaming ranker
+/// with instance closeness on and off.
+#[test]
+fn streamed_paths_keep_the_batch_representatives() {
+    let engine = two_fk_engine((
+        &[("d4", "xml smith archive"), ("d5", "smith xml lab")],
+        &[
+            ("e6", "Smith", "d4", "d5"),
+            ("e7", "Jones", "d5", "d4"),
+            ("e8", "Smith", "d4", "d4"),
+            ("e9", "Jones", "d5", "d5"),
+            ("e10", "Smith", "d1", "d4"),
+        ],
+    ));
+    let view = |r: &SearchResults| -> Vec<(ConnKey, String, String, ConnectionInfo)> {
+        r.connections
+            .iter()
+            .map(|c| {
+                let edges = c.connection.steps().iter().map(|s| s.edge).collect();
+                let key = (c.connection.nodes().to_vec(), edges);
+                (key, c.rendering.clone(), c.explanation.clone(), c.info.clone())
+            })
+            .collect()
+    };
+    for ranker in STREAMING_RANKERS {
+        for compute_instance in [true, false] {
+            let base = SearchOptions {
+                max_rdb_length: 4,
+                ranker,
+                compute_instance,
+                threads: 1,
+                ..Default::default()
+            };
+            let full = view(&engine.search("xml smith", &base).unwrap());
+            let nodes: HashSet<&[NodeId]> = full.iter().map(|c| c.0 .0.as_slice()).collect();
+            assert_eq!(nodes.len(), full.len(), "the whole answer repeats a connection");
+            for k in 1..=full.len() + 1 {
+                let stream = view(
+                    &engine
+                        .search("xml smith", &SearchOptions { k: Some(k), ..base })
+                        .unwrap(),
+                );
+                assert_eq!(
+                    stream,
+                    full[..k.min(full.len())],
+                    "ranker {} instance {compute_instance} k {k}",
+                    ranker.name()
+                );
+            }
+        }
+    }
 }
 
 /// The short-circuit witness search agrees with the exhaustive scan on
