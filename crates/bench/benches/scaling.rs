@@ -4,13 +4,15 @@
 use cla_bench::scale::{coverage, synthetic_engine};
 use cla_core::{
     Algorithm, DataGraph, EdgeWeighting, RankStrategy, SearchBudget, SearchEngine,
-    SearchOptions, WitnessStrategy,
+    SearchOptions,
 };
 use cla_relational::Value;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 const QUERY: &str = "xml smith";
+/// A three-keyword query, for DISCOVER's own network growth.
+const QUERY3: &str = "xml smith alice";
 const SEED: u64 = 7;
 
 /// B1: distance-pruned multi-target connection enumeration vs database
@@ -40,11 +42,9 @@ fn enumerate_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// B2: the PR 2 executor — source fan-out across worker threads and
-/// streaming top-k early termination, at the B1 acceptance shape
-/// (dept16/len4). `parallel/` sweeps the thread knob on the full-result
-/// search; `topk/` compares `k: None` full enumeration against the
-/// streaming `k` modes (identical ranked prefixes, verified by the
+/// B2: streaming top-k early termination at the B1 acceptance shape
+/// (dept16/len4). `topk/` compares the `k: None` whole answer against
+/// the streaming `k` modes (identical ranked prefixes, verified by the
 /// property suite). DFS node-expansion counts are printed alongside so
 /// the early-termination claim stays visible in bench logs.
 /// `topk/k10_dept1024` runs the `k10` search on a 64× larger graph and
@@ -55,7 +55,7 @@ fn enumerate_scaling(c: &mut Criterion) {
 /// shorter dominates, so it enumerates through level 4, whose DFS emits
 /// 104,624 paths (at seed 7). Each path is keyed as it is emitted, and
 /// the arm's time is that per-path work.
-fn parallel_and_topk(c: &mut Criterion) {
+fn topk(c: &mut Criterion) {
     let engine = synthetic_engine(16, SEED);
     let base = SearchOptions {
         max_rdb_length: 4,
@@ -75,16 +75,6 @@ fn parallel_and_topk(c: &mut Criterion) {
             k10_expansions = stream.stats.expansions;
         }
     }
-
-    let mut group = c.benchmark_group("scaling/parallel");
-    for threads in [1usize, 2, 4] {
-        let id = format!("dept16_len4_t{threads}");
-        group.bench_function(BenchmarkId::from_parameter(&id), |b| {
-            let opts = SearchOptions { threads, ..base };
-            b.iter(|| black_box(engine.search(QUERY, &opts).unwrap().len()))
-        });
-    }
-    group.finish();
 
     let mut group = c.benchmark_group("scaling/topk");
     for (name, k) in [("full", None), ("k10", Some(10)), ("k3", Some(3))] {
@@ -306,8 +296,8 @@ fn update_maintenance(c: &mut Criterion) {
 
 /// B7/B9: BANKS backward expansion vs DISCOVER MTJNT enumeration, and
 /// the streaming-cutoff before/after pairs recorded in EXPERIMENTS.md
-/// B9: each `_k20` arm runs the priority-queue / size-level cutoff,
-/// each `_full` arm the unbounded enumeration (the cost the pre-cutoff
+/// B9: each BANKS `_k20` arm runs the priority-queue cutoff, each
+/// `_full` arm the unbounded enumeration (the cost the pre-cutoff
 /// k = 20 search paid, since it materialized everything before
 /// truncating). Expansion counts print alongside so the
 /// strictly-fewer-work claims stay visible in bench logs; the larger
@@ -356,10 +346,11 @@ fn banks_vs_discover(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("banks_far_dept256_k10"), |b| {
         b.iter(|| black_box(engine.search(far, &opts).unwrap().len()))
     });
-    // DISCOVER under the length ranker, whose pure length domination
-    // lets the k = 20 size-level cut saturate from dept16 up (the
-    // close-first bound additionally needs low-ER results on top; it
-    // fires at smaller k — see the property suite).
+    // DISCOVER's own network growth, which serves three or more
+    // keywords (a two-keyword DISCOVER answer runs the Paths
+    // enumeration). It grows every level to the size bound whatever k
+    // is, so the `_k20` arm adds only the truncation to the `_full`
+    // one; the expansion counts print alongside.
     for departments in [8usize, 16] {
         let engine = synthetic_engine(departments, SEED);
         let base = SearchOptions {
@@ -369,18 +360,18 @@ fn banks_vs_discover(c: &mut Criterion) {
             compute_instance: false,
             ..Default::default()
         };
-        let full = engine.search(QUERY, &base).unwrap();
-        let k20 = engine.search(QUERY, &SearchOptions { k: Some(20), ..base }).unwrap();
+        let full = engine.search(QUERY3, &base).unwrap();
+        let k20 = engine.search(QUERY3, &SearchOptions { k: Some(20), ..base }).unwrap();
         eprintln!(
-            "discover dept{departments} k=20: {} network materializations vs {} at full \
-             enumeration (early_terminated={})",
+            "discover dept{departments} {QUERY3:?} k=20: {} network materializations vs {} \
+             at full enumeration (early_terminated={})",
             k20.stats.expansions, full.stats.expansions, k20.stats.early_terminated
         );
         for (suffix, k) in [("k20", Some(20)), ("full", None)] {
             let id = format!("discover_dept{departments}_{suffix}");
             group.bench_function(BenchmarkId::from_parameter(&id), |b| {
                 let opts = SearchOptions { k, ..base };
-                b.iter(|| black_box(engine.search(QUERY, &opts).unwrap().len()))
+                b.iter(|| black_box(engine.search(QUERY3, &opts).unwrap().len()))
             });
         }
     }
@@ -458,27 +449,22 @@ fn mtjnt_coverage(c: &mut Criterion) {
     group.finish();
 }
 
-/// B5/B9: instance-closeness witness-search cost: disabled, the
-/// iterative-deepening search, and the bounded-BFS-pruned search
-/// (`Auto` picks between the two by graph size). The `on`/`on_bounded`
-/// pair runs at dept8 *and* the large dept64 shape, where the distance
-/// map pays for itself (EXPERIMENTS.md B9; B5 records the seed's
-/// materialize-all witness scan).
+/// B5/B9: instance-closeness witness-search cost, off and on. The
+/// search picks its witness pruning by graph size
+/// (`WitnessStrategy::Auto`); the dept8 (259 nodes) and dept64 graphs
+/// are both past `AUTO_BOUNDED_MIN_NODES`, so `on` runs the
+/// bounded-BFS-pruned search (EXPERIMENTS.md B9 and B26; B5 records the
+/// seed's materialize-all witness scan).
 fn witness_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling/witness_cost");
     for departments in [8usize, 64] {
         let engine = synthetic_engine(departments, SEED);
-        for (name, compute, strategy) in [
-            ("off", false, WitnessStrategy::Auto),
-            ("on", true, WitnessStrategy::IterativeDeepening),
-            ("on_bounded", true, WitnessStrategy::BoundedBfs),
-        ] {
+        for (name, compute) in [("off", false), ("on", true)] {
             let id = format!("{name}_dept{departments}");
             group.bench_function(BenchmarkId::from_parameter(&id), |b| {
                 let opts = SearchOptions {
                     max_rdb_length: 3,
                     compute_instance: compute,
-                    witness_strategy: strategy,
                     ..Default::default()
                 };
                 b.iter(|| black_box(engine.search(QUERY, &opts).unwrap().len()))
@@ -783,7 +769,7 @@ fn cold_open(c: &mut Criterion) {
 criterion_group!(
     benches,
     enumerate_scaling,
-    parallel_and_topk,
+    topk,
     update_maintenance,
     banks_vs_discover,
     ranking_overhead,

@@ -6,11 +6,12 @@
 //! * **`deadline`** — a wall-clock allowance measured from the moment
 //!   the search starts executing;
 //! * **`max_expansions`** — a cap on the algorithm's own work counter:
-//!   DFS descents for Paths and candidate network materializations for
-//!   DISCOVER (the same figure `SearchStats::expansions` reports), raw
-//!   per-set frontier settles for BANKS (the `BanksWork::expansions`
-//!   figure — finer-grained than the candidate count
-//!   `SearchStats::expansions` reports there).
+//!   DFS descents for every two-keyword answer (Paths, and DISCOVER with
+//!   at most two keywords) and candidate network materializations for
+//!   DISCOVER with three or more (the same figure
+//!   `SearchStats::expansions` reports), raw per-set frontier settles
+//!   for BANKS (the `BanksWork::expansions` figure — finer-grained than
+//!   the candidate count `SearchStats::expansions` reports there).
 //!
 //! Both are cooperative: the pipelines probe the budget at their
 //! existing expansion-counting sites, so exhaustion stops enumeration
@@ -19,25 +20,17 @@
 //! — it never aborts, never panics, never poisons the engine.
 //!
 //! The unlimited budget (the default) costs one `Option` branch per
-//! probe. Every search that runs on one thread — BANKS, DISCOVER,
-//! streamed top-k Paths across all its levels, and a whole Paths answer
-//! at `threads: 1` — counts through one probe, so a cap `c` is exact:
+//! probe. Every search enumerates on its calling thread and counts
+//! through one probe, across all of its levels, so a cap `c` is exact:
 //! the search stops at the expansion that reaches `c`, and reports at
-//! most `c`. The one parallel counter is the per-source fan-out of a
-//! whole Paths answer, where `t` worker threads share the budget: each
-//! worker probes again after at most its share, `1/t` of what the cap
-//! had left at its last probe, and a worker that stops flushes what it
-//! has not yet reported. The count passes the cap only by what the other
-//! workers ran since their last probe, so a search with cap `c ≥ 1` ends
-//! within `c + (t − 1)·⌈c / t⌉` expansions, below `2c`. Deadlines poll
-//! `Instant::now()` at most once per [`TIME_STRIDE`] expansions per
-//! worker.
+//! most `c`. Deadlines poll `Instant::now()` at most once per
+//! [`TIME_STRIDE`] expansions.
 
 use crate::stats::TruncationReason;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-/// How many expansions a worker may run between wall-clock polls when a
+/// How many expansions a search may run between wall-clock polls when a
 /// deadline is set. Each poll is one `Instant::now()`; the stride keeps
 /// its amortized cost invisible next to the per-expansion graph work.
 const TIME_STRIDE: u64 = 512;
@@ -82,14 +75,12 @@ const TRIP_NONE: u8 = 0;
 const TRIP_DEADLINE: u8 = 1;
 const TRIP_CAP: u8 = 2;
 
-/// Shared budget state for one search call: the resolved deadline, the
-/// cap, the global spent counter workers flush into, and the sticky
-/// trip flag. Lives on the search stack; workers borrow it.
+/// Budget state for one search call: the resolved deadline, the cap and
+/// the sticky trip flag. Lives on the search stack.
 #[derive(Debug)]
 pub(crate) struct BudgetShared {
     deadline: Option<Instant>,
     cap: u64,
-    spent: AtomicU64,
     tripped: AtomicU8,
 }
 
@@ -101,7 +92,6 @@ impl BudgetShared {
         BudgetShared {
             deadline: budget.deadline.map(|d| Instant::now() + d),
             cap: budget.max_expansions.unwrap_or(u64::MAX),
-            spent: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
         }
     }
@@ -113,12 +103,12 @@ impl BudgetShared {
             TruncationReason::Deadline => TRIP_DEADLINE,
             TruncationReason::ExpansionCap => TRIP_CAP,
             // Worker faults are recorded by the executor, not the
-            // budget; tripping the budget just stops the other workers.
+            // budget; tripping the budget just stops the search.
             TruncationReason::WorkerFault => TRIP_CAP,
         };
         // `tripped` is a standalone monotone flag (NONE -> code, first
-        // writer wins); no other memory is published through it,
-        // workers only use it to stop early.
+        // writer wins); no other memory is published through it, the
+        // probe only uses it to stop early.
         let _ = self.tripped.compare_exchange(
             TRIP_NONE,
             code,
@@ -130,8 +120,8 @@ impl BudgetShared {
 
     /// The reason the budget tripped, if it did.
     pub(crate) fn reason(&self) -> Option<TruncationReason> {
-        // ordering: Relaxed — read after the parallel phase joins (or
-        // sequentially); the join itself is the synchronization edge.
+        // ordering: Relaxed — read on the thread that probes, after the
+        // enumeration; no other memory is published through the flag.
         match self.tripped.load(Ordering::Relaxed) {
             TRIP_DEADLINE => Some(TruncationReason::Deadline),
             TRIP_CAP => Some(TruncationReason::ExpansionCap),
@@ -140,57 +130,41 @@ impl BudgetShared {
     }
 
     fn tripped_fast(&self) -> bool {
-        // ordering: Relaxed — advisory early-exit hint; a stale `false`
-        // only delays the stop by one probe stride.
+        // ordering: Relaxed — advisory early-exit hint (an engine-forced
+        // trip latches it between probes); no other memory is published
+        // through the flag.
         self.tripped.load(Ordering::Relaxed) != TRIP_NONE
     }
 }
 
-/// Per-worker budget probe. Each worker (or the sequential pipeline)
-/// owns one and calls [`BudgetProbe::check`] with its monotone local
-/// expansion count; the probe flushes deltas into the shared counter in
-/// adaptive strides, at most its share of what the cap has left, so the
-/// cap stays exact sequentially and within the module's bound in
-/// parallel. Dropping the probe flushes the rest of its count.
+/// A search's budget probe. The search owns one and calls
+/// [`BudgetProbe::check`] with its monotone expansion count; the probe
+/// compares it with the cap in adaptive strides that never step past
+/// what the cap has left, so the cap is exact.
 #[derive(Debug)]
 pub(crate) struct BudgetProbe<'a> {
     shared: Option<&'a BudgetShared>,
-    /// How many workers share the budget; a stride is at most this
-    /// share of what the cap has left.
-    workers: u64,
-    /// Local count already flushed into `shared.spent`.
-    flushed: u64,
-    /// The last local count [`BudgetProbe::check`] saw.
-    seen: u64,
-    /// Next local count at which the slow path runs. Starts at 0 so
-    /// the very first probe flushes — a pre-expired deadline trips on
-    /// the first expansion, not after a stride.
+    /// Next count at which the slow path runs. Starts at 0 so the very
+    /// first check takes it — a pre-expired deadline trips on the first
+    /// expansion, not after a stride.
     next_probe: u64,
 }
 
 impl<'a> BudgetProbe<'a> {
-    /// The probe of a search that runs on one thread. `new(None)`
-    /// probes an unlimited budget: every check is one branch.
+    /// The probe of one search. `new(None)` probes an unlimited budget:
+    /// every check is one branch.
     pub(crate) fn new(shared: Option<&'a BudgetShared>) -> Self {
-        Self::shared_by(shared, 1)
-    }
-
-    /// The probe of one of `workers` threads that share the budget.
-    pub(crate) fn shared_by(shared: Option<&'a BudgetShared>, workers: usize) -> Self {
-        let workers = u64::try_from(workers.max(1)).unwrap_or(u64::MAX);
-        BudgetProbe { shared, workers, flushed: 0, seen: 0, next_probe: 0 }
+        BudgetProbe { shared, next_probe: 0 }
     }
 
     /// `true` iff the budget is exhausted and the caller must stop.
-    /// `local` is the worker's monotone expansion count.
+    /// `local` is the search's monotone expansion count.
     #[inline]
     pub(crate) fn check(&mut self, local: u64) -> bool {
         let Some(shared) = self.shared else { return false };
-        self.seen = local;
         if local < self.next_probe {
-            // Fast path between strides: one relaxed u8 load, so a trip
-            // by another worker (or an engine-forced trip) still stops
-            // this one promptly.
+            // Fast path between strides: one relaxed u8 load, so an
+            // engine-forced trip still stops the search promptly.
             return shared.tripped_fast();
         }
         self.probe_slow(shared, local)
@@ -198,17 +172,11 @@ impl<'a> BudgetProbe<'a> {
 
     #[cold]
     fn probe_slow(&mut self, shared: &BudgetShared, local: u64) -> bool {
-        let delta = local - self.flushed;
-        self.flushed = local;
-        // ordering: Relaxed — `spent` is a pure counter; the RMW is
-        // atomic regardless of ordering and nothing is published
-        // through it.
-        let spent = shared.spent.fetch_add(delta, Ordering::Relaxed) + delta;
-        if spent >= shared.cap {
+        if local >= shared.cap {
             shared.trip(TruncationReason::ExpansionCap);
             return true;
         }
-        let mut stride = (shared.cap - spent) / self.workers;
+        let mut stride = shared.cap - local;
         if let Some(deadline) = shared.deadline {
             if Instant::now() >= deadline {
                 shared.trip(TruncationReason::Deadline);
@@ -218,18 +186,6 @@ impl<'a> BudgetProbe<'a> {
         }
         self.next_probe = local + stride.max(1);
         shared.tripped_fast()
-    }
-}
-
-impl Drop for BudgetProbe<'_> {
-    /// A worker that stops — done, interrupted or unwinding — flushes
-    /// what it has not yet reported, so the workers still running see
-    /// the whole spend.
-    fn drop(&mut self) {
-        if let Some(shared) = self.shared {
-            // ordering: Relaxed — a pure counter, as in `probe_slow`.
-            shared.spent.fetch_add(self.seen.saturating_sub(self.flushed), Ordering::Relaxed);
-        }
     }
 }
 
@@ -266,45 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_probe_flushes_its_tail() {
-        let shared = BudgetShared::new(&SearchBudget::with_max_expansions(20));
-        let mut first = BudgetProbe::new(Some(&shared));
-        for n in 1..=10u64 {
-            assert!(!first.check(n));
-        }
-        drop(first);
-        let mut second = BudgetProbe::new(Some(&shared));
-        let tripped_at = (1..=20u64).find(|&n| second.check(n));
-        assert_eq!(tripped_at, Some(10), "the first probe's 10 expansions count");
-    }
-
-    #[test]
-    fn worker_shares_bound_the_overshoot() {
-        // The worst interleaving for two workers: one takes its share
-        // and runs it unreported while the other spends the rest of the
-        // cap alone, then the first probes again.
-        let (cap, workers) = (100u64, 2u64);
-        let shared = BudgetShared::new(&SearchBudget::with_max_expansions(cap));
-        let mut slow = BudgetProbe::shared_by(Some(&shared), 2);
-        let mut fast = BudgetProbe::shared_by(Some(&shared), 2);
-        assert!(!slow.check(1));
-        let mut slow_done = 1u64;
-        while slow_done < cap && !shared.tripped_fast() && slow.next_probe > slow_done + 1 {
-            slow_done += 1;
-            assert!(!slow.check(slow_done));
-        }
-        let fast_done = (1..).find(|&n| fast.check(n)).unwrap_or(0);
-        let slow_done = (slow_done + 1..).find(|&n| slow.check(n)).unwrap_or(0);
-        let total = slow_done + fast_done;
-        assert!(total > cap, "the interleaving must overshoot to test the bound");
-        assert!(
-            total <= cap + (workers - 1) * cap.div_ceil(workers),
-            "{total} expansions under a cap of {cap} shared by {workers} workers"
-        );
-        assert_eq!(shared.reason(), Some(TruncationReason::ExpansionCap));
-    }
-
-    #[test]
     fn expired_deadline_trips_on_first_probe() {
         let budget = SearchBudget::with_deadline(Duration::ZERO);
         let shared = BudgetShared::new(&budget);
@@ -320,10 +237,10 @@ mod tests {
         shared.trip(TruncationReason::Deadline);
         shared.trip(TruncationReason::ExpansionCap);
         assert_eq!(shared.reason(), Some(TruncationReason::Deadline));
-        // A second probe on another worker sees the trip on its fast
-        // path even before its own stride elapses.
-        let mut other = BudgetProbe::new(Some(&shared));
-        assert!(other.check(1));
+        // A probe sees a trip latched from outside it (an engine-forced
+        // trip) on its fast path, before its own stride elapses.
+        let mut probe = BudgetProbe::new(Some(&shared));
+        assert!(probe.check(1));
     }
 
     #[test]

@@ -107,17 +107,6 @@ impl Connection {
         Connection { nodes: nodes.to_vec(), steps }
     }
 
-    /// The canonical enumeration order on connections — the same
-    /// comparator as [`Path::canonical_cmp`] (edge count, then
-    /// lexicographically by traversed edge ids), so connection-level
-    /// sorting picks the same parallel-edge representatives as
-    /// path-level sorting.
-    pub fn canonical_cmp(&self, other: &Connection) -> std::cmp::Ordering {
-        self.steps.len().cmp(&other.steps.len()).then_with(|| {
-            self.steps.iter().map(|s| s.edge).cmp(other.steps.iter().map(|s| s.edge))
-        })
-    }
-
     /// A single-tuple connection (a tuple covering every keyword alone).
     pub fn single(node: NodeId) -> Self {
         Connection { nodes: vec![node], steps: Vec::new() }

@@ -78,12 +78,10 @@ pub fn mtjnt_filter(
 }
 
 /// Size-level generator of the MTJNTs of at most `max_tuples` tuples
-/// (DISCOVER's size bound `T`), exposed so the engine's streaming top-k
-/// mode can consume them **one tuple-count level at a time** and cut
-/// enumeration as soon as the held top k dominates every larger network
-/// under a length-monotone ranker (a network of `s` tuples yields a
-/// connection of `s - 1` foreign-key edges, so size is a rank lower
-/// bound).
+/// (DISCOVER's size bound `T`), **one tuple-count level at a time**. The
+/// engine grows DISCOVER answers of three or more keywords with it
+/// (through [`enumerate_mtjnts_budgeted`]); with at most two keywords
+/// every MTJNT is a path, and the engine enumerates paths instead.
 ///
 /// Growth is breadth-first from the members of the smallest keyword
 /// set, taken in node order, and grows only networks that can still

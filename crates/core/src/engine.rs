@@ -285,30 +285,6 @@ impl SearchEngine {
         }
         self.current().search(raw_query, options)
     }
-
-    /// All acyclic connections between two node sets within the RDB
-    /// distance bound — see [`EngineSnapshot::pair_connections`].
-    pub fn pair_connections(
-        &self,
-        set_a: &[NodeId],
-        set_b: &[NodeId],
-        max_rdb: usize,
-    ) -> Vec<Connection> {
-        self.current().pair_connections(set_a, set_b, max_rdb)
-    }
-
-    /// [`SearchEngine::pair_connections`] fanned out over `threads`
-    /// scoped worker threads; output is byte-identical to the
-    /// sequential call for every thread count.
-    pub fn pair_connections_threaded(
-        &self,
-        set_a: &[NodeId],
-        set_b: &[NodeId],
-        max_rdb: usize,
-        threads: usize,
-    ) -> Vec<Connection> {
-        self.current().pair_connections_threaded(set_a, set_b, max_rdb, threads)
-    }
 }
 
 #[cfg(test)]

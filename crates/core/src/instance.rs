@@ -108,13 +108,6 @@ impl WitnessCache {
         WitnessCache { strategy, ..Self::default() }
     }
 
-    /// Switch the pruning strategy. Verdicts are strategy-independent,
-    /// so this is safe mid-lifetime; a pooled scratch pairs it with
-    /// [`WitnessCache::clear`] when re-arming for a new search.
-    pub fn set_strategy(&mut self, strategy: WitnessStrategy) {
-        self.strategy = strategy;
-    }
-
     /// Number of cached endpoint-pair verdicts.
     pub fn len(&self) -> usize {
         self.verdicts.len()

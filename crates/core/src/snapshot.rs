@@ -21,10 +21,10 @@ use crate::banks::{
 use crate::budget::{BudgetProbe, BudgetShared, SearchBudget};
 use crate::connection::{ConceptualStep, Connection, MarkerLookup, NodeLabels};
 use crate::datagraph::DataGraph;
-use crate::discover::{enumerate_mtjnts_budgeted, is_mtjnt, JoiningNetworkLevels};
+use crate::discover::{enumerate_mtjnts_budgeted, is_mtjnt};
 use crate::error::{CoreError, KeywordDiagnostic};
 use crate::failpoints;
-use crate::instance::{instance_closeness_with_cache, WitnessCache, WitnessStrategy};
+use crate::instance::{instance_closeness_with_cache, WitnessCache};
 use crate::ranking::{ConnectionInfo, RankStrategy};
 use crate::stats::{Completeness, SearchStats, TruncationReason};
 use cla_er::{CardinalityChain, Closeness, ErSchema, SchemaMapping};
@@ -52,7 +52,11 @@ pub enum Algorithm {
     /// BANKS backward expansion (any number of keywords).
     Banks,
     /// DISCOVER-style MTJNT enumeration (the semantics the paper
-    /// criticizes).
+    /// criticizes). With at most two keywords every MTJNT is a path
+    /// (each leaf of a minimal network carries a keyword), so such a
+    /// search runs the `Paths` enumeration with
+    /// [`SearchOptions::mtjnt_only`] forced on; three or more keywords
+    /// grow joining networks ([`crate::JoiningNetworkLevels`]).
     Discover,
 }
 
@@ -69,24 +73,24 @@ pub struct SearchOptions {
     pub ranker: RankStrategy,
     /// Result budget: `None` returns everything, `Some(k)` at most `k`
     /// results **in total** — ranked connections first, any remaining
-    /// budget going to branching answer trees. With a length-monotone
-    /// ranker on the two-keyword `Paths` and `Discover` algorithms, a
-    /// set `k` also switches the engine into streaming top-k mode:
-    /// connections are enumerated length (or network-size) level by
-    /// level and the search stops as soon as the held top `k` provably
+    /// budget going to branching answer trees. A two-keyword answer
+    /// (`Paths`, and `Discover` with at most two keywords) is merged as
+    /// the DFS emits it: each connection first gets only its cheap
+    /// ranking key (text score, conceptual steps, ER chain) and is
+    /// dropped at once when `k` connections already beat it. The
+    /// witness search then runs only for connections that can still
+    /// enter the top `k` and, except under
+    /// [`RankStrategy::InstanceCloseFirst`], only for those that do.
+    /// Rendering runs only for connections that tie with or beat the
+    /// k-th key, and the explanation only for those that enter. With a
+    /// length-monotone ranker a set `k` also enumerates length level by
+    /// length level and stops as soon as the held top `k` provably
     /// dominates every unexplored level (see
     /// [`RankStrategy::dominates_all_longer`]), skipping the deeper
-    /// enumeration. Within a level that does not fit in the buffer, each
-    /// connection first gets only its cheap ranking key (text score,
-    /// conceptual steps, ER chain). The witness search then runs only
-    /// for connections that can still enter the top `k` and, except
-    /// under [`RankStrategy::InstanceCloseFirst`], only for those that
-    /// do. Rendering runs only for connections that tie with or beat the
-    /// k-th key, and the explanation only for those that enter. On
-    /// `Banks`, a set `k` cuts the expansion off once no incomplete root
-    /// can enter, and a completed root's answer tree is materialized
-    /// only if it can. The returned prefix is identical to running the
-    /// full enumeration and truncating.
+    /// enumeration. On `Banks`, a set `k` cuts the expansion off once
+    /// no incomplete root can enter, and a completed root's answer tree
+    /// is materialized only if it can. The returned prefix is identical
+    /// to running the full enumeration and truncating.
     pub k: Option<usize>,
     /// Post-filter connections to MTJNTs only (demonstrates the paper's
     /// §3 loss claim when combined with `Paths`).
@@ -97,24 +101,16 @@ pub struct SearchOptions {
     pub max_witness_length: usize,
     /// Edge weighting for the BANKS expansion.
     pub weighting: EdgeWeighting,
-    /// Worker threads for the two parallel stages of the batch
-    /// pipeline: the per-source Paths enumeration fan-out of a whole
-    /// answer and the per-connection metric/rendering stage. Streamed
-    /// top-k searches (a set `k` on the two-keyword `Paths` and
-    /// `Discover` algorithms under a streaming ranker) and the BANKS
-    /// expansion run on the calling thread whatever this says. `1` runs
-    /// fully sequential; `0` (the default) resolves to the
-    /// `CLA_SEARCH_THREADS` environment variable if set (the CI
+    /// Worker threads for the per-connection metric/rendering stage of
+    /// the answers that are ranked as a batch: BANKS's connections and
+    /// `Discover` with three or more keywords. Every two-keyword answer
+    /// and the BANKS expansion run on the calling thread whatever this
+    /// says. `1` runs fully sequential; `0` (the default) resolves to
+    /// the `CLA_SEARCH_THREADS` environment variable if set (the CI
     /// determinism knob), else the machine's available parallelism.
     /// Ranked output is byte-identical across thread counts: work is
     /// split into contiguous chunks and merged back in order.
     pub threads: usize,
-    /// How the instance-closeness witness search prunes: iterative
-    /// deepening, bounded-BFS distance maps, or (the default) an
-    /// automatic pick by graph size. Verdicts — and therefore ranked
-    /// output — are identical under every strategy; this is a pure
-    /// cost knob (and the property-test/bench A/B switch).
-    pub witness_strategy: WitnessStrategy,
     /// Wall-clock and work bounds for this search (default: unlimited).
     /// An exhausted budget stops enumeration cooperatively and returns
     /// the ranked results found so far, labeled through
@@ -125,10 +121,10 @@ pub struct SearchOptions {
     /// connection the cut could have missed); under
     /// [`RankStrategy::Combined`] the output is best-effort
     /// found-so-far. The budget is probed at each pipeline's
-    /// expansion-counting sites; DISCOVER counts only the networks that
-    /// can still become MTJNTs (see [`SearchStats::expansions`]), so
-    /// the same cap reaches further there than a count of every
-    /// connected network would.
+    /// expansion-counting sites: DFS descents for every two-keyword
+    /// answer, `Discover` with three or more keywords counting only the
+    /// networks that can still become MTJNTs (see
+    /// [`SearchStats::expansions`]).
     pub budget: SearchBudget,
 }
 
@@ -144,7 +140,6 @@ impl Default for SearchOptions {
             max_witness_length: 4,
             weighting: EdgeWeighting::Uniform,
             threads: 0,
-            witness_strategy: WitnessStrategy::Auto,
             budget: SearchBudget::UNLIMITED,
         }
     }
@@ -195,9 +190,6 @@ struct RankContext<'a> {
     compute_instance: bool,
     /// Witness-path length bound.
     max_witness_length: usize,
-    /// Witness pruning strategy (worker threads build their own caches
-    /// with it).
-    witness_strategy: WitnessStrategy,
 }
 
 impl RankContext<'_> {
@@ -231,11 +223,10 @@ impl MarkerLookup for QueryMarkers<'_> {
     }
 }
 
-/// A fresh candidate of a key-first level merge
-/// ([`EngineSnapshot::absorb_level`]): the connection with its cheap
-/// ranking info and that info's packed sort key. `instance_close` is
-/// exact once `witnessed` is set; until then it is the pessimistic
-/// `Some(false)`.
+/// A fresh candidate of a key-first level merge ([`LevelMerge`]): the
+/// connection with its cheap ranking info and that info's packed sort
+/// key. `instance_close` is exact once `witnessed` is set; until then it
+/// is the pessimistic `Some(false)`.
 struct Keyed {
     key: (u128, u64),
     connection: Connection,
@@ -243,19 +234,68 @@ struct Keyed {
     witnessed: bool,
 }
 
-/// Step 1 of a key-first level merge ([`EngineSnapshot::absorb_level`])
-/// while its connections are offered one at a time: the held results,
-/// a running k-th of them and of the candidates kept so far, and those
-/// candidates.
+/// One level of a key-first merge into the held top k (a sorted vector,
+/// since k is small; `k = None` holds everything): the held results,
+/// a running k-th of them and of the candidates kept so far (none
+/// without a k), and those candidates. Each connection is offered to
+/// step 1 below as it comes ([`EngineSnapshot::offer`]), and steps 2–5
+/// run on the candidates it kept ([`EngineSnapshot::finish_level`]).
+/// Items that fall off the held top k can never re-enter it (later
+/// levels only add candidates, never improve dropped ones), so a
+/// levelled merge equals the whole answer's ranked prefix. A level
+/// offers each connection once: the singles are distinct, and the
+/// Paths enumeration offers only the path that stands for its
+/// connection ([`EngineSnapshot::represents_its_connection`]).
+///
+/// The merge is **key first**, and does the expensive per-connection
+/// work only for connections that can still enter the top k. It is
+/// sequential: it witnesses, renders and explains few connections, and
+/// renders read the per-node label cache.
+///
+/// 1. Each offered connection is oriented, passed through the optional
+///    MTJNT filter and given its cheap info (text score, conceptual
+///    steps, ER chain) and no witness search. Its `instance_close` is
+///    exact for a schema-close connection and pessimistic
+///    (`Some(false)`) for a loose one. The connection is dropped at once
+///    when, even with `instance_close` set optimistically
+///    (`Some(true)`), it is strictly worse than a running k-th best
+///    ([`RunningKth`]) of the held results and the candidates kept so
+///    far. That running k-th is never better than `T` below, so step 2
+///    would drop the connection too; and k kept candidates or held
+///    results beat it, so dropping it leaves `T` unchanged. Only the
+///    kept candidates are held. The drop needs a total order only, not
+///    a length bound, so it runs under every ranker.
+/// 2. `T` is the k-th best of the held results and the kept connections
+///    by packed key, then the full comparison. A kept connection
+///    strictly worse than `T` even with `instance_close` set
+///    optimistically is dropped. This is exact: a connection's exact
+///    position lies between its optimistic and pessimistic ones, so at
+///    least k connections strictly beat a dropped one, whatever their
+///    witnesses say. (When the held results and the level number at
+///    most k together, steps 1, 2 and 4 drop nothing by key.)
+/// 3. Under [`RankStrategy::InstanceCloseFirst`], whose order reads
+///    `instance_close`, the loose connections left get their witness.
+///    No other ranker reads it.
+/// 4. With every order now exact, the connections strictly worse than
+///    the exact k-th are dropped. The rest tie with or beat it, and are
+///    rendered: the rendering is the final tie-break, and a tie group
+///    at the k-th can be large.
+/// 5. The rendered connections merge with the held results in the full
+///    order, the top k is kept, and only its new entrants get their
+///    witness (when not yet done) and explanation.
+///
+/// The held results end exactly as if every fresh connection had been
+/// ranked in full, merged and cut to k.
 struct LevelMerge<'h> {
     held: &'h [RankedConnection],
-    running: RunningKth,
+    running: Option<RunningKth>,
     kept: Vec<Keyed>,
 }
 
 impl<'h> LevelMerge<'h> {
-    fn new(held: &'h [RankedConnection], k: usize, strategy: RankStrategy) -> Self {
-        LevelMerge { held, running: RunningKth::new(held, k, strategy), kept: Vec::new() }
+    fn new(held: &'h [RankedConnection], k: Option<usize>, strategy: RankStrategy) -> Self {
+        let running = k.map(|k| RunningKth::new(held, k, strategy));
+        LevelMerge { held, running, kept: Vec::new() }
     }
 }
 
@@ -279,9 +319,8 @@ struct RankScratch {
 impl RankScratch {
     /// Re-arm for a new search: caches dropped (graph content and query
     /// may have changed), capacity kept.
-    fn reset(&mut self, node_count: usize, witness_strategy: WitnessStrategy) {
+    fn reset(&mut self, node_count: usize) {
         self.witness.clear();
-        self.witness.set_strategy(witness_strategy);
         self.labels.reset(node_count);
         self.descs.reset(node_count);
         self.csteps.clear();
@@ -356,8 +395,8 @@ impl EnumScratch {
 
 /// The deterministic final tie-break under any ranking strategy: the
 /// rendering string, then the **tuple** sequence (unique after dedup,
-/// making the full comparator a total order — a requirement for the
-/// streaming top-k mode to return exactly the batch pipeline's prefix).
+/// making the full comparator a total order — a requirement for a
+/// levelled top-k merge to return exactly the whole answer's prefix).
 /// Tuples, not node ids: node numbering reflects insertion history on an
 /// incrementally patched graph, while tuple ids are stable — so a
 /// patched engine and a freshly rebuilt one order ties identically.
@@ -395,9 +434,8 @@ impl std::hash::Hasher for Fnv1a {
 /// The one canonical orientation rule: a connection runs from its
 /// smaller endpoint **tuple** to its larger (tuple ids, not node ids, so
 /// orientation survives node renumbering between a patched and a
-/// rebuilt graph). Shared by the batch dedup and the streaming top-k
-/// accumulator — both must pick identical representatives for the
-/// streamed prefix to equal the batch pipeline's.
+/// rebuilt graph). Shared by the batch dedup of BANKS and DISCOVER
+/// answers and the two-keyword merge.
 fn canonical_orient(c: &mut Connection, dg: &DataGraph) {
     if dg.tuple_of(c.end()) < dg.tuple_of(c.start()) {
         *c = c.reversed();
@@ -465,14 +503,15 @@ fn key_order(
 }
 
 /// The k-th best (key, info) of the held results and the fresh
-/// candidates together, in [`key_order`]; `None` when they number at
-/// most k, so that every one of them enters.
+/// candidates together, in [`key_order`]; `None` when there is no k or
+/// they number at most k, so that every one of them enters.
 fn kth_best(
     held: &[RankedConnection],
     fresh: &[Keyed],
-    k: usize,
+    k: Option<usize>,
     strategy: RankStrategy,
 ) -> Option<((u128, u64), ConnectionInfo)> {
+    let k = k?;
     if held.len() + fresh.len() <= k {
         return None;
     }
@@ -1041,7 +1080,7 @@ impl EngineSnapshot {
                             // per chunk. A panicking worker's scratch
                             // is dropped, never re-pooled.
                             let mut worker = self.checkout_scratch();
-                            worker.rank.reset(self.dg.node_count(), ctx.witness_strategy);
+                            worker.rank.reset(self.dg.node_count());
                             let ranked = part
                                 .into_iter()
                                 .map(|c| self.rank_one(c, ctx, &mut worker.rank))
@@ -1063,7 +1102,7 @@ impl EngineSnapshot {
                 Err(_) => {
                     // The pooled scratch was abandoned mid-connection;
                     // rebuild it before it returns to the pool.
-                    scratch.reset(self.dg.node_count(), ctx.witness_strategy);
+                    scratch.reset(self.dg.node_count());
                     *faulted = true;
                 }
             }
@@ -1185,23 +1224,14 @@ impl EngineSnapshot {
         scratch: &mut SearchScratch,
     ) -> Result<SearchResults, CoreError> {
         let scratch = &mut *scratch;
-        let threads = resolved_threads(options.threads);
-        // One budget state per search, shared by every worker probe.
+        // One budget state per search, probed through one probe.
         // Also materialized when failpoints are on, so an engine-forced
         // trip (the `banks.settle` point) has somewhere to latch; the
         // unlimited-and-unarmed case keeps probes at one branch each.
         let budget_shared = (options.budget.is_limited() || self.failpoints())
             .then(|| BudgetShared::new(&options.budget));
         let budget = budget_shared.as_ref();
-        // Set when a parallel worker chunk panicked: its contribution
-        // is dropped and the answer degrades to a labeled partial one.
-        let mut faulted = false;
-        // Minimum RDB length any connection missing after a budget cut
-        // can have — the certified-prefix trim floor, sharpened per
-        // algorithm below. Singles are collected from the match-set
-        // intersection before any enumeration, so 1 is always sound.
-        let mut trim_floor: usize = 1;
-        scratch.rank.reset(self.dg.node_count(), options.witness_strategy);
+        scratch.rank.reset(self.dg.node_count());
         self.text_scores_by_node_into(
             &query,
             keyword_tuples,
@@ -1218,12 +1248,7 @@ impl EngineSnapshot {
             },
             compute_instance: options.compute_instance,
             max_witness_length: options.max_witness_length,
-            witness_strategy: options.witness_strategy,
         };
-
-        let mut stats = SearchStats::default();
-        let mut connections: Vec<Connection> = Vec::new();
-        let mut trees: Vec<SteinerTree> = Vec::new();
 
         // Tuples matching every keyword stand alone as zero-length
         // connections: the intersection of the sorted match lists, each
@@ -1236,56 +1261,45 @@ impl EngineSnapshot {
             .filter_map(|&t| self.dg.node_of(t))
             .collect();
         singles.sort_unstable();
-        connections.extend(singles.into_iter().map(Connection::single));
+        let mut connections: Vec<Connection> =
+            singles.into_iter().map(Connection::single).collect();
 
+        let mut stats = SearchStats::default();
+        let mut trees: Vec<SteinerTree> = Vec::new();
+        // Minimum RDB length any connection missing after a budget cut
+        // can have — the certified-prefix trim floor, sharpened per
+        // algorithm below. Singles are collected from the match-set
+        // intersection before any enumeration, so 1 is always sound.
+        let mut trim_floor: usize = 1;
         match options.algorithm {
+            Algorithm::Paths | Algorithm::Discover if query.len() <= 2 => {
+                // Every two-keyword MTJNT is a path, so DISCOVER's
+                // answer is the Paths answer under the MTJNT filter.
+                let mtjnt_only =
+                    options.mtjnt_only || options.algorithm == Algorithm::Discover;
+                let (ranked, stats) = self.search_paths(
+                    match_sets,
+                    options,
+                    mtjnt_only,
+                    &ctx,
+                    connections,
+                    &mut scratch.enumerate,
+                    &mut scratch.rank,
+                    budget,
+                );
+                return Ok(SearchResults {
+                    query,
+                    display_keywords,
+                    connections: ranked,
+                    trees,
+                    stats,
+                });
+            }
             Algorithm::Paths => {
-                if query.len() > 2 {
-                    return Err(CoreError::InvalidQuery(format!(
-                        "the Paths algorithm handles at most 2 keywords, got {} — use Banks or Discover",
-                        query.len()
-                    )));
-                }
-                // Streaming top-k: enumerate length level by length
-                // level and stop once the held top k dominates every
-                // unexplored level. Only sound for rankers with a
-                // length-monotone bound; the returned prefix is exactly
-                // the full pipeline's.
-                if let Some(k) = options.k {
-                    if query.len() == 2 && options.ranker.supports_streaming_topk() {
-                        let (ranked, stats) = self.stream_topk_paths(
-                            k,
-                            match_sets,
-                            options,
-                            &ctx,
-                            connections,
-                            &mut scratch.enumerate,
-                            &mut scratch.rank,
-                            budget,
-                        );
-                        return Ok(SearchResults {
-                            query,
-                            display_keywords,
-                            connections: ranked,
-                            trees,
-                            stats,
-                        });
-                    }
-                }
-                if query.len() == 2 {
-                    let (pairs, expansions) = self.pair_enumeration(
-                        &match_sets[0],
-                        &match_sets[1],
-                        options.max_rdb_length,
-                        threads,
-                        &mut scratch.enumerate,
-                        budget,
-                        &mut faulted,
-                    );
-                    stats.expansions = expansions;
-                    stats.max_length_enumerated = options.max_rdb_length;
-                    connections.extend(pairs);
-                }
+                return Err(CoreError::InvalidQuery(format!(
+                    "the Paths algorithm handles at most 2 keywords, got {} — use Banks or Discover",
+                    query.len()
+                )));
             }
             Algorithm::Banks => {
                 let banks_opts = BanksOptions {
@@ -1332,30 +1346,6 @@ impl EngineSnapshot {
             Algorithm::Discover => {
                 let kw_sets: Vec<HashSet<NodeId>> =
                     match_sets.iter().map(|s| s.iter().copied().collect()).collect();
-                // Streaming top-k: consume candidate networks one size
-                // level at a time and stop once the held top k
-                // dominates every larger network (2-keyword MTJNTs are
-                // always path-shaped, so no tree budget interferes).
-                if let Some(k) = options.k {
-                    if query.len() == 2 && options.ranker.supports_streaming_topk() {
-                        let (ranked, stats) = self.stream_topk_discover(
-                            k,
-                            &kw_sets,
-                            options,
-                            &ctx,
-                            connections,
-                            &mut scratch.rank,
-                            budget,
-                        );
-                        return Ok(SearchResults {
-                            query,
-                            display_keywords,
-                            connections: ranked,
-                            trees,
-                            stats,
-                        });
-                    }
-                }
                 let mut probe = BudgetProbe::new(budget);
                 let (networks, completed_size) = enumerate_mtjnts_budgeted(
                     &self.dg,
@@ -1405,7 +1395,11 @@ impl EngineSnapshot {
         // Metrics, rendering, ranking — fanned out across worker threads
         // for large result sets. Witness searches for instance closeness
         // are shared across connections with equal endpoints (per
-        // worker).
+        // worker). Set when a parallel worker chunk panicked: its
+        // contribution is dropped and the answer degrades to a labeled
+        // partial one.
+        let mut faulted = false;
+        let threads = resolved_threads(options.threads);
         let mut ranked =
             self.rank_stage(unique, &ctx, threads, &mut scratch.rank, &mut faulted);
         sort_ranked(&mut ranked, options.ranker, &self.dg);
@@ -1442,80 +1436,8 @@ impl EngineSnapshot {
         Ok(SearchResults { query, display_keywords, connections: ranked, trees, stats })
     }
 
-    /// One streamed level of a top-k accumulator, merged into the bounded
-    /// best-k buffer (a sorted vector, since k is small): each connection
-    /// is offered to step 1 below as it comes ([`EngineSnapshot::offer`]),
-    /// and steps 2–5 run on the candidates it kept
-    /// ([`EngineSnapshot::finish_level`]). Items that fall off the buffer
-    /// can never re-enter the top k (later levels only add candidates,
-    /// never improve dropped ones), so streamed accumulation equals the
-    /// full enumeration's ranked prefix — the equivalence the property
-    /// tests pin down for both the `Paths` and `Discover` modes. A level
-    /// offers each connection once: the singles and DISCOVER's networks
-    /// are distinct node sequences, and streamed Paths offers only the
-    /// path the batch pipeline's dedup would keep
-    /// ([`EngineSnapshot::represents_its_connection`]).
-    ///
-    /// The merge is **key first**, and does the expensive per-connection
-    /// work only for connections that can still enter the top k. It is
-    /// sequential: it witnesses, renders and explains few connections,
-    /// and renders read the per-node label cache.
-    ///
-    /// 1. Each offered connection is oriented, passed through the
-    ///    optional MTJNT filter and given its cheap info (text score,
-    ///    conceptual steps, ER chain) and no witness search. Its
-    ///    `instance_close` is exact for a schema-close connection and
-    ///    pessimistic (`Some(false)`) for a loose one. The connection is
-    ///    dropped at once when, even with `instance_close` set
-    ///    optimistically (`Some(true)`), it is strictly worse than a
-    ///    running k-th best ([`RunningKth`]) of the buffer and the
-    ///    candidates kept so far. That running k-th is never better than
-    ///    `T` below, so step 2 would drop the connection too; and k kept
-    ///    candidates or held results beat it, so dropping it leaves `T`
-    ///    unchanged. Only the kept candidates are held.
-    /// 2. `T` is the k-th best of the buffer and the kept connections by
-    ///    packed key, then the full comparison. A kept connection
-    ///    strictly worse than `T` even with `instance_close` set
-    ///    optimistically is dropped. This is exact: a connection's exact
-    ///    position lies between its optimistic and pessimistic ones, so
-    ///    at least k connections strictly beat a dropped one, whatever
-    ///    their witnesses say. (When the buffer and the level hold at
-    ///    most k connections together, steps 1, 2 and 4 drop nothing by
-    ///    key.)
-    /// 3. Under [`RankStrategy::InstanceCloseFirst`], whose order reads
-    ///    `instance_close`, the loose connections left get their
-    ///    witness. No other ranker reads it.
-    /// 4. With every order now exact, the connections strictly worse
-    ///    than the exact k-th are dropped. The rest tie with or beat it,
-    ///    and are rendered: the rendering is the final tie-break, and a
-    ///    tie group at the k-th can be large.
-    /// 5. The rendered connections merge with the buffer in the full
-    ///    order, the buffer keeps k, and only its new entrants get their
-    ///    witness (when not yet done) and explanation.
-    ///
-    /// The buffer ends exactly as if every fresh connection had been
-    /// ranked in full, merged and cut to k.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_level(
-        &self,
-        acc: &mut Vec<RankedConnection>,
-        conns: Vec<Connection>,
-        mtjnt_sets: Option<&[HashSet<NodeId>]>,
-        ctx: &RankContext<'_>,
-        ranker: RankStrategy,
-        k: usize,
-        scratch: &mut RankScratch,
-    ) {
-        let mut merge = LevelMerge::new(acc, k, ranker);
-        for connection in conns {
-            self.offer(&mut merge, connection, mtjnt_sets, ctx, ranker, scratch);
-        }
-        let kept = merge.kept;
-        self.finish_level(acc, kept, ctx, ranker, k, scratch);
-    }
-
-    /// Step 1 of [`EngineSnapshot::absorb_level`] for one connection:
-    /// kept in `merge` only while it can still enter the top k.
+    /// Step 1 of a [`LevelMerge`] for one connection: kept in `merge`
+    /// only while it can still enter the top k.
     fn offer(
         &self,
         merge: &mut LevelMerge<'_>,
@@ -1544,30 +1466,34 @@ impl EngineSnapshot {
         info.instance_close = ctx.compute_instance.then_some(close);
         let witnessed = close || !ctx.compute_instance;
         let key = ranker.sort_key(&info);
-        let pessimistic = info.instance_close;
-        if !witnessed {
-            info.instance_close = Some(true);
-        }
-        let optimistic = ranker.sort_key(&info);
-        let dropped = merge.running.beats(optimistic, &info, ranker, merge.held, &merge.kept);
-        info.instance_close = pessimistic;
-        if dropped {
-            return;
+        if let Some(running) = &merge.running {
+            let pessimistic = info.instance_close;
+            if !witnessed {
+                info.instance_close = Some(true);
+            }
+            let optimistic = ranker.sort_key(&info);
+            let dropped = running.beats(optimistic, &info, ranker, merge.held, &merge.kept);
+            info.instance_close = pessimistic;
+            if dropped {
+                return;
+            }
         }
         merge.kept.push(Keyed { key, connection, info, witnessed });
-        let at = merge.held.len() + merge.kept.len() - 1;
-        merge.running.offer(key, at, ranker, merge.held, &merge.kept);
+        if let Some(running) = &mut merge.running {
+            let at = merge.held.len() + merge.kept.len() - 1;
+            running.offer(key, at, ranker, merge.held, &merge.kept);
+        }
     }
 
-    /// Steps 2–5 of [`EngineSnapshot::absorb_level`]: merge the
-    /// candidates step 1 kept into the buffer `acc`.
+    /// Steps 2–5 of a [`LevelMerge`]: merge the candidates step 1 kept
+    /// into the held results `acc`.
     fn finish_level(
         &self,
         acc: &mut Vec<RankedConnection>,
         mut cands: Vec<Keyed>,
         ctx: &RankContext<'_>,
         ranker: RankStrategy,
-        k: usize,
+        k: Option<usize>,
         scratch: &mut RankScratch,
     ) {
         // Step 2.
@@ -1615,7 +1541,9 @@ impl EngineSnapshot {
             merged.push((c.key, ranked, Some(c.witnessed)));
         }
         sort_keyed(&mut merged, ranker, &self.dg);
-        merged.truncate(k);
+        if let Some(k) = k {
+            merged.truncate(k);
+        }
         for (_, mut r, entrant) in merged {
             if let Some(witnessed) = entrant {
                 if !witnessed {
@@ -1634,50 +1562,72 @@ impl EngineSnapshot {
         }
     }
 
-    /// Streaming top-k for the two-keyword `Paths` pipeline, on the
-    /// calling thread. Per length level, one pruned DFS per source emits
-    /// the level's paths, and each path that stands for its connection
-    /// ([`EngineSnapshot::represents_its_connection`]) is keyed against
-    /// the running k-th the moment it is emitted
-    /// ([`EngineSnapshot::absorb_level`] step 1) and dropped unless it
-    /// can still enter the top k: no level is ever collected. The
-    /// survivors merge into the bounded best-k buffer, and the search
-    /// stops as soon as the k-th best connection dominates every
-    /// unexplored level. One budget probe counts the expansions of every
-    /// level, so an expansion cap is exact.
+    /// Every two-keyword answer: each `Paths` search, and each
+    /// `Discover` search of at most two keywords (with `mtjnt_only`),
+    /// on the calling thread. The singles are merged
+    /// first ([`LevelMerge`]); then one pruned DFS per source emits the
+    /// paths, and each path that stands for its connection
+    /// ([`EngineSnapshot::represents_its_connection`]) is offered the
+    /// moment it is emitted, so no path set is ever collected.
+    ///
+    /// * With `k` set under a ranker that supports streaming
+    ///   ([`RankStrategy::supports_streaming_topk`]), the DFS runs one
+    ///   length level at a time and the search stops as soon as the
+    ///   k-th best connection dominates every unexplored level.
+    /// * Otherwise one DFS runs to `max_rdb_length` and one merge takes
+    ///   every length: it drops nothing with `k = None`, and against
+    ///   the running k-th under `Combined` at k.
+    ///
+    /// One budget probe counts every expansion, so an expansion cap is
+    /// exact. A cut finishes the merge of what was offered; under a
+    /// streaming ranker only the held prefix that dominates every
+    /// connection the cut could have missed is kept, and under
+    /// `Combined` the best found so far.
     #[allow(clippy::too_many_arguments)]
-    fn stream_topk_paths(
+    fn search_paths(
         &self,
-        k: usize,
         match_sets: &[Vec<NodeId>],
         options: &SearchOptions,
+        mtjnt_only: bool,
         ctx: &RankContext<'_>,
         singles: Vec<Connection>,
         enumerate: &mut EnumScratch,
         rank_scratch: &mut RankScratch,
         budget: Option<&BudgetShared>,
     ) -> (Vec<RankedConnection>, SearchStats) {
-        if k == 0 {
-            return (Vec::new(), SearchStats::default());
-        }
-        let (set_a, set_b) = (&match_sets[0], &match_sets[1]);
-        let kw_sets: Option<Vec<HashSet<NodeId>>> = options
-            .mtjnt_only
+        let (k, ranker) = (options.k, options.ranker);
+        let kw_sets: Option<Vec<HashSet<NodeId>>> = mtjnt_only
             .then(|| match_sets.iter().map(|s| s.iter().copied().collect()).collect());
         let mtjnt_sets = kw_sets.as_deref();
-        let ranker = options.ranker;
-
         let mut stats = SearchStats::default();
         let mut acc: Vec<RankedConnection> = Vec::new();
-        let mut probe = BudgetProbe::new(budget);
 
         // Level 0: the singles.
-        self.absorb_level(&mut acc, singles, mtjnt_sets, ctx, ranker, k, rank_scratch);
-        for level in 1..=options.max_rdb_length {
+        let mut merge = LevelMerge::new(&acc, k, ranker);
+        for connection in singles {
+            self.offer(&mut merge, connection, mtjnt_sets, ctx, ranker, rank_scratch);
+        }
+        let kept = merge.kept;
+        self.finish_level(&mut acc, kept, ctx, ranker, k, rank_scratch);
+        let [set_a, set_b] = match_sets else {
+            return (acc, stats); // one keyword: the singles are the answer
+        };
+        let max = options.max_rdb_length;
+        // The k a levelled search stops early at, if it may.
+        let stop_k = k.filter(|_| ranker.supports_streaming_topk());
+        let first = if stop_k.is_some() { 1 } else { max.max(1) };
+        if stop_k.is_none() {
+            // A whole answer reports its length budget, cut or not.
+            stats.max_length_enumerated = max;
+        }
+        let mut probe = BudgetProbe::new(budget);
+        for level in first..=max {
             // Any connection still to come has RDB length >= level; if
             // the k-th best already beats the best conceivable such
             // connection, deeper enumeration cannot change the top k.
-            if acc.len() == k && ranker.dominates_all_longer(&acc[k - 1].info, level) {
+            if stop_k.is_some_and(|k| {
+                acc.len() == k && ranker.dominates_all_longer(&acc[k - 1].info, level)
+            }) {
                 stats.early_terminated = true;
                 break;
             }
@@ -1686,10 +1636,13 @@ impl EngineSnapshot {
             // `level` edges read exact distances up to `level` only (the
             // DFS descends while `dist < remaining` and skips a source
             // with `dist > level`), and a farther node reads `u32::MAX`.
-            if level == 1 {
+            if level == first {
                 enumerate.seed_targets(self.dg.node_count(), set_b);
             }
             enumerate.bfs.grow_to(self.dg.csr(), u32::try_from(level).unwrap_or(u32::MAX));
+            // The DFS to `level` edges emits every shorter path too; a
+            // levelled search takes the paths of exactly `level` edges.
+            let shortest = if stop_k.is_some() { level } else { 1 };
             let EnumScratch { is_target, bfs, traversal } = &mut *enumerate;
             let is_target: &[bool] = is_target;
             let mut merge = LevelMerge::new(&acc, k, ranker);
@@ -1704,7 +1657,7 @@ impl EngineSnapshot {
                     traversal,
                     &mut |n| probe.check(n),
                     |nodes, edges| {
-                        if edges.len() == level
+                        if edges.len() >= shortest
                             && self.represents_its_connection(nodes, edges, is_target, set_a)
                         {
                             let connection = Connection::from_slices(
@@ -1730,42 +1683,50 @@ impl EngineSnapshot {
                 }
             }
             let kept = merge.kept;
+            self.finish_level(&mut acc, kept, ctx, ranker, k, rank_scratch);
             if let Some(reason) = budget.and_then(|b| b.reason()) {
-                // The budget cut this level mid-enumeration: discard the
-                // partial level and certify the held prefix against it —
-                // every connection the cut could have missed has >=
-                // `level` edges (all shallower levels were absorbed in
-                // full).
-                let keep = acc
-                    .iter()
-                    .take_while(|r| ranker.dominates_all_longer(&r.info, level))
-                    .count();
-                acc.truncate(keep);
+                // Every connection the cut could have missed has at
+                // least `shortest` edges (the shorter ones were merged
+                // in full), so the held prefix that dominates that
+                // length is certified. No connection of `shortest` or
+                // more edges dominates it, and each sorts after the
+                // held results that do, so what the cut level merged
+                // changes nothing the trim keeps.
+                if ranker.supports_streaming_topk() {
+                    let keep = acc
+                        .iter()
+                        .take_while(|r| ranker.dominates_all_longer(&r.info, shortest))
+                        .count();
+                    acc.truncate(keep);
+                }
                 stats.completeness = Completeness::Truncated { reason };
-                return (acc, stats);
+                break;
             }
             stats.max_length_enumerated = level;
-            self.finish_level(&mut acc, kept, ctx, ranker, k, rank_scratch);
         }
         (acc, stats)
     }
 
-    /// Whether a path a streamed Paths level emits is the one that
-    /// stands for its connection, so that each connection is offered
-    /// once. Of the paths that orient to one connection, the batch
-    /// pipeline keeps the first: sources in match-list order, each
-    /// source's paths in [`Connection::canonical_cmp`] order. Two
-    /// stateless rules pick that same path:
+    /// Whether an emitted path is the one that stands for its
+    /// connection, so that each connection is offered once. The paths
+    /// that orient to one connection are the parallel-edge variants of
+    /// one node sequence and, when both endpoints match both keywords,
+    /// their reverses. Two stateless rules pick one of them:
     ///
-    /// * every hop uses the lowest-id edge joining its two nodes (of the
-    ///   parallel-edge variants of one node sequence, the one that sorts
-    ///   first), checked by scanning the shorter of the two nodes'
-    ///   neighbor lists;
+    /// * every hop uses the lowest-id edge joining its two nodes,
+    ///   checked by scanning the shorter of the two nodes' neighbor
+    ///   lists;
     /// * a path from `a` to `b` is skipped when `a` is also a target and
-    ///   `b` a source ordered before `a`: source `b` emitted the reverse
-    ///   path first, and it orients to the same connection.
+    ///   `b` a source ordered before `a`: source `b` emits the reverse
+    ///   path, and it orients to the same connection.
     ///
-    /// `sources` is sorted by tuple, as every match list is.
+    /// That is the connection the per-pair reference keeps (the first
+    /// of each node sequence, sources in match-list order and each
+    /// pair's paths in edge-id order); the property suite pins it
+    /// (`pruned_search_equals_naive_search`,
+    /// `pruned_search_keeps_the_oracles_parallel_edge_representative`,
+    /// `streamed_paths_keep_the_batch_representatives`). `sources` is
+    /// sorted by tuple, as every match list is.
     fn represents_its_connection(
         &self,
         nodes: &[NodeId],
@@ -1788,308 +1749,6 @@ impl EngineSnapshot {
             let (scan, other) = if csr.degree(u) <= csr.degree(v) { (u, v) } else { (v, u) };
             csr.neighbors(scan).iter().all(|&(m, f)| m != other || f >= e)
         })
-    }
-
-    /// Streaming top-k for the two-keyword `Discover` pipeline: MTJNTs
-    /// are consumed one **size level** at a time from
-    /// [`JoiningNetworkLevels`], converted to
-    /// connections (two-keyword MTJNTs are always path-shaped: every
-    /// leaf of a minimal network must carry a keyword) and absorbed
-    /// into the bounded best-k buffer; enumeration cuts as soon as the
-    /// held k-th best dominates every larger network — a network of
-    /// `s` tuples yields a connection of `s - 1` edges, so size is a
-    /// rank lower bound under any length-monotone strategy. The prefix
-    /// equals the batch pipeline's (property-tested), at strictly
-    /// fewer network materializations whenever the cut fires.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_topk_discover(
-        &self,
-        k: usize,
-        kw_sets: &[HashSet<NodeId>],
-        options: &SearchOptions,
-        ctx: &RankContext<'_>,
-        singles: Vec<Connection>,
-        rank_scratch: &mut RankScratch,
-        budget: Option<&BudgetShared>,
-    ) -> (Vec<RankedConnection>, SearchStats) {
-        if k == 0 {
-            return (Vec::new(), SearchStats::default());
-        }
-        let max_tuples = options.max_rdb_length + 1;
-        let mut levels = JoiningNetworkLevels::new(&self.dg, kw_sets, max_tuples);
-        let mut stats = SearchStats::default();
-        let mut acc: Vec<RankedConnection> = Vec::new();
-        let mut probe = BudgetProbe::new(budget);
-        // Edge count of the last fully absorbed size level — the
-        // certified floor if the budget cuts growth short.
-        let mut completed_edges = 0usize;
-
-        // Size level 1 *is* the singles set (tuples matching every
-        // keyword), already collected by the caller; consume and drop
-        // the duplicate level.
-        self.absorb_level(&mut acc, singles, None, ctx, options.ranker, k, rank_scratch);
-        let _ = levels.next_level_budgeted(&mut |n| probe.check(n));
-        while levels.next_size() <= max_tuples {
-            let level_edges = levels.next_size() - 1;
-            // Every network still to come has >= level_edges edges; once
-            // the held k-th best dominates that whole tail, deeper
-            // growth cannot change the top k.
-            if acc.len() == k
-                && options.ranker.dominates_all_longer(&acc[k - 1].info, level_edges)
-            {
-                stats.early_terminated = true;
-                break;
-            }
-            let Some(mtjnts) = levels.next_level_budgeted(&mut |n| probe.check(n)) else {
-                break;
-            };
-            stats.max_length_enumerated = level_edges;
-            let conns: Vec<Connection> =
-                mtjnts.iter().filter_map(|n| self.network_to_connection(n)).collect();
-            self.absorb_level(&mut acc, conns, None, ctx, options.ranker, k, rank_scratch);
-            completed_edges = level_edges;
-        }
-        stats.expansions = levels.expansions();
-        if levels.truncated() {
-            // The generator dropped a partial level: everything missing
-            // has more than `completed_edges` edges, so the held prefix
-            // is certified against `completed_edges + 1`.
-            let reason =
-                budget.and_then(|b| b.reason()).unwrap_or(TruncationReason::ExpansionCap);
-            let floor = completed_edges + 1;
-            let keep = acc
-                .iter()
-                .take_while(|r| options.ranker.dominates_all_longer(&r.info, floor))
-                .count();
-            acc.truncate(keep);
-            stats.completeness = Completeness::Truncated { reason };
-        }
-        (acc, stats)
-    }
-
-    /// All simple-path connections between two keyword match sets, by
-    /// distance-pruned multi-target enumeration: one **bounded** BFS
-    /// distance map from the target set (capped at the length budget —
-    /// anything farther can never complete a path), then one pruned DFS
-    /// per **source** (instead of one unpruned DFS per (source, target)
-    /// pair; the property suite checks the two agree). Runs on a pooled
-    /// scratch: warm calls perform no allocations in the enumeration
-    /// kernel beyond the returned connections themselves.
-    pub fn pair_connections(
-        &self,
-        set_a: &[NodeId],
-        set_b: &[NodeId],
-        max_rdb: usize,
-    ) -> Vec<Connection> {
-        self.pair_connections_threaded(set_a, set_b, max_rdb, 1)
-    }
-
-    /// [`EngineSnapshot::pair_connections`] with the independent
-    /// per-source DFS runs fanned out over `threads` scoped worker
-    /// threads (contiguous source chunks, merged back in source order).
-    /// Output is byte-identical to the sequential call for every thread
-    /// count.
-    pub fn pair_connections_threaded(
-        &self,
-        set_a: &[NodeId],
-        set_b: &[NodeId],
-        max_rdb: usize,
-        threads: usize,
-    ) -> Vec<Connection> {
-        let mut scratch = self.checkout_scratch();
-        let mut faulted = false;
-        let out = self
-            .pair_enumeration(
-                set_a,
-                set_b,
-                max_rdb,
-                threads,
-                &mut scratch.enumerate,
-                None,
-                &mut faulted,
-            )
-            .0;
-        self.return_scratch(scratch);
-        out
-    }
-
-    /// Build the target mask and the shared BFS distance map for `set_b`
-    /// and run the fan-out from `set_a`. The map is grown to `max_rdb`
-    /// hops at once: the pruned DFS can never use a larger distance, so
-    /// farther nodes read as unreachable and the traversal result is
-    /// identical to the full map's while the BFS only touches the budget
-    /// neighborhood.
-    #[allow(clippy::too_many_arguments)]
-    fn pair_enumeration(
-        &self,
-        set_a: &[NodeId],
-        set_b: &[NodeId],
-        max_rdb: usize,
-        threads: usize,
-        enumerate: &mut EnumScratch,
-        budget: Option<&BudgetShared>,
-        faulted: &mut bool,
-    ) -> (Vec<Connection>, u64) {
-        enumerate.seed_targets(self.dg.node_count(), set_b);
-        // Saturate rather than truncate: a pathological `usize` budget
-        // must mean "unbounded", not "mod 2^32".
-        enumerate.bfs.grow_to(self.dg.csr(), u32::try_from(max_rdb).unwrap_or(u32::MAX));
-        self.fan_out_connections(
-            set_a,
-            &enumerate.is_target,
-            enumerate.bfs.distances(),
-            max_rdb,
-            threads,
-            &mut enumerate.traversal,
-            budget,
-            faulted,
-        )
-    }
-
-    /// One distance-pruned DFS per source over an immutable CSR + shared
-    /// distance map — embarrassingly parallel, so sources are split into
-    /// contiguous chunks across `threads` scoped worker threads and the
-    /// per-chunk results concatenated back in source order. The merge is
-    /// deterministic: each source's paths are canonically sorted inside
-    /// its chunk, so the output is byte-identical to the sequential
-    /// loop's. The sequential path reuses the pooled DFS stacks; worker
-    /// threads own fresh ones (scratch only affects cost, not output).
-    /// The workers share the budget through one probe each, each
-    /// probing again after at most its share of what the cap has left
-    /// (the bound is in [`crate::budget`]'s module doc).
-    /// Parallel chunks are fault-isolated ([`EngineSnapshot::rank_stage`]
-    /// documents the policy): a panicking chunk drops its own sources'
-    /// paths, sets `faulted`, and leaves the rest intact. The
-    /// sequential path propagates panics (nothing to isolate; the
-    /// checked-out scratch is simply dropped, never re-pooled).
-    #[allow(clippy::too_many_arguments)]
-    fn fan_out_connections(
-        &self,
-        sources: &[NodeId],
-        is_target: &[bool],
-        dist: &[u32],
-        max_edges: usize,
-        threads: usize,
-        traversal: &mut TraversalScratch,
-        budget: Option<&BudgetShared>,
-        faulted: &mut bool,
-    ) -> (Vec<Connection>, u64) {
-        let threads = threads.clamp(1, sources.len().max(1));
-        if threads == 1 {
-            let probe = BudgetProbe::new(budget);
-            return self
-                .enumerate_chunk(sources, is_target, dist, max_edges, traversal, probe);
-        }
-        let chunk = sources.len().div_ceil(threads);
-        let mut chunks = sources.chunks(chunk);
-        let head = chunks.next().unwrap_or(&[]);
-        let mut out = Vec::new();
-        let mut expansions = 0u64;
-        thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .map(|c| {
-                    s.spawn(move || {
-                        panic::catch_unwind(AssertUnwindSafe(|| {
-                            if self.failpoints() && failpoints::triggered("worker.panic") {
-                                panic!("worker.panic failpoint: enumeration worker chunk");
-                            }
-                            // Pooled like the head's scratch (see
-                            // `rank_stage`): pooled DFS stacks keep
-                            // their cleared-bitset invariant on normal
-                            // return; a panicking worker's scratch is
-                            // dropped, never re-pooled.
-                            let mut worker = self.checkout_scratch();
-                            let result = self.enumerate_chunk(
-                                c,
-                                is_target,
-                                dist,
-                                max_edges,
-                                &mut worker.enumerate.traversal,
-                                BudgetProbe::shared_by(budget, threads),
-                            );
-                            self.return_scratch(worker);
-                            result
-                        }))
-                    })
-                })
-                .collect();
-            let head_result = panic::catch_unwind(AssertUnwindSafe(|| {
-                let probe = BudgetProbe::shared_by(budget, threads);
-                self.enumerate_chunk(head, is_target, dist, max_edges, traversal, probe)
-            }));
-            match head_result {
-                Ok((conns, exp)) => {
-                    out.extend(conns);
-                    expansions += exp;
-                }
-                Err(_) => {
-                    // The pooled DFS scratch was abandoned mid-descent;
-                    // restore its cleared-bitset invariant before it
-                    // returns to the pool.
-                    traversal.reset();
-                    *faulted = true;
-                }
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(Ok((conns, exp))) => {
-                        out.extend(conns);
-                        expansions += exp;
-                    }
-                    _ => *faulted = true,
-                }
-            }
-        });
-        (out, expansions)
-    }
-
-    /// The sequential enumeration kernel: one pruned DFS per source in
-    /// `sources`, collecting every target-ending path, canonically
-    /// sorted per source and converted to connections. Stops at the
-    /// first source the budget `probe` interrupts. Returns the
-    /// connections and the DFS expansion count.
-    fn enumerate_chunk(
-        &self,
-        sources: &[NodeId],
-        is_target: &[bool],
-        dist: &[u32],
-        max_edges: usize,
-        traversal: &mut TraversalScratch,
-        mut probe: BudgetProbe<'_>,
-    ) -> (Vec<Connection>, u64) {
-        let csr = self.dg.csr();
-        let mut out: Vec<Connection> = Vec::new();
-        let mut expansions = 0u64;
-        for &a in sources {
-            let start = out.len();
-            let flow = for_each_path_to_targets_budgeted(
-                csr,
-                a,
-                is_target,
-                dist,
-                max_edges,
-                &mut expansions,
-                traversal,
-                &mut |n| probe.check(n),
-                |nodes, edges| {
-                    out.push(Connection::from_slices(
-                        nodes,
-                        edges,
-                        &self.dg,
-                        &self.er_schema,
-                    ));
-                    ControlFlow::Continue(())
-                },
-            );
-            // Canonical order per source, so downstream node-sequence
-            // dedup picks the same representative among parallel-edge
-            // variants as the per-pair enumeration.
-            out[start..].sort_by(Connection::canonical_cmp);
-            if flow.is_break() {
-                break; // the budget ran out
-            }
-        }
-        (out, expansions)
     }
 
     /// Convert a path-shaped Steiner tree into a connection; `None` if

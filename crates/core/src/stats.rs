@@ -19,36 +19,38 @@ use std::hash::Hash;
 /// [`SearchStats::expansions`] counts each algorithm's unit of
 /// enumeration work:
 ///
-/// * `Paths` — DFS descents (nodes pushed onto a path under
-///   exploration), summed across sources and worker threads;
+/// * `Paths`, and `Discover` with at most two keywords — DFS descents
+///   (nodes pushed onto a path under exploration), summed across
+///   sources and, at k, across the length levels (each level re-runs
+///   the DFS to its own depth);
 /// * `Banks` — candidate roots completed by the backward expansion
 ///   (each materializes one entry on the candidate priority queue).
 ///   The classic formulation materializes *every* root reached by all
 ///   keyword sets; the priority-queue cutoff strictly fewer whenever
 ///   it fires. (`cla_core::BanksWork` additionally reports the raw
 ///   per-set Dijkstra settles.)
-/// * `Discover` — joining networks materialized by the level-wise
-///   growth, counting only networks that can still become an MTJNT
+/// * `Discover` with three or more keywords — joining networks
+///   materialized by the level-wise growth, counting only networks
+///   that can still become an MTJNT
 ///   within the size bound (total ones are reported and never grown,
 ///   and ones too far from a keyword set they miss are never built), so
 ///   an expansion cap reaches further than it would over every
-///   connected network; the streaming cutoff stops at the first
-///   dominated size level and never materializes the deeper ones.
+///   connected network.
 ///
-/// With `k` set and a length-monotone ranker, a streaming run must
-/// report strictly fewer expansions than the full run while returning
-/// the identical ranked prefix — the property suite pins both halves
-/// for every algorithm.
+/// With `k` set and a length-monotone ranker, a run that stops early
+/// must report strictly fewer expansions than the full run while
+/// returning the identical ranked prefix — the property suite pins both
+/// halves for Paths and BANKS.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Units of enumeration work performed (see the type docs for the
     /// per-algorithm meaning).
     pub expansions: u64,
     /// The highest length budget (in FK edges) the enumeration ran
-    /// with: the full `max_rdb_length` for the batch pipelines, the
-    /// last streamed level for top-k (pruning may keep the traversal
-    /// from ever reaching this depth; `expansions` counts the actual
-    /// work). For `Discover` this is the network size bound minus one
+    /// with: the full `max_rdb_length` for whole answers, the last
+    /// completed level for a levelled top-k (pruning may keep the
+    /// traversal from ever reaching this depth; `expansions` counts the
+    /// actual work). For `Discover` this is the network size bound minus one
     /// (tuple count and edge count differ by one on path shapes).
     pub max_length_enumerated: usize,
     /// `true` when a streaming cutoff stopped enumeration before its

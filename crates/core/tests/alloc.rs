@@ -7,14 +7,23 @@
 //! global counters while a measurement window is open. The harness's
 //! own thread is not counted either (see [`counted`]).
 
+// The per-pair reference alone: the rest of `support` carries tests of
+// its own, which would run beside this binary's single test.
+#[allow(dead_code)]
+#[path = "support/pairs.rs"]
+mod pairs;
+
 use cla_core::{
     banks_search_budgeted, BanksOptions, BanksScratch, SearchEngine, SearchOptions,
-    WitnessStrategy,
 };
 use cla_datagen::{generate_synthetic, SyntheticConfig};
-use cla_graph::NodeId;
+use cla_graph::{
+    bounded_bfs_distances_into, for_each_path_to_targets_budgeted, NodeId, TraversalScratch,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 /// System allocator wrapped with allocation / net-byte counters.
@@ -151,44 +160,47 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
         .collect();
     assert!(sets.iter().all(|s: &Vec<NodeId>| !s.is_empty()));
 
-    // ── Part 1: the enumeration kernel itself is allocation-free on a
-    // warm engine. With a zero-edge budget no connection can
-    // materialize, so the only allocations a cold call performs are the
-    // scratch buffers — and a warm call must perform none at all: the
-    // target mask, the bounded BFS map + queue, and the DFS stacks all
-    // come from the pooled scratch.
-    let _ = engine.pair_connections(&sets[0], &sets[1], 0);
-    let _ = engine.pair_connections(&sets[0], &sets[1], 0);
+    // ── Part 1: the enumeration kernel itself is allocation-free once
+    // warm. One pruned DFS per source to three edges over a target mask
+    // and a bounded BFS distance map, with a reused `TraversalScratch`
+    // (the buffers a search keeps in its pooled scratch) and a visitor
+    // that only counts: a warm pass allocates nothing at all, however
+    // many paths it emits.
+    let csr = dg.csr();
+    let mut is_target = vec![false; dg.node_count()];
+    for &b in &sets[1] {
+        is_target[b.index()] = true;
+    }
+    let (mut dist, mut queue) = (Vec::new(), VecDeque::new());
+    bounded_bfs_distances_into(csr, &sets[1], 3, &mut dist, &mut queue);
+    let mut traversal = TraversalScratch::new();
+    let enumerate = |traversal: &mut TraversalScratch| {
+        let (mut expansions, mut paths) = (0u64, 0usize);
+        for &a in &sets[0] {
+            let _ = for_each_path_to_targets_budgeted(
+                csr,
+                a,
+                &is_target,
+                &dist,
+                3,
+                &mut expansions,
+                traversal,
+                &mut |_| false,
+                |_, _| {
+                    paths += 1;
+                    ControlFlow::Continue(())
+                },
+            );
+        }
+        paths
+    };
+    let warm = enumerate(&mut traversal);
+    assert!(warm > 0, "the fixture must emit paths");
     let before = allocations();
     for _ in 0..32 {
-        let out = engine.pair_connections(&sets[0], &sets[1], 0);
-        assert!(out.is_empty());
+        assert_eq!(enumerate(&mut traversal), warm);
     }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "warm zero-result enumeration must not allocate at all"
-    );
-
-    // With a real budget the only allocations are the returned
-    // connections themselves (plus the vector collecting them): the
-    // kernel's traversal state is still pooled. Pin that the warm
-    // per-call allocation count is stable — growth would mean scratch
-    // buffers are being re-created per call.
-    let _ = engine.pair_connections(&sets[0], &sets[1], 3);
-    let _ = engine.pair_connections(&sets[0], &sets[1], 3);
-    let mut counts = Vec::new();
-    for _ in 0..8 {
-        let before = allocations();
-        let out = engine.pair_connections(&sets[0], &sets[1], 3);
-        assert!(!out.is_empty());
-        drop(out);
-        counts.push(allocations() - before);
-    }
-    assert!(
-        counts.windows(2).all(|w| w[0] == w[1]),
-        "warm enumeration must allocate a constant amount (results only): {counts:?}"
-    );
+    assert_eq!(allocations() - before, 0, "a warm enumeration must not allocate at all");
 
     // ── Part 2: zero steady-state heap growth across repeated
     // identical full searches — nothing inside the engine (scratch
@@ -206,7 +218,6 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
             k,
             max_rdb_length: 3,
             threads: 1,
-            witness_strategy: WitnessStrategy::BoundedBfs,
             ..Default::default()
         };
         // Warm every lazily grown buffer (scratch pool, hash-map
@@ -245,13 +256,8 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
     let latest = engine.snapshots().latest();
     assert_eq!(latest.generation(), 1);
 
-    let opts = SearchOptions {
-        k: Some(5),
-        max_rdb_length: 3,
-        threads: 2,
-        witness_strategy: WitnessStrategy::BoundedBfs,
-        ..Default::default()
-    };
+    let opts =
+        SearchOptions { k: Some(5), max_rdb_length: 3, threads: 2, ..Default::default() };
     // Warm both generations' pools and high-water marks.
     for _ in 0..4 {
         let _ = pinned.search("xml smith", &opts).unwrap();
@@ -403,21 +409,16 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
             "dept{departments}: the search must reach level 4"
         );
         drop(results);
-        // How many paths the deepest level emits: the whole enumeration
-        // to that depth, outside the measured window.
-        let dg = engine.data_graph();
-        let sets: Vec<Vec<NodeId>> = ["p3", "p1"]
-            .iter()
-            .map(|kw| {
-                engine
-                    .index()
-                    .matching_tuples(kw)
-                    .into_iter()
-                    .filter_map(|t| dg.node_of(t))
-                    .collect()
-            })
-            .collect();
-        let paths = engine.pair_connections(&sets[0], &sets[1], depth);
+        // How many paths the deepest level emits, by the per-pair
+        // reference, outside the measured window.
+        let sets = pairs::keyword_nodes(&engine, &["p3", "p1"]);
+        let paths = pairs::pair_connections_naive(
+            engine.data_graph(),
+            engine.er_schema(),
+            &sets[0],
+            &sets[1],
+            depth,
+        );
         let emitted = paths.iter().filter(|c| c.rdb_length() == depth).count();
         (peak, emitted)
     };

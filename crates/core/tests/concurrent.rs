@@ -181,7 +181,9 @@ impl Mutator {
 
 /// CI concurrency stress leg: a readers × writer loop under whatever
 /// the environment dictates — `CLA_SEARCH_THREADS` drives the
-/// fan-out that `threads: 0` resolves to, and when CI additionally
+/// fan-out that `threads: 0` resolves to (the metric stage of the
+/// whole BANKS answers the readers alternate with Paths answers, the
+/// one stage that fans out), and when CI additionally
 /// arms `CLA_FAILPOINTS=worker.panic=once` the panic fires **inside a
 /// snapshot read on a reader thread** (parallel searches absorb it as
 /// a `WorkerFault` truncation; sequential ones unwind, by contract —
@@ -197,7 +199,8 @@ impl Mutator {
 fn stress_readers_and_writer_under_env_threads_and_faults() {
     let _x = failpoints::exclusive();
     // The faults suite's fixture shape: big enough that resolved
-    // threads = 4 really spawns worker chunks on "smith xml".
+    // threads = 4 really spawns worker chunks on a whole BANKS answer
+    // to "smith xml".
     let schema = generate_synthetic(&SyntheticConfig {
         departments: 4,
         employees_per_department: 8,
@@ -242,7 +245,11 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
                     compute_instance: false,
                     ..Default::default()
                 };
-                while !done.load(Ordering::SeqCst) {
+                for &algorithm in [Algorithm::Paths, Algorithm::Banks].iter().cycle() {
+                    if done.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let opts = SearchOptions { algorithm, ..opts };
                     let snap = handle.latest();
                     match catch_unwind(AssertUnwindSafe(|| snap.search("smith xml", &opts))) {
                         Ok(Ok(r)) if r.stats.completeness.is_complete() => {

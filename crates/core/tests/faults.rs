@@ -20,9 +20,10 @@ use cla_core::{
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// A database big enough that the Paths fan-out has many sources (so
-/// `threads: 4` really spawns worker chunks) and every algorithm finds
-/// a non-trivial result set.
+/// A database big enough that a whole BANKS answer has many connections
+/// (so `threads: 4` really spawns metric-stage worker chunks, the one
+/// stage that fans out) and every algorithm finds a non-trivial result
+/// set.
 fn engine() -> SearchEngine {
     let s = generate_synthetic(&SyntheticConfig {
         departments: 4,
@@ -47,18 +48,18 @@ fn opts(algorithm: Algorithm, threads: usize) -> SearchOptions {
     SearchOptions { algorithm, threads, max_rdb_length: 3, ..Default::default() }
 }
 
-/// An armed `worker.panic` kills exactly one parallel chunk: the search
-/// still returns, labeled `WorkerFault`, its results a subset of the
-/// unfaulted run's — and the next search (point consumed) is
-/// byte-identical to the unfaulted baseline. The engine and its scratch
-/// pool survive unpoisoned.
+/// An armed `worker.panic` kills exactly one parallel chunk of a whole
+/// BANKS answer's metric stage: the search still returns, labeled
+/// `WorkerFault`, its results a subset of the unfaulted run's — and the
+/// next search (point consumed) is byte-identical to the unfaulted
+/// baseline. The engine and its scratch pool survive unpoisoned.
 #[test]
 fn worker_panic_degrades_one_chunk_and_engine_recovers() {
     let _x = failpoints::exclusive();
     failpoints::disarm_all();
     let mut e = engine();
     e.enable_failpoints();
-    let o = opts(Algorithm::Paths, 4);
+    let o = opts(Algorithm::Banks, 4);
 
     let baseline = e.search("smith xml", &o).unwrap();
     assert!(baseline.stats.completeness.is_complete());
@@ -157,7 +158,9 @@ fn unenabled_engines_never_consume_armed_points() {
     let _x = failpoints::exclusive();
     failpoints::disarm_all();
     let e = engine(); // no enable_failpoints()
-    let o = opts(Algorithm::Paths, 4);
+                      // A whole BANKS answer fans its metric stage out, so an enabled
+                      // engine would reach the point here.
+    let o = opts(Algorithm::Banks, 4);
     failpoints::arm("worker.panic", FailpointMode::Once);
     let r = e.search("smith xml", &o).unwrap();
     assert!(r.stats.completeness.is_complete());
@@ -180,9 +183,10 @@ fn env_armed_failpoints_never_wedge_the_engine() {
         "this smoke only makes sense with CLA_FAILPOINTS set"
     );
     // `SearchEngine::new` auto-enables failpoints (and arms the env
-    // spec) when the variable is present.
+    // spec) when the variable is present. A whole BANKS answer reaches
+    // both `worker.panic` (its metric stage fans out) and `banks.settle`.
     let e = engine();
-    let o = opts(Algorithm::Paths, 4);
+    let o = opts(Algorithm::Banks, 4);
     // Let whatever is armed fire; panics are the contract for some
     // points, so absorb them.
     for _ in 0..4 {

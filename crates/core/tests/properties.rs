@@ -31,6 +31,15 @@ const STREAMING_RANKERS: [RankStrategy; 4] = [
     RankStrategy::InstanceCloseFirst,
 ];
 
+/// Every ranker: the streaming ones and `Combined`.
+const ALL_RANKERS: [RankStrategy; 5] = [
+    RankStrategy::RdbLength,
+    RankStrategy::ErLength,
+    RankStrategy::CloseFirst,
+    RankStrategy::InstanceCloseFirst,
+    RankStrategy::Combined { structure_weight: 1.0 },
+];
+
 /// What a ranked answer shows for each connection: rendering,
 /// explanation and ranking info, in order.
 fn ranked_view(ranked: &[RankedConnection]) -> Vec<(&str, &str, &ConnectionInfo)> {
@@ -436,67 +445,65 @@ proptest! {
         }
     }
 
-    /// The distance-pruned multi-target pair enumeration produces
-    /// exactly the connections of the per-(source, target)-pair loop on
-    /// random synthetic databases, across every length bound.
-    #[test]
-    fn pruned_pair_connections_match_naive(seed in 0u64..150) {
-        let s = generate_synthetic(&small_config(seed));
-        let dg = DataGraph::build(&s.db, &s.mapping).unwrap();
-        let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
-            .unwrap();
-        let sets: Vec<Vec<NodeId>> = ["xml", "smith"]
-            .iter()
-            .map(|kw| {
-                engine
-                    .index()
-                    .matching_tuples(kw)
-                    .into_iter()
-                    .filter_map(|t| dg.node_of(t))
-                    .collect()
-            })
-            .collect();
-        prop_assume!(sets.iter().all(|s: &Vec<NodeId>| !s.is_empty()));
-        for max_rdb in 0..=4usize {
-            let key = |c: &Connection| -> (Vec<NodeId>, Vec<EdgeId>) {
-                (
-                    c.nodes().to_vec(),
-                    c.steps().iter().map(|s| s.edge).collect(),
-                )
-            };
-            let mut pruned: Vec<_> = engine
-                .pair_connections(&sets[0], &sets[1], max_rdb)
-                .iter()
-                .map(key)
-                .collect();
-            let mut naive: Vec<_> = pair_connections_naive(
-                engine.data_graph(),
-                engine.er_schema(),
-                &sets[0],
-                &sets[1],
-                max_rdb,
-            )
-            .iter()
-            .map(key)
-            .collect();
-            pruned.sort();
-            naive.sort();
-            prop_assert_eq!(pruned, naive, "max_rdb {}", max_rdb);
-        }
-    }
-
     /// End-to-end: a `k: None` search returns exactly what the per-pair
-    /// oracle predicts (see [`search_and_pair_oracle`]). The synthetic
-    /// schema has no parallel edges; the parallel-edge representative
-    /// is checked by `pruned_search_keeps_the_oracles_parallel_edge_representative`.
+    /// oracle predicts (see [`search_and_pair_oracle`]), across every
+    /// length bound. The synthetic schema has no parallel edges; the
+    /// parallel-edge representative is checked by
+    /// `pruned_search_keeps_the_oracles_parallel_edge_representative`.
     #[test]
     fn pruned_search_equals_naive_search(seed in 0u64..100) {
         let s = generate_synthetic(&small_config(seed));
         let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
             .unwrap()
             .with_aliases(s.aliases.clone());
-        let (got, want, _) = search_and_pair_oracle(&engine, 4);
-        prop_assert_eq!(got, want);
+        for max_rdb in 0..=4 {
+            let (got, want, _) = search_and_pair_oracle(&engine, max_rdb);
+            prop_assert_eq!(got, want, "max_rdb {}", max_rdb);
+        }
+    }
+
+    /// A whole answer equals the ranking reference item by item under
+    /// every ranker, with instance closeness on and off: the per-pair
+    /// oracle's connections, each ranked on its own through
+    /// `connection_info`, `Connection::render` and `explain_connection`
+    /// and sorted by `RankStrategy::compare` with the rendering, then
+    /// tuple, tie-break ([`support::rank_reference`]). None of the
+    /// search's merge runs on that side.
+    #[test]
+    fn whole_answer_matches_the_ranking_reference(seed in 0u64..100) {
+        let s = generate_synthetic(&small_config(seed));
+        let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
+            .unwrap()
+            .with_aliases(s.aliases.clone());
+        for ranker in ALL_RANKERS {
+            for compute_instance in [true, false] {
+                let options = SearchOptions {
+                    max_rdb_length: 3,
+                    ranker,
+                    compute_instance,
+                    threads: 1,
+                    ..Default::default()
+                };
+                let got = engine.search("xml smith", &options).unwrap();
+                let want = support::rank_reference(
+                    &engine,
+                    &got.query,
+                    &got.display_keywords,
+                    support::pair_oracle(&engine, ["xml", "smith"], 3),
+                    ranker,
+                    compute_instance,
+                    options.max_witness_length,
+                );
+                let got: Vec<_> = got
+                    .connections
+                    .iter()
+                    .map(|r| (&r.connection, &r.info, r.rendering.as_str(), r.explanation.as_str()))
+                    .collect();
+                let want: Vec<_> =
+                    want.iter().map(|(c, i, r, e)| (c, i, r.as_str(), e.as_str())).collect();
+                prop_assert_eq!(got, want, "ranker {} instance {}", ranker.name(), compute_instance);
+            }
+        }
     }
 
     /// The short-circuiting witness search agrees with the exhaustive
@@ -589,43 +596,27 @@ proptest! {
     }
 
     /// Multi-threaded search returns byte-identical results to the
-    /// sequential path, for both the raw enumeration and the full ranked
-    /// pipeline.
+    /// sequential path: a whole BANKS answer, whose metric stage fans
+    /// out in contiguous chunks merged back in order.
     #[test]
     fn parallel_search_matches_sequential(seed in 0u64..120) {
         let s = generate_synthetic(&small_config(seed));
         let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
             .unwrap()
             .with_aliases(s.aliases.clone());
-        let sets: Vec<Vec<NodeId>> = ["xml", "smith"]
-            .iter()
-            .map(|kw| {
-                engine
-                    .index()
-                    .matching_tuples(kw)
-                    .into_iter()
-                    .filter_map(|t| engine.data_graph().node_of(t))
-                    .collect()
-            })
-            .collect();
-        prop_assume!(sets.iter().all(|s: &Vec<NodeId>| !s.is_empty()));
-        let sequential = engine.pair_connections(&sets[0], &sets[1], 4);
-        for threads in [2usize, 4] {
-            let parallel = engine.pair_connections_threaded(&sets[0], &sets[1], 4, threads);
-            prop_assert_eq!(&parallel, &sequential, "threads {}", threads);
+        let base = SearchOptions {
+            algorithm: Algorithm::Banks,
+            max_rdb_length: 4,
+            threads: 1,
+            ..Default::default()
+        };
+        for query in ["xml smith", "xml smith alice"] {
+            let seq = engine.search(query, &base).unwrap();
+            for threads in [2usize, 4] {
+                let par = engine.search(query, &SearchOptions { threads, ..base }).unwrap();
+                prop_assert_eq!(answer_view(&par), answer_view(&seq), "{} threads {}", query, threads);
+            }
         }
-        let base = SearchOptions { max_rdb_length: 4, threads: 1, ..Default::default() };
-        let seq = engine.search("xml smith", &base).unwrap();
-        let par = engine
-            .search("xml smith", &SearchOptions { threads: 4, ..base })
-            .unwrap();
-        prop_assert_eq!(seq.connections.len(), par.connections.len());
-        for (a, b) in seq.connections.iter().zip(&par.connections) {
-            prop_assert_eq!(&a.rendering, &b.rendering);
-            prop_assert_eq!(&a.explanation, &b.explanation);
-            prop_assert_eq!(a.connection.nodes(), b.connection.nodes());
-        }
-        prop_assert_eq!(seq.stats, par.stats);
     }
 
     /// Streaming top-k returns exactly the full enumeration's ranked
@@ -773,10 +764,14 @@ proptest! {
         }
     }
 
-    /// DISCOVER's streamed top-k equals the batch pipeline truncated —
-    /// rendering, explanation and info, item by item — and never
-    /// materializes more candidate networks, under every streaming
-    /// ranker with instance closeness on and off.
+    /// DISCOVER's levelled top-k equals its whole answer truncated —
+    /// rendering, explanation and info, item by item — under every
+    /// streaming ranker with instance closeness on and off, and expands
+    /// fewer DFS nodes exactly when it stopped early (each level re-runs
+    /// the DFS to its own depth, so a levelled search that runs every
+    /// level may expand more). `Combined` at k drops against the running
+    /// k-th without stopping early, and returns the whole answer's
+    /// prefix too.
     #[test]
     fn discover_streaming_matches_batch(seed in 0u64..80, k in 1usize..10) {
         let s = generate_synthetic(&small_config(seed));
@@ -806,33 +801,92 @@ proptest! {
                     compute_instance,
                     k
                 );
-                // The cut can fire on an already-exhausted frontier (a tiny
-                // keyword component has nothing left to grow), in which
-                // case it legitimately saves nothing — so the random-graph
-                // invariant is monotonicity; the strictly-fewer claim is
-                // pinned at the deterministic B7/B1 shapes where the cut
-                // provably skips whole levels.
-                prop_assert!(stream.stats.expansions <= full.stats.expansions);
+                prop_assert!(
+                    stream.stats.max_length_enumerated <= full.stats.max_length_enumerated
+                );
+                if stream.stats.early_terminated {
+                    prop_assert!(stream.stats.max_length_enumerated < base.max_rdb_length);
+                    prop_assert!(
+                        stream.stats.expansions < full.stats.expansions,
+                        "early-terminated DISCOVER must expand fewer nodes: {} vs {}",
+                        stream.stats.expansions,
+                        full.stats.expansions
+                    );
+                }
             }
         }
-        // The non-monotone ranker takes the batch path and agrees on its
-        // own truncation.
         let combined = SearchOptions {
             algorithm: Algorithm::Discover,
             max_rdb_length: 3,
             ranker: RankStrategy::Combined { structure_weight: 1.0 },
-            k: Some(k),
             threads: 1,
             ..Default::default()
         };
-        let batch = engine.search("xml smith", &combined).unwrap();
-        prop_assert!(!batch.stats.early_terminated);
+        let full = engine.search("xml smith", &combined).unwrap();
+        let cut = engine.search("xml smith", &SearchOptions { k: Some(k), ..combined }).unwrap();
+        prop_assert!(!cut.stats.early_terminated);
+        prop_assert_eq!(
+            ranked_view(&cut.connections),
+            ranked_view(&full.connections[..k.min(full.connections.len())])
+        );
+    }
+
+    /// DISCOVER with at most two keywords returns exactly the MTJNTs of
+    /// at most `max_rdb_length + 1` tuples, checked against the
+    /// definition rather than the Paths enumeration it runs: the
+    /// unpruned growth's total networks that brute force finds minimal.
+    /// The node sets of its connections equal them in full at
+    /// `k: None`, and are `min(k, n)` of them at k, under every ranker;
+    /// no answer tree is returned.
+    #[test]
+    fn two_keyword_discover_returns_the_mtjnts(seed in 0u64..100) {
+        let s = generate_synthetic(&small_config(seed));
+        let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
+            .unwrap()
+            .with_aliases(s.aliases.clone());
+        let dg = engine.data_graph();
+        for keywords in [&["xml", "smith"][..], &["smith"][..]] {
+            let sets = keyword_hash_sets(engine.index(), dg, keywords);
+            let mut mtjnts: Vec<BTreeSet<NodeId>> = enumerate_joining_networks(dg, &sets, 4)
+                .into_iter()
+                .filter(|n| bruteforce_minimal(dg, n, &sets))
+                .collect();
+            mtjnts.sort();
+            let query = keywords.join(" ");
+            for ranker in ALL_RANKERS {
+                for k in [None, Some(1), Some(3), Some(10)] {
+                    let options = SearchOptions {
+                        algorithm: Algorithm::Discover,
+                        max_rdb_length: 3,
+                        ranker,
+                        k,
+                        threads: 1,
+                        ..Default::default()
+                    };
+                    let r = engine.search(&query, &options).unwrap();
+                    let ctx = format!("{query:?} ranker {} k {k:?}", ranker.name());
+                    prop_assert!(r.trees.is_empty(), "{}", ctx);
+                    let mut got: Vec<BTreeSet<NodeId>> = r
+                        .connections
+                        .iter()
+                        .map(|c| c.connection.nodes().iter().copied().collect())
+                        .collect();
+                    got.sort();
+                    let n = got.len();
+                    got.dedup();
+                    prop_assert_eq!(got.len(), n, "{}: a network repeats", ctx);
+                    prop_assert_eq!(n, k.map_or(mtjnts.len(), |k| k.min(mtjnts.len())), "{}", ctx);
+                    for network in &got {
+                        prop_assert!(mtjnts.binary_search(network).is_ok(), "{}: {:?}", ctx, network);
+                    }
+                }
+            }
+        }
     }
 
     /// Witness strategies are a pure cost knob: iterative deepening,
     /// bounded-BFS and the auto pick produce identical verdicts on
-    /// random connections (oracle included) and identical ranked output
-    /// under the instance-aware ranker.
+    /// random connections, oracle included.
     #[test]
     fn witness_strategies_agree(seed in 0u64..80) {
         let s = generate_synthetic(&small_config(seed));
@@ -873,33 +927,6 @@ proptest! {
                     );
                 }
             }
-        }
-        // End to end: ranked output independent of the strategy.
-        let base = SearchOptions {
-            ranker: RankStrategy::InstanceCloseFirst,
-            max_rdb_length: 3,
-            threads: 1,
-            ..Default::default()
-        };
-        let deepening = engine
-            .search(
-                "xml smith",
-                &SearchOptions {
-                    witness_strategy: WitnessStrategy::IterativeDeepening,
-                    ..base
-                },
-            )
-            .unwrap();
-        let bounded = engine
-            .search(
-                "xml smith",
-                &SearchOptions { witness_strategy: WitnessStrategy::BoundedBfs, ..base },
-            )
-            .unwrap();
-        prop_assert_eq!(deepening.connections.len(), bounded.connections.len());
-        for (a, b) in deepening.connections.iter().zip(&bounded.connections) {
-            prop_assert_eq!(&a.rendering, &b.rendering);
-            prop_assert_eq!(&a.info, &b.info);
         }
     }
 
@@ -1227,35 +1254,21 @@ fn search_and_pair_oracle(
     engine: &SearchEngine,
     max_rdb: usize,
 ) -> (Vec<ConnKey>, Vec<ConnKey>, usize) {
-    let dg = engine.data_graph();
-    let sets: Vec<Vec<NodeId>> = ["xml", "smith"]
-        .iter()
-        .map(|kw| {
-            engine
-                .index()
-                .matching_tuples(kw)
-                .into_iter()
-                .filter_map(|t| dg.node_of(t))
-                .collect()
-        })
-        .collect();
     let key = |c: &Connection| -> ConnKey {
         (c.nodes().to_vec(), c.steps().iter().map(|s| s.edge).collect())
     };
-    let mut singles: Vec<NodeId> =
-        sets[0].iter().copied().filter(|n| sets[1].contains(n)).collect();
-    singles.sort();
-    singles.dedup();
-    let oracle: Vec<Connection> = singles
-        .into_iter()
-        .map(Connection::single)
-        .chain(pair_connections_naive(dg, engine.er_schema(), &sets[0], &sets[1], max_rdb))
-        .map(|c| if dg.tuple_of(c.end()) < dg.tuple_of(c.start()) { c.reversed() } else { c })
-        .collect();
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
+    let sets = support::keyword_nodes(engine, &["xml", "smith"]);
+    let pairs = pair_connections_naive(
+        engine.data_graph(),
+        engine.er_schema(),
+        &sets[0],
+        &sets[1],
+        max_rdb,
+    );
     let mut want: Vec<ConnKey> =
-        oracle.iter().filter(|c| seen.insert(c.nodes().to_vec())).map(key).collect();
-    let dropped = oracle.len() - want.len();
+        support::pair_oracle(engine, ["xml", "smith"], max_rdb).iter().map(key).collect();
+    let singles = want.iter().filter(|c| c.1.is_empty()).count();
+    let dropped = singles + pairs.len() - want.len();
     let opts = SearchOptions { max_rdb_length: max_rdb, ..Default::default() };
     let mut got: Vec<ConnKey> = engine
         .search("xml smith", &opts)

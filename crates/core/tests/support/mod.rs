@@ -5,10 +5,17 @@
 pub mod banks;
 pub mod candidates;
 pub mod discover;
+pub mod pairs;
 
-use cla_core::{Connection, DataGraph, InstanceCloseness};
+pub use pairs::{keyword_nodes, pair_connections_naive, pair_oracle};
+
+use cla_core::{
+    explain_connection, Connection, ConnectionInfo, DataGraph, InstanceCloseness,
+    RankStrategy, SearchEngine,
+};
 use cla_er::{Closeness, ErSchema, SchemaMapping};
-use cla_graph::{enumerate_simple_paths_undirected, NodeId};
+use cla_graph::enumerate_simple_paths_undirected;
+use cla_index::KeywordQuery;
 
 /// Instance closeness by exhaustive scan: enumerate **all** bounded
 /// paths between the endpoints, sorted by `(length, edge ids)`, and
@@ -39,26 +46,51 @@ pub fn instance_closeness_naive(
     InstanceCloseness::Loose
 }
 
-/// Every simple-path connection between two keyword match sets, by one
-/// unpruned DFS per (source, target) pair, in source, target, then
-/// canonical path order.
-pub fn pair_connections_naive(
-    dg: &DataGraph,
-    schema: &ErSchema,
-    set_a: &[NodeId],
-    set_b: &[NodeId],
-    max_rdb: usize,
-) -> Vec<Connection> {
-    let mut out = Vec::new();
-    for &a in set_a {
-        for &b in set_b {
-            if a == b {
-                continue;
-            }
-            for p in enumerate_simple_paths_undirected(dg.csr(), a, b, max_rdb, None) {
-                out.push(Connection::from_path(&p, dg, schema));
-            }
-        }
-    }
-    out
+/// One connection of a ranked answer: the connection, its ranking info,
+/// rendering and explanation.
+pub type RankedView = (Connection, ConnectionInfo, String, String);
+
+/// A whole answer ranked one connection at a time through the public
+/// per-connection API: each connection's `connection_info`, its
+/// rendering and explanation with the query's keyword markers, in
+/// `ranker`'s order with ties broken by rendering, then by tuple
+/// sequence. `display_keywords` are the query's keywords as the search
+/// displays them.
+pub fn rank_reference(
+    engine: &SearchEngine,
+    query: &KeywordQuery,
+    display_keywords: &[String],
+    connections: Vec<Connection>,
+    ranker: RankStrategy,
+    compute_instance: bool,
+    max_witness_length: usize,
+) -> Vec<RankedView> {
+    let dg = engine.data_graph();
+    let markers = engine.markers(query, display_keywords);
+    let mut ranked: Vec<RankedView> = connections
+        .into_iter()
+        .map(|c| {
+            let info =
+                engine.connection_info(&c, query, compute_instance, max_witness_length);
+            let rendering = c.render(dg, engine.aliases(), &markers);
+            let explanation = explain_connection(
+                &c,
+                dg,
+                engine.er_schema(),
+                engine.mapping(),
+                engine.aliases(),
+                &markers,
+            );
+            (c, info, rendering, explanation)
+        })
+        .collect();
+    ranked.sort_by(|a, b| {
+        ranker.compare(&a.1, &b.1).then_with(|| a.2.cmp(&b.2)).then_with(|| {
+            a.0.nodes()
+                .iter()
+                .map(|&n| dg.tuple_of(n))
+                .cmp(b.0.nodes().iter().map(|&n| dg.tuple_of(n)))
+        })
+    });
+    ranked
 }

@@ -1,12 +1,17 @@
 //! Quick profiling probe for the search hot path at the B1 dept16/len4
-//! shape: times the pruned pair enumeration, the full search pipeline,
-//! the instance-closeness witness search and the per-connection metric,
+//! shape: times the distance-pruned DFS alone (bounded BFS map and one
+//! DFS per source, paths only counted), the full search pipeline, the
+//! instance-closeness witness search and the per-connection metric,
 //! rendering and explanation stages. Used to sanity-check
 //! EXPERIMENTS.md numbers outside the bench harness.
 
 use close_loose_ks::core::{SearchEngine, SearchOptions};
 use close_loose_ks::datagen::{generate_synthetic, SyntheticConfig};
-use close_loose_ks::graph::NodeId;
+use close_loose_ks::graph::{
+    bounded_bfs_distances_into, for_each_path_to_targets_budgeted, NodeId, TraversalScratch,
+};
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 fn engine(departments: usize) -> SearchEngine {
@@ -58,11 +63,37 @@ fn main() {
         engine.data_graph().edge_count()
     );
     let max = 4;
-    println!("paths: {}", engine.pair_connections(&sets[0], &sets[1], max).len());
+    let csr = engine.data_graph().csr();
+    let (mut dist, mut queue) = (Vec::new(), VecDeque::new());
+    let mut traversal = TraversalScratch::new();
+    let mut enumerate = || {
+        let mut is_target = vec![false; csr.node_count()];
+        for &b in &sets[1] {
+            is_target[b.index()] = true;
+        }
+        bounded_bfs_distances_into(csr, &sets[1], max as u32, &mut dist, &mut queue);
+        let (mut expansions, mut paths) = (0u64, 0usize);
+        for &a in &sets[0] {
+            let _ = for_each_path_to_targets_budgeted(
+                csr,
+                a,
+                &is_target,
+                &dist,
+                max,
+                &mut expansions,
+                &mut traversal,
+                &mut |_| false,
+                |_, _| {
+                    paths += 1;
+                    ControlFlow::Continue(())
+                },
+            );
+        }
+        paths
+    };
+    println!("paths: {}", enumerate());
     let reps = 50;
-    time("pair_connections (pruned)", reps, || {
-        engine.pair_connections(&sets[0], &sets[1], max).len()
-    });
+    time("enumeration (pruned DFS)", reps, &mut enumerate);
     let pruned_opts =
         SearchOptions { max_rdb_length: max, compute_instance: false, ..Default::default() };
     time("search (pruned)", reps, || engine.search("xml smith", &pruned_opts).unwrap().len());
@@ -90,23 +121,25 @@ fn main() {
             .count()
     });
 
-    // Post-enumeration stage breakdown.
-    let conns = engine.pair_connections(&sets[0], &sets[1], max);
+    // Post-enumeration stage breakdown, over the whole answer's
+    // connections.
+    let conns: Vec<_> = results.connections.iter().map(|r| r.connection.clone()).collect();
     let query = close_loose_ks::index::KeywordQuery::parse("xml smith");
-    time("stage: connection_info x87", reps, || {
+    println!("connections: {}", conns.len());
+    time("stage: connection_info", reps, || {
         conns
             .iter()
             .map(|c| engine.connection_info(c, &query, false, 4).er_length)
             .sum::<usize>()
     });
     let markers = engine.markers(&query, &["xml".into(), "smith".into()]);
-    time("stage: render x87", reps, || {
+    time("stage: render", reps, || {
         conns
             .iter()
             .map(|c| c.render(engine.data_graph(), engine.aliases(), &markers).len())
             .sum::<usize>()
     });
-    time("stage: explain x87", reps, || {
+    time("stage: explain", reps, || {
         conns
             .iter()
             .map(|c| {

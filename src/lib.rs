@@ -27,8 +27,10 @@
 //! * **Bounded** — [`core::SearchOptions`] carries a
 //!   [`core::SearchBudget`]: a wall-clock `deadline` and/or a
 //!   `max_expansions` work cap, probed cooperatively at each
-//!   algorithm's expansion-counting sites (Paths DFS descents, BANKS
-//!   frontier settles, DISCOVER network materializations). An exhausted
+//!   algorithm's expansion-counting sites (DFS descents for Paths and
+//!   for two-keyword DISCOVER, BANKS frontier settles, network
+//!   materializations for DISCOVER with three or more keywords), one
+//!   probe per search, so the cap is exact. An exhausted
 //!   budget never errors: enumeration stops at the next probe and the
 //!   results found so far come back ranked, labeled through
 //!   [`core::SearchStats`]'s `completeness` field
@@ -38,8 +40,10 @@
 //!   unbudgeted run; under `RankStrategy::Combined` it is best-effort
 //!   found-so-far. The default budget is unlimited and costs one branch
 //!   per probe (≤ 2 % armed-but-unhit, EXPERIMENTS.md B10).
-//! * **Fault-isolated** — parallel worker chunks run under
-//!   `catch_unwind`: a panicking chunk degrades only its own
+//! * **Fault-isolated** — the parallel worker chunks of the metric
+//!   stage (BANKS's connections and DISCOVER answers of three or more
+//!   keywords) run under `catch_unwind`: a panicking chunk degrades
+//!   only its own
 //!   contribution (`Truncated { WorkerFault }`) and the engine's pooled
 //!   scratch survives; even a panic while holding the scratch-pool
 //!   mutex only poisons that mutex, which the next search clears and
