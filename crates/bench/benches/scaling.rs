@@ -57,12 +57,8 @@ fn enumerate_scaling(c: &mut Criterion) {
 /// the arm's time is that per-path work.
 fn topk(c: &mut Criterion) {
     let engine = synthetic_engine(16, SEED);
-    let base = SearchOptions {
-        max_rdb_length: 4,
-        compute_instance: false,
-        threads: 1,
-        ..Default::default()
-    };
+    let base =
+        SearchOptions { max_rdb_length: 4, compute_instance: false, ..Default::default() };
     let full = engine.search(QUERY, &base).unwrap();
     let mut k10_expansions = 0;
     for k in [3usize, 10] {
@@ -385,7 +381,6 @@ fn banks_vs_discover(c: &mut Criterion) {
     let opts = SearchOptions {
         algorithm: Algorithm::Discover,
         k: None,
-        threads: 1,
         compute_instance: true,
         max_rdb_length: 4,
         budget: SearchBudget::with_max_expansions(200_000),
@@ -552,7 +547,6 @@ fn budget_overhead(c: &mut Criterion) {
             algorithm,
             max_rdb_length: 4,
             compute_instance: false,
-            threads: 1,
             ..Default::default()
         };
         let armed = SearchOptions {
@@ -662,7 +656,6 @@ fn snapshot_publish(c: &mut Criterion) {
     let opts = SearchOptions {
         max_rdb_length: 3,
         compute_instance: false,
-        threads: 1,
         k: Some(10),
         ..Default::default()
     };
@@ -729,7 +722,6 @@ fn cold_open(c: &mut Criterion) {
     let opts = SearchOptions {
         max_rdb_length: 3,
         compute_instance: false,
-        threads: 1,
         k: Some(10),
         ..Default::default()
     };

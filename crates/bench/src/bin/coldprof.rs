@@ -29,7 +29,6 @@ fn main() {
     let opts = SearchOptions {
         max_rdb_length: 3,
         compute_instance: false,
-        threads: 1,
         k: Some(10),
         ..Default::default()
     };

@@ -102,9 +102,6 @@ impl BudgetShared {
         let code = match reason {
             TruncationReason::Deadline => TRIP_DEADLINE,
             TruncationReason::ExpansionCap => TRIP_CAP,
-            // Worker faults are recorded by the executor, not the
-            // budget; tripping the budget just stops the search.
-            TruncationReason::WorkerFault => TRIP_CAP,
         };
         // `tripped` is a standalone monotone flag (NONE -> code, first
         // writer wins); no other memory is published through it, the

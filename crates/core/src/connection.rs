@@ -180,7 +180,7 @@ impl Connection {
     }
 
     /// [`Connection::conceptual_steps`] into a caller-owned buffer
-    /// (cleared first), so the per-connection metric stage of a search
+    /// (cleared first), so the per-connection ranking work of a search
     /// reuses one allocation across the whole result set — and one
     /// conceptual pass feeds both the ER chain and the explanation.
     pub fn conceptual_steps_into(

@@ -145,9 +145,9 @@ impl SearchEngine {
     /// Opt this engine into the process-global
     /// [`failpoints`](crate::failpoints) registry: armed points fire
     /// inside this engine's pipelines (`apply.mid` forces the apply
-    /// rollback path, `worker.panic` panics a parallel worker chunk,
-    /// `pool.return` panics while holding the scratch-pool lock,
-    /// `banks.settle` forces a budget trip in the BANKS expansion).
+    /// rollback path, `pool.return` panics while holding the
+    /// scratch-pool lock, `banks.settle` forces a budget trip in the
+    /// BANKS expansion).
     /// Fault-injection instrumentation — not part of the search
     /// contract. Engines built while `CLA_FAILPOINTS` is set are
     /// enabled automatically.
@@ -469,7 +469,7 @@ mod tests {
     fn k_zero_and_k_max_edge_cases_shared_across_algorithms() {
         let e = engine();
         for algorithm in [Algorithm::Paths, Algorithm::Banks, Algorithm::Discover] {
-            let base = SearchOptions { algorithm, threads: 1, ..Default::default() };
+            let base = SearchOptions { algorithm, ..Default::default() };
             let zero = e.search("Smith XML", &SearchOptions { k: Some(0), ..base }).unwrap();
             assert!(zero.connections.is_empty(), "{algorithm:?}");
             assert!(zero.trees.is_empty(), "{algorithm:?}");
@@ -519,32 +519,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_produce_identical_results() {
-        let e = engine();
-        let base = SearchOptions { threads: 1, ..Default::default() };
-        let seq = e.search("Smith XML", &base).unwrap();
-        for threads in [2usize, 3, 4] {
-            let par = e.search("Smith XML", &SearchOptions { threads, ..base }).unwrap();
-            assert_eq!(seq.connections.len(), par.connections.len());
-            for (a, b) in seq.connections.iter().zip(&par.connections) {
-                assert_eq!(a.rendering, b.rendering, "threads {threads}");
-                assert_eq!(a.explanation, b.explanation, "threads {threads}");
-            }
-            assert_eq!(seq.stats, par.stats);
-        }
-    }
-
-    #[test]
     fn streaming_topk_terminates_early_and_matches_prefix() {
         let e = engine();
-        let base = SearchOptions { threads: 1, ..Default::default() };
+        let base = SearchOptions::default();
         let full = e.search("Smith XML", &base).unwrap();
         let stream = e.search("Smith XML", &SearchOptions { k: Some(1), ..base }).unwrap();
         assert!(stream.stats.early_terminated);
         assert!(stream.stats.expansions < full.stats.expansions);
         assert_eq!(stream.connections[0].rendering, full.connections[0].rendering);
-        // `Combined` has no length bound, so it takes the batch path and
-        // still returns the same best result.
+        // `Combined` has no length bound, so it runs one DFS to the
+        // length budget into one merge, and still returns the same best
+        // result.
         let combined = RankStrategy::Combined { structure_weight: 1.0 };
         let batch = e
             .search("Smith XML", &SearchOptions { k: Some(1), ranker: combined, ..base })

@@ -1,12 +1,12 @@
 //! Named failpoints for fault-injection testing.
 //!
 //! A failpoint is a named hook compiled into cold-adjacent spots of the
-//! engine (`apply.mid`, `worker.panic`, `banks.settle`, `pool.return`)
-//! that tests — in-process via [`arm`] or externally via the
-//! `CLA_FAILPOINTS` environment variable — can arm to force a fault at
-//! exactly that spot. The fault-injection suite uses them to prove the
-//! engine stays serving and pre-fault-consistent no matter where a
-//! worker dies or an apply aborts.
+//! engine (`apply.mid`, `banks.settle`, `pool.return`) that tests —
+//! in-process via [`arm`] or externally via the `CLA_FAILPOINTS`
+//! environment variable — can arm to force a fault at exactly that
+//! spot. The fault-injection suite uses them to prove the engine stays
+//! serving and pre-fault-consistent whether a search is cut short, a
+//! search panics while returning its scratch, or an apply aborts.
 //!
 //! Disarmed cost is one relaxed atomic load (a global armed count kept
 //! at zero), so the hooks stay compiled into release builds — which is
@@ -19,15 +19,15 @@
 //! use cla_core::failpoints;
 //!
 //! let _x = failpoints::exclusive(); // serialize vs. other arming tests
-//! failpoints::arm("worker.panic", failpoints::FailpointMode::Once);
-//! assert!(failpoints::triggered("worker.panic")); // fires once…
-//! assert!(!failpoints::triggered("worker.panic")); // …then disarms
-//! assert_eq!(failpoints::hits("worker.panic"), 1);
+//! failpoints::arm("banks.settle", failpoints::FailpointMode::Once);
+//! assert!(failpoints::triggered("banks.settle")); // fires once…
+//! assert!(!failpoints::triggered("banks.settle")); // …then disarms
+//! assert_eq!(failpoints::hits("banks.settle"), 1);
 //! failpoints::disarm_all();
 //! ```
 //!
 //! Environment arming (picked up by [`arm_from_env`], which the engine
-//! calls once at construction): `CLA_FAILPOINTS=worker.panic=once` or
+//! calls once at construction): `CLA_FAILPOINTS=banks.settle=once` or
 //! `CLA_FAILPOINTS=apply.mid=once,banks.settle=always`.
 //!
 //! The registry is process-global; concurrent tests that arm points
@@ -42,7 +42,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// failpoint lint cross-checks names referenced in tests and CI
 /// workflows against this list, so a renamed or removed hook can't
 /// leave dangling references behind.
-pub const REGISTERED: &[&str] = &["apply.mid", "worker.panic", "banks.settle", "pool.return"];
+pub const REGISTERED: &[&str] = &["apply.mid", "banks.settle", "pool.return"];
 
 /// How an armed failpoint fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -321,7 +321,7 @@ mod tests {
 
         assert_eq!(opened.writer().generation(), engine.writer().generation());
         assert_eq!(opened.db().version(), engine.db().version());
-        let opts = SearchOptions { threads: 1, ..Default::default() };
+        let opts = SearchOptions::default();
         for query in ["Smith XML", "Zara research"] {
             let a = engine.search(query, &opts).unwrap();
             let b = opened.search(query, &opts).unwrap();
@@ -424,8 +424,7 @@ mod tests {
             for query in ["Smith XML", "xml smith alice"] {
                 for algorithm in [Algorithm::Paths, Algorithm::Banks, Algorithm::Discover] {
                     for k in [None, Some(3)] {
-                        let opts =
-                            SearchOptions { algorithm, k, threads: 1, ..Default::default() };
+                        let opts = SearchOptions { algorithm, k, ..Default::default() };
                         let _ =
                             catch_unwind(AssertUnwindSafe(|| snapshot.search(query, &opts)))
                                 .unwrap_or_else(|_| {

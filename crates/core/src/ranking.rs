@@ -431,7 +431,7 @@ mod tests {
                 }
             }
             // End to end: the key-then-comparator chain (the engine's
-            // `sort_ranked` shape) equals the comparator-only sort.
+            // `sort_keyed` shape) equals the comparator-only sort.
             let tiebreak =
                 |x: &ConnectionInfo, y: &ConnectionInfo| x.rdb_length.cmp(&y.rdb_length);
             let mut by_chain = pool.clone();

@@ -37,10 +37,8 @@ use cla_relational::TupleId;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread;
 
 /// Which connection-generation algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,19 +71,22 @@ pub struct SearchOptions {
     pub ranker: RankStrategy,
     /// Result budget: `None` returns everything, `Some(k)` at most `k`
     /// results **in total** — ranked connections first, any remaining
-    /// budget going to branching answer trees. A two-keyword answer
-    /// (`Paths`, and `Discover` with at most two keywords) is merged as
-    /// the DFS emits it: each connection first gets only its cheap
-    /// ranking key (text score, conceptual steps, ER chain) and is
-    /// dropped at once when `k` connections already beat it. The
+    /// budget going to branching answer trees. Every algorithm's
+    /// connections go through one key-first merge: each connection
+    /// first gets only its cheap ranking key (text score, conceptual
+    /// steps, ER chain) and is dropped at once when `k` connections
+    /// already beat it. A two-keyword answer (`Paths`, and `Discover`
+    /// with at most two keywords) offers each connection as the DFS
+    /// emits it; `Banks` and `Discover` with three or more keywords
+    /// offer their deduplicated connections once enumeration ends. The
     /// witness search then runs only for connections that can still
     /// enter the top `k` and, except under
     /// [`RankStrategy::InstanceCloseFirst`], only for those that do.
     /// Rendering runs only for connections that tie with or beat the
     /// k-th key, and the explanation only for those that enter. With a
-    /// length-monotone ranker a set `k` also enumerates length level by
-    /// length level and stops as soon as the held top `k` provably
-    /// dominates every unexplored level (see
+    /// length-monotone ranker a set `k` also enumerates two-keyword
+    /// answers length level by length level and stops as soon as the
+    /// held top `k` provably dominates every unexplored level (see
     /// [`RankStrategy::dominates_all_longer`]), skipping the deeper
     /// enumeration. On `Banks`, a set `k` cuts the expansion off once
     /// no incomplete root can enter, and a completed root's answer tree
@@ -101,15 +102,11 @@ pub struct SearchOptions {
     pub max_witness_length: usize,
     /// Edge weighting for the BANKS expansion.
     pub weighting: EdgeWeighting,
-    /// Worker threads for the per-connection metric/rendering stage of
-    /// the answers that are ranked as a batch: BANKS's connections and
-    /// `Discover` with three or more keywords. Every two-keyword answer
-    /// and the BANKS expansion run on the calling thread whatever this
-    /// says. `1` runs fully sequential; `0` (the default) resolves to
-    /// the `CLA_SEARCH_THREADS` environment variable if set (the CI
-    /// determinism knob), else the machine's available parallelism.
-    /// Ranked output is byte-identical across thread counts: work is
-    /// split into contiguous chunks and merged back in order.
+    /// Has no effect: every search runs on its calling thread, whatever
+    /// this says. The field remains only because the benchmark package
+    /// (`perfbench/src/fixture.rs` and `perfbench/src/layers.rs`) sets
+    /// it, and that package changes only together with the benchmark
+    /// definition; it goes with the next benchmark change.
     pub threads: usize,
     /// Wall-clock and work bounds for this search (default: unlimited).
     /// An exhausted budget stops enumeration cooperatively and returns
@@ -122,9 +119,9 @@ pub struct SearchOptions {
     /// [`RankStrategy::Combined`] the output is best-effort
     /// found-so-far. The budget is probed at each pipeline's
     /// expansion-counting sites: DFS descents for every two-keyword
-    /// answer, `Discover` with three or more keywords counting only the
-    /// networks that can still become MTJNTs (see
-    /// [`SearchStats::expansions`]).
+    /// answer, frontier settles for `Banks`, and for `Discover` with
+    /// three or more keywords only the networks that can still become
+    /// MTJNTs (see [`SearchStats::expansions`]).
     pub budget: SearchBudget,
 }
 
@@ -144,31 +141,11 @@ impl Default for SearchOptions {
         }
     }
 }
-/// Resolve a [`SearchOptions::threads`] request to a concrete count.
-fn resolved_threads(requested: usize) -> usize {
-    if requested != 0 {
-        return requested;
-    }
-    // Resolved once per process: `available_parallelism` inspects
-    // cgroup quotas on Linux (file reads, ~10 µs) — far too slow to
-    // re-run on every search.
-    static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        if let Some(n) =
-            std::env::var("CLA_SEARCH_THREADS").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            if n >= 1 {
-                return n;
-            }
-        }
-        thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    })
-}
-
 /// Process-wide failpoint opt-in: engines built while `CLA_FAILPOINTS`
 /// is set probe the registry (the variable's points are armed once, on
 /// first use — the CI fault-injection leg's entry point). Resolved once
-/// per process like [`resolved_threads`].
+/// per process: reading the environment on every search would cost
+/// more than the search's own setup.
 pub(crate) fn failpoints_enabled_from_env() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENABLED.get_or_init(|| {
@@ -180,7 +157,7 @@ pub(crate) fn failpoints_enabled_from_env() -> bool {
         }
     })
 }
-/// Shared read-only inputs of the per-connection metric stage.
+/// The read-only inputs of a search's per-connection ranking work.
 struct RankContext<'a> {
     /// Per-node tf·idf scores for the query.
     text_scores: &'a [f64],
@@ -243,9 +220,11 @@ struct Keyed {
 /// Items that fall off the held top k can never re-enter it (later
 /// levels only add candidates, never improve dropped ones), so a
 /// levelled merge equals the whole answer's ranked prefix. A level
-/// offers each connection once: the singles are distinct, and the
-/// Paths enumeration offers only the path that stands for its
-/// connection ([`EngineSnapshot::represents_its_connection`]).
+/// offers each connection once: the singles are distinct, the Paths
+/// enumeration offers only the path that stands for its connection
+/// ([`EngineSnapshot::represents_its_connection`]), and BANKS and
+/// DISCOVER offer their connections deduplicated by oriented node
+/// sequence, in one level after enumeration.
 ///
 /// The merge is **key first**, and does the expensive per-connection
 /// work only for connections that can still enter the top k. It is
@@ -299,12 +278,11 @@ impl<'h> LevelMerge<'h> {
     }
 }
 
-/// Per-worker mutable state of the metric stage: reusable buffers and
-/// memoization caches. Caches only affect cost, never results, so each
-/// worker thread owning its own scratch keeps parallel output identical
-/// to sequential. The node-indexed caches follow the search epoch's
-/// reset rule (see [`SearchScratch`]): a reset clears the slots the
-/// last search filled, never all `node_count` of them.
+/// Mutable state of the merge's per-connection work: reusable buffers
+/// and memoization caches. Caches only affect cost, never results. The
+/// node-indexed caches follow the search epoch's reset rule (see
+/// [`SearchScratch`]): a reset clears the slots the last search filled,
+/// never all `node_count` of them.
 #[derive(Debug, Default)]
 struct RankScratch {
     witness: WitnessCache,
@@ -330,22 +308,20 @@ impl RankScratch {
 /// The reusable per-search state of one engine — the **allocation-free
 /// search epoch**. Every buffer the enumeration hot path touches
 /// (target mask, bounded BFS distance map and queue, DFS path stacks,
-/// per-node text scores, BANKS forests and queues, metric-stage caches)
+/// per-node text scores, BANKS forests and queues, the merge's caches)
 /// lives here; [`EngineSnapshot::search`] checks one scratch out of the
 /// snapshot's pool and returns it afterwards, so repeated searches on a
 /// warm engine reuse the high-water-mark buffers instead of
 /// re-allocating per query (pinned by the counting-allocator test
-/// `crates/core/tests/alloc.rs`). Worker threads beyond the first
-/// check out (or create) their own scratch, keeping parallel output
-/// byte-identical.
+/// `crates/core/tests/alloc.rs`). A search that panics never returns
+/// its scratch: the unwind drops it.
 ///
 /// **Reset rule:** every per-search buffer is cleared through the
 /// entries the last search wrote — the touched label slots, the scored
 /// nodes, the BFS's visited list — and never in `O(graph)`. A
 /// node-indexed buffer is sized (in `O(graph)`) only on its first use
 /// or when the node count changes, so a warm search costs what it
-/// touches. Each entry is recorded as it is written, so a search that
-/// panicked part way leaves nothing behind that the next reset misses.
+/// touches.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
     rank: RankScratch,
@@ -410,76 +386,42 @@ fn final_tiebreak(a: &RankedConnection, b: &RankedConnection, dg: &DataGraph) ->
     })
 }
 
-/// FNV-1a, the dedup seen-set's hasher: the keys are short `NodeId`
-/// slices, where FNV beats SipHash's per-call setup without inviting the
-/// HashDoS concerns of user-controlled strings.
-#[derive(Default)]
-struct Fnv1a(u64);
-
-impl std::hash::Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
 /// The one canonical orientation rule: a connection runs from its
 /// smaller endpoint **tuple** to its larger (tuple ids, not node ids, so
 /// orientation survives node renumbering between a patched and a
-/// rebuilt graph). Shared by the batch dedup of BANKS and DISCOVER
-/// answers and the two-keyword merge.
+/// rebuilt graph). Every connection is oriented before it is merged,
+/// and BANKS and DISCOVER dedup their connections by oriented node
+/// sequence.
 fn canonical_orient(c: &mut Connection, dg: &DataGraph) {
     if dg.tuple_of(c.end()) < dg.tuple_of(c.start()) {
         *c = c.reversed();
     }
 }
 
-/// Orient every connection canonically ([`canonical_orient`]) and keep
-/// the first occurrence of each node sequence, preserving order. The
-/// seen-set borrows the node slices instead of allocating a key per
-/// connection, and the compaction is in place.
-fn dedup_canonical(mut connections: Vec<Connection>, dg: &DataGraph) -> Vec<Connection> {
-    for c in &mut connections {
-        canonical_orient(c, dg);
-    }
-    let mut keep = vec![false; connections.len()];
-    {
-        let mut seen: HashSet<&[NodeId], std::hash::BuildHasherDefault<Fnv1a>> =
-            HashSet::with_capacity_and_hasher(connections.len() * 2, Default::default());
-        for (i, c) in connections.iter().enumerate() {
-            keep[i] = seen.insert(c.nodes());
-        }
-    }
-    let mut i = 0;
-    connections.retain(|_| {
-        i += 1;
-        keep[i - 1]
-    });
-    connections
+/// The nodes matching each keyword, as hash sets (the MTJNT test's
+/// input).
+fn keyword_hash_sets(match_sets: &[Vec<NodeId>]) -> Vec<HashSet<NodeId>> {
+    match_sets.iter().map(|s| s.iter().copied().collect()).collect()
 }
 
-/// Sort a ranked result set by `strategy` using precomputed packed sort
-/// keys ([`RankStrategy::sort_key`]), falling back to the full
-/// comparison plus [`final_tiebreak`] on key ties. Ordering is identical
-/// to `sort_by_strategy(.., final_tiebreak)`, just cheaper per
-/// comparison.
-fn sort_ranked(ranked: &mut Vec<RankedConnection>, strategy: RankStrategy, dg: &DataGraph) {
-    let mut keyed: Vec<_> =
-        ranked.drain(..).map(|r| (strategy.sort_key(&r.info), r, ())).collect();
-    sort_keyed(&mut keyed, strategy, dg);
-    ranked.extend(keyed.into_iter().map(|(_, r, ())| r));
+/// Cut a budget-truncated answer to its certified prefix: the head run
+/// of results that provably outrank every connection of `floor` or
+/// more edges, the shortest the cut could have missed. Dominating
+/// results always form a prefix of the ranked list. `Combined` has no
+/// finite length bound (its text component is unbounded), so it keeps
+/// the best found so far.
+fn certified_prefix(ranked: &mut Vec<RankedConnection>, ranker: RankStrategy, floor: usize) {
+    if ranker.supports_streaming_topk() {
+        let keep =
+            ranked.iter().take_while(|r| ranker.dominates_all_longer(&r.info, floor)).count();
+        ranked.truncate(keep);
+    }
 }
 
-/// [`sort_ranked`]'s order over results paired with their sort keys and
-/// a payload the sort carries along.
+/// The ranking order over results paired with their sort keys and a
+/// payload the sort carries along: packed key
+/// ([`RankStrategy::sort_key`]) first, then the full comparison, then
+/// [`final_tiebreak`].
 fn sort_keyed<T>(
     keyed: &mut [((u128, u64), RankedConnection, T)],
     strategy: RankStrategy,
@@ -685,10 +627,10 @@ pub struct EngineSnapshot {
     /// state.
     pub(crate) failpoints: AtomicBool,
     /// Pool of reusable per-search scratch states (see
-    /// [`SearchScratch`]). Searches — and their parallel worker chunks —
-    /// pop one and push it back, so a warm snapshot re-allocates nothing
-    /// on the enumeration hot path at any thread count; the pool is
-    /// bounded to keep rarely-used concurrency from pinning memory.
+    /// [`SearchScratch`]). Each search pops one and pushes it back, so a
+    /// warm snapshot re-allocates nothing on the enumeration hot path,
+    /// and concurrent readers each hold their own; the pool is bounded
+    /// to keep rarely-used concurrency from pinning memory.
     /// This mutex guards pooled buffers, not snapshot state: it is held
     /// for a pop/push only, never across any search work, and an empty
     /// pool just means a fresh buffer — readers can never block on the
@@ -959,32 +901,6 @@ impl EngineSnapshot {
         }
     }
 
-    /// Compute metrics, rendering and explanation for one connection,
-    /// reusing the per-worker scratch buffers and caches.
-    fn rank_one(
-        &self,
-        connection: Connection,
-        ctx: &RankContext<'_>,
-        scratch: &mut RankScratch,
-    ) -> RankedConnection {
-        let info = self.info_with(
-            &connection,
-            &mut scratch.csteps,
-            ctx.text_score(&connection),
-            ctx.compute_instance,
-            ctx.max_witness_length,
-            &mut scratch.witness,
-        );
-        let rendering = connection.render_cached(
-            &self.dg,
-            &*self.aliases,
-            &ctx.markers,
-            &mut scratch.labels,
-        );
-        let explanation = self.explain_from_steps(&connection, ctx, scratch);
-        RankedConnection { connection, info, rendering, explanation }
-    }
-
     /// The explanation of a connection whose conceptual steps
     /// `scratch.csteps` holds.
     fn explain_from_steps(
@@ -1022,98 +938,6 @@ impl EngineSnapshot {
             &mut scratch.witness,
         )
         .is_close()
-    }
-
-    /// The per-connection metric/rendering stage over a batch of
-    /// connections, fanned out over `threads` scoped worker threads in
-    /// contiguous chunks and merged back in order — each connection's
-    /// result is independent of the others (caches only affect cost), so
-    /// the output is identical to the sequential pass. The sequential
-    /// path (and the head chunk) reuse the pooled `scratch`; extra
-    /// workers build their own.
-    ///
-    /// Parallel chunks are **fault-isolated**: a panicking chunk
-    /// (including the `worker.panic` failpoint) drops only its own
-    /// contribution, sets `faulted`, and leaves every other chunk's
-    /// results — and the engine — intact. The sequential path has
-    /// nothing to isolate; its panics propagate.
-    fn rank_stage(
-        &self,
-        conns: Vec<Connection>,
-        ctx: &RankContext<'_>,
-        threads: usize,
-        scratch: &mut RankScratch,
-        faulted: &mut bool,
-    ) -> Vec<RankedConnection> {
-        let threads = threads.clamp(1, conns.len().max(1));
-        // Spawning threads costs more than ranking a handful of
-        // connections; small batches stay sequential (the result is the
-        // same either way).
-        if threads == 1 || conns.len() < 4 * threads {
-            return conns.into_iter().map(|c| self.rank_one(c, ctx, scratch)).collect();
-        }
-        let chunk = conns.len().div_ceil(threads);
-        let mut parts: Vec<Vec<Connection>> = Vec::with_capacity(threads);
-        let mut rest = conns;
-        while rest.len() > chunk {
-            let tail = rest.split_off(chunk);
-            parts.push(rest);
-            rest = tail;
-        }
-        parts.push(rest);
-        let mut parts = parts.into_iter();
-        // lint: allow(unwrap, the loop above always pushes at least one chunk)
-        let head_part = parts.next().expect("at least one chunk");
-        let mut out = Vec::new();
-        thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .map(|part| {
-                    s.spawn(move || {
-                        panic::catch_unwind(AssertUnwindSafe(|| {
-                            if self.failpoints() && failpoints::triggered("worker.panic") {
-                                panic!("worker.panic failpoint: metric worker chunk");
-                            }
-                            // Workers check their scratch out of the
-                            // snapshot pool too, so warm parallel
-                            // searches reuse the head search's
-                            // high-water buffers instead of allocating
-                            // per chunk. A panicking worker's scratch
-                            // is dropped, never re-pooled.
-                            let mut worker = self.checkout_scratch();
-                            worker.rank.reset(self.dg.node_count());
-                            let ranked = part
-                                .into_iter()
-                                .map(|c| self.rank_one(c, ctx, &mut worker.rank))
-                                .collect::<Vec<_>>();
-                            self.return_scratch(worker);
-                            ranked
-                        }))
-                    })
-                })
-                .collect();
-            let head = panic::catch_unwind(AssertUnwindSafe(|| {
-                head_part
-                    .into_iter()
-                    .map(|c| self.rank_one(c, ctx, scratch))
-                    .collect::<Vec<_>>()
-            }));
-            match head {
-                Ok(ranked) => out.extend(ranked),
-                Err(_) => {
-                    // The pooled scratch was abandoned mid-connection;
-                    // rebuild it before it returns to the pool.
-                    scratch.reset(self.dg.node_count());
-                    *faulted = true;
-                }
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(ranked)) => out.extend(ranked),
-                    _ => *faulted = true,
-                }
-            }
-        });
-        out
     }
 
     /// Run a keyword search against this pinned generation.
@@ -1344,8 +1168,7 @@ impl EngineSnapshot {
                 }
             }
             Algorithm::Discover => {
-                let kw_sets: Vec<HashSet<NodeId>> =
-                    match_sets.iter().map(|s| s.iter().copied().collect()).collect();
+                let kw_sets = keyword_hash_sets(match_sets);
                 let mut probe = BudgetProbe::new(budget);
                 let (networks, completed_size) = enumerate_mtjnts_budgeted(
                     &self.dg,
@@ -1379,57 +1202,36 @@ impl EngineSnapshot {
             }
         }
 
-        // Canonical orientation + dedup.
-        let mut unique = dedup_canonical(connections, &self.dg);
-
-        // Optional MTJNT post-filter.
-        if options.mtjnt_only {
-            let kw_sets: Vec<HashSet<NodeId>> =
-                match_sets.iter().map(|s| s.iter().copied().collect()).collect();
-            unique.retain(|conn| {
-                let set: BTreeSet<NodeId> = conn.nodes().iter().copied().collect();
-                is_mtjnt(&self.dg, &set, &kw_sets)
-            });
+        // Each connection is offered once: oriented canonically, then
+        // the first of each node sequence kept (the sort is stable).
+        for c in &mut connections {
+            canonical_orient(c, &self.dg);
         }
-
-        // Metrics, rendering, ranking — fanned out across worker threads
-        // for large result sets. Witness searches for instance closeness
-        // are shared across connections with equal endpoints (per
-        // worker). Set when a parallel worker chunk panicked: its
-        // contribution is dropped and the answer degrades to a labeled
-        // partial one.
-        let mut faulted = false;
-        let threads = resolved_threads(options.threads);
-        let mut ranked =
-            self.rank_stage(unique, &ctx, threads, &mut scratch.rank, &mut faulted);
-        sort_ranked(&mut ranked, options.ranker, &self.dg);
-        stats.completeness = if faulted {
-            // A panicked chunk may have dropped connections of any rank
-            // (including singles, in the metric stage), so no prefix
-            // can be certified — the answer is best-effort, labeled.
-            Completeness::Truncated { reason: TruncationReason::WorkerFault }
-        } else if let Some(reason) = budget.and_then(|b| b.reason()) {
-            // Certified-prefix trim: keep the head run whose items
-            // provably outrank every connection the cut could have
-            // missed (anything with >= trim_floor edges). Dominating
-            // items always form a prefix of the sorted list. `Combined`
-            // has no finite length bound (its text component is
-            // unbounded), so it keeps the best-effort found-so-far set.
-            if options.ranker.supports_streaming_topk() {
-                let keep = ranked
-                    .iter()
-                    .take_while(|r| options.ranker.dominates_all_longer(&r.info, trim_floor))
-                    .count();
-                ranked.truncate(keep);
-            }
-            Completeness::Truncated { reason }
-        } else {
-            Completeness::Complete
-        };
+        connections.sort_by(|a, b| a.nodes().cmp(b.nodes()));
+        connections.dedup_by(|later, first| later.nodes() == first.nodes());
+        let kw_sets = options.mtjnt_only.then(|| keyword_hash_sets(match_sets));
+        let (k, ranker) = (options.k, options.ranker);
+        let mut ranked: Vec<RankedConnection> = Vec::new();
+        let mut merge = LevelMerge::new(&ranked, k, ranker);
+        for connection in connections {
+            self.offer(
+                &mut merge,
+                connection,
+                kw_sets.as_deref(),
+                &ctx,
+                ranker,
+                &mut scratch.rank,
+            );
+        }
+        let kept = merge.kept;
+        self.finish_level(&mut ranked, kept, &ctx, ranker, k, &mut scratch.rank);
+        if let Some(reason) = budget.and_then(|b| b.reason()) {
+            certified_prefix(&mut ranked, ranker, trim_floor);
+            stats.completeness = Completeness::Truncated { reason };
+        }
         // One k-budget shared across connections and trees: ranked
         // connections first, the remainder to branching answer trees.
-        if let Some(k) = options.k {
-            ranked.truncate(k);
+        if let Some(k) = k {
             trees.truncate(k.saturating_sub(ranked.len()));
         }
 
@@ -1596,8 +1398,7 @@ impl EngineSnapshot {
         budget: Option<&BudgetShared>,
     ) -> (Vec<RankedConnection>, SearchStats) {
         let (k, ranker) = (options.k, options.ranker);
-        let kw_sets: Option<Vec<HashSet<NodeId>>> = mtjnt_only
-            .then(|| match_sets.iter().map(|s| s.iter().copied().collect()).collect());
+        let kw_sets = mtjnt_only.then(|| keyword_hash_sets(match_sets));
         let mtjnt_sets = kw_sets.as_deref();
         let mut stats = SearchStats::default();
         let mut acc: Vec<RankedConnection> = Vec::new();
@@ -1692,13 +1493,7 @@ impl EngineSnapshot {
                 // more edges dominates it, and each sorts after the
                 // held results that do, so what the cut level merged
                 // changes nothing the trim keeps.
-                if ranker.supports_streaming_topk() {
-                    let keep = acc
-                        .iter()
-                        .take_while(|r| ranker.dominates_all_longer(&r.info, shortest))
-                        .count();
-                    acc.truncate(keep);
-                }
+                certified_prefix(&mut acc, ranker, shortest);
                 stats.completeness = Completeness::Truncated { reason };
                 break;
             }
@@ -1774,12 +1569,17 @@ impl EngineSnapshot {
         let mut endpoints: Vec<NodeId> =
             degree.iter().filter(|(_, &d)| d == 1).map(|(&n, _)| n).collect();
         endpoints.sort_by_key(|&n| self.dg.tuple_of(n));
-        let first_set: HashSet<NodeId> =
-            match_sets.first().map(|s| s.iter().copied().collect()).unwrap_or_default();
+        // The first match set is sorted by tuple, so membership is one
+        // binary search per endpoint.
+        let first_set = match_sets.first().map_or(&[][..], Vec::as_slice);
+        let in_first_set = |n: NodeId| {
+            let t = self.dg.tuple_of(n);
+            first_set.binary_search_by_key(&t, |&m| self.dg.tuple_of(m)).is_ok()
+        };
         let start = endpoints
             .iter()
             .copied()
-            .find(|n| first_set.contains(n))
+            .find(|&n| in_first_set(n))
             .or_else(|| endpoints.first().copied())?;
         let (nodes, edges) = tree.linearize(start)?;
         let path = Path { nodes, edges };

@@ -58,7 +58,7 @@ pub struct SearchStats {
     /// candidate (length level, frontier entry or network size).
     pub early_terminated: bool,
     /// Whether this answer is the full answer or a labeled partial one
-    /// (budget exhausted or a worker chunk faulted). A streaming top-k
+    /// (budget exhausted). A streaming top-k
     /// cutoff (`early_terminated`) is still [`Completeness::Complete`]:
     /// the cutoff proves the held prefix equals the full run's.
     pub completeness: Completeness,
@@ -73,7 +73,7 @@ pub enum Completeness {
     #[default]
     Complete,
     /// Enumeration was cut before completion; the results are a ranked
-    /// prefix of what the unbudgeted/unfaulted run would return (for
+    /// prefix of what the unbudgeted run would return (for
     /// prefix-certifiable rankers — see the engine's robustness docs).
     Truncated {
         /// What cut the search short.
@@ -97,9 +97,6 @@ pub enum TruncationReason {
     /// The [`max_expansions`](crate::SearchBudget::max_expansions) work
     /// cap was reached.
     ExpansionCap,
-    /// A worker chunk panicked; its contribution was dropped and the
-    /// remaining chunks' results were kept.
-    WorkerFault,
 }
 
 /// Kendall rank-correlation coefficient τ between two orderings of the

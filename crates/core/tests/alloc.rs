@@ -213,13 +213,7 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
         (Algorithm::Banks, Some(5)),
         (Algorithm::Discover, Some(5)),
     ] {
-        let opts = SearchOptions {
-            algorithm,
-            k,
-            max_rdb_length: 3,
-            threads: 1,
-            ..Default::default()
-        };
+        let opts = SearchOptions { algorithm, k, max_rdb_length: 3, ..Default::default() };
         // Warm every lazily grown buffer (scratch pool, hash-map
         // capacities, heap high-water marks).
         for _ in 0..4 {
@@ -237,14 +231,12 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
         );
     }
 
-    // ── Part 3: the same steady state holds under concurrency — with
-    // `threads > 1` (worker scratches checked out of the snapshot's
-    // pool, not re-created per call) and with **two live generations**
-    // (a reader pinned to generation 0 while the writer published
-    // generation 1). Thread spawning itself allocates, so the pins are
-    // zero *net* heap growth plus a constant warm per-call allocation
-    // count — growth in either would mean per-call buffer re-creation
-    // or a generation leaking memory query over query.
+    // ── Part 3: the same steady state holds with **two live
+    // generations** (a reader pinned to generation 0 while the writer
+    // published generation 1), each with its own scratch pool. The pins
+    // are zero *net* heap growth plus a constant warm per-call
+    // allocation count — growth in either would mean per-call buffer
+    // re-creation or a generation leaking memory query over query.
     let pinned = engine.snapshots().latest();
     assert_eq!(pinned.generation(), 0);
     let emp = engine.db().catalog().relation_id("EMPLOYEE").unwrap();
@@ -256,8 +248,7 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
     let latest = engine.snapshots().latest();
     assert_eq!(latest.generation(), 1);
 
-    let opts =
-        SearchOptions { k: Some(5), max_rdb_length: 3, threads: 2, ..Default::default() };
+    let opts = SearchOptions { k: Some(5), max_rdb_length: 3, ..Default::default() };
     // Warm both generations' pools and high-water marks.
     for _ in 0..4 {
         let _ = pinned.search("xml smith", &opts).unwrap();
@@ -278,11 +269,11 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
     assert_eq!(
         net_bytes() - baseline,
         0,
-        "two live generations searched with threads=2 must not grow the heap"
+        "two live generations searched in turn must not grow the heap"
     );
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
-        "warm threaded searches must allocate a constant amount per call: {counts:?}"
+        "warm searches must allocate a constant amount per call: {counts:?}"
     );
 
     // ── Part 4: top-k BANKS allocates per answer, not per candidate
@@ -360,12 +351,8 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
         let engine =
             SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap().with_aliases(s.aliases);
         let snapshot = engine.snapshots().latest();
-        let opts = SearchOptions {
-            algorithm: Algorithm::Banks,
-            k: Some(10),
-            threads: 1,
-            ..Default::default()
-        };
+        let opts =
+            SearchOptions { algorithm: Algorithm::Banks, k: Some(10), ..Default::default() };
         for _ in 0..3 {
             let _ = snapshot.search("xml smith alice", &opts).unwrap();
         }
@@ -394,7 +381,7 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
         let engine =
             SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap().with_aliases(s.aliases);
         let snapshot = engine.snapshots().latest();
-        let opts = SearchOptions { k: Some(10), threads: 1, ..Default::default() };
+        let opts = SearchOptions { k: Some(10), ..Default::default() };
         for _ in 0..3 {
             let _ = snapshot.search("p3 p1", &opts).unwrap();
         }

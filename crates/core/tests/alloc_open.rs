@@ -121,7 +121,7 @@ fn open_and_first_search_allocate_constant_count_in_db_size() {
         // path (tokenize → dictionary probe → empty result) without a
         // result-set allocation tail, so the measurement is the open
         // machinery itself plus the constant per-search scratch.
-        let opts = SearchOptions { threads: 1, k: Some(10), ..Default::default() };
+        let opts = SearchOptions { k: Some(10), ..Default::default() };
         let before = allocations();
         let opened = SearchEngine::open(&path).unwrap();
         let r = opened.search("zzzunmatchedterm", &opts).unwrap();

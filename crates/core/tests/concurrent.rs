@@ -22,7 +22,7 @@
 //!   writer nor the handle's publication cell keeps it alive.
 
 use cla_core::failpoints;
-use cla_core::{Algorithm, SearchEngine, SearchOptions};
+use cla_core::{Algorithm, Completeness, SearchEngine, SearchOptions, TruncationReason};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_relational::{Database, RelationId, TupleId, Value};
 use rand::rngs::StdRng;
@@ -74,12 +74,7 @@ fn observe_snapshot(snap: &cla_core::EngineSnapshot) -> SnapshotView {
     let mut out = Vec::new();
     for query in QUERIES {
         for algorithm in [Algorithm::Paths, Algorithm::Banks] {
-            let opts = SearchOptions {
-                algorithm,
-                max_rdb_length: 3,
-                threads: 1,
-                ..Default::default()
-            };
+            let opts = SearchOptions { algorithm, max_rdb_length: 3, ..Default::default() };
             let results = snap
                 .search(query, &opts)
                 .expect("a pinned snapshot search can never be stale or poisoned");
@@ -179,28 +174,26 @@ impl Mutator {
     }
 }
 
-/// CI concurrency stress leg: a readers × writer loop under whatever
-/// the environment dictates — `CLA_SEARCH_THREADS` drives the
-/// fan-out that `threads: 0` resolves to (the metric stage of the
-/// whole BANKS answers the readers alternate with Paths answers, the
-/// one stage that fans out), and when CI additionally
-/// arms `CLA_FAILPOINTS=worker.panic=once` the panic fires **inside a
-/// snapshot read on a reader thread** (parallel searches absorb it as
-/// a `WorkerFault` truncation; sequential ones unwind, by contract —
-/// the reader loop tolerates both). The invariants: the engine keeps
+/// CI concurrency stress leg: a readers × writer loop whose readers
+/// alternate Paths and whole BANKS answers on pinned snapshots, with
+/// one fault fired **inside a snapshot read on a reader thread**: the
+/// engine opts into failpoints, and `banks.settle` is armed once after
+/// the early pin's observation (armed through the environment instead,
+/// that observation's own BANKS search would consume it). The reader
+/// whose BANKS search reaches it gets a `Truncated { ExpansionCap }`
+/// answer, and nothing unwinds. The invariants: the engine keeps
 /// serving throughout, an early pin stays byte-stable, and once the
 /// registry drains the latest generation answers byte-identically to
 /// a from-scratch rebuild. Run explicitly by
 /// `.github/workflows/ci.yml`'s concurrency-stress leg:
-/// `CLA_SEARCH_THREADS=4 CLA_FAILPOINTS=worker.panic=once \
-///   cargo test -p cla-core --test concurrent -- --ignored`.
+/// `cargo test -p cla-core --test concurrent -- --ignored`.
 #[test]
-#[ignore = "stress leg; run by the CI concurrency job with CLA_SEARCH_THREADS / CLA_FAILPOINTS"]
-fn stress_readers_and_writer_under_env_threads_and_faults() {
+#[ignore = "stress leg; run by the CI concurrency job"]
+fn stress_readers_and_writer_under_faults() {
     let _x = failpoints::exclusive();
-    // The faults suite's fixture shape: big enough that resolved
-    // threads = 4 really spawns worker chunks on a whole BANKS answer
-    // to "smith xml".
+    failpoints::disarm_all();
+    // The faults suite's fixture shape: a whole BANKS answer to
+    // "smith xml" has many connections.
     let schema = generate_synthetic(&SyntheticConfig {
         departments: 4,
         employees_per_department: 8,
@@ -213,9 +206,8 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
         seed: 7,
         ..Default::default()
     });
-    // `SearchEngine::new` auto-enables failpoints (and arms the env
-    // spec) when `CLA_FAILPOINTS` is present; snapshots inherit the
-    // flag, so armed points fire inside pinned snapshot reads.
+    // Snapshots inherit the failpoint opt-in, so the armed point fires
+    // inside pinned snapshot reads.
     let mut engine = SearchEngine::new(
         schema.db.clone(),
         schema.er_schema.clone(),
@@ -223,10 +215,12 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
     )
     .unwrap()
     .with_aliases(schema.aliases.clone());
+    engine.enable_failpoints();
 
     let handle = engine.snapshots();
     let pinned = handle.latest();
     let before = observe_snapshot(&pinned);
+    failpoints::arm("banks.settle", failpoints::FailpointMode::Once);
     let done = AtomicBool::new(false);
     let complete = AtomicU64::new(0);
     let truncated = AtomicU64::new(0);
@@ -238,15 +232,17 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
             let (done, complete, truncated, unwound) =
                 (&done, &complete, &truncated, &unwound);
             s.spawn(move || {
-                // `threads: 0` resolves through CLA_SEARCH_THREADS —
-                // the knob the CI legs sweep.
                 let opts = SearchOptions {
                     max_rdb_length: 3,
                     compute_instance: false,
                     ..Default::default()
                 };
-                for &algorithm in [Algorithm::Paths, Algorithm::Banks].iter().cycle() {
-                    if done.load(Ordering::SeqCst) {
+                // Every reader runs at least one Paths and one BANKS
+                // search, so the armed point is reached however fast
+                // the writer finishes.
+                let algorithms = [Algorithm::Paths, Algorithm::Banks];
+                for (i, &algorithm) in algorithms.iter().cycle().enumerate() {
+                    if i >= algorithms.len() && done.load(Ordering::SeqCst) {
                         break;
                     }
                     let opts = SearchOptions { algorithm, ..opts };
@@ -255,10 +251,17 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
                         Ok(Ok(r)) if r.stats.completeness.is_complete() => {
                             complete.fetch_add(1, Ordering::Relaxed)
                         }
-                        Ok(Ok(_)) => truncated.fetch_add(1, Ordering::Relaxed),
+                        Ok(Ok(r)) => {
+                            assert_eq!(
+                                r.stats.completeness,
+                                Completeness::Truncated {
+                                    reason: TruncationReason::ExpansionCap
+                                },
+                                "only the armed settle point truncates"
+                            );
+                            truncated.fetch_add(1, Ordering::Relaxed)
+                        }
                         Ok(Err(e)) => panic!("a pinned snapshot read can never fail: {e}"),
-                        // Sequential searches propagate worker panics
-                        // by contract; the engine itself is untouched.
                         Err(_) => unwound.fetch_add(1, Ordering::Relaxed),
                     };
                 }
@@ -279,11 +282,14 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
         done.store(true, Ordering::SeqCst);
     });
 
-    // Quiesce whatever the environment armed (capturing the hit count
-    // first — disarming resets it), then prove the engine still serves
-    // full, correct answers at both ends of the run.
-    let panic_hits = failpoints::hits("worker.panic");
+    // Capture the hit count first (disarming resets it), then prove
+    // the engine still serves full, correct answers at both ends of
+    // the run.
+    let settle_hits = failpoints::hits("banks.settle");
     failpoints::disarm_all();
+    assert_eq!(settle_hits, 1, "the armed banks.settle must fire inside a snapshot read");
+    assert_eq!(truncated.load(Ordering::Relaxed), 1, "the faulted read must be truncated");
+    assert_eq!(unwound.load(Ordering::Relaxed), 0, "no read unwinds");
     assert_eq!(pinned.generation(), 0);
     assert_eq!(
         observe_snapshot(&pinned),
@@ -300,23 +306,6 @@ fn stress_readers_and_writer_under_env_threads_and_faults() {
         complete.load(Ordering::Relaxed) > 0,
         "readers must have observed complete answers"
     );
-
-    // When the CI leg armed worker.panic under a parallel fan-out, the
-    // point must actually have fired inside a snapshot read — and been
-    // absorbed as a truncation, not an unwind.
-    let spec = std::env::var("CLA_FAILPOINTS").unwrap_or_default();
-    let env_threads = std::env::var("CLA_SEARCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
-    if spec.contains("worker.panic") && env_threads > 1 {
-        assert!(panic_hits >= 1, "the armed worker.panic never fired inside a snapshot read");
-        assert!(
-            truncated.load(Ordering::Relaxed) >= 1,
-            "a parallel snapshot read must absorb the worker panic as WorkerFault"
-        );
-        assert_eq!(unwound.load(Ordering::Relaxed), 0, "parallel reads never unwind");
-    }
 }
 
 /// A reader pin held across many publishes must stay byte-stable: the

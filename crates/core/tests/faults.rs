@@ -1,14 +1,12 @@
 //! Fault-injection suite over the `cla_core::failpoints` registry.
 //!
 //! The contract under test: **the engine always stays serving and
-//! pre-fault-consistent.** A panicking worker chunk degrades only its
-//! own contribution (labeled `Completeness::Truncated { WorkerFault }`)
-//! and the very next search answers byte-identically to an unfaulted
-//! engine; a panic while holding the scratch-pool lock poisons only the
-//! pool mutex, which the next search recovers by rebuilding the pool; a
-//! forced mid-apply failure rolls back atomically (the mutation suite
-//! covers that half); a forced BANKS budget trip truncates to a
-//! certified ranked prefix.
+//! pre-fault-consistent.** A panic while holding the scratch-pool lock
+//! reaches the caller and poisons only the pool mutex, which the next
+//! search recovers by rebuilding the pool, so it answers
+//! byte-identically to an unfaulted engine; a forced mid-apply failure
+//! rolls back atomically (the mutation suite covers that half); a
+//! forced BANKS budget trip truncates to a certified ranked prefix.
 //!
 //! Every test holds [`failpoints::exclusive`] — the registry is
 //! process-global and `cargo test` runs tests on parallel threads.
@@ -21,9 +19,7 @@ use cla_datagen::{generate_synthetic, SyntheticConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A database big enough that a whole BANKS answer has many connections
-/// (so `threads: 4` really spawns metric-stage worker chunks, the one
-/// stage that fans out) and every algorithm finds a non-trivial result
-/// set.
+/// and every algorithm finds a non-trivial result set.
 fn engine() -> SearchEngine {
     let s = generate_synthetic(&SyntheticConfig {
         departments: 4,
@@ -44,47 +40,8 @@ fn renderings(r: &SearchResults) -> Vec<String> {
     r.connections.iter().map(|c| c.rendering.clone()).collect()
 }
 
-fn opts(algorithm: Algorithm, threads: usize) -> SearchOptions {
-    SearchOptions { algorithm, threads, max_rdb_length: 3, ..Default::default() }
-}
-
-/// An armed `worker.panic` kills exactly one parallel chunk of a whole
-/// BANKS answer's metric stage: the search still returns, labeled
-/// `WorkerFault`, its results a subset of the unfaulted run's — and the
-/// next search (point consumed) is byte-identical to the unfaulted
-/// baseline. The engine and its scratch pool survive unpoisoned.
-#[test]
-fn worker_panic_degrades_one_chunk_and_engine_recovers() {
-    let _x = failpoints::exclusive();
-    failpoints::disarm_all();
-    let mut e = engine();
-    e.enable_failpoints();
-    let o = opts(Algorithm::Banks, 4);
-
-    let baseline = e.search("smith xml", &o).unwrap();
-    assert!(baseline.stats.completeness.is_complete());
-    assert!(!baseline.connections.is_empty(), "fixture must produce results");
-
-    failpoints::arm("worker.panic", FailpointMode::Once);
-    let faulted = e.search("smith xml", &o).unwrap();
-    assert_eq!(failpoints::hits("worker.panic"), 1, "exactly one chunk died");
-    assert_eq!(
-        faulted.stats.completeness,
-        Completeness::Truncated { reason: TruncationReason::WorkerFault }
-    );
-    // Only the dead chunk's contribution is missing.
-    let base = renderings(&baseline);
-    for r in renderings(&faulted) {
-        assert!(base.contains(&r), "faulted run invented a connection: {r}");
-    }
-
-    // The point was one-shot; the engine serves full answers again,
-    // byte-identical to the unfaulted run.
-    let after = e.search("smith xml", &o).unwrap();
-    assert!(after.stats.completeness.is_complete());
-    assert_eq!(renderings(&after), base);
-    assert_eq!(after.stats, baseline.stats);
-    failpoints::disarm_all();
+fn opts(algorithm: Algorithm) -> SearchOptions {
+    SearchOptions { algorithm, max_rdb_length: 3, ..Default::default() }
 }
 
 /// `pool.return` panics *while holding the scratch-pool mutex* — the
@@ -98,7 +55,7 @@ fn poisoned_scratch_pool_is_rebuilt_on_the_next_search() {
     failpoints::disarm_all();
     let mut e = engine();
     e.enable_failpoints();
-    let o = opts(Algorithm::Paths, 1);
+    let o = opts(Algorithm::Paths);
 
     let baseline = e.search("smith xml", &o).unwrap();
 
@@ -126,7 +83,7 @@ fn banks_settle_failpoint_truncates_to_a_ranked_prefix() {
     failpoints::disarm_all();
     let mut e = engine();
     e.enable_failpoints();
-    let o = opts(Algorithm::Banks, 1);
+    let o = opts(Algorithm::Banks);
 
     let baseline = e.search("smith xml", &o).unwrap();
     assert!(baseline.stats.completeness.is_complete());
@@ -158,13 +115,13 @@ fn unenabled_engines_never_consume_armed_points() {
     let _x = failpoints::exclusive();
     failpoints::disarm_all();
     let e = engine(); // no enable_failpoints()
-                      // A whole BANKS answer fans its metric stage out, so an enabled
-                      // engine would reach the point here.
-    let o = opts(Algorithm::Banks, 4);
-    failpoints::arm("worker.panic", FailpointMode::Once);
+                      // A BANKS search settles nodes, so an enabled engine would reach
+                      // the point here.
+    let o = opts(Algorithm::Banks);
+    failpoints::arm("banks.settle", FailpointMode::Once);
     let r = e.search("smith xml", &o).unwrap();
     assert!(r.stats.completeness.is_complete());
-    assert_eq!(failpoints::hits("worker.panic"), 0, "the point must still be armed");
+    assert_eq!(failpoints::hits("banks.settle"), 0, "the point must still be armed");
     failpoints::disarm_all();
 }
 
@@ -173,7 +130,7 @@ fn unenabled_engines_never_consume_armed_points() {
 /// unwind or degrade while points fire, but once the registry drains
 /// (or is disarmed) answers are byte-identical to an unfaulted engine.
 /// Run explicitly by the fault-injection CI leg:
-/// `CLA_FAILPOINTS=worker.panic=once cargo test --test faults -- --ignored`.
+/// `CLA_FAILPOINTS=banks.settle=once cargo test --test faults -- --ignored`.
 #[test]
 #[ignore = "needs CLA_FAILPOINTS set; run by the CI fault-injection leg"]
 fn env_armed_failpoints_never_wedge_the_engine() {
@@ -184,9 +141,9 @@ fn env_armed_failpoints_never_wedge_the_engine() {
     );
     // `SearchEngine::new` auto-enables failpoints (and arms the env
     // spec) when the variable is present. A whole BANKS answer reaches
-    // both `worker.panic` (its metric stage fans out) and `banks.settle`.
+    // `banks.settle`, and every search `pool.return`.
     let e = engine();
-    let o = opts(Algorithm::Banks, 4);
+    let o = opts(Algorithm::Banks);
     // Let whatever is armed fire; panics are the contract for some
     // points, so absorb them.
     for _ in 0..4 {

@@ -298,12 +298,7 @@ fn assert_matches_rebuild(engine: &SearchEngine, context: &str) -> Result<(), Te
     };
     for query in QUERIES {
         for algorithm in [Algorithm::Paths, Algorithm::Banks, Algorithm::Discover] {
-            let opts = SearchOptions {
-                algorithm,
-                max_rdb_length: 3,
-                threads: 1,
-                ..Default::default()
-            };
+            let opts = SearchOptions { algorithm, max_rdb_length: 3, ..Default::default() };
             let a = engine.search(query, &opts).unwrap();
             let b = rebuilt.search(query, &opts).unwrap();
             prop_assert_eq!(
@@ -318,7 +313,7 @@ fn assert_matches_rebuild(engine: &SearchEngine, context: &str) -> Result<(), Te
             // queries, but the count must still agree).
             prop_assert_eq!(a.trees.len(), b.trees.len());
         }
-        let topk = SearchOptions { k: Some(3), threads: 1, ..Default::default() };
+        let topk = SearchOptions { k: Some(3), ..Default::default() };
         let a = engine.search(query, &topk).unwrap();
         let b = rebuilt.search(query, &topk).unwrap();
         prop_assert_eq!(render(&a), render(&b), "{}: `{}` top-3 diverged", context, query);
@@ -425,7 +420,6 @@ proptest! {
                     let opts = SearchOptions {
                         algorithm,
                         max_rdb_length: 3,
-                        threads: 1,
                         ..Default::default()
                     };
                     out.push(render(&engine.search(query, &opts).unwrap()));

@@ -334,15 +334,14 @@ proptest! {
     /// forests) into the next, answers each query exactly as a freshly
     /// made engine does — connections with their rendering, explanation
     /// and info, trees and stats. Covers every algorithm and ranker,
-    /// k ∈ {None, 1, 3, 10}, threads 1 and 2, and engines after an
-    /// apply. Queries differ in display case as well as keywords, so a
+    /// k ∈ {None, 1, 3, 10}, and engines after an apply. Queries differ in display case as well as keywords, so a
     /// stale label slot shows in a rendering.
     #[test]
     fn answers_do_not_depend_on_search_history(
         seed in 0u64..200,
         applied in any::<bool>(),
         picks in proptest::collection::vec(
-            ((0usize..HISTORY_QUERIES.len(), 0usize..3), (0usize..4, 0usize..5, 1usize..3)),
+            ((0usize..HISTORY_QUERIES.len(), 0usize..3), (0usize..4, 0usize..5)),
             2..9,
         )
     ) {
@@ -363,7 +362,7 @@ proptest! {
             engine
         };
         let history = make().snapshots().latest();
-        for ((q, algorithm), (k, ranker, threads)) in picks {
+        for ((q, algorithm), (k, ranker)) in picks {
             let options = SearchOptions {
                 algorithm: [Algorithm::Paths, Algorithm::Banks, Algorithm::Discover][algorithm],
                 k: [None, Some(1), Some(3), Some(10)][k],
@@ -375,7 +374,6 @@ proptest! {
                     RankStrategy::Combined { structure_weight: 1.0 },
                 ][ranker],
                 max_rdb_length: 3,
-                threads,
                 ..Default::default()
             };
             let query = HISTORY_QUERIES[q];
@@ -481,7 +479,6 @@ proptest! {
                     max_rdb_length: 3,
                     ranker,
                     compute_instance,
-                    threads: 1,
                     ..Default::default()
                 };
                 let got = engine.search("xml smith", &options).unwrap();
@@ -502,6 +499,84 @@ proptest! {
                 let want: Vec<_> =
                     want.iter().map(|(c, i, r, e)| (c, i, r.as_str(), e.as_str())).collect();
                 prop_assert_eq!(got, want, "ranker {} instance {}", ranker.name(), compute_instance);
+            }
+        }
+    }
+
+    /// BANKS and DISCOVER answers equal the ranking reference item by
+    /// item under every ranker, with instance closeness on and off: the
+    /// answer's own connections, each ranked on its own through
+    /// `connection_info`, `Connection::render` and `explain_connection`
+    /// and sorted by the reference order ([`support::rank_reference`]),
+    /// with no node sequence twice. It covers whole BANKS answers to two
+    /// and three keywords and whole DISCOVER answers to three (a
+    /// two-keyword DISCOVER answer is a Paths answer, checked above).
+    /// Three-keyword DISCOVER grows the same networks at any k, so its
+    /// answer at k ∈ {1, 3, 10} is the first k of the whole answer,
+    /// trees taking what the connections leave of k.
+    #[test]
+    fn banks_and_discover_answers_match_the_ranking_reference(seed in 0u64..100) {
+        let s = generate_synthetic(&small_config(seed));
+        let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
+            .unwrap()
+            .with_aliases(s.aliases.clone());
+        let cases = [
+            (Algorithm::Banks, "xml smith"),
+            (Algorithm::Banks, "xml smith alice"),
+            (Algorithm::Discover, "xml smith alice"),
+        ];
+        for ranker in ALL_RANKERS {
+            for compute_instance in [true, false] {
+                for (algorithm, query) in cases {
+                    let options = SearchOptions {
+                        algorithm,
+                        max_rdb_length: 3,
+                        ranker,
+                        compute_instance,
+                        ..Default::default()
+                    };
+                    let ctx = format!(
+                        "{algorithm:?} {query:?} ranker {} instance {compute_instance}",
+                        ranker.name()
+                    );
+                    let whole = engine.search(query, &options).unwrap();
+                    let nodes: HashSet<&[NodeId]> =
+                        whole.connections.iter().map(|r| r.connection.nodes()).collect();
+                    prop_assert_eq!(nodes.len(), whole.connections.len(), "{}: a repeat", ctx);
+                    let want = support::rank_reference(
+                        &engine,
+                        &whole.query,
+                        &whole.display_keywords,
+                        whole.connections.iter().map(|r| r.connection.clone()).collect(),
+                        ranker,
+                        compute_instance,
+                        options.max_witness_length,
+                    );
+                    let got: Vec<_> = whole
+                        .connections
+                        .iter()
+                        .map(|r| (&r.connection, &r.info, r.rendering.as_str(), r.explanation.as_str()))
+                        .collect();
+                    let want: Vec<_> =
+                        want.iter().map(|(c, i, r, e)| (c, i, r.as_str(), e.as_str())).collect();
+                    prop_assert_eq!(got, want, "{}", ctx);
+                    if algorithm != Algorithm::Discover {
+                        continue;
+                    }
+                    for k in [1usize, 3, 10] {
+                        let top = engine.search(query, &SearchOptions { k: Some(k), ..options }).unwrap();
+                        let n = k.min(whole.connections.len());
+                        prop_assert_eq!(
+                            ranked_view(&top.connections),
+                            ranked_view(&whole.connections[..n]),
+                            "{} k={}",
+                            ctx,
+                            k
+                        );
+                        let t = (k - n).min(whole.trees.len());
+                        prop_assert_eq!(&top.trees[..], &whole.trees[..t], "{} k={}", ctx, k);
+                    }
+                }
             }
         }
     }
@@ -595,30 +670,6 @@ proptest! {
         }
     }
 
-    /// Multi-threaded search returns byte-identical results to the
-    /// sequential path: a whole BANKS answer, whose metric stage fans
-    /// out in contiguous chunks merged back in order.
-    #[test]
-    fn parallel_search_matches_sequential(seed in 0u64..120) {
-        let s = generate_synthetic(&small_config(seed));
-        let engine = SearchEngine::new(s.db.clone(), s.er_schema.clone(), s.mapping.clone())
-            .unwrap()
-            .with_aliases(s.aliases.clone());
-        let base = SearchOptions {
-            algorithm: Algorithm::Banks,
-            max_rdb_length: 4,
-            threads: 1,
-            ..Default::default()
-        };
-        for query in ["xml smith", "xml smith alice"] {
-            let seq = engine.search(query, &base).unwrap();
-            for threads in [2usize, 4] {
-                let par = engine.search(query, &SearchOptions { threads, ..base }).unwrap();
-                prop_assert_eq!(answer_view(&par), answer_view(&seq), "{} threads {}", query, threads);
-            }
-        }
-    }
-
     /// Streaming top-k returns exactly the full enumeration's ranked
     /// prefix — rendering, explanation and info, item by item — never
     /// expands more DFS nodes, and its work accounting is consistent,
@@ -635,7 +686,6 @@ proptest! {
                     max_rdb_length: 4,
                     ranker,
                     compute_instance,
-                    threads: 1,
                     ..Default::default()
                 };
                 let full = engine.search("xml smith", &base).unwrap();
@@ -785,7 +835,6 @@ proptest! {
                     max_rdb_length: 3,
                     ranker,
                     compute_instance,
-                    threads: 1,
                     ..Default::default()
                 };
                 let full = engine.search("xml smith", &base).unwrap();
@@ -819,7 +868,6 @@ proptest! {
             algorithm: Algorithm::Discover,
             max_rdb_length: 3,
             ranker: RankStrategy::Combined { structure_weight: 1.0 },
-            threads: 1,
             ..Default::default()
         };
         let full = engine.search("xml smith", &combined).unwrap();
@@ -860,7 +908,6 @@ proptest! {
                         max_rdb_length: 3,
                         ranker,
                         k,
-                        threads: 1,
                         ..Default::default()
                     };
                     let r = engine.search(&query, &options).unwrap();
@@ -981,12 +1028,8 @@ fn streaming_topk_expands_strictly_less_at_b1_shape() {
     let s = generate_synthetic(&b1_config());
     let engine =
         SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap().with_aliases(s.aliases);
-    let base = SearchOptions {
-        max_rdb_length: 4,
-        compute_instance: false,
-        threads: 1,
-        ..Default::default()
-    };
+    let base =
+        SearchOptions { max_rdb_length: 4, compute_instance: false, ..Default::default() };
     let full = engine.search("xml smith", &base).unwrap();
     assert!(full.stats.expansions > 0);
     assert_eq!(full.stats.max_length_enumerated, 4);
@@ -1036,9 +1079,8 @@ fn b7_config() -> SyntheticConfig {
 /// test: BANKS at k = 20 completes strictly fewer candidate roots than
 /// the full enumeration materializes (reported through the unified
 /// `SearchStats::expansions`) while returning byte-identical trees to
-/// the unbounded run's prefix; DISCOVER at k = 20 materializes strictly
-/// fewer candidate networks and returns exactly the batch pipeline's
-/// ranked prefix.
+/// the unbounded run's prefix; two-keyword DISCOVER at k = 20 expands
+/// strictly less and returns exactly the whole answer's ranked prefix.
 #[test]
 fn cutoffs_beat_full_enumeration_at_b7_shape() {
     let s = generate_synthetic(&b7_config());
@@ -1049,7 +1091,6 @@ fn cutoffs_beat_full_enumeration_at_b7_shape() {
         algorithm: Algorithm::Banks,
         max_rdb_length: 3,
         compute_instance: false,
-        threads: 1,
         ..Default::default()
     };
     let full = engine.search("xml smith", &base).unwrap();
@@ -1077,7 +1118,6 @@ fn cutoffs_beat_full_enumeration_at_b7_shape() {
         max_rdb_length: 4,
         ranker: RankStrategy::RdbLength,
         compute_instance: false,
-        threads: 1,
         ..Default::default()
     };
     let full = engine16.search("xml smith", &base).unwrap();
@@ -1091,7 +1131,7 @@ fn cutoffs_beat_full_enumeration_at_b7_shape() {
     );
     assert!(stream.stats.early_terminated, "Discover must cut early");
     // DISCOVER's k is a plain result budget, so the streamed output is
-    // the batch ranking truncated.
+    // the whole answer's ranking truncated.
     let want: Vec<&str> =
         full.connections.iter().take(20).map(|r| r.rendering.as_str()).collect();
     let got: Vec<&str> = stream.connections.iter().map(|r| r.rendering.as_str()).collect();
@@ -1168,7 +1208,6 @@ fn discover_with_total_seeds_completes_under_the_cap() {
     let opts = SearchOptions {
         algorithm: Algorithm::Discover,
         k: None,
-        threads: 1,
         compute_instance: true,
         max_rdb_length: 4,
         budget: SearchBudget::with_max_expansions(200_000),
@@ -1189,7 +1228,6 @@ fn discover_trees_come_out_in_one_order() {
     let opts = SearchOptions {
         algorithm: Algorithm::Discover,
         max_rdb_length: 4,
-        threads: 1,
         k: None,
         ..Default::default()
     };
@@ -1336,7 +1374,8 @@ fn pruned_search_keeps_the_oracles_parallel_edge_representative() {
 }
 
 /// Streamed top-k Paths offers each connection once, as the DFS emits
-/// it, picking the path the batch pipeline's dedup keeps by two rules:
+/// it, picking the path the per-pair reference keeps (the first of its
+/// node sequence) by two rules:
 /// every hop on its lowest-id edge, and a path between two tuples that
 /// both match both keywords taken from the source ordered first. On
 /// the two-FK fixture with two such departments, joined through
@@ -1372,7 +1411,6 @@ fn streamed_paths_keep_the_batch_representatives() {
                 max_rdb_length: 4,
                 ranker,
                 compute_instance,
-                threads: 1,
                 ..Default::default()
             };
             let full = view(&engine.search("xml smith", &base).unwrap());

@@ -73,8 +73,7 @@ fn observe(
 }
 
 /// Assert `opened` and `reference` answer identically: all queries, all
-/// three algorithms, sequential and 2-thread legs, plus streaming
-/// top-k.
+/// three algorithms, plus streaming top-k.
 fn assert_same_answers(
     opened: &SearchEngine,
     reference: &SearchEngine,
@@ -82,25 +81,17 @@ fn assert_same_answers(
 ) -> Result<(), TestCaseError> {
     for query in QUERIES {
         for algorithm in [Algorithm::Paths, Algorithm::Banks, Algorithm::Discover] {
-            for threads in [1, 2] {
-                let opts = SearchOptions {
-                    algorithm,
-                    max_rdb_length: 3,
-                    threads,
-                    ..Default::default()
-                };
-                prop_assert_eq!(
-                    observe(opened, query, &opts),
-                    observe(reference, query, &opts),
-                    "{}: `{}` via {:?} ({} thread(s)) diverged",
-                    context,
-                    query,
-                    algorithm,
-                    threads
-                );
-            }
+            let opts = SearchOptions { algorithm, max_rdb_length: 3, ..Default::default() };
+            prop_assert_eq!(
+                observe(opened, query, &opts),
+                observe(reference, query, &opts),
+                "{}: `{}` via {:?} diverged",
+                context,
+                query,
+                algorithm
+            );
         }
-        let topk = SearchOptions { k: Some(3), threads: 1, ..Default::default() };
+        let topk = SearchOptions { k: Some(3), ..Default::default() };
         prop_assert_eq!(
             observe(opened, query, &topk),
             observe(reference, query, &topk),

@@ -44,7 +44,6 @@ fn fingerprint(engine: &SearchEngine, queries: &[&str]) -> Vec<String> {
         for query in queries {
             let opts = SearchOptions {
                 algorithm,
-                threads: 1,
                 k: Some(10),
                 max_rdb_length: 3,
                 ..Default::default()

@@ -40,22 +40,19 @@
 //!   unbudgeted run; under `RankStrategy::Combined` it is best-effort
 //!   found-so-far. The default budget is unlimited and costs one branch
 //!   per probe (≤ 2 % armed-but-unhit, EXPERIMENTS.md B10).
-//! * **Fault-isolated** — the parallel worker chunks of the metric
-//!   stage (BANKS's connections and DISCOVER answers of three or more
-//!   keywords) run under `catch_unwind`: a panicking chunk degrades
-//!   only its own
-//!   contribution (`Truncated { WorkerFault }`) and the engine's pooled
-//!   scratch survives; even a panic while holding the scratch-pool
-//!   mutex only poisons that mutex, which the next search clears and
-//!   rebuilds. The next search answers byte-identically to an unfaulted
-//!   engine. Sequential (`threads: 1`) panics propagate to the caller —
-//!   nothing is swallowed when there is no executor to isolate.
+//! * **Fault-isolated** — every search runs on its calling thread, and
+//!   a panic inside a search propagates to the caller: nothing is
+//!   swallowed. The engine survives it. The search's scratch is dropped
+//!   rather than returned to the pool, and even a panic while holding
+//!   the scratch-pool mutex only poisons that mutex, which the next
+//!   search clears and rebuilds. The next search answers
+//!   byte-identically to an unfaulted engine.
 //! * **Diagnosable** — a query with no usable keyword fails with
 //!   per-keyword diagnostics ([`core::KeywordDiagnostic`]: tokenization
 //!   result plus the nearest indexed term by edit distance), and the
 //!   fault paths above are drivable from tests or triage sessions via
 //!   the [`core::failpoints`] registry (`CLA_FAILPOINTS=name=once,...`:
-//!   `apply.mid`, `worker.panic`, `pool.return`, `banks.settle`).
+//!   `apply.mid`, `pool.return`, `banks.settle`).
 //! * **Snapshot-consistent under concurrency** — the engine is split
 //!   into an immutable, generation-stamped [`core::EngineSnapshot`]
 //!   (everything `search()` reads) and a single [`core::EngineWriter`]
