@@ -23,8 +23,11 @@
 //! probe. Every search enumerates on its calling thread and counts
 //! through one probe, across all of its levels, so a cap `c` is exact:
 //! the search stops at the expansion that reaches `c`, and reports at
-//! most `c`. Deadlines poll `Instant::now()` at most once per
-//! [`TIME_STRIDE`] expansions.
+//! most `c`. Each probe follows the expansion it counts, and one more
+//! precedes the first, so a budget spent before any (a cap of 0, an
+//! expired deadline) runs none: the answer is the tuples that match
+//! every keyword, cut to the certified prefix. Deadlines poll
+//! `Instant::now()` at most once per [`TIME_STRIDE`] expansions.
 
 use crate::stats::TruncationReason;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -142,8 +145,8 @@ impl BudgetShared {
 pub(crate) struct BudgetProbe<'a> {
     shared: Option<&'a BudgetShared>,
     /// Next count at which the slow path runs. Starts at 0 so the very
-    /// first check takes it — a pre-expired deadline trips on the first
-    /// expansion, not after a stride.
+    /// first check takes it: a pre-expired deadline trips at once, not
+    /// after a stride.
     next_probe: u64,
 }
 

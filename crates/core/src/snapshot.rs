@@ -78,10 +78,10 @@ pub struct SearchOptions {
     /// already beat it. A two-keyword answer (`Paths`, and `Discover`
     /// with at most two keywords) offers each connection as the DFS
     /// emits it; `Banks` and `Discover` with three or more keywords
-    /// offer their deduplicated connections once enumeration ends. The
-    /// witness search then runs only for connections that can still
-    /// enter the top `k` and, except under
-    /// [`RankStrategy::InstanceCloseFirst`], only for those that do.
+    /// offer theirs once enumeration ends. The witness search then runs
+    /// only for connections that can still enter the top `k` and,
+    /// except under [`RankStrategy::InstanceCloseFirst`], only for those
+    /// that do.
     /// Rendering runs only for connections that tie with or beat the
     /// k-th key, and the explanation only for those that enter. With a
     /// length-monotone ranker a set `k` also enumerates two-keyword
@@ -121,7 +121,8 @@ pub struct SearchOptions {
     /// expansion-counting sites: DFS descents for every two-keyword
     /// answer, frontier settles for `Banks`, and for `Discover` with
     /// three or more keywords only the networks that can still become
-    /// MTJNTs (see [`SearchStats::expansions`]).
+    /// MTJNTs (see [`SearchStats::expansions`]), and once before the
+    /// first, so a budget spent already runs no expansion.
     pub budget: SearchBudget,
 }
 
@@ -222,9 +223,9 @@ struct Keyed {
 /// levelled merge equals the whole answer's ranked prefix. A level
 /// offers each connection once: the singles are distinct, the Paths
 /// enumeration offers only the path that stands for its connection
-/// ([`EngineSnapshot::represents_its_connection`]), and BANKS and
-/// DISCOVER offer their connections deduplicated by oriented node
-/// sequence, in one level after enumeration.
+/// ([`EngineSnapshot::represents_its_connection`]), and BANKS (one tree
+/// per node set) and DISCOVER (distinct networks) offer theirs in one
+/// level after enumeration.
 ///
 /// The merge is **key first**, and does the expensive per-connection
 /// work only for connections that can still enter the top k. It is
@@ -370,9 +371,10 @@ impl EnumScratch {
 }
 
 /// The deterministic final tie-break under any ranking strategy: the
-/// rendering string, then the **tuple** sequence (unique after dedup,
-/// making the full comparator a total order — a requirement for a
-/// levelled top-k merge to return exactly the whole answer's prefix).
+/// rendering string, then the **tuple** sequence (unique, since each
+/// connection is offered once, making the full comparator a total order
+/// — a requirement for a levelled top-k merge to return exactly the
+/// whole answer's prefix).
 /// Tuples, not node ids: node numbering reflects insertion history on an
 /// incrementally patched graph, while tuple ids are stable — so a
 /// patched engine and a freshly rebuilt one order ties identically.
@@ -389,9 +391,7 @@ fn final_tiebreak(a: &RankedConnection, b: &RankedConnection, dg: &DataGraph) ->
 /// The one canonical orientation rule: a connection runs from its
 /// smaller endpoint **tuple** to its larger (tuple ids, not node ids, so
 /// orientation survives node renumbering between a patched and a
-/// rebuilt graph). Every connection is oriented before it is merged,
-/// and BANKS and DISCOVER dedup their connections by oriented node
-/// sequence.
+/// rebuilt graph). Every connection is oriented before it is merged.
 fn canonical_orient(c: &mut Connection, dg: &DataGraph) {
     if dg.tuple_of(c.end()) < dg.tuple_of(c.start()) {
         *c = c.reversed();
@@ -1125,6 +1125,11 @@ impl EngineSnapshot {
                     query.len()
                 )));
             }
+            // BANKS and DISCOVER probe after each expansion they count;
+            // this probe precedes the first, so a budget spent already (a
+            // cap of 0, an expired deadline) runs none. The singles are
+            // merged and trimmed below.
+            Algorithm::Banks | Algorithm::Discover if BudgetProbe::new(budget).check(0) => {}
             Algorithm::Banks => {
                 let banks_opts = BanksOptions {
                     k: options.k,
@@ -1160,7 +1165,7 @@ impl EngineSnapshot {
                     trim_floor = (floor.ceil().max(1.0) as usize).max(1);
                 }
                 for tree in found {
-                    match self.tree_to_connection(&tree, match_sets) {
+                    match self.tree_to_connection(&tree) {
                         Some(conn) if conn.rdb_length() > 0 => connections.push(conn),
                         Some(_) => {} // single nodes already collected
                         None => trees.push(tree),
@@ -1202,13 +1207,8 @@ impl EngineSnapshot {
             }
         }
 
-        // Each connection is offered once: oriented canonically, then
-        // the first of each node sequence kept (the sort is stable).
-        for c in &mut connections {
-            canonical_orient(c, &self.dg);
-        }
-        connections.sort_by(|a, b| a.nodes().cmp(b.nodes()));
-        connections.dedup_by(|later, first| later.nodes() == first.nodes());
+        // Each connection is offered once, as enumerated: BANKS returns
+        // one tree per node set and DISCOVER distinct networks.
         let kw_sets = options.mtjnt_only.then(|| keyword_hash_sets(match_sets));
         let (k, ranker) = (options.k, options.ranker);
         let mut ranked: Vec<RankedConnection> = Vec::new();
@@ -1447,40 +1447,46 @@ impl EngineSnapshot {
             let EnumScratch { is_target, bfs, traversal } = &mut *enumerate;
             let is_target: &[bool] = is_target;
             let mut merge = LevelMerge::new(&acc, k, ranker);
-            for &a in set_a {
-                let flow = for_each_path_to_targets_budgeted(
-                    self.dg.csr(),
-                    a,
-                    is_target,
-                    bfs.distances(),
-                    level,
-                    &mut stats.expansions,
-                    traversal,
-                    &mut |n| probe.check(n),
-                    |nodes, edges| {
-                        if edges.len() >= shortest
-                            && self.represents_its_connection(nodes, edges, is_target, set_a)
-                        {
-                            let connection = Connection::from_slices(
-                                nodes,
-                                edges,
-                                &self.dg,
-                                &self.er_schema,
-                            );
-                            self.offer(
-                                &mut merge,
-                                connection,
-                                mtjnt_sets,
-                                ctx,
-                                ranker,
-                                rank_scratch,
-                            );
-                        }
-                        ControlFlow::Continue(())
-                    },
-                );
-                if flow.is_break() {
-                    break; // the budget ran out
+            // The DFS probes after each descent it counts; this probe
+            // precedes the level's first, so a budget spent before any
+            // (a cap of 0, an expired deadline) runs none.
+            if !probe.check(stats.expansions) {
+                for &a in set_a {
+                    let flow = for_each_path_to_targets_budgeted(
+                        self.dg.csr(),
+                        a,
+                        is_target,
+                        bfs.distances(),
+                        level,
+                        &mut stats.expansions,
+                        traversal,
+                        &mut |n| probe.check(n),
+                        |nodes, edges| {
+                            if edges.len() >= shortest
+                                && self
+                                    .represents_its_connection(nodes, edges, is_target, set_a)
+                            {
+                                let connection = Connection::from_slices(
+                                    nodes,
+                                    edges,
+                                    &self.dg,
+                                    &self.er_schema,
+                                );
+                                self.offer(
+                                    &mut merge,
+                                    connection,
+                                    mtjnt_sets,
+                                    ctx,
+                                    ranker,
+                                    rank_scratch,
+                                );
+                            }
+                            ControlFlow::Continue(())
+                        },
+                    );
+                    if flow.is_break() {
+                        break; // the budget ran out
+                    }
                 }
             }
             let kept = merge.kept;
@@ -1548,39 +1554,24 @@ impl EngineSnapshot {
 
     /// Convert a path-shaped Steiner tree into a connection; `None` if
     /// it branches.
-    fn tree_to_connection(
-        &self,
-        tree: &SteinerTree,
-        match_sets: &[Vec<NodeId>],
-    ) -> Option<Connection> {
+    fn tree_to_connection(&self, tree: &SteinerTree) -> Option<Connection> {
         if tree.edges.is_empty() {
             return Some(Connection::single(tree.root));
         }
-        // Endpoints: degree-1 nodes. Prefer starting from a node in the
-        // first keyword set for stable orientation.
         let mut degree: HashMap<NodeId, usize> = HashMap::new();
         for &(_, a, b) in &tree.edges {
             *degree.entry(a).or_insert(0) += 1;
             *degree.entry(b).or_insert(0) += 1;
         }
-        // Endpoint choice is deterministic in graph *content*: sort by
-        // tuple id (HashMap iteration order and node numbering both vary
-        // across patched vs rebuilt engines).
-        let mut endpoints: Vec<NodeId> =
-            degree.iter().filter(|(_, &d)| d == 1).map(|(&n, _)| n).collect();
-        endpoints.sort_by_key(|&n| self.dg.tuple_of(n));
-        // The first match set is sorted by tuple, so membership is one
-        // binary search per endpoint.
-        let first_set = match_sets.first().map_or(&[][..], Vec::as_slice);
-        let in_first_set = |n: NodeId| {
-            let t = self.dg.tuple_of(n);
-            first_set.binary_search_by_key(&t, |&m| self.dg.tuple_of(m)).is_ok()
-        };
-        let start = endpoints
+        // Walk from the endpoint (degree-1 node) with the smaller tuple
+        // id, the canonical start ([`canonical_orient`]): tuple ids, not
+        // HashMap order or node ids, which vary across patched and
+        // rebuilt engines.
+        let start = degree
             .iter()
-            .copied()
-            .find(|&n| in_first_set(n))
-            .or_else(|| endpoints.first().copied())?;
+            .filter(|(_, &d)| d == 1)
+            .map(|(&n, _)| n)
+            .min_by_key(|&n| self.dg.tuple_of(n))?;
         let (nodes, edges) = tree.linearize(start)?;
         let path = Path { nodes, edges };
         Some(Connection::from_path(&path, &self.dg, &self.er_schema))

@@ -121,10 +121,7 @@ proptest! {
                 if spent == 0 {
                     continue; // nothing to cut on this fixture
                 }
-                // Caps start at 1: a cap of 0 still runs the first
-                // expansion, since every probe follows the expansion it
-                // counts.
-                for cap in [1, (spent / 2).max(1), spent.saturating_sub(1).max(1)] {
+                for cap in [1, spent / 2, spent.saturating_sub(1).max(1)] {
                     let cut = run(SearchBudget::with_max_expansions(cap));
                     let ctx = format!("{ctx}/cap={cap}");
                     assert_ranked_prefix(&cut, &full_r, &ctx);
@@ -185,6 +182,36 @@ fn expired_deadline_returns_a_labeled_prefix() {
             "{ctx}: expired deadline must label Deadline"
         );
         assert_ranked_prefix(&cut, &renderings(&full), &ctx);
+    }
+}
+
+/// A budget spent before the first expansion — a cap of 0, an expired
+/// deadline — runs none: every search reports 0 expansions, labeled
+/// with the budget's reason, and still returns a ranked prefix.
+#[test]
+fn spent_budget_runs_no_expansion() {
+    let e = engine(499);
+    let spent = [
+        (SearchBudget::with_max_expansions(0), TruncationReason::ExpansionCap),
+        (SearchBudget::with_deadline(Duration::ZERO), TruncationReason::Deadline),
+    ];
+    for (algorithm, query) in CASES {
+        for k in [None, Some(1), Some(3)] {
+            let o = |budget| SearchOptions { k, ..opts(algorithm, budget) };
+            let full = e.search(query, &o(SearchBudget::UNLIMITED)).unwrap();
+            assert!(full.stats.expansions > 0, "{algorithm:?}/{query:?}: nothing to cut");
+            for (budget, reason) in spent {
+                let ctx = format!("{algorithm:?}/{query:?}/k={k:?}/{reason:?}");
+                let cut = e.search(query, &o(budget)).unwrap();
+                assert_eq!(cut.stats.expansions, 0, "{ctx}: ran an expansion");
+                assert_eq!(
+                    cut.stats.completeness,
+                    cla_core::Completeness::Truncated { reason },
+                    "{ctx}: wrong label"
+                );
+                assert_ranked_prefix(&cut, &renderings(&full), &ctx);
+            }
+        }
     }
 }
 
