@@ -444,12 +444,10 @@ fn mtjnt_coverage(c: &mut Criterion) {
     group.finish();
 }
 
-/// B5/B9: instance-closeness witness-search cost, off and on. The
-/// search picks its witness pruning by graph size
-/// (`WitnessStrategy::Auto`); the dept8 (259 nodes) and dept64 graphs
-/// are both past `AUTO_BOUNDED_MIN_NODES`, so `on` runs the
-/// bounded-BFS-pruned search (EXPERIMENTS.md B9 and B26; B5 records the
-/// seed's materialize-all witness scan).
+/// B5/B9: instance-closeness witness-search cost, off and on. `on`
+/// runs the witness search, pruned by a bounded-BFS distance map toward
+/// each end node (EXPERIMENTS.md B9 and B26; B5 records the seed's
+/// materialize-all witness scan).
 fn witness_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling/witness_cost");
     for departments in [8usize, 64] {

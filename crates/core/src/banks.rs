@@ -68,17 +68,11 @@ pub struct BanksOptions {
     pub k: Option<usize>,
     /// Edge weighting scheme.
     pub weighting: EdgeWeighting,
-    /// Maximum total tree weight (`f64::INFINITY` for unbounded).
-    pub max_weight: f64,
 }
 
 impl Default for BanksOptions {
     fn default() -> Self {
-        BanksOptions {
-            k: Some(10),
-            weighting: EdgeWeighting::Uniform,
-            max_weight: f64::INFINITY,
-        }
+        BanksOptions { k: Some(10), weighting: EdgeWeighting::Uniform }
     }
 }
 
@@ -459,8 +453,8 @@ pub fn banks_search(
 /// The cutoff: any root not yet **completed** is missing at least one
 /// set, whose chain alone is a subset of its tree's distinct edges —
 /// so its tree weight is at least the global frontier minimum `L`.
-/// Once `L` strictly exceeds the k-th best held weight (or
-/// `max_weight`), the pending completed candidates are drained through
+/// Once `L` strictly exceeds the k-th best held weight, the pending
+/// completed candidates are drained through
 /// normal processing and expansion stops, with the result provably
 /// equal to the full enumeration truncated at `k` (property-tested;
 /// the dedup-safety argument lives on the cutoff branch below).
@@ -516,13 +510,12 @@ pub fn banks_search_budgeted(
     let weight_of = |e: EdgeId| opts.weighting.weight(g.edge(e).payload);
     let key = |v: NodeId| dg.tuple_of(v);
     let num_sets = keyword_sets.len() as f64;
-    let max_weight_bits = f64_sort_bits_asc(opts.max_weight);
     scratch.reset(dg, keyword_sets);
 
     let mut out: Vec<SteinerTree> = Vec::new();
 
     // Process one emitted candidate exactly like the exhaustive loop:
-    // break checks, tree assembly, max-weight filter, node-set dedup.
+    // break check, tree assembly, node-set dedup.
     // Returns `false` to stop the whole search (the break condition
     // holds for every later candidate too: totals ascend, the held k-th
     // best only improves).
@@ -534,15 +527,11 @@ pub fn banks_search_budgeted(
      -> bool {
         // Each per-set chain is a subset of the tree's distinct edges,
         // so `weight >= total / num_sets`, and candidates arrive in
-        // ascending `total` order. Once that lower bound exceeds
-        // `max_weight`, every remaining candidate would be filtered;
-        // once it strictly exceeds the k-th best weight held, no
-        // remaining candidate can enter the top k — not even on a tie,
-        // hence the strict comparison.
+        // ascending `total` order. Once that lower bound strictly
+        // exceeds the k-th best weight held, no remaining candidate can
+        // enter the top k — not even on a tie, hence the strict
+        // comparison.
         let weight_floor = f64_sort_bits_asc(half(total) / num_sets);
-        if weight_floor > max_weight_bits {
-            return false;
-        }
         // The held k-th best `(weight bits, root tuple)`, once k trees
         // are held.
         let kth = opts
@@ -553,9 +542,6 @@ pub fn banks_search_budgeted(
             return false;
         }
         let weight = assembly.assemble(root, forests, weight_of);
-        if weight > opts.max_weight {
-            return true;
-        }
         // A tree behind the held k-th in the final order has k trees
         // ahead of it for good, so it is never returned and is not
         // materialized. Registering its root keeps the dedup of later
@@ -616,8 +602,8 @@ pub fn banks_search_budgeted(
         // least one set, and that set's chain alone is a subset of its
         // tree's distinct edges — so its tree weight is at least L
         // itself (much tighter than the emitted-candidate floor). Once
-        // L strictly exceeds the k-th best held weight (or max_weight),
-        // no incomplete root can enter the top k; completed roots still
+        // L strictly exceeds the k-th best held weight, no incomplete
+        // root can enter the top k; completed roots still
         // pending in the queue are drained through the normal
         // processing, and expansion stops.
         //
@@ -632,11 +618,10 @@ pub fn banks_search_budgeted(
         // The same argument (via total(A) <= num_sets · weight(C))
         // covers candidates skipped by the per-candidate floor break.
         let frontier_bits = f64_sort_bits_asc(half(frontier));
-        let dominated = frontier_bits > max_weight_bits
-            || opts.k.is_some_and(|k| {
-                scratch.held.len() >= k
-                    && scratch.held.peek().is_some_and(|&(kth, _, _)| frontier_bits > kth)
-            });
+        let dominated = opts.k.is_some_and(|k| {
+            scratch.held.len() >= k
+                && scratch.held.peek().is_some_and(|&(kth, _, _)| frontier_bits > kth)
+        });
         if dominated {
             while let Some(root) = scratch.candidates.pop_below(u32::MAX) {
                 if !process(
@@ -767,11 +752,7 @@ mod tests {
         let er = banks_search(
             &dg,
             &[p1, e1],
-            &BanksOptions {
-                k: Some(1),
-                weighting: EdgeWeighting::ErAware,
-                ..Default::default()
-            },
+            &BanksOptions { k: Some(1), weighting: EdgeWeighting::ErAware },
         );
         // ER-aware weighting makes the w_f1 bridge strictly cheaper…
         assert_eq!(er[0].weight, 1.0);
@@ -808,22 +789,6 @@ mod tests {
         let smith = nodes_of(&c, &dg, &["e1"]);
         assert!(banks_search(&dg, &[smith, vec![]], &BanksOptions::default()).is_empty());
         assert!(banks_search(&dg, &[], &BanksOptions::default()).is_empty());
-    }
-
-    #[test]
-    fn max_weight_prunes() {
-        let (c, dg) = setup();
-        let smith = nodes_of(&c, &dg, &["e1", "e2"]);
-        let xml = nodes_of(&c, &dg, &["d1", "d2", "p1", "p2"]);
-        let trees = banks_search(
-            &dg,
-            &[smith, xml],
-            &BanksOptions { k: Some(100), max_weight: 1.0, ..Default::default() },
-        );
-        assert!(!trees.is_empty());
-        for t in &trees {
-            assert!(t.weight <= 1.0);
-        }
     }
 
     #[test]

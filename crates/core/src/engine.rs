@@ -488,6 +488,46 @@ mod tests {
         }
     }
 
+    /// A length bound past the longest simple path the graph holds (its
+    /// live nodes less one) finds nothing more: `usize::MAX` answers
+    /// like that bound for every algorithm, with and without k, rather
+    /// than overflowing DISCOVER's network size or running the Paths
+    /// levels up to it.
+    #[test]
+    fn length_bound_past_the_graph_answers_like_the_longest_path() {
+        let e = engine();
+        let longest = e.data_graph().alive_node_count() - 1;
+        let cases = [
+            (Algorithm::Discover, "xml smith alice"),
+            (Algorithm::Discover, "alice teaching"),
+            (Algorithm::Banks, "xml smith alice"),
+            (Algorithm::Paths, "alice teaching"),
+        ];
+        for (algorithm, query) in cases {
+            for k in [None, Some(3), Some(50)] {
+                let base = SearchOptions { algorithm, k, ..Default::default() };
+                let run = |max_rdb_length| {
+                    e.search(query, &SearchOptions { max_rdb_length, ..base }).unwrap()
+                };
+                let (unbounded, clamped) = (run(usize::MAX), run(longest));
+                let view = |r: &SearchResults| {
+                    let connections: Vec<_> = r
+                        .connections
+                        .iter()
+                        .map(|c| (c.connection.clone(), c.info.clone(), c.rendering.clone()))
+                        .collect();
+                    (connections, r.trees.clone())
+                };
+                assert_eq!(
+                    view(&unbounded),
+                    view(&clamped),
+                    "{algorithm:?} {query:?} k={k:?}"
+                );
+                assert!(!unbounded.is_empty(), "{algorithm:?} {query:?} k={k:?}");
+            }
+        }
+    }
+
     #[test]
     fn paths_with_three_keywords_is_an_error() {
         let e = engine();

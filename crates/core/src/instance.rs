@@ -39,43 +39,8 @@ impl InstanceCloseness {
     }
 }
 
-/// How the witness search prunes its path exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WitnessStrategy {
-    /// Bounded-BFS distance maps on graphs of at least
-    /// [`WitnessStrategy::AUTO_BOUNDED_MIN_NODES`] nodes, plain
-    /// iterative deepening below (where the map costs more than the
-    /// unpruned search it saves).
-    #[default]
-    Auto,
-    /// Always the plain iterative-deepening DFS — the small-graph fast
-    /// path, kept as the equivalence oracle for the property tests.
-    IterativeDeepening,
-    /// Always the bounded-BFS-pruned search: one k-hop distance map
-    /// from the witness endpoint (cached across pairs sharing it)
-    /// prunes every DFS branch that cannot reach the endpoint within
-    /// the remaining budget.
-    BoundedBfs,
-}
-
-impl WitnessStrategy {
-    /// Node count from which [`WitnessStrategy::Auto`] switches to the
-    /// bounded-BFS map: below it, per-pair iterative deepening touches
-    /// a handful of nodes and wins; above it, dead-end wandering in the
-    /// exact-depth levels dominates and the map pays for itself.
-    pub const AUTO_BOUNDED_MIN_NODES: usize = 256;
-
-    fn use_bounded(self, node_count: usize) -> bool {
-        match self {
-            WitnessStrategy::Auto => node_count >= Self::AUTO_BOUNDED_MIN_NODES,
-            WitnessStrategy::IterativeDeepening => false,
-            WitnessStrategy::BoundedBfs => true,
-        }
-    }
-}
-
 /// Cache of witness-search outcomes per `(start, end)` endpoint pair,
-/// plus the reusable buffers of the bounded-BFS pruned search.
+/// plus the distance maps and buffers of the pruned search.
 ///
 /// The witness search depends only on the connection's endpoints and the
 /// length bound, so duplicate endpoint pairs in one result set (common:
@@ -87,7 +52,6 @@ impl WitnessStrategy {
 #[derive(Debug, Clone, Default)]
 pub struct WitnessCache {
     verdicts: HashMap<(NodeId, NodeId), Option<Connection>>,
-    strategy: WitnessStrategy,
     /// One bounded distance map per distinct end node (result sets
     /// routinely interleave end nodes, so a single most-recent map
     /// would thrash). All maps share one budget.
@@ -98,14 +62,9 @@ pub struct WitnessCache {
 }
 
 impl WitnessCache {
-    /// An empty cache with the [`WitnessStrategy::Auto`] policy.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache with an explicit pruning strategy.
-    pub fn with_strategy(strategy: WitnessStrategy) -> Self {
-        WitnessCache { strategy, ..Self::default() }
     }
 
     /// Number of cached endpoint-pair verdicts.
@@ -193,12 +152,7 @@ pub fn instance_closeness_with_cache(
     }
     let key = (conn.start(), conn.end());
     if !cache.verdicts.contains_key(&key) {
-        let dist = if cache.strategy.use_bounded(dg.csr().node_count()) {
-            cache.ensure_dist_map(dg, conn.end(), max_witness_rdb);
-            Some(cache.maps[&conn.end()].as_slice())
-        } else {
-            None
-        };
+        cache.ensure_dist_map(dg, conn.end(), max_witness_rdb);
         let witness = find_close_witness(
             dg,
             schema,
@@ -206,7 +160,7 @@ pub fn instance_closeness_with_cache(
             conn.start(),
             conn.end(),
             max_witness_rdb,
-            dist,
+            &cache.maps[&conn.end()],
         );
         cache.verdicts.insert(key, witness);
     }
@@ -228,13 +182,12 @@ pub fn instance_closeness_with_cache(
 /// a level runs to completion without being cut by its budget (no
 /// longer simple path can exist).
 ///
-/// With `dist` set (the bounded hop-distance map toward `end`, capped
-/// at `max_rdb`), every branch that cannot reach `end` within the
-/// level's remaining budget is cut. Pruning removes only branches that
+/// `dist`, the bounded hop-distance map toward `end` (capped at
+/// `max_rdb`), cuts every branch that cannot reach `end` within the
+/// level's remaining budget. Pruning removes only branches that
 /// complete no path at the current level, so each level visits its
-/// completions in exactly the unpruned order — the returned witness is
-/// **identical** to the iterative-deepening one (property-tested), at
-/// a fraction of the exploration on larger graphs.
+/// completions in the unpruned order, and the verdict is the
+/// exhaustive scan's (property-tested).
 fn find_close_witness(
     dg: &DataGraph,
     schema: &ErSchema,
@@ -242,17 +195,13 @@ fn find_close_witness(
     start: NodeId,
     end: NodeId,
     max_rdb: usize,
-    dist: Option<&[u32]>,
+    dist: &[u32],
 ) -> Option<Connection> {
-    if start == end || max_rdb == 0 {
-        // Endpoint pairs of real connections are distinct (a zero-length
-        // connection is schema-close and never reaches the search).
+    // Endpoint pairs of real connections are distinct (a zero-length
+    // connection is schema-close and never reaches the search), and an
+    // `end` farther than `max_rdb` hops is out of reach.
+    if start == end || max_rdb == 0 || dist[start.index()] as usize > max_rdb {
         return None;
-    }
-    if let Some(dist) = dist {
-        if dist[start.index()] as usize > max_rdb {
-            return None; // end is out of reach entirely
-        }
     }
     let csr = dg.csr();
     let mut search = WitnessDfs {
@@ -288,9 +237,8 @@ struct WitnessDfs<'a> {
     schema: &'a ErSchema,
     mapping: &'a SchemaMapping,
     end: NodeId,
-    /// Bounded hop distances toward `end` (capped at `max_rdb`), when
-    /// the bounded-BFS strategy is active.
-    dist: Option<&'a [u32]>,
+    /// Bounded hop distances toward `end` (capped at `max_rdb`).
+    dist: &'a [u32],
     max_rdb: usize,
     nodes: Vec<NodeId>,
     edges: Vec<cla_graph::EdgeId>,
@@ -303,16 +251,13 @@ struct WitnessDfs<'a> {
 
 impl WitnessDfs<'_> {
     /// `true` when a (possibly deeper) level could still complete a
-    /// path through `next`: without a distance map, always assumed;
-    /// with one, only when `end` lies within the overall `max_rdb`
-    /// budget from there. Over-approximating costs one extra deepening
-    /// level at worst; under-approximating would wrongly end the
-    /// search, so unreachable means *beyond the cap*, never "unknown".
+    /// path through `next`: when `end` lies within the overall
+    /// `max_rdb` budget from there. Over-approximating costs one extra
+    /// deepening level at worst; under-approximating would wrongly end
+    /// the search, so unreachable means *beyond the cap*, never
+    /// "unknown".
     fn may_continue_deeper(&self, next: NodeId) -> bool {
-        match self.dist {
-            Some(dist) => (dist[next.index()] as usize) <= self.max_rdb,
-            None => true,
-        }
+        (self.dist[next.index()] as usize) <= self.max_rdb
     }
 
     /// Explore paths with exactly `budget` more edges; record the first
@@ -350,13 +295,11 @@ impl WitnessDfs<'_> {
             // cut branch completes nothing at this level, but deeper
             // levels may still route through it within the overall
             // budget — flag them.
-            if let Some(dist) = self.dist {
-                if (dist[next.index()] as usize) > budget - 1 {
-                    if self.may_continue_deeper(next) {
-                        self.truncated = true;
-                    }
-                    continue;
+            if (self.dist[next.index()] as usize) > budget - 1 {
+                if self.may_continue_deeper(next) {
+                    self.truncated = true;
                 }
+                continue;
             }
             self.on_path[next.index()] = true;
             self.nodes.push(next);
@@ -490,7 +433,7 @@ mod tests {
     fn cleared_cache_recomputes_fresh_verdicts() {
         let (c, dg) = setup();
         let cn = conn(&c, &dg, &["p2", "d2", "e2"]);
-        let mut cache = WitnessCache::with_strategy(WitnessStrategy::BoundedBfs);
+        let mut cache = WitnessCache::new();
         let first =
             instance_closeness_with_cache(&cn, &dg, &c.er_schema, &c.mapping, 4, &mut cache);
         assert_eq!(cache.len(), 1);

@@ -158,7 +158,6 @@ pub use cla_storage::StorageError;
 pub use explain::explain_connection;
 pub use instance::{
     instance_closeness, instance_closeness_with_cache, InstanceCloseness, WitnessCache,
-    WitnessStrategy,
 };
 pub use participation::participation_fanout;
 pub use ranking::{sort_by_strategy, ConnectionInfo, RankStrategy};

@@ -63,47 +63,9 @@ pub enum RankStrategy {
 
 impl RankStrategy {
     /// Compare two connections; `Ordering::Less` means `a` ranks better.
+    /// The order is that of the two [`RankStrategy::sort_key`]s.
     pub fn compare(&self, a: &ConnectionInfo, b: &ConnectionInfo) -> Ordering {
-        match self {
-            RankStrategy::RdbLength => a
-                .rdb_length
-                .cmp(&b.rdb_length)
-                .then_with(|| b.text_score.total_cmp(&a.text_score)),
-            RankStrategy::ErLength => a
-                .er_length
-                .cmp(&b.er_length)
-                .then_with(|| a.rdb_length.cmp(&b.rdb_length))
-                .then_with(|| b.text_score.total_cmp(&a.text_score)),
-            RankStrategy::CloseFirst => a
-                .closeness
-                .cmp(&b.closeness)
-                .then_with(|| a.nm_count.cmp(&b.nm_count))
-                .then_with(|| a.er_length.cmp(&b.er_length))
-                .then_with(|| a.rdb_length.cmp(&b.rdb_length))
-                .then_with(|| b.text_score.total_cmp(&a.text_score)),
-            RankStrategy::InstanceCloseFirst => {
-                // Effective closeness: instance corroboration upgrades.
-                let eff = |i: &ConnectionInfo| match (i.closeness, i.instance_close) {
-                    (Closeness::Close, _) => 0u8,
-                    (Closeness::Loose, Some(true)) => 1,
-                    (Closeness::Loose, _) => 2,
-                };
-                eff(a)
-                    .cmp(&eff(b))
-                    .then_with(|| a.nm_count.cmp(&b.nm_count))
-                    .then_with(|| a.er_length.cmp(&b.er_length))
-                    .then_with(|| a.rdb_length.cmp(&b.rdb_length))
-                    .then_with(|| b.text_score.total_cmp(&a.text_score))
-            }
-            RankStrategy::Combined { structure_weight } => {
-                let score = |i: &ConnectionInfo| {
-                    let loose = if i.closeness == Closeness::Loose { 1.5 } else { 0.0 };
-                    let penalty = i.er_length as f64 + 2.0 * i.nm_count as f64 + loose;
-                    structure_weight * penalty - i.text_score
-                };
-                score(a).total_cmp(&score(b))
-            }
-        }
+        self.sort_key(a).cmp(&self.sort_key(b))
     }
 
     /// The most favorable [`ConnectionInfo`] that *any* connection with
@@ -153,75 +115,44 @@ impl RankStrategy {
         !matches!(self, RankStrategy::Combined { .. })
     }
 
-    /// Pack the strategy's comparison criteria into a pair of integers
-    /// whose ascending order agrees with [`RankStrategy::compare`]
-    /// wherever the keys differ — the engine sorts result sets by these
-    /// precomputed keys instead of re-reading five fields per
-    /// comparison, falling back to `compare` on key ties. Count-like
-    /// fields get 32 bits each in the `u128`: a connection is a simple
-    /// path over `u32` node ids, so its RDB length (and a fortiori ER
-    /// length and N:M count) is always below `u32::MAX` and the packing
-    /// is exact for every representable connection.
+    /// The strategy's order as a pair of integers: ascending keys rank
+    /// better, and this is the one definition of each order (the
+    /// engine sorts and selects by these keys, and
+    /// [`RankStrategy::compare`] compares them). The `u128` packs the
+    /// criteria in priority order, 32 bits each; the `u64` breaks ties
+    /// toward *higher* text scores, as the inverted bit image of
+    /// `f64::total_cmp`. `Combined` packs its one score the same way.
     ///
-    /// Hand-built infos beyond that bound degrade *gracefully* rather
-    /// than panicking or mis-sorting: fields saturate **stickily** at
-    /// `u32::MAX` — once one field clamps, every lower-priority field
-    /// and the text component collapse to constants. Two keys that
-    /// differ then always order exactly like `compare` (the clamped
-    /// field itself still resolves consistently against any exact
-    /// value), and keys that collide fall back to the full comparator
-    /// (every key consumer chains `.then_with(compare)`), which reads
-    /// the unclamped fields and keeps the total order correct at and
-    /// beyond the boundary — property-tested in
-    /// `saturated_sort_keys_stay_consistent`. Without the stickiness a
-    /// plain per-field clamp would let the packed *text* bits decide
-    /// between two connections whose distinct lengths clamped equal —
-    /// contradicting the comparator.
+    /// Each count is clamped to `u32::MAX`. A connection is a simple
+    /// path over `u32` node ids, so its RDB length, and with it its ER
+    /// length and N:M count, never reaches that; hand-built infos with
+    /// larger counts tie on the clamped field.
     pub fn sort_key(&self, info: &ConnectionInfo) -> (u128, u64) {
-        const CAP: usize = u32::MAX as usize;
-        /// Pack `fields` (priority order, 32 bits each) with sticky
-        /// saturation; returns the packed word and whether anything
-        /// clamped.
-        fn pack(fields: &[usize]) -> (u128, bool) {
-            let mut acc = 0u128;
-            let mut saturated = false;
-            for &f in fields {
-                saturated |= f >= CAP;
-                acc = acc << 32 | if saturated { CAP as u128 } else { f as u128 };
-            }
-            (acc, saturated)
-        }
-        // Ties on every strategy break toward *higher* text scores.
-        let keyed = |(packed, saturated): (u128, bool)| {
-            (packed, if saturated { 0 } else { !f64_sort_bits_asc(info.text_score) })
+        let pack = |fields: &[usize]| {
+            fields.iter().fold(0u128, |acc, &f| acc << 32 | f.min(u32::MAX as usize) as u128)
         };
+        let text = !f64_sort_bits_asc(info.text_score);
+        let loose = usize::from(info.closeness == Closeness::Loose);
         match self {
-            RankStrategy::RdbLength => keyed(pack(&[info.rdb_length])),
-            RankStrategy::ErLength => keyed(pack(&[info.er_length, info.rdb_length])),
+            RankStrategy::RdbLength => (pack(&[info.rdb_length]), text),
+            RankStrategy::ErLength => (pack(&[info.er_length, info.rdb_length]), text),
             RankStrategy::CloseFirst => {
-                let close = match info.closeness {
-                    Closeness::Close => 0usize,
-                    Closeness::Loose => 1,
-                };
-                keyed(pack(&[close, info.nm_count, info.er_length, info.rdb_length]))
+                (pack(&[loose, info.nm_count, info.er_length, info.rdb_length]), text)
             }
             RankStrategy::InstanceCloseFirst => {
+                // Effective closeness: instance corroboration upgrades.
                 let eff = match (info.closeness, info.instance_close) {
-                    (Closeness::Close, _) => 0usize,
+                    (Closeness::Close, _) => 0,
                     (Closeness::Loose, Some(true)) => 1,
                     (Closeness::Loose, _) => 2,
                 };
-                keyed(pack(&[eff, info.nm_count, info.er_length, info.rdb_length]))
+                (pack(&[eff, info.nm_count, info.er_length, info.rdb_length]), text)
             }
             RankStrategy::Combined { structure_weight } => {
-                let loose = if info.closeness == Closeness::Loose { 1.5 } else { 0.0 };
-                let penalty = info.er_length as f64 + 2.0 * info.nm_count as f64 + loose;
-                (
-                    u128::from(f64_sort_bits_asc(
-                        structure_weight * penalty - info.text_score,
-                    )),
-                    0,
-                )
+                let penalty =
+                    info.er_length as f64 + 2.0 * info.nm_count as f64 + 1.5 * loose as f64;
+                let score = structure_weight * penalty - info.text_score;
+                (u128::from(f64_sort_bits_asc(score)), 0)
             }
         }
     }
@@ -241,7 +172,7 @@ impl RankStrategy {
 /// Ascending-order-preserving bit image of an `f64`: comparing the
 /// returned integers equals `f64::total_cmp` on the inputs (sign bit
 /// flipped for non-negatives, all bits flipped for negatives). Shared
-/// by the packed ranking sort keys and the BANKS top-k weight heap.
+/// by the ranking sort keys and the BANKS top-k weight heap.
 pub(crate) fn f64_sort_bits_asc(x: f64) -> u64 {
     let b = x.to_bits();
     if b >> 63 == 1 {
@@ -356,6 +287,9 @@ mod tests {
         assert!(pos3 < pos6);
     }
 
+    /// `compare` is the order of the sort keys on every pair, ties
+    /// included, and the keys' text component ranks the higher score
+    /// first by `f64::total_cmp`: signed zeros, infinities and NaN too.
     #[test]
     fn sort_keys_agree_with_compare() {
         use Cardinality as C;
@@ -375,78 +309,97 @@ mod tests {
         ] {
             for a in &pool {
                 for b in &pool {
-                    let (ka, kb) = (strat.sort_key(a), strat.sort_key(b));
-                    // Wherever the packed keys differ they must order
-                    // exactly like the comparator; key ties defer to it.
-                    if ka != kb {
-                        assert_eq!(
-                            ka.cmp(&kb),
-                            strat.compare(a, b),
-                            "{} on {a:?} vs {b:?}",
-                            strat.name()
-                        );
-                    }
+                    assert_eq!(
+                        strat.sort_key(a).cmp(&strat.sort_key(b)),
+                        strat.compare(a, b),
+                        "{} on {a:?} vs {b:?}",
+                        strat.name()
+                    );
                 }
             }
         }
-    }
-
-    /// Saturation boundary (fields at, around and far beyond
-    /// `u32::MAX`): packed keys must never *contradict* the comparator,
-    /// and the engine's actual sort chain — key, then comparator — must
-    /// produce exactly the comparator's total order.
-    #[test]
-    fn saturated_sort_keys_stay_consistent() {
-        use Cardinality as C;
-        let max = u32::MAX as usize;
-        let mut pool: Vec<ConnectionInfo> = Vec::new();
-        for &len in &[0usize, 1, max - 1, max, max + 1, max * 2 + 7, usize::MAX / 2] {
-            pool.push(info(len, len.div_ceil(2).max(1), &[C::ONE_TO_MANY], 0.0, Some(true)));
-            pool.push(info(len, len.max(1), &[C::MANY_TO_MANY], 1.5, Some(false)));
-        }
-        // N:M count at the boundary too.
-        let mut nm_heavy = info(max + 3, max + 3, &[C::MANY_TO_MANY], 0.0, None);
-        nm_heavy.nm_count = max + 2;
-        pool.push(nm_heavy);
+        let texts = [f64::NEG_INFINITY, -1.0, -0.0, 0.0, 0.25, 3.5, f64::INFINITY, f64::NAN];
         for strat in [
             RankStrategy::RdbLength,
             RankStrategy::ErLength,
             RankStrategy::CloseFirst,
             RankStrategy::InstanceCloseFirst,
-            RankStrategy::Combined { structure_weight: 1.0 },
         ] {
-            // Pairwise: keys either agree with compare or tie (and a tie
-            // defers to compare in every consumer).
-            for a in &pool {
-                for b in &pool {
-                    let (ka, kb) = (strat.sort_key(a), strat.sort_key(b));
-                    if ka != kb {
-                        assert_eq!(
-                            ka.cmp(&kb),
-                            strat.compare(a, b),
-                            "{} keys contradict compare on {a:?} vs {b:?}",
-                            strat.name()
-                        );
-                    }
+            for &x in &texts {
+                for &y in &texts {
+                    let a = info(1, 1, &[C::ONE_TO_MANY], x, None);
+                    let b = info(1, 1, &[C::ONE_TO_MANY], y, None);
+                    assert_eq!(
+                        strat.compare(&a, &b),
+                        y.total_cmp(&x),
+                        "{} {x} vs {y}",
+                        strat.name()
+                    );
                 }
             }
-            // End to end: the key-then-comparator chain (the engine's
-            // `sort_keyed` shape) equals the comparator-only sort.
-            let tiebreak =
-                |x: &ConnectionInfo, y: &ConnectionInfo| x.rdb_length.cmp(&y.rdb_length);
-            let mut by_chain = pool.clone();
-            by_chain.sort_by(|a, b| {
-                strat
-                    .sort_key(a)
-                    .cmp(&strat.sort_key(b))
-                    .then_with(|| strat.compare(a, b))
-                    .then_with(|| tiebreak(a, b))
-            });
-            let mut by_compare = pool.clone();
-            by_compare.sort_by(|a, b| strat.compare(a, b).then_with(|| tiebreak(a, b)));
-            let lens =
-                |v: &[ConnectionInfo]| v.iter().map(|i| i.rdb_length).collect::<Vec<_>>();
-            assert_eq!(lens(&by_chain), lens(&by_compare), "{}", strat.name());
+        }
+    }
+
+    /// Counts at and beyond `u32::MAX` clamp to it: below the clamp
+    /// each count orders exactly, at and above it the field ties and
+    /// the next criterion decides, and no count spills into a
+    /// higher-priority field. `Combined` scores counts as floats.
+    #[test]
+    fn saturated_sort_keys_stay_consistent() {
+        use Cardinality as C;
+        let max = u32::MAX as usize;
+        let counts = [0, 1, max - 1, max, max + 1, max * 2 + 7, usize::MAX / 2];
+        let with = |rdb: usize, er: usize, nm: usize, text: f64| ConnectionInfo {
+            rdb_length: rdb,
+            er_length: er,
+            nm_count: nm,
+            ..info(1, 1, &[C::ONE_TO_MANY], text, None)
+        };
+        let lexicographic = [
+            RankStrategy::RdbLength,
+            RankStrategy::ErLength,
+            RankStrategy::CloseFirst,
+            RankStrategy::InstanceCloseFirst,
+        ];
+        let combined = RankStrategy::Combined { structure_weight: 1.0 };
+        for &x in &counts {
+            for &y in &counts {
+                let clamped = x.min(max).cmp(&y.min(max));
+                for strat in lexicographic {
+                    let name = strat.name();
+                    let rdb = strat.compare(&with(x, 0, 0, 0.0), &with(y, 0, 0, 0.0));
+                    assert_eq!(rdb, clamped, "{name} rdb {x} vs {y}");
+                    if x >= max && y >= max {
+                        // Every count ties clamped, so the text decides.
+                        let text = strat.compare(&with(x, x, x, 5.0), &with(y, y, y, 1.0));
+                        assert_eq!(text, Ordering::Less, "{name} text at {x} vs {y}");
+                    }
+                }
+                for strat in &lexicographic[1..] {
+                    let name = strat.name();
+                    let er = strat.compare(&with(0, x, 0, 0.0), &with(0, y, 0, 0.0));
+                    assert_eq!(er, clamped, "{name} er {x} vs {y}");
+                    let spill = strat.compare(&with(x, 1, 0, 0.0), &with(y, 2, 0, 0.0));
+                    assert_eq!(spill, Ordering::Less, "{name} rdb {x} vs {y} under er");
+                    if x >= max && y >= max {
+                        // The ER lengths tie clamped, so the RDB length decides.
+                        let rdb = strat.compare(&with(1, x, 0, 0.0), &with(0, y, 0, 0.0));
+                        assert_eq!(rdb, Ordering::Greater, "{name} rdb under er {x} vs {y}");
+                    }
+                }
+                for strat in &lexicographic[2..] {
+                    let name = strat.name();
+                    let nm = strat.compare(&with(0, 0, x, 0.0), &with(0, 0, y, 0.0));
+                    assert_eq!(nm, clamped, "{name} nm {x} vs {y}");
+                    let spill = strat.compare(&with(x, x, 1, 0.0), &with(y, y, 2, 0.0));
+                    assert_eq!(spill, Ordering::Less, "{name} lengths {x} vs {y} under nm");
+                }
+                assert_eq!(
+                    combined.compare(&with(0, x, 0, 0.0), &with(0, y, 0, 0.0)),
+                    (x as f64).total_cmp(&(y as f64)),
+                    "combined er {x} vs {y}"
+                );
+            }
         }
     }
 

@@ -18,7 +18,7 @@ use crate::aliases::Aliases;
 use crate::banks::{
     banks_search_budgeted, BanksOptions, BanksScratch, EdgeWeighting, SteinerTree,
 };
-use crate::budget::{BudgetProbe, BudgetShared, SearchBudget};
+use crate::budget::{Budget, SearchBudget};
 use crate::connection::{ConceptualStep, Connection, MarkerLookup, NodeLabels};
 use crate::datagraph::DataGraph;
 use crate::discover::{enumerate_mtjnts_budgeted, is_mtjnt};
@@ -65,20 +65,25 @@ pub struct SearchOptions {
     /// Connection-generation algorithm.
     pub algorithm: Algorithm,
     /// Maximum connection length in foreign-key edges (for Discover:
-    /// maximum network size is `max_rdb_length + 1` tuples).
+    /// maximum network size is `max_rdb_length + 1` tuples). A bound
+    /// past the longest simple path the graph holds (its live nodes
+    /// less one) finds nothing more, so the search clamps it to that;
+    /// the stats report the clamped bound.
     pub max_rdb_length: usize,
     /// Ranking strategy.
     pub ranker: RankStrategy,
     /// Result budget: `None` returns everything, `Some(k)` at most `k`
     /// results **in total** — ranked connections first, any remaining
     /// budget going to branching answer trees. Every algorithm's
-    /// connections go through one key-first merge: each connection
-    /// first gets only its cheap ranking key (text score, conceptual
-    /// steps, ER chain) and is dropped at once when `k` connections
-    /// already beat it. A two-keyword answer (`Paths`, and `Discover`
-    /// with at most two keywords) offers each connection as the DFS
-    /// emits it; `Banks` and `Discover` with three or more keywords
-    /// offer theirs once enumeration ends. The witness search then runs
+    /// connections go through one key-first merge, which orders them by
+    /// the ranker's sort key ([`RankStrategy::sort_key`]) and breaks key
+    /// ties by rendering: each connection first gets only its cheap
+    /// ranking info (text score, conceptual steps, ER chain) and key,
+    /// and is dropped at once when `k` connections already beat it. A
+    /// two-keyword answer (`Paths`, and `Discover` with at most two
+    /// keywords) offers each connection as the DFS emits it; `Banks`
+    /// and `Discover` with three or more keywords offer theirs once
+    /// enumeration ends. The witness search then runs
     /// only for connections that can still enter the top `k` and,
     /// except under [`RankStrategy::InstanceCloseFirst`], only for those
     /// that do.
@@ -122,7 +127,10 @@ pub struct SearchOptions {
     /// answer, frontier settles for `Banks`, and for `Discover` with
     /// three or more keywords only the networks that can still become
     /// MTJNTs (see [`SearchStats::expansions`]), and once before the
-    /// first, so a budget spent already runs no expansion.
+    /// first, so a budget spent already runs no expansion. Each search
+    /// counts every expansion against one budget, so a cap is exact;
+    /// between clock polls a probe is one integer comparison, which is
+    /// all the unlimited budget costs.
     pub budget: SearchBudget,
 }
 
@@ -202,9 +210,9 @@ impl MarkerLookup for QueryMarkers<'_> {
 }
 
 /// A fresh candidate of a key-first level merge ([`LevelMerge`]): the
-/// connection with its cheap ranking info and that info's packed sort
-/// key. `instance_close` is exact once `witnessed` is set; until then it
-/// is the pessimistic `Some(false)`.
+/// connection with its cheap ranking info and that info's sort key
+/// ([`RankStrategy::sort_key`]). `instance_close` is exact once
+/// `witnessed` is set; until then it is the pessimistic `Some(false)`.
 struct Keyed {
     key: (u128, u64),
     connection: Connection,
@@ -213,11 +221,14 @@ struct Keyed {
 }
 
 /// One level of a key-first merge into the held top k (a sorted vector,
-/// since k is small; `k = None` holds everything): the held results,
-/// a running k-th of them and of the candidates kept so far (none
-/// without a k), and those candidates. Each connection is offered to
-/// step 1 below as it comes ([`EngineSnapshot::offer`]), and steps 2–5
-/// run on the candidates it kept ([`EngineSnapshot::finish_level`]).
+/// since k is small; `k = None` holds everything): a running k-th of
+/// the held results and of the candidates kept so far (none without a
+/// k), and those candidates. The order is the ranker's sort key
+/// ([`RankStrategy::sort_key`]), then the rendering tie-break
+/// ([`final_tiebreak`]); nothing else is compared. Each connection is
+/// offered to step 1 below as it comes ([`EngineSnapshot::offer`]),
+/// and steps 2–5 run on the candidates it kept
+/// ([`EngineSnapshot::finish_level`]).
 /// Items that fall off the held top k can never re-enter it (later
 /// levels only add candidates, never improve dropped ones), so a
 /// levelled merge equals the whole answer's ranked prefix. A level
@@ -245,13 +256,12 @@ struct Keyed {
 ///    results beat it, so dropping it leaves `T` unchanged. Only the
 ///    kept candidates are held. The drop needs a total order only, not
 ///    a length bound, so it runs under every ranker.
-/// 2. `T` is the k-th best of the held results and the kept connections
-///    by packed key, then the full comparison. A kept connection
-///    strictly worse than `T` even with `instance_close` set
-///    optimistically is dropped. This is exact: a connection's exact
-///    position lies between its optimistic and pessimistic ones, so at
-///    least k connections strictly beat a dropped one, whatever their
-///    witnesses say. (When the held results and the level number at
+/// 2. `T` is the k-th best key of the held results and the kept
+///    connections. A kept connection strictly worse than `T` even with
+///    `instance_close` set optimistically is dropped. This is exact: a
+///    connection's exact position lies between its optimistic and
+///    pessimistic ones, so at least k connections strictly beat a
+///    dropped one, whatever their witnesses say. (When the held results and the level number at
 ///    most k together, steps 1, 2 and 4 drop nothing by key.)
 /// 3. Under [`RankStrategy::InstanceCloseFirst`], whose order reads
 ///    `instance_close`, the loose connections left get their witness.
@@ -260,22 +270,28 @@ struct Keyed {
 ///    the exact k-th are dropped. The rest tie with or beat it, and are
 ///    rendered: the rendering is the final tie-break, and a tie group
 ///    at the k-th can be large.
-/// 5. The rendered connections merge with the held results in the full
-///    order, the top k is kept, and only its new entrants get their
+/// 5. The rendered connections merge with the held results by key, then
+///    rendering, the top k is kept, and only its new entrants get their
 ///    witness (when not yet done) and explanation.
 ///
 /// The held results end exactly as if every fresh connection had been
 /// ranked in full, merged and cut to k.
-struct LevelMerge<'h> {
-    held: &'h [RankedConnection],
+struct LevelMerge {
     running: Option<RunningKth>,
     kept: Vec<Keyed>,
 }
 
-impl<'h> LevelMerge<'h> {
-    fn new(held: &'h [RankedConnection], k: Option<usize>, strategy: RankStrategy) -> Self {
-        let running = k.map(|k| RunningKth::new(held, k, strategy));
-        LevelMerge { held, running, kept: Vec::new() }
+impl LevelMerge {
+    /// A level's merge into the held results `held`.
+    fn new(held: &[RankedConnection], k: Option<usize>, strategy: RankStrategy) -> Self {
+        let running = k.map(|k| {
+            let mut running = RunningKth { k, pool: Vec::new(), kth: None };
+            for r in held {
+                running.offer(strategy.sort_key(&r.info));
+            }
+            running
+        });
+        LevelMerge { running, kept: Vec::new() }
     }
 }
 
@@ -419,126 +435,78 @@ fn certified_prefix(ranked: &mut Vec<RankedConnection>, ranker: RankStrategy, fl
 }
 
 /// The ranking order over results paired with their sort keys and a
-/// payload the sort carries along: packed key
-/// ([`RankStrategy::sort_key`]) first, then the full comparison, then
-/// [`final_tiebreak`].
-fn sort_keyed<T>(
-    keyed: &mut [((u128, u64), RankedConnection, T)],
-    strategy: RankStrategy,
-    dg: &DataGraph,
-) {
-    keyed.sort_by(|a, b| {
-        a.0.cmp(&b.0)
-            .then_with(|| strategy.compare(&a.1.info, &b.1.info))
-            .then_with(|| final_tiebreak(&a.1, &b.1, dg))
-    });
+/// payload the sort carries along: sort key
+/// ([`RankStrategy::sort_key`]), then [`final_tiebreak`].
+fn sort_keyed<T>(keyed: &mut [((u128, u64), RankedConnection, T)], dg: &DataGraph) {
+    keyed.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| final_tiebreak(&a.1, &b.1, dg)));
 }
 
-/// The ranking order without the rendering tie-break: packed key first,
-/// the full comparison on key ties.
-fn key_order(
-    strategy: RankStrategy,
-    a: ((u128, u64), &ConnectionInfo),
-    b: ((u128, u64), &ConnectionInfo),
-) -> Ordering {
-    a.0.cmp(&b.0).then_with(|| strategy.compare(a.1, b.1))
-}
-
-/// The k-th best (key, info) of the held results and the fresh
-/// candidates together, in [`key_order`]; `None` when there is no k or
-/// they number at most k, so that every one of them enters.
+/// The k-th best sort key of the held results and the fresh candidates
+/// together; `None` when there is no k or they number at most k, so
+/// that every one of them enters.
 fn kth_best(
     held: &[RankedConnection],
     fresh: &[Keyed],
     k: Option<usize>,
     strategy: RankStrategy,
-) -> Option<((u128, u64), ConnectionInfo)> {
+) -> Option<(u128, u64)> {
     let k = k?;
     if held.len() + fresh.len() <= k {
         return None;
     }
-    let mut all: Vec<((u128, u64), &ConnectionInfo)> = held
+    let mut keys: Vec<(u128, u64)> = held
         .iter()
-        .map(|r| (strategy.sort_key(&r.info), &r.info))
-        .chain(fresh.iter().map(|c| (c.key, &c.info)))
+        .map(|r| strategy.sort_key(&r.info))
+        .chain(fresh.iter().map(|c| c.key))
         .collect();
-    let (_, &mut (key, info), _) =
-        all.select_nth_unstable_by(k - 1, |a, b| key_order(strategy, *a, *b));
-    Some((key, info.clone()))
+    Some(*keys.select_nth_unstable(k - 1).1)
 }
 
-/// A running k-th best, in [`key_order`], of the held results and of
-/// a level's candidates as they are kept. Offers collect in a pool;
-/// once it holds k (the first time) or 2k entries, a selection keeps
-/// the k best and the worst of them becomes the k-th — amortized O(1)
-/// per offer, whatever k is. It is the k-th of a subset of the offers,
-/// so it only improves as offers come in and is never better than the
-/// exact k-th of them all: whatever is strictly worse than it, at least
-/// k offers beat. Entries name their info by position: `i` below
-/// `held.len()` is `held[i]`, the rest index the kept candidates.
+/// The sort key `info` would have with its witness found: with
+/// `instance_close` set optimistically (`Some(true)`) unless the
+/// connection is already `witnessed`.
+fn optimistic_key(
+    strategy: RankStrategy,
+    info: &mut ConnectionInfo,
+    witnessed: bool,
+) -> (u128, u64) {
+    if witnessed {
+        return strategy.sort_key(info);
+    }
+    let pessimistic = info.instance_close.replace(true);
+    let key = strategy.sort_key(info);
+    info.instance_close = pessimistic;
+    key
+}
+
+/// A running k-th best sort key of the held results and of a level's
+/// candidates as they are kept. Keys collect in a pool; once it holds k
+/// (the first time) or 2k keys, a selection keeps the k best and the
+/// worst of them becomes the k-th — amortized O(1) per offer, whatever
+/// k is. It is the k-th of a subset of the offers, so it only improves
+/// as offers come in and is never better than the exact k-th of them
+/// all: whatever is strictly worse than it, at least k offers beat.
 struct RunningKth {
     k: usize,
-    pool: Vec<((u128, u64), usize)>,
-    kth: Option<((u128, u64), usize)>,
+    pool: Vec<(u128, u64)>,
+    kth: Option<(u128, u64)>,
 }
 
 impl RunningKth {
-    /// A running k-th seeded with the held results.
-    fn new(held: &[RankedConnection], k: usize, strategy: RankStrategy) -> Self {
-        let mut running = RunningKth { k, pool: Vec::new(), kth: None };
-        for (i, r) in held.iter().enumerate() {
-            running.offer(strategy.sort_key(&r.info), i, strategy, held, &[]);
-        }
-        running
-    }
-
-    /// Offer entry `i` with packed key `key`.
-    fn offer(
-        &mut self,
-        key: (u128, u64),
-        i: usize,
-        strategy: RankStrategy,
-        held: &[RankedConnection],
-        kept: &[Keyed],
-    ) {
-        self.pool.push((key, i));
+    /// Offer one key.
+    fn offer(&mut self, key: (u128, u64)) {
+        self.pool.push(key);
         let limit = if self.kth.is_some() { self.k.saturating_mul(2) } else { self.k };
         if self.pool.len() >= limit {
             let k = self.k;
-            let info = |i: usize| info_at(held, kept, i);
-            self.pool.select_nth_unstable_by(k - 1, |a, b| {
-                key_order(strategy, (a.0, info(a.1)), (b.0, info(b.1)))
-            });
+            self.kth = Some(*self.pool.select_nth_unstable(k - 1).1);
             self.pool.truncate(k);
-            self.kth = Some(self.pool[k - 1]);
         }
     }
 
-    /// Whether the running k-th is strictly better than `(key, info)`.
-    fn beats(
-        &self,
-        key: (u128, u64),
-        info: &ConnectionInfo,
-        strategy: RankStrategy,
-        held: &[RankedConnection],
-        kept: &[Keyed],
-    ) -> bool {
-        self.kth.is_some_and(|(kth, i)| {
-            key_order(strategy, (key, info), (kth, info_at(held, kept, i)))
-                == Ordering::Greater
-        })
-    }
-}
-
-/// The info of [`RunningKth`] entry `i`.
-fn info_at<'a>(
-    held: &'a [RankedConnection],
-    kept: &'a [Keyed],
-    i: usize,
-) -> &'a ConnectionInfo {
-    match i.checked_sub(held.len()) {
-        None => &held[i].info,
-        Some(j) => &kept[j].info,
+    /// Whether the running k-th is strictly better than `key`.
+    fn beats(&self, key: (u128, u64)) -> bool {
+        self.kth.is_some_and(|kth| kth < key)
     }
 }
 
@@ -1048,13 +1016,16 @@ impl EngineSnapshot {
         scratch: &mut SearchScratch,
     ) -> Result<SearchResults, CoreError> {
         let scratch = &mut *scratch;
-        // One budget state per search, probed through one probe.
-        // Also materialized when failpoints are on, so an engine-forced
-        // trip (the `banks.settle` point) has somewhere to latch; the
-        // unlimited-and-unarmed case keeps probes at one branch each.
-        let budget_shared = (options.budget.is_limited() || self.failpoints())
-            .then(|| BudgetShared::new(&options.budget));
-        let budget = budget_shared.as_ref();
+        // No simple path is longer than the live nodes less one, so a
+        // larger bound enumerates nothing more; clamped, it keeps
+        // DISCOVER's `max_rdb_length + 1` and the Paths levels finite.
+        let options = &SearchOptions {
+            max_rdb_length: options
+                .max_rdb_length
+                .min(self.dg.alive_node_count().saturating_sub(1)),
+            ..*options
+        };
+        let mut budget = Budget::new(&options.budget);
         scratch.rank.reset(self.dg.node_count());
         self.text_scores_by_node_into(
             &query,
@@ -1109,7 +1080,7 @@ impl EngineSnapshot {
                     connections,
                     &mut scratch.enumerate,
                     &mut scratch.rank,
-                    budget,
+                    &mut budget,
                 );
                 return Ok(SearchResults {
                     query,
@@ -1129,25 +1100,18 @@ impl EngineSnapshot {
             // this probe precedes the first, so a budget spent already (a
             // cap of 0, an expired deadline) runs none. The singles are
             // merged and trimmed below.
-            Algorithm::Banks | Algorithm::Discover if BudgetProbe::new(budget).check(0) => {}
+            Algorithm::Banks | Algorithm::Discover if budget.check(0) => {}
             Algorithm::Banks => {
-                let banks_opts = BanksOptions {
-                    k: options.k,
-                    weighting: options.weighting,
-                    max_weight: f64::INFINITY,
-                };
+                let banks_opts = BanksOptions { k: options.k, weighting: options.weighting };
                 let fp = self.failpoints();
-                let mut probe = BudgetProbe::new(budget);
                 let mut interrupt = |n: u64| {
                     if fp && failpoints::triggered("banks.settle") {
                         // Deterministic truncation for the fault suite:
                         // force a budget trip at a settle site.
-                        if let Some(b) = budget {
-                            b.trip(TruncationReason::ExpansionCap);
-                        }
+                        budget.trip(TruncationReason::ExpansionCap);
                         return true;
                     }
-                    probe.check(n)
+                    budget.check(n)
                 };
                 let (found, work, weight_floor) = banks_search_budgeted(
                     &self.dg,
@@ -1174,13 +1138,12 @@ impl EngineSnapshot {
             }
             Algorithm::Discover => {
                 let kw_sets = keyword_hash_sets(match_sets);
-                let mut probe = BudgetProbe::new(budget);
                 let (networks, completed_size) = enumerate_mtjnts_budgeted(
                     &self.dg,
                     &kw_sets,
                     options.max_rdb_length + 1,
                     &mut stats.expansions,
-                    &mut |n| probe.check(n),
+                    &mut |n| budget.check(n),
                 );
                 if let Some(completed) = completed_size {
                     // Every level up to `completed` tuples was fully
@@ -1211,8 +1174,7 @@ impl EngineSnapshot {
         // one tree per node set and DISCOVER distinct networks.
         let kw_sets = options.mtjnt_only.then(|| keyword_hash_sets(match_sets));
         let (k, ranker) = (options.k, options.ranker);
-        let mut ranked: Vec<RankedConnection> = Vec::new();
-        let mut merge = LevelMerge::new(&ranked, k, ranker);
+        let mut merge = LevelMerge::new(&[], k, ranker);
         for connection in connections {
             self.offer(
                 &mut merge,
@@ -1223,9 +1185,9 @@ impl EngineSnapshot {
                 &mut scratch.rank,
             );
         }
-        let kept = merge.kept;
-        self.finish_level(&mut ranked, kept, &ctx, ranker, k, &mut scratch.rank);
-        if let Some(reason) = budget.and_then(|b| b.reason()) {
+        let mut ranked = Vec::new();
+        self.finish_level(&mut ranked, merge.kept, &ctx, ranker, k, &mut scratch.rank);
+        if let Some(reason) = budget.reason() {
             certified_prefix(&mut ranked, ranker, trim_floor);
             stats.completeness = Completeness::Truncated { reason };
         }
@@ -1242,7 +1204,7 @@ impl EngineSnapshot {
     /// only while it can still enter the top k.
     fn offer(
         &self,
-        merge: &mut LevelMerge<'_>,
+        merge: &mut LevelMerge,
         mut connection: Connection,
         mtjnt_sets: Option<&[HashSet<NodeId>]>,
         ctx: &RankContext<'_>,
@@ -1267,24 +1229,16 @@ impl EngineSnapshot {
         let close = info.closeness == Closeness::Close;
         info.instance_close = ctx.compute_instance.then_some(close);
         let witnessed = close || !ctx.compute_instance;
-        let key = ranker.sort_key(&info);
         if let Some(running) = &merge.running {
-            let pessimistic = info.instance_close;
-            if !witnessed {
-                info.instance_close = Some(true);
-            }
-            let optimistic = ranker.sort_key(&info);
-            let dropped = running.beats(optimistic, &info, ranker, merge.held, &merge.kept);
-            info.instance_close = pessimistic;
-            if dropped {
+            if running.beats(optimistic_key(ranker, &mut info, witnessed)) {
                 return;
             }
         }
-        merge.kept.push(Keyed { key, connection, info, witnessed });
+        let key = ranker.sort_key(&info);
         if let Some(running) = &mut merge.running {
-            let at = merge.held.len() + merge.kept.len() - 1;
-            running.offer(key, at, ranker, merge.held, &merge.kept);
+            running.offer(key);
         }
+        merge.kept.push(Keyed { key, connection, info, witnessed });
     }
 
     /// Steps 2–5 of a [`LevelMerge`]: merge the candidates step 1 kept
@@ -1299,18 +1253,8 @@ impl EngineSnapshot {
         scratch: &mut RankScratch,
     ) {
         // Step 2.
-        if let Some((t_key, t_info)) = kth_best(acc, &cands, k, ranker) {
-            cands.retain_mut(|c| {
-                let pessimistic = c.info.instance_close;
-                if !c.witnessed {
-                    c.info.instance_close = Some(true);
-                }
-                let optimistic = (ranker.sort_key(&c.info), &c.info);
-                let keep =
-                    key_order(ranker, optimistic, (t_key, &t_info)) != Ordering::Greater;
-                c.info.instance_close = pessimistic;
-                keep
-            });
+        if let Some(t) = kth_best(acc, &cands, k, ranker) {
+            cands.retain_mut(|c| optimistic_key(ranker, &mut c.info, c.witnessed) <= t);
         }
         if ranker == RankStrategy::InstanceCloseFirst {
             for c in cands.iter_mut().filter(|c| !c.witnessed) {
@@ -1319,10 +1263,8 @@ impl EngineSnapshot {
                 c.witnessed = true;
             }
         }
-        if let Some((kth_key, kth_info)) = kth_best(acc, &cands, k, ranker) {
-            cands.retain(|c| {
-                key_order(ranker, (c.key, &c.info), (kth_key, &kth_info)) != Ordering::Greater
-            });
+        if let Some(kth) = kth_best(acc, &cands, k, ranker) {
+            cands.retain(|c| c.key <= kth);
         }
 
         let mut merged: Vec<((u128, u64), RankedConnection, Option<bool>)> =
@@ -1342,7 +1284,7 @@ impl EngineSnapshot {
             };
             merged.push((c.key, ranked, Some(c.witnessed)));
         }
-        sort_keyed(&mut merged, ranker, &self.dg);
+        sort_keyed(&mut merged, &self.dg);
         if let Some(k) = k {
             merged.truncate(k);
         }
@@ -1395,7 +1337,7 @@ impl EngineSnapshot {
         singles: Vec<Connection>,
         enumerate: &mut EnumScratch,
         rank_scratch: &mut RankScratch,
-        budget: Option<&BudgetShared>,
+        budget: &mut Budget,
     ) -> (Vec<RankedConnection>, SearchStats) {
         let (k, ranker) = (options.k, options.ranker);
         let kw_sets = mtjnt_only.then(|| keyword_hash_sets(match_sets));
@@ -1408,8 +1350,7 @@ impl EngineSnapshot {
         for connection in singles {
             self.offer(&mut merge, connection, mtjnt_sets, ctx, ranker, rank_scratch);
         }
-        let kept = merge.kept;
-        self.finish_level(&mut acc, kept, ctx, ranker, k, rank_scratch);
+        self.finish_level(&mut acc, merge.kept, ctx, ranker, k, rank_scratch);
         let [set_a, set_b] = match_sets else {
             return (acc, stats); // one keyword: the singles are the answer
         };
@@ -1421,7 +1362,6 @@ impl EngineSnapshot {
             // A whole answer reports its length budget, cut or not.
             stats.max_length_enumerated = max;
         }
-        let mut probe = BudgetProbe::new(budget);
         for level in first..=max {
             // Any connection still to come has RDB length >= level; if
             // the k-th best already beats the best conceivable such
@@ -1450,7 +1390,7 @@ impl EngineSnapshot {
             // The DFS probes after each descent it counts; this probe
             // precedes the level's first, so a budget spent before any
             // (a cap of 0, an expired deadline) runs none.
-            if !probe.check(stats.expansions) {
+            if !budget.check(stats.expansions) {
                 for &a in set_a {
                     let flow = for_each_path_to_targets_budgeted(
                         self.dg.csr(),
@@ -1460,7 +1400,7 @@ impl EngineSnapshot {
                         level,
                         &mut stats.expansions,
                         traversal,
-                        &mut |n| probe.check(n),
+                        &mut |n| budget.check(n),
                         |nodes, edges| {
                             if edges.len() >= shortest
                                 && self
@@ -1489,9 +1429,8 @@ impl EngineSnapshot {
                     }
                 }
             }
-            let kept = merge.kept;
-            self.finish_level(&mut acc, kept, ctx, ranker, k, rank_scratch);
-            if let Some(reason) = budget.and_then(|b| b.reason()) {
+            self.finish_level(&mut acc, merge.kept, ctx, ranker, k, rank_scratch);
+            if let Some(reason) = budget.reason() {
                 // Every connection the cut could have missed has at
                 // least `shortest` edges (the shorter ones were merged
                 // in full), so the held prefix that dominates that

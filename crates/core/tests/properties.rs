@@ -10,13 +10,14 @@ use cla_core::{
     BanksScratch, Completeness, Connection, ConnectionInfo, DataGraph, EdgeWeighting,
     InstanceCloseness, JoiningNetworkLevels, RankStrategy, RankedConnection, SearchBudget,
     SearchEngine, SearchOptions, SearchResults, SearchStats, SteinerTree, WitnessCache,
-    WitnessStrategy,
 };
 use cla_datagen::{company, generate_synthetic, SyntheticConfig};
-use cla_er::{map_to_relational, Cardinality, Closeness, ErSchemaBuilder};
+use cla_er::{map_to_relational, Cardinality, CardinalityChain, Closeness, ErSchemaBuilder};
 use cla_graph::{enumerate_simple_paths_undirected, EdgeId, NodeId};
 use cla_relational::{DataType, Database};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashSet};
 use support::banks::banks_naive;
 use support::discover::{enumerate_joining_networks, joining_network_levels, ReferenceLevel};
@@ -795,7 +796,7 @@ proptest! {
         for kws in [&["xml", "smith"][..], &["xml", "smith", "alice"][..]] {
             let sets = keyword_node_sets(&index, &dg, kws);
             for weighting in [EdgeWeighting::Uniform, EdgeWeighting::ErAware] {
-                let all = BanksOptions { k: None, weighting, ..Default::default() };
+                let all = BanksOptions { k: None, weighting };
                 let (want, _) = banks_naive(&dg, &sets, &all);
                 for opts in [all, BanksOptions { k: Some(k), ..all }] {
                     let (got, _, _) =
@@ -931,9 +932,9 @@ proptest! {
         }
     }
 
-    /// Witness strategies are a pure cost knob: iterative deepening,
-    /// bounded-BFS and the auto pick produce identical verdicts on
-    /// random connections, oracle included.
+    /// The distance-pruned witness search returns the exhaustive scan's
+    /// verdicts on random connections, through a fresh cache each and
+    /// through one cache shared by every connection of the database.
     #[test]
     fn witness_strategies_agree(seed in 0u64..80) {
         let s = generate_synthetic(&small_config(seed));
@@ -944,6 +945,7 @@ proptest! {
         // Direct witness-search agreement on sampled connections.
         let nodes: Vec<NodeId> = dg.graph().nodes().collect();
         prop_assume!(nodes.len() >= 2);
+        let mut shared = WitnessCache::new();
         for (i, &a) in nodes.iter().enumerate().step_by(9) {
             let b = nodes[(i * 17 + 3) % nodes.len()];
             if a == b {
@@ -952,27 +954,17 @@ proptest! {
             for p in enumerate_simple_paths_undirected(dg.csr(), a, b, 4, Some(6)) {
                 let cn = Connection::from_path(&p, dg, &s.er_schema);
                 let naive = instance_closeness_naive(&cn, dg, &s.er_schema, &s.mapping, 4);
-                for strategy in [
-                    WitnessStrategy::IterativeDeepening,
-                    WitnessStrategy::BoundedBfs,
-                    WitnessStrategy::Auto,
-                ] {
-                    let got = instance_closeness_with_cache(
-                        &cn,
-                        dg,
-                        &s.er_schema,
-                        &s.mapping,
-                        4,
-                        &mut WitnessCache::with_strategy(strategy),
-                    );
-                    prop_assert_eq!(
-                        got.is_close(),
-                        naive.is_close(),
-                        "{:?} on {:?}",
-                        strategy,
-                        cn.nodes()
-                    );
-                }
+                let fresh = instance_closeness(&cn, dg, &s.er_schema, &s.mapping, 4);
+                let cached = instance_closeness_with_cache(
+                    &cn,
+                    dg,
+                    &s.er_schema,
+                    &s.mapping,
+                    4,
+                    &mut shared,
+                );
+                prop_assert_eq!(fresh.is_close(), naive.is_close(), "{:?}", cn.nodes());
+                prop_assert_eq!(&cached, &fresh, "{:?}", cn.nodes());
             }
         }
     }
@@ -998,6 +990,84 @@ proptest! {
             all.connections.iter().map(|r| r.rendering.clone()).collect();
         for r in &filtered.connections {
             prop_assert!(all_renderings.contains(&r.rendering));
+        }
+    }
+}
+
+/// A count for the ranking-order property: small half the time, so
+/// that ties reach the lower criteria, else just below or anywhere up
+/// to `u32::MAX − 1`.
+fn random_count(rng: &mut StdRng) -> usize {
+    const MAX: usize = u32::MAX as usize - 1;
+    match rng.random_range(0..4u32) {
+        0 => MAX - rng.random_range(0..3usize),
+        1 => rng.random_range(0..MAX + 1),
+        _ => rng.random_range(0..4usize),
+    }
+}
+
+/// A text score for the ranking-order property: an edge case of
+/// `f64::total_cmp` (±0.0, ±∞, NaN of either sign, subnormals), a
+/// plain value, or raw bits.
+fn random_text_score(rng: &mut StdRng) -> f64 {
+    let edges = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(1),
+        -f64::MIN_POSITIVE / 2.0,
+        f64::MAX,
+        1.5,
+        -2.25,
+    ];
+    match rng.random_range(0..3u32) {
+        0 => f64::from_bits(rng.random::<u64>()),
+        _ => edges[rng.random_range(0..edges.len())],
+    }
+}
+
+/// A random ranking info: every field a ranker reads drawn on its own.
+fn random_info(rng: &mut StdRng) -> ConnectionInfo {
+    let er_chain = CardinalityChain::empty();
+    ConnectionInfo {
+        rdb_length: random_count(rng),
+        er_length: random_count(rng),
+        class: er_chain.classify(),
+        closeness: if rng.random::<bool>() { Closeness::Close } else { Closeness::Loose },
+        nm_count: random_count(rng),
+        er_chain,
+        text_score: random_text_score(rng),
+        instance_close: [None, Some(true), Some(false)][rng.random_range(0..3usize)],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The engine's one ranking order (`RankStrategy::compare`, a
+    /// comparison of sort keys) equals the paper's field-by-field
+    /// orders ([`support::paper_order`]) on every pair of random infos,
+    /// under all five rankers.
+    #[test]
+    fn compare_matches_the_paper_order(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let infos: Vec<ConnectionInfo> = (0..24).map(|_| random_info(&mut rng)).collect();
+        for ranker in ALL_RANKERS {
+            for a in &infos {
+                for b in &infos {
+                    prop_assert_eq!(
+                        ranker.compare(a, b),
+                        support::paper_order(ranker, a, b),
+                        "{} on {:?} vs {:?}",
+                        ranker.name(),
+                        a,
+                        b
+                    );
+                }
+            }
         }
     }
 }
@@ -1434,9 +1504,8 @@ fn streamed_paths_keep_the_batch_representatives() {
 }
 
 /// The short-circuit witness search agrees with the exhaustive scan on
-/// every paper connection and budget — under every witness strategy,
-/// and the bounded-BFS witness is *identical* to the iterative-deepening
-/// one.
+/// every paper connection and budget, and any witness it returns has
+/// the scan's minimal length.
 #[test]
 fn pruned_verdicts_match_naive() {
     let c = company();
@@ -1480,25 +1549,6 @@ fn pruned_verdicts_match_naive() {
                 assert_eq!(a.rdb_length(), b.rdb_length(), "{aliases:?}");
                 assert_eq!((a.start(), a.end()), (b.start(), b.end()));
             }
-            // The bounded-BFS leg returns the *identical* verdict,
-            // witness connection included.
-            let bounded = instance_closeness_with_cache(
-                &cn,
-                &dg,
-                &c.er_schema,
-                &c.mapping,
-                budget,
-                &mut WitnessCache::with_strategy(WitnessStrategy::BoundedBfs),
-            );
-            let deepening = instance_closeness_with_cache(
-                &cn,
-                &dg,
-                &c.er_schema,
-                &c.mapping,
-                budget,
-                &mut WitnessCache::with_strategy(WitnessStrategy::IterativeDeepening),
-            );
-            assert_eq!(bounded, deepening, "{aliases:?} at budget {budget}");
         }
     }
 }

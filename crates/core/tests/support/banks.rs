@@ -14,7 +14,7 @@ use std::collections::{BTreeSet, HashSet};
 /// node set is kept; the trees are sorted by `(weight, root tuple)`.
 ///
 /// Returns the trees (cut to `opts.k`) and how many trees the node-set
-/// dedup dropped. `opts.max_weight` is not applied.
+/// dedup dropped.
 pub fn banks_naive(
     dg: &DataGraph,
     keyword_sets: &[Vec<NodeId>],

@@ -30,7 +30,7 @@
 //!   algorithm's expansion-counting sites (DFS descents for Paths and
 //!   for two-keyword DISCOVER, BANKS frontier settles, network
 //!   materializations for DISCOVER with three or more keywords), one
-//!   probe per search, so the cap is exact. An exhausted
+//!   budget per search, so the cap is exact. An exhausted
 //!   budget never errors: enumeration stops at the next probe and the
 //!   results found so far come back ranked, labeled through
 //!   [`core::SearchStats`]'s `completeness` field
@@ -38,8 +38,12 @@
 //!   [`core::TruncationReason`]). For every length-monotone ranker the
 //!   truncated output is a **certified ranked prefix** of the
 //!   unbudgeted run; under `RankStrategy::Combined` it is best-effort
-//!   found-so-far. The default budget is unlimited and costs one branch
-//!   per probe (≤ 2 % armed-but-unhit, EXPERIMENTS.md B10).
+//!   found-so-far. The default budget is unlimited and costs one
+//!   integer comparison per probe (≤ 2 % armed-but-unhit,
+//!   EXPERIMENTS.md B10). The length bound `max_rdb_length` is clamped
+//!   to the longest simple path the graph holds (its live nodes less
+//!   one), so no bound, `usize::MAX` included, overflows DISCOVER's
+//!   network size or runs Paths levels that can hold no path.
 //! * **Fault-isolated** — every search runs on its calling thread, and
 //!   a panic inside a search propagates to the caller: nothing is
 //!   swallowed. The engine survives it. The search's scratch is dropped
