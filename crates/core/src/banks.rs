@@ -14,16 +14,23 @@
 //!   paper's *conceptual length* (an ablation in the benches).
 //!
 //! Both weightings use weights of one or two half units, so the
-//! expansion counts distances in whole half units and keeps its
-//! frontiers and its completed candidates in bucket queues rather than
-//! binary heaps.
+//! expansion counts distances in whole half units. Each keyword set's
+//! frontier is a ring of three distance buckets, each a bitset over
+//! node ranks (tuple order, [`LazyDijkstra`]), and the expansion drains
+//! one distance level at a time: the global frontier, the completed
+//! candidates below it and the top-k cutoff are settled once per level,
+//! then each set's bucket at that level in set order. Completed
+//! candidates wait in a bucket queue by total. Once k trees are held, a
+//! completed root that one keyword set reaches only beyond the held
+//! k-th weight is skipped without assembling its tree
+//! ([`banks_search_budgeted`]).
 
 use crate::datagraph::{DataGraph, EdgeAnnotation};
 use crate::ranking::f64_sort_bits_asc;
 use cla_er::FkRole;
 use cla_graph::{EdgeId, LazyDijkstra, NodeId};
 use cla_relational::TupleId;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Edge-weight schemes for the expansion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,20 +110,23 @@ impl SteinerTree {
         self.edges.len()
     }
 
-    /// `true` when the tree is a simple path (≤ 2 nodes of degree 1 and
-    /// no branching), which is always the case for two keyword sets.
+    /// The number of tree edges at `n`. A tree has a handful of edges,
+    /// so a scan beats building a degree map.
+    pub(crate) fn degree(&self, n: NodeId) -> usize {
+        self.edges.iter().map(|&(_, a, b)| usize::from(a == n) + usize::from(b == n)).sum()
+    }
+
+    /// `true` when the tree is a simple path (no edge endpoint of degree
+    /// above 2), which is always the case for two keyword sets. Degrees
+    /// are counted by scanning the edges.
     pub fn is_path(&self) -> bool {
-        let mut degree: HashMap<NodeId, usize> = HashMap::new();
-        for &(_, a, b) in &self.edges {
-            *degree.entry(a).or_insert(0) += 1;
-            *degree.entry(b).or_insert(0) += 1;
-        }
-        degree.values().all(|&d| d <= 2)
+        self.edges.iter().all(|&(_, a, b)| self.degree(a) <= 2 && self.degree(b) <= 2)
     }
 
     /// Linearize a path-shaped tree into an ordered node/edge sequence
     /// starting at `start` (must be an endpoint). Returns `None` if the
-    /// tree branches.
+    /// tree branches. Each step takes the first edge, in tree order, at
+    /// the current node whose other end is not the previous node.
     pub fn linearize(&self, start: NodeId) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
         if !self.is_path() {
             return None;
@@ -124,29 +134,30 @@ impl SteinerTree {
         if self.edges.is_empty() {
             return Some((vec![self.root], Vec::new()));
         }
-        let mut adj: HashMap<NodeId, Vec<(EdgeId, NodeId)>> = HashMap::new();
-        for &(e, a, b) in &self.edges {
-            adj.entry(a).or_default().push((e, b));
-            adj.entry(b).or_default().push((e, a));
-        }
-        if adj.get(&start).map_or(0, Vec::len) != 1 {
+        if self.degree(start) != 1 {
             return None;
         }
         let mut nodes = vec![start];
         let mut edges = Vec::new();
         let mut prev: Option<NodeId> = None;
         let mut current = start;
-        loop {
-            let next = adj[&current].iter().find(|(_, m)| Some(*m) != prev).copied();
-            match next {
-                Some((e, m)) => {
-                    edges.push(e);
-                    nodes.push(m);
-                    prev = Some(current);
-                    current = m;
-                }
-                None => break,
-            }
+        let step = |current: NodeId, prev: Option<NodeId>| {
+            self.edges.iter().find_map(|&(e, a, b)| {
+                let other = if a == current {
+                    b
+                } else if b == current {
+                    a
+                } else {
+                    return None;
+                };
+                (Some(other) != prev).then_some((e, other))
+            })
+        };
+        while let Some((e, m)) = step(current, prev) {
+            edges.push(e);
+            nodes.push(m);
+            prev = Some(current);
+            current = m;
         }
         Some((nodes, edges))
     }
@@ -172,9 +183,10 @@ pub struct BanksWork {
 /// Reusable state of the BANKS expansion — per-set lazy Dijkstra
 /// forests, per-node completion accounting, the candidate queue, the
 /// held top k and the tree-assembly buffers — so repeated searches on a
-/// live engine re-allocate none of it.
+/// live engine re-allocate none of it. Each forest keeps 12 bytes per
+/// node (distance and packed parent) and three bits per rank.
 ///
-/// Node-set dedup needs no set of seen trees. Every processed root is
+/// Node-set dedup needs no set of seen trees. Every assembled root is
 /// *registered* with its tree's node count instead, and a tree is a
 /// duplicate exactly when some registered root on its node set has the
 /// same node count and parent chains that stay inside that set. An
@@ -182,21 +194,29 @@ pub struct BanksWork {
 /// completed root's parent chains are final (every chain node was
 /// settled before the root), so re-walking them later gives the same
 /// nodes; conversely, a subset of the same size is the same set. No
-/// set is hashed or stored per tree.
+/// set is hashed or stored per tree. A root skipped without assembly
+/// (see [`banks_search_budgeted`]) is not registered; no tree that
+/// could enter the top k has its node set.
 #[derive(Debug, Clone, Default)]
 pub struct BanksScratch {
-    forests: Vec<LazyDijkstra<TupleId>>,
-    /// Number of keyword sets that settled each node.
-    settled_sets: Vec<u32>,
-    /// Running sum of settled per-set distances per node, in half units.
-    total: Vec<u32>,
+    forests: Vec<LazyDijkstra>,
+    /// Per node: the keyword sets that settled it so far.
+    reached: Vec<Reach>,
     /// Completed candidate roots in the classic BANKS priority.
     candidates: CandidateQueue,
-    /// The held top k as a max-heap of `(weight bits, root tuple, index
+    /// The held top k as a max-heap of `(weight bits, root rank, index
     /// into the output)`, weights as order-preserving `f64` bit images:
     /// its top is the k-th best tree in the final order.
-    held: BinaryHeap<(u64, TupleId, usize)>,
+    held: BinaryHeap<(u64, u32, usize)>,
     assembly: TreeAssembly,
+}
+
+/// How many keyword sets settled a node, and the sum of their
+/// distances in half units.
+#[derive(Debug, Clone, Copy, Default)]
+struct Reach {
+    sets: u32,
+    total: u32,
 }
 
 impl BanksScratch {
@@ -207,25 +227,20 @@ impl BanksScratch {
 
     fn reset(&mut self, dg: &DataGraph, keyword_sets: &[Vec<NodeId>]) {
         let n = dg.csr().node_count();
-        self.forests.truncate(keyword_sets.len());
-        for (i, set) in keyword_sets.iter().enumerate() {
-            match self.forests.get_mut(i) {
-                Some(f) => f.reset(n, set, |v| dg.tuple_of(v)),
-                None => self.forests.push(LazyDijkstra::new(n, set, |v| dg.tuple_of(v))),
-            }
+        self.forests.resize_with(keyword_sets.len(), LazyDijkstra::default);
+        for (forest, set) in self.forests.iter_mut().zip(keyword_sets) {
+            forest.reset(n, dg.rank_count(), set, |v| dg.rank_of(v));
         }
-        self.settled_sets.clear();
-        self.settled_sets.resize(n, 0);
-        self.total.clear();
-        self.total.resize(n, 0);
+        self.reached.clear();
+        self.reached.resize(n, Reach::default());
         self.candidates.clear();
         self.held.clear();
         self.assembly.reset(n, dg.graph().edge_slots());
     }
 }
 
-/// Completed candidate roots in ascending `(total, root tuple, root)`
-/// order, as a bucket queue over totals in half units.
+/// Completed candidate roots in ascending `(total, root rank)` order,
+/// as a bucket queue over totals in half units.
 ///
 /// A root completes when its last keyword set settles it at the global
 /// frontier minimum `L`, so its total (the sum of its per-set
@@ -235,9 +250,8 @@ impl BanksScratch {
 /// is taken.
 #[derive(Debug, Clone, Default)]
 struct CandidateQueue {
-    /// `buckets[t]`: `(root tuple, root)` of the roots completed at
-    /// total `t`.
-    buckets: Vec<Vec<(TupleId, NodeId)>>,
+    /// `buckets[t]`: the ranks of the roots completed at total `t`.
+    buckets: Vec<Vec<u32>>,
     /// Every bucket below `low` is empty.
     low: usize,
     /// Roots of `buckets[low]` already taken.
@@ -253,20 +267,20 @@ impl CandidateQueue {
         self.taken = 0;
     }
 
-    fn push(&mut self, total: u32, tuple: TupleId, root: NodeId) {
+    fn push(&mut self, total: u32, rank: u32) {
         let t = total as usize;
         if t >= self.buckets.len() {
             self.buckets.resize_with(t + 1, Vec::new);
         }
         debug_assert!(t > self.low || self.taken == 0, "bucket {t} was already taken from");
-        self.buckets[t].push((tuple, root));
+        self.buckets[t].push(rank);
         // Taking skips empty buckets and may stop past the frontier, so
         // a root completed since then can land below `low`.
         self.low = self.low.min(t);
     }
 
-    /// Take the next root in order if its total is below `limit`.
-    fn pop_below(&mut self, limit: u32) -> Option<NodeId> {
+    /// Take the next root's rank in order if its total is below `limit`.
+    fn pop_below(&mut self, limit: u32) -> Option<u32> {
         loop {
             let bucket = self.buckets.get_mut(self.low)?;
             if self.taken < bucket.len() {
@@ -283,9 +297,9 @@ impl CandidateQueue {
         if self.taken == 0 {
             bucket.sort_unstable();
         }
-        let (_, root) = bucket[self.taken];
+        let rank = bucket[self.taken];
         self.taken += 1;
-        Some(root)
+        Some(rank)
     }
 }
 
@@ -303,9 +317,9 @@ struct TreeAssembly {
     /// `edge_stamp[e] == stamp`: `e` is on the tree last assembled.
     edge_stamp: Vec<u32>,
     stamp: u32,
-    /// The node count of each processed root's tree, 0 for a root not
-    /// processed yet (see [`BanksScratch`]).
-    registered: Vec<usize>,
+    /// The node count of each registered root's tree, 0 for a root not
+    /// registered (see [`BanksScratch`]).
+    registered: Vec<u32>,
 }
 
 impl TreeAssembly {
@@ -326,7 +340,7 @@ impl TreeAssembly {
     fn assemble(
         &mut self,
         root: NodeId,
-        forests: &[LazyDijkstra<TupleId>],
+        forests: &[LazyDijkstra],
         weight_of: impl Fn(EdgeId) -> f64,
     ) -> f64 {
         if self.stamp == u32::MAX {
@@ -344,8 +358,8 @@ impl TreeAssembly {
         for forest in forests {
             let mut current = root;
             // Parent chains point from the origin outward; walk from the
-            // root back toward the origin.
-            while let Some((prev, e)) = forest.parent[current.index()] {
+            // root back toward the origin, the first node without one.
+            while let Some((prev, e)) = forest.parent(current) {
                 if self.edge_stamp[e.index()] != stamp {
                     self.edge_stamp[e.index()] = stamp;
                     self.edges.push((e, current, prev));
@@ -356,11 +370,7 @@ impl TreeAssembly {
                 }
                 current = prev;
             }
-            debug_assert_eq!(
-                forest.origin[root.index()],
-                Some(current),
-                "consistent forests end every chain at the recorded origin"
-            );
+            debug_assert_eq!(forest.dist[current.index()], 0, "every chain ends at a source");
             self.keyword_nodes.push(current);
         }
         // Distinct-edge weight: shared chain segments are counted once,
@@ -373,16 +383,16 @@ impl TreeAssembly {
     /// Whether an earlier tree had the assembled tree's node set: some
     /// registered root on it has a tree of the same size whose chains
     /// stay on the assembled tree.
-    fn duplicates_registered(&self, forests: &[LazyDijkstra<TupleId>]) -> bool {
+    fn duplicates_registered(&self, forests: &[LazyDijkstra]) -> bool {
         self.nodes.iter().any(|&r| {
-            self.registered[r.index()] == self.nodes.len()
+            self.registered[r.index()] as usize == self.nodes.len()
                 && forests.iter().all(|forest| {
                     let mut current = Some(r);
                     while let Some(n) = current {
                         if self.node_stamp[n.index()] != self.stamp {
                             return false;
                         }
-                        current = forest.parent[n.index()].map(|(prev, _)| prev);
+                        current = forest.parent(n).map(|(prev, _)| prev);
                     }
                     true
                 })
@@ -391,7 +401,7 @@ impl TreeAssembly {
 
     /// Register the root of the tree last assembled.
     fn register(&mut self, root: NodeId) {
-        self.registered[root.index()] = self.nodes.len();
+        self.registered[root.index()] = self.nodes.len() as u32;
     }
 
     /// The assembled tree as an owned answer.
@@ -413,10 +423,11 @@ impl TreeAssembly {
 /// ascending weight (ties broken by the root's tuple id), deduplicated
 /// by node set. Empty if any keyword set is empty (conjunctive
 /// semantics). All tie-breaking — the Dijkstra forests', the candidate
-/// visit order's and the final sort's — keys on tuple ids rather than
-/// node ids, so the returned trees depend only on graph *content*: an
-/// incrementally patched [`DataGraph`] (different node numbering, same
-/// tuples and edges) yields exactly the trees a freshly built one does.
+/// visit order's and the final sort's — keys on node ranks, which
+/// follow tuple order rather than node ids, so the returned trees
+/// depend only on graph *content*: an incrementally patched
+/// [`DataGraph`] (different node numbering, same tuples and edges)
+/// yields exactly the trees a freshly built one does.
 pub fn banks_search(
     dg: &DataGraph,
     keyword_sets: &[Vec<NodeId>],
@@ -435,20 +446,33 @@ pub fn banks_search(
 /// really form the claimed paths; a tree's `weight` is the sum over its
 /// *distinct* edges — chains sharing a segment pay for it once. Instead
 /// of running every forest to exhaustion and materializing every
-/// candidate root up front, the driver always settles the **globally
-/// cheapest frontier entry** across the sets, completes a candidate
-/// when its last set settles it, and emits candidates in ascending
-/// `(summed distance, root tuple)` order — exactly the order the
-/// exhaustive enumeration sorts them into, because a candidate is
-/// emitted only once every per-set frontier strictly exceeds its total
-/// (no cheaper completion can still appear).
+/// candidate root up front, the driver settles the frontiers in
+/// ascending distance, completes a candidate when its last set settles
+/// it, and emits candidates in ascending `(summed distance, root
+/// tuple)` order — exactly the order the exhaustive enumeration sorts
+/// them into, because a candidate is emitted only once every per-set
+/// frontier strictly exceeds its total (no cheaper completion can still
+/// appear).
 ///
 /// Distances count half units: every edge weighs one or two of them
-/// under both [`EdgeWeighting`]s. Each set's frontier and the completed
-/// candidates are bucket queues keyed by distance and by total, each
-/// bucket sorted once by tuple then node, so settles and candidates
-/// come out in the order a binary heap keyed by `(distance, tuple,
-/// node)` would give.
+/// under both [`EdgeWeighting`]s. Each set's frontier is a ring of
+/// three bitsets over node ranks, and a node's rank follows its tuple's
+/// order ([`DataGraph`]'s tuple→node index), so a bucket drained in
+/// ascending bit order gives the settles a binary heap keyed by
+/// `(distance, tuple)` would give, with no sort. The completed
+/// candidates are a bucket queue by total, each bucket sorted once by
+/// rank.
+///
+/// The level drain: the expansion works one distance level `L` (the
+/// global frontier minimum) at a time. Once per level it emits the
+/// completed candidates with a total below `L` and checks the cutoff
+/// below; then each set, in set order, settles its whole bucket at `L`.
+/// This is the order in which settling the globally cheapest frontier
+/// entry, lowest set first, one node at a time, would settle: a settle
+/// at `L` only pushes to `L + 1` or `L + 2` of its own set, a root it
+/// completes totals at least `L`, and the held top k changes only when
+/// a candidate is emitted, so neither the emitted candidates nor the
+/// cutoff could change within the level.
 ///
 /// The cutoff: any root not yet **completed** is missing at least one
 /// set, whose chain alone is a subset of its tree's distinct edges —
@@ -464,13 +488,24 @@ pub fn banks_search(
 /// materialized only if it enters the held top k, which holds the k
 /// best trees so far by the final order `(weight, root tuple)`: a tree
 /// that ties the held k-th weight enters only when its root tuple sorts
-/// first, and the tree it displaces is dropped. Every processed root is
+/// first, and the tree it displaces is dropped. Every assembled root is
 /// registered, whether or not its tree entered, so node-set dedup
 /// re-walks the registered roots on a tree that would enter (see
-/// [`BanksScratch`]) and a skipped tree still blocks a later tree with
+/// [`BanksScratch`]) and a tree kept out still blocks a later tree with
 /// its node set, as a stored one would. The output is the same as
 /// materializing every tree and cutting the sorted list at `k`
 /// (property-tested against an eager reference).
+///
+/// The skip rule: once k trees are held, a completed root whose
+/// farthest keyword set lies further than the held k-th weight
+/// (`max_j d_j(root) > kth`) is neither assembled nor registered. Each
+/// chain is a subset of the tree's distinct edges, so its tree weighs
+/// at least `max_j d_j(root)` and cannot enter. Dedup stays safe by
+/// the cutoff's own argument: a later tree C with the skipped root's
+/// node set contains that root, so the root reaches every set within
+/// C's tree and every `d_j(root) ≤ weight(C)`; if C could enter, then
+/// `weight(C) ≤ kth`, against the skip condition (the held k-th weight
+/// only falls). A skipped root still counts as a completed candidate.
 ///
 /// The work budget: `interrupt` is probed with the running settle count
 /// after every frontier settle (the expansion-counting site); returning
@@ -508,62 +543,71 @@ pub fn banks_search_budgeted(
         weighting => weighting.half_units(g.edge(e).payload),
     };
     let weight_of = |e: EdgeId| opts.weighting.weight(g.edge(e).payload);
-    let key = |v: NodeId| dg.tuple_of(v);
-    let num_sets = keyword_sets.len() as f64;
+    let rank = |v: NodeId| dg.rank_of(v);
+    let node_at = |r: u32| dg.node_at_rank(r);
+    let num_sets = keyword_sets.len() as u32;
     scratch.reset(dg, keyword_sets);
 
     let mut out: Vec<SteinerTree> = Vec::new();
 
-    // Process one emitted candidate exactly like the exhaustive loop:
-    // break check, tree assembly, node-set dedup.
-    // Returns `false` to stop the whole search (the break condition
-    // holds for every later candidate too: totals ascend, the held k-th
-    // best only improves).
-    let mut process = |root: NodeId,
-                       total: u32,
-                       held: &mut BinaryHeap<(u64, TupleId, usize)>,
-                       forests: &[LazyDijkstra<TupleId>],
-                       assembly: &mut TreeAssembly|
-     -> bool {
-        // Each per-set chain is a subset of the tree's distinct edges,
-        // so `weight >= total / num_sets`, and candidates arrive in
-        // ascending `total` order. Once that lower bound strictly
-        // exceeds the k-th best weight held, no remaining candidate can
-        // enter the top k — not even on a tie, hence the strict
-        // comparison.
-        let weight_floor = f64_sort_bits_asc(half(total) / num_sets);
-        // The held k-th best `(weight bits, root tuple)`, once k trees
-        // are held.
-        let kth = opts
-            .k
-            .filter(|&k| held.len() >= k)
-            .and_then(|_| held.peek().map(|&(weight, tuple, _)| (weight, tuple)));
-        if kth.is_some_and(|(weight, _)| weight_floor > weight) {
-            return false;
-        }
-        let weight = assembly.assemble(root, forests, weight_of);
-        // A tree behind the held k-th in the final order has k trees
-        // ahead of it for good, so it is never returned and is not
-        // materialized. Registering its root keeps the dedup of later
-        // trees exactly as if it had been stored.
-        let entry = (f64_sort_bits_asc(weight), dg.tuple_of(root));
-        if kth.is_none_or(|kth| entry < kth) && !assembly.duplicates_registered(forests) {
-            let tree = assembly.materialize(root, weight);
-            match opts.k {
-                Some(k) if held.len() >= k => {
-                    // lint: allow(unwrap, the held top k is full and k >= 1)
-                    let mut top = held.peek_mut().expect("k >= 1 trees held");
-                    out[top.2] = tree;
-                    *top = (entry.0, entry.1, top.2);
+    // Emit the completed candidates with a total below `limit`, in
+    // order, exactly like the exhaustive loop: break check, skip rule,
+    // tree assembly, node-set dedup. Returns `false` to stop the whole
+    // search (the break condition holds for every later candidate too:
+    // totals ascend, the held k-th best only improves).
+    let mut emit_below = |scratch: &mut BanksScratch, limit: u32| -> bool {
+        while let Some(root_rank) = scratch.candidates.pop_below(limit) {
+            let root = node_at(root_rank);
+            // The held k-th best `(weight bits, root rank)`, once k
+            // trees are held.
+            let kth = opts
+                .k
+                .filter(|&k| scratch.held.len() >= k)
+                .and_then(|_| scratch.held.peek().map(|&(weight, rank, _)| (weight, rank)));
+            if let Some((kth_weight, _)) = kth {
+                // Each per-set chain is a subset of the tree's distinct
+                // edges, so `weight >= total / num_sets`, and candidates
+                // arrive in ascending `total` order. Once that lower
+                // bound strictly exceeds the k-th best weight held, no
+                // remaining candidate can enter the top k — not even on
+                // a tie, hence the strict comparison.
+                let total = scratch.reached[root.index()].total;
+                if f64_sort_bits_asc(half(total) / f64::from(num_sets)) > kth_weight {
+                    return false;
                 }
-                Some(_) => {
-                    held.push((entry.0, entry.1, out.len()));
-                    out.push(tree);
+                // The skip rule: the farthest set's chain alone
+                // outweighs the held k-th (see `banks_search_budgeted`).
+                let farthest = scratch.forests.iter().map(|f| f.dist[root.index()]).max();
+                if farthest.is_some_and(|d| f64_sort_bits_asc(half(d)) > kth_weight) {
+                    continue;
                 }
-                None => out.push(tree),
             }
+            let weight = scratch.assembly.assemble(root, &scratch.forests, weight_of);
+            // A tree behind the held k-th in the final order has k trees
+            // ahead of it for good, so it is never returned and is not
+            // materialized. Registering its root keeps the dedup of
+            // later trees exactly as if it had been stored.
+            let entry = (f64_sort_bits_asc(weight), root_rank);
+            if kth.is_none_or(|kth| entry < kth)
+                && !scratch.assembly.duplicates_registered(&scratch.forests)
+            {
+                let tree = scratch.assembly.materialize(root, weight);
+                match opts.k {
+                    Some(k) if scratch.held.len() >= k => {
+                        // lint: allow(unwrap, the held top k is full and k >= 1)
+                        let mut top = scratch.held.peek_mut().expect("k >= 1 trees held");
+                        out[top.2] = tree;
+                        *top = (entry.0, entry.1, top.2);
+                    }
+                    Some(_) => {
+                        scratch.held.push((entry.0, entry.1, out.len()));
+                        out.push(tree);
+                    }
+                    None => out.push(tree),
+                }
+            }
+            scratch.assembly.register(root);
         }
-        assembly.register(root);
         true
     };
 
@@ -573,31 +617,21 @@ pub fn banks_search_budgeted(
         // missing at least one set whose settle distance will be >= L,
         // so its total is >= L — which makes every candidate with
         // total < L safe to emit in final order.
-        let mut frontier = u32::MAX;
-        let mut cheapest_set = None;
-        for (i, forest) in scratch.forests.iter_mut().enumerate() {
-            if let Some(d) = forest.frontier_dist() {
-                if d < frontier {
-                    frontier = d;
-                    cheapest_set = Some(i);
-                }
-            }
-        }
-        while let Some(root) = scratch.candidates.pop_below(frontier) {
-            if !process(
-                root,
-                scratch.total[root.index()],
-                &mut scratch.held,
-                &scratch.forests,
-                &mut scratch.assembly,
-            ) {
-                work.early_terminated = cheapest_set.is_some();
-                break 'drive;
-            }
+        let frontier = scratch
+            .forests
+            .iter_mut()
+            .filter_map(LazyDijkstra::frontier_dist)
+            .min()
+            .unwrap_or(u32::MAX);
+        if !emit_below(scratch, frontier) {
+            work.early_terminated = frontier != u32::MAX;
+            break;
         }
         // Frontiers exhausted: every candidate was emitted above
         // (every total sorts below `u32::MAX`).
-        let Some(set) = cheapest_set else { break };
+        if frontier == u32::MAX {
+            break;
+        }
         // Expansion cutoff. Any root not yet completed is missing at
         // least one set, and that set's chain alone is a subset of its
         // tree's distinct edges — so its tree weight is at least L
@@ -623,58 +657,43 @@ pub fn banks_search_budgeted(
                 && scratch.held.peek().is_some_and(|&(kth, _, _)| frontier_bits > kth)
         });
         if dominated {
-            while let Some(root) = scratch.candidates.pop_below(u32::MAX) {
-                if !process(
-                    root,
-                    scratch.total[root.index()],
-                    &mut scratch.held,
-                    &scratch.forests,
-                    &mut scratch.assembly,
-                ) {
-                    break;
-                }
-            }
+            emit_below(scratch, u32::MAX);
             work.early_terminated = true;
             break;
         }
-        let (node, d) = scratch.forests[set]
-            .settle_next(csr, half_units, key)
-            // lint: allow(unwrap, frontier_dist returned Some for this set just above)
-            .expect("frontier_dist promised an entry");
-        work.expansions += 1;
-        scratch.total[node.index()] += d;
-        scratch.settled_sets[node.index()] += 1;
-        if scratch.settled_sets[node.index()] as usize == keyword_sets.len() {
-            work.candidates += 1;
-            scratch.candidates.push(scratch.total[node.index()], dg.tuple_of(node), node);
-        }
-        // Cooperative budget probe, after the settle's accounting (so a
-        // completion this settle produced is already queued). On a
-        // stop, drain every *completed* candidate through normal
-        // processing — cheap, no further settles — then record the
-        // frontier floor for the caller's prefix trim (see
-        // `banks_search_budgeted`).
-        if interrupt(work.expansions) {
-            while let Some(root) = scratch.candidates.pop_below(u32::MAX) {
-                if !process(
-                    root,
-                    scratch.total[root.index()],
-                    &mut scratch.held,
-                    &scratch.forests,
-                    &mut scratch.assembly,
-                ) {
-                    break;
+        // The level: each set's bucket at L, in set order.
+        for set in 0..scratch.forests.len() {
+            while scratch.forests[set].frontier_dist() == Some(frontier) {
+                let (node, d) = scratch.forests[set]
+                    .settle_next(csr, half_units, rank, node_at)
+                    // lint: allow(unwrap, frontier_dist returned Some for this set just above)
+                    .expect("frontier_dist promised an entry");
+                work.expansions += 1;
+                let reach = &mut scratch.reached[node.index()];
+                reach.total += d;
+                reach.sets += 1;
+                if reach.sets == num_sets {
+                    work.candidates += 1;
+                    scratch.candidates.push(reach.total, rank(node));
+                }
+                // Cooperative budget probe, after the settle's
+                // accounting (so a completion this settle produced is
+                // already queued). On a stop, drain every *completed*
+                // candidate through normal processing — cheap, no
+                // further settles — then record the frontier floor for
+                // the caller's prefix trim (see `banks_search_budgeted`).
+                if interrupt(work.expansions) {
+                    emit_below(scratch, u32::MAX);
+                    let floor =
+                        scratch.forests.iter_mut().filter_map(|f| f.frontier_dist()).min();
+                    budget_floor = Some(floor.map_or(f64::INFINITY, half));
+                    break 'drive;
                 }
             }
-            let floor = scratch.forests.iter_mut().filter_map(|f| f.frontier_dist()).min();
-            budget_floor = Some(floor.map_or(f64::INFINITY, half));
-            break;
         }
     }
     out.sort_by(|a, b| {
-        a.weight
-            .total_cmp(&b.weight)
-            .then_with(|| dg.tuple_of(a.root).cmp(&dg.tuple_of(b.root)))
+        a.weight.total_cmp(&b.weight).then_with(|| rank(a.root).cmp(&rank(b.root)))
     });
     if let Some(floor) = budget_floor {
         // Everything at or above the floor could still be displaced (or

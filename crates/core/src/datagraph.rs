@@ -5,9 +5,11 @@
 //! its conceptual [`FkRole`] from the [`SchemaMapping`]. Middle-relation
 //! tuples are flagged so connections can collapse them when computing
 //! conceptual lengths (§3 of the paper). A tuple finds its node through
-//! one array per relation, indexed by row slot, and a node its
-//! neighbors through one CSR built from the live edge slots, in every
-//! state of the graph: built, applied, compacted or opened.
+//! one array of row slots in tuple order, and a node its neighbors
+//! through one CSR built from the live edge slots, in every state of
+//! the graph: built, applied, compacted or opened. A node's position in
+//! that array is its *rank*: ranks follow tuple order, whatever the node
+//! ids are, and key the BANKS expansion's ties.
 
 use crate::error::CoreError;
 use cla_er::{FkRole, SchemaMapping};
@@ -42,6 +44,13 @@ struct RelationRoles {
 /// image stores only the node and edge slots (each edge with its
 /// foreign-key index), and opening the image derives the rest exactly
 /// as [`DataGraph::build`] does.
+///
+/// The tuple→node index is one array of row slots in tuple order (each
+/// relation's slots at an offset of its own), so a live node's *rank*,
+/// its row slot's position there, follows tuple order on every graph,
+/// though node ids follow insertion order once an apply inserted a
+/// tuple into any relation but the last. BANKS breaks distance ties by
+/// rank, and the array maps a rank back to its node.
 #[derive(Debug, Clone)]
 pub struct DataGraph {
     /// Node and edge slots; no adjacency.
@@ -53,11 +62,10 @@ pub struct DataGraph {
     /// next generation's apply reads it for a deleted node's edges and
     /// an updated tuple's old out-edges.
     csr: CsrAdjacency,
-    /// Tuple → node lookup: per relation, the node id of each row slot,
-    /// [`NO_NODE`] where the row has no node (a tombstone, or a row past
-    /// the end of the relation's array). Filled by a build, an apply, a
-    /// compaction or an open alike.
-    node_of: Vec<Vec<u32>>,
+    /// Tuple → node lookup and node ranks. Filled by a build, an apply
+    /// (laid out anew with the batch's inserted row slots), a compaction
+    /// or an open alike.
+    tuples: TupleNodes,
     middle: Vec<bool>,
 }
 
@@ -67,40 +75,109 @@ const NO_NODE: u32 = u32::MAX;
 /// no node has claimed yet.
 const UNCLAIMED: u32 = u32::MAX - 1;
 
-/// The node of row slot `t` in a tuple→node index, if it has one.
-fn lookup(node_of: &[Vec<u32>], t: TupleId) -> Option<NodeId> {
-    let &n = node_of.get(t.relation.index())?.get(t.row as usize)?;
-    (n != NO_NODE).then_some(NodeId(n))
+/// The tuple→node index: one array of row slots in tuple order, each
+/// holding its row's node id or [`NO_NODE`] (a tombstone, a row slot
+/// past the last live row an open saw, or every row of a relation
+/// without live rows there). Relation `r`'s row slots are
+/// `nodes[offsets[r]..offsets[r + 1]]`, so row slot `t` sits at
+/// `offsets[t.relation] + t.row`, its *rank*. Ranks ascend in tuple
+/// order, and the array maps a rank back to its node.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TupleNodes {
+    nodes: Vec<u32>,
+    /// One entry per relation, then one past the end (while an open
+    /// fills the index: one per relation begun so far).
+    offsets: Vec<u32>,
 }
 
-/// Point row slot `t` of a tuple→node index at `node` ([`NO_NODE`]
-/// clears it), growing the relation's array as needed.
-fn set_node(node_of: &mut [Vec<u32>], t: TupleId, node: u32) {
-    let rows = &mut node_of[t.relation.index()];
-    let row = t.row as usize;
-    if rows.len() <= row {
-        rows.resize(row + 1, NO_NODE);
+impl TupleNodes {
+    /// The position of row slot `t` in `nodes`, if the index has it.
+    fn slot(&self, t: TupleId) -> Option<usize> {
+        let rel = t.relation.index();
+        let (&lo, &hi) = (self.offsets.get(rel)?, self.offsets.get(rel + 1)?);
+        let at = lo as usize + t.row as usize;
+        (at < hi as usize).then_some(at)
     }
-    rows[row] = node;
-}
 
-/// The node of a tuple a patch references (the plan stage validated
-/// its presence).
-fn existing(node_of: &[Vec<u32>], t: TupleId) -> NodeId {
-    // lint: allow(unwrap, plan pre-validated every tuple the patch references)
-    lookup(node_of, t).expect("patch references only planned tuples")
-}
-
-/// Record live row `t`, of a relation with `slots` row slots, in the
-/// per-relation arrays an open hands to [`DataGraph::index_rows`]: the
-/// relation's array is allocated at its first live row, sized from the
-/// validated slot count, and the row is marked unclaimed.
-pub(crate) fn mark_live_row(rows: &mut [Vec<u32>], t: TupleId, slots: usize) {
-    let rel = &mut rows[t.relation.index()];
-    if rel.is_empty() {
-        *rel = vec![NO_NODE; slots];
+    /// The node of row slot `t`, if it has one.
+    fn node(&self, t: TupleId) -> Option<NodeId> {
+        let n = self.nodes[self.slot(t)?];
+        (n != NO_NODE).then_some(NodeId(n))
     }
-    rel[t.row as usize] = UNCLAIMED;
+
+    /// The node of a tuple a patch references (the plan stage validated
+    /// its presence).
+    fn existing(&self, t: TupleId) -> NodeId {
+        // lint: allow(unwrap, plan pre-validated every tuple the patch references)
+        self.node(t).expect("patch references only planned tuples")
+    }
+
+    /// Point row slot `t`, which the index has, at `node` ([`NO_NODE`]
+    /// clears it).
+    fn set(&mut self, t: TupleId, node: u32) {
+        // lint: allow(unwrap, every caller laid out the slot first)
+        let at = self.slot(t).expect("a laid-out row slot");
+        self.nodes[at] = node;
+    }
+
+    /// Start a range at the array's end for every relation up to `rel`
+    /// that has none, so `offsets[rel]` is the end; with `rel` the
+    /// relation count, that closes the last range.
+    fn offsets_to(&mut self, rel: usize) {
+        while self.offsets.len() <= rel {
+            self.offsets.push(self.nodes.len() as u32);
+        }
+    }
+
+    /// Record live row `t`, of a relation with `slots` row slots, while
+    /// an open walks the DATABASE section in tuple order: the
+    /// relation's range is laid out at its first live row, sized from
+    /// the validated slot count, after empty ranges for the relations
+    /// without live rows before it, and the row is marked unclaimed for
+    /// [`DataGraph::index_rows`]. A row out of tuple order is refused.
+    pub(crate) fn mark_live_row(&mut self, t: TupleId, slots: usize) -> Result<(), String> {
+        let rel = t.relation.index();
+        if self.offsets.len() <= rel {
+            self.offsets_to(rel);
+            self.nodes.resize(self.nodes.len() + slots, NO_NODE);
+        }
+        if self.offsets.len() != rel + 1 || t.row as usize >= slots {
+            return Err(format!("live row {t} is out of tuple order"));
+        }
+        self.nodes[self.offsets[rel] as usize + t.row as usize] = UNCLAIMED;
+        Ok(())
+    }
+
+    /// An index of row slots without nodes, relation `r`'s range
+    /// `rows[r]` slots long.
+    fn with_rows(rows: &[usize]) -> TupleNodes {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        let mut end = 0;
+        for &len in rows {
+            offsets.push(end as u32);
+            end += len;
+        }
+        offsets.push(end as u32);
+        TupleNodes { nodes: vec![NO_NODE; end], offsets }
+    }
+
+    /// This index with every relation's range at least `rows[r]` row
+    /// slots long, ranges laid out anew in relation order.
+    fn relaid(&self, rows: &[usize]) -> TupleNodes {
+        let mut next = TupleNodes {
+            nodes: Vec::with_capacity(self.nodes.len() + rows.len()),
+            offsets: Vec::with_capacity(self.offsets.len()),
+        };
+        for (rel, window) in self.offsets.windows(2).enumerate() {
+            let start = next.nodes.len();
+            next.offsets.push(start as u32);
+            next.nodes.extend_from_slice(&self.nodes[window[0] as usize..window[1] as usize]);
+            let len = next.nodes.len().max(start + rows[rel]);
+            next.nodes.resize(len, NO_NODE);
+        }
+        next.offsets.push(next.nodes.len() as u32);
+        next
+    }
 }
 
 /// One resolved, pre-validated graph mutation — the output of
@@ -141,14 +218,19 @@ impl DataGraph {
     /// catalogs produced by [`cla_er::map_to_relational`]).
     pub fn build(db: &Database, mapping: &SchemaMapping) -> Result<Self, CoreError> {
         let mut graph = Graph::with_capacity(db.total_tuples(), db.total_tuples());
-        let mut node_of = vec![Vec::new(); db.catalog().len()];
+        let rows: Vec<usize> = db
+            .catalog()
+            .iter()
+            .map(|(rel, _)| db.tuples(rel).last().map_or(0, |(id, _)| id.row as usize + 1))
+            .collect();
+        let mut tuples = TupleNodes::with_rows(&rows);
         let mut middle = Vec::with_capacity(db.total_tuples());
 
         for (rel, _) in db.catalog().iter() {
             let is_middle = mapping.is_middle(rel);
             for (id, _) in db.tuples(rel) {
                 let n = graph.add_node(id);
-                set_node(&mut node_of, id, n.0);
+                tuples.set(id, n.0);
                 middle.push(is_middle);
             }
         }
@@ -158,8 +240,7 @@ impl DataGraph {
                     let role = mapping.fk_role(rel, fk_index).ok_or_else(|| {
                         CoreError::MissingFkRole { relation: schema.name.clone(), fk_index }
                     })?;
-                    let (Some(from), Some(to)) =
-                        (lookup(&node_of, id), lookup(&node_of, target))
+                    let (Some(from), Some(to)) = (tuples.node(id), tuples.node(target))
                     else {
                         return Err(CoreError::UnknownTuple(target.to_string()));
                     };
@@ -168,7 +249,7 @@ impl DataGraph {
             }
         }
         let csr = CsrAdjacency::build(&graph);
-        Ok(DataGraph { graph, csr, node_of, middle })
+        Ok(DataGraph { graph, csr, tuples, middle })
     }
 
     /// Resolve the out-edges tuple `id` must carry, reading `db`'s
@@ -304,16 +385,23 @@ impl DataGraph {
     }
 
     /// The infallible execution half of [`DataGraph::apply`] — every
-    /// lookup was pre-validated by [`DataGraph::plan`]. Copies the slots
-    /// and the tuple→node index, edits the copies, and builds the CSR of
-    /// the result.
+    /// lookup was pre-validated by [`DataGraph::plan`]. Copies the slots,
+    /// lays the tuple→node index out anew with the inserted rows' slots,
+    /// edits the copies, and builds the CSR of the result.
     fn execute(&self, patch: &GraphPatch) -> DataGraph {
         let plan = &patch.ops;
         if plan.is_empty() {
             return self.clone();
         }
         let mut graph = self.graph.clone();
-        let mut node_of = self.node_of.clone();
+        let mut rows = vec![0; self.tuples.offsets.len().saturating_sub(1)];
+        for op in plan {
+            if let PlanOp::Insert { id, .. } = op {
+                let rel = &mut rows[id.relation.index()];
+                *rel = (*rel).max(id.row as usize + 1);
+            }
+        }
+        let mut tuples = self.tuples.relaid(&rows);
         let mut middle = self.middle.clone();
         // Phase 1: create every inserted tuple's node before wiring any
         // edges, so an insert may reference a tuple inserted *later* in
@@ -325,7 +413,7 @@ impl DataGraph {
         for op in plan {
             if let PlanOp::Insert { id, middle: is_middle, .. } = op {
                 let n = graph.add_node(*id);
-                set_node(&mut node_of, *id, n.0);
+                tuples.set(*id, n.0);
                 middle.push(*is_middle);
             }
         }
@@ -339,8 +427,8 @@ impl DataGraph {
         // longer finds.
         for op in plan {
             if let PlanOp::Delete { id } = op {
-                graph.remove_node(existing(&node_of, *id), &self.csr);
-                set_node(&mut node_of, *id, NO_NODE);
+                graph.remove_node(tuples.existing(*id), &self.csr);
+                tuples.set(*id, NO_NODE);
             }
         }
         // Phase 3: wire insert edges, in batch op order.
@@ -348,9 +436,9 @@ impl DataGraph {
             let PlanOp::Insert { id, edges, .. } = op else {
                 continue;
             };
-            let n = existing(&node_of, *id);
+            let n = tuples.existing(*id);
             for &(fk_index, target, role) in edges {
-                let to = existing(&node_of, target);
+                let to = tuples.existing(target);
                 graph.add_edge(n, to, EdgeAnnotation { fk_index, role });
             }
         }
@@ -364,7 +452,7 @@ impl DataGraph {
             let PlanOp::Update { id, edges } = op else {
                 continue;
             };
-            let n = existing(&node_of, *id);
+            let n = tuples.existing(*id);
             let old: Vec<(usize, EdgeId, NodeId)> = self
                 .csr
                 .neighbors(n)
@@ -373,15 +461,15 @@ impl DataGraph {
                 .map(|&(to, e)| (graph.edge(e).payload.fk_index, e, to))
                 .collect();
             for &(fk_index, e, to) in &old {
-                let kept = edges.iter().any(|&(fk, target, _)| {
-                    fk == fk_index && existing(&node_of, target) == to
-                });
+                let kept = edges
+                    .iter()
+                    .any(|&(fk, target, _)| fk == fk_index && tuples.existing(target) == to);
                 if !kept {
                     graph.remove_edge(e);
                 }
             }
             for &(fk_index, target, role) in edges {
-                let to = existing(&node_of, target);
+                let to = tuples.existing(target);
                 if old.iter().any(|&(fk, _, old_to)| fk == fk_index && old_to == to) {
                     continue; // unchanged edge keeps its id and slot
                 }
@@ -389,7 +477,7 @@ impl DataGraph {
             }
         }
         let csr = CsrAdjacency::build(&graph);
-        DataGraph { graph, csr, node_of, middle }
+        DataGraph { graph, csr, tuples, middle }
     }
 
     /// The compacted generation: every tombstoned node and edge slot
@@ -408,7 +496,7 @@ impl DataGraph {
     pub fn compact(&self, remap: &TupleRemap) -> DataGraph {
         let mut graph = self.graph.clone();
         let node_remap = graph.compact();
-        let mut node_of = vec![Vec::new(); self.node_of.len()];
+        let mut rows = vec![0; self.tuples.offsets.len().saturating_sub(1)];
         for i in 0..graph.node_count() {
             let n = NodeId(i as u32);
             let new_tuple = remap
@@ -416,7 +504,12 @@ impl DataGraph {
                 // lint: allow(unwrap, compaction remaps every live tuple and graph nodes are live)
                 .expect("a live node's tuple survives database compaction");
             *graph.node_mut(n) = new_tuple;
-            set_node(&mut node_of, new_tuple, n.0);
+            let rel = &mut rows[new_tuple.relation.index()];
+            *rel = (*rel).max(new_tuple.row as usize + 1);
+        }
+        let mut tuples = TupleNodes::with_rows(&rows);
+        for n in graph.nodes() {
+            tuples.set(*graph.node(n), n.0);
         }
         let mut middle = vec![false; graph.node_count()];
         for (old, new) in node_remap.iter().enumerate() {
@@ -425,7 +518,7 @@ impl DataGraph {
             }
         }
         let csr = CsrAdjacency::build(&graph);
-        DataGraph { graph, csr, node_of, middle }
+        DataGraph { graph, csr, tuples, middle }
     }
 
     /// Serialize the graph half of this data graph into one flat
@@ -550,22 +643,24 @@ impl DataGraph {
             })?;
 
         let csr = CsrAdjacency::build(&graph);
-        Ok(DataGraph { graph, csr, node_of: Vec::new(), middle })
+        Ok(DataGraph { graph, csr, tuples: TupleNodes::default(), middle })
     }
 
     /// Fill the tuple→node index of a graph [`DataGraph::decode`] built,
-    /// from `rows`: per relation of the image's DATABASE section, one
-    /// entry per row slot, each live row marked by [`mark_live_row`].
-    /// Every live node must claim a distinct live row, and there must be
-    /// `live_rows` live nodes, so live nodes and live rows correspond
-    /// one to one. The arrays were sized from the validated DATABASE
-    /// section, so a hostile row id costs a failed lookup, never an
-    /// allocation.
+    /// from `rows`: the row slots of the image's DATABASE section, each
+    /// live row marked by [`TupleNodes::mark_live_row`], over the
+    /// catalog's `relations`. Every live node must claim a distinct live
+    /// row, and there must be `live_rows` live nodes, so live nodes and
+    /// live rows correspond one to one. The array was sized from the
+    /// validated DATABASE section, so a hostile row id costs a failed
+    /// lookup, never an allocation.
     pub(crate) fn index_rows(
         &mut self,
-        mut rows: Vec<Vec<u32>>,
+        mut rows: TupleNodes,
+        relations: usize,
         live_rows: usize,
     ) -> Result<(), StorageError> {
+        rows.offsets_to(relations);
         let live_nodes = self.graph.alive_node_count();
         if live_nodes != live_rows {
             return Err(StorageError::Malformed(format!(
@@ -574,7 +669,7 @@ impl DataGraph {
         }
         for n in self.graph.nodes().filter(|&n| self.graph.is_node_alive(n)) {
             let t = *self.graph.node(n);
-            match rows.get_mut(t.relation.index()).and_then(|r| r.get_mut(t.row as usize)) {
+            match rows.slot(t).map(|at| &mut rows.nodes[at]) {
                 Some(slot) if *slot == UNCLAIMED => *slot = n.0,
                 _ => {
                     return Err(StorageError::Malformed(format!(
@@ -583,7 +678,7 @@ impl DataGraph {
                 }
             }
         }
-        self.node_of = rows;
+        self.tuples = rows;
         Ok(())
     }
 
@@ -599,7 +694,26 @@ impl DataGraph {
 
     /// Node for tuple `t`, if present.
     pub fn node_of(&self, t: TupleId) -> Option<NodeId> {
-        lookup(&self.node_of, t)
+        self.tuples.node(t)
+    }
+
+    /// The rank of live node `n`: its tuple's position in the tuple→node
+    /// index, which ascends in tuple order whatever the node ids are.
+    #[inline]
+    pub(crate) fn rank_of(&self, n: NodeId) -> u32 {
+        let t = self.graph.node(n);
+        self.tuples.offsets[t.relation.index()] + t.row
+    }
+
+    /// The node of rank `rank` (a rank [`DataGraph::rank_of`] gave).
+    #[inline]
+    pub(crate) fn node_at_rank(&self, rank: u32) -> NodeId {
+        NodeId(self.tuples.nodes[rank as usize])
+    }
+
+    /// One past the largest rank.
+    pub(crate) fn rank_count(&self) -> usize {
+        self.tuples.nodes.len()
     }
 
     /// Tuple stored at node `n`.
@@ -718,13 +832,12 @@ mod tests {
         let graph_bytes = dg.encode_graph();
         let db_bytes = db.encode_flat();
         let decode = |g: &[u8]| -> Result<DataGraph, StorageError> {
-            let mut rows = vec![Vec::new(); db.catalog().len()];
+            let mut rows = TupleNodes::default();
             let summary = Database::validate_flat(db.catalog(), &db_bytes, |t, slots| {
-                mark_live_row(&mut rows, t, slots);
-                Ok(())
+                rows.mark_live_row(t, slots)
             })?;
             let mut back = DataGraph::decode(g, &c.mapping)?;
-            back.index_rows(rows, summary.live_rows)?;
+            back.index_rows(rows, db.catalog().len(), summary.live_rows)?;
             Ok(back)
         };
         let back = decode(&graph_bytes).unwrap();

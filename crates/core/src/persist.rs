@@ -28,7 +28,7 @@
 //! opt-in is re-read from `CLA_FAILPOINTS` on open, and the scratch
 //! pool starts empty (it refills on first search).
 
-use crate::datagraph::{mark_live_row, DataGraph};
+use crate::datagraph::{DataGraph, TupleNodes};
 use crate::error::CoreError;
 use crate::snapshot::{failpoints_enabled_from_env, EngineSnapshot};
 use crate::writer::LazyDb;
@@ -116,11 +116,11 @@ fn decode_schema(image: &SharedImage) -> Result<(ErSchema, SchemaMapping), CoreE
 /// a typed error, never a panic or UB. The DATABASE payload is
 /// validated check-for-check with [`Database::decode_flat`] via
 /// [`Database::validate_flat`], so the deferred materialization is
-/// guaranteed to succeed; the same pass marks each live row in
-/// per-relation arrays sized from its validated slot counts, and
-/// [`DataGraph::index_rows`] then fills them from the graph's live
-/// nodes, proving that live nodes and live tuples correspond one to
-/// one. The graph's live edges must number the rows' non-NULL
+/// guaranteed to succeed; the same pass marks each live row in one
+/// array of row slots in tuple order, sized from the validated slot
+/// counts, and [`DataGraph::index_rows`] then fills it from the graph's
+/// live nodes, proving that live nodes and live tuples correspond one
+/// to one. The graph's live edges must number the rows' non-NULL
 /// references.
 pub(crate) fn decode_image(
     image: &SharedImage,
@@ -163,15 +163,15 @@ pub(crate) fn decode_image(
         let generation = meta.u64()?;
         meta.finish()?;
 
-        // The validation walk also marks each live row in per-relation
-        // arrays sized from the validated slot counts; the graph's node
-        // index is filled into them once the lanes join.
+        // The validation walk also marks each live row in one array of
+        // row slots in tuple order, each relation's range sized from its
+        // validated slot count; the graph's node index is filled into it
+        // once the lanes join.
         let catalog = mapping.catalog().clone();
         let db_bytes = image.section(SECTION_DATABASE)?;
-        let mut rows = vec![Vec::new(); catalog.len()];
+        let mut rows = TupleNodes::default();
         let summary = Database::validate_flat(&catalog, db_bytes.as_slice(), |t, slots| {
-            mark_live_row(&mut rows, t, slots);
-            Ok(())
+            rows.mark_live_row(t, slots)
         })?;
         Ok((generation, catalog, db_bytes, summary, rows))
     };
@@ -199,7 +199,7 @@ pub(crate) fn decode_image(
     let (generation, catalog, db_bytes, summary, rows) = main_res?;
     let (index, aliases) = index_res?;
     let mut dg = graph_res?;
-    dg.index_rows(rows, summary.live_rows)?;
+    dg.index_rows(rows, catalog.len(), summary.live_rows)?;
     // Every non-NULL reference of a saved database resolves (engines
     // validate references before they publish), and each is one live
     // edge.

@@ -1497,19 +1497,16 @@ impl EngineSnapshot {
         if tree.edges.is_empty() {
             return Some(Connection::single(tree.root));
         }
-        let mut degree: HashMap<NodeId, usize> = HashMap::new();
-        for &(_, a, b) in &tree.edges {
-            *degree.entry(a).or_insert(0) += 1;
-            *degree.entry(b).or_insert(0) += 1;
-        }
         // Walk from the endpoint (degree-1 node) with the smaller tuple
         // id, the canonical start ([`canonical_orient`]): tuple ids, not
-        // HashMap order or node ids, which vary across patched and
-        // rebuilt engines.
-        let start = degree
+        // node ids, which vary across patched and rebuilt engines. A
+        // tree has a handful of edges, so degrees come from scanning
+        // them.
+        let start = tree
+            .edges
             .iter()
-            .filter(|(_, &d)| d == 1)
-            .map(|(&n, _)| n)
+            .flat_map(|&(_, a, b)| [a, b])
+            .filter(|&n| tree.degree(n) == 1)
             .min_by_key(|&n| self.dg.tuple_of(n))?;
         let (nodes, edges) = tree.linearize(start)?;
         let path = Path { nodes, edges };

@@ -18,8 +18,20 @@
 //! company-shaped databases, planting, rewriting and removing the bench
 //! keywords (`xml`, `smith`, `alice`) so the match sets themselves
 //! churn. Every mutation goes through the writer's typed ops.
+//!
+//! An applied graph numbers an inserted tuple's node after every node
+//! before it, whatever its relation, so its node ids no longer follow
+//! tuple order; BANKS on such a graph is checked against the eager
+//! reference, which breaks ties by tuple.
 
-use cla_core::{Algorithm, CoreError, DataGraph, EngineWriter, SearchEngine, SearchOptions};
+#[path = "support/banks.rs"]
+mod banks_reference;
+
+use banks_reference::banks_naive;
+use cla_core::{
+    banks_search_budgeted, Algorithm, BanksOptions, BanksScratch, CoreError, DataGraph,
+    EdgeWeighting, EngineWriter, SearchEngine, SearchOptions,
+};
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_graph::{EdgeId, NodeId};
 use cla_index::InvertedIndex;
@@ -93,7 +105,14 @@ impl Mutator {
     /// memberships count as no-ops (the dice simply rolled an
     /// inapplicable op).
     fn random_op(&mut self, w: &mut EngineWriter, rng: &mut StdRng) -> bool {
-        match rng.random_range(0..12usize) {
+        let op = rng.random_range(0..12usize);
+        self.op(w, rng, op)
+    }
+
+    /// Stage mutation `op` of [`Mutator::random_op`]'s twelve, with
+    /// random operands.
+    fn op(&mut self, w: &mut EngineWriter, rng: &mut StdRng, op: usize) -> bool {
+        match op {
             // Insert a dependent of a random employee.
             0 => {
                 let Some((_, essn)) = Self::pick(w.db(), self.emp, rng) else { return false };
@@ -525,6 +544,95 @@ proptest! {
         }
         let _ = engine.apply().unwrap();
         assert_matches_rebuild(&engine, &format!("seed {seed} wave2"))?;
+    }
+}
+
+/// The tuples matching each keyword, as nodes of `dg`.
+fn keyword_node_sets(
+    index: &InvertedIndex,
+    dg: &DataGraph,
+    keywords: &[&str],
+) -> Vec<Vec<NodeId>> {
+    keywords
+        .iter()
+        .map(|kw| {
+            index.matching_tuples(kw).into_iter().filter_map(|t| dg.node_of(t)).collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// BANKS on an applied graph equals the eager reference: one random
+    /// batch inserts into relations that are not the last one (so an
+    /// inserted tuple's node id sorts after tuples that follow it) and
+    /// memberships, deletes, and re-points foreign keys; then `banks_search_budgeted`
+    /// on the published graph returns the reference's trees, in full at
+    /// `k: None` and as a prefix at `k`, for the three keyword pairs and
+    /// the triple under both weightings. Under two expansion caps it returns the
+    /// uncapped answer's certified prefix: the trees below the floor it
+    /// reports, cut at `k`. A forest keyed by node id instead of tuple
+    /// order breaks ties differently here, while every built or opened
+    /// graph numbers its nodes in tuple order.
+    #[test]
+    fn banks_on_applied_graphs_matches_eager_reference(seed in 0u64..500, k in 1usize..12) {
+        let s = generate_synthetic(&small_config(seed));
+        let mut engine = SearchEngine::new(s.db, s.er_schema, s.mapping).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xba9c5);
+        let mut mutator = Mutator::new(engine.db());
+        // Inserts of a dependent, an employee and a project (none of them
+        // the last relation) and of memberships, deletes, and
+        // re-pointing updates.
+        const REORDERING_OPS: [usize; 11] = [0, 1, 2, 3, 3, 4, 5, 6, 7, 9, 10];
+        mutator.op(engine.writer_mut(), &mut rng, 1);
+        for _ in 0..rng.random_range(8..20usize) {
+            let op = REORDERING_OPS[rng.random_range(0..REORDERING_OPS.len())];
+            mutator.op(engine.writer_mut(), &mut rng, op);
+        }
+        let _ = engine.apply().unwrap();
+        let dg = engine.data_graph();
+        let mut scratch = BanksScratch::new();
+        for query in QUERIES.iter().chain(&["xml smith alice"]) {
+            let kws: Vec<&str> = query.split(' ').collect();
+            let sets = keyword_node_sets(engine.index(), dg, &kws);
+            for weighting in [EdgeWeighting::Uniform, EdgeWeighting::ErAware] {
+                let all = BanksOptions { k: None, weighting };
+                let (want, _) = banks_naive(dg, &sets, &all);
+                for opts in [all, BanksOptions { k: Some(k), ..all }] {
+                    let (got, work, floor) =
+                        banks_search_budgeted(dg, &sets, &opts, &mut scratch, &mut |_| false);
+                    let n = opts.k.map_or(want.len(), |k| k.min(want.len()));
+                    prop_assert!(floor.is_none());
+                    prop_assert_eq!(&got[..], &want[..n], "{:?} {:?} k {:?}", kws, weighting, opts.k);
+                    for cap in [work.expansions / 3, work.expansions * 2 / 3] {
+                        let (capped, _, floor) = banks_search_budgeted(
+                            dg,
+                            &sets,
+                            &opts,
+                            &mut scratch,
+                            &mut |spent| spent >= cap,
+                        );
+                        let certified: Vec<_> = want
+                            .iter()
+                            .filter(|t| floor.is_none_or(|floor| t.weight < floor))
+                            .take(opts.k.unwrap_or(usize::MAX))
+                            .cloned()
+                            .collect();
+                        prop_assert_eq!(
+                            capped,
+                            certified,
+                            "{:?} {:?} k {:?} cap {} floor {:?}",
+                            kws,
+                            weighting,
+                            opts.k,
+                            cap,
+                            floor
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Dijkstra shortest paths: an eager binary-heap run with pluggable
 //! non-negative edge weights, and a lazy bucket-queue run over weights
-//! of one or two half units that settles the same forest in the same
-//! order.
+//! of one or two half units, keyed by a dense node rank, that settles
+//! the same forest in the same order.
 
 use crate::csr::CsrAdjacency;
 use crate::graph::{EdgeId, NodeId};
@@ -117,172 +117,244 @@ where
 
 /// An **incremental** multi-source Dijkstra over edge weights of one
 /// or two *half units*: the same shortest-path forest as
-/// [`multi_source_dijkstra_csr_by_key`] run with the same weights,
-/// settled one node at a time on demand instead of eagerly to
-/// exhaustion.
+/// [`multi_source_dijkstra_csr_by_key`] run with the same weights and a
+/// key that ranks every node uniquely, settled one node at a time on
+/// demand instead of eagerly to exhaustion.
 ///
 /// This is the substrate of BANKS-style expansion with a top-k cutoff:
-/// each keyword set owns one `LazyDijkstra`, the search settles
-/// whichever set's frontier is globally cheapest, and expansion stops
-/// as soon as the frontier distances prove that no future candidate
-/// root can enter the top k.
+/// each keyword set owns one `LazyDijkstra`, the search settles the
+/// keyword sets' frontiers one distance level at a time, and expansion
+/// stops as soon as the frontier distances prove that no future
+/// candidate root can enter the top k.
+///
+/// Ties at equal distance break by a dense `u32` **rank**, unique per
+/// node, that the caller supplies in both directions (`rank(node)` and
+/// `node_at(rank)`); `cla-core` ranks a node by its tuple's position in
+/// tuple order, so the forest depends on graph content, not on node
+/// ids.
 ///
 /// The frontier is a bucket queue (Dial's algorithm). Distances are
-/// whole half units, and a ring of three buckets holds the entries
-/// pushed at the current distance `d`, at `d + 1` and at `d + 2`.
-/// Settling a node at `d` relaxes its edges to `d + 1` or `d + 2`,
-/// never to `d`, because every weight is at least one half unit. So
-/// no push reaches the bucket being drained, and that bucket is sorted
-/// by `(key, node)` once, when it becomes current. Settles therefore
-/// follow the eager run's heap order `(dist, key, node)` exactly, each
-/// performs the same relaxations (a neighbour's parent is the first
-/// settled node that reaches it at its final distance), and the
-/// `dist`/`parent`/`origin` arrays of a lazy run driven to exhaustion
-/// are **identical** to the eager forest; any prefix of settles is a
-/// prefix of that forest.
+/// whole half units, and a ring of three buckets holds the frontier at
+/// the current distance `d`, at `d + 1` and at `d + 2`; each bucket is
+/// a bitset over ranks. Settling a node at `d` relaxes its edges to
+/// `d + 1` or `d + 2`, never to `d`, because every weight is at least
+/// one half unit, so no relaxation reaches the bucket being drained,
+/// and draining it in ascending bit order takes its nodes in rank order
+/// without sorting anything. A relaxation that improves a frontier
+/// node moves its bit from the old bucket to the new one, so a bucket
+/// never holds a stale entry. Settles therefore follow the eager run's
+/// heap order `(dist, rank)` exactly, each performs the same
+/// relaxations (a neighbour's parent is the first settled node that
+/// reaches it at its final distance), and the distances and parents of
+/// a lazy run driven to exhaustion are **identical** to the eager
+/// forest's; any prefix of settles is a prefix of that forest. There is
+/// no `origin` array: a parent chain ends at its origin, the first node
+/// without a parent.
 ///
 /// Buffers are reusable: [`LazyDijkstra::reset`] re-arms the state for
 /// a new source set without re-allocating, so a warm search epoch runs
-/// the whole expansion allocation-free (up to bucket growth beyond the
-/// high-water mark).
-#[derive(Debug, Clone)]
-pub struct LazyDijkstra<K> {
+/// the whole expansion allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct LazyDijkstra {
     /// `dist[n]` in half units: final once `n` is settled, the best
-    /// distance found so far before that, `u32::MAX` while unreached
-    /// (read [`LazyDijkstra::settled`] to distinguish).
+    /// distance found so far before that, `u32::MAX` while unreached.
     pub dist: Vec<u32>,
-    /// `parent[n]` on the shortest path toward `origin[n]` — final once
-    /// `n` is settled.
-    pub parent: Vec<Option<(NodeId, EdgeId)>>,
-    /// The source whose tree contains `n` (`None` while unreached).
-    pub origin: Vec<Option<NodeId>>,
-    settled: Vec<bool>,
-    /// `buckets[d % 3]` holds the `(key, node)` entries pushed at
-    /// distance `d`, for `d` in `current..=current + 2`; the current
-    /// bucket is sorted. An entry is stale once its node settled at a
-    /// smaller distance.
-    buckets: [Vec<(K, NodeId)>; 3],
+    /// `parent_node[n]` is the predecessor of `n` on its shortest path
+    /// toward its origin, `NO_PARENT` at sources and unreached nodes;
+    /// final once `n` is settled.
+    parent_node: Vec<u32>,
+    /// `parent_edge[n]` is the edge from `parent_node[n]` to `n`, read
+    /// only where `parent_node[n]` is set.
+    parent_edge: Vec<u32>,
+    /// `buckets[d % 3]` holds the ranks of the unsettled nodes at
+    /// distance `d`, for `d` in `current..=current + 2`.
+    buckets: [RankSet; 3],
     /// The distance of the bucket being drained.
     current: u32,
-    /// Entries of the current bucket already taken.
-    taken: usize,
 }
 
-impl<K: Ord + Copy> LazyDijkstra<K> {
-    /// A lazy run over `node_count` slots from `sources` (duplicates
-    /// ignored), distance ties broken by `key` like
-    /// [`multi_source_dijkstra_csr_by_key`].
-    pub fn new<F: Fn(NodeId) -> K>(node_count: usize, sources: &[NodeId], key: F) -> Self {
-        let mut lazy = LazyDijkstra {
-            dist: Vec::new(),
-            parent: Vec::new(),
-            origin: Vec::new(),
-            settled: Vec::new(),
-            buckets: [Vec::new(), Vec::new(), Vec::new()],
-            current: 0,
-            taken: 0,
-        };
-        lazy.reset(node_count, sources, key);
+/// The `parent_node` entry of a node without a parent.
+const NO_PARENT: u32 = u32::MAX;
+
+impl LazyDijkstra {
+    /// A lazy run over `node_count` node slots and `rank_count` ranks
+    /// from `sources` (duplicates ignored), distance ties broken by
+    /// `rank`, which must map every node the run can reach to a distinct
+    /// rank below `rank_count`.
+    pub fn new<R: Fn(NodeId) -> u32>(
+        node_count: usize,
+        rank_count: usize,
+        sources: &[NodeId],
+        rank: R,
+    ) -> Self {
+        let mut lazy = LazyDijkstra::default();
+        lazy.reset(node_count, rank_count, sources, rank);
         lazy
     }
 
     /// Re-arm for a fresh run, reusing every buffer.
-    pub fn reset<F: Fn(NodeId) -> K>(
+    pub fn reset<R: Fn(NodeId) -> u32>(
         &mut self,
         node_count: usize,
+        rank_count: usize,
         sources: &[NodeId],
-        key: F,
+        rank: R,
     ) {
         self.dist.clear();
         self.dist.resize(node_count, u32::MAX);
-        self.parent.clear();
-        self.parent.resize(node_count, None);
-        self.origin.clear();
-        self.origin.resize(node_count, None);
-        self.settled.clear();
-        self.settled.resize(node_count, false);
+        self.parent_node.clear();
+        self.parent_node.resize(node_count, NO_PARENT);
+        self.parent_edge.resize(node_count, 0);
         for bucket in &mut self.buckets {
-            bucket.clear();
+            bucket.reset(rank_count);
         }
         self.current = 0;
-        self.taken = 0;
         for &s in sources {
-            if self.origin[s.index()].is_none() {
+            if self.dist[s.index()] == u32::MAX {
                 self.dist[s.index()] = 0;
-                self.origin[s.index()] = Some(s);
-                self.buckets[0].push((key(s), s));
+                self.buckets[0].insert(rank(s));
             }
         }
-        self.buckets[0].sort_unstable();
     }
 
-    /// `true` once `n` was settled (its `dist`/`parent`/`origin` final).
-    pub fn settled(&self, n: NodeId) -> bool {
-        self.settled[n.index()]
+    /// The `(predecessor, edge)` on `n`'s shortest path back toward its
+    /// origin: `None` at a source or an unreached node. Final once `n`
+    /// is settled.
+    #[inline]
+    pub fn parent(&self, n: NodeId) -> Option<(NodeId, EdgeId)> {
+        let p = self.parent_node[n.index()];
+        (p != NO_PARENT).then(|| (NodeId(p), EdgeId(self.parent_edge[n.index()])))
     }
 
     /// The distance in half units the next [`LazyDijkstra::settle_next`]
-    /// will settle at, or `None` when the frontier is exhausted. Skips
-    /// stale entries and moves on to the next bucket as a side effect;
-    /// never settles.
+    /// will settle at, or `None` when the frontier is exhausted. Moves
+    /// on to the next bucket as a side effect; never settles.
     pub fn frontier_dist(&mut self) -> Option<u32> {
         loop {
-            let bucket = &self.buckets[self.current as usize % 3];
-            while let Some(&(_, n)) = bucket.get(self.taken) {
-                if !self.settled[n.index()] {
-                    return Some(self.current);
-                }
-                self.taken += 1;
+            let current = self.current as usize;
+            if self.buckets[current % 3].first().is_some() {
+                return Some(self.current);
             }
-            let next = self.current as usize + 1;
-            if self.buckets[next % 3].is_empty() && self.buckets[(next + 1) % 3].is_empty() {
+            if self.buckets[(current + 1) % 3].first().is_none()
+                && self.buckets[(current + 2) % 3].first().is_none()
+            {
                 return None;
             }
-            self.buckets[self.current as usize % 3].clear();
+            // The drained bucket is empty, so it can serve as the bucket
+            // of distance `current + 3`.
             self.current += 1;
-            self.taken = 0;
-            // Becoming current: every push from here on lands one or two
-            // half units further, so this order is final.
-            self.buckets[next % 3].sort_unstable();
         }
     }
 
-    /// Settle the cheapest frontier node and relax its neighbors,
-    /// returning `(node, dist)` with `dist` in half units — or `None`
-    /// when exhausted. `weight` gives each edge's weight in half units
-    /// and must return 1 or 2 (the ring holds three distances); it and
-    /// `key` must be the same functions on every call (the forest is
-    /// built across calls).
+    /// Settle the frontier node of least `(dist, rank)` and relax its
+    /// neighbors, returning `(node, dist)` with `dist` in half units —
+    /// or `None` when exhausted. `weight` gives each edge's weight in
+    /// half units and must return 1 or 2 (the ring holds three
+    /// distances); `rank` and `node_at` are the two directions of the
+    /// node ranking. All three must be the same functions on every call
+    /// and agree with the `rank` of [`LazyDijkstra::reset`] (the forest
+    /// is built across calls).
     ///
     /// # Panics
     ///
     /// If `weight` returns anything other than 1 or 2.
-    pub fn settle_next<W, F>(
+    pub fn settle_next<W, R, N>(
         &mut self,
         csr: &CsrAdjacency,
         weight: W,
-        key: F,
+        rank: R,
+        node_at: N,
     ) -> Option<(NodeId, u32)>
     where
         W: Fn(EdgeId) -> u32,
-        F: Fn(NodeId) -> K,
+        R: Fn(NodeId) -> u32,
+        N: Fn(u32) -> NodeId,
     {
         let d = self.frontier_dist()?;
-        let (_, n) = self.buckets[d as usize % 3][self.taken];
-        self.taken += 1;
-        self.settled[n.index()] = true;
+        // lint: allow(unwrap, frontier_dist found the current bucket non-empty)
+        let n = node_at(self.buckets[d as usize % 3].pop_first().expect("a frontier node"));
         for &(m, e) in csr.neighbors(n) {
             let w = weight(e);
             assert!(w == 1 || w == 2, "edge {e} weighs {w} half units, not 1 or 2");
             let nd = d + w;
-            if nd < self.dist[m.index()] {
+            let old = self.dist[m.index()];
+            if nd < old {
+                let r = rank(m);
+                if old != u32::MAX {
+                    // Only `d + 2` can improve (to `d + 1`): every other
+                    // finite distance is settled or at `d`.
+                    self.buckets[old as usize % 3].remove(r);
+                }
                 self.dist[m.index()] = nd;
-                self.parent[m.index()] = Some((n, e));
-                self.origin[m.index()] = self.origin[n.index()];
-                self.buckets[nd as usize % 3].push((key(m), m));
+                self.parent_node[m.index()] = n.0;
+                self.parent_edge[m.index()] = e.0;
+                self.buckets[nd as usize % 3].insert(r);
             }
         }
         Some((n, d))
+    }
+}
+
+/// A set of ranks as a bitset, whose set bits all lie in the words
+/// `lo..hi`: taking the least rank scans forward from `lo`, and a reset
+/// clears only that span.
+#[derive(Debug, Clone, Default)]
+struct RankSet {
+    words: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl RankSet {
+    /// Empty the set and size it for `rank_count` ranks.
+    fn reset(&mut self, rank_count: usize) {
+        if self.lo < self.hi {
+            self.words[self.lo..self.hi].fill(0);
+        }
+        self.words.resize(rank_count.div_ceil(64), 0);
+        self.lo = 0;
+        self.hi = 0;
+    }
+
+    #[inline]
+    fn insert(&mut self, rank: u32) {
+        let word = rank as usize / 64;
+        self.words[word] |= 1 << (rank % 64);
+        if self.lo >= self.hi {
+            self.lo = word;
+            self.hi = word + 1;
+        } else {
+            self.lo = self.lo.min(word);
+            self.hi = self.hi.max(word + 1);
+        }
+    }
+
+    #[inline]
+    fn remove(&mut self, rank: u32) {
+        self.words[rank as usize / 64] &= !(1 << (rank % 64));
+    }
+
+    /// The least rank in the set. Skips the empty words below it, so
+    /// later calls start there.
+    #[inline]
+    fn first(&mut self) -> Option<u32> {
+        while self.lo < self.hi {
+            let word = self.words[self.lo];
+            if word != 0 {
+                return Some((self.lo * 64) as u32 + word.trailing_zeros());
+            }
+            self.lo += 1;
+        }
+        None
+    }
+
+    /// Remove and return the least rank in the set.
+    #[inline]
+    fn pop_first(&mut self) -> Option<u32> {
+        let rank = self.first()?;
+        let word = &mut self.words[self.lo];
+        *word &= *word - 1;
+        Some(rank)
     }
 }
 
@@ -437,8 +509,17 @@ mod tests {
         assert!(ms.path_to(b).is_none());
     }
 
+    /// The root of `n`'s parent chain in a lazy run.
+    fn chain_end(lazy: &LazyDijkstra, mut n: NodeId) -> NodeId {
+        while let Some((prev, _)) = lazy.parent(n) {
+            n = prev;
+        }
+        n
+    }
+
     /// A lazy run driven to exhaustion produces exactly the eager
-    /// forest, and any settle prefix agrees with it on settled nodes.
+    /// forest, and any settle prefix agrees with it on settled nodes,
+    /// with ties broken by a rank that reverses node order.
     #[test]
     fn lazy_dijkstra_matches_eager_forest() {
         let (g, ns) = graph();
@@ -446,28 +527,32 @@ mod tests {
         // The diamond's weights clamped to one or two half units.
         let half = |e: EdgeId| if *g.edge(e).payload == 1.0 { 1 } else { 2 };
         let weight = |e: EdgeId| f64::from(half(e));
-        let key = |n: NodeId| n;
-        let eager = multi_source_dijkstra_csr_by_key(&csr, &[ns[1], ns[2]], weight, key);
-        let mut lazy = LazyDijkstra::new(csr.node_count(), &[ns[1], ns[2]], key);
+        let count = csr.node_count() as u32;
+        let rank = |n: NodeId| count - 1 - n.0;
+        let node_at = |r: u32| NodeId(count - 1 - r);
+        let sources = [ns[1], ns[2]];
+        let eager = multi_source_dijkstra_csr_by_key(&csr, &sources, weight, rank);
+        let mut lazy = LazyDijkstra::new(csr.node_count(), csr.node_count(), &sources, rank);
         let mut settles = 0;
         while let Some(front) = lazy.frontier_dist() {
-            let (n, d) = lazy.settle_next(&csr, half, key).unwrap();
+            let (n, d) = lazy.settle_next(&csr, half, rank, node_at).unwrap();
             assert_eq!(d, front, "frontier peek must predict the settle");
-            assert!(lazy.settled(n));
             assert_eq!(f64::from(lazy.dist[n.index()]), eager.dist[n.index()], "node {n}");
-            assert_eq!(lazy.parent[n.index()], eager.parent[n.index()], "node {n}");
-            assert_eq!(lazy.origin[n.index()], eager.origin[n.index()], "node {n}");
+            assert_eq!(lazy.parent(n), eager.parent[n.index()], "node {n}");
+            assert_eq!(Some(chain_end(&lazy, n)), eager.origin[n.index()], "node {n}");
             settles += 1;
         }
         assert_eq!(settles, g.node_count(), "connected graph settles every node");
-        assert!(lazy.settle_next(&csr, half, key).is_none());
+        assert!(lazy.settle_next(&csr, half, rank, node_at).is_none());
         // Reset reuses the buffers for a fresh run.
-        lazy.reset(csr.node_count(), &[ns[0]], key);
-        let eager0 = multi_source_dijkstra_csr_by_key(&csr, &[ns[0]], weight, key);
-        while lazy.settle_next(&csr, half, key).is_some() {}
+        lazy.reset(csr.node_count(), csr.node_count(), &[ns[0]], rank);
+        let eager0 = multi_source_dijkstra_csr_by_key(&csr, &[ns[0]], weight, rank);
+        while lazy.settle_next(&csr, half, rank, node_at).is_some() {}
         let dist: Vec<f64> = lazy.dist.iter().map(|&d| f64::from(d)).collect();
         assert_eq!(dist, eager0.dist);
-        assert_eq!(lazy.parent, eager0.parent);
+        for n in g.nodes() {
+            assert_eq!(lazy.parent(n), eager0.parent[n.index()], "node {n}");
+        }
     }
 
     /// A weight outside one or two half units would land in the ring's
@@ -477,8 +562,9 @@ mod tests {
     fn lazy_dijkstra_refuses_weights_past_two_half_units() {
         let (g, ns) = graph();
         let csr = CsrAdjacency::build(&g);
-        let mut lazy = LazyDijkstra::new(csr.node_count(), &[ns[0]], |n| n);
-        lazy.settle_next(&csr, |_| 3, |n| n);
+        let rank = |n: NodeId| n.0;
+        let mut lazy = LazyDijkstra::new(csr.node_count(), csr.node_count(), &[ns[0]], rank);
+        lazy.settle_next(&csr, |_| 3, rank, NodeId);
     }
 
     #[test]

@@ -23,12 +23,14 @@
 //!   expansion — settled lazily ([`LazyDijkstra`]) or eagerly
 //!   ([`multi_source_dijkstra_csr_by_key`]). The eager run pops a
 //!   binary heap in `(dist, key, node)` order. The lazy run takes edge
-//!   weights of one or two half units and keeps its frontier in a ring
-//!   of three distance buckets (Dial's algorithm): a settle at distance
-//!   `d` pushes only to `d + 1` or `d + 2`, never into the bucket being
-//!   drained, so each bucket is sorted by `(key, node)` once, when it
-//!   becomes current, and the lazy run settles the eager run's forest
-//!   in the eager run's order.
+//!   weights of one or two half units and breaks ties by a dense `u32`
+//!   rank per node that the caller supplies; its frontier is a ring of
+//!   three distance buckets (Dial's algorithm), each a bitset over
+//!   ranks. A settle at distance `d` pushes only to `d + 1` or `d + 2`,
+//!   never into the bucket being drained, so draining a bucket in
+//!   ascending bit order takes its nodes in rank order without a sort,
+//!   and the lazy run settles the eager run's forest (keyed by the same
+//!   rank) in the eager run's order.
 //!
 //! The crate is deliberately generic: `cla-core` instantiates it with
 //! tuple payloads and foreign-key edge annotations, the benches with

@@ -116,51 +116,58 @@ fn scan_live_slots<N, E>(g: &Graph<N, E>) -> Vec<Vec<(NodeId, EdgeId)>> {
 }
 
 /// Settle `lazy` (armed with `sources`) step by step and check it
-/// against the eager heap forest over the same weights. With weights of
-/// at least one half unit, every entry at distance `d` is on the eager
-/// heap before the first of them pops, so the eager settle order is the
-/// reachable nodes sorted by `(dist, key, node)`: the lazy run must
-/// settle exactly that sequence, and after every settle each settled
-/// node's dist, parent and origin must equal the eager forest's.
+/// against the eager heap forest over the same weights, with ties
+/// broken by the permutation `ranks` (`ranks[n]` is node `n`'s rank).
+/// With weights of at least one half unit, every entry at distance `d`
+/// is on the eager heap before the first of them pops, so the eager
+/// settle order is the reachable nodes sorted by `(dist, rank)`: the
+/// lazy run must settle exactly that sequence, and after every settle
+/// each settled node's dist and parent must equal the eager forest's,
+/// and its parent chain must end at the eager forest's origin.
 fn check_lazy_against_eager(
-    lazy: &mut LazyDijkstra<u8>,
+    lazy: &mut LazyDijkstra,
     csr: &CsrAdjacency,
     sources: &[NodeId],
     half: &dyn Fn(EdgeId) -> u32,
-    key: &dyn Fn(NodeId) -> u8,
+    ranks: &[u32],
 ) -> Result<(), TestCaseError> {
-    let eager = multi_source_dijkstra_csr_by_key(csr, sources, |e| f64::from(half(e)), key);
+    let rank = |n: NodeId| ranks[n.index()];
+    let node_at =
+        |r: u32| NodeId(ranks.iter().position(|&x| x == r).expect("a ranked node") as u32);
+    let eager = multi_source_dijkstra_csr_by_key(csr, sources, |e| f64::from(half(e)), rank);
     let mut order: Vec<NodeId> = (0..csr.node_count() as u32)
         .map(NodeId)
         .filter(|n| eager.origin[n.index()].is_some())
         .collect();
     order.sort_by(|a, b| {
-        eager.dist[a.index()]
-            .total_cmp(&eager.dist[b.index()])
-            .then(key(*a).cmp(&key(*b)))
-            .then(a.cmp(b))
+        eager.dist[a.index()].total_cmp(&eager.dist[b.index()]).then(rank(*a).cmp(&rank(*b)))
     });
     let mut settled = Vec::new();
     for &want in &order {
         let front = lazy.frontier_dist();
-        let (n, d) = lazy.settle_next(csr, half, key).expect("the eager forest reaches more");
+        let (n, d) = lazy
+            .settle_next(csr, half, rank, node_at)
+            .expect("the eager forest reaches more");
         prop_assert_eq!(Some(d), front, "frontier peek must predict the settle");
         prop_assert_eq!((n, f64::from(d)), (want, eager.dist[want.index()]));
         settled.push(n);
         for &s in &settled {
-            prop_assert!(lazy.settled(s));
             prop_assert_eq!(
                 f64::from(lazy.dist[s.index()]),
                 eager.dist[s.index()],
                 "node {}",
                 s
             );
-            prop_assert_eq!(lazy.parent[s.index()], eager.parent[s.index()], "node {}", s);
-            prop_assert_eq!(lazy.origin[s.index()], eager.origin[s.index()], "node {}", s);
+            prop_assert_eq!(lazy.parent(s), eager.parent[s.index()], "node {}", s);
+            let mut end = s;
+            while let Some((prev, _)) = lazy.parent(end) {
+                end = prev;
+            }
+            prop_assert_eq!(Some(end), eager.origin[s.index()], "node {}", s);
         }
     }
     prop_assert_eq!(lazy.frontier_dist(), None);
-    prop_assert!(lazy.settle_next(csr, half, key).is_none());
+    prop_assert!(lazy.settle_next(csr, half, rank, node_at).is_none());
     Ok(())
 }
 
@@ -370,13 +377,14 @@ proptest! {
     /// The lazy bucket-queue Dijkstra settles the eager heap forest's
     /// nodes in its order, prefix by prefix, and again after `reset` —
     /// on random graphs with parallel edges and self-loops, weights of
-    /// one or two half units, random multi-source sets and keys from a
-    /// small range, so that distance ties and key ties are common.
+    /// one or two half units and random multi-source sets, so that
+    /// distance ties are common, with ties broken by a random
+    /// permutation of the nodes, so that rank order is not node order.
     #[test]
     fn lazy_dijkstra_settles_the_eager_forest_in_order(
         n in 1usize..14,
         edges in proptest::collection::vec((0usize..14, 0usize..14, 1u32..3), 0..36),
-        keys in proptest::collection::vec(0u8..3, 14),
+        shuffle in proptest::collection::vec(any::<u32>(), 14),
         sources in proptest::collection::vec(0usize..14, 1..5),
         again in proptest::collection::vec(0usize..14, 1..5)
     ) {
@@ -384,16 +392,23 @@ proptest! {
         let g = build(n, &pairs);
         let csr = CsrAdjacency::build(&g);
         let half = |e: EdgeId| edges[e.index()].2;
-        let key = |v: NodeId| keys[v.index()];
+        // Node `order[i]` gets rank `i`: a random permutation.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| (shuffle[v], v));
+        let mut ranks = vec![0u32; n];
+        for (r, &v) in order.iter().enumerate() {
+            ranks[v] = r as u32;
+        }
+        let rank = |v: NodeId| ranks[v.index()];
         let pick = |raw: &[usize]| -> Vec<NodeId> {
             raw.iter().map(|&i| NodeId((i % n) as u32)).collect()
         };
         let sources = pick(&sources);
-        let mut lazy = LazyDijkstra::new(csr.node_count(), &sources, key);
-        check_lazy_against_eager(&mut lazy, &csr, &sources, &half, &key)?;
+        let mut lazy = LazyDijkstra::new(csr.node_count(), n, &sources, rank);
+        check_lazy_against_eager(&mut lazy, &csr, &sources, &half, &ranks)?;
         let again = pick(&again);
-        lazy.reset(csr.node_count(), &again, key);
-        check_lazy_against_eager(&mut lazy, &csr, &again, &half, &key)?;
+        lazy.reset(csr.node_count(), n, &again, rank);
+        check_lazy_against_eager(&mut lazy, &csr, &again, &half, &ranks)?;
     }
 
     /// Sorted-slice subset connectivity agrees with induced-subset

@@ -8,8 +8,14 @@
 //!
 //! Two seeded synthetic databases (16 departments at seed 7, 64 at seed
 //! 11) are each built into an engine, saved to an image in the system's
-//! temporary directory, and reopened from it; the same query mix then
-//! runs on the built and on the opened engine. The mix is drawn, with a
+//! temporary directory, and reopened from it. A second engine over the
+//! same database applies a fixed, seeded stream of write batches into
+//! EMPLOYEE (inserts, deletes, and updates that re-point an employee's
+//! department), so that its node ids no longer follow tuple order, and
+//! is saved and reopened too. The same query mix then runs on the
+//! built, opened, applied and reopened engines; an opened engine must
+//! answer as the built one does, and a reopened one as the applied one
+//! does. The mix is drawn, with a
 //! fixed seed, from each database's single-token index terms ranked by
 //! document frequency: pairs of head terms, pairs of mid-frequency
 //! terms, and three-keyword queries. Each query runs under every
@@ -29,6 +35,7 @@ use close_loose_ks::core::{
 };
 use close_loose_ks::datagen::{generate_synthetic, SyntheticConfig};
 use close_loose_ks::index::InvertedIndex;
+use close_loose_ks::relational::{RelationId, TupleId, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt::Write as _;
@@ -49,6 +56,11 @@ const TRIPLES: usize = 12;
 
 /// The expansion cap of the capped runs.
 const CAP: u64 = 2_000;
+
+/// Write batches applied to the second engine, and the seed of their
+/// stream.
+const WRITE_BATCHES: usize = 60;
+const WRITE_SEED: u64 = 31;
 
 const RANKERS: [RankStrategy; 5] = [
     RankStrategy::RdbLength,
@@ -94,6 +106,48 @@ fn build_engine(departments: usize, seed: u64) -> SearchEngine {
     SearchEngine::new(data.db, data.er_schema, data.mapping)
         .expect("synthetic databases are valid")
         .with_aliases(data.aliases)
+}
+
+/// A random live tuple of `relation` with its key (column 0).
+fn pick(engine: &SearchEngine, relation: RelationId, rng: &mut StdRng) -> (TupleId, String) {
+    let rows: Vec<_> = engine.db().tuples(relation).collect();
+    let (id, tuple) = rows[rng.random_range(0..rows.len())];
+    let key = tuple.get(0).and_then(Value::as_text).expect("text keys").to_owned();
+    (id, key)
+}
+
+/// Apply `WRITE_BATCHES` seeded batches of one to four EMPLOYEE writes:
+/// inserts (a random employee's names, a random department), deletes
+/// (skipped while the employee is referenced) and updates that
+/// re-point an employee to a random department. EMPLOYEE is not the
+/// last relation, so each inserted employee's node id sorts after
+/// tuples that follow it in tuple order.
+fn apply_writes(engine: &mut SearchEngine, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(WRITE_SEED ^ seed);
+    let relation = |name: &str| engine.db().catalog().relation_id(name).expect("company");
+    let (employee, department) = (relation("EMPLOYEE"), relation("DEPARTMENT"));
+    let mut fresh = 0;
+    for _ in 0..WRITE_BATCHES {
+        for _ in 0..rng.random_range(1..5usize) {
+            let (id, _) = pick(engine, employee, &mut rng);
+            let (_, dept) = pick(engine, department, &mut rng);
+            let mut values = engine.db().tuple(id).expect("live").values().to_vec();
+            values[3] = dept.into();
+            match rng.random_range(0..3usize) {
+                0 => {
+                    fresh += 1;
+                    values[0] = format!("ew{fresh}").into();
+                    engine.writer_mut().insert(employee, values).expect("a new employee");
+                }
+                1 => {
+                    // A restricted delete stages nothing.
+                    let _ = engine.writer_mut().delete(id);
+                }
+                _ => engine.writer_mut().update(id, values).expect("a re-pointed employee"),
+            }
+        }
+        let _ = engine.apply().expect("the batch applies");
+    }
 }
 
 /// The index's single-token terms, most frequent first (ties by term).
@@ -167,14 +221,27 @@ fn main() {
     let mut all = Fnv1a::new();
     let mut searches = 0usize;
     for (departments, seed) in DATABASES {
+        let reopen = |engine: &SearchEngine| {
+            let image = std::env::temp_dir()
+                .join(format!("answer_digest_{}_{departments}.snap", std::process::id()));
+            engine.save(&image).expect("save the image");
+            let opened = SearchEngine::open(&image).expect("open the image");
+            std::fs::remove_file(&image).expect("remove the image");
+            opened
+        };
         let built = build_engine(departments, seed);
-        let image = std::env::temp_dir()
-            .join(format!("answer_digest_{}_{departments}.snap", std::process::id()));
-        built.save(&image).expect("save the image");
-        let opened = SearchEngine::open(&image).expect("open the image");
-        std::fs::remove_file(&image).expect("remove the image");
+        let opened = reopen(&built);
+        let mut applied = build_engine(departments, seed);
+        apply_writes(&mut applied, seed);
+        let reopened = reopen(&applied);
         let mix = query_mix(&ranked_terms(built.index()), &mut rng);
-        for (engine_name, engine) in [("built", &built), ("opened", &opened)] {
+        let engines = [
+            ("built", &built),
+            ("opened", &opened),
+            ("applied", &applied),
+            ("reopened", &reopened),
+        ];
+        for (engine_name, engine) in engines {
             for query in &mix {
                 for options in option_sets(query.split_whitespace().count()) {
                     let answer = engine.search(query, &options);
