@@ -172,14 +172,13 @@ fn update_maintenance(c: &mut Criterion) {
                 }
                 let pk = format!("bz{i}");
                 let id = engine
-                    .writer_mut()
                     .insert(
                         dep,
                         vec![pk.as_str().into(), essn.as_str().into(), "Temp".into()],
                     )
                     .unwrap();
                 let _ = engine.apply().unwrap();
-                engine.writer_mut().delete(id).unwrap();
+                engine.delete(id).unwrap();
                 let _ = engine.apply().unwrap();
                 black_box(engine.is_fresh())
             })
@@ -210,7 +209,6 @@ fn update_maintenance(c: &mut Criterion) {
                 }
                 let pk = format!("mz{j}");
                 let id = engine2
-                    .writer_mut()
                     .insert(
                         emp,
                         vec![
@@ -222,7 +220,7 @@ fn update_maintenance(c: &mut Criterion) {
                     )
                     .unwrap();
                 let _ = engine2.apply().unwrap();
-                engine2.writer_mut().delete(id).unwrap();
+                engine2.delete(id).unwrap();
                 let _ = engine2.apply().unwrap();
                 black_box(engine2.is_fresh())
             })
@@ -239,7 +237,7 @@ fn update_maintenance(c: &mut Criterion) {
                 k += 1;
                 let mut values = engine3.db().tuple(dep_id).unwrap().values().to_vec();
                 values[2] = if k.is_multiple_of(2) { "Temp" } else { "Casey" }.into();
-                engine3.writer_mut().update(dep_id, values).unwrap();
+                engine3.update(dep_id, values).unwrap();
                 let _ = engine3.apply().unwrap();
                 black_box(engine3.is_fresh())
             })
@@ -261,7 +259,7 @@ fn update_maintenance(c: &mut Criterion) {
                 k += 1;
                 let mut values = engine4.db().tuple(dep_id4).unwrap().values().to_vec();
                 values[1] = essns[(k % 2) as usize].as_str().into();
-                engine4.writer_mut().update(dep_id4, values).unwrap();
+                engine4.update(dep_id4, values).unwrap();
                 let _ = engine4.apply().unwrap();
                 black_box(engine4.is_fresh())
             })
@@ -568,9 +566,8 @@ fn budget_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// B11: snapshot publish and concurrent-serving costs (the PR 7
-/// engine split into immutable `EngineSnapshot` generations behind a
-/// single `EngineWriter`).
+/// B11: snapshot publish and concurrent-serving costs (the engine
+/// publishes immutable `EngineSnapshot` generations).
 ///
 /// `publish_single_tuple/` is the same churn round trip as
 /// `scaling/update apply_single_tuple` — insert + apply, delete +
@@ -579,11 +576,11 @@ fn budget_overhead(c: &mut Criterion) {
 /// every publish go through the shared publication cell, and one
 /// reader keeps a generation pinned the whole time, which the writer
 /// must leave untouched while it copies the latest generation for
-/// every build. The acceptance claim is `publish_single_tuple ≤ apply_single_tuple
-/// · 2` at dept16 (i.e. snapshot publication costs at most one extra
-/// apply's worth over the façade-only path), with `full_rebuild/` —
-/// the `SearchEngine::new` a per-mutation rebuild would pay — as the
-/// contrast arm.
+/// every build. The acceptance claim is `publish_single_tuple ≤
+/// apply_single_tuple · 2` at dept16 (i.e. snapshot publication costs
+/// at most one extra apply's worth over `apply_single_tuple`, which
+/// takes no handle), with `full_rebuild/` — the `SearchEngine::new` a
+/// per-mutation rebuild would pay — as the contrast arm.
 ///
 /// `read_throughput_0w/` vs `read_throughput_1w/` measures one reader's
 /// pin-and-search latency with zero and one concurrent writer looping
@@ -619,11 +616,10 @@ fn snapshot_publish(c: &mut Criterion) {
             }
             let pk = format!("pz{i}");
             let id = engine
-                .writer_mut()
                 .insert(dep, vec![pk.as_str().into(), essn.as_str().into(), "Temp".into()])
                 .unwrap();
             let _ = engine.apply().unwrap();
-            engine.writer_mut().delete(id).unwrap();
+            engine.delete(id).unwrap();
             let _ = engine.apply().unwrap();
             black_box(handle.latest().generation())
         })
@@ -674,14 +670,13 @@ fn snapshot_publish(c: &mut Criterion) {
                 j += 1;
                 let pk = format!("wz{j}");
                 let id = writer_handle
-                    .writer_mut()
                     .insert(
                         dep,
                         vec![pk.as_str().into(), essn.as_str().into(), "Temp".into()],
                     )
                     .unwrap();
                 let _ = writer_handle.apply().unwrap();
-                writer_handle.writer_mut().delete(id).unwrap();
+                writer_handle.delete(id).unwrap();
                 let _ = writer_handle.apply().unwrap();
                 if j.is_multiple_of(4096) {
                     let _ = writer_handle.compact().unwrap();

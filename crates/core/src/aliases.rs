@@ -3,7 +3,7 @@
 //! Aliases (human-readable labels for tuples, used when rendering and
 //! explaining connections) are a read-mostly side table: searches only
 //! ever look them up, and mutations replace the whole table through
-//! [`crate::writer::EngineWriter::with_aliases`]. That makes them a
+//! [`crate::SearchEngine::with_aliases`]. That makes them a
 //! natural candidate for serving straight out of the snapshot image on
 //! open: the v2 `ALIASES` section stores strictly-sorted `(relation,
 //! row)` keys, an offset-bounds array and a UTF-8 string arena, and

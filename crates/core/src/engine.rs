@@ -1,217 +1,636 @@
-//! The classic single-owner engine façade over the snapshot/writer
-//! split.
+//! The keyword-search engine: one owner of the database that builds and
+//! publishes immutable snapshot generations.
 //!
-//! [`SearchEngine`] is the single-owner entry point: it owns one
-//! [`EngineWriter`] and delegates every read to the latest
-//! published [`EngineSnapshot`] generation, every mutation to the
-//! writer. New code that wants concurrent readers should take a
-//! [`SearchEngine::snapshots`] handle (or use [`EngineWriter`]
-//! directly) — each reader thread pins a generation with one read-locked
-//! `Arc` clone while this façade keeps mutating.
+//! [`SearchEngine`] owns the [`Database`] and its ChangeSet log, and its
+//! typed ops are the **only mutation path**. `apply`/`compact` build the
+//! next [`EngineSnapshot`] generation in a private buffer
+//! (mutation-free graph planning, [`Database::rollback`] and
+//! [`TupleRemap`] at the commit point) and publish it by swapping the
+//! new `Arc` into a shared `RwLock<Arc<EngineSnapshot>>`. Readers
+//! holding a [`SnapshotHandle`] pin a generation by taking the read
+//! lock for one `Arc` clone, and a publish holds the write lock only for
+//! the pointer swap, so neither side ever waits on a search — and a
+//! publish never invalidates a pinned generation.
+//!
+//! ## Publish by copy
+//!
+//! Every build derives the next generation from the current one: the
+//! inverted index merges the batch's posting edits with the current
+//! arrays into new ones, and a copy of the data graph's slots is edited
+//! and a CSR built from it (the current CSR supplies the adjacency the
+//! edits need; it is read, not copied). The schema, the mapping and the
+//! alias table are shared behind their `Arc`s (no batch edits them). A
+//! published snapshot therefore holds only flat arrays, and a publish
+//! costs `O(database)` whatever the batch size. The engine keeps no
+//! earlier generation: a snapshot is freed when its last reader drops
+//! it.
+//!
+//! A failed apply drops its private buffer, and rejects the database
+//! batch through [`Database::rollback`]; the published generation was
+//! never touched.
 
+use crate::aliases::Aliases;
 use crate::connection::Connection;
 use crate::datagraph::DataGraph;
 use crate::error::CoreError;
+use crate::failpoints;
 use crate::ranking::ConnectionInfo;
-use crate::snapshot::{EngineSnapshot, SearchOptions, SearchResults};
-use crate::writer::{ApplyOutcome, CompactionPolicy, EngineWriter, SnapshotHandle};
+use crate::snapshot::{
+    failpoints_enabled_from_env, EngineSnapshot, SearchOptions, SearchResults,
+};
 use cla_er::{ErSchema, SchemaMapping};
 use cla_graph::NodeId;
 use cla_index::{InvertedIndex, KeywordQuery};
-use cla_relational::{Database, TupleId, TupleRemap};
+use cla_relational::{Catalog, Database, RelationId, TupleId, TupleRemap, Value};
+use cla_storage::SharedBytes;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+
+/// When [`SearchEngine::apply`] reclaims tombstoned slots on its own.
+///
+/// Compaction renumbers **every** outstanding [`TupleId`], so it is
+/// opt-in: the default never compacts behind the caller's back. With
+/// [`CompactionPolicy::TombstoneRatio`], `apply` triggers a full
+/// [`SearchEngine::compact`] whenever the dead-slot fraction reaches
+/// the threshold, surfacing the resulting [`TupleRemap`] through
+/// [`ApplyOutcome::compaction`] so id-keyed caller state can be
+/// remapped instead of silently invalidated.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub enum CompactionPolicy {
+    /// Never compact automatically; [`SearchEngine::compact`] is the
+    /// caller's explicit, scheduled operation. Every apply copies all
+    /// node, edge and cardinality slots, tombstoned ones included, so
+    /// under this policy the applies of a long-running engine that
+    /// deletes or re-points get slower as tombstones pile up until it
+    /// calls `compact`.
+    #[default]
+    Manual,
+    /// Compact when `tombstoned row slots / total row slots` or
+    /// `tombstoned edge slots / total edge slots` reaches this fraction
+    /// (e.g. `0.25` for the ROADMAP's ≥ 25% trigger). Edge slots count
+    /// because re-pointing updates tombstone edges without freeing a
+    /// row. Values are clamped to `(0, 1]`; a non-positive threshold
+    /// would compact on every apply.
+    TombstoneRatio(f64),
+}
+
+/// What one successful [`SearchEngine::apply`] did.
+#[must_use = "an auto-compaction may have renumbered every TupleId — check `.compaction` for the remap"]
+#[derive(Debug, Clone, Default)]
+pub struct ApplyOutcome {
+    /// The slot remap of an auto-compaction, when the engine's
+    /// [`CompactionPolicy`] triggered one — **every previously held
+    /// [`TupleId`] must be remapped through it**. `None` when the apply
+    /// did not compact.
+    pub compaction: Option<TupleRemap>,
+}
+
+/// A cloneable, `Send + Sync` entry point for reader threads: pins the
+/// latest published [`EngineSnapshot`] generation.
+///
+/// Obtain one from [`SearchEngine::snapshots`], clone it into as many
+/// reader threads as needed, and call [`SnapshotHandle::latest`] per
+/// request — or hold a pinned `Arc<EngineSnapshot>` across several
+/// searches for a stable multi-query view. The handle stays valid after
+/// the engine advances (readers just keep seeing the generations they
+/// pinned) and even after the engine is dropped (the cell keeps the
+/// last published generation alive).
+#[derive(Clone, Debug)]
+pub struct SnapshotHandle {
+    cell: Arc<RwLock<Arc<EngineSnapshot>>>,
+}
+
+impl SnapshotHandle {
+    /// Pin the latest published generation: takes the read lock for one
+    /// `Arc` clone. Readers share the lock; a publish holds it
+    /// exclusively only for a pointer swap, never across a search.
+    pub fn latest(&self) -> Arc<EngineSnapshot> {
+        // Nothing panics under either guard, and the only write is a
+        // whole-`Arc` swap, so even a poisoned slot is valid: recover it.
+        Arc::clone(&self.cell.read().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+/// The engine's database slot: either an already-owned [`Database`] or
+/// a validated raw DATABASE image section awaiting first use.
+///
+/// The zero-copy open path defers materialization — `decode_flat`, with
+/// its value copies and PK/reverse-FK hash index builds, is the single
+/// most expensive part of a cold start — until a mutation (or a
+/// caller's `db()` borrow) actually needs the owned store. Searches
+/// never do: they run entirely off the published snapshot, so an
+/// opened, read-only engine never pays for the database at all.
+///
+/// Invariant: `image` is `Some` whenever the cell is empty, and
+/// [`Database::validate_flat`] ran check-for-check over the image bytes
+/// at open, so the deferred [`Database::decode_flat`] cannot fail.
+#[derive(Debug)]
+pub(crate) struct LazyDb {
+    cell: OnceLock<Database>,
+    image: Option<DbImage>,
+}
+
+/// The raw, already-validated DATABASE section plus what a deferred
+/// decode needs: the recomputed catalog and the stored version counter
+/// (answerable without materializing — freshness checks rely on it).
+#[derive(Debug)]
+struct DbImage {
+    catalog: Catalog,
+    bytes: SharedBytes,
+    version: u64,
+}
+
+impl LazyDb {
+    /// Wrap an already-built database (the fresh-build path).
+    pub(crate) fn ready(db: Database) -> Self {
+        let cell = OnceLock::new();
+        let _ = cell.set(db);
+        LazyDb { cell, image: None }
+    }
+
+    /// Defer materialization of a validated image section (the
+    /// zero-copy open path).
+    pub(crate) fn from_image(catalog: Catalog, bytes: SharedBytes, version: u64) -> Self {
+        LazyDb { cell: OnceLock::new(), image: Some(DbImage { catalog, bytes, version }) }
+    }
+
+    /// The owned database, materialized from the image section on first
+    /// use.
+    pub(crate) fn get(&self) -> &Database {
+        self.cell.get_or_init(|| {
+            // lint: allow(unwrap, `image` is Some whenever the cell is empty)
+            let img = self.image.as_ref().expect("lazy database has an image");
+            let db = Database::decode_flat(img.catalog.clone(), img.bytes.as_slice());
+            // lint: allow(unwrap, validate_flat mirrored every decode_flat check at open)
+            db.expect("image bytes were validated check-for-check at open")
+        })
+    }
+
+    /// Mutable access; materializes first like [`LazyDb::get`].
+    pub(crate) fn get_mut(&mut self) -> &mut Database {
+        self.get();
+        // lint: allow(unwrap, the get() above initialized the cell)
+        self.cell.get_mut().expect("cell initialized above")
+    }
+
+    /// The database's mutation counter, without materializing.
+    pub(crate) fn version(&self) -> u64 {
+        match self.cell.get() {
+            Some(db) => db.version(),
+            // lint: allow(unwrap, `image` is Some whenever the cell is empty)
+            None => self.image.as_ref().expect("lazy database has an image").version,
+        }
+    }
+
+    /// `true` once the owned store (with its PK/reverse-FK hash
+    /// indexes) has been built.
+    pub(crate) fn is_materialized(&self) -> bool {
+        self.cell.get().is_some()
+    }
+}
 
 /// The keyword-search engine over one database.
 ///
-/// The engine owns its database (through an [`EngineWriter`]); stage
-/// mutations through the writer's typed ops ([`SearchEngine::writer_mut`])
-/// and then call [`SearchEngine::apply`] to publish the next snapshot
-/// generation — no rebuild. Until `apply` runs, [`SearchEngine::search`]
-/// refuses with [`CoreError::StaleEngine`] instead of silently answering
-/// from stale structures (dangling nodes, missing postings, wrong df
-/// counts).
+/// The engine owns its database and its change log: stage mutations
+/// through the typed ops ([`SearchEngine::insert`],
+/// [`SearchEngine::update`], [`SearchEngine::delete`]) and then call
+/// [`SearchEngine::apply`] to publish the next snapshot generation — no
+/// rebuild. Until `apply` runs, [`SearchEngine::search`] refuses with
+/// [`CoreError::StaleEngine`] instead of silently answering from stale
+/// structures (dangling nodes, missing postings, wrong df counts).
 ///
 /// Reads answer from the latest **published** [`EngineSnapshot`]: an
 /// immutable, generation-stamped view of everything `search()` needs.
 /// [`SearchEngine::snapshots`] hands out a cloneable
 /// [`SnapshotHandle`] for reader threads; publishes are atomic `Arc`
-/// swaps, so concurrent readers never take a lock and never observe a
-/// half-applied mutation batch.
+/// swaps, so concurrent readers never wait on a search and never
+/// observe a half-applied mutation batch — see the module docs.
 #[derive(Debug)]
 pub struct SearchEngine {
-    writer: EngineWriter,
-}
-
-impl Clone for SearchEngine {
-    /// Clones the database and the published content; the clone is an
-    /// independent engine with its own publication state (fresh
-    /// snapshot handle lineage, empty scratch pool).
-    fn clone(&self) -> Self {
-        SearchEngine { writer: self.writer.clone_writer() }
-    }
+    db: LazyDb,
+    /// The engine's own pin of the latest published snapshot.
+    current: Arc<EngineSnapshot>,
+    /// The publication cell readers pin from; created lazily on the
+    /// first [`SearchEngine::snapshots`] so purely single-threaded use
+    /// (and the construction-time builders) never pays for sharing.
+    cell: OnceLock<Arc<RwLock<Arc<EngineSnapshot>>>>,
+    /// Publication ordinal of `current`.
+    generation: u64,
+    /// The database version the published structures reflect.
+    published_version: u64,
+    /// Whether this engine probes the process-global
+    /// [`failpoints`](crate::failpoints) registry; propagated into
+    /// every published snapshot.
+    failpoints: bool,
+    /// Auto-compaction policy consulted by [`SearchEngine::apply`].
+    compaction_policy: CompactionPolicy,
 }
 
 impl SearchEngine {
-    /// Build the engine: validates referential integrity, constructs the
-    /// inverted index and the data graph.
+    /// Build the engine and its generation-0 snapshot: validates
+    /// referential integrity, constructs the inverted index and the
+    /// data graph.
     pub fn new(
-        db: Database,
+        mut db: Database,
         er_schema: ErSchema,
         mapping: SchemaMapping,
     ) -> Result<Self, CoreError> {
-        Ok(SearchEngine { writer: EngineWriter::new(db, er_schema, mapping)? })
+        db.validate_references()?;
+        // The load-time change log is subsumed by the fresh build.
+        db.take_changes();
+        let published_version = db.version();
+        let index = InvertedIndex::build(&db);
+        let dg = DataGraph::build(&db, &mapping)?;
+        let failpoints = failpoints_enabled_from_env();
+        let snapshot = EngineSnapshot {
+            er_schema: Arc::new(er_schema),
+            mapping: Arc::new(mapping),
+            index,
+            dg,
+            aliases: Arc::new(Aliases::default()),
+            generation: 0,
+            failpoints: AtomicBool::new(failpoints),
+            scratch_pool: Mutex::new(Vec::new()),
+        };
+        Ok(SearchEngine {
+            db: LazyDb::ready(db),
+            current: Arc::new(snapshot),
+            cell: OnceLock::new(),
+            generation: 0,
+            published_version,
+            failpoints,
+            compaction_policy: CompactionPolicy::default(),
+        })
     }
 
     /// Attach display aliases (`d1`, `e1`, …) for rendering.
     pub fn with_aliases(mut self, aliases: HashMap<TupleId, String>) -> Self {
-        self.writer = self.writer.with_aliases(aliases);
+        self.edit_snapshot(|snap| snap.aliases = Arc::new(aliases.into()));
         self
     }
 
     /// Opt into automatic slot reclamation — see [`CompactionPolicy`].
     pub fn with_compaction_policy(mut self, policy: CompactionPolicy) -> Self {
-        self.writer = self.writer.with_compaction_policy(policy);
+        self.compaction_policy = policy;
         self
-    }
-
-    /// Save the engine's published state as one offset-addressable,
-    /// checksummed snapshot image at `path` (atomic rename; staged
-    /// mutations must be applied first — see [`EngineWriter::save`]).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CoreError> {
-        self.writer.save(path)
-    }
-
-    /// Cold-start an engine from a snapshot image written by
-    /// [`SearchEngine::save`]: section reads plus validation instead of
-    /// the whole build pipeline, answering byte-identically to a
-    /// rebuilt engine and staying fully mutable ([`SearchEngine::apply`]
-    /// and [`SearchEngine::compact`] work on the opened engine).
-    /// Corrupt or version-incompatible files are rejected with
-    /// [`CoreError::Snapshot`] — never a panic.
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, CoreError> {
-        Ok(SearchEngine { writer: EngineWriter::open(path)? })
     }
 
     /// The engine's auto-compaction policy.
     pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.writer.compaction_policy()
+        self.compaction_policy
     }
 
-    /// The single writer behind this façade, for callers stepping up to
-    /// the explicit snapshot API.
-    pub fn writer(&self) -> &EngineWriter {
-        &self.writer
+    /// Apply a construction-time edit to the snapshot. In-place while
+    /// the snapshot is still unshared (the builder pattern's normal
+    /// shape); republishes a copy if a handle or snapshot pin already
+    /// escaped.
+    fn edit_snapshot(&mut self, f: impl FnOnce(&mut EngineSnapshot)) {
+        if self.cell.get().is_none() {
+            if let Some(snap) = Arc::get_mut(&mut self.current) {
+                f(snap);
+                return;
+            }
+        }
+        let mut copy =
+            self.current.successor(self.current.index.clone(), self.current.dg.clone());
+        f(&mut copy);
+        // Published under the same data generation: the contents edit
+        // (aliases) is presentation state, not a mutation batch — but
+        // it must go through the cell so pinned readers keep their
+        // pre-edit view and new loads see the edit.
+        self.publish(copy);
     }
 
-    /// Mutable access to the writer (typed mutations:
-    /// [`EngineWriter::insert`] / [`EngineWriter::update`] /
-    /// [`EngineWriter::delete`], then [`SearchEngine::apply`]).
-    pub fn writer_mut(&mut self) -> &mut EngineWriter {
-        &mut self.writer
+    /// The shared publication cell, created on first use.
+    fn cell(&self) -> &Arc<RwLock<Arc<EngineSnapshot>>> {
+        self.cell.get_or_init(|| Arc::new(RwLock::new(Arc::clone(&self.current))))
     }
 
     /// A cloneable entry point for reader threads: each
-    /// [`SnapshotHandle::latest`] call takes a read lock for one `Arc`
-    /// clone to pin the most recently published generation, which stays
-    /// alive and byte-stable while this engine keeps applying and
-    /// compacting. See [`EngineSnapshot`] for the consistency model.
+    /// [`SnapshotHandle::latest`] call takes the cell's read lock for
+    /// one `Arc` clone to pin the most recently published generation,
+    /// which stays alive and byte-stable while this engine keeps
+    /// applying and compacting. See [`EngineSnapshot`] for the
+    /// consistency model.
     pub fn snapshots(&self) -> SnapshotHandle {
-        self.writer.handle()
+        SnapshotHandle { cell: Arc::clone(self.cell()) }
     }
 
-    /// Pin the latest published snapshot directly.
+    /// Pin the latest published snapshot directly (the engine's own
+    /// reference — no cell involved).
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
-        self.writer.snapshot()
+        Arc::clone(&self.current)
     }
 
-    /// The latest published snapshot, by reference.
-    fn current(&self) -> &EngineSnapshot {
-        self.writer.current_ref()
-    }
-
-    /// Publication ordinal of the latest snapshot (0 for a freshly
-    /// built engine, +1 per published apply/compact).
+    /// Publication ordinal of the latest snapshot: 0 for a freshly
+    /// built engine, +1 per publish: every apply and compaction, and an
+    /// alias edit made after a snapshot or handle escaped. An opened
+    /// engine continues from the saved ordinal.
     pub fn generation(&self) -> u64 {
-        self.writer.generation()
-    }
-
-    /// `true` when the published structures reflect the database's
-    /// current version.
-    pub fn is_fresh(&self) -> bool {
-        self.writer.is_fresh()
-    }
-
-    /// Opt this engine into the process-global
-    /// [`failpoints`](crate::failpoints) registry: armed points fire
-    /// inside this engine's pipelines (`apply.mid` forces the apply
-    /// rollback path, `pool.return` panics while holding the
-    /// scratch-pool lock, `banks.settle` forces a budget trip in the
-    /// BANKS expansion).
-    /// Fault-injection instrumentation — not part of the search
-    /// contract. Engines built while `CLA_FAILPOINTS` is set are
-    /// enabled automatically.
-    pub fn enable_failpoints(&mut self) {
-        self.writer.enable_failpoints()
-    }
-
-    /// Drain the database's pending mutations and publish the next
-    /// snapshot generation — see [`EngineWriter::apply`] for the full
-    /// contract (atomicity, rollback, auto-compaction). Each apply costs
-    /// `O(slots)`, tombstoned ones included, so a writer with steady
-    /// churn should call [`SearchEngine::compact`] on a schedule.
-    /// After a successful apply the engine answers exactly like a
-    /// freshly built [`SearchEngine::new`] over the mutated database —
-    /// the rebuild-equivalence property the mutation test suite pins
-    /// down.
-    pub fn apply(&mut self) -> Result<ApplyOutcome, CoreError> {
-        self.writer.apply()
-    }
-
-    /// Reclaim every tombstoned slot end to end and publish the
-    /// compacted state — see [`EngineWriter::compact`]. **Every
-    /// outstanding [`TupleId`] is invalidated**; remap id-keyed caller
-    /// state through the returned table.
-    pub fn compact(&mut self) -> Result<TupleRemap, CoreError> {
-        self.writer.compact()
+        self.generation
     }
 
     /// The underlying database (materializes a zero-copy-opened
-    /// engine's lazy store on first call).
+    /// engine's lazy store on first call — see
+    /// [`SearchEngine::db_materialized`]).
     pub fn db(&self) -> &Database {
-        self.writer.db()
+        self.db.get()
     }
 
     /// `true` once the owned database (with its PK/reverse-FK hash
     /// indexes) exists — immediately for a built engine, only after the
-    /// first mutation or `db()` borrow for a zero-copy-opened one.
+    /// first mutation (or `db()` borrow) for a zero-copy-opened one.
     pub fn db_materialized(&self) -> bool {
-        self.writer.db_materialized()
+        self.db.is_materialized()
+    }
+
+    /// The engine itself, for callers written against the former writer
+    /// accessor: the typed ops are defined on the engine.
+    #[deprecated(note = "call `insert`, `update` and `delete` on the engine directly")]
+    pub fn writer_mut(&mut self) -> &mut Self {
+        self
+    }
+
+    /// Stage an insert in the owned database (logged in the change
+    /// set; call [`SearchEngine::apply`] to publish). Like every typed
+    /// op, one the database refuses (a duplicate key, an arity or type
+    /// mismatch, a restrict) returns [`CoreError::Relational`] with the
+    /// typed reason and stages nothing.
+    pub fn insert(
+        &mut self,
+        relation: RelationId,
+        values: Vec<Value>,
+    ) -> Result<TupleId, CoreError> {
+        Ok(self.db.get_mut().insert(relation, values)?)
+    }
+
+    /// Stage an in-place update (same [`TupleId`]; FK edges re-resolved
+    /// at apply time).
+    pub fn update(&mut self, id: TupleId, values: Vec<Value>) -> Result<(), CoreError> {
+        Ok(self.db.get_mut().update(id, values)?)
+    }
+
+    /// Stage a restrict-checked delete.
+    pub fn delete(&mut self, id: TupleId) -> Result<(), CoreError> {
+        Ok(self.db.get_mut().delete(id)?)
+    }
+
+    /// `true` when the published structures reflect the database's
+    /// current version (no staged-but-unapplied mutations).
+    pub fn is_fresh(&self) -> bool {
+        // `LazyDb::version` answers from the image header when the
+        // store is unmaterialized — freshness never forces a decode.
+        self.published_version == self.db.version()
+    }
+
+    /// The [`CoreError::StaleEngine`] for the current version gap.
+    fn stale_error(&self) -> CoreError {
+        CoreError::StaleEngine {
+            engine_version: self.published_version,
+            db_version: self.db.version(),
+        }
+    }
+
+    /// Save the published generation and its database as one
+    /// offset-addressable, checksummed snapshot image at `path`
+    /// (written to a temporary sibling and atomically renamed into
+    /// place) — the cold-start counterpart of [`SearchEngine::open`].
+    /// Saving never mutates the snapshot, so concurrent readers of this
+    /// generation are unaffected.
+    ///
+    /// Refuses a stale engine ([`CoreError::StaleEngine`]): staged
+    /// mutations are in the database but not in the published
+    /// structures, so the image would hold rows its index and graph do
+    /// not. Call [`SearchEngine::apply`] first.
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CoreError> {
+        if !self.is_fresh() {
+            return Err(self.stale_error());
+        }
+        crate::persist::write_image(&self.current, self.db.get(), path.as_ref())
+    }
+
+    /// Cold-start an engine from a snapshot image written by
+    /// [`SearchEngine::save`]: section reads plus validation instead of
+    /// the tokenize → index → graph → CSR build pipeline.
+    ///
+    /// The opened engine is fully operational — `apply`, `compact`,
+    /// `snapshots`, and another `save` all work — and its published
+    /// snapshot answers **byte-identically** to one rebuilt from the
+    /// same database (the round-trip property test suite pins this
+    /// down). The saved publication ordinal is restored so generation
+    /// counts keep ascending across the save/open boundary. A file that
+    /// is truncated, checksum-corrupt, from an unsupported format
+    /// version, or internally inconsistent is rejected with
+    /// [`CoreError::Snapshot`] — never a panic.
+    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, CoreError> {
+        // Checksum deferred: `decode_image` overlaps the whole-body hash
+        // with the section decodes and checks its verdict first, so the
+        // observable errors match an eager parse.
+        let bytes = std::fs::read(path.as_ref()).map_err(cla_storage::StorageError::from)?;
+        let image = cla_storage::SnapshotImage::parse_deferred(bytes)?.into_shared();
+        let (snapshot, db, generation) = crate::persist::decode_image(&image)?;
+        let published_version = db.version();
+        Ok(SearchEngine {
+            db,
+            current: Arc::new(snapshot),
+            cell: OnceLock::new(),
+            generation,
+            published_version,
+            failpoints: failpoints_enabled_from_env(),
+            compaction_policy: CompactionPolicy::default(),
+        })
+    }
+
+    /// Opt this engine into the process-global
+    /// [`failpoints`](crate::failpoints) registry, including the
+    /// already-published snapshot: armed points fire inside this
+    /// engine's pipelines (`apply.mid` forces the apply rollback path,
+    /// `pool.return` panics while holding the scratch-pool lock,
+    /// `banks.settle` forces a budget trip in the BANKS expansion).
+    /// Fault-injection instrumentation — not part of the search
+    /// contract. Engines built while `CLA_FAILPOINTS` is set are
+    /// enabled automatically.
+    pub fn enable_failpoints(&mut self) {
+        self.failpoints = true;
+        // ordering: Relaxed — instrumentation flag behind `&mut self`;
+        // readers treat a stale value as "probe later", nothing is
+        // published through it.
+        self.current.failpoints.store(true, AtomicOrdering::Relaxed);
+    }
+
+    /// Drain the database's pending mutations, derive every structure
+    /// of the **next snapshot generation** from the current one and
+    /// publish it atomically: inverted-index postings (updates merged
+    /// as term diffs), and data-graph nodes and edges (updates rewiring
+    /// only their changed edges, found through the current CSR) with a
+    /// CSR built from them. After a successful apply the published
+    /// snapshot answers exactly like a freshly built
+    /// [`SearchEngine::new`] over the mutated database — the
+    /// rebuild-equivalence property the mutation test suite pins down —
+    /// without re-reading the database, and **readers pinned to older
+    /// generations are untouched** (their snapshots stay alive and
+    /// byte-stable until they drop them).
+    ///
+    /// Each apply costs `O(slots)`, whatever the batch size: the
+    /// derivation copies every node and edge slot, tombstoned ones
+    /// included. An engine with steady churn should therefore call
+    /// [`SearchEngine::compact`] on a schedule, or opt into
+    /// [`CompactionPolicy::TombstoneRatio`], which counts both dead
+    /// row slots and dead edge slots, so re-points, which tombstone
+    /// edge slots only, trigger it too.
+    ///
+    /// The apply is **atomic**. On error (e.g. a dangling reference
+    /// that a full rebuild's validation would also reject) nothing is
+    /// published: the half-built index is dropped, the *database
+    /// batch itself* is rolled back through [`Database::rollback`] (the
+    /// batch is a failed transaction; its mutations are rejected
+    /// wholesale), and the error is returned with the engine fresh and
+    /// **still serving the pre-mutation answers**.
+    ///
+    /// With a [`CompactionPolicy::TombstoneRatio`] policy, a successful
+    /// apply that leaves the dead row-slot or edge-slot fraction at or
+    /// above the threshold triggers a full [`SearchEngine::compact`];
+    /// the remap is surfaced through [`ApplyOutcome::compaction`].
+    pub fn apply(&mut self) -> Result<ApplyOutcome, CoreError> {
+        let changes = self.db.get_mut().take_changes();
+        // Every mutation logs exactly one op, and only this method drains
+        // the log (the database is never handed out mutably), so the log
+        // accounts for the whole version delta.
+        debug_assert_eq!(
+            changes.len() as u64,
+            self.db.version() - self.published_version,
+            "the change log holds every op since the last publish"
+        );
+        let current = &self.current;
+        let index = current.index.apply(self.db.get(), &changes);
+        let result = if self.failpoints && failpoints::triggered("apply.mid") {
+            // Fails the way the graph plan does; the id names the failpoint.
+            Err(CoreError::UnknownTuple("<forced by the apply.mid failpoint>".into()))
+        } else {
+            current.dg.apply(self.db.get(), &current.mapping, &changes)
+        };
+        match result {
+            Ok(dg) => {
+                let buf = current.successor(index, dg);
+                self.published_version = self.db.version();
+                self.publish(buf);
+                let mut outcome = ApplyOutcome::default();
+                if let CompactionPolicy::TombstoneRatio(threshold) = self.compaction_policy {
+                    let threshold = threshold.clamp(f64::MIN_POSITIVE, 1.0);
+                    let reached = |dead: usize, total: usize| {
+                        dead > 0 && dead as f64 >= threshold * total as f64
+                    };
+                    let rows = self.db.get().total_row_slots();
+                    let graph = self.current.dg.graph();
+                    if reached(rows - self.db.get().total_tuples(), rows)
+                        || reached(
+                            graph.edge_slots() - graph.edge_count(),
+                            graph.edge_slots(),
+                        )
+                    {
+                        // The engine is fresh right here (just
+                        // published), so compaction cannot be refused.
+                        outcome.compaction = Some(self.compact()?);
+                    }
+                }
+                Ok(outcome)
+            }
+            Err(e) => {
+                // The half-built index was never published: drop it,
+                // and reject the database batch via inverse ops so that
+                // engine and database agree on the pre-mutation state.
+                drop(index);
+                self.db.get_mut().rollback(&changes);
+                self.published_version = self.db.version();
+                debug_assert!(self.is_fresh());
+                Err(e)
+            }
+        }
+    }
+
+    /// Publish `buf` as the next generation: bump the ordinal and swap
+    /// it into the cell under the write lock.
+    fn publish(&mut self, mut buf: EngineSnapshot) {
+        self.generation += 1;
+        buf.generation = self.generation;
+        *buf.failpoints.get_mut() = self.failpoints;
+        let new_arc = Arc::new(buf);
+        self.current = Arc::clone(&new_arc);
+        if let Some(cell) = self.cell.get() {
+            // Drop the cell's pin of the previous generation after the
+            // guard is released, so a last-reference drop never runs
+            // under the lock.
+            let mut slot = cell.write().unwrap_or_else(PoisonError::into_inner);
+            let previous = std::mem::replace(&mut *slot, new_arc);
+            drop(slot);
+            drop(previous);
+        }
+    }
+
+    /// Reclaim every tombstoned slot churn left behind, end to end:
+    /// database row slots (via [`Database::compact`]), graph node and
+    /// edge slots and the CSR's flat arrays — with ids renumbered
+    /// densely behind the returned [`TupleRemap`] — and publish the
+    /// compacted state as the next snapshot generation.
+    /// Postings are rebuilt from the live set (they must speak the new
+    /// tuple ids); display aliases are remapped in place.
+    ///
+    /// **Every outstanding [`TupleId`] is invalidated** — callers
+    /// holding id-keyed state must remap it through the returned table.
+    /// Readers pinned to pre-compaction snapshots are unaffected: their
+    /// generations still speak the old ids consistently. The engine
+    /// must be fresh (apply pending mutations first; a stale engine
+    /// returns [`CoreError::StaleEngine`]).
+    pub fn compact(&mut self) -> Result<TupleRemap, CoreError> {
+        if !self.is_fresh() {
+            return Err(self.stale_error());
+        }
+        let remap = self.db.get_mut().compact()?;
+        let current = &self.current;
+        // Postings speak tuple ids: rebuild them from the live set under
+        // the same tokenizer (renumbering every posting in place would
+        // also break the sorted-by-tuple invariant, since row order is
+        // preserved but *relative* ids shift across relations).
+        let index =
+            InvertedIndex::build_with(self.db.get(), current.index.tokenizer().clone());
+        let mut buf = current.successor(index, current.dg.compact(&remap));
+        buf.aliases = Arc::new(
+            Arc::unwrap_or_clone(std::mem::take(&mut buf.aliases))
+                .into_owned()
+                .into_iter()
+                .filter_map(|(t, alias)| remap.map(t).map(|nt| (nt, alias)))
+                .collect::<HashMap<_, _>>()
+                .into(),
+        );
+        self.published_version = self.db.version();
+        self.publish(buf);
+        Ok(remap)
     }
 
     /// The ER schema.
     pub fn er_schema(&self) -> &ErSchema {
-        self.current().er_schema()
+        self.current.er_schema()
     }
 
     /// The mapping provenance.
     pub fn mapping(&self) -> &SchemaMapping {
-        self.current().mapping()
+        self.current.mapping()
     }
 
     /// The inverted index (of the latest published generation).
     pub fn index(&self) -> &InvertedIndex {
-        self.current().index()
+        self.current.index()
     }
 
     /// The data graph (of the latest published generation).
     pub fn data_graph(&self) -> &DataGraph {
-        self.current().data_graph()
+        self.current.data_graph()
     }
 
     /// Display aliases.
     pub fn aliases(&self) -> &HashMap<TupleId, String> {
-        self.current().aliases()
+        self.current.aliases()
     }
 
     /// Tuples matching each keyword of `query`, in keyword order.
@@ -223,7 +642,7 @@ impl SearchEngine {
     /// with [`CoreError::StaleEngine`]).
     pub fn keyword_matches(&self, query: &KeywordQuery) -> Vec<(String, Vec<TupleId>)> {
         debug_assert!(self.is_fresh(), "keyword_matches on a stale engine — apply() first");
-        self.current().keyword_matches(query)
+        self.current.keyword_matches(query)
     }
 
     /// Keyword markers per node for rendering: which display keywords
@@ -234,7 +653,7 @@ impl SearchEngine {
         display_keywords: &[String],
     ) -> HashMap<NodeId, Vec<String>> {
         debug_assert!(self.is_fresh(), "markers on a stale engine — apply() first");
-        self.current().markers(query, display_keywords)
+        self.current.markers(query, display_keywords)
     }
 
     /// The connection following exactly the given tuple sequence, if the
@@ -247,7 +666,7 @@ impl SearchEngine {
             self.is_fresh(),
             "connection_following on a stale engine — apply() first"
         );
-        self.current().connection_following(tuples)
+        self.current.connection_following(tuples)
     }
 
     /// Compute the ranking metrics of a connection for a query.
@@ -263,27 +682,27 @@ impl SearchEngine {
         max_witness_length: usize,
     ) -> ConnectionInfo {
         debug_assert!(self.is_fresh(), "connection_info on a stale engine — apply() first");
-        self.current().connection_info(conn, query, compute_instance, max_witness_length)
+        self.current.connection_info(conn, query, compute_instance, max_witness_length)
     }
 
     /// Run a keyword search on the latest published generation.
     ///
     /// Fails with [`CoreError::StaleEngine`] when mutations were staged
-    /// through the writer without a subsequent [`SearchEngine::apply`] —
-    /// searching stale structures would return silently wrong results,
-    /// so the engine refuses instead. Reader threads that pinned a
-    /// snapshot are exempt: a pinned generation is always internally
-    /// consistent, by construction (see [`EngineSnapshot::search`] for
-    /// the query contract — `EmptyQuery` semantics, `k` edge cases).
+    /// without a subsequent [`SearchEngine::apply`] — searching stale
+    /// structures would return silently wrong results, so the engine
+    /// refuses instead. Reader threads that pinned a snapshot are
+    /// exempt: a pinned generation is always internally consistent, by
+    /// construction (see [`EngineSnapshot::search`] for the query
+    /// contract — `EmptyQuery` semantics, `k` edge cases).
     pub fn search(
         &self,
         raw_query: &str,
         options: &SearchOptions,
     ) -> Result<SearchResults, CoreError> {
         if !self.is_fresh() {
-            return Err(self.writer.stale_error());
+            return Err(self.stale_error());
         }
-        self.current().search(raw_query, options)
+        self.current.search(raw_query, options)
     }
 }
 
@@ -641,9 +1060,7 @@ mod tests {
         let mut e = engine();
         assert!(e.is_fresh());
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
-        e.writer_mut()
-            .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
-            .unwrap();
+        e.insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()]).unwrap();
         assert!(!e.is_fresh());
         let err = e.search("Smith XML", &SearchOptions::default()).unwrap_err();
         assert!(matches!(err, CoreError::StaleEngine { .. }), "got {err:?}");
@@ -671,11 +1088,9 @@ mod tests {
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
         let wf = e.db().catalog().relation_id("WORKS_FOR").unwrap();
         // New Smith employee in d2, working on p1; remove w_f2 (e2–p3).
-        e.writer_mut()
-            .insert(emp, vec!["e9".into(), "Smith".into(), "Ada".into(), "d2".into()])
-            .unwrap();
-        e.writer_mut().insert(wf, vec!["e9".into(), "p1".into(), 12i64.into()]).unwrap();
-        e.writer_mut().delete(c.tuple("w_f2").unwrap()).unwrap();
+        e.insert(emp, vec!["e9".into(), "Smith".into(), "Ada".into(), "d2".into()]).unwrap();
+        e.insert(wf, vec!["e9".into(), "p1".into(), 12i64.into()]).unwrap();
+        e.delete(c.tuple("w_f2").unwrap()).unwrap();
         let _ = e.apply().unwrap();
 
         let rebuilt =
@@ -713,9 +1128,7 @@ mod tests {
             .with_aliases(c.aliases.clone());
         let e2 = c.tuple("e2").unwrap();
         // Move e2 (a Smith) from d2 to d1 and rename — same TupleId.
-        e.writer_mut()
-            .update(e2, vec!["e2".into(), "Smith".into(), "Barb".into(), "d1".into()])
-            .unwrap();
+        e.update(e2, vec!["e2".into(), "Smith".into(), "Barb".into(), "d1".into()]).unwrap();
         let _ = e.apply().unwrap();
         assert!(e.is_fresh());
 
@@ -752,21 +1165,16 @@ mod tests {
             .with_aliases(c.aliases.clone());
         // Churn: delete a dependent and a membership, add an employee.
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
-        e.writer_mut().delete(c.tuple("t1").unwrap()).unwrap();
-        e.writer_mut().delete(c.tuple("w_f2").unwrap()).unwrap();
-        e.writer_mut()
-            .insert(emp, vec!["e9".into(), "Smith".into(), "Ada".into(), "d2".into()])
-            .unwrap();
+        e.delete(c.tuple("t1").unwrap()).unwrap();
+        e.delete(c.tuple("w_f2").unwrap()).unwrap();
+        e.insert(emp, vec!["e9".into(), "Smith".into(), "Ada".into(), "d2".into()]).unwrap();
         let _ = e.apply().unwrap();
         assert!(e.db().total_row_slots() > e.db().total_tuples(), "churn left tombstones");
 
         // Compacting a stale engine is refused.
         let mut stale =
             SearchEngine::new(c.db.clone(), c.er_schema.clone(), c.mapping.clone()).unwrap();
-        stale
-            .writer_mut()
-            .insert(emp, vec!["zz".into(), "S".into(), "T".into(), "d1".into()])
-            .unwrap();
+        stale.insert(emp, vec!["zz".into(), "S".into(), "T".into(), "d1".into()]).unwrap();
         assert!(matches!(stale.compact(), Err(CoreError::StaleEngine { .. })));
 
         let before = e.search("Smith XML", &SearchOptions::default()).unwrap();
@@ -807,7 +1215,7 @@ mod tests {
         );
         // Post-compaction mutations keep working against the new ids.
         let e9 = e.db().lookup_pk(emp, &["e9".into()]).unwrap();
-        e.writer_mut().delete(e9).unwrap();
+        e.delete(e9).unwrap();
         let _ = e.apply().unwrap();
         e.search("Smith XML", &SearchOptions::default()).unwrap();
     }
@@ -827,7 +1235,7 @@ mod tests {
             "policy is recorded"
         );
         let e1 = c.tuple("e1").unwrap();
-        e.writer_mut().delete(c.tuple("t1").unwrap()).unwrap();
+        e.delete(c.tuple("t1").unwrap()).unwrap();
         let outcome = e.apply().unwrap();
         let remap = outcome.compaction.expect("one dead slot among ~17 crosses 5%");
         assert!(remap.reclaimed() > 0);
@@ -841,7 +1249,7 @@ mod tests {
         // Default policy: same churn, no compaction, tombstone remains.
         let mut manual =
             SearchEngine::new(c.db.clone(), c.er_schema.clone(), c.mapping.clone()).unwrap();
-        manual.writer_mut().delete(c.tuple("t1").unwrap()).unwrap();
+        manual.delete(c.tuple("t1").unwrap()).unwrap();
         let outcome = manual.apply().unwrap();
         assert!(outcome.compaction.is_none());
         assert!(manual.db().total_row_slots() > manual.db().total_tuples());
@@ -863,7 +1271,7 @@ mod tests {
             let e1 = e.db().lookup_pk(emp, &["e1".into()]).unwrap();
             let mut values = e.db().tuple(e1).unwrap().values().to_vec();
             values[3] = if round % 2 == 0 { "d2" } else { "d1" }.into();
-            e.writer_mut().update(e1, values).unwrap();
+            e.update(e1, values).unwrap();
             let outcome = e.apply().unwrap();
             let graph = e.snapshot().data_graph().graph().clone();
             if outcome.compaction.is_some() {
@@ -878,9 +1286,9 @@ mod tests {
         assert_eq!(e.db().total_row_slots(), e.db().total_tuples(), "no row ever died");
     }
 
-    /// The typed writer mutation path stages, applies and publishes,
-    /// and each publish bumps the snapshot generation without
-    /// disturbing previously pinned generations.
+    /// The typed mutation path stages, applies and publishes, and each
+    /// publish bumps the snapshot generation without disturbing
+    /// previously pinned generations.
     #[test]
     fn typed_writer_path_mutates_and_publishes_generations() {
         let mut e = engine();
@@ -888,10 +1296,9 @@ mod tests {
         let before = e.snapshot();
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
         let id = e
-            .writer_mut()
             .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
             .unwrap();
-        // Staged but unpublished: the façade refuses, the pinned
+        // Staged but unpublished: the engine refuses, the pinned
         // snapshot still answers.
         assert!(matches!(
             e.search("Zoe", &SearchOptions::default()),
@@ -903,18 +1310,66 @@ mod tests {
         assert_eq!(e.generation(), 1);
         assert!(!e.search("Zoe", &SearchOptions::default()).unwrap().is_empty());
         // In-place update and delete through the same path.
-        e.writer_mut()
-            .update(id, vec!["e9".into(), "Smith".into(), "Zia".into(), "d1".into()])
-            .unwrap();
+        e.update(id, vec!["e9".into(), "Smith".into(), "Zia".into(), "d1".into()]).unwrap();
         let _ = e.apply().unwrap();
         assert!(!e.search("Zia", &SearchOptions::default()).unwrap().is_empty());
-        e.writer_mut().delete(id).unwrap();
+        e.delete(id).unwrap();
         let _ = e.apply().unwrap();
         assert_eq!(e.generation(), 3);
         assert!(e.search("Zia", &SearchOptions::default()).unwrap().is_empty());
         // The generation-0 pin never moved.
         assert_eq!(before.generation(), 0);
         assert!(before.search("Zia", &SearchOptions::default()).unwrap().is_empty());
+    }
+
+    /// An alias edit publishes only once a handle or a snapshot pin has
+    /// escaped: before that it edits generation 0 in place. A handle
+    /// sees the published edit; a pin keeps its own generation.
+    #[test]
+    fn alias_edits_publish_once_a_pin_escaped() {
+        let c = company();
+        let build = || {
+            SearchEngine::new(c.db.clone(), c.er_schema.clone(), c.mapping.clone()).unwrap()
+        };
+
+        let unshared = build().with_aliases(c.aliases.clone());
+        assert_eq!(unshared.generation(), 0);
+        assert_eq!(unshared.aliases().len(), c.aliases.len());
+
+        let shared = build();
+        let handle = shared.snapshots();
+        let shared = shared.with_aliases(c.aliases.clone());
+        assert_eq!(shared.generation(), 1);
+        assert_eq!(handle.latest().generation(), 1);
+        assert_eq!(handle.latest().aliases().len(), c.aliases.len());
+
+        let pinned = build();
+        let pin = pinned.snapshot();
+        let pinned = pinned.with_aliases(c.aliases.clone());
+        assert_eq!(pinned.generation(), 1);
+        assert_eq!(pin.generation(), 0);
+        assert!(pin.aliases().is_empty());
+    }
+
+    /// A handle stays valid after its engine is dropped: it keeps the
+    /// last published generation, which answers as the engine did.
+    #[test]
+    fn snapshot_handle_outlives_its_engine() {
+        let mut e = engine();
+        let handle = e.snapshots();
+        let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
+        e.insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()]).unwrap();
+        let _ = e.apply().unwrap();
+        let generation = e.generation();
+        assert_eq!(generation, 1);
+        let answer = format!("{:?}", e.search("Smith XML", &SearchOptions::default()));
+        drop(e);
+        let last = handle.latest();
+        assert_eq!(last.generation(), generation);
+        assert_eq!(
+            format!("{:?}", last.search("Smith XML", &SearchOptions::default())),
+            answer
+        );
     }
 
     /// A failed apply is a rejected transaction: every patched
@@ -928,12 +1383,8 @@ mod tests {
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
         // A good insert and a dangling one in the same batch: the batch
         // fails wholesale, like a rebuild's validation would.
-        e.writer_mut()
-            .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
-            .unwrap();
-        e.writer_mut()
-            .insert(dep, vec!["t9".into(), "e-missing".into(), "X".into()])
-            .unwrap();
+        e.insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()]).unwrap();
+        e.insert(dep, vec!["t9".into(), "e-missing".into(), "X".into()]).unwrap();
         let err = e.apply().unwrap_err();
         assert!(matches!(err, CoreError::Relational(_)), "got {err:?}");
         // Engine fresh, serving identical answers.
@@ -947,9 +1398,7 @@ mod tests {
         assert!(e.db().lookup_pk(emp, &["e9".into()]).is_none());
         assert!(e.db().lookup_pk(dep, &["t9".into()]).is_none());
         // A corrected batch then applies cleanly.
-        e.writer_mut()
-            .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
-            .unwrap();
+        e.insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()]).unwrap();
         let _ = e.apply().unwrap();
         let fixed = e.search("Smith XML", &SearchOptions::default()).unwrap();
         assert!(fixed.connections.len() > before.connections.len());
@@ -971,7 +1420,6 @@ mod tests {
         let e1 = e.db().lookup_pk(emp, &["e1".into()]).unwrap();
 
         let err = e
-            .writer_mut()
             .insert(emp, vec!["e1".into(), "Smith".into(), "Zoe".into(), "d1".into()])
             .unwrap_err();
         assert!(
@@ -981,7 +1429,7 @@ mod tests {
         assert!(e.is_fresh());
         assert_eq!(render(&e), before);
 
-        let err = e.writer_mut().update(e1, vec!["e1".into(), "Smith".into()]).unwrap_err();
+        let err = e.update(e1, vec!["e1".into(), "Smith".into()]).unwrap_err();
         assert!(
             matches!(err, CoreError::Relational(RelationalError::ArityMismatch { .. })),
             "got {err:?}"
@@ -990,7 +1438,7 @@ mod tests {
         assert_eq!(render(&e), before);
 
         // w_f1 and t1 still reference e1.
-        let err = e.writer_mut().delete(e1).unwrap_err();
+        let err = e.delete(e1).unwrap_err();
         assert!(
             matches!(err, CoreError::Relational(RelationalError::DeleteRestricted { .. })),
             "got {err:?}"
@@ -1010,9 +1458,7 @@ mod tests {
         e.enable_failpoints();
         let before = e.search("Smith XML", &SearchOptions::default()).unwrap();
         let emp = e.db().catalog().relation_id("EMPLOYEE").unwrap();
-        e.writer_mut()
-            .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
-            .unwrap();
+        e.insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()]).unwrap();
         failpoints::arm("apply.mid", failpoints::FailpointMode::Once);
         assert!(e.apply().is_err());
         assert_eq!(failpoints::hits("apply.mid"), 1);
@@ -1023,9 +1469,7 @@ mod tests {
             after.connections.iter().map(|c| &c.rendering).collect::<Vec<_>>()
         );
         // The failpoint is one-shot: the same mutation now goes through.
-        e.writer_mut()
-            .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
-            .unwrap();
+        e.insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()]).unwrap();
         let _ = e.apply().unwrap();
         assert!(
             e.search("Smith XML", &SearchOptions::default()).unwrap().len() > before.len()

@@ -57,7 +57,7 @@ pub enum CoreError {
     /// format version, or internally inconsistent. Corruption is always
     /// reported through this variant — never a panic.
     Snapshot(cla_storage::StorageError),
-    /// Mutations were staged through the writer's typed ops after the
+    /// Mutations were staged through the engine's typed ops after the
     /// engine's index and data graph were built (or last patched);
     /// searching or saving would silently drop them. Call
     /// `SearchEngine::apply` to patch the engine up to the database's

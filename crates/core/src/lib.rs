@@ -23,17 +23,17 @@
 //!   networks that can still become MTJNTs (the unpruned enumeration of
 //!   every total network is a test reference, not library API);
 //! * [`explain_connection`] — natural-language readings (§3);
-//! * [`SearchEngine`] — the façade: index → match → connect → rank.
+//! * [`SearchEngine`] — the engine: index → match → connect → rank, over
+//!   a database it owns and mutates.
 //!
 //! ## Mutation subsystem
 //!
-//! The engine owns its database and stays **live** under churn. The
-//! writer's typed ops are the only mutation path, reached through
-//! [`SearchEngine::writer_mut`]: [`EngineWriter::insert`], in-place
-//! [`EngineWriter::update`] (same `TupleId`; FK edges re-resolved,
-//! changed primary keys re-validated and restrict-checked against the
-//! persistent reverse-FK index) and restrict-checked
-//! [`EngineWriter::delete`]. An op the database refuses returns its
+//! The engine owns its database and stays **live** under churn. Its
+//! typed ops are the only mutation path: [`SearchEngine::insert`],
+//! in-place [`SearchEngine::update`] (same `TupleId`; FK edges
+//! re-resolved, changed primary keys re-validated and restrict-checked
+//! against the persistent reverse-FK index) and restrict-checked
+//! [`SearchEngine::delete`]. An op the database refuses returns its
 //! typed reason ([`CoreError::Relational`]) and stages nothing. Staged
 //! ops wait for [`SearchEngine::apply`], which builds the **next
 //! published snapshot generation** from a copy of the current one: the
@@ -57,16 +57,16 @@
 //! ## Concurrent snapshot serving
 //!
 //! Everything `search()` reads lives in an immutable, Arc-shared
-//! [`EngineSnapshot`]; [`SearchEngine`] is a thin façade over one
-//! [`EngineWriter`] that builds and atomically publishes the next
-//! generation per `apply`/`compact` (a pointer swap under a write lock;
-//! the build copies the current generation's flat arrays, so a publish
-//! costs `O(database)` whatever the batch size). Reader threads pin
-//! generations through a cloneable [`SnapshotHandle`] — a pin takes a
-//! read lock for one `Arc` clone, and no search runs under the lock —
-//! and keep answering from their pinned generation, byte-identically
-//! to a from-scratch engine at that generation, while the writer keeps
-//! publishing (`crates/core/tests/concurrent.rs`;
+//! [`EngineSnapshot`]; [`SearchEngine`] builds and atomically publishes
+//! the next generation per `apply`/`compact` (a pointer swap under a
+//! write lock; the build copies the current generation's flat arrays,
+//! so a publish costs `O(database)` whatever the batch size), and so
+//! does an alias edit made after a snapshot or handle escaped. Reader
+//! threads pin generations through a cloneable [`SnapshotHandle`] — a
+//! pin takes a read lock for one `Arc` clone, and no search runs under
+//! the lock — and keep answering from their pinned generation,
+//! byte-identically to a from-scratch engine at that generation, while
+//! the engine keeps publishing (`crates/core/tests/concurrent.rs`;
 //! `examples/concurrent_serving.rs`).
 //!
 //! ## Cold start from disk
@@ -134,7 +134,6 @@ mod persist;
 mod ranking;
 mod snapshot;
 mod stats;
-mod writer;
 
 pub mod failpoints;
 
@@ -150,7 +149,7 @@ pub use discover::{
     enumerate_mtjnts, enumerate_mtjnts_budgeted, is_joining, is_mtjnt, is_total,
     mtjnt_filter, JoiningNetworkLevels,
 };
-pub use engine::SearchEngine;
+pub use engine::{ApplyOutcome, CompactionPolicy, SearchEngine, SnapshotHandle};
 pub use error::{CoreError, KeywordDiagnostic};
 // The typed corruption reasons behind [`CoreError::Snapshot`], for
 // callers matching on *why* an image was rejected.
@@ -165,4 +164,3 @@ pub use snapshot::{
     Algorithm, EngineSnapshot, RankedConnection, SearchOptions, SearchResults,
 };
 pub use stats::{kendall_tau, ClosenessProfile, Completeness, SearchStats, TruncationReason};
-pub use writer::{ApplyOutcome, CompactionPolicy, EngineWriter, SnapshotHandle};

@@ -29,9 +29,9 @@
 //! pool starts empty (it refills on first search).
 
 use crate::datagraph::{DataGraph, TupleNodes};
+use crate::engine::LazyDb;
 use crate::error::CoreError;
 use crate::snapshot::{failpoints_enabled_from_env, EngineSnapshot};
-use crate::writer::LazyDb;
 use cla_er::{map_to_relational, ErSchema, SchemaMapping};
 use cla_index::InvertedIndex;
 use cla_relational::Database;
@@ -74,16 +74,20 @@ fn build_image(snapshot: &EngineSnapshot, db: &Database) -> ImageBuilder {
 
 /// Serialize one published generation plus the database it reflects
 /// into an in-memory snapshot image (the byte content of
-/// [`EngineSnapshot::save`]'s file). Production code always goes
-/// through [`write_image`]; the in-memory twin exists for the
-/// byte-identity assertions in the unit tests below.
+/// [`SearchEngine::save`](crate::SearchEngine::save)'s file).
+/// Production code always goes through [`write_image`]; the in-memory
+/// twin exists for the byte-identity assertions in the unit tests
+/// below.
 #[cfg(test)]
 pub(crate) fn encode_image(snapshot: &EngineSnapshot, db: &Database) -> Vec<u8> {
     build_image(snapshot, db).finish()
 }
 
 /// Write the image of one published generation to `path` (via a
-/// temporary sibling file and an atomic rename).
+/// temporary sibling file and an atomic rename). `db` must be the
+/// database the snapshot reflects, with no staged mutations;
+/// [`SearchEngine::save`](crate::SearchEngine::save), the only caller,
+/// checks that.
 pub(crate) fn write_image(
     snapshot: &EngineSnapshot,
     db: &Database,
@@ -135,7 +139,7 @@ pub(crate) fn decode_image(
     }
     let (er_schema, mapping) = schema?;
     // Four independent lanes: the whole-body checksum (deferred by
-    // `EngineWriter::open`'s `parse_deferred`), the index decode (plus
+    // `SearchEngine::open`'s `parse_deferred`), the index decode (plus
     // the small alias section), the graph decode (which builds the
     // CSR), and the database validation walk. On a multi-core host the
     // first three run on scoped threads while the main lane runs here;
@@ -225,23 +229,6 @@ pub(crate) fn decode_image(
     Ok((snapshot, db, generation))
 }
 
-impl EngineSnapshot {
-    /// Save this published generation — together with `db`, the
-    /// database instance it reflects — as one offset-addressable,
-    /// checksummed snapshot image at `path` (written to a temporary
-    /// sibling and atomically renamed into place).
-    ///
-    /// `db` must be the instance this snapshot was built or patched
-    /// from, with no staged-but-unapplied mutations; the
-    /// [`EngineWriter::save`](crate::EngineWriter::save) and
-    /// `SearchEngine::save` entry points enforce that freshness and
-    /// should be preferred. Saving never mutates the snapshot, so
-    /// concurrent readers of this generation are unaffected.
-    pub fn save(&self, db: &Database, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        write_image(self, db, path.as_ref())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +262,7 @@ mod tests {
         let d = db.all_tuple_ids().find(|t| t.relation == dept).unwrap();
         let d_pk = db.tuple(d).unwrap().values()[0].clone();
         let values: Vec<Value> = vec![pk.into(), "Smith".into(), "Zara".into(), d_pk];
-        engine.writer_mut().insert(emp, values).unwrap();
+        engine.insert(emp, values).unwrap();
     }
 
     #[test]
@@ -319,7 +306,7 @@ mod tests {
         let mut opened = SearchEngine::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
 
-        assert_eq!(opened.writer().generation(), engine.writer().generation());
+        assert_eq!(opened.generation(), engine.generation());
         assert_eq!(opened.db().version(), engine.db().version());
         let opts = SearchOptions::default();
         for query in ["Smith XML", "Zara research"] {
@@ -334,7 +321,7 @@ mod tests {
         let err = opened.save(&path).unwrap_err();
         assert!(matches!(err, CoreError::StaleEngine { .. }), "staged mutations refuse save");
         let _ = opened.apply().unwrap();
-        assert_eq!(opened.writer().generation(), engine.writer().generation() + 1);
+        assert_eq!(opened.generation(), engine.generation() + 1);
         opened.save(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
     }
@@ -494,7 +481,7 @@ mod tests {
         let of = |rel| engine.db().all_tuple_ids().filter(move |t| t.relation == rel);
         let (gone, kept) = (of(dep).next().unwrap(), of(dep).nth(1).unwrap());
         let (emp_a, emp_b) = (of(emp).next().unwrap(), of(emp).nth(1).unwrap());
-        engine.writer_mut().delete(gone).unwrap();
+        engine.delete(gone).unwrap();
         let _ = engine.apply().unwrap();
         let snapshot = engine.snapshot();
         let dg = snapshot.data_graph();

@@ -5,14 +5,14 @@
 //! its CSR, display aliases and the pooled per-search scratch state —
 //! everything the whole search pipeline (keyword match → connection
 //! generation → metrics → ranking) touches. It is **never mutated after publication**: the
-//! [`EngineWriter`](crate::EngineWriter) builds the next generation in a
+//! [`SearchEngine`](crate::SearchEngine) builds the next generation in a
 //! private buffer and publishes it by swapping an `Arc` under a write
 //! lock, so any number of reader threads can search a pinned snapshot
-//! while the writer works; a pin holds the read lock only for one
+//! while the engine applies; a pin holds the read lock only for one
 //! `Arc` clone, and no search runs under it. Within one
 //! snapshot every answer is internally consistent; a reader holding an
 //! `Arc<EngineSnapshot>` keeps exactly its generation's answers alive
-//! no matter how far the writer advances.
+//! no matter how far the engine advances.
 
 use crate::aliases::Aliases;
 use crate::banks::{
@@ -58,8 +58,9 @@ pub enum Algorithm {
     Discover,
 }
 
-/// Options controlling [`EngineSnapshot::search`] (and the
-/// [`SearchEngine`](crate::SearchEngine) façade's `search`).
+/// Options controlling [`EngineSnapshot::search`] (and
+/// [`SearchEngine::search`](crate::SearchEngine::search), which first
+/// refuses a stale engine).
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
     /// Connection-generation algorithm.
@@ -568,9 +569,9 @@ impl SearchResults {
 /// changes after the snapshot is published (the scratch pool and the
 /// failpoint opt-in flag carry no semantic state). Obtain the current
 /// snapshot from a [`SnapshotHandle`](crate::SnapshotHandle) or
-/// [`EngineWriter::snapshot`](crate::EngineWriter::snapshot), and
+/// [`SearchEngine::snapshot`](crate::SearchEngine::snapshot), and
 /// hold the `Arc` for as long as a consistent view is needed — the
-/// writer publishing newer generations never invalidates it.
+/// engine publishing newer generations never invalidates it.
 #[derive(Debug)]
 pub struct EngineSnapshot {
     /// The ER schema and the mapping, shared by every generation of a
@@ -585,14 +586,15 @@ pub struct EngineSnapshot {
     /// `with_aliases` or a compaction replaces it.
     pub(crate) aliases: Arc<Aliases>,
     /// Publication ordinal of this snapshot: 0 for the freshly built
-    /// engine, +1 per published apply/compact. Distinct from the
+    /// engine, +1 per publish: every apply and compaction, and an alias
+    /// edit made after a snapshot or handle escaped. Distinct from the
     /// database version (which also counts rolled-back batches).
     pub(crate) generation: u64,
     /// Whether searches on this snapshot probe the process-global
     /// [`failpoints`](crate::failpoints) registry. Atomic so
-    /// `enable_failpoints` on the façade reaches the already-published
-    /// snapshot; fault-injection instrumentation only, never semantic
-    /// state.
+    /// [`SearchEngine::enable_failpoints`](crate::SearchEngine::enable_failpoints)
+    /// reaches the already-published snapshot; fault-injection
+    /// instrumentation only, never semantic state.
     pub(crate) failpoints: AtomicBool,
     /// Pool of reusable per-search scratch states (see
     /// [`SearchScratch`]). Each search pops one and pushes it back, so a
@@ -601,16 +603,17 @@ pub struct EngineSnapshot {
     /// to keep rarely-used concurrency from pinning memory.
     /// This mutex guards pooled buffers, not snapshot state: it is held
     /// for a pop/push only, never across any search work, and an empty
-    /// pool just means a fresh buffer — readers can never block on the
-    /// writer through it.
+    /// pool just means a fresh buffer — readers can never block on an
+    /// apply through it.
     #[allow(clippy::vec_box)]
     // moving boxes keeps checkout O(1), not a memcpy of the struct
     pub(crate) scratch_pool: Mutex<Vec<Box<SearchScratch>>>,
 }
 
 impl EngineSnapshot {
-    /// This snapshot's publication ordinal (0 for a freshly built
-    /// engine, +1 per published apply/compact).
+    /// This snapshot's publication ordinal: 0 for a freshly built
+    /// engine, +1 per publish: every apply and compaction, and an alias
+    /// edit made after a snapshot or handle escaped.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -623,7 +626,7 @@ impl EngineSnapshot {
         self.failpoints.load(AtomicOrdering::Relaxed)
     }
 
-    /// The writer's next build buffer: `index` and `dg` as given, the
+    /// The engine's next build buffer: `index` and `dg` as given, the
     /// schema, mapping and alias tables shared, and a fresh scratch pool
     /// (per-search buffers carry no semantic state).
     pub(crate) fn successor(&self, index: InvertedIndex, dg: DataGraph) -> EngineSnapshot {

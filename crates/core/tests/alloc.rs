@@ -241,7 +241,6 @@ fn warm_engine_reuses_buffers_instead_of_allocating() {
     assert_eq!(pinned.generation(), 0);
     let emp = engine.db().catalog().relation_id("EMPLOYEE").unwrap();
     engine
-        .writer_mut()
         .insert(emp, vec!["ez1".into(), "Smith".into(), "Ada".into(), "d1".into()])
         .unwrap();
     let _ = engine.apply().unwrap();

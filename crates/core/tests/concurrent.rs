@@ -1,7 +1,8 @@
 //! Concurrent-reader rebuild equivalence: N reader threads search
-//! pinned snapshots while the single writer applies mutation batches
-//! and compacts, and **every observation a reader makes is
-//! byte-identical to a from-scratch engine built at that generation**.
+//! pinned snapshots while the engine (the single writer) applies
+//! mutation batches and compacts, and **every observation a reader
+//! makes is byte-identical to a from-scratch engine built at that
+//! generation**.
 //!
 //! The properties pinned here, on top of `tests/mutation.rs`'s
 //! single-threaded rebuild equivalence:
@@ -9,7 +10,7 @@
 //! * Readers never observe `StaleEngine` or a half-applied batch — a
 //!   pinned [`EngineSnapshot`](cla_core::EngineSnapshot) is always a
 //!   complete published generation.
-//! * The writer derives every generation from the current one and
+//! * The engine derives every generation from the current one and
 //!   never mutates a generation a reader still pins: a snapshot pinned
 //!   early stays byte-stable across every later publish and
 //!   compaction.
@@ -19,7 +20,7 @@
 //!   pinned to pre-compaction generations keep answering in the old id
 //!   space, consistently.
 //! * Once its readers let go, a generation is freed: neither the
-//!   writer nor the handle's publication cell keeps it alive.
+//!   engine nor the handle's publication cell keeps it alive.
 
 use cla_core::failpoints;
 use cla_core::{Algorithm, Completeness, SearchEngine, SearchOptions, TruncationReason};
@@ -98,7 +99,7 @@ fn oracle(
 }
 
 /// Typed-path mutation driver: inserts employees/dependents and
-/// deletes dependents through [`cla_core::EngineWriter`]'s typed ops —
+/// deletes dependents through [`cla_core::SearchEngine`]'s typed ops —
 /// the only mutation path that can never drain the change log.
 struct Mutator {
     emp: RelationId,
@@ -137,7 +138,6 @@ impl Mutator {
                 let Some((_, d)) = Self::pick(engine.db(), self.dept, rng) else { return };
                 let surname = if rng.random::<f64>() < 0.5 { "Smith" } else { "Turing" };
                 engine
-                    .writer_mut()
                     .insert(
                         self.emp,
                         vec![
@@ -153,7 +153,6 @@ impl Mutator {
                 let Some((_, essn)) = Self::pick(engine.db(), self.emp, rng) else { return };
                 let name = if rng.random::<f64>() < 0.5 { "Alice" } else { "Casey" };
                 engine
-                    .writer_mut()
                     .insert(
                         self.dep,
                         vec![format!("tz{fresh}").into(), essn.into(), name.into()],
@@ -162,13 +161,13 @@ impl Mutator {
             }
             2 => {
                 let Some((id, _)) = Self::pick(engine.db(), self.dep, rng) else { return };
-                engine.writer_mut().delete(id).unwrap();
+                engine.delete(id).unwrap();
             }
             _ => {
                 // Employee deletes may be restrict-blocked by dependents
                 // or memberships — an inapplicable dice roll, not a bug.
                 let Some((id, _)) = Self::pick(engine.db(), self.emp, rng) else { return };
-                let _ = engine.writer_mut().delete(id);
+                let _ = engine.delete(id);
             }
         }
     }
@@ -309,10 +308,10 @@ fn stress_readers_and_writer_under_faults() {
 }
 
 /// A reader pin held across many publishes must stay byte-stable: the
-/// writer derives every generation from the latest one and keeps no
+/// engine derives every generation from the latest one and keeps no
 /// state for a parked reader. The latest generation must also keep
 /// answering exactly like a from-scratch rebuild. Finally, once the
-/// readers let go, neither the writer nor the handle's cell may keep
+/// readers let go, neither the engine nor the handle's cell may keep
 /// an unpinned generation alive.
 #[test]
 fn long_pinned_reader_outlives_the_recycling_window() {
@@ -338,14 +337,13 @@ fn long_pinned_reader_outlives_the_recycling_window() {
     let churn = |engine: &mut SearchEngine, rounds: std::ops::Range<u64>| {
         for i in rounds {
             let id = engine
-                .writer_mut()
                 .insert(
                     dep,
                     vec![format!("lp{i}").into(), essn.as_str().into(), "Alice".into()],
                 )
                 .unwrap();
             let _ = engine.apply().unwrap();
-            engine.writer_mut().delete(id).unwrap();
+            engine.delete(id).unwrap();
             let _ = engine.apply().unwrap();
         }
     };
@@ -382,8 +380,8 @@ fn long_pinned_reader_outlives_the_recycling_window() {
 
 /// `with_aliases` after a handle escaped publishes a generation whose
 /// only change is the alias table. No mutation batch carries aliases,
-/// so every later apply must keep that table — for the façade and for
-/// readers.
+/// so every later apply must keep that table — for the engine's own
+/// searches and for readers.
 #[test]
 fn aliases_set_after_a_handle_escaped_survive_later_applies() {
     let schema = generate_synthetic(&small_config(5));
@@ -410,7 +408,6 @@ fn aliases_set_after_a_handle_escaped_survive_later_applies() {
         .unwrap();
     for round in 0..4 {
         engine
-            .writer_mut()
             .insert(
                 emp,
                 vec![

@@ -17,7 +17,7 @@
 //! Mutations are driven by a seeded generator over the synthetic
 //! company-shaped databases, planting, rewriting and removing the bench
 //! keywords (`xml`, `smith`, `alice`) so the match sets themselves
-//! churn. Every mutation goes through the writer's typed ops.
+//! churn. Every mutation goes through the engine's typed ops.
 //!
 //! An applied graph numbers an inserted tuple's node after every node
 //! before it, whatever its relation, so its node ids no longer follow
@@ -30,7 +30,7 @@ mod banks_reference;
 use banks_reference::banks_naive;
 use cla_core::{
     banks_search_budgeted, Algorithm, BanksOptions, BanksScratch, CoreError, DataGraph,
-    EdgeWeighting, EngineWriter, SearchEngine, SearchOptions,
+    EdgeWeighting, SearchEngine, SearchOptions,
 };
 use cla_datagen::{generate_synthetic, SyntheticConfig};
 use cla_graph::{EdgeId, NodeId};
@@ -100,18 +100,18 @@ impl Mutator {
         Some(rows[i].clone())
     }
 
-    /// Stage one random mutation through the writer; returns `true` if
+    /// Stage one random mutation through the engine; returns `true` if
     /// the database changed. Restricted deletes/re-keys and duplicate
     /// memberships count as no-ops (the dice simply rolled an
     /// inapplicable op).
-    fn random_op(&mut self, w: &mut EngineWriter, rng: &mut StdRng) -> bool {
+    fn random_op(&mut self, w: &mut SearchEngine, rng: &mut StdRng) -> bool {
         let op = rng.random_range(0..12usize);
         self.op(w, rng, op)
     }
 
     /// Stage mutation `op` of [`Mutator::random_op`]'s twelve, with
     /// random operands.
-    fn op(&mut self, w: &mut EngineWriter, rng: &mut StdRng, op: usize) -> bool {
+    fn op(&mut self, w: &mut SearchEngine, rng: &mut StdRng, op: usize) -> bool {
         match op {
             // Insert a dependent of a random employee.
             0 => {
@@ -364,7 +364,7 @@ proptest! {
             let ops = rng.random_range(1..6usize);
             let mut mutated = false;
             for _ in 0..ops {
-                mutated |= mutator.random_op(engine.writer_mut(), &mut rng);
+                mutated |= mutator.random_op(&mut engine, &mut rng);
             }
             // Stale-engine guard: any mutation makes search refuse until
             // the engine is patched.
@@ -450,7 +450,7 @@ proptest! {
         // builds on an applied generation.
         for _ in 0..rng.random_range(1..4usize) {
             for _ in 0..rng.random_range(1..4usize) {
-                mutator.random_op(engine.writer_mut(), &mut rng);
+                mutator.random_op(&mut engine, &mut rng);
             }
             let _ = engine.apply().unwrap();
         }
@@ -458,7 +458,7 @@ proptest! {
 
         // A batch of otherwise-good mutations…
         for _ in 0..rng.random_range(1..6usize) {
-            mutator.random_op(engine.writer_mut(), &mut rng);
+            mutator.random_op(&mut engine, &mut rng);
         }
         // …failed either by injection (after the index patched) or by a
         // genuinely dangling reference the graph plan rejects.
@@ -466,7 +466,6 @@ proptest! {
             cla_core::failpoints::arm("apply.mid", cla_core::failpoints::FailpointMode::Once);
         } else {
             engine
-                .writer_mut()
                 .insert(
                     mutator.dep,
                     vec![
@@ -490,7 +489,7 @@ proptest! {
         // and still matches a from-scratch rebuild.
         let mut mutated = false;
         for _ in 0..3 {
-            mutated |= mutator.random_op(engine.writer_mut(), &mut rng);
+            mutated |= mutator.random_op(&mut engine, &mut rng);
         }
         let _ = engine.apply().unwrap();
         if mutated {
@@ -518,12 +517,12 @@ proptest! {
         let deps: Vec<TupleId> =
             engine.db().tuples(mutator.dep).map(|(id, _)| id).collect();
         for id in deps {
-            engine.writer_mut().delete(id).unwrap();
+            engine.delete(id).unwrap();
         }
         let wfs: Vec<TupleId> = engine.db().tuples(mutator.wf).map(|(id, _)| id).collect();
         for id in wfs {
             if rng.random::<f64>() < 0.8 {
-                engine.writer_mut().delete(id).unwrap();
+                engine.delete(id).unwrap();
             }
         }
         let _ = engine.apply().unwrap();
@@ -534,13 +533,13 @@ proptest! {
         let mut mutator = mutator;
         let emps: Vec<TupleId> = engine.db().tuples(mutator.emp).map(|(id, _)| id).collect();
         for id in emps.into_iter().take(4) {
-            match engine.writer_mut().delete(id) {
+            match engine.delete(id) {
                 Ok(()) | Err(CoreError::Relational(DeleteRestricted { .. })) => {}
                 Err(e) => panic!("unexpected delete failure: {e}"),
             }
         }
         for _ in 0..5 {
-            mutator.random_op(engine.writer_mut(), &mut rng);
+            mutator.random_op(&mut engine, &mut rng);
         }
         let _ = engine.apply().unwrap();
         assert_matches_rebuild(&engine, &format!("seed {seed} wave2"))?;
@@ -585,10 +584,10 @@ proptest! {
         // the last relation) and of memberships, deletes, and
         // re-pointing updates.
         const REORDERING_OPS: [usize; 11] = [0, 1, 2, 3, 3, 4, 5, 6, 7, 9, 10];
-        mutator.op(engine.writer_mut(), &mut rng, 1);
+        mutator.op(&mut engine, &mut rng, 1);
         for _ in 0..rng.random_range(8..20usize) {
             let op = REORDERING_OPS[rng.random_range(0..REORDERING_OPS.len())];
-            mutator.op(engine.writer_mut(), &mut rng, op);
+            mutator.op(&mut engine, &mut rng, op);
         }
         let _ = engine.apply().unwrap();
         let dg = engine.data_graph();
@@ -659,7 +658,6 @@ fn single_op_burst_equals_rebuild() {
     let mut kept = 0;
     for i in 0..40 {
         let id = engine
-            .writer_mut()
             .insert(
                 mutator.dep,
                 vec![
@@ -673,11 +671,11 @@ fn single_op_burst_equals_rebuild() {
         if i % 3 == 0 {
             kept += 1;
         } else {
-            engine.writer_mut().delete(id).unwrap();
+            engine.delete(id).unwrap();
             let _ = engine.apply().unwrap();
         }
     }
-    assert_eq!(engine.writer().generation(), 40 + 40 - kept);
+    assert_eq!(engine.generation(), 40 + 40 - kept);
     assert_eq!(engine.data_graph().node_count(), slots + 40, "each insert took a slot");
     assert_eq!(engine.data_graph().alive_node_count(), slots + kept as usize);
     assert_matches_rebuild(&engine, "single-op burst").unwrap();

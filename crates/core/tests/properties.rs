@@ -355,7 +355,6 @@ proptest! {
             if applied {
                 let emp = engine.db().catalog().relation_id("EMPLOYEE").unwrap();
                 engine
-                    .writer_mut()
                     .insert(emp, vec!["ez1".into(), "Smith".into(), "Alice".into(), "d1".into()])
                     .unwrap();
                 let _ = engine.apply().unwrap();

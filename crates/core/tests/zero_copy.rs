@@ -71,7 +71,7 @@ fn stage_insert(engine: &mut SearchEngine, pk: &str) {
     let d = db.all_tuple_ids().find(|t| t.relation == dept).unwrap();
     let d_pk = db.tuple(d).unwrap().values()[0].clone();
     let values: Vec<Value> = vec![pk.into(), "Smith".into(), "Zara".into(), d_pk];
-    engine.writer_mut().insert(emp, values).unwrap();
+    engine.insert(emp, values).unwrap();
 }
 
 /// The core property, per dataset: save → open serves image-backed,
@@ -146,7 +146,7 @@ fn opened_engine_compacts_identically() {
         let db = engine.db();
         let dep = db.catalog().relation_id("DEPENDENT").unwrap();
         let t = db.all_tuple_ids().find(|t| t.relation == dep).unwrap();
-        engine.writer_mut().delete(t).unwrap();
+        engine.delete(t).unwrap();
         let _ = engine.apply().unwrap();
         let remap = engine.compact().unwrap();
         assert_eq!(remap.reclaimed(), 1);

@@ -137,13 +137,13 @@ fn apply_writes(engine: &mut SearchEngine, seed: u64) {
                 0 => {
                     fresh += 1;
                     values[0] = format!("ew{fresh}").into();
-                    engine.writer_mut().insert(employee, values).expect("a new employee");
+                    engine.insert(employee, values).expect("a new employee");
                 }
                 1 => {
                     // A restricted delete stages nothing.
-                    let _ = engine.writer_mut().delete(id);
+                    let _ = engine.delete(id);
                 }
-                _ => engine.writer_mut().update(id, values).expect("a re-pointed employee"),
+                _ => engine.update(id, values).expect("a re-pointed employee"),
             }
         }
         let _ = engine.apply().expect("the batch applies");

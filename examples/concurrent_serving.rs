@@ -106,14 +106,13 @@ fn main() {
             for _ in 0..batch {
                 if !hired.is_empty() && rng.random::<f64>() < 0.4 {
                     let id = hired.swap_remove(rng.random_range(0..hired.len()));
-                    engine.writer_mut().delete(id).unwrap();
+                    engine.delete(id).unwrap();
                 } else {
                     fresh += 1;
                     let dept = &dept_keys[rng.random_range(0..dept_keys.len())];
                     let surname =
                         if rng.random::<f64>() < 0.5 { "Smith" } else { "Lovelace" };
                     let id = engine
-                        .writer_mut()
                         .insert(
                             emp,
                             vec![
@@ -160,5 +159,12 @@ fn main() {
          generations while the writer published {} times — no search ran under a lock.",
         served.len(),
         engine.generation(),
+    );
+    // One publish per apply, plus one for the mid-stream compaction.
+    assert_eq!(engine.generation(), WRITER_ROUNDS as u64 + 1);
+    assert_eq!(
+        handle.latest().generation(),
+        engine.generation(),
+        "the handle sees the last publish"
     );
 }

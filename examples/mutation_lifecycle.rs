@@ -31,7 +31,6 @@ fn main() {
     // --- In-place update: move e2 (a Smith) from d2 to d1, same id. ---
     let e2 = engine.db().lookup_pk(emp, &["e2".into()]).unwrap();
     engine
-        .writer_mut()
         .update(e2, vec!["e2".into(), "Smith".into(), "Barbara".into(), "d1".into()])
         .unwrap();
     let _ = engine.apply().unwrap();
@@ -42,14 +41,8 @@ fn main() {
     // wholesale; the engine stays fresh and serves unchanged answers. ---
     let before = renderings(&engine);
     let dep = engine.db().catalog().relation_id("DEPENDENT").unwrap();
-    engine
-        .writer_mut()
-        .insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()])
-        .unwrap();
-    engine
-        .writer_mut()
-        .insert(dep, vec!["t9".into(), "e-missing".into(), "X".into()])
-        .unwrap();
+    engine.insert(emp, vec!["e9".into(), "Smith".into(), "Zoe".into(), "d1".into()]).unwrap();
+    engine.insert(dep, vec!["t9".into(), "e-missing".into(), "X".into()]).unwrap();
     let err = engine.apply().unwrap_err();
     assert!(engine.is_fresh());
     assert_eq!(renderings(&engine), before, "post-failure answers ≡ pre-mutation");
@@ -59,9 +52,9 @@ fn main() {
     // slots; compact reclaims them all behind a remap table. ---
     let e1 = engine.db().lookup_pk(emp, &["e1".into()]).unwrap();
     for d in engine.db().references_to(e1) {
-        engine.writer_mut().delete(d.0).unwrap(); // w_f1, t1 reference e1
+        engine.delete(d.0).unwrap(); // w_f1, t1 reference e1
     }
-    engine.writer_mut().delete(e1).unwrap();
+    engine.delete(e1).unwrap();
     let _ = engine.apply().unwrap();
     let slots_before = engine.db().total_row_slots();
     let remap = engine.compact().unwrap();

@@ -57,10 +57,10 @@
 //!   fault paths above are drivable from tests or triage sessions via
 //!   the [`core::failpoints`] registry (`CLA_FAILPOINTS=name=once,...`:
 //!   `apply.mid`, `pool.return`, `banks.settle`).
-//! * **Snapshot-consistent under concurrency** — the engine is split
-//!   into an immutable, generation-stamped [`core::EngineSnapshot`]
-//!   (everything `search()` reads) and a single [`core::EngineWriter`]
-//!   that builds and publishes the next generation per
+//! * **Snapshot-consistent under concurrency** — everything `search()`
+//!   reads lives in an immutable, generation-stamped
+//!   [`core::EngineSnapshot`], and the [`core::SearchEngine`] that owns
+//!   the database builds and publishes the next generation per
 //!   `apply`/`compact`. The consistency model: a reader pins the
 //!   latest generation through a cloneable [`core::SnapshotHandle`]
 //!   (`engine.snapshots().latest()`) — a pin takes a read lock for one
@@ -71,9 +71,9 @@
 //!   database at that generation, and (3) immutable for as long as the
 //!   reader holds it, across any number of later publishes and even
 //!   `compact()`'s id renumbering. Readers holding a pin therefore
-//!   never see `StaleEngine`; staleness is a property of the façade's
-//!   owned current generation only. Writes remain single-writer:
-//!   `EngineWriter`'s typed `insert`/`update`/`delete` ops are the only
+//!   never see `StaleEngine`; staleness is a property of the engine's
+//!   own current generation only. Writes remain single-writer: the
+//!   engine's typed `insert`/`update`/`delete` ops are the only
 //!   mutation path (a refused op stages nothing), and a publish
 //!   builds the next generation from a copy of the current one's flat
 //!   arrays, never touching a generation a reader pins (pinned in

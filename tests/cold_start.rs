@@ -101,7 +101,6 @@ fn opened_snapshot_stays_mutable() {
             .expect("employees exist")
     };
     engine
-        .writer_mut()
         .insert(dep, vec!["cold1".into(), essn.as_str().into(), "Quartzine".into()])
         .unwrap();
     let _ = engine.apply().unwrap();
